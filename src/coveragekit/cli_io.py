@@ -354,12 +354,7 @@ def _render_coverage(cov: CoverageMap) -> str:
         pts = " ".join(c.fmt_pt(p.x, p.y) for p in cell.vertices)
         out.append(f'<polygon points="{pts}" fill="none" stroke="#555555" '
                    f'stroke-width="1" stroke-dasharray="6,4"/>\n')
-        try:
-            frame = power_frame(pd, sid)
-        except Exception:
-            continue
-        for q in sorted(frame.partitions):
-            piece = frame.partitions[q]
+        for piece in power_frame(pd, sid).partitions.values():
             pts = " ".join(c.fmt_pt(p.x, p.y) for p in piece.vertices)
             out.append(f'<polygon points="{pts}" fill="none" stroke="#999999" '
                        f'stroke-width="0.6"/>\n')

@@ -41,9 +41,8 @@ import numpy as np
 from ..errors import DuplicateSite
 from ..geometry import (ArcPolygon, ConvexPolygon, Disk, HalfPlane, Point2,
                         Rect, arc_polygon_area, clip_convex,
-                        convex_polygon_intersection, geom_eps, power_distance,
-                        _boolean_pieces, _polygon_or_none)
-from ..protocol_coverage import ProtocolTransmitter, merge_region_pieces
+                        convex_polygon_intersection, geom_eps, power_distance)
+from ..protocol_coverage import ProtocolTransmitter, site_region
 
 _Z_BIG = 1.0e30
 
@@ -857,26 +856,7 @@ class DynamicCoverage:
         t = self.transmitters[sid]
         eps = geom_eps(max(self.window.diameter(), t.int_radius))
         cand = sorted(set(self.neighbors.get(sid, set())) | self.offstage)
-        pieces = []
-        if not cand:
-            pieces = _boolean_pieces(region_cell, t.tx_disk, None, eps)
-        else:
-            for q in cand:
-                piece = region_cell
-                for other in cand:
-                    if other == q:
-                        continue
-                    gap = self._plane_gap(q, other)  # f_q - f_other; keep >= 0
-                    piece = _clip_poly_by_gap(piece, gap)
-                    if piece is None:
-                        break
-                if piece is None:
-                    continue
-                pieces.extend(_boolean_pieces(
-                    piece, t.tx_disk, self.transmitters[q].int_disk, eps))
-        if not pieces:
-            return []
-        return merge_region_pieces(pieces, eps)
+        return site_region(region_cell, t.tx_disk, self._int_disks, cand, eps)
 
     def facial_lattice(self) -> FacialLatticeView:
         verts: set[int] = set()
@@ -922,17 +902,6 @@ def _area_xy(poly: list[tuple[float, float]]) -> float:
         xb, yb = poly[(i + 1) % k]
         s += xa * yb - xb * ya
     return 0.5 * s
-
-
-def _clip_poly_by_gap(poly: Optional[ConvexPolygon], gap) -> Optional[ConvexPolygon]:
-    """Clip a ConvexPolygon to {gap >= 0} (the side where q wins)."""
-    if poly is None:
-        return None
-    pts = [(p.x, p.y) for p in poly.vertices]
-    kept = _clip_xy(pts, lambda x, y: -gap(x, y))
-    if len(kept) < 3:
-        return None
-    return _polygon_or_none([Point2(x, y) for (x, y) in kept], 0.0)
 
 
 def traverse_shuffle(dc: DynamicCoverage, s: HalfSpace3) -> Optional[ShuffleVertex]:

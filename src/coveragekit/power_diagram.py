@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConcentricDisks, DuplicateSite, HiddenSite
-from .geometry import (ConvexPolygon, Disk, HalfPlane, Point2, Rect, clip_convex,
-                       convex_polygon_intersection, geom_eps, power_bisector,
-                       power_distance)
+from .geometry import (ConvexPolygon, Disk, Point2, Rect, clip_convex, geom_eps,
+                       power_bisector, power_distance)
 
 SiteId = int
 
@@ -56,8 +55,9 @@ class PowerDiagram:
 class PowerFrame:
     """Per-neighbor partition of one site's cell.
 
-    ``partitions[q]`` is the subset of the owner's cell whose power-nearest
-    site among the rest is ``q``; the pieces tile the cell.
+    ``partitions[q]`` is the part of the owner's cell where ``q`` is
+    power-nearest among the owner's neighbors, cut from the cell by the
+    neighbors' bisectors; the pieces tile the cell.
     """
     owner: SiteId
     partitions: dict[SiteId, ConvexPolygon]
@@ -87,9 +87,10 @@ def build(disks: Sequence[Disk], window: Rect) -> PowerDiagram:
     n = len(disks)
     if n <= _DIRECT_MAX:
         return _build_direct(disks, window, scale)
+    from scipy.spatial import QhullError
     try:
         return _build_lifted(disks, window, scale)
-    except Exception:
+    except QhullError:
         # degenerate lift (e.g. all centers collinear): fall back to exact path
         return _build_direct(disks, window, scale)
 
@@ -101,6 +102,23 @@ def _bisector_or_dominance(di: Disk, dj: Disk, eps: float):
         # concentric: the larger disk is closer everywhere
         return di.radius > dj.radius
     return power_bisector(di, dj)
+
+
+def _clip_cell(poly: ConvexPolygon, sites: Sequence[Disk] | Mapping[SiteId, Disk],
+               i: SiteId, others: Iterable[SiteId], eps: float) -> Optional[ConvexPolygon]:
+    """``poly`` clipped to where ``sites[i]`` beats every ``sites[j]``,
+    ``j`` in ``others`` (``i`` itself is skipped); None if empty."""
+    out: Optional[ConvexPolygon] = poly
+    for j in others:
+        if j == i:
+            continue
+        h = _bisector_or_dominance(sites[i], sites[j], eps)
+        if h is True:
+            continue
+        out = None if h is False else clip_convex(out, h)
+        if out is None:
+            return None
+    return out
 
 
 def _mega_square(window: Rect, scale: float) -> Rect:
@@ -170,24 +188,9 @@ def _build_direct(disks: Sequence[Disk], window: Rect, scale: float) -> PowerDia
     mega_cells: list[Optional[ConvexPolygon]] = []
     cells: dict[SiteId, Optional[ConvexPolygon]] = {}
     for i in range(n):
-        mc: Optional[ConvexPolygon] = mega
-        wc: Optional[ConvexPolygon] = wpoly
-        for j in range(n):
-            if i == j:
-                continue
-            h = _bisector_or_dominance(disks[i], disks[j], eps)
-            if h is True:
-                continue
-            if h is False:
-                mc = wc = None
-                break
-            mc = clip_convex(mc, h)
-            wc = clip_convex(wc, h)
-            if mc is None:
-                wc = None
-                break
+        mc = _clip_cell(mega, disks, i, range(n), eps)
         mega_cells.append(mc)
-        cells[i] = wc
+        cells[i] = None if mc is None else _clip_cell(wpoly, disks, i, range(n), eps)
 
     hidden = frozenset(i for i in range(n) if mega_cells[i] is None)
     neighbors = _adjacency_exact(disks, hidden, scale)
@@ -227,52 +230,41 @@ def _build_lifted(disks: Sequence[Disk], window: Rect, scale: float) -> PowerDia
         if i in hidden:
             cells[i] = None
             continue
-        poly: Optional[ConvexPolygon] = wpoly
-        for j in sorted(adj[i]):
-            h = _bisector_or_dominance(disks[i], disks[j], eps)
-            if h is True:
-                continue
-            if h is False:
-                poly = None
-                break
-            poly = clip_convex(poly, h)
-            if poly is None:
-                break
-        cells[i] = poly
+        cells[i] = _clip_cell(wpoly, disks, i, sorted(adj[i]), eps)
 
     neighbors = {i: frozenset(adj[i]) - {i} for i in range(n)}
     return PowerDiagram(window=window, sites=tuple(disks), cells=cells,
                         neighbors=neighbors, hidden=hidden)
 
 
-def power_frame(pd: PowerDiagram, p: SiteId) -> PowerFrame:
-    """Partition of cell(p) by the power diagram of p's neighbors.
+def frame_partitions(cell: ConvexPolygon, sites: Sequence[Disk] | Mapping[SiteId, Disk],
+                     gamma: Sequence[SiteId], eps: float) -> dict[SiteId, ConvexPolygon]:
+    """Split ``cell`` by the power diagram of the sites in ``gamma``.
 
-    Each piece is labeled with the unique neighbor that is power-nearest on
-    it.  Built from the sub-diagram of the neighbor set, clipped to the
-    half-plane where p wins and to p's own cell.
+    The piece of ``q`` is ``cell`` clipped by the half-planes where ``q``
+    beats every other ``r`` in ``gamma``.  Pieces come in the order of
+    ``gamma``; empty ones are left out.
+    """
+    partitions: dict[SiteId, ConvexPolygon] = {}
+    for q in gamma:
+        piece = _clip_cell(cell, sites, q, gamma, eps)
+        if piece is not None:
+            partitions[q] = piece
+    return partitions
+
+
+def power_frame(pd: PowerDiagram, p: SiteId) -> PowerFrame:
+    """Partition of cell(p) among p's neighbors, by local clipping.
+
+    The piece labeled ``q`` is cell(p) clipped by the bisectors between q and
+    each other neighbor, so q is power-nearest among the neighbors on it.
     """
     cell = pd.cells.get(p)
     if cell is None:
         raise HiddenSite(f"site {p} has an empty power region")
     gamma = sorted(pd.neighbors.get(p, frozenset()))
-    if not gamma:
-        return PowerFrame(owner=p, partitions={})
-    if len(gamma) == 1:
-        return PowerFrame(owner=p, partitions={gamma[0]: cell})
-
-    sub = build([pd.sites[q] for q in gamma], pd.window)
     eps = geom_eps(pd.window.diameter())
-    partitions: dict[SiteId, ConvexPolygon] = {}
-    for k, q in enumerate(gamma):
-        piece = sub.cells.get(k)
-        if piece is None:
-            continue
-        piece = clip_convex(piece, power_bisector(pd.sites[p], pd.sites[q], eps))
-        piece = convex_polygon_intersection(piece, cell)
-        if piece is not None:
-            partitions[q] = piece
-    return PowerFrame(owner=p, partitions=partitions)
+    return PowerFrame(owner=p, partitions=frame_partitions(cell, pd.sites, gamma, eps))
 
 
 def remove_redundant(disks: Sequence[Disk], window: Rect) -> tuple[list[SiteId], list[SiteId]]:

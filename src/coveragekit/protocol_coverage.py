@@ -13,12 +13,12 @@ all outputs are immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .geometry import (ArcEdge, ArcPolygon, CircularArc, ConvexPolygon, Disk,
                        Point2, Rect, Segment, TWO_PI, arc_polygon_area, dist,
                        geom_eps, stitch_chains, _boolean_pieces)
-from .power_diagram import PowerDiagram, SiteId, build, power_frame
+from .power_diagram import PowerDiagram, SiteId, build, frame_partitions
 
 
 @dataclass(frozen=True)
@@ -105,20 +105,27 @@ def compute_coverage_map(txs: Sequence[ProtocolTransmitter], window: Rect) -> Co
         if p in pd.hidden or cell is None:
             regions[p] = []
             continue
-        regions[p] = _site_region(pd, p, cell, txs[p].tx_disk, eps)
+        regions[p] = site_region(cell, txs[p].tx_disk, int_disks,
+                                 sorted(pd.neighbors.get(p, frozenset())), eps)
     return CoverageMap(regions=regions, diagram=pd, transmitters=tuple(txs))
 
 
-def _site_region(pd: PowerDiagram, p: SiteId, cell: ConvexPolygon,
-                 tx: Disk, eps: float) -> list[ArcPolygon]:
-    gamma = pd.neighbors.get(p, frozenset())
-    pieces: list[ArcEdge] = []
-    if not gamma:
+def site_region(cell: ConvexPolygon, tx: Disk,
+                int_disks: Sequence[Disk] | Mapping[SiteId, Disk],
+                cand: Sequence[SiteId], eps: float) -> list[ArcPolygon]:
+    """Coverage region of the site with transmission disk ``tx`` and power
+    cell ``cell``, whose interfering neighbors are ``cand``.
+
+    The cell is split by its power frame and each piece subtracts only its
+    own neighbor's interference disk.  Used by both the static and the
+    dynamic maps.
+    """
+    if not cand:
         pieces = _boolean_pieces(cell, tx, None, eps)
     else:
-        frame = power_frame(pd, p)
-        for q, part in sorted(frame.partitions.items()):
-            pieces.extend(_boolean_pieces(part, tx, pd.sites[q], eps))
+        pieces = []
+        for q, part in frame_partitions(cell, int_disks, cand, eps).items():
+            pieces.extend(_boolean_pieces(part, tx, int_disks[q], eps))
     if not pieces:
         return []
     return merge_region_pieces(pieces, eps)

@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from scipy.spatial import QhullError
 
 from coveragekit.errors import DuplicateSite, HiddenSite
 from coveragekit.geometry import Disk, Point2, Rect, power_distance
@@ -143,31 +144,51 @@ def test_power_frame_symmetric_cross():
 
 
 def test_power_frame_partition_label_is_argmin():
-    rng = random.Random(6)
-    disks = random_disks(rng, 10)
+    # n = 10 takes the direct top-level route, n = 64 the lifted one
+    for n in (10, 64):
+        rng = random.Random(6)
+        disks = random_disks(rng, n)
+        pd = build(disks, WIN)
+        p = next(i for i in range(n) if pd.cells.get(i) is not None)
+        frame = power_frame(pd, p)
+        gamma = sorted(pd.neighbors[p])
+        cell = pd.cells[p]
+        assert sum(piece.area() for piece in frame.partitions.values()) == \
+            pytest.approx(cell.area(), rel=1e-9)
+        xs = [v.x for v in cell.vertices]
+        ys = [v.y for v in cell.vertices]
+        checked = 0
+        for _ in range(10000):
+            x = Point2(rng.uniform(min(xs), max(xs)), rng.uniform(min(ys), max(ys)))
+            if not cell.contains(x, tol=-1e-7):  # strictly interior
+                continue
+            vals = sorted((power_distance(x, pd.sites[q]), q) for q in gamma)
+            if len(vals) > 1 and vals[1][0] - vals[0][0] < 1e-7:
+                continue
+            label = None
+            for q, piece in frame.partitions.items():
+                if piece.contains(x, tol=-1e-9):
+                    label = q
+                    break
+            if label is None:
+                continue  # on a partition boundary
+            assert label == vals[0][1]
+            checked += 1
+        assert checked > 1000
+
+
+def test_build_falls_back_to_direct_on_qhull_error():
+    # 40 collinear centres: the lifted points are coplanar, Qhull refuses
+    disks = [Disk(Point2(-5.5 + 11.0 * i / 39, 0.0), 0.2 + 0.01 * (i % 5))
+             for i in range(40)]
+    scale = _validate(disks, WIN)
+    with pytest.raises(QhullError):
+        _build_lifted(disks, WIN, scale)
     pd = build(disks, WIN)
-    p = next(i for i in range(10) if pd.cells.get(i) is not None)
-    frame = power_frame(pd, p)
-    gamma = sorted(pd.neighbors[p])
-    cell = pd.cells[p]
-    checked = 0
-    for _ in range(10000):
-        x = Point2(rng.uniform(WIN.x0, WIN.x1), rng.uniform(WIN.y0, WIN.y1))
-        if not cell.contains(x, tol=-1e-7):  # strictly interior
-            continue
-        vals = sorted((power_distance(x, pd.sites[q]), q) for q in gamma)
-        if len(vals) > 1 and vals[1][0] - vals[0][0] < 1e-7:
-            continue
-        label = None
-        for q, piece in frame.partitions.items():
-            if piece.contains(x, tol=-1e-9):
-                label = q
-                break
-        if label is None:
-            continue  # on a partition boundary
-        assert label == vals[0][1]
-        checked += 1
-    assert checked > 1000
+    ref = _build_direct(disks, WIN, scale)
+    assert pd.cells == ref.cells
+    assert pd.neighbors == ref.neighbors
+    assert pd.hidden == ref.hidden
 
 
 def test_power_frame_hidden_site_raises():
