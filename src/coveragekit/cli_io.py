@@ -19,7 +19,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
@@ -30,7 +30,7 @@ from .optimizer import (Bounds, RhcParams, SamplingPlan,
                         estimate_area, exhaustive_search, grid_rule_samples,
                         nelder_mead, post_process, random_hill_climb,
                         required_samples, sweep_power)
-from .power_diagram import PowerDiagram, build, power_frame
+from .power_diagram import PowerDiagram, power_frame
 from .protocol_coverage import (CoverageMap, ProtocolTransmitter,
                                 compute_coverage_map, coverage_area,
                                 find_interference_bound, region_area)

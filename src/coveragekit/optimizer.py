@@ -9,24 +9,24 @@ Three searches are provided: exhaustive enumeration over power levels in
 nondecreasing total-power order (so the first maximizer found is also the
 cheapest), a bidirectional random hill climb, and Nelder-Mead with restarts.
 Objective values are cached per exact power vector within one run;
-``evaluations`` counts objective queries, cached or not.
+``evaluations`` counts objective queries, cached or not.  Sample points and
+their distance powers are built once per (sites, alpha, window, plan) and
+reused for every power vector; the result does not depend on thread settings.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import BudgetExceeded
-from .sinr_model import PowerVector, SinrScenario, sinr_max_covered_mask
-
-THREADS_ENV = "COVERAGE_KIT_THREADS"
+from .sinr_model import (PowerVector, SinrScenario, _cell_centers,
+                         _covered_samples, _path_loss, _site_major_rx)
 
 
 @dataclass(frozen=True)
@@ -112,36 +112,28 @@ class OptResult:
 
 def sample_points(window, plan: SamplingPlan) -> np.ndarray:
     if plan.kind == "grid":
-        nx, ny = plan.grid_dims
-        xs = window.x0 + (np.arange(nx) + 0.5) * window.width / nx
-        ys = window.y0 + (np.arange(ny) + 0.5) * window.height / ny
-        gx, gy = np.meshgrid(xs, ys)
-        return np.column_stack([gx.ravel(), gy.ravel()])
-    rng = np.random.default_rng(plan.seed)
-    pts = rng.random((plan.sample_count, 2))
-    pts[:, 0] = window.x0 + pts[:, 0] * window.width
-    pts[:, 1] = window.y0 + pts[:, 1] * window.height
-    return pts
+        return _cell_centers(window, *plan.grid_dims)
+    pts = np.random.default_rng(plan.seed).random((plan.sample_count, 2))
+    return pts * (window.width, window.height) + (window.x0, window.y0)
+
+
+@functools.lru_cache(maxsize=1)
+def _gains(sites, alpha: float, window, plan: SamplingPlan):
+    """``_path_loss`` of the plan's sample points; its callers share and only read it."""
+    return _path_loss(sites, alpha, sample_points(window, plan))
 
 
 def estimate_area(s: SinrScenario, p: PowerVector, plan: SamplingPlan) -> float:
     """Fraction of the sample whose best SINR reaches the threshold.
 
     Grid plans are deterministic; random plans are reproducible from their
-    seed.  Set COVERAGE_KIT_THREADS>1 to split the sample across threads
-    (chunk order is fixed, so the result does not depend on scheduling).
+    seed.  Sample points and distance powers are built once per (sites,
+    alpha, window, plan) and reused; no thread setting changes the result.
     """
-    pts = sample_points(s.window, plan)
-    threads = int(os.environ.get(THREADS_ENV, "1") or "1")
-    if threads > 1 and len(pts) >= 4 * threads:
-        chunks = np.array_split(pts, threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            counts = list(pool.map(
-                lambda c: int(sinr_max_covered_mask(s, c, p).sum()), chunks))
-        covered = sum(counts)
-    else:
-        covered = int(sinr_max_covered_mask(s, pts, p).sum())
-    return covered / len(pts)
+    denom, zero = _gains(tuple(s.sites), s.alpha, s.window, plan)
+    covered = _covered_samples(_site_major_rx(p.as_array(), denom, zero),
+                               s.beta, s.noise)
+    return int(covered.sum()) / denom.shape[1]
 
 
 def required_samples(epsilon: float, delta: float, c_lower: float) -> int:
@@ -175,10 +167,6 @@ class _CachedObjective:
         return self._cache[key]
 
 
-def _area_objective(s: SinrScenario, plan: SamplingPlan) -> _CachedObjective:
-    return _CachedObjective(lambda p: estimate_area(s, p, plan))
-
-
 def exhaustive_search(s: SinrScenario, b: Bounds, levels: int,
                       plan: Optional[SamplingPlan] = None,
                       budget: int = 10 ** 6) -> OptResult:
@@ -200,7 +188,7 @@ def exhaustive_search(s: SinrScenario, b: Bounds, levels: int,
             axes.append([lo + (hi - lo) * k / (levels - 1) for k in range(levels)])
     vectors = sorted(itertools.product(*axes),
                      key=lambda v: (sum(v), v))
-    ev = _area_objective(s, plan)
+    ev = _CachedObjective(lambda p: estimate_area(s, p, plan))
     best_vec = vectors[0]
     best_area = -1.0
     trace: list[tuple[int, float]] = []
@@ -241,11 +229,10 @@ def random_hill_climb(s: SinrScenario, b: Bounds, params: RhcParams,
     lo = b.p_min.as_array()
     hi = b.p_max.as_array()
     n = len(lo)
-    ev = _area_objective(s, plan)
+    ev = _CachedObjective(lambda p: estimate_area(s, p, plan))
     best = lo.copy()
     best_area = ev(best)
     trace = [(ev.calls, best_area)]
-    attempts = 0
     while True:
         attempts = 0
         scale_up = 1.0 + params.scale_factor
@@ -355,7 +342,7 @@ def post_process(s: SinrScenario, v: PowerVector, p_min: PowerVector,
     than the input).  With a zero floor the sites left at positive power form
     a sufficient transmitter subset.
     """
-    ev = _area_objective(s, plan)
+    ev = _CachedObjective(lambda p: estimate_area(s, p, plan))
     base = np.asarray(v.values, dtype=float)
     best = base.copy()
     best_area = ev(best)

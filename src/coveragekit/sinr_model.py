@@ -157,41 +157,54 @@ def is_covered(s: SinrScenario, x: Point2) -> bool:
     return rx[t] >= s.beta * denom
 
 
+def _cell_centers(window: Rect, nx: int, ny: int) -> np.ndarray:
+    """(nx*ny, 2) cell centres of an nx-by-ny raster of the window, row-major."""
+    xs = window.x0 + (np.arange(nx) + 0.5) * window.width / nx
+    ys = window.y0 + (np.arange(ny) + 0.5) * window.height / ny
+    gx, gy = np.meshgrid(xs, ys)
+    return np.column_stack([gx.ravel(), gy.ravel()])
+
+
+def _path_loss(sites, alpha: float, pts: np.ndarray) -> tuple:
+    """Site-major ``d**alpha``, shape (n_sites, N), for (N,2) points, and the
+    mask of zero distances (None when no point sits on a site)."""
+    sx = np.array([q.x for q in sites])[:, None]
+    sy = np.array([q.y for q in sites])[:, None]
+    d2 = (pts[:, 0] - sx) ** 2 + (pts[:, 1] - sy) ** 2
+    zero = d2 == 0.0
+    return d2 ** (alpha / 2.0), (zero if zero.any() else None)
+
+
+def _site_major_rx(p: np.ndarray, denom: np.ndarray, zero) -> np.ndarray:
+    """Receive powers, shape (n_sites, N); on a site: +inf if powered, else 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rx = p[:, None] / denom
+    if zero is not None:
+        rx = np.where(zero, np.where(p[:, None] > 0.0, np.inf, 0.0), rx)
+    return rx
+
+
+def _covered_samples(rx: np.ndarray, beta: float, noise: float) -> np.ndarray:
+    """Coverage mask over the columns of site-major receive powers."""
+    rmax = rx.max(axis=0)
+    with np.errstate(invalid="ignore"):  # inf - inf where rmax is infinite
+        denom = rx.sum(axis=0) - rmax + noise
+        return np.isinf(rmax) | ((rmax > 0.0) & ((denom <= 0.0) | (rmax >= beta * denom)))
+
+
 def sinr_max_covered_mask(s: SinrScenario, pts: np.ndarray,
                           powers: Optional[PowerVector] = None) -> np.ndarray:
     """Vectorized coverage mask for an (N,2) array of sample points."""
     p = (powers if powers is not None else s.powers).as_array()
-    sx = np.array([q.x for q in s.sites])
-    sy = np.array([q.y for q in s.sites])
-    d2 = (pts[:, 0:1] - sx[None, :]) ** 2 + (pts[:, 1:2] - sy[None, :]) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rx = p[None, :] / d2 ** (s.alpha / 2.0)
-    rx = np.where(d2 == 0.0, np.where(p[None, :] > 0.0, np.inf, 0.0), rx)
-    rmax = rx.max(axis=1)
-    total = rx.sum(axis=1)
-    covered = np.zeros(len(pts), dtype=bool)
-    inf_rows = np.isinf(rmax)
-    covered[inf_rows] = True
-    fin = ~inf_rows
-    denom = total[fin] - rmax[fin] + s.noise
-    covered[fin] = (rmax[fin] > 0.0) & ((denom <= 0.0) | (rmax[fin] >= s.beta * denom))
-    return covered
+    rx = _site_major_rx(p, *_path_loss(s.sites, s.alpha, pts))
+    return _covered_samples(rx, s.beta, s.noise)
 
 
 def capture_grid(s: SinrScenario, nx: int, ny: int) -> np.ndarray:
-    """Capture-transmitter ids on an (ny, nx) cell-center raster."""
-    xs = s.window.x0 + (np.arange(nx) + 0.5) * s.window.width / nx
-    ys = s.window.y0 + (np.arange(ny) + 0.5) * s.window.height / ny
-    gx, gy = np.meshgrid(xs, ys)
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
-    p = s.powers.as_array()
-    sx = np.array([q.x for q in s.sites])
-    sy = np.array([q.y for q in s.sites])
-    d2 = (pts[:, 0:1] - sx[None, :]) ** 2 + (pts[:, 1:2] - sy[None, :]) ** 2
-    with np.errstate(divide="ignore"):
-        rx = p[None, :] / d2 ** (s.alpha / 2.0)
-    rx = np.where(d2 == 0.0, np.where(p[None, :] > 0.0, np.inf, 0.0), rx)
-    return rx.argmax(axis=1).reshape(ny, nx)
+    """Capture-transmitter ids (smallest on ties) on an (ny, nx) raster."""
+    pts = _cell_centers(s.window, nx, ny)
+    rx = _site_major_rx(s.powers.as_array(), *_path_loss(s.sites, s.alpha, pts))
+    return rx.argmax(axis=0).reshape(ny, nx)
 
 
 def _ray_exit_distance(window: Rect, origin: Point2, dx: float, dy: float) -> float:

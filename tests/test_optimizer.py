@@ -13,8 +13,10 @@ from coveragekit.optimizer import (Bounds, OptResult, RhcParams, SamplingPlan,
                                    estimate_area, exhaustive_search,
                                    grid_rule_samples, nelder_mead,
                                    post_process, random_hill_climb,
-                                   required_samples, sweep_power)
-from coveragekit.sinr_model import PowerVector, SinrScenario
+                                   required_samples, sample_points,
+                                   sweep_power)
+from coveragekit.sinr_model import (PowerVector, SinrScenario,
+                                    sinr_max_covered_mask)
 
 UNIT = Rect(0.0, 0.0, 1.0, 1.0)
 
@@ -239,6 +241,37 @@ def test_threads_env_var_same_result(monkeypatch):
     base = estimate_area(s, s.powers, plan)
     monkeypatch.setenv("COVERAGE_KIT_THREADS", "4")
     assert estimate_area(s, s.powers, plan) == base
+
+
+def test_estimate_area_interleaved_keys_match_fresh_samples():
+    """Neighbouring calls differ in one of alpha, a site, the window offset,
+    the random plan's seed, or the power of a site sitting on a grid sample,
+    so a cached sample or distance power reused under the wrong key shows.
+    The reference builds its sample points afresh for every call."""
+    rng = random.Random(21)
+    base = random_scenario(rng, 4, beta=0.8)
+    moved = SinrScenario((Point2(0.9, 0.1),) + base.sites[1:], base.powers,
+                         base.alpha, base.beta, base.noise, UNIT)
+    shifted = SinrScenario(base.sites, base.powers, base.alpha, base.beta,
+                           base.noise, Rect(0.25, 0.0, 1.25, 1.0))
+    steep = SinrScenario(base.sites, base.powers, 4.0, base.beta, base.noise, UNIT)
+    # (4.5/8, 2.5/8) is exactly a sample of the 8x8 grid
+    on_site = scen([(0.5625, 0.3125), (0.2, 0.8), (0.6, 0.35)], [3.0, 1.0, 1.0],
+                   beta=2.0, noise=0.5)
+    grid, r1, r2, g8 = (SamplingPlan.grid(16, 16), SamplingPlan.random(300, seed=1),
+                        SamplingPlan.random(300, seed=2), SamplingPlan.grid(8, 8))
+    zero = PowerVector.of([0.0, 1.0, 1.0])
+    cases = [(base, base.powers, grid), (steep, base.powers, grid),
+             (base, base.powers, grid), (moved, base.powers, grid),
+             (base, base.powers, grid), (shifted, base.powers, grid),
+             (base, base.powers, r1), (base, base.powers, r2),
+             (on_site, on_site.powers, g8), (on_site, zero, g8),
+             (base, base.powers, r1)]
+    got = [estimate_area(s, p, plan) for s, p, plan in cases]
+    for (s, p, plan), area in zip(cases, got):
+        pts = sample_points(s.window, plan)
+        assert area == int(sinr_max_covered_mask(s, pts, p).sum()) / len(pts)
+    assert all(a != b for a, b in zip(got, got[1:])), got
 
 
 def test_rhc_never_leaves_bounds():
