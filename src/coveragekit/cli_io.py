@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Any, Optional, Sequence
 
 from . import __version__
-from .errors import BudgetExceeded, ModelError, ParseError
+from .errors import BudgetExceeded, DuplicateSite, ModelError, ParseError
 from .geometry import (ArcPolygon, CircularArc, Disk, Point2, Rect, Segment)
 from .optimizer import (Bounds, RhcParams, SamplingPlan,
                         estimate_area, exhaustive_search, grid_rule_samples,
@@ -134,6 +134,15 @@ def _num(obj: dict, key: str, path: str) -> float:
     return float(v)
 
 
+def _int(obj: dict, key: str, path: str) -> int:
+    v = _need(obj, key, path)
+    if isinstance(v, float) and v.is_integer():
+        v = int(v)
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ParseError(f"{path}{key}", "expected an integer")
+    return v
+
+
 def parse_scenario(data: bytes | str) -> ScenarioFile:
     """Parse and validate a scenario; errors carry the offending field path."""
     if isinstance(data, bytes):
@@ -211,13 +220,14 @@ def parse_scenario(data: bytes | str) -> ScenarioFile:
                 dims = _need(sobj, "grid_dims", "sampling.", list)
                 sampling = SamplingPlan.grid(int(dims[0]), int(dims[1]))
             elif kind == "random":
-                sampling = SamplingPlan.random(int(_num(sobj, "sample_count", "sampling.")),
-                                               seed=int(sobj.get("seed", 0)))
+                sampling = SamplingPlan.random(
+                    int(_num(sobj, "sample_count", "sampling.")),
+                    seed=_int(sobj, "seed", "sampling.") if "seed" in sobj else 0)
             else:
                 raise ParseError("sampling.kind", f"unknown kind {kind!r}")
         except (ValueError, IndexError, TypeError) as e:
             raise ParseError("sampling", str(e))
-    seed = int(raw["seed"]) if "seed" in raw else None
+    seed = _int(raw, "seed", "") if "seed" in raw else None
     return ScenarioFile(model=model, window=window, transmitters=tuple(specs),
                         alpha=alpha, beta=beta, noise=noise, bounds=bounds,
                         sampling=sampling, seed=seed)
@@ -461,7 +471,10 @@ def _cmd_build_map(args) -> int:
     if scen.model != "protocol":
         raise ModelError("build-map needs a protocol-model scenario")
     t0 = time.perf_counter()
-    cov = compute_coverage_map(scen.protocol_transmitters(), scen.window)
+    try:
+        cov = compute_coverage_map(scen.protocol_transmitters(), scen.window)
+    except DuplicateSite as e:
+        raise ParseError("transmitters", str(e))
     bound = find_interference_bound(cov)
     result = {
         "total_area": coverage_area(cov),
@@ -482,23 +495,29 @@ def _cmd_build_map(args) -> int:
 
 def _cmd_dynamic(args) -> int:
     raw = json.loads(Path(args.script).read_bytes())
-    wobj = raw.get("window")
-    if wobj is None:
-        raise ParseError("window", "missing required field")
-    window = Rect(float(wobj["x0"]), float(wobj["y0"]),
-                  float(wobj["x1"]), float(wobj["y1"]))
-    seed = int(raw.get("seed", 0))
+    if not isinstance(raw, dict):
+        raise ParseError("<file>", "top level must be an object")
+    wobj = _need(raw, "window", "", dict)
+    window = Rect(*(_num(wobj, k, "window.") for k in ("x0", "y0", "x1", "y1")))
+    seed = _int(raw, "seed", "") if "seed" in raw else 0
     dc = DynamicCoverage(window, seed=seed)
     t0 = time.perf_counter()
     reports = []
     for k, op in enumerate(raw.get("ops", [])):
+        path = f"ops[{k}]."
+        if not isinstance(op, dict):
+            raise ParseError(f"ops[{k}]", "expected an object")
         kind = op.get("op")
         if kind == "insert":
-            rep = dc.insert_transmitter(ProtocolTransmitter(
-                Point2(float(op["x"]), float(op["y"])),
-                float(op["tx_radius"]), float(op["int_radius"])))
+            t = ProtocolTransmitter(Point2(_num(op, "x", path), _num(op, "y", path)),
+                                    _num(op, "tx_radius", path),
+                                    _num(op, "int_radius", path))
+            try:
+                rep = dc.insert_transmitter(t)
+            except DuplicateSite as e:
+                raise ParseError(f"ops[{k}]", str(e))
         elif kind == "delete":
-            rep = dc.delete_transmitter(int(op["site"]))
+            rep = dc.delete_transmitter(_int(op, "site", path))
         else:
             raise ParseError(f"ops[{k}].op", f"unknown op {kind!r}")
         reports.append(rep.to_dict())

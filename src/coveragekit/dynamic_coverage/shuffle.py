@@ -4,26 +4,28 @@ Disks lift to upper half-spaces in 3-D (z >= 2cx*x + 2cy*y - |c|^2 + r^2);
 the power diagram is the downward projection of the lower boundary of the
 half-space intersection, bounded by a large working square.  The structure
 maintained here is that projected lattice (cells as convex polygons with
-shared vertex nodes) plus a randomized history:
+shared vertex nodes) plus a history of every vertex ever made:
 
-* every vertex ever created is a node carrying its 3-D position, the
-  half-space that created it, and, once it dies, a pointer to a replacement
-  vertex on the killing face (``next``; split edges also record ``prev``);
+* each vertex is a node carrying its 3-D position, the site whose half-space
+  made it, the update (layer) that made it, and, once it dies, a pointer to
+  a nearby vertex made by the update that killed it (``next``);
 * eight root nodes stand for the corners of the bounding volume;
-* each half-space carries a random priority drawn at insertion; a vertex is
-  recorded as created by the highest-priority half-space through it, which
-  is what the history would contain had the insertions arrived in priority
-  order.
+* the vertices of each update are listed under its layer.
 
-``traverse_shuffle`` walks root-to-leaf through these records to find a
-current vertex outside a query half-space (or to certify the half-space
-redundant), in expected logarithmic visits under random priorities.
+``traverse_shuffle`` starts at a root outside a query half-space and follows
+``next`` pointers, scanning the layer each pointer leads to for a vertex
+outside the half-space, until it reaches a current vertex (or certifies the
+half-space redundant).  Layers only grow, so the walk ends; once a deletion
+has broken the nesting of the layers, a negative answer is confirmed
+against the current vertices.
 
 Redundant half-spaces are never inserted: the disk is parked in ``hidden``
 keyed by the site whose cell contains its center, and re-probed when
-deletions open space.  Coverage regions are maintained lazily: updates mark
-affected sites dirty and ``regions`` recomputes exactly those from the
-current cells, so any read sees the same map a static rebuild would give.
+deletions open space.  Whether a parked disk still wins somewhere beyond the
+working square (``offstage``) is decided when regions are read.  Coverage
+regions are maintained lazily: updates mark affected sites dirty and
+``regions`` recomputes exactly those from the current cells, so any read
+sees the same map a static rebuild would give.
 
 Single-writer structure: no concurrent mutation.
 """
@@ -34,14 +36,14 @@ import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional, Sequence
 
-import numpy as np
-
 from ..errors import DuplicateSite
-from ..geometry import (ArcPolygon, ConvexPolygon, Disk, HalfPlane, Point2,
-                        Rect, arc_polygon_area, clip_convex,
-                        convex_polygon_intersection, geom_eps, power_distance)
+from ..geometry import (ArcPolygon, ConvexPolygon, Disk, Point2, Rect,
+                        arc_polygon_area, convex_polygon_intersection, geom_eps,
+                        power_distance)
+from ..power_diagram import _clip_cell, _mega_square
 from ..protocol_coverage import ProtocolTransmitter, site_region
 
 _Z_BIG = 1.0e30
@@ -67,32 +69,26 @@ def lift(d: Disk) -> HalfSpace3:
 
 @dataclass
 class HistNode:
+    """One history vertex; ``incident`` holds the sites whose cells have had
+    it as a corner, which seeds the search for the cells an insert carves."""
     nid: int
     x: float
     y: float
     z: float
     created: Optional[int]          # site whose half-space created the vertex
     next: Optional[int] = None      # replacement vertex after death
-    prev: Optional[int] = None      # dying endpoint of the split edge
     incident: set = field(default_factory=set)
     layer: int = 0                  # update that created the vertex
 
 
 @dataclass
 class Shuffle:
-    """History records: vertex nodes, roots, and per-half-space face lists.
-
-    ``created_face`` keys faces by site (the record a priority-ordered
-    insertion sequence would produce); ``face_by_layer`` keys the same
-    vertices by the update that actually made them, which is what the
-    traversal walks (layers only grow, so walks terminate).
-    """
+    """History records: vertex nodes, the eight roots, and the vertices each
+    update made, keyed by its layer.  The traversal walks ``face_by_layer``;
+    layers only grow, so walks terminate."""
     nodes: dict[int, HistNode] = field(default_factory=dict)
     roots: list[int] = field(default_factory=list)
-    created_face: dict[int, list[int]] = field(default_factory=dict)
     face_by_layer: dict[int, list[int]] = field(default_factory=dict)
-    deleted_edges: dict[int, list[tuple[int, int]]] = field(default_factory=dict)
-    priorities: dict[int, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -179,6 +175,9 @@ class DynamicCoverage:
     ``regions`` always equals the static coverage map of the currently
     registered transmitters (hidden ones included as empty), up to the
     numeric tolerance of the two pipelines.
+
+    ``seed`` is accepted for compatibility with callers that pass one; the
+    structure draws no random numbers, so it does not change any result.
     """
 
     def __init__(self, window: Rect, seed: int = 0,
@@ -188,8 +187,6 @@ class DynamicCoverage:
             else 4.0 * max(window.diameter(), 1.0)
         c = window.center()
         self.square = Rect(c.x - half, c.y - half, c.x + half, c.y + half)
-        self.seed = seed
-        self._rng = np.random.default_rng(seed)
         self.transmitters: dict[int, ProtocolTransmitter] = {}
         self._tx_keys: dict[tuple, int] = {}
         self._int_disks: dict[int, Disk] = {}
@@ -197,7 +194,6 @@ class DynamicCoverage:
         self.cells: dict[int, list[tuple[float, float, int]]] = {}
         self.neighbors: dict[int, set[int]] = {}
         self.hidden: dict[int, int] = {}
-        self._parked_by_owner: dict[int, set[int]] = {}
         self.offstage: set[int] = set()
         self._offstage_pending: set[int] = set()
         self.shuffle = Shuffle()
@@ -327,9 +323,10 @@ class DynamicCoverage:
         self.transmitters[sid] = t
         self._int_disks[sid] = t.int_disk
         self.planes[sid] = lift(t.int_disk)
-        self.shuffle.priorities[sid] = float(self._rng.random())
         events: list[tuple[str, int]] = []
         affected = self._insert_site(sid, events)
+        # the new disk may take the region beyond the square of a parked one
+        self._offstage_pending.update(self.offstage)
         redundant = affected is None
         report = UpdateReport(op="insert", site=sid, redundant=redundant,
                               affected=sorted(affected or []),
@@ -338,23 +335,14 @@ class DynamicCoverage:
                               wall_time=time.perf_counter() - start)
         return report
 
-    def _set_owner(self, sid: int, owner: int) -> None:
-        old = self.hidden.get(sid)
-        if old is not None and old in self._parked_by_owner:
-            self._parked_by_owner[old].discard(sid)
-        self.hidden[sid] = owner
-        self._parked_by_owner.setdefault(owner, set()).add(sid)
-
     def _unpark(self, sid: int) -> None:
-        owner = self.hidden.pop(sid, None)
-        if owner is not None and owner in self._parked_by_owner:
-            self._parked_by_owner[owner].discard(sid)
+        self.hidden.pop(sid, None)
         self.offstage.discard(sid)
         self._offstage_pending.discard(sid)
 
     def _park(self, sid: int, events: list[tuple[str, int]]) -> None:
         owner = self._owner_of(self.transmitters[sid].location)
-        self._set_owner(sid, owner if owner is not None else -1)
+        self.hidden[sid] = owner if owner is not None else -1
         # visibility beyond the working square is only needed when regions
         # are read; defer the exact check until then
         self._offstage_pending.add(sid)
@@ -415,28 +403,27 @@ class DynamicCoverage:
         return self._owner_scan(p)
 
     def _globally_visible(self, sid: int) -> bool:
-        """Exact unbounded-plane visibility: does any point prefer this site?
+        """Exact unbounded-plane visibility: does any point prefer this site
+        to every other registered one?  Its cell in a square far larger than
+        the working one is then non-empty.  The owner of its center and the
+        owner's neighbours go first: they usually empty the cell at once."""
+        owner = self.hidden.get(sid)
+        near = [owner, *sorted(self.neighbors[owner])] if owner in self.cells else []
+        mega = _mega_square(self.window, self.square.diameter()).to_polygon()
+        return _clip_cell(mega, self._int_disks, sid, chain(near, self._int_disks),
+                          self._tol) is not None
 
-        Clips a very large square by every rival bisector; survives iff the
-        site's power region is non-empty somewhere.
-        """
-        scale = max(self.square.diameter(), 1.0)
-        big = 1.0e6 * scale
-        c = self.window.center()
-        poly: Optional[ConvexPolygon] = Rect(c.x - big, c.y - big,
-                                             c.x + big, c.y + big).to_polygon()
-        me = self.planes[sid]
-        for other in self.cells:
-            po = self.planes[other]
-            da, db, dc = po.a - me.a, po.b - me.b, po.c - me.c
-            if abs(da) < 1e-15 and abs(db) < 1e-15:
-                if dc >= 0.0:
-                    return False  # rival plane dominates everywhere
-                continue
-            poly = clip_convex(poly, HalfPlane(da, db, -dc))
-            if poly is None:
-                return False
-        return poly is not None
+    def _rekey(self, touched: set[int]) -> None:
+        """Re-key the parked disks owned by a ``touched`` site or by no live
+        cell.  The area those cells lost or gained stayed among ``touched``,
+        so the new owner is the old one or a touched site (-1 if none has a
+        cell)."""
+        for h in sorted(h for h, o in self.hidden.items()
+                        if o in touched or o not in self.cells):
+            center = self.transmitters[h].location
+            cand = [c for c in sorted(touched | {self.hidden[h]}) if c in self.cells]
+            self.hidden[h] = min(cand, default=-1, key=lambda c: power_distance(
+                center, self._int_disks[c]))
 
     def _insert_site(self, sid: int, events: list[tuple[str, int]]) -> Optional[list[int]]:
         """Insert a registered site's half-space; None when parked."""
@@ -452,8 +439,6 @@ class DynamicCoverage:
                 poly.append((x, y, nid))
             self._commit_cell(sid, poly)
             self.neighbors[sid] = set()
-            self.shuffle.created_face[sid] = [nid for (_, _, nid) in poly]
-            self.shuffle.deleted_edges[sid] = []
             for r in self.shuffle.roots[:4]:
                 nodes[r].next = min((nid for (_, _, nid) in poly),
                                     key=lambda k: (nodes[k].x - nodes[r].x) ** 2
@@ -478,9 +463,7 @@ class DynamicCoverage:
             vals = [gap(x, y) for (x, y, _) in poly]
             if max(vals) <= 0.0:
                 continue
-            kept, died, crossings, removed_edges = self._clip_tracked(
-                poly, vals, registry, sid)
-            zone[c] = (kept, died, crossings, removed_edges)
+            zone[c] = self._clip_tracked(poly, vals, registry, sid)
             for nb in self.neighbors.get(c, ()):
                 if nb not in visited:
                     visited.add(nb)
@@ -490,26 +473,15 @@ class DynamicCoverage:
             self._park(sid, events)
             return None
 
-        # new cell: square clipped by bisectors against every carved cell
-        sq = self.square
-        new_poly_xy: list[tuple[float, float]] = [
-            (sq.x0, sq.y0), (sq.x1, sq.y0), (sq.x1, sq.y1), (sq.x0, sq.y1)]
-        for c in sorted(zone):
-            gap = self._plane_gap(sid, c)
-            new_poly_xy = _clip_xy(new_poly_xy, lambda x, y, g=gap: -g(x, y))
-            if len(new_poly_xy) < 3:
-                break
-        if len(new_poly_xy) < 3 or _area_xy(new_poly_xy) <= self._tol ** 2:
+        # new cell: the square where the new site beats every carved cell
+        new_poly = self._square_cell(sid, sorted(zone))
+        if new_poly is None:
             self._park(sid, events)
             return None
 
-        new_cell = []
-        for (x, y) in new_poly_xy:
-            nid = registry.node(x, y, sid, hs.height(x, y))
-            new_cell.append((x, y, nid))
+        new_cell = [(p.x, p.y, registry.node(p.x, p.y, sid, hs.height(p.x, p.y)))
+                    for p in new_poly.vertices]
         face_nodes = [nid for (_, _, nid) in new_cell]
-        self.shuffle.created_face[sid] = list(face_nodes)
-        self.shuffle.deleted_edges[sid] = []
 
         # commit shrunk cells, kill dead vertices, park swallowed sites
         dead_nodes: set[int] = set()
@@ -517,13 +489,10 @@ class DynamicCoverage:
         emptied: list[int] = []
         affected: list[int] = []
         for c in sorted(zone):
-            kept, died, crossings, removed_edges = zone[c]
-            self.shuffle.deleted_edges[sid].extend(removed_edges)
+            kept, died, crossings = zone[c]
             dead_nodes.update(died)
             for w, dying in crossings:
-                if dying is not None:
-                    nodes[w].prev = dying
-                    split_next.setdefault(dying, w)
+                split_next.setdefault(dying, w)
             if kept is None:
                 emptied.append(c)
             else:
@@ -544,60 +513,32 @@ class DynamicCoverage:
                              + (nodes[k].y - nodes[d].y) ** 2)
             nodes[d].next = target
 
-        # record vertices under the priority-ordered history: each new vertex
-        # belongs to the highest-priority half-space through it
-        pri = self.shuffle.priorities
-        for nid in list(face_nodes):
-            n = nodes[nid]
-            if n.created != sid:
-                continue
-            owners = [o for o in n.incident if o != sid and o in self.cells]
-            later = [o for o in owners if pri.get(o, -1.0) > pri[sid]]
-            if later:
-                k = max(later, key=lambda o: pri[o])
-                n.created = k
-                self.shuffle.created_face.setdefault(k, []).append(nid)
-                self.shuffle.created_face[sid].remove(nid)
-
         for c in emptied:
             del self.cells[c]
             for v in self.neighbors.pop(c, set()):
                 self.neighbors.get(v, set()).discard(c)
             self._park(c, events)
         self._refresh_neighbors(affected + [sid])
-
-        # parked disks keyed to carved cells get re-keyed; the area a cell
-        # lost went to the new site, so the new owner is one of the two
-        # (insertions never revive parked disks, so no re-probe here)
-        touched = set(affected) | set(emptied) | {sid}
-        rekey: list[int] = []
-        for owner in touched:
-            rekey.extend(self._parked_by_owner.get(owner, ()))
-        rekey.extend(self._parked_by_owner.get(-1, ()))
-        for h in sorted(set(rekey)):
-            center = self.transmitters[h].location
-            old = self.hidden[h]
-            cand = [c for c in (old, sid) if c in self.cells]
-            for extra in affected:
-                cand.append(extra)
-            if not cand:
-                self._set_owner(h, -1)
-                continue
-            best = min(cand, key=lambda c: power_distance(
-                center, self._int_disks[c]))
-            self._set_owner(h, best)
+        # insertions never revive parked disks, so no re-probe here
+        self._rekey(set(affected) | set(emptied) | {sid})
         self._dirty.update(affected)
         self._dirty.add(sid)
         return affected + emptied
 
+    def _square_cell(self, sid: int, others: Sequence[int]) -> Optional[ConvexPolygon]:
+        """The working square where ``sid`` beats each of ``others``; None if
+        empty or too small to hold a cell."""
+        poly = _clip_cell(self.square.to_polygon(), self._int_disks, sid, others, self._tol)
+        if poly is None or poly.area() <= self._tol ** 2:
+            return None
+        return poly
+
     def _clip_tracked(self, poly, vals, registry: _NodeRegistry, creator: int):
         """Clip a tracked polygon to {gap <= 0}; returns (kept, died,
-        crossings, removed_edges) where crossings are (new node, dying node)."""
-        nodes = self.shuffle.nodes
+        crossings) where crossings are (new node, dying node)."""
         out: list[tuple[float, float, int]] = []
         died: list[int] = []
-        crossings: list[tuple[int, Optional[int]]] = []
-        removed: list[tuple[int, int]] = []
+        crossings: list[tuple[int, int]] = []
         k = len(poly)
         hs_creator = self.planes[creator]
         for i in range(k):
@@ -605,8 +546,6 @@ class DynamicCoverage:
             (xb, yb, nb), vb = poly[(i + 1) % k], vals[(i + 1) % k]
             if va > 0.0:
                 died.append(na)
-            if va > 0.0 or vb > 0.0:
-                removed.append((na, nb))
             if va <= 0.0:
                 out.append((xa, ya, na))
                 if vb > 0.0:
@@ -628,8 +567,8 @@ class DynamicCoverage:
         if len(cleaned) > 1 and cleaned[0][2] == cleaned[-1][2]:
             cleaned.pop()
         if len(cleaned) < 3 or _area_xy([(x, y) for (x, y, _) in cleaned]) <= self._tol ** 2:
-            return None, [nid for (_, _, nid) in poly], crossings, removed
-        return cleaned, died, crossings, removed
+            return None, [nid for (_, _, nid) in poly], crossings
+        return cleaned, died, crossings
 
     def _refresh_neighbors(self, updated: Sequence[int]) -> None:
         for u in updated:
@@ -662,6 +601,9 @@ class DynamicCoverage:
         start = time.perf_counter()
         events: list[tuple[str, int]] = []
         if sid in self.hidden:
+            if sid in self.offstage or sid in self._offstage_pending:
+                # its region beyond the square may pass to other parked disks
+                self._offstage_pending.update(self.hidden)
             self._unpark(sid)
             gone = self.transmitters.pop(sid)
             self._tx_keys.pop((gone.location.x, gone.location.y,
@@ -704,18 +646,11 @@ class DynamicCoverage:
                 for (_, _, nid) in self.cells[s_site]:
                     registry.seed(nid)
 
-        pri = self.shuffle.priorities
         new_nodes: list[int] = []
         for n in nbrs:
             cand = (set(self.neighbors.get(n, set())) | set(nbrs)) - {n, sid}
-            poly_xy = [(self.square.x0, self.square.y0), (self.square.x1, self.square.y0),
-                       (self.square.x1, self.square.y1), (self.square.x0, self.square.y1)]
-            for other in sorted(cand):
-                gap = self._plane_gap(other, n)  # f_other - f_n; keep <= 0
-                poly_xy = _clip_xy(poly_xy, gap)
-                if len(poly_xy) < 3:
-                    break
-            if len(poly_xy) < 3 or _area_xy(poly_xy) <= self._tol ** 2:
+            poly = self._square_cell(n, sorted(cand))
+            if poly is None:
                 # neighbor swallowed entirely (possible only in degenerate
                 # near-ties); park it to stay consistent
                 del self.cells[n]
@@ -725,13 +660,13 @@ class DynamicCoverage:
                 continue
             hs_n = self.planes[n]
             tracked = []
-            for (x, y) in poly_xy:
-                nid = registry.find(x, y)
+            for p in poly.vertices:
+                nid = registry.find(p.x, p.y)
                 if nid is None:
-                    nid = self._new_node(x, y, hs_n.height(x, y), n)
+                    nid = self._new_node(p.x, p.y, hs_n.height(p.x, p.y), n)
                     registry.seed(nid)
                     new_nodes.append(nid)
-                tracked.append((x, y, nid))
+                tracked.append((p.x, p.y, nid))
             self._commit_cell(n, tracked)
 
         # vertices referenced by nobody anymore are dead; route them forward
@@ -757,33 +692,18 @@ class DynamicCoverage:
             nodes[d].next = min(targets, key=lambda k: (nodes[k].x - nodes[d].x) ** 2
                                 + (nodes[k].y - nodes[d].y) ** 2)
 
-        # deletion-created vertices join the face list of the last half-space
-        # through them in priority order
-        for nid in new_nodes:
-            n = nodes[nid]
-            owners = [o for o in n.incident if o in self.cells]
-            if owners:
-                k = max(owners, key=lambda o: pri.get(o, -1.0))
-                n.created = k
-                self.shuffle.created_face.setdefault(k, []).append(nid)
-
         self._refresh_neighbors(nbrs)
         affected = [n for n in nbrs if n in self.cells]
         self._dirty.update(affected)
 
         # deletions can expose parked disks anywhere (a power region may
         # reappear far from the disk itself), so every parked disk is
-        # re-probed, cheapest first by site id
+        # re-probed, cheapest first by site id; those that stay parked get
+        # their visibility beyond the working square re-checked at the next read
         revived: list[int] = []
         for h in sorted(self.hidden):
-            probe = self._traverse(self.planes[h])
-            if probe is None:
-                if self._globally_visible(h) != (h in self.offstage):
-                    if h in self.offstage:
-                        self.offstage.discard(h)
-                    else:
-                        self.offstage.add(h)
-                    self._dirty.update(self.cells.keys())
+            if self._traverse(self.planes[h]) is None:
+                self._offstage_pending.add(h)
                 continue
             self._unpark(h)
             events.append(("revived", h))
@@ -791,21 +711,7 @@ class DynamicCoverage:
             if sub is not None:
                 revived.append(h)
                 affected.extend(a for a in sub if a in self.cells)
-        touched = set(affected) | {sid}
-        rekey = [h for h in self.hidden
-                 if self.hidden[h] in touched or self.hidden[h] not in self.cells]
-        for h in sorted(rekey):
-            center = self.transmitters[h].location
-            cand = [c for c in touched if c in self.cells]
-            old = self.hidden[h]
-            if old in self.cells:
-                cand.append(old)
-            if not cand:
-                self._set_owner(h, -1)
-                continue
-            best = min(cand, key=lambda c: power_distance(
-                center, self._int_disks[c]))
-            self._set_owner(h, best)
+        self._rekey(set(affected) | {sid})
 
         self._dirty.update(a for a in affected if a in self.cells)
         report = UpdateReport(op="delete", site=sid, redundant=False,
@@ -820,6 +726,8 @@ class DynamicCoverage:
     # ------------------------------------------------------------------
 
     def _resolve_offstage(self) -> None:
+        """Decide for each pending parked disk whether it wins somewhere
+        beyond the working square; a change re-dirties every cell."""
         for sid in sorted(self._offstage_pending):
             visible = self._globally_visible(sid)
             if visible != (sid in self.offstage):
@@ -869,29 +777,6 @@ class DynamicCoverage:
                 edges.add((min(a, b), max(a, b)))
         return FacialLatticeView(vertices=len(verts), edges=len(edges),
                                  faces=len(self.cells) + 1)
-
-
-def _clip_xy(poly: list[tuple[float, float]], gap) -> list[tuple[float, float]]:
-    """Plain Sutherland-Hodgman on coordinate pairs, keep side {gap <= 0}."""
-    if not poly:
-        return []
-    vals = [gap(x, y) for (x, y) in poly]
-    if all(v <= 0.0 for v in vals):
-        return poly
-    out: list[tuple[float, float]] = []
-    k = len(poly)
-    for i in range(k):
-        (xa, ya), va = poly[i], vals[i]
-        (xb, yb), vb = poly[(i + 1) % k], vals[(i + 1) % k]
-        if va <= 0.0:
-            out.append((xa, ya))
-            if vb > 0.0:
-                t = va / (va - vb)
-                out.append((xa + t * (xb - xa), ya + t * (yb - ya)))
-        elif vb < 0.0:
-            t = va / (va - vb)
-            out.append((xa + t * (xb - xa), ya + t * (yb - ya)))
-    return out
 
 
 def _area_xy(poly: list[tuple[float, float]]) -> float:

@@ -564,7 +564,8 @@ def _boolean_pieces(region: ConvexPolygon, include: Disk,
     def keep(p: Point2) -> bool:
         # Edge midpoints are on the region boundary by construction, so only
         # the disk memberships decide; a region test here would be noise.
-        if power_distance(p, include) > 0.0:
+        # Rim points are outside the include disk, as in ``Disk.contains``.
+        if power_distance(p, include) >= 0.0:
             return False
         return exc is None or power_distance(p, exc) >= 0.0
 
@@ -623,7 +624,7 @@ def _circle_arcs(disk: Disk, events: list[float], orientation: str,
             return False
         if orientation == OUTWARD:
             return exclude is None or power_distance(p, exclude) >= 0.0
-        return power_distance(p, include) <= 0.0
+        return power_distance(p, include) < 0.0
 
     arcs: list[CircularArc] = []
     if not events:

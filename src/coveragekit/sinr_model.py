@@ -141,11 +141,12 @@ def is_covered(s: SinrScenario, x: Point2) -> bool:
     """True when some transmitter's SINR at x reaches beta (non-strict).
 
     Points within the coincidence tolerance of a powered transmitter count
-    as covered: the SINR limit there is +infinity.
+    as covered: the SINR limit there is +infinity.  An unpowered transmitter
+    there adds nothing, so the other transmitters decide.
     """
     for i, site in enumerate(s.sites):
-        if math.hypot(x.x - site.x, x.y - site.y) <= s.eps():
-            return s.powers[i] > 0.0
+        if s.powers[i] > 0.0 and math.hypot(x.x - site.x, x.y - site.y) <= s.eps():
+            return True
     rx = _receive_powers(s, x)
     total = sum(rx) + s.noise
     t = capture_transmitter(s, x)

@@ -142,12 +142,34 @@ def test_cli_build_map(tmp_path, capsys):
     assert manifest["tool_version"]
 
 
-def test_cli_input_error_exit_2(tmp_path):
+def test_cli_input_error_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
     assert cli(["build-map", str(bad)]) == 2
     missing = tmp_path / "nope.json"
     assert cli(["build-map", str(missing)]) == 2
+
+    def rejected(command, doc, field):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli([command, str(path), "--out", str(tmp_path / "x.result.json")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+    twin = json.loads(json.dumps(PROTOCOL_SCENARIO))
+    twin["transmitters"].append(dict(twin["transmitters"][0]))
+    rejected("build-map", twin, "transmitters")
+    rejected("build-map", dict(PROTOCOL_SCENARIO, seed=None), "seed")
+    window = {"x0": -5.0, "y0": -5.0, "x1": 5.0, "y1": 5.0}
+    insert = {"op": "insert", "x": 0.0, "y": 0.0, "tx_radius": 1.0, "int_radius": 1.5}
+    rejected("dynamic", {"window": window, "ops": [["insert"]]}, "ops[0]")
+    lacking = {k: v for k, v in insert.items() if k != "y"}
+    rejected("dynamic", {"window": window, "ops": [insert, lacking]}, "ops[1].y")
+    rejected("dynamic", {"window": window, "ops": [insert, insert]}, "ops[1]")
+    rejected("dynamic", {"window": window, "ops": [{"op": "delete", "site": 0.5}]},
+             "ops[0].site")
+    rejected("dynamic", {"window": {"x0": 0.0}, "ops": []}, "window.y0")
+    rejected("dynamic", {"window": window, "seed": 0.5, "ops": []}, "seed")
 
 
 def test_cli_budget_error_exit_3(tmp_path):

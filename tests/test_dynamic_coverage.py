@@ -268,6 +268,37 @@ def test_nested_concentric_hidden_disk():
     assert_matches_static(dc, win, "nested-revive")
 
 
+def test_offstage_sites_match_static_visibility():
+    # with a working square of half-width 10, the small disk at (0, -5) wins
+    # only far below the window: parked, yet visible beyond the square
+    win = Rect(-6, -6, 6, 6)
+    dc = DynamicCoverage(win, square_halfwidth=10.0)
+    for t in (tx(-1, 0, 4.0, 20.0), tx(1, 0, 4.0, 20.0), tx(0, -5, 0.05, 0.1)):
+        dc.insert_transmitter(t)
+
+    def check(tag):
+        sids = sorted(dc.transmitters)
+        static = compute_coverage_map([dc.transmitters[s] for s in sids], win)
+        assert_matches_static(dc, win, tag)
+        visible = {s for k, s in enumerate(sids) if k not in static.diagram.hidden}
+        assert set(dc.cells) | dc.offstage == visible, tag
+
+    check("parked")
+    assert dc.offstage == {2}
+    dc.insert_transmitter(tx(0, 3, 1.0, 2.0))  # parked and offstage too
+    check("insert")
+    dc.delete_transmitter(0)
+    check("delete")
+    # on the line from (1, 0) through (0, -5), just past it: this disk takes
+    # all of site 2's far region, though it is parked itself
+    dc.insert_transmitter(tx(-0.1, -5.5, 0.5, 1.0))
+    check("second insert")
+    assert dc.offstage == {3, 4}
+    dc.delete_transmitter(4)  # a parked delete hands the region back
+    check("parked delete")
+    assert dc.offstage == {2, 3}
+
+
 def test_random_inserts_match_static_on_prefixes():
     rng = random.Random(777)
     dc = DynamicCoverage(WIN, seed=6)

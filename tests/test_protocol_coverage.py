@@ -60,6 +60,22 @@ def test_two_overlapping_transmitters_lens_area():
     assert abs(coverage_area(cov) - total) <= 0.005 * win.area()
 
 
+def test_disk_tangent_to_window_edge():
+    # the transmission disk touches the window's right edge at (6, 0)
+    cov = compute_coverage_map([tx(1, 0, 5.0, 20.0)], Rect(-6, -6, 6, 6))
+    assert coverage_area(cov) == pytest.approx(25.0 * math.pi, rel=1e-9)
+
+
+def test_tangent_grid_no_interference():
+    # spacing 10 = tr + ir: each transmission disk touches its neighbours'
+    # interference disks, so every disk is covered whole
+    txs = [tx(5 + 10 * i, 5 + 10 * j, 4.0, 6.0) for i in range(10) for j in range(10)]
+    cov = compute_coverage_map(txs, Rect(0, 0, 100, 100))
+    assert coverage_area(cov) == pytest.approx(1600.0 * math.pi, rel=1e-9)
+    for k in range(100):
+        assert region_area(cov, k) == pytest.approx(16.0 * math.pi, rel=1e-9)
+
+
 def test_hidden_transmitter_has_empty_region():
     win = Rect(-8, -8, 8, 8)
     txs = [tx(0, 0, 5.0, 6.0), tx(0.5, 0, 0.4, 0.5), tx(4.2, 0, 5.0, 6.0)]

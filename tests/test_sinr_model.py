@@ -225,9 +225,18 @@ def test_vectorized_mask_matches_scalar():
     powers = [rng.uniform(0.1, 4.0) for _ in range(6)]
     s = scen(sites, powers, alpha=3.0, beta=1.5, noise=1e-3)
     pts = np.array([[rng.random(), rng.random()] for _ in range(500)])
-    mask = sinr_max_covered_mask(s, pts)
-    for k in range(500):
-        assert mask[k] == is_covered(s, Point2(pts[k, 0], pts[k, 1]))
+    # an unpowered site on the centre of cell 20 of an 8x8 grid: the other
+    # two sites decide that sample, in both rules
+    centres = (np.arange(8) + 0.5) / 8.0
+    grid = np.array([[x, y] for y in centres for x in centres])
+    off_site = scen([(0.5625, 0.3125), (0.2, 0.8), (0.6, 0.35)], [0.0, 1.0, 1.0],
+                    beta=2.0, noise=0.5)
+    assert tuple(grid[20]) == (0.5625, 0.3125)
+    for sc, samples in ((s, pts), (off_site, grid)):
+        mask = sinr_max_covered_mask(sc, samples)
+        for k in range(len(samples)):
+            assert mask[k] == is_covered(sc, Point2(samples[k, 0], samples[k, 1]))
+    assert is_covered(off_site, Point2(0.5625, 0.3125))
 
 
 def test_capture_grid_shape_and_values():
