@@ -127,11 +127,14 @@ def _need(obj: dict, key: str, path: str, kind=None):
     return v
 
 
-def _num(obj: dict, key: str, path: str) -> float:
-    v = _need(obj, key, path)
+def _number(v, field: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ParseError(f"{path}{key}", "expected a number")
+        raise ParseError(field, "expected a number")
     return float(v)
+
+
+def _num(obj: dict, key: str, path: str) -> float:
+    return _number(_need(obj, key, path), f"{path}{key}")
 
 
 def _int(obj: dict, key: str, path: str) -> int:
@@ -178,9 +181,9 @@ def parse_scenario(data: bytes | str) -> ScenarioFile:
         y = _num(t, "y", path)
         spec = TransmitterSpec(
             x=x, y=y,
-            tx_radius=float(t["tx_radius"]) if "tx_radius" in t else None,
-            int_radius=float(t["int_radius"]) if "int_radius" in t else None,
-            power=float(t["power"]) if "power" in t else None)
+            tx_radius=_num(t, "tx_radius", path) if "tx_radius" in t else None,
+            int_radius=_num(t, "int_radius", path) if "int_radius" in t else None,
+            power=_num(t, "power", path) if "power" in t else None)
         if model == "protocol":
             if spec.tx_radius is None:
                 raise ParseError(path + "tx_radius", "protocol model needs radii")
@@ -206,8 +209,8 @@ def parse_scenario(data: bytes | str) -> ScenarioFile:
             p_max = _need(bobj, "p_max", "bounds.", list)
             if len(p_min) != len(specs) or len(p_max) != len(specs):
                 raise ParseError("bounds", "bound vectors must match transmitter count")
-            bounds = (tuple(float(v) for v in p_min),
-                      tuple(float(v) for v in p_max))
+            bounds = tuple(tuple(_number(v, f"bounds.{name}[{i}]") for i, v in enumerate(vals))
+                           for name, vals in (("p_min", p_min), ("p_max", p_max)))
         elif not all(t.power is not None for t in specs):
             raise ParseError("transmitters", "sinr model needs powers or bounds")
 
@@ -503,7 +506,10 @@ def _cmd_dynamic(args) -> int:
     dc = DynamicCoverage(window, seed=seed)
     t0 = time.perf_counter()
     reports = []
-    for k, op in enumerate(raw.get("ops", [])):
+    ops = raw.get("ops", [])
+    if not isinstance(ops, list):
+        raise ParseError("ops", "expected a list")
+    for k, op in enumerate(ops):
         path = f"ops[{k}]."
         if not isinstance(op, dict):
             raise ParseError(f"ops[{k}]", "expected an object")

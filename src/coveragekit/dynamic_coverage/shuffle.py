@@ -3,14 +3,24 @@
 Disks lift to upper half-spaces in 3-D (z >= 2cx*x + 2cy*y - |c|^2 + r^2);
 the power diagram is the downward projection of the lower boundary of the
 half-space intersection, bounded by a large working square.  The structure
-maintained here is that projected lattice (cells as convex polygons with
-shared vertex nodes) plus a history of every vertex ever made:
+maintained here is that projected lattice (cells as convex polygons of
+vertex nodes) plus a history of every vertex ever made:
 
 * each vertex is a node carrying its 3-D position, the site whose half-space
   made it, the update (layer) that made it, and, once it dies, a pointer to
-  a nearby vertex made by the update that killed it (``next``);
+  a vertex made by the update that killed it (``next``);
 * eight root nodes stand for the corners of the bounding volume;
 * the vertices of each update are listed under its layer.
+
+Vertex identity is kept by construction, never by comparing coordinates.
+An insertion decides once per vertex whether the new plane passes above it
+(it dies), below it, or through it (it stays and joins the new cell).  Each
+dying edge gets one crossing vertex, keyed by its two end nodes, so both of
+its cells share it; the new cell is the outline of what the carved cells
+lose, and adjacency comes from the edges the changed cells share.  A
+deletion re-tiles the deleted cell with the same carve, inserting the
+neighbours' planes into it one by one.  ``check_invariants`` verifies the
+lattice.
 
 ``traverse_shuffle`` starts at a root outside a query half-space and follows
 ``next`` pointers, scanning the layer each pointer leads to for a vertex
@@ -35,9 +45,9 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import chain
-from typing import Optional, Sequence
+from typing import Optional
 
 from ..errors import DuplicateSite
 from ..geometry import (ArcPolygon, ConvexPolygon, Disk, Point2, Rect,
@@ -67,6 +77,26 @@ def lift(d: Disk) -> HalfSpace3:
     return HalfSpace3(2.0 * cx, 2.0 * cy, -(cx * cx) - (cy * cy) + d.radius ** 2)
 
 
+def _outline(edges: set, keep=None) -> list[int]:
+    """The single boundary cycle (CCW vertex ids) of the union of faces
+    whose directed edges are ``edges``, less the vertices ``keep`` rejects:
+    an edge and its twin, shared by two faces, cancel."""
+    edges = {(u, v) for (u, v) in edges if (v, u) not in edges}
+    succ = dict(edges)
+    cycle = [min(succ)]
+    while len(cycle) <= len(succ) and succ.get(cycle[-1], cycle[0]) != cycle[0]:
+        cycle.append(succ[cycle[-1]])
+    if len(cycle) != len(edges) or len(succ) != len(edges):
+        raise RuntimeError(f"faces do not merge into one cycle: {sorted(edges)}")
+    return [u for u in cycle if keep is None or keep(u)]
+
+
+def _ring_edges(poly) -> zip:
+    """Directed edges (u, v) of a cell given as (x, y, vertex id) triples."""
+    ids = [t[2] for t in poly]
+    return zip(ids[-1:] + ids[:-1], ids)
+
+
 @dataclass
 class HistNode:
     """One history vertex; ``incident`` holds the sites whose cells have had
@@ -84,8 +114,8 @@ class HistNode:
 @dataclass
 class Shuffle:
     """History records: vertex nodes, the eight roots, and the vertices each
-    update made, keyed by its layer.  The traversal walks ``face_by_layer``;
-    layers only grow, so walks terminate."""
+    update made (an insertion's whole new face), keyed by its layer.  The
+    traversal walks ``face_by_layer``; layers only grow, so walks end."""
     nodes: dict[int, HistNode] = field(default_factory=dict)
     roots: list[int] = field(default_factory=list)
     face_by_layer: dict[int, list[int]] = field(default_factory=dict)
@@ -113,11 +143,7 @@ class UpdateReport:
     wall_time: float
 
     def to_dict(self) -> dict:
-        return {"op": self.op, "site": self.site, "redundant": self.redundant,
-                "affected": self.affected,
-                "structural_change": self.structural_change,
-                "hidden_events": [[kind, sid] for kind, sid in self.hidden_events],
-                "wall_time": self.wall_time}
+        return dict(asdict(self), hidden_events=[list(e) for e in self.hidden_events])
 
 
 @dataclass(frozen=True)
@@ -135,46 +161,14 @@ class FacialLatticeView:
         return self.vertices - self.edges + self.faces == 2
 
 
-class _NodeRegistry:
-    """Coordinate-snapped node lookup so cells sharing a vertex share its id."""
-
-    def __init__(self, dc: "DynamicCoverage", tol: float):
-        self.dc = dc
-        self.tol = tol
-        self.grid: dict[tuple[int, int], list[int]] = {}
-
-    def _key(self, x: float, y: float) -> tuple[int, int]:
-        return (int(math.floor(x / self.tol / 4.0)), int(math.floor(y / self.tol / 4.0)))
-
-    def seed(self, nid: int) -> None:
-        n = self.dc.shuffle.nodes[nid]
-        self.grid.setdefault(self._key(n.x, n.y), []).append(nid)
-
-    def find(self, x: float, y: float) -> Optional[int]:
-        kx, ky = self._key(x, y)
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for nid in self.grid.get((kx + dx, ky + dy), ()):
-                    n = self.dc.shuffle.nodes[nid]
-                    if math.hypot(n.x - x, n.y - y) <= self.tol:
-                        return nid
-        return None
-
-    def node(self, x: float, y: float, creator: int, z: float) -> int:
-        nid = self.find(x, y)
-        if nid is not None:
-            return nid
-        nid = self.dc._new_node(x, y, z, creator)
-        self.seed(nid)
-        return nid
-
-
 class DynamicCoverage:
     """Coverage map under single-transmitter insertion and deletion.
 
     ``regions`` always equals the static coverage map of the currently
     registered transmitters (hidden ones included as empty), up to the
-    numeric tolerance of the two pipelines.
+    numeric tolerance of the two pipelines.  Cells share vertex nodes by
+    construction (see the module docstring); ``check_invariants`` verifies
+    the lattice after any sequence of updates.
 
     ``seed`` is accepted for compatibility with callers that pass one; the
     structure draws no random numbers, so it does not change any result.
@@ -202,7 +196,9 @@ class DynamicCoverage:
         self._next_site = 0
         self._node_counter = 0
         self._layer = 0
-        self._deletions = 0
+        # insertions only: the layers are nested and a negative walk is exact
+        self._nested = True
+        self._corners: set[int] = set()  # current vertices at square corners
         self._walk_hint: Optional[int] = None
         self._dirty: set[int] = set()
         self._regions: dict[int, list[ArcPolygon]] = {}
@@ -230,11 +226,21 @@ class DynamicCoverage:
         for (_, _, nid) in poly:
             self.shuffle.nodes[nid].incident.add(sid)
 
-    def _plane_gap(self, new_sid: int, old_sid: int):
-        """Linear functional f_new - f_old; positive where the new plane wins."""
-        pn, po = self.planes[new_sid], self.planes[old_sid]
-        da, db, dc = pn.a - po.a, pn.b - po.b, pn.c - po.c
-        return lambda x, y: da * x + db * y + dc
+    def _triples(self, ring) -> list[tuple[float, float, int]]:
+        nodes = self.shuffle.nodes
+        return [(nodes[u].x, nodes[u].y, u) for u in ring]
+
+    def _bury(self, dead, face: list[int]) -> None:
+        """Point each dead vertex at a vertex of ``face`` this update made:
+        the walk scans that vertex's layer.  An update that made none breaks
+        the nesting of the layers, as a deletion does."""
+        nodes = self.shuffle.nodes
+        target = next((u for u in face if nodes[u].layer == self._layer), None)
+        if target is None:
+            self._nested = False
+            target = face[0]
+        for d in dead:
+            nodes[d].next = target
 
     # ------------------------------------------------------------------
     # traversal
@@ -282,11 +288,11 @@ class DynamicCoverage:
                     found = w
                     break
             if found is None:
-                # with insertions only, the layers are nested polytopes and a
-                # negative walk is exact; deletions break the nesting, so the
-                # conclusion is then re-checked against the current vertices
+                # insertions alone keep the layers nested polytopes and a
+                # negative walk exact; deletions (and see ``_bury``) break the
+                # nesting, so the conclusion is re-checked on current vertices
                 self.last_traverse_visits = visits
-                if self._deletions and self.cells:
+                if not self._nested and self.cells:
                     exact = self._scan_current(hs)
                     if exact is not None:
                         self.traverse_fallbacks += 1
@@ -327,13 +333,10 @@ class DynamicCoverage:
         affected = self._insert_site(sid, events)
         # the new disk may take the region beyond the square of a parked one
         self._offstage_pending.update(self.offstage)
-        redundant = affected is None
-        report = UpdateReport(op="insert", site=sid, redundant=redundant,
-                              affected=sorted(affected or []),
-                              structural_change=len(affected or []),
-                              hidden_events=events,
-                              wall_time=time.perf_counter() - start)
-        return report
+        return UpdateReport(op="insert", site=sid, redundant=affected is None,
+                            affected=sorted(affected or []),
+                            structural_change=len(affected or []), hidden_events=events,
+                            wall_time=time.perf_counter() - start)
 
     def _unpark(self, sid: int) -> None:
         self.hidden.pop(sid, None)
@@ -349,58 +352,23 @@ class DynamicCoverage:
         events.append(("parked", sid))
         self._dirty.add(sid)
 
-    def _owner_scan(self, p: Point2) -> Optional[int]:
-        best, best_v = None, math.inf
-        for sid in self.cells:
-            v = power_distance(p, self._int_disks[sid])
-            if v < best_v:
-                best, best_v = sid, v
-        return best
-
     def _owner_of(self, p: Point2) -> Optional[int]:
-        """Cell containing a point, by walking cell adjacency along the
-        segment from the current cell's centroid to the point."""
+        """Site whose cell contains ``p``, by stepping from the last answer to
+        a neighbour nearer in power distance while there is one.  A site
+        that does not own ``p`` always has one: the neighbour across the
+        edge where the segment from its cell to ``p`` leaves the cell."""
         if not self.cells:
             return None
-        cur = self._walk_hint if self._walk_hint in self.cells \
-            else next(iter(self.cells))
-        tol = self._tol * 16.0
-        for _ in range(len(self.cells) + 8):
-            poly = self.cells[cur]
-            k = len(poly)
-            inside = True
-            for i in range(k):
-                xa, ya, _ = poly[i]
-                xb, yb, _ = poly[(i + 1) % k]
-                if (xb - xa) * (p.y - ya) - (yb - ya) * (p.x - xa) < -tol:
-                    inside = False
-                    break
-            if inside:
+        cur = self._walk_hint if self._walk_hint in self.cells else min(self.cells)
+        dist = {cur: power_distance(p, self._int_disks[cur])}
+        while True:
+            for v in self.neighbors[cur] - dist.keys():
+                dist[v] = power_distance(p, self._int_disks[v])
+            step = min(self.neighbors[cur], key=dist.__getitem__, default=cur)
+            if dist[step] >= dist[cur]:
                 self._walk_hint = cur
                 return cur
-            cx = sum(q[0] for q in poly) / k
-            cy = sum(q[1] for q in poly) / k
-            dx, dy = p.x - cx, p.y - cy
-            mine = {nid: (x, y) for (x, y, nid) in poly}
-            step = None
-            best_t = math.inf
-            for v in self.neighbors.get(cur, ()):
-                shared = [nid for (_, _, nid) in self.cells.get(v, ()) if nid in mine]
-                if len(shared) < 2:
-                    continue
-                (x1, y1), (x2, y2) = mine[shared[0]], mine[shared[1]]
-                ex, ey = x2 - x1, y2 - y1
-                den = dx * ey - dy * ex
-                if den == 0.0:
-                    continue
-                t = ((x1 - cx) * ey - (y1 - cy) * ex) / den
-                u = ((x1 - cx) * dy - (y1 - cy) * dx) / den
-                if 0.0 < t < best_t and -1e-9 <= u <= 1.0 + 1e-9:
-                    best_t, step = t, v
-            if step is None:
-                break
             cur = step
-        return self._owner_scan(p)
 
     def _globally_visible(self, sid: int) -> bool:
         """Exact unbounded-plane visibility: does any point prefer this site
@@ -431,18 +399,12 @@ class DynamicCoverage:
         nodes = self.shuffle.nodes
         self._layer += 1
         if not self.cells:
-            sq = self.square
-            corners = [(sq.x0, sq.y0), (sq.x1, sq.y0), (sq.x1, sq.y1), (sq.x0, sq.y1)]
-            poly = []
-            for (x, y) in corners:
-                nid = self._new_node(x, y, hs.height(x, y), sid)
-                poly.append((x, y, nid))
-            self._commit_cell(sid, poly)
-            self.neighbors[sid] = set()
             for r in self.shuffle.roots[:4]:
-                nodes[r].next = min((nid for (_, _, nid) in poly),
-                                    key=lambda k: (nodes[k].x - nodes[r].x) ** 2
-                                    + (nodes[k].y - nodes[r].y) ** 2)
+                n = nodes[r]
+                n.next = self._new_node(n.x, n.y, hs.height(n.x, n.y), sid)
+            self._corners = set(self.shuffle.face_by_layer[self._layer])
+            self._commit_cell(sid, self._triples(self.shuffle.face_by_layer[self._layer]))
+            self.neighbors[sid] = set()
             self._dirty.add(sid)
             return []
 
@@ -451,145 +413,162 @@ class DynamicCoverage:
             self._park(sid, events)
             return None
 
-        registry = _NodeRegistry(self, self._tol * 64.0)
-        seeds = sorted(o for o in nodes[probe].incident if o in self.cells)
-        zone: dict[int, tuple] = {}
-        visited: set[int] = set(seeds)
+        face, shrunk, swallowed, dead = self._carve(
+            self.cells, hs, sid, {},
+            sorted(o for o in nodes[probe].incident if o in self.cells), self._corners)
+        # a square corner the new cell takes changes height: a new vertex
+        for i, u in enumerate(face):
+            if u in dead:
+                n = nodes[u]
+                face[i] = self._new_node(n.x, n.y, hs.height(n.x, n.y), sid)
+                self._corners ^= {u, face[i]}
+        for c in shrunk:
+            self._commit_cell(c, shrunk[c])
+        for c in swallowed:
+            del self.cells[c]
+        self._commit_cell(sid, self._triples(face))
+        # the layer lists the whole new face, kept vertices too: there a walk
+        # finds a vertex outside any half-space that cuts the structure
+        self.shuffle.face_by_layer[self._layer] = face
+        self._bury(dead, face)
+        self._relink(set(shrunk) | {sid}, set(swallowed))
+        for c in swallowed:
+            self._park(c, events)
+        # insertions never revive parked disks, so no re-probe here
+        affected = sorted(shrunk) + swallowed
+        self._rekey(set(affected) | {sid})
+        self._dirty.update(shrunk)
+        self._dirty.add(sid)
+        return affected
+
+    def _carve(self, cells, hs: HalfSpace3, sid: int, height, seeds, keep):
+        """Cut where the plane of ``hs`` passes above the lattice ``cells``
+        out of it, searching from ``seeds`` through the cells around each
+        dead vertex (``incident``); None if no vertex dies.  Vertices are
+        decided once, against ``height`` where it has them, else their
+        nodes' heights; a dying edge's crossing, a node made for site
+        ``sid``, is shared by its cells (a vertex on the plane is its own).
+        Returns the new face (CCW ids), the shrunk cells, the swallowed
+        cells (none of their vertices below the plane) and the dead
+        vertices.  A dead vertex on the outer boundary stays in the face
+        only if in ``keep``; any other lies inside a straight outer edge."""
+        nodes = self.shuffle.nodes
+        ha, hb, hc = hs.a, hs.b, hs.c
+        side: dict[int, int] = {}  # 1 dies, 0 on the plane, -1 stays
+
+        def dies(poly) -> bool:
+            """Decide each vertex of a cell, by the test of ``_outside``."""
+            out = False
+            for (x, y, u) in poly:
+                s = side.get(u)
+                if s is None:
+                    f, z = ha * x + hb * y + hc, height.get(u, nodes[u].z)
+                    tol = 1e-12 * (1.0 + abs(f) + abs(z))
+                    s = side[u] = 1 if z < f - tol else (-1 if z > f + tol else 0)
+                out = out or s > 0
+            return out
+
+        carved = []
+        seen = set(seeds)
         queue = deque(seeds)
         while queue:
             c = queue.popleft()
-            gap = self._plane_gap(sid, c)
-            poly = self.cells[c]
-            vals = [gap(x, y) for (x, y, _) in poly]
-            if max(vals) <= 0.0:
-                continue
-            zone[c] = self._clip_tracked(poly, vals, registry, sid)
-            for nb in self.neighbors.get(c, ()):
-                if nb not in visited:
-                    visited.add(nb)
-                    queue.append(nb)
-        if not zone:
-            # probe was on the numerical boundary; treat as redundant
-            self._park(sid, events)
+            if dies(cells[c]):
+                carved.append(c)
+                around = {o for (_, _, u) in cells[c] if side[u] > 0 for o in nodes[u].incident}
+                queue.extend(o for o in around - seen if o in cells)
+                seen |= around
+        if not carved:
             return None
+        carved.sort()
+        sharers: dict[tuple[int, int], list[int]] = {}  # cells of each dying edge
+        for c in carved:
+            for a, b in _ring_edges(cells[c]):
+                if (side[a] > 0) != (side[b] > 0):
+                    sharers.setdefault((a, b) if a < b else (b, a), []).append(c)
+        crossings: dict[tuple[int, int], int] = {}
 
-        # new cell: the square where the new site beats every carved cell
-        new_poly = self._square_cell(sid, sorted(zone))
-        if new_poly is None:
-            self._park(sid, events)
-            return None
+        def crossing(a: int, b: int) -> int:  # a dies, b does not
+            if side[b] == 0:
+                return b
+            key = (a, b) if a < b else (b, a)
+            if key not in crossings:
+                x, y = self._meet(hs, sharers[key], nodes[a], nodes[b])
+                crossings[key] = w = self._new_node(x, y, hs.height(x, y), sid)
+                side[w] = 0
+            return crossings[key]
 
-        new_cell = [(p.x, p.y, registry.node(p.x, p.y, sid, hs.height(p.x, p.y)))
-                    for p in new_poly.vertices]
-        face_nodes = [nid for (_, _, nid) in new_cell]
-
-        # commit shrunk cells, kill dead vertices, park swallowed sites
-        dead_nodes: set[int] = set()
-        split_next: dict[int, int] = {}
-        emptied: list[int] = []
-        affected: list[int] = []
-        for c in sorted(zone):
-            kept, died, crossings = zone[c]
-            dead_nodes.update(died)
-            for w, dying in crossings:
-                split_next.setdefault(dying, w)
-            if kept is None:
-                emptied.append(c)
-            else:
-                self._commit_cell(c, kept)
-                affected.append(c)
-        self._commit_cell(sid, new_cell)
-
-        still_used: set[int] = set(face_nodes)
-        for c in affected:
-            still_used.update(nid for (_, _, nid) in self.cells[c])
-        dead_nodes = {d for d in dead_nodes if d not in still_used}
-        for d in sorted(dead_nodes):
-            if nodes[d].next is not None:
+        # what the carved cells lose, as directed edges: its outline is the
+        # new cell
+        lost: set[tuple[int, int]] = set()
+        shrunk: dict[int, list[tuple[float, float, int]]] = {}
+        swallowed = []
+        for c in carved:
+            ring = [u for (_, _, u) in cells[c]]
+            k = len(ring)
+            start = next((i for i in range(k) if side[ring[i]] < 0), None)
+            if start is None:
+                swallowed.append(c)
+                lost.update(_ring_edges(cells[c]))
                 continue
-            target = split_next.get(d)
-            if target is None:
-                target = min(face_nodes, key=lambda k: (nodes[k].x - nodes[d].x) ** 2
-                             + (nodes[k].y - nodes[d].y) ** 2)
-            nodes[d].next = target
+            kept = []
+            entry = start
+            for i in range(start, start + k):
+                a, b = ring[i % k], ring[(i + 1) % k]
+                da, db = side[a] > 0, side[b] > 0
+                if not da:
+                    kept.append(a)
+                if da and db:
+                    lost.add((a, b))
+                elif db:  # entering a dead run
+                    entry = crossing(b, a)
+                    if entry != a:
+                        kept.append(entry)
+                    lost.add((entry, b))
+                elif da:  # leaving it: the new edge entry -> w closes the loss
+                    w = crossing(a, b)
+                    lost.update(((a, w), (w, entry)))
+                    if w != b:
+                        kept.append(w)
+            shrunk[c] = self._triples(kept)
+        dead = {u for c in carved for (_, _, u) in cells[c] if side[u] > 0}
+        face = _outline(lost, lambda u: side[u] <= 0 or u in keep)
+        return face, shrunk, swallowed, dead
 
-        for c in emptied:
-            del self.cells[c]
-            for v in self.neighbors.pop(c, set()):
-                self.neighbors.get(v, set()).discard(c)
-            self._park(c, events)
-        self._refresh_neighbors(affected + [sid])
-        # insertions never revive parked disks, so no re-probe here
-        self._rekey(set(affected) | set(emptied) | {sid})
-        self._dirty.update(affected)
-        self._dirty.add(sid)
-        return affected + emptied
+    def _meet(self, hs: HalfSpace3, sharers: list[int], na: HistNode,
+              nb: HistNode) -> tuple[float, float]:
+        """Where ``hs`` cuts the edge na-nb: solved from the planes of
+        ``hs`` and of the edge's two cells, so no rounding of na or nb
+        carries over; interpolated along an outer edge or a near-parallel
+        cut."""
+        p = self.planes[sharers[0]]
+        a1, b1, c1 = hs.a - p.a, hs.b - p.b, hs.c - p.c
+        if len(sharers) == 2:
+            q = self.planes[sharers[1]]
+            a2, b2, c2 = q.a - p.a, q.b - p.b, q.c - p.c
+            det = a1 * b2 - a2 * b1
+            if abs(det) > 1e-4 * math.hypot(a1, b1) * math.hypot(a2, b2):
+                return (b1 * c2 - b2 * c1) / det, (a2 * c1 - a1 * c2) / det
+        ga, gb = a1 * na.x + b1 * na.y + c1, a1 * nb.x + b1 * nb.y + c1
+        t = ga / (ga - gb) if ga != gb else 0.5  # 0.5: a concentric tie
+        return na.x + t * (nb.x - na.x), na.y + t * (nb.y - na.y)
 
-    def _square_cell(self, sid: int, others: Sequence[int]) -> Optional[ConvexPolygon]:
-        """The working square where ``sid`` beats each of ``others``; None if
-        empty or too small to hold a cell."""
-        poly = _clip_cell(self.square.to_polygon(), self._int_disks, sid, others, self._tol)
-        if poly is None or poly.area() <= self._tol ** 2:
-            return None
-        return poly
-
-    def _clip_tracked(self, poly, vals, registry: _NodeRegistry, creator: int):
-        """Clip a tracked polygon to {gap <= 0}; returns (kept, died,
-        crossings) where crossings are (new node, dying node)."""
-        out: list[tuple[float, float, int]] = []
-        died: list[int] = []
-        crossings: list[tuple[int, int]] = []
-        k = len(poly)
-        hs_creator = self.planes[creator]
-        for i in range(k):
-            (xa, ya, na), va = poly[i], vals[i]
-            (xb, yb, nb), vb = poly[(i + 1) % k], vals[(i + 1) % k]
-            if va > 0.0:
-                died.append(na)
-            if va <= 0.0:
-                out.append((xa, ya, na))
-                if vb > 0.0:
-                    t = va / (va - vb)
-                    x, y = xa + t * (xb - xa), ya + t * (yb - ya)
-                    w = registry.node(x, y, creator, hs_creator.height(x, y))
-                    out.append((x, y, w))
-                    crossings.append((w, nb))
-            elif vb < 0.0:
-                t = va / (va - vb)
-                x, y = xa + t * (xb - xa), ya + t * (yb - ya)
-                w = registry.node(x, y, creator, hs_creator.height(x, y))
-                out.append((x, y, w))
-                crossings.append((w, na))
-        cleaned: list[tuple[float, float, int]] = []
-        for entry in out:
-            if not cleaned or cleaned[-1][2] != entry[2]:
-                cleaned.append(entry)
-        if len(cleaned) > 1 and cleaned[0][2] == cleaned[-1][2]:
-            cleaned.pop()
-        if len(cleaned) < 3 or _area_xy([(x, y) for (x, y, _) in cleaned]) <= self._tol ** 2:
-            return None, [nid for (_, _, nid) in poly], crossings
-        return cleaned, died, crossings
-
-    def _refresh_neighbors(self, updated: Sequence[int]) -> None:
-        for u in updated:
-            if u not in self.cells:
-                continue
-            cand = set(self.neighbors.get(u, set())) | set(updated)
-            cand.discard(u)
-            mine = {nid for (_, _, nid) in self.cells[u]}
-            new_set = set()
-            for v in cand:
-                if v not in self.cells:
-                    continue
-                theirs = {nid for (_, _, nid) in self.cells[v]}
-                if len(mine & theirs) >= 2:
-                    new_set.add(v)
-            old_set = self.neighbors.get(u, set())
-            for gone in old_set - new_set:
-                self.neighbors.get(gone, set()).discard(u)
-            for add in new_set:
-                self.neighbors.setdefault(add, set()).add(u)
-            self.neighbors[u] = new_set
+    def _relink(self, changed: set[int], gone: set[int]) -> None:
+        """Re-derive the neighbours of the ``changed`` cells from the edges
+        they share with each other and with the neighbours of ``gone``
+        cells; adjacency with any other cell is unchanged."""
+        near = set(changed).union(*(self.neighbors[g] for g in gone)) - gone
+        owner = {e: x for x in near for e in _ring_edges(self.cells[x])}
+        for x in changed:
+            twins = {owner.get((v, u)) for (u, v) in _ring_edges(self.cells[x])}
+            twins.discard(None)
+            self.neighbors[x] = (self.neighbors.get(x, set()) - changed - gone) | twins
+        for x in changed:
+            for y in self.neighbors[x]:
+                self.neighbors[y].add(x)
+        for g in gone:
+            for y in self.neighbors.pop(g, set()):
+                self.neighbors.get(y, set()).discard(g)
 
     # ------------------------------------------------------------------
     # deletion
@@ -605,96 +584,23 @@ class DynamicCoverage:
                 # its region beyond the square may pass to other parked disks
                 self._offstage_pending.update(self.hidden)
             self._unpark(sid)
-            gone = self.transmitters.pop(sid)
-            self._tx_keys.pop((gone.location.x, gone.location.y,
-                               gone.tx_radius, gone.int_radius), None)
-            self._int_disks.pop(sid, None)
-            del self.planes[sid]
-            self._regions.pop(sid, None)
+            self._forget(sid)
             self._dirty.discard(sid)
             events.append(("unparked", sid))
-            return UpdateReport(op="delete", site=sid, redundant=True,
-                                affected=[], structural_change=0,
-                                hidden_events=events,
+            return UpdateReport(op="delete", site=sid, redundant=True, affected=[],
+                                structural_change=0, hidden_events=events,
                                 wall_time=time.perf_counter() - start)
         if sid not in self.cells:
             raise KeyError(f"site {sid} not present")
 
-        nodes = self.shuffle.nodes
         self._layer += 1
-        self._deletions += 1
-        nbrs = sorted(self.neighbors.get(sid, set()))
-        old_polys = {sid: self.cells[sid]}
-        for n in nbrs:
-            old_polys[n] = self.cells[n]
-        del self.cells[sid]
-        for v in self.neighbors.pop(sid, set()):
-            self.neighbors.get(v, set()).discard(sid)
-        gone = self.transmitters.pop(sid)
-        self._tx_keys.pop((gone.location.x, gone.location.y,
-                           gone.tx_radius, gone.int_radius), None)
-        self._int_disks.pop(sid, None)
-        del self.planes[sid]
-        self._regions.pop(sid, None)
-
-        registry = _NodeRegistry(self, self._tol * 64.0)
-        seed_sites = set(nbrs)
-        for n in nbrs:
-            seed_sites.update(self.neighbors.get(n, set()))
-        for s_site in seed_sites:
-            if s_site in self.cells:
-                for (_, _, nid) in self.cells[s_site]:
-                    registry.seed(nid)
-
-        new_nodes: list[int] = []
-        for n in nbrs:
-            cand = (set(self.neighbors.get(n, set())) | set(nbrs)) - {n, sid}
-            poly = self._square_cell(n, sorted(cand))
-            if poly is None:
-                # neighbor swallowed entirely (possible only in degenerate
-                # near-ties); park it to stay consistent
-                del self.cells[n]
-                for v in self.neighbors.pop(n, set()):
-                    self.neighbors.get(v, set()).discard(n)
-                self._park(n, events)
-                continue
-            hs_n = self.planes[n]
-            tracked = []
-            for p in poly.vertices:
-                nid = registry.find(p.x, p.y)
-                if nid is None:
-                    nid = self._new_node(p.x, p.y, hs_n.height(p.x, p.y), n)
-                    registry.seed(nid)
-                    new_nodes.append(nid)
-                tracked.append((p.x, p.y, nid))
-            self._commit_cell(n, tracked)
-
-        # vertices referenced by nobody anymore are dead; route them forward
-        live_now: set[int] = set()
-        for poly in self.cells.values():
-            live_now.update(nid for (_, _, nid) in poly)
-        dead: set[int] = set()
-        for poly in old_polys.values():
-            dead.update(nid for (_, _, nid) in poly if nid not in live_now)
-        if new_nodes:
-            targets = new_nodes
-        elif live_now:
-            targets = sorted(live_now)
-        else:
-            targets = self.shuffle.roots[:4]
-            for r in self.shuffle.roots[:4]:
-                nodes[r].next = None
-        for d in sorted(dead):
-            if nodes[d].next is not None:
-                continue
-            if not targets:
-                continue
-            nodes[d].next = min(targets, key=lambda k: (nodes[k].x - nodes[d].x) ** 2
-                                + (nodes[k].y - nodes[d].y) ** 2)
-
-        self._refresh_neighbors(nbrs)
-        affected = [n for n in nbrs if n in self.cells]
-        self._dirty.update(affected)
+        self._nested = False
+        nbrs = sorted(self.neighbors[sid])
+        self._forget(sid)
+        self._retile(self.cells.pop(sid), nbrs)
+        self._relink(set(nbrs), {sid})
+        self._dirty.update(nbrs)
+        affected = list(nbrs)
 
         # deletions can expose parked disks anywhere (a power region may
         # reappear far from the disk itself), so every parked disk is
@@ -714,12 +620,77 @@ class DynamicCoverage:
         self._rekey(set(affected) | {sid})
 
         self._dirty.update(a for a in affected if a in self.cells)
-        report = UpdateReport(op="delete", site=sid, redundant=False,
-                              affected=sorted(set(affected) | set(revived)),
-                              structural_change=len(set(affected)) + 1,
-                              hidden_events=events,
-                              wall_time=time.perf_counter() - start)
-        return report
+        return UpdateReport(op="delete", site=sid, redundant=False,
+                            affected=sorted(set(affected) | set(revived)),
+                            structural_change=len(set(affected)) + 1, hidden_events=events,
+                            wall_time=time.perf_counter() - start)
+
+    def _forget(self, sid: int) -> None:
+        gone = self.transmitters.pop(sid)
+        del self._tx_keys[(gone.location.x, gone.location.y, gone.tx_radius, gone.int_radius)]
+        del self._int_disks[sid], self.planes[sid]
+        self._regions.pop(sid, None)
+
+    def _retile(self, hole: list[tuple[float, float, int]], nbrs: list[int]) -> None:
+        """Hand the deleted cell ``hole`` to its neighbours ``nbrs``: the
+        first takes it whole, each other one's plane carves its piece (with
+        heights local to the hole, whose vertices stay), and each piece
+        merges into its owner's cell.  A hole vertex left inside a straight
+        edge dies; a square corner changes height, so it is made anew."""
+        nodes = self.shuffle.nodes
+        ring = [u for (_, _, u) in hole]
+        if not nbrs:  # the last cell: the structure is empty again
+            for r in self.shuffle.roots[:4]:
+                nodes[r].next = None
+            self._corners = set()
+            self._bury(ring, self.shuffle.roots[:1])
+            return
+        base = self.planes[nbrs[0]]
+        height = {u: base.height(nodes[u].x, nodes[u].y) for u in ring}
+        pieces = {nbrs[0]: hole}
+        for n in nbrs[1:]:
+            hs = self.planes[n]
+            res = self._carve(pieces, hs, n, height, sorted(pieces), set(ring))
+            if res is None:
+                continue
+            face, shrunk, swallowed, dead = res
+            for u in dead.intersection(face):
+                height[u] = hs.height(nodes[u].x, nodes[u].y)
+            pieces.update(shrunk)
+            for c in swallowed:
+                del pieces[c]
+            pieces[n] = self._triples(face)
+        for m, piece in pieces.items():
+            edges = set(chain(_ring_edges(self.cells[m]), _ring_edges(piece)))
+            self._commit_cell(m, self._triples(_outline(edges)))
+
+        dead = []
+        for u in ring:
+            holders = [c for c in sorted(nodes[u].incident)
+                       if c in self.cells and any(t[2] == u for t in self.cells[c])]
+            w = None
+            if u in self._corners:
+                n = nodes[u]
+                w = self._new_node(n.x, n.y, self.planes[holders[0]].height(n.x, n.y),
+                                   holders[0])
+                self._corners ^= {u, w}
+            elif len({v for c in holders for e in _ring_edges(self.cells[c])
+                      if u in e for v in e}) > 3:  # u has three neighbours or more
+                continue
+            dead.append(u)
+            for c in holders:
+                poly = self.cells[c]
+                self._commit_cell(c, [t for t in poly if t[2] != u] if w is None else
+                                  [t if t[2] != u else (t[0], t[1], w) for t in poly])
+        # forget the vertices one carve made and a later one killed
+        live = {u for m in nbrs for (_, _, u) in self.cells[m]}
+        made = self.shuffle.face_by_layer.pop(self._layer, [])
+        for w in set(made) - live:
+            del nodes[w]
+        made = [w for w in made if w in live]
+        if made:
+            self.shuffle.face_by_layer[self._layer] = made
+        self._bury(dead, made or [self.cells[nbrs[0]][0][2]])
 
     # ------------------------------------------------------------------
     # queries
@@ -729,12 +700,8 @@ class DynamicCoverage:
         """Decide for each pending parked disk whether it wins somewhere
         beyond the working square; a change re-dirties every cell."""
         for sid in sorted(self._offstage_pending):
-            visible = self._globally_visible(sid)
-            if visible != (sid in self.offstage):
-                if visible:
-                    self.offstage.add(sid)
-                else:
-                    self.offstage.discard(sid)
+            if self._globally_visible(sid) != (sid in self.offstage):
+                self.offstage ^= {sid}
                 self._dirty.update(self.cells.keys())
         self._offstage_pending.clear()
 
@@ -767,26 +734,43 @@ class DynamicCoverage:
         return site_region(region_cell, t.tx_disk, self._int_disks, cand, eps)
 
     def facial_lattice(self) -> FacialLatticeView:
-        verts: set[int] = set()
-        edges: set[tuple[int, int]] = set()
-        for poly in self.cells.values():
-            k = len(poly)
-            for i in range(k):
-                a, b = poly[i][2], poly[(i + 1) % k][2]
-                verts.add(a)
-                edges.add((min(a, b), max(a, b)))
+        edges = {(min(e), max(e)) for poly in self.cells.values() for e in _ring_edges(poly)}
+        verts = {u for e in edges for u in e}
         return FacialLatticeView(vertices=len(verts), edges=len(edges),
                                  faces=len(self.cells) + 1)
 
-
-def _area_xy(poly: list[tuple[float, float]]) -> float:
-    s = 0.0
-    k = len(poly)
-    for i in range(k):
-        xa, ya = poly[i]
-        xb, yb = poly[(i + 1) % k]
-        s += xa * yb - xb * ya
-    return 0.5 * s
+    def check_invariants(self) -> None:
+        """Assert that the cells form a valid lattice: they tile the working
+        square (areas sum to it within 1e-9 relative), every edge off the
+        square's boundary has exactly two cells, each neighbour set is the
+        set of cells sharing an edge (hence symmetric and free of
+        self-loops), and Euler's formula holds.  An empty structure has no
+        lattice to check."""
+        assert bool(self.cells) == bool(self.neighbors), "neighbours without cells"
+        if not self.cells:
+            return
+        sq, nodes = self.square, self.shuffle.nodes
+        owner: dict[tuple[int, int], int] = {}
+        total = 0.0
+        for sid, poly in self.cells.items():
+            assert len({t[2] for t in poly}) == len(poly) >= 3, f"cell {sid}: {poly}"
+            total += sum(xa * yb - xb * ya for (xa, ya, _), (xb, yb, _)
+                         in zip(poly[-1:] + poly[:-1], poly)) / 2.0
+            for e in _ring_edges(poly):
+                assert e not in owner, f"edge {e} in cells {owner[e]} and {sid}"
+                owner[e] = sid
+        area = sq.width * sq.height
+        assert abs(total - area) <= 1e-9 * area, f"cells cover {total / area} of the square"
+        shared: dict[int, set[int]] = {sid: set() for sid in self.cells}
+        for (u, v), sid in owner.items():
+            if (v, u) in owner:
+                shared[sid].add(owner[(v, u)])
+            else:  # an edge of one cell lies on a side of the square
+                a, b = nodes[u], nodes[v]
+                assert (a.x == b.x and a.x in (sq.x0, sq.x1)) or \
+                    (a.y == b.y and a.y in (sq.y0, sq.y1)), f"edge {(u, v)} has one cell"
+        assert self.neighbors == shared, "neighbour sets differ from the shared edges"
+        assert self.facial_lattice().euler_ok(), f"Euler fails: {self.facial_lattice()}"
 
 
 def traverse_shuffle(dc: DynamicCoverage, s: HalfSpace3) -> Optional[ShuffleVertex]:

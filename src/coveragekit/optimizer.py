@@ -117,9 +117,17 @@ def sample_points(window, plan: SamplingPlan) -> np.ndarray:
     return pts * (window.width, window.height) + (window.x0, window.y0)
 
 
+# Most sites x sample points (entries of one float64 array) an estimate may
+# hold; larger plans raise BudgetExceeded before any sample is allocated.
+MAX_SAMPLE_PAIRS = 10 ** 7
+
+
 @functools.lru_cache(maxsize=1)
 def _gains(sites, alpha: float, window, plan: SamplingPlan):
     """``_path_loss`` of the plan's sample points; its callers share and only read it."""
+    points = math.prod(plan.grid_dims) if plan.kind == "grid" else plan.sample_count
+    if len(sites) * points > MAX_SAMPLE_PAIRS:
+        raise BudgetExceeded(f"{len(sites)} sites x {points} samples exceed {MAX_SAMPLE_PAIRS}")
     return _path_loss(sites, alpha, sample_points(window, plan))
 
 

@@ -170,6 +170,18 @@ def test_cli_input_error_exit_2(tmp_path, capsys):
              "ops[0].site")
     rejected("dynamic", {"window": {"x0": 0.0}, "ops": []}, "window.y0")
     rejected("dynamic", {"window": window, "seed": 0.5, "ops": []}, "seed")
+    rejected("dynamic", {"window": window, "ops": 5}, "ops")
+    rejected("dynamic", {"window": window, "ops": None}, "ops")
+    for value in (None, [1], True, "x"):
+        doc = json.loads(json.dumps(PROTOCOL_SCENARIO))
+        doc["transmitters"][0]["tx_radius"] = value
+        rejected("build-map", doc, "transmitters[0].tx_radius")
+    sinr = json.loads(json.dumps(SINR_SCENARIO))
+    sinr["transmitters"][1]["power"] = "x"
+    rejected("estimate-area", sinr, "transmitters[1].power")
+    sinr = json.loads(json.dumps(SINR_SCENARIO))
+    sinr["bounds"]["p_min"] = [None, 0.0]
+    rejected("estimate-area", sinr, "bounds.p_min[0]")
 
 
 def test_cli_budget_error_exit_3(tmp_path):
@@ -182,6 +194,10 @@ def test_cli_budget_error_exit_3(tmp_path):
     rc = cli(["optimize", "exhaustive", str(scen), "--levels", "10",
               "--budget", "1000", "--out", str(tmp_path / "r.result.json")])
     assert rc == 3
+    # 1e10 sample points: refused before any sample array is allocated
+    scen_dict = dict(SINR_SCENARIO, sampling={"kind": "grid", "grid_dims": [100000, 100000]})
+    scen.write_text(json.dumps(scen_dict))
+    assert cli(["estimate-area", str(scen), "--out", str(tmp_path / "h.result.json")]) == 3
 
 
 def test_cli_optimize_rhc_deterministic(tmp_path):
