@@ -127,9 +127,15 @@ def _need(obj: dict, key: str, path: str, kind=None):
     return v
 
 
+# Largest accepted magnitude: squares and products of two inputs stay finite.
+_MAX_NUMBER = 1e100
+
+
 def _number(v, field: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ParseError(field, "expected a number")
+    if not abs(v) <= _MAX_NUMBER:  # also NaN and Infinity, which json reads
+        raise ParseError(field, f"expected a finite number of magnitude at most {_MAX_NUMBER:g}")
     return float(v)
 
 

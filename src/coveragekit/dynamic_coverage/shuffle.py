@@ -51,10 +51,10 @@ from typing import Optional
 
 from ..errors import DuplicateSite
 from ..geometry import (ArcPolygon, ConvexPolygon, Disk, Point2, Rect,
-                        arc_polygon_area, convex_polygon_intersection, geom_eps,
-                        power_distance)
+                        arc_polygon_area, boolean_chains, convex_polygon_intersection,
+                        geom_eps, power_distance)
 from ..power_diagram import _clip_cell, _mega_square
-from ..protocol_coverage import ProtocolTransmitter, site_region
+from ..protocol_coverage import ProtocolTransmitter
 
 _Z_BIG = 1.0e30
 
@@ -725,13 +725,15 @@ class DynamicCoverage:
 
     def _compute_region(self, sid: int) -> list[ArcPolygon]:
         cell_poly = ConvexPolygon(tuple(Point2(x, y) for (x, y, _) in self.cells[sid]))
-        region_cell = convex_polygon_intersection(cell_poly, self.window.to_polygon())
+        # the window is clipped by the cell, so its sides keep their exact
+        # coordinates
+        region_cell = convex_polygon_intersection(self.window.to_polygon(), cell_poly)
         if region_cell is None:
             return []
         t = self.transmitters[sid]
         eps = geom_eps(max(self.window.diameter(), t.int_radius))
         cand = sorted(set(self.neighbors.get(sid, set())) | self.offstage)
-        return site_region(region_cell, t.tx_disk, self._int_disks, cand, eps)
+        return boolean_chains(region_cell, t.tx_disk, [self._int_disks[q] for q in cand], eps)
 
     def facial_lattice(self) -> FacialLatticeView:
         edges = {(min(e), max(e)) for poly in self.cells.values() for e in _ring_edges(poly)}

@@ -1,20 +1,24 @@
 """2-D geometric primitives: points, disks, distance measures, bisectors,
-convex clipping, and the restricted circular-arc polygon boolean
-``(convex region ∩ disk) \\ disk`` that coverage computation is built on.
+convex clipping, and the circular-arc polygon boolean
+``(convex region ∩ disk) \\ ∪ disks`` that coverage computation is built on.
 
 All types are immutable values and all operations are pure functions, so
 everything here is safe to call concurrently.
 
 Numerical policy: a single relative tolerance ``EPS_REL`` scaled by the scene
-diameter governs point coincidence, chain stitching, and degenerate-piece
-removal.  Tangencies (single-point contacts) are treated as non-intersections.
+diameter (``eps``) governs the boolean.  Two curves whose distance is within
+``eps`` of tangency touch at one point; a piece of a curve no longer than
+``eps`` contracts to a point.  Chains are stitched by the names of the curves
+that cross at each piece end, never by the distance between end points, so
+coincident crossings merge transitively along the curves.  Chain validation
+treats tangencies (single-point contacts) as non-intersections.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import ConcentricDisks, InvalidChain
 
@@ -461,7 +465,8 @@ def _segment_segment_point(s1: Segment, s2: Segment) -> Optional[Point2]:
     bx, by = s2.start.x, s2.start.y
     dx2, dy2 = s2.end.x - bx, s2.end.y - by
     den = dx1 * dy2 - dy1 * dx2
-    if den == 0.0:
+    # parallel up to rounding: the cross product of the directions is noise
+    if abs(den) <= EPS_REL * math.hypot(dx1, dy1) * math.hypot(dx2, dy2):
         return None
     t = ((bx - ax) * dy2 - (by - ay) * dx2) / den
     u = ((bx - ax) * dy1 - (by - ay) * dx1) / den
@@ -498,261 +503,226 @@ def _angle_on_arc(arc: CircularArc, angle: float) -> bool:
 # Circle intersections
 # ---------------------------------------------------------------------------
 
-def segment_circle_params(a: Point2, b: Point2, d: Disk) -> list[float]:
-    """Parameters t in (0,1) where segment a+t(b-a) crosses the circle rim.
+def segment_circle_params(a: Point2, b: Point2, d: Disk, reach: float = -1e-14,
+                          touch: float = 0.0) -> list[float]:
+    """Parameters t in (-reach, 1 + reach) where line a+t(b-a) crosses the
+    circle rim; the default keeps crossings inside the segment only.  A line
+    whose distance from the centre is within ``touch`` of the radius is
+    tangent: its one touching parameter is returned.
 
-    Stable quadratic: the root nearer cancellation is recovered from the
-    product of roots (sign-aware formulation).
+    The roots are taken around the foot of the perpendicular from the
+    centre, so a segment that starts far from the circle loses no digits to
+    cancellation in its squared length.
     """
     dx, dy = b.x - a.x, b.y - a.y
-    fx, fy = a.x - d.center.x, a.y - d.center.y
     A = dx * dx + dy * dy
     if A == 0.0:
         return []
-    B = 2.0 * (fx * dx + fy * dy)
-    C = fx * fx + fy * fy - d.radius * d.radius
-    disc = B * B - 4.0 * A * C
-    if disc <= 0.0:
-        return []
-    sq = math.sqrt(disc)
-    q = -0.5 * (B + math.copysign(sq, B)) if B != 0.0 else 0.5 * sq
-    roots = []
-    if q != 0.0:
-        roots.append(q / A)
-        roots.append(C / q)
+    fx, fy = a.x - d.center.x, a.y - d.center.y
+    t0 = -(fx * dx + fy * dy) / A
+    px, py = fx + t0 * dx, fy + t0 * dy  # centre to foot
+    h2 = d.radius * d.radius - (px * px + py * py)  # ~ 2r(r - distance)
+    if touch > 0.0 and abs(h2) <= 2.0 * d.radius * touch:
+        roots: tuple[float, ...] = (t0,)
+    elif h2 > 0.0:
+        s = math.sqrt(h2 / A)
+        roots = (t0 - s, t0 + s)
     else:
-        roots.extend([0.0, 0.0])
-    lo = 1e-14
-    return sorted(t for t in roots if lo < t < 1.0 - lo)
+        return []
+    return [t for t in roots if -reach < t < 1.0 + reach]
 
 
-def circle_circle_points(d1: Disk, d2: Disk) -> list[Point2]:
-    """Proper intersection points of two circle rims (tangency yields none)."""
+def circle_circle_points(d1: Disk, d2: Disk, touch: float = 0.0) -> list[Point2]:
+    """Proper intersection points of two circle rims.  Tangency yields none,
+    unless ``touch`` is positive: rims within ``touch`` of tangency, crossing
+    or not, then yield their one touching point."""
     dx = d2.center.x - d1.center.x
     dy = d2.center.y - d1.center.y
     d = math.hypot(dx, dy)
     if d == 0.0:
         return []
     r1, r2 = d1.radius, d2.radius
-    if d >= r1 + r2 or d <= abs(r1 - r2):
-        return []
     a = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
-    h2 = r1 * r1 - a * a
-    if h2 <= 0.0:
-        return []
-    h = math.sqrt(h2)
+    h2 = r1 * r1 - a * a  # ~ -2 r1 times the gap between the rims
     mx = d1.center.x + a * dx / d
     my = d1.center.y + a * dy / d
-    ox, oy = -dy / d * h, dx / d * h
-    return [Point2(mx + ox, my + oy), Point2(mx - ox, my - oy)]
+    if touch > 0.0 and abs(h2) <= 2.0 * r1 * touch:
+        return [Point2(mx, my)]
+    if abs(r1 - r2) < d < r1 + r2 and h2 > 0.0:
+        h = math.sqrt(h2)
+        ox, oy = -dy / d * h, dx / d * h
+        return [Point2(mx + ox, my + oy), Point2(mx - ox, my - oy)]
+    return []
 
 
 # ---------------------------------------------------------------------------
-# Restricted boolean: (region ∩ include) \ exclude
+# Keyed boolean: (region ∩ include) \ ∪ excludes
 # ---------------------------------------------------------------------------
 
-def _boolean_pieces(region: ConvexPolygon, include: Disk,
-                    exclude: Optional[Disk], eps: float) -> list[ArcEdge]:
-    """Directed boundary pieces of (region ∩ include) \\ exclude.
+# Probe angles (radians) for a circle no other curve crosses: no lattice
+# favours them, and a majority of three outvotes one tangency point.
+_PROBES = (1.0, 3.0, 5.0)
 
-    Pieces are emitted unordered; callers stitch them into closed chains.
-    A full inward circle piece signals a hole (exclude strictly interior).
+
+def boolean_chains(region: ConvexPolygon, include: Disk, excludes: Sequence[Disk],
+                   eps: float) -> list[ArcPolygon]:
+    """Closed boundary chains of (region ∩ include) \\ ∪ excludes.
+
+    The curves are the region's edges, the include circle (traversed
+    counterclockwise) and the circles of the excludes that meet the include
+    disk (traversed clockwise).  Every crossing of two curves is computed
+    once and keyed by the curves that make it: ``("e", i, k, j)`` for edge i
+    and circle k, ``("c", k, l, j)`` for circles k < l, ``("v", i)`` for
+    region vertex i; j tells the two crossings of one pair apart, and curves
+    within ``eps`` of tangency have one touching crossing.  Each curve is cut
+    at its crossings and a piece is boundary when its midpoint lies in the
+    region, in the include disk and outside every exclude, its own curve
+    aside.  A piece no longer than ``eps``, kept or not, merges its two end
+    keys (union-find), so crossings that coincide along a curve become one
+    node.  Chains are stitched by looking end keys up, never by comparing
+    coordinates; chains of negative area are holes.
     """
-    pieces: list[ArcEdge] = []
-    exc = exclude if (exclude is not None and exclude.radius > eps) else None
+    if include.radius <= eps:
+        return []
+    verts = region.vertices
+    m = len(verts)
+    circles = [include] + [d for d in excludes if d.radius > eps and
+                           dist(d.center, include.center) < d.radius + include.radius]
 
-    def keep(p: Point2) -> bool:
-        # Edge midpoints are on the region boundary by construction, so only
-        # the disk memberships decide; a region test here would be noise.
-        # Rim points are outside the include disk, as in ``Disk.contains``.
-        if power_distance(p, include) >= 0.0:
+    def keep(p: Point2, on: Optional[int]) -> bool:
+        # ``on`` is the circle the point lies on, None for a region edge.
+        # Rim points are outside the include disk, as in ``Disk.contains``,
+        # and outside every exclude.
+        if on is not None and not region.contains(p):
             return False
-        return exc is None or power_distance(p, exc) >= 0.0
-
-    # 1. polygon edges, CCW
-    for a, b in region.edges():
-        cuts = {0.0, 1.0}
-        cuts.update(segment_circle_params(a, b, include))
-        if exc is not None:
-            cuts.update(segment_circle_params(a, b, exc))
-        ts = sorted(cuts)
-        seg_len = dist(a, b)
-        for t0, t1 in zip(ts, ts[1:]):
-            if (t1 - t0) * seg_len <= eps:
-                continue
-            tm = 0.5 * (t0 + t1)
-            mid = Point2(a.x + tm * (b.x - a.x), a.y + tm * (b.y - a.y))
-            if keep(mid):
-                pieces.append(Segment(Point2(a.x + t0 * (b.x - a.x), a.y + t0 * (b.y - a.y)),
-                                      Point2(a.x + t1 * (b.x - a.x), a.y + t1 * (b.y - a.y))))
-
-    # 2. include circle, outward (CCW)
-    if include.radius > eps:
-        events = _circle_events(include, region, exc)
-        pieces.extend(_circle_arcs(include, events, OUTWARD, region, exc, include, eps))
-
-    # 3. exclude circle, inward (CW)
-    if exc is not None:
-        events = _circle_events(exc, region, include)
-        pieces.extend(_circle_arcs(exc, events, INWARD, region, None, include, eps))
-    return pieces
-
-
-def _circle_events(disk: Disk, region: ConvexPolygon, other: Optional[Disk]) -> list[float]:
-    angles = []
-    for a, b in region.edges():
-        for t in segment_circle_params(a, b, disk):
-            p = Point2(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
-            angles.append(disk.angle_of(p))
-    if other is not None:
-        for p in circle_circle_points(disk, other):
-            angles.append(disk.angle_of(p))
-    return sorted(angles)
-
-
-def _circle_arcs(disk: Disk, events: list[float], orientation: str,
-                 region: ConvexPolygon, exclude: Optional[Disk],
-                 include: Disk, eps: float) -> list[CircularArc]:
-    """Arcs of ``disk`` whose midpoints satisfy the membership predicate.
-
-    For the outward circle the predicate is in-region and not-in-exclude; for
-    an inward circle it is in-region and inside ``include``.
-    """
-    def keep_mid(angle: float) -> bool:
-        p = disk.point_at(angle)
-        if not region.contains(p):
+        if on != 0 and power_distance(p, include) >= 0.0:
             return False
-        if orientation == OUTWARD:
-            return exclude is None or power_distance(p, exclude) >= 0.0
-        return power_distance(p, include) < 0.0
+        return all(power_distance(p, circles[l]) >= 0.0
+                   for l in range(1, len(circles)) if l != on)
 
-    arcs: list[CircularArc] = []
-    if not events:
-        if keep_mid(0.0) and keep_mid(2.0):  # two probes guard near-tangency
-            if orientation == OUTWARD:
-                arcs.append(CircularArc(disk, 0.0, 0.0, OUTWARD))
-            else:
-                arcs.append(CircularArc(disk, 0.0, 0.0, INWARD))
-        return arcs
-    k = len(events)
-    for i in range(k):
-        a0 = events[i]
-        a1 = events[(i + 1) % k]
-        extent = (a1 - a0) % TWO_PI
-        if i == k - 1 and extent == 0.0:
-            extent = TWO_PI  # single event: remaining full sweep
-        if extent * disk.radius <= eps:
+    edge_events = [[(0.0, ("v", i)), (1.0, ("v", (i + 1) % m))] for i in range(m)]
+    circle_events: list[list] = [[] for _ in circles]
+    for i, (a, b) in enumerate(region.edges()):
+        reach = eps / max(dist(a, b), eps)  # a crossing at a vertex counts on both edges
+        for k, d in enumerate(circles):
+            for j, t in enumerate(segment_circle_params(a, b, d, reach, eps)):
+                t = min(max(t, 0.0), 1.0)
+                edge_events[i].append((t, ("e", i, k, j)))
+                circle_events[k].append((d.angle_of(_lerp(a, b, t)), ("e", i, k, j)))
+    for k in range(len(circles)):
+        for l in range(k + 1, len(circles)):
+            for j, p in enumerate(circle_circle_points(circles[k], circles[l], eps)):
+                circle_events[k].append((circles[k].angle_of(p), ("c", k, l, j)))
+                circle_events[l].append((circles[l].angle_of(p), ("c", k, l, j)))
+
+    root: dict[tuple, tuple] = {}
+
+    def find(key: tuple) -> tuple:
+        while key in root:
+            key = root[key]
+        return key
+
+    def contract(k0: tuple, k1: tuple) -> None:
+        k0, k1 = find(k0), find(k1)
+        if k0 != k1:
+            root[k0] = k1
+
+    # (edge, curve, start key, end key); curves are edges 0..m-1, circles m+k
+    pieces: list[tuple[ArcEdge, int, tuple, tuple]] = []
+    chains: list[list[tuple[ArcEdge, int, bool]]] = []
+    for i, (a, b) in enumerate(region.edges()):
+        events = sorted(edge_events[i])
+        length = dist(a, b)
+        for (t0, k0), (t1, k1) in zip(events, events[1:]):
+            if (t1 - t0) * length <= eps:
+                contract(k0, k1)
+            elif keep(_lerp(a, b, 0.5 * (t0 + t1)), None):
+                pieces.append((Segment(_lerp(a, b, t0), _lerp(a, b, t1)), i, k0, k1))
+    for k, d in enumerate(circles):
+        orient = OUTWARD if k == 0 else INWARD
+        events = sorted(circle_events[k])
+        if not events:
+            if sum(keep(d.point_at(a), k) for a in _PROBES) >= 2:
+                chains.append([(CircularArc(d, 0.0, 0.0, orient), m + k, True)])
             continue
-        mid = (a0 + 0.5 * extent) % TWO_PI
-        if keep_mid(mid):
-            if orientation == OUTWARD:
-                arcs.append(CircularArc(disk, a0, a1, OUTWARD))
-            else:
-                arcs.append(CircularArc(disk, a1, a0, INWARD))
-    return arcs
+        for n, (a0, k0) in enumerate(events):
+            a1, k1 = events[(n + 1) % len(events)]
+            # the last piece wraps past angle 0 (the whole circle if every
+            # event is at one angle)
+            extent = a1 - a0 if n + 1 < len(events) else a1 + TWO_PI - a0
+            if extent * d.radius <= eps:
+                contract(k0, k1)
+            elif keep(d.point_at(a0 + 0.5 * extent), k):
+                if k == 0:
+                    pieces.append((CircularArc(d, a0, a1, OUTWARD), m, k0, k1))
+                else:
+                    pieces.append((CircularArc(d, a1, a0, INWARD), m + k, k1, k0))
+
+    leaving: dict[tuple, list[int]] = {}
+    for n in reversed(range(len(pieces))):
+        leaving.setdefault(find(pieces[n][2]), []).append(n)
+    # a piece may join the one before it only through a node it alone leaves
+    alone = [len(leaving[find(start)]) == 1 for _, _, start, _ in pieces]
+    used = [False] * len(pieces)
+    for n, (edge, curve, start, end) in enumerate(pieces):
+        if used[n]:
+            continue
+        used[n] = True
+        chain = [(edge, curve, alone[n])]
+        head, node = find(start), find(end)
+        while node != head:
+            out = leaving.get(node, [])
+            while out and used[out[-1]]:
+                out.pop()
+            if not out:
+                raise InvalidChain(f"no boundary piece leaves crossing {node}")
+            nxt = out.pop()
+            used[nxt] = True
+            chain.append((*pieces[nxt][:2], alone[nxt]))
+            node = find(pieces[nxt][3])
+        chains.append(chain)
+
+    outers: list[ArcPolygon] = []
+    holes: list[ArcPolygon] = []
+    for chain in chains:
+        edges = tuple(_canonical(_coalesce(chain)))
+        (outers if _chain_signed_area(edges) >= 0.0 else holes).append(ArcPolygon(edges))
+    return _attach_holes(outers, holes, eps) if holes else outers
 
 
-def stitch_chains(pieces: list[ArcEdge], eps: float) -> list[ArcPolygon]:
-    """Assemble directed pieces into closed chains (endpoint matching).
+def _lerp(a: Point2, b: Point2, t: float) -> Point2:
+    if t == 0.0:
+        return a
+    if t == 1.0:
+        return b
+    return Point2(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
 
-    Chains with positive signed area become outer boundaries; negative chains
-    are holes and get attached to the smallest enclosing positive chain.
-    """
-    pieces = [p for p in pieces if p.length() > eps]
-    closed: list[list[ArcEdge]] = []
-    open_pieces: list[ArcEdge] = []
-    for p in pieces:
-        if isinstance(p, CircularArc) and abs(p.sweep()) >= TWO_PI:
-            closed.append([p])
+
+def _coalesce(chain: list[tuple[ArcEdge, int, bool]]) -> list[ArcEdge]:
+    """Join consecutive pieces of one curve that meet at a node no other
+    piece leaves (a crossing of two other curves cut them), wrapping
+    around; a chain left with one arc is its whole circle."""
+    out: list[tuple[ArcEdge, int, bool]] = []
+    for e, curve, alone in chain:
+        if out and alone and out[-1][1] == curve:
+            out[-1] = (_joined(out[-1][0], e), curve, out[-1][2])
         else:
-            open_pieces.append(p)
-
-    if open_pieces:
-        reps: list[Point2] = []
-
-        def node(pt: Point2) -> int:
-            for i, r in enumerate(reps):
-                if dist(r, pt) <= eps * 64.0:
-                    return i
-            reps.append(pt)
-            return len(reps) - 1
-
-        starts = [node(p.start_point) for p in open_pieces]
-        ends = [node(p.end_point) for p in open_pieces]
-        by_start: dict[int, list[int]] = {}
-        for i, s in enumerate(starts):
-            by_start.setdefault(s, []).append(i)
-        used = [False] * len(open_pieces)
-        for i in range(len(open_pieces)):
-            if used[i]:
-                continue
-            chain = [open_pieces[i]]
-            used[i] = True
-            head = starts[i]
-            cur = ends[i]
-            guard = 0
-            while cur != head:
-                guard += 1
-                if guard > len(open_pieces) + 2:
-                    raise InvalidChain("unable to close boundary chain")
-                cand = [j for j in by_start.get(cur, []) if not used[j]]
-                if not cand:
-                    raise InvalidChain(f"dangling boundary endpoint near {reps[cur]}")
-                j = cand[0]
-                used[j] = True
-                chain.append(open_pieces[j])
-                cur = ends[j]
-            closed.append(chain)
-
-    outers: list[list[ArcEdge]] = []
-    holes: list[list[ArcEdge]] = []
-    for chain in closed:
-        merged = _coalesce(chain, eps)
-        if _chain_signed_area(tuple(merged)) >= 0.0:
-            outers.append(merged)
-        else:
-            holes.append(merged)
-
-    polys = [ArcPolygon(tuple(_canonical(ch))) for ch in outers]
-    if holes:
-        polys = _attach_holes(polys, [ArcPolygon(tuple(_canonical(h))) for h in holes], eps)
-    return polys
+            out.append((e, curve, alone))
+    if len(out) > 1 and out[0][2] and out[0][1] == out[-1][1]:
+        last = out.pop()
+        out[0] = (_joined(last[0], out[0][0]), last[1], last[2])
+    edges = [e for e, _, _ in out]
+    if len(edges) == 1 and isinstance(edges[0], CircularArc):
+        a = edges[0]
+        return [CircularArc(a.supporting_disk, a.start_angle, a.start_angle, a.orientation)]
+    return edges
 
 
-def _coalesce(chain: list[ArcEdge], eps: float) -> list[ArcEdge]:
-    """Merge adjacent arcs of the same circle and orientation."""
-    if len(chain) < 2:
-        return chain
-    out: list[ArcEdge] = []
-    for e in chain:
-        if (out and isinstance(e, CircularArc) and isinstance(out[-1], CircularArc)
-                and e.orientation == out[-1].orientation
-                and e.supporting_disk == out[-1].supporting_disk
-                and dist(out[-1].end_point, e.start_point) <= eps * 64.0):
-            prev = out[-1]
-            total = abs(prev.sweep()) + abs(e.sweep())
-            if total >= TWO_PI - EPS_REL:
-                out[-1] = CircularArc(prev.supporting_disk, prev.start_angle,
-                                      prev.start_angle, prev.orientation)
-            else:
-                out[-1] = CircularArc(prev.supporting_disk, prev.start_angle,
-                                      e.end_angle, prev.orientation)
-        else:
-            out.append(e)
-    # wraparound merge
-    if (len(out) > 1 and isinstance(out[0], CircularArc) and isinstance(out[-1], CircularArc)
-            and out[0].orientation == out[-1].orientation
-            and out[0].supporting_disk == out[-1].supporting_disk
-            and dist(out[-1].end_point, out[0].start_point) <= eps * 64.0):
-        last, first = out[-1], out[0]
-        total = abs(last.sweep()) + abs(first.sweep())
-        if total >= TWO_PI - EPS_REL:
-            out = [CircularArc(first.supporting_disk, first.start_angle,
-                               first.start_angle, first.orientation)] + out[1:-1]
-        else:
-            out = [CircularArc(first.supporting_disk, last.start_angle,
-                               first.end_angle, first.orientation)] + out[1:-1]
-    return out
+def _joined(first: ArcEdge, then: ArcEdge) -> ArcEdge:
+    if isinstance(first, Segment):
+        return Segment(first.start, then.end)
+    return CircularArc(first.supporting_disk, first.start_angle, then.end_angle,
+                       first.orientation)
 
 
 def _canonical(chain: list[ArcEdge]) -> list[ArcEdge]:
@@ -768,7 +738,12 @@ def _attach_holes(outers: list[ArcPolygon], holes: list[ArcPolygon],
                   eps: float) -> list[ArcPolygon]:
     assigned: dict[int, list[ArcPolygon]] = {i: [] for i in range(len(outers))}
     for hole in holes:
-        probe = hole.edges[0].start_point
+        # the middle of an edge, not a joint: a hole may touch its outer
+        # chain where two of its edges meet or where its circle is tangent
+        # at angle 0
+        e = hole.edges[0]
+        probe = (e.supporting_disk.point_at(e.start_angle + 0.5 * e.sweep())
+                 if isinstance(e, CircularArc) else _lerp(e.start, e.end, 0.5))
         best = None
         best_area = math.inf
         for i, outer in enumerate(outers):
@@ -850,19 +825,16 @@ def region_disk_boolean(region: ConvexPolygon, include: Disk,
     # quick reject: include disk nowhere near the region
     if not _disk_touches_polygon(include, region, eps):
         return []
-    pieces = _boolean_pieces(region, include, exclude, eps)
-    if any(isinstance(p, CircularArc) and p.orientation == INWARD
-           and abs(p.sweep()) >= TWO_PI for p in pieces):
+    out = boolean_chains(region, include, [exclude], eps)
+    if any(ap.holes for ap in out):
         # hole: cut the region through the exclude center and redo both halves
         cy = exclude.center.y
-        lower = clip_convex(region, HalfPlane(0.0, 1.0, cy))
-        upper = clip_convex(region, HalfPlane(0.0, -1.0, -cy))
-        out: list[ArcPolygon] = []
-        for part in (lower, upper):
+        out = []
+        for part in (clip_convex(region, HalfPlane(0.0, 1.0, cy)),
+                     clip_convex(region, HalfPlane(0.0, -1.0, -cy))):
             if part is not None:
                 out.extend(region_disk_boolean(part, include, exclude))
-        return out
-    return stitch_chains(pieces, eps)
+    return out
 
 
 def _disk_touches_polygon(d: Disk, poly: ConvexPolygon, eps: float) -> bool:

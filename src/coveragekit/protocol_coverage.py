@@ -2,9 +2,14 @@
 
 A point is covered by transmitter p iff it lies inside p's transmission disk
 and outside every other transmitter's interference disk.  The map is computed
-per site from the power diagram of the interference disks: each cell is
-partitioned by the site's power frame, and within the partition belonging to
-neighbor q only q's interference disk has to be subtracted.
+per site from the power diagram of the interference disks: inside p's cell
+the power-nearest other site is always one of p's neighbours, so p's region
+is its cell ∩ transmission disk minus the interference disks of its
+neighbours (``geometry.boolean_chains``).  On the rim of neighbour q's disk,
+"outside every other neighbour's disk" is exactly "in q's piece of p's power
+frame", so the frame needs no building: its edges meet the region's boundary
+only where two neighbours' circles cross, and those crossings are keyed by
+the two circles.
 
 The per-site loop is embarrassingly parallel once the shared diagram exists;
 all outputs are immutable.
@@ -13,12 +18,11 @@ all outputs are immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
-from .geometry import (ArcEdge, ArcPolygon, CircularArc, ConvexPolygon, Disk,
-                       Point2, Rect, Segment, TWO_PI, arc_polygon_area, dist,
-                       geom_eps, stitch_chains, _boolean_pieces)
-from .power_diagram import PowerDiagram, SiteId, build, frame_partitions
+from .geometry import (ArcPolygon, CircularArc, Disk, Point2, Rect, TWO_PI,
+                       arc_polygon_area, boolean_chains, dist, geom_eps)
+from .power_diagram import PowerDiagram, SiteId, build
 
 
 @dataclass(frozen=True)
@@ -54,38 +58,6 @@ class CoverageMap:
                    for chains in self.regions.values() for ap in chains)
 
 
-def merge_region_pieces(pieces: list[ArcEdge], eps: float) -> list[ArcPolygon]:
-    """Union of per-partition boundary pieces for one site.
-
-    Straight fragments shared by two partitions of the same cell appear twice
-    with opposite directions and cancel; what survives is stitched into closed
-    chains (inner clockwise chains become holes).
-    """
-    segs = [(i, p) for i, p in enumerate(pieces) if isinstance(p, Segment)]
-    reps: list[Point2] = []
-
-    def node(pt: Point2) -> int:
-        for k, r in enumerate(reps):
-            if dist(r, pt) <= eps * 64.0:
-                return k
-        reps.append(pt)
-        return len(reps) - 1
-
-    keyed: dict[tuple[int, int], list[int]] = {}
-    for i, s in segs:
-        keyed.setdefault((node(s.start), node(s.end)), []).append(i)
-    dead: set[int] = set()
-    for (a, b), idxs in keyed.items():
-        if a >= b:
-            continue
-        rev = keyed.get((b, a), [])
-        k = min(len(idxs), len(rev))
-        dead.update(idxs[:k])
-        dead.update(rev[:k])
-    kept = [p for i, p in enumerate(pieces) if i not in dead]
-    return stitch_chains(kept, eps)
-
-
 def compute_coverage_map(txs: Sequence[ProtocolTransmitter], window: Rect) -> CoverageMap:
     """Coverage region of every transmitter, clipped to ``window``.
 
@@ -105,30 +77,10 @@ def compute_coverage_map(txs: Sequence[ProtocolTransmitter], window: Rect) -> Co
         if p in pd.hidden or cell is None:
             regions[p] = []
             continue
-        regions[p] = site_region(cell, txs[p].tx_disk, int_disks,
-                                 sorted(pd.neighbors.get(p, frozenset())), eps)
+        regions[p] = boolean_chains(cell, txs[p].tx_disk,
+                                    [int_disks[q] for q in sorted(pd.neighbors.get(p, ()))],
+                                    eps)
     return CoverageMap(regions=regions, diagram=pd, transmitters=tuple(txs))
-
-
-def site_region(cell: ConvexPolygon, tx: Disk,
-                int_disks: Sequence[Disk] | Mapping[SiteId, Disk],
-                cand: Sequence[SiteId], eps: float) -> list[ArcPolygon]:
-    """Coverage region of the site with transmission disk ``tx`` and power
-    cell ``cell``, whose interfering neighbors are ``cand``.
-
-    The cell is split by its power frame and each piece subtracts only its
-    own neighbor's interference disk.  Used by both the static and the
-    dynamic maps.
-    """
-    if not cand:
-        pieces = _boolean_pieces(cell, tx, None, eps)
-    else:
-        pieces = []
-        for q, part in frame_partitions(cell, int_disks, cand, eps).items():
-            pieces.extend(_boolean_pieces(part, tx, int_disks[q], eps))
-    if not pieces:
-        return []
-    return merge_region_pieces(pieces, eps)
 
 
 def coverage_area(cov: CoverageMap) -> float:

@@ -37,9 +37,9 @@ def grid_points(window: Rect, nx: int, ny: int) -> np.ndarray:
     return np.column_stack([gx.ravel(), gy.ravel()])
 
 
-def grid_boolean_area(region: ConvexPolygon, include: Disk, exclude: Disk,
+def grid_boolean_area(region: ConvexPolygon, include: Disk, excludes: list[Disk],
                       window: Rect, n: int = 1000) -> float:
-    """Membership-count area of (region ∩ include) \\ exclude."""
+    """Membership-count area of (region ∩ include) minus every exclude."""
     pts = grid_points(window, n, n)
     mask = np.ones(len(pts), dtype=bool)
     verts = region.vertices
@@ -49,8 +49,9 @@ def grid_boolean_area(region: ConvexPolygon, include: Disk, exclude: Disk,
         mask &= cross >= 0.0
     d_inc = np.hypot(pts[:, 0] - include.center.x, pts[:, 1] - include.center.y)
     mask &= d_inc <= include.radius
-    d_exc = np.hypot(pts[:, 0] - exclude.center.x, pts[:, 1] - exclude.center.y)
-    mask &= d_exc >= exclude.radius
+    for exclude in excludes:
+        d_exc = np.hypot(pts[:, 0] - exclude.center.x, pts[:, 1] - exclude.center.y)
+        mask &= d_exc >= exclude.radius
     return mask.sum() * window.area() / len(pts)
 
 

@@ -5,6 +5,7 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from coveragekit.cli_io import (CaptureRaster, ScenarioFile, cli,
                                 parse_scenario, render_svg)
@@ -252,3 +253,100 @@ def test_cli_render_capture(tmp_path):
     assert cli(["render", str(scen), "--svg", str(svg),
                 "--capture-grid", "8"]) == 0
     assert svg.read_text().count("<rect ") == 64
+
+
+def test_cli_rejects_numbers_too_large_to_square(tmp_path, capsys):
+    # json reads NaN and Infinity; 1e300 squared overflows in the lifting
+    for value in ("NaN", "Infinity", "1e300"):
+        path = tmp_path / "script.json"
+        path.write_text('{"window": {"x0": 0, "y0": 0, "x1": 8, "y1": 8}, "ops": ['
+                        '{"op": "insert", "x": 5, "y": 2, "tx_radius": 0.7, '
+                        f'"int_radius": {value}}}]}}')
+        capsys.readouterr()
+        assert cli(["dynamic", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ops[0].int_radius: ")
+
+
+# ---------------------------------------------------------------------------
+# fuzzed documents: every one exits 0, 2 or 3, never with a traceback
+# ---------------------------------------------------------------------------
+
+JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.just({}),
+                 st.lists(st.integers(-2, 2), max_size=2), st.floats(-1e6, 1e6),
+                 st.sampled_from([0, -1, 1e-300, 1e300]))
+COORD = st.one_of(st.integers(0, 8), st.floats(0.0, 8.0))
+# integer sites with these radii make exact tangencies
+DISKS = st.tuples(COORD, COORD, st.sampled_from([(0.5, 0.7), (0.7, 1.0), (1.0, 1.0), (0.9, 1.3)])
+                  ).map(lambda t: {"x": t[0], "y": t[1], "tx_radius": t[2][0], "int_radius": t[2][1]})
+PROTOCOL = st.fixed_dictionaries({
+    "model": st.just("protocol"), "window": st.just({"x0": 0, "y0": 0, "x1": 8, "y1": 8}),
+    "transmitters": st.lists(DISKS, min_size=1, max_size=6)},
+    optional={"seed": st.integers(0, 3)})
+SINR = st.fixed_dictionaries({
+    "model": st.just("sinr"), "window": st.just({"x0": 0, "y0": 0, "x1": 1, "y1": 1}),
+    "alpha": st.floats(2.0, 4.0), "beta": st.floats(0.5, 3.0), "noise": st.floats(0.0, 0.1),
+    "transmitters": st.lists(st.fixed_dictionaries({
+        "x": st.floats(0.0, 1.0), "y": st.floats(0.0, 1.0), "power": st.floats(0.0, 5.0)}),
+        min_size=1, max_size=4),
+    "sampling": st.fixed_dictionaries({"kind": st.just("grid"),
+                                       "grid_dims": st.lists(st.integers(1, 12), min_size=2,
+                                                             max_size=2)})})
+SCRIPT = st.fixed_dictionaries({
+    "window": st.just({"x0": 0, "y0": 0, "x1": 8, "y1": 8}),
+    "ops": st.lists(st.one_of(
+        DISKS.map(lambda d: dict(d, op="insert")),
+        st.fixed_dictionaries({"op": st.just("delete"), "site": st.integers(0, 4)})),
+        max_size=12)},
+    optional={"seed": st.integers(0, 3)})
+
+
+def _slots(node) -> list:
+    """Every (container, key) pair of a JSON document."""
+    out = []
+    for k, v in (node.items() if isinstance(node, dict) else enumerate(node)):
+        out.append((node, k))
+        if isinstance(v, (dict, list)):
+            out += _slots(v)
+    return out
+
+
+@st.composite
+def mutated(draw, valid):
+    """A valid document with up to two fields replaced by junk or dropped."""
+    doc = json.loads(json.dumps(draw(valid)))  # ``st.just`` shares its value
+    for _ in range(draw(st.integers(0, 2))):
+        slots = _slots(doc)
+        if not slots:
+            break
+        node, key = draw(st.sampled_from(slots))
+        if isinstance(node, dict) and draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = draw(JUNK)
+    return doc
+
+
+FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=200,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def run_fuzzed(tmp_path, capsys, command, doc):
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    code = cli([command, str(path), "--out", str(tmp_path / "fuzz.result.json")])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+
+
+@FUZZ
+@given(doc=mutated(st.one_of(PROTOCOL, SINR)))
+def test_fuzzed_scenarios_exit_cleanly(tmp_path, capsys, doc):
+    command = "estimate-area" if doc.get("model") == "sinr" else "build-map"
+    run_fuzzed(tmp_path, capsys, command, doc)
+
+
+@FUZZ
+@given(doc=mutated(SCRIPT))
+def test_fuzzed_dynamic_scripts_exit_cleanly(tmp_path, capsys, doc):
+    run_fuzzed(tmp_path, capsys, "dynamic", doc)

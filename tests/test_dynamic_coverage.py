@@ -401,34 +401,35 @@ def test_check_invariants_detects_broken_lattice():
 
 
 LATTICE_WIN = Rect(0.0, 0.0, 8.0, 8.0)
-LATTICE_TX, LATTICE_INT = math.sqrt(3.0) / 2.0, 0.75 * math.sqrt(3.0)
 GENERIC = st.integers(1, 10 ** 6).map(lambda k: k * 0.6180339887498949 % 1.0)
+# Integer-lattice radii.  sqrt(3)/2 and 3 sqrt(3)/4 make no tangency: they,
+# their sum and their difference square to three times a rational square,
+# which no distance of an integer lattice does.  0.7 and 1.0 make them
+# everywhere: interference circles touch each other (distance 2), pass
+# through neighbouring sites (distance 1) and touch the window's sides.
+LATTICE_RADII = {"generic": (math.sqrt(3.0) / 2.0, 0.75 * math.sqrt(3.0)),
+                 "tangent": (0.7, 1.0)}
 
 
 class DynamicLatticeMachine(RuleBasedStateMachine):
     """Random inserts and deletes on random layouts and on integer lattices
-    with equal radii (cocircular quadruples everywhere); after every step
-    the lattice invariants hold and the regions equal a static rebuild.
+    with equal radii (cocircular quadruples everywhere), with and without
+    exact tangencies; after every step the lattice invariants hold and the
+    regions equal a static rebuild.
 
     Random layouts draw each number as the fractional part of k times the
-    golden ratio.  The lattice radii sqrt(3)/2 and 3 sqrt(3)/4, their sum
-    and their difference all square to three times a rational square, and
-    no distance an integer lattice makes (between sites, to a window side,
-    to a bisector, from a diagram vertex) does, so no circle is tangent to
-    another, to a side or to a bisector, nor passes through a vertex.  At
-    such coincidences the arc stitcher fails, in both pipelines (ROADMAP
-    item 1); that is not what this machine tests."""
+    golden ratio."""
 
-    @initialize(lattice=st.booleans())
-    def start(self, lattice):
-        self.lattice = lattice
+    @initialize(layout=st.sampled_from(["random", "generic", "tangent"]))
+    def start(self, layout):
+        self.radii = LATTICE_RADII.get(layout)
         self.dc = DynamicCoverage(LATTICE_WIN)
 
     @rule(data=st.data())
     def insert(self, data):
-        if self.lattice:
+        if self.radii is not None:
             x, y = (data.draw(st.integers(1, 7)) for _ in range(2))
-            t = tx(x, y, LATTICE_TX, LATTICE_INT)
+            t = tx(x, y, *self.radii)
         else:
             x, y, r = (data.draw(GENERIC) for _ in range(3))
             ir = 0.3 + 2.2 * r
@@ -453,6 +454,45 @@ TestDynamicLatticeMachine = DynamicLatticeMachine.TestCase
 TestDynamicLatticeMachine.settings = settings(
     derandomize=True, deadline=None, database=None, max_examples=20,
     stateful_step_count=40, suppress_health_check=[HealthCheck.too_slow])
+
+
+def test_tangent_lattice_in_any_insertion_order_matches_static():
+    # the bisector of (5, 6) and (2, 2) is tangent to the transmission
+    # circle of (1, 7), and cells start at different vertices per order
+    pts = [(6, 4), (5, 6), (2, 2), (7, 6), (7, 2), (1, 7), (6, 5)]
+    rng = random.Random(5)
+    for order in range(40):
+        rng.shuffle(pts)
+        dc = DynamicCoverage(LATTICE_WIN)
+        for x, y in pts:
+            dc.insert_transmitter(tx(x, y, 0.9, 1.3))
+        assert_matches_static(dc, LATTICE_WIN, f"order {order}")
+
+
+@pytest.mark.parametrize("x, y", [(4, 7), (1, 1)])
+def test_disk_touching_window_side_is_whole(x, y):
+    # the cell is the working square clipped to the window; the window's
+    # sides must keep their exact coordinates for the circle to touch them
+    dc = DynamicCoverage(LATTICE_WIN)
+    sid = dc.insert_transmitter(tx(x, y, 1.0, 1.0)).site
+    assert dc.region_areas()[sid] == pytest.approx(math.pi, rel=1e-12)
+
+
+def test_benchmark_churn_seed18_fill_cut_down_matches_static():
+    # the sites of the seed-18 churn fill near (0, 11.39) in fill order: a
+    # sliver of one cell lies on the window's left side
+    rng = random.Random(18)
+    spread = 100.0 / math.sqrt(1000)
+    win = Rect(0.0, 0.0, 100.0, 100.0)
+    dc = DynamicCoverage(win)
+    for _ in range(1000):
+        ir = rng.uniform(0.5, 1.5) * spread
+        t = tx(rng.uniform(0.3, 99.7), rng.uniform(0.3, 99.7),
+               max(1e-4, rng.uniform(0.5, 1.0) * ir), ir)
+        if t.location.x <= 8.0 and abs(t.location.y - 11.3862) <= 8.0:
+            dc.insert_transmitter(t)
+    assert len(dc.transmitters) == 12
+    assert_matches_static(dc, win)
 
 
 def test_long_fill_and_churn_keep_invariants():

@@ -8,9 +8,10 @@ import pytest
 from coveragekit.errors import ConcentricDisks, InvalidChain
 from coveragekit.geometry import (ArcPolygon, CircularArc, ConvexPolygon, Disk,
                                   HalfPlane, Point2, Rect, Segment, TWO_PI,
-                                  arc_polygon_area, arc_polygon_contains,
+                                  _edges_cross, arc_polygon_area,
+                                  arc_polygon_contains, boolean_chains,
                                   clip_convex, convex_polygon_intersection,
-                                  power_bisector, power_distance,
+                                  geom_eps, power_bisector, power_distance,
                                   region_disk_boolean, signed_distance)
 from oracles import grid_boolean_area, lens_area
 
@@ -162,7 +163,7 @@ def test_boolean_lens_subtraction_matches_oracles():
     expected = math.pi - lens_area(1.0, 1.0, 1.5)
     assert area == pytest.approx(expected, rel=1e-6)
     win = Rect(-2, -2, 2, 2)
-    grid = grid_boolean_area(BIG, include, exclude, win, n=1000)
+    grid = grid_boolean_area(BIG, include, [exclude], win, n=1000)
     assert abs(area - grid) <= 0.005 * win.area()
 
 
@@ -192,7 +193,7 @@ def test_boolean_random_instances_match_grid_oracle():
                        rng.uniform(0.1, 1.5))
         out = region_disk_boolean(BIG, include, exclude)
         area = sum(arc_polygon_area(ap) for ap in out)
-        grid = grid_boolean_area(BIG, include, exclude, win, n=700)
+        grid = grid_boolean_area(BIG, include, [exclude], win, n=700)
         assert abs(area - grid) <= 0.005 * win.area()
         # never negative, never more than the clipped include disk
         assert area >= 0.0
@@ -214,3 +215,39 @@ def test_arc_polygon_contains():
     circle = ArcPolygon((CircularArc(Disk(Point2(0, 0), 1.0), 0.0, 0.0),))
     assert arc_polygon_contains(circle, Point2(0.3, 0.2))
     assert not arc_polygon_contains(circle, Point2(1.5, 0.0))
+
+
+def test_near_parallel_segments_do_not_cross():
+    # two disjoint pieces of one window side x = 0, their x coordinates
+    # rounding noise: the cross product of their directions is noise too
+    s1 = Segment(Point2(1.3205726828400248e-16, 2.3215), Point2(7.281210570903432e-17, 1.28))
+    s2 = Segment(Point2(5.2060655581959534e-17, 0.9152), Point2(-4.021731151272442e-33, -7.07e-17))
+    assert not _edges_cross(s1, s2, 64.0 * geom_eps(2.3215))
+
+
+def test_boolean_chains_where_five_curves_meet():
+    # the include rim, two exclude rims and the two region edges at the
+    # vertex (1, 0) all pass through (1, 0)
+    region = ConvexPolygon((Point2(-2, -2), Point2(3, -2), Point2(1, 0), Point2(-2, 2)))
+    include = Disk(Point2(0, 0), 1.0)
+    excludes = [Disk(Point2(2, 0), 1.0), Disk(Point2(1, 1), 1.0), Disk(Point2(-1, -1), 0.5)]
+    chains = boolean_chains(region, include, excludes, geom_eps(5.0))
+    for ap in chains:
+        ap.validate()
+    area = sum(arc_polygon_area(ap) for ap in chains)
+    grid = grid_boolean_area(region, include, excludes, Rect(-2, -2, 3, 2))
+    assert area == pytest.approx(grid, abs=0.01)
+
+
+def test_boolean_chains_hole_and_tangent_excludes():
+    # one exclude strictly inside (a hole), two touching each other and
+    # the include circle from inside
+    include = Disk(Point2(0, 0), 1.5)
+    excludes = [Disk(Point2(0.8, 0), 0.7), Disk(Point2(-0.2, 0), 0.3),
+                Disk(Point2(-0.5, 0.9), 0.2)]
+    chains = boolean_chains(BIG, include, excludes, geom_eps(5.0))
+    for ap in chains:
+        ap.validate()
+    area = sum(arc_polygon_area(ap) for ap in chains)
+    assert area == pytest.approx(grid_boolean_area(BIG, include, excludes, Rect(-2, -2, 2, 2)),
+                                 abs=0.01)

@@ -194,3 +194,101 @@ def test_total_arcs_linear_in_sites():
     txs = random_instance(rng, 20, win)
     cov = compute_coverage_map(txs, win)
     assert cov.total_arcs() <= 20 * 20  # loose linearity sanity bound
+
+
+# ---------------------------------------------------------------------------
+# exact tangencies and crossings that nearly coincide
+# ---------------------------------------------------------------------------
+
+LATTICE = Rect(0, 0, 8, 8)
+
+
+def assert_sites_match_grid(txs, win, tol, n=1000, sample=None):
+    """Per-site areas against the grid oracle over ``sample`` (default: the
+    window), which must contain every transmission disk it is used for."""
+    cov = compute_coverage_map(txs, win)
+    kept = [i for i in range(len(txs)) if i not in cov.diagram.hidden]
+    _, per_site = grid_protocol_areas(txs, sample or win, n=n, active=kept)
+    for p in range(len(txs)):
+        assert abs(region_area(cov, p) - per_site[p]) <= tol, \
+            f"site {p} at {txs[p].location}: map {region_area(cov, p)} grid {per_site[p]}"
+    return cov
+
+
+def test_interference_circle_tangent_to_window_side():
+    # the interference circle of (2, 1) touches the side y = 0; no disk
+    # meets another's transmission disk
+    txs = [tx(2, 1, 0.7, 1.0), tx(1, 5, 0.7, 1.0), tx(5, 2, 0.7, 1.0)]
+    cov = compute_coverage_map(txs, LATTICE)
+    assert coverage_area(cov) == pytest.approx(3 * 0.49 * math.pi, rel=1e-9)
+
+
+def test_free_circle_tangent_at_probe_angle_zero():
+    # the transmission circle of (1, 6) crosses no curve of its cell but
+    # touches the bisector x = 2 at angle 0; it is covered whole
+    pts = [(1, 6), (1, 2), (6, 3), (3, 6), (4, 7), (4, 4)]
+    cov = compute_coverage_map([tx(x, y, 1.0, 1.0) for x, y in pts], LATTICE)
+    assert region_area(cov, 0) == pytest.approx(math.pi, rel=1e-9)
+
+
+def test_pinch_where_interference_circle_touches_window_side():
+    # the interference circle of (0.2, 0.3) touches y = 0 inside the
+    # transmission disk of (0.2, 0.2), so that region is two lobes meeting
+    # at (0.2, 0)
+    txs = [tx(0.2, 0.2, 0.21, 0.3), tx(0.2, 0.3, 0.21, 0.3)]
+    cov = assert_sites_match_grid(txs, Rect(0, 0, 1, 1), 1e-5)
+    for ap in cov.regions[0]:
+        ap.validate()
+
+
+def test_bisector_tangent_to_transmission_circle():
+    # the bisector of (5, 6) and (2, 2) is tangent to the transmission
+    # circle of (1, 7)
+    pts = [(6, 4), (5, 6), (2, 2), (7, 6), (7, 2), (1, 7), (6, 5)]
+    assert_sites_match_grid([tx(x, y, 0.9, 1.3) for x, y in pts], LATTICE, 0.01)
+
+
+@pytest.mark.parametrize("radii", [(0.7, 1.0), (0.5, 1.0), (1.0, 1.0), (0.9, 1.3)])
+def test_lattice_subsets_match_grid(radii):
+    # integer sites make circles touch each other and the window, pass
+    # through sites and cell vertices, and meet bisectors tangentially
+    rng = random.Random(7)
+    nodes = [(x, y) for x in range(1, 8) for y in range(1, 8)]
+    for _ in range(75):
+        pts = rng.sample(nodes, rng.randint(2, 12))
+        assert_sites_match_grid([tx(x, y, *radii) for x, y in pts], LATTICE, 0.02, n=500)
+
+
+def c02_transmitters(seed, n, index):
+    """Scenario ``index`` of the build-map benchmark's generator (c02's)."""
+    rng = random.Random(seed)
+    spread = 100.0 / math.sqrt(n)
+    for _ in range(index + 1):
+        txs = []
+        for _ in range(n):
+            ir = rng.uniform(0.5, 1.5) * spread
+            txs.append(tx(rng.uniform(0.3, 99.7), rng.uniform(0.3, 99.7),
+                          max(1e-4, rng.uniform(0.5, 1.0) * ir), ir))
+    return txs
+
+
+def near(txs, cx, cy, half):
+    return [t for t in txs if abs(t.location.x - cx) <= half and abs(t.location.y - cy) <= half]
+
+
+def test_benchmark_static_seed19_cut_down_matches_grid():
+    # site 363 of the first 2048-site scenario of seed 19 and the 29 sites
+    # around it, in the full window (it sets the tolerance): a transmission
+    # circle, an interference circle and a bisector nearly meet there
+    txs = c02_transmitters(19, 2048, 0)
+    c = txs[363].location
+    sub = near(txs, c.x, c.y, 6.0)
+    box = Rect(c.x - 10.0, c.y - 10.0, min(100.0, c.x + 10.0), min(100.0, c.y + 10.0))
+    assert_sites_match_grid(sub, Rect(0, 0, 100, 100), 0.01, sample=box)
+
+
+def test_benchmark_churn_seed18_fill_cut_down_matches_grid():
+    # the 12 sites of the seed-18 churn fill (1000 sites) near (0, 11.39),
+    # where a sliver of one cell lies on the window's left side
+    sub = near(c02_transmitters(18, 1000, 0), 0.0, 11.3862, 8.0)
+    assert_sites_match_grid(sub, Rect(0, 0, 100, 100), 0.01, sample=Rect(0, 0, 14, 24))
