@@ -6,8 +6,9 @@ SINR), and, for SINR, ``alpha``/``beta``/``noise`` plus optional ``bounds``
 and ``sampling`` blocks.  Results are JSON, traces are CSV, drawings are SVG.
 
 Every run also writes a manifest (command, input hash, seed, parameters,
-version, wall time) next to the result file; results themselves contain no
-timing, so re-running with the same seed reproduces them byte for byte.
+version, wall time, and any per-operation timings and counters) next to the
+result file; results themselves contain no timing, so re-running with the
+same seed reproduces them byte for byte.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
@@ -430,11 +431,13 @@ class RunManifest:
     parameters: dict
     tool_version: str = __version__
     wall_time: float = 0.0
+    stats: dict = field(default_factory=dict)  # per-operation timings, counters
 
     def to_dict(self) -> dict:
         return {"command": self.command, "input_hash": self.input_hash,
                 "seed": self.seed, "parameters": self.parameters,
-                "tool_version": self.tool_version, "wall_time": self.wall_time}
+                "tool_version": self.tool_version, "wall_time": self.wall_time,
+                "stats": self.stats}
 
 
 def _sha256(data: bytes) -> str:
@@ -529,17 +532,23 @@ def _cmd_dynamic(args) -> int:
             except DuplicateSite as e:
                 raise ParseError(f"ops[{k}]", str(e))
         elif kind == "delete":
-            rep = dc.delete_transmitter(_int(op, "site", path))
+            site = _int(op, "site", path)
+            if site not in dc.transmitters:
+                raise ParseError(f"{path}site", f"site {site} not present")
+            rep = dc.delete_transmitter(site)
         else:
             raise ParseError(f"ops[{k}].op", f"unknown op {kind!r}")
-        reports.append(rep.to_dict())
+        reports.append(rep)
     areas = dc.region_areas()
-    result = {"reports": reports,
+    result = {"reports": [rep.to_dict() for rep in reports],
               "final_region_areas": {str(k): v for k, v in sorted(areas.items())},
               "hidden": {str(k): v for k, v in sorted(dc.hidden.items())}}
+    stats = {"op_wall_times": [rep.wall_time for rep in reports],
+             "traverse_fallbacks": dc.traverse_fallbacks,
+             "revival_tests": dc.revival_tests, "climb_steps": dc.climb_steps}
     manifest = RunManifest("dynamic", _sha256(Path(args.script).read_bytes()),
                            seed, {"ops": len(reports)},
-                           wall_time=time.perf_counter() - t0)
+                           wall_time=time.perf_counter() - t0, stats=stats)
     _write_outputs(args.out, Path(args.script).stem, result, manifest)
     print(f"ran {len(reports)} updates; {len(dc.cells)} visible sites")
     return 0

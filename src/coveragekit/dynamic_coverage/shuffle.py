@@ -26,12 +26,13 @@ lattice.
 ``next`` pointers, scanning the layer each pointer leads to for a vertex
 outside the half-space, until it reaches a current vertex (or certifies the
 half-space redundant).  Layers only grow, so the walk ends; once a deletion
-has broken the nesting of the layers, a negative answer is confirmed
-against the current vertices.
+has broken the nesting of the layers, a negative answer is confirmed by a
+local climb over the lattice (exact: the envelope is convex).
 
 Redundant half-spaces are never inserted: the disk is parked in ``hidden``
-keyed by the site whose cell contains its center, and re-probed when
-deletions open space.  Whether a parked disk still wins somewhere beyond the
+keyed by the site whose cell contains its center.  A deletion lowers the
+envelope only over the deleted cell, so parked disks are tested against its
+new vertices alone.  Whether a parked disk still wins somewhere beyond the
 working square (``offstage``) is decided when regions are read.  Coverage
 regions are maintained lazily: updates mark affected sites dirty and
 ``regions`` recomputes exactly those from the current cells, so any read
@@ -143,7 +144,10 @@ class UpdateReport:
     wall_time: float
 
     def to_dict(self) -> dict:
-        return dict(asdict(self), hidden_events=[list(e) for e in self.hidden_events])
+        """The report without its wall time, so results stay reproducible."""
+        d = dict(asdict(self), hidden_events=[list(e) for e in self.hidden_events])
+        del d["wall_time"]
+        return d
 
 
 @dataclass(frozen=True)
@@ -193,6 +197,8 @@ class DynamicCoverage:
         self.shuffle = Shuffle()
         self.last_traverse_visits = 0
         self.traverse_fallbacks = 0
+        self.revival_tests = 0  # parked planes against vertices, by deletes
+        self.climb_steps = 0    # vertices the confirming climbs evaluated
         self._next_site = 0
         self._node_counter = 0
         self._layer = 0
@@ -201,7 +207,7 @@ class DynamicCoverage:
         self._corners: set[int] = set()  # current vertices at square corners
         self._walk_hint: Optional[int] = None
         self._dirty: set[int] = set()
-        self._regions: dict[int, list[ArcPolygon]] = {}
+        self._regions: dict[int, tuple[list[ArcPolygon], float]] = {}  # chains, area
         self._tol = geom_eps(self.square.diameter())
         sq = self.square
         corners = [(sq.x0, sq.y0), (sq.x1, sq.y0), (sq.x1, sq.y1), (sq.x0, sq.y1)]
@@ -251,15 +257,37 @@ class DynamicCoverage:
         tol = 1e-12 * (1.0 + abs(f) + abs(node.z))
         return node.z < f - tol
 
-    def _scan_current(self, hs: HalfSpace3) -> Optional[int]:
-        """Exact answer from the current vertex set: the bounded polytope is
-        inside the half-space iff every current vertex is."""
+    def _climb(self, hs: HalfSpace3) -> Optional[int]:
+        """Exact answer from the current lattice: a current vertex outside
+        ``hs``, or None.  The plane's height above the lifted envelope is
+        concave and linear on each cell, so a vertex that no vertex of its
+        cells beats is the highest.  The climb starts at the cell owning the
+        disk's centre and explores every vertex within the ``_outside``
+        tolerance of the best height seen, so flat runs cannot stop it."""
         nodes = self.shuffle.nodes
-        for sid in sorted(self.cells):
-            for (_, _, nid) in self.cells[sid]:
-                if self._outside(nodes[nid], hs):
-                    return nid
-        return None
+
+        def gap(u: int) -> tuple[float, float]:
+            n = nodes[u]
+            f = hs.height(n.x, n.y)
+            return f - n.z, 1e-12 * (1.0 + abs(f) + abs(n.z))
+
+        start = self._owner_of(Point2(0.5 * hs.a, 0.5 * hs.b))
+        gaps = {u: gap(u) for (_, _, u) in self.cells[start]}
+        best = max(gaps, key=lambda u: gaps[u][0])
+        stack = list(gaps)
+        while stack:
+            u = stack.pop()
+            if gaps[u][0] < gaps[best][0] - gaps[u][1]:
+                continue
+            for c in nodes[u].incident & self.cells.keys():
+                for (_, _, w) in self.cells[c]:
+                    if w not in gaps:
+                        gaps[w] = gap(w)
+                        if gaps[w][0] > gaps[best][0]:
+                            best = w
+                        stack.append(w)
+        self.climb_steps += len(gaps)
+        return best if self._outside(nodes[best], hs) else None
 
     def _traverse(self, hs: HalfSpace3) -> Optional[int]:
         nodes = self.shuffle.nodes
@@ -290,10 +318,10 @@ class DynamicCoverage:
             if found is None:
                 # insertions alone keep the layers nested polytopes and a
                 # negative walk exact; deletions (and see ``_bury``) break the
-                # nesting, so the conclusion is re-checked on current vertices
+                # nesting, so the conclusion is confirmed by a climb
                 self.last_traverse_visits = visits
                 if not self._nested and self.cells:
-                    exact = self._scan_current(hs)
+                    exact = self._climb(hs)
                     if exact is not None:
                         self.traverse_fallbacks += 1
                     return exact
@@ -303,7 +331,7 @@ class DynamicCoverage:
             if guard > limit:
                 self.traverse_fallbacks += 1
                 self.last_traverse_visits = visits
-                return self._scan_current(hs)
+                return self._climb(hs)
 
     # ------------------------------------------------------------------
     # insertion
@@ -330,7 +358,12 @@ class DynamicCoverage:
         self._int_disks[sid] = t.int_disk
         self.planes[sid] = lift(t.int_disk)
         events: list[tuple[str, int]] = []
-        affected = self._insert_site(sid, events)
+        probe = self._traverse(self.planes[sid])
+        if probe is None:
+            self._park(sid, events)
+            affected = None
+        else:
+            affected = self._insert_site(sid, probe, events)
         # the new disk may take the region beyond the square of a parked one
         self._offstage_pending.update(self.offstage)
         return UpdateReport(op="insert", site=sid, redundant=affected is None,
@@ -393,8 +426,10 @@ class DynamicCoverage:
             self.hidden[h] = min(cand, default=-1, key=lambda c: power_distance(
                 center, self._int_disks[c]))
 
-    def _insert_site(self, sid: int, events: list[tuple[str, int]]) -> Optional[list[int]]:
-        """Insert a registered site's half-space; None when parked."""
+    def _insert_site(self, sid: int, probe: int, events: list[tuple[str, int]]) -> list[int]:
+        """Insert a registered site's half-space, carving from ``probe``, a
+        current vertex outside it (a root when the structure is empty);
+        returns the sites whose cells it shrank or swallowed."""
         hs = self.planes[sid]
         nodes = self.shuffle.nodes
         self._layer += 1
@@ -407,11 +442,6 @@ class DynamicCoverage:
             self.neighbors[sid] = set()
             self._dirty.add(sid)
             return []
-
-        probe = self._traverse(hs)
-        if probe is None:
-            self._park(sid, events)
-            return None
 
         face, shrunk, swallowed, dead = self._carve(
             self.cells, hs, sid, {},
@@ -575,8 +605,11 @@ class DynamicCoverage:
     # ------------------------------------------------------------------
 
     def delete_transmitter(self, sid: int) -> UpdateReport:
-        """Remove a transmitter; neighbors absorb its cell and parked disks
-        are re-probed (ascending site id) in case space opened up."""
+        """Remove a transmitter; neighbors absorb its cell.  Parked disks
+        can surface only over that cell, so each (ascending site id) is
+        tested against the current vertices there, those of the cells
+        revived before it included; a vertex outside its plane is the probe
+        its insertion carves from."""
         start = time.perf_counter()
         events: list[tuple[str, int]] = []
         if sid in self.hidden:
@@ -597,26 +630,29 @@ class DynamicCoverage:
         self._nested = False
         nbrs = sorted(self.neighbors[sid])
         self._forget(sid)
-        self._retile(self.cells.pop(sid), nbrs)
+        hole = self.cells.pop(sid)
+        sq = self.square
+        on_side = any(x in (sq.x0, sq.x1) or y in (sq.y0, sq.y1) for (x, y, _) in hole)
+        near = self._retile(hole, nbrs)
         self._relink(set(nbrs), {sid})
         self._dirty.update(nbrs)
         affected = list(nbrs)
 
-        # deletions can expose parked disks anywhere (a power region may
-        # reappear far from the disk itself), so every parked disk is
-        # re-probed, cheapest first by site id; those that stay parked get
-        # their visibility beyond the working square re-checked at the next read
+        # the envelope fell only over the hole; a cell that stayed off the
+        # square's boundary had its whole power cell inside the square, so
+        # only a deleted cell on the boundary changes who wins beyond it
         revived: list[int] = []
         for h in sorted(self.hidden):
-            if self._traverse(self.planes[h]) is None:
-                self._offstage_pending.add(h)
+            probe = self._first_outside(self.planes[h], near)
+            if probe is None:
+                if on_side:
+                    self._offstage_pending.add(h)
                 continue
             self._unpark(h)
             events.append(("revived", h))
-            sub = self._insert_site(h, events)
-            if sub is not None:
-                revived.append(h)
-                affected.extend(a for a in sub if a in self.cells)
+            affected.extend(a for a in self._insert_site(h, probe, events) if a in self.cells)
+            revived.append(h)
+            near.extend(u for (_, _, u) in self.cells[h])
         self._rekey(set(affected) | {sid})
 
         self._dirty.update(a for a in affected if a in self.cells)
@@ -625,18 +661,30 @@ class DynamicCoverage:
                             structural_change=len(set(affected)) + 1, hidden_events=events,
                             wall_time=time.perf_counter() - start)
 
+    def _first_outside(self, hs: HalfSpace3, near: list[int]) -> Optional[int]:
+        """The first current vertex of ``near`` outside ``hs``, if any."""
+        nodes = self.shuffle.nodes
+        for u in near:
+            if nodes[u].next is None:
+                self.revival_tests += 1
+                if self._outside(nodes[u], hs):
+                    return u
+        return None
+
     def _forget(self, sid: int) -> None:
         gone = self.transmitters.pop(sid)
         del self._tx_keys[(gone.location.x, gone.location.y, gone.tx_radius, gone.int_radius)]
         del self._int_disks[sid], self.planes[sid]
         self._regions.pop(sid, None)
 
-    def _retile(self, hole: list[tuple[float, float, int]], nbrs: list[int]) -> None:
+    def _retile(self, hole: list[tuple[float, float, int]], nbrs: list[int]) -> list[int]:
         """Hand the deleted cell ``hole`` to its neighbours ``nbrs``: the
         first takes it whole, each other one's plane carves its piece (with
         heights local to the hole, whose vertices stay), and each piece
         merges into its owner's cell.  A hole vertex left inside a straight
-        edge dies; a square corner changes height, so it is made anew."""
+        edge dies; a square corner changes height, so it is made anew.
+        Returns the current vertices over the hole: the four lower roots
+        when the structure is empty again."""
         nodes = self.shuffle.nodes
         ring = [u for (_, _, u) in hole]
         if not nbrs:  # the last cell: the structure is empty again
@@ -644,7 +692,7 @@ class DynamicCoverage:
                 nodes[r].next = None
             self._corners = set()
             self._bury(ring, self.shuffle.roots[:1])
-            return
+            return self.shuffle.roots[:4]
         base = self.planes[nbrs[0]]
         height = {u: base.height(nodes[u].x, nodes[u].y) for u in ring}
         pieces = {nbrs[0]: hole}
@@ -691,6 +739,7 @@ class DynamicCoverage:
         if made:
             self.shuffle.face_by_layer[self._layer] = made
         self._bury(dead, made or [self.cells[nbrs[0]][0][2]])
+        return [u for u in ring if nodes[u].next is None] + made
 
     # ------------------------------------------------------------------
     # queries
@@ -707,21 +756,20 @@ class DynamicCoverage:
 
     @property
     def regions(self) -> dict[int, list[ArcPolygon]]:
-        """Current coverage regions; recomputes only sites marked dirty."""
+        """Current coverage regions; recomputes (with their areas) only
+        sites marked dirty."""
         self._resolve_offstage()
         for sid in sorted(self._dirty):
-            if sid in self.cells:
-                self._regions[sid] = self._compute_region(sid)
-            elif sid in self.transmitters:
-                self._regions[sid] = []
+            if sid in self.transmitters:
+                chains = self._compute_region(sid) if sid in self.cells else []
+                self._regions[sid] = (chains, sum(arc_polygon_area(ap) for ap in chains))
             else:
                 self._regions.pop(sid, None)
         self._dirty.clear()
-        return {sid: self._regions.get(sid, []) for sid in self.transmitters}
+        return {sid: self._regions[sid][0] for sid in self.transmitters}
 
     def region_areas(self) -> dict[int, float]:
-        return {sid: sum(arc_polygon_area(ap) for ap in chains)
-                for sid, chains in self.regions.items()}
+        return {sid: self._regions[sid][1] for sid in self.regions}
 
     def _compute_region(self, sid: int) -> list[ArcPolygon]:
         cell_poly = ConvexPolygon(tuple(Point2(x, y) for (x, y, _) in self.cells[sid]))

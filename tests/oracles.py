@@ -114,3 +114,20 @@ def polygon_grid_area(poly: ConvexPolygon, window: Rect, n: int = 500) -> float:
         cross = ((b.x - a.x) * (pts[:, 1] - a.y) - (b.y - a.y) * (pts[:, 0] - a.x))
         mask &= cross >= 0.0
     return mask.sum() * window.area() / len(pts)
+
+
+def planes_above_lattice(dc, planes) -> np.ndarray:
+    """For each lifted plane, whether it passes above some current vertex of
+    a ``DynamicCoverage`` lattice (the half-space is then not redundant), by
+    a scan of every vertex with the structure's own test (``_outside``,
+    evaluated in the same order of floating-point operations).  Every plane
+    passes above an empty structure."""
+    nodes = dc.shuffle.nodes
+    ids = sorted({u for poly in dc.cells.values() for (_, _, u) in poly})
+    if not ids:
+        return np.ones(len(planes), dtype=bool)
+    x, y, z = (np.array([getattr(nodes[u], k) for u in ids]) for k in "xyz")
+    p = np.array([(h.a, h.b, h.c) for h in planes], dtype=float).reshape(-1, 3)
+    f = p[:, :1] * x + p[:, 1:2] * y + p[:, 2:]
+    tol = 1e-12 * (1.0 + np.abs(f) + np.abs(z))
+    return (z < f - tol).any(axis=1)

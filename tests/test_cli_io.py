@@ -169,6 +169,11 @@ def test_cli_input_error_exit_2(tmp_path, capsys):
     rejected("dynamic", {"window": window, "ops": [insert, insert]}, "ops[1]")
     rejected("dynamic", {"window": window, "ops": [{"op": "delete", "site": 0.5}]},
              "ops[0].site")
+    rejected("dynamic", {"window": window, "ops": [insert, {"op": "delete", "site": 7}]},
+             "ops[1].site")
+    rejected("dynamic", {"window": window, "ops": [insert, {"op": "delete", "site": 0},
+                                                   {"op": "delete", "site": 0}]},
+             "ops[2].site")
     rejected("dynamic", {"window": {"x0": 0.0}, "ops": []}, "window.y0")
     rejected("dynamic", {"window": window, "seed": 0.5, "ops": []}, "seed")
     rejected("dynamic", {"window": window, "ops": 5}, "ops")
@@ -234,16 +239,26 @@ def test_cli_dynamic_script(tmp_path):
         "ops": [
             {"op": "insert", "x": -1.0, "y": 0.0, "tx_radius": 1.0, "int_radius": 1.5},
             {"op": "insert", "x": 1.0, "y": 0.0, "tx_radius": 1.0, "int_radius": 1.5},
+            {"op": "insert", "x": -1.0, "y": 0.0, "tx_radius": 0.3, "int_radius": 0.5},
             {"op": "delete", "site": 0},
         ],
     }
     path = tmp_path / "script.json"
     path.write_text(json.dumps(script))
-    out = tmp_path / "dyn.result.json"
-    assert cli(["dynamic", str(path), "--out", str(out)]) == 0
-    result = json.loads(out.read_text())
-    assert len(result["reports"]) == 3
-    assert result["reports"][2]["op"] == "delete"
+    outs = [tmp_path / f"dyn{k}.result.json" for k in range(2)]
+    for out in outs:
+        assert cli(["dynamic", str(path), "--out", str(out)]) == 0
+    # results carry no timing: two runs write the same bytes
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    result = json.loads(outs[0].read_text())
+    assert len(result["reports"]) == 4
+    assert result["reports"][2]["redundant"]
+    assert result["reports"][3]["op"] == "delete"
+    assert result["reports"][3]["hidden_events"] == [["revived", 2]]
+    assert "wall_time" not in result["reports"][3]
+    stats = json.loads((tmp_path / "dyn0.manifest.json").read_text())["stats"]
+    assert len(stats["op_wall_times"]) == 4
+    assert stats["revival_tests"] > 0
 
 
 def test_cli_render_capture(tmp_path):

@@ -17,6 +17,7 @@ from coveragekit.dynamic_coverage import (DynamicCoverage, HalfSpace3, Treap,
                                           treap_insert, treap_of)
 from coveragekit.protocol_coverage import (ProtocolTransmitter,
                                            compute_coverage_map, region_area)
+from oracles import planes_above_lattice
 
 WIN = Rect(-8.0, -8.0, 8.0, 8.0)
 
@@ -163,24 +164,38 @@ def test_traverse_agrees_with_vertex_scan():
     for _ in range(30):
         dc.insert_transmitter(tx(rng.uniform(-7, 7), rng.uniform(-7, 7),
                                  0.5, rng.uniform(0.6, 2.0)))
-    nodes = dc.shuffle.nodes
-    for _ in range(100):
-        probe = lift(Disk(Point2(rng.uniform(-7, 7), rng.uniform(-7, 7)),
-                          rng.uniform(0.0, 2.0)))
-        got = dc._traverse(probe)
-        brute = None
-        for poly in dc.cells.values():
-            for (_, _, nid) in poly:
-                if dc._outside(nodes[nid], probe):
-                    brute = nid
-                    break
-            if brute is not None:
-                break
-        assert (got is None) == (brute is None)
-        if got is not None:
-            assert dc._outside(nodes[got], probe)
-            assert nodes[got].next is None  # a current vertex
+    probes = [lift(Disk(Point2(rng.uniform(-7, 7), rng.uniform(-7, 7)),
+                        rng.uniform(0.0, 2.0))) for _ in range(100)]
+    assert_traverse_agrees(dc, probes)
     assert dc.traverse_fallbacks == 0
+
+
+def assert_traverse_agrees(dc: DynamicCoverage, planes, tag=""):
+    """``traverse_shuffle``, and the climb that confirms its negative walks,
+    find a current vertex outside each plane exactly when a scan of every
+    current vertex does."""
+    for hs, above in zip(planes, planes_above_lattice(dc, planes)):
+        v = traverse_shuffle(dc, hs)
+        assert (v is not None) == above, f"{tag} plane {hs}"
+        if v is not None:
+            assert v.is_current and dc._outside(dc.shuffle.nodes[v.node_id], hs), tag
+        if dc.cells:
+            assert (dc._climb(hs) is not None) == above, f"{tag} climb, plane {hs}"
+
+
+def test_climb_leaves_the_cell_owning_the_centre():
+    # the disk loses at its centre, in site 0's cell, and wins only inside
+    # site 1's cell, which no vertex of cell 0 reaches into
+    dc = DynamicCoverage(Rect(0.0, 0.0, 10.0, 10.0))
+    for (x, y, r) in [(3.3, 6.0, 2.8), (4.0, 7.0, 2.0), (9.0, 5.4, 4.0)]:
+        dc.insert_transmitter(tx(x, y, 0.5 * r, r))
+    hs = lift(Disk(Point2(4.6, 7.5), 1.6))
+    assert dc._owner_of(Point2(4.6, 7.5)) == 0
+    nodes = dc.shuffle.nodes
+    assert not any(dc._outside(nodes[u], hs) for (_, _, u) in dc.cells[0])
+    v = dc._climb(hs)
+    assert v is not None and dc._outside(nodes[v], hs)
+    assert dc.climb_steps > len(dc.cells[0])
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +315,44 @@ def test_offstage_sites_match_static_visibility():
     dc.delete_transmitter(4)  # a parked delete hands the region back
     check("parked delete")
     assert dc.offstage == {2, 3}
+
+
+def test_offstage_rechecked_only_after_deleting_a_cell_on_the_square():
+    win = Rect(-6, -6, 6, 6)
+
+    def check(dc, tag):
+        sids = sorted(dc.transmitters)
+        static = compute_coverage_map([dc.transmitters[s] for s in sids], win)
+        assert_matches_static(dc, win, tag)
+        visible = {s for k, s in enumerate(sids) if k not in static.diagram.hidden}
+        assert set(dc.cells) | dc.offstage == visible, tag
+
+    # a 3x3 grid of equal disks: the middle cell is bounded, so deleting it
+    # changes nothing beyond the square; the disk nested in a corner one is
+    # parked and wins only far to the left, beyond the square
+    dc = DynamicCoverage(win, square_halfwidth=10.0)
+    for x in (-4, 0, 4):
+        for y in (-4, 0, 4):
+            dc.insert_transmitter(tx(x, y, 1.5, 2.0))
+    nested = dc.insert_transmitter(tx(-4.05, -4, 0.2, 0.5)).site
+    check(dc, "grid")
+    assert dc.hidden.keys() == dc.offstage == {nested}
+    dc.delete_transmitter(4)
+    assert not dc._offstage_pending
+    check(dc, "middle deleted")
+
+    # site 2's cell reaches the bottom of the square; once it is gone, the
+    # parked disk 3 wins far below (y < -39) though nowhere inside the square
+    dc = DynamicCoverage(win, square_halfwidth=10.0)
+    for t in (tx(-1, 0, 4.0, 20.0), tx(1, 0, 4.0, 20.0), tx(0, -5.8, 1.0, 20.0),
+              tx(0, -5.5, 0.05, 0.1)):
+        dc.insert_transmitter(t)
+    check(dc, "parked")
+    assert dc.hidden.keys() == {3} and not dc.offstage
+    dc.delete_transmitter(2)
+    assert dc._offstage_pending == {3}
+    check(dc, "bottom deleted")
+    assert dc.hidden.keys() == dc.offstage == {3}
 
 
 def test_random_inserts_match_static_on_prefixes():
@@ -514,3 +567,79 @@ def test_long_fill_and_churn_keep_invariants():
         dc.check_invariants()
         insert()
     assert_matches_static(dc, win, "after churn")
+
+
+def churn_layout(layout: str, rng: random.Random):
+    """Sites for a 0-100 window: fresh random ones, or a draw from a fixed
+    set of points and interference radii (tx radius 0.7 of it), so that
+    equal disks sit on a regular grid or on rings around (50, 50), and a
+    point may hold concentric disks."""
+    if layout == "random":
+        spread = 100.0 / math.sqrt(500)
+        while True:
+            ir = rng.uniform(0.5, 1.5) * spread
+            yield tx(rng.uniform(0.3, 99.7), rng.uniform(0.3, 99.7), 0.7 * ir, ir)
+    if layout == "grid":  # 22 x 22 points 4.5 apart
+        points = [(3.0 + 4.5 * i, 3.0 + 4.5 * j) for i in range(22) for j in range(22)]
+        radii = (2.7, 4.5, 6.3)
+    else:  # the centre and 6k points on the ring of radius 4k, k = 1..12
+        points = [(50.0, 50.0)] + [
+            (50.0 + 4.0 * k * math.cos(math.pi * m / (3 * k)),
+             50.0 + 4.0 * k * math.sin(math.pi * m / (3 * k)))
+            for k in range(1, 13) for m in range(6 * k)]
+        radii = (2.4, 4.0, 5.6)
+    for p in points:  # every point once, then random draws
+        ir = rng.choice(radii)
+        yield tx(*p, 0.7 * ir, ir)
+    while True:
+        ir = rng.choice(radii)
+        yield tx(*rng.choice(points), 0.7 * ir, ir)
+
+
+@pytest.mark.parametrize("layout, n", [("random", 500), ("grid", 484), ("cocircular", 469)])
+def test_churn_against_vertex_scan(layout, n):
+    # after every op: random planes are traversed as a scan of all current
+    # vertices decides, every parked disk is redundant by that scan, and
+    # every disk that got a cell (a revival included) was not
+    rng = random.Random(f"churn-{layout}")
+    win = Rect(0.0, 0.0, 100.0, 100.0)
+    dc = DynamicCoverage(win)
+    insert_site = dc._insert_site
+
+    def checked_insert(sid, probe, events):
+        assert planes_above_lattice(dc, [dc.planes[sid]])[0], f"site {sid} was redundant"
+        return insert_site(sid, probe, events)
+
+    dc._insert_site = checked_insert
+    source = churn_layout(layout, rng)
+    revived = parked = 0
+
+    def insert():
+        nonlocal parked
+        while True:
+            try:
+                parked += dc.insert_transmitter(next(source)).redundant
+                return
+            except DuplicateSite:
+                pass
+
+    def check(step):
+        hidden = sorted(dc.hidden)
+        assert not planes_above_lattice(dc, [dc.planes[h] for h in hidden]).any(), step
+        planes = [lift(Disk(Point2(rng.uniform(0, 100), rng.uniform(0, 100)),
+                            rng.uniform(0.0, 8.0))) for _ in range(3)]
+        assert_traverse_agrees(dc, planes, step)
+
+    for k in range(n):
+        insert()
+        check(f"fill {k}")
+    for k in range(80):
+        if rng.random() < 0.5:
+            rep = dc.delete_transmitter(rng.choice(sorted(dc.transmitters)))
+            revived += sum(kind == "revived" for kind, _ in rep.hidden_events)
+        else:
+            insert()
+        dc.check_invariants()
+        check(f"churn {k}")
+    assert parked > 0 and revived > 0, (parked, revived)
+    assert_matches_static(dc, win, layout)
