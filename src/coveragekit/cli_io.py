@@ -144,17 +144,20 @@ def _num(obj: dict, key: str, path: str) -> float:
     return _number(_need(obj, key, path), f"{path}{key}")
 
 
-def _int(obj: dict, key: str, path: str) -> int:
-    v = _need(obj, key, path)
+def _integer(v, field: str) -> int:
     if isinstance(v, float) and v.is_integer():
         v = int(v)
     if isinstance(v, bool) or not isinstance(v, int):
-        raise ParseError(f"{path}{key}", "expected an integer")
+        raise ParseError(field, "expected an integer")
     return v
 
 
-def parse_scenario(data: bytes | str) -> ScenarioFile:
-    """Parse and validate a scenario; errors carry the offending field path."""
+def _int(obj: dict, key: str, path: str) -> int:
+    return _integer(_need(obj, key, path), f"{path}{key}")
+
+
+def _json_object(data: bytes | str) -> dict:
+    """The top-level JSON object of an input file."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -166,15 +169,24 @@ def parse_scenario(data: bytes | str) -> ScenarioFile:
         raise ParseError("<file>", f"invalid JSON: {e}")
     if not isinstance(raw, dict):
         raise ParseError("<file>", "top level must be an object")
+    return raw
 
-    model = _need(raw, "model", "", str)
-    if model not in ("protocol", "sinr"):
-        raise ParseError("model", f"unknown model {model!r}")
+
+def _window(raw: dict) -> Rect:
     wobj = _need(raw, "window", "", dict)
     wvals = {k: _num(wobj, k, "window.") for k in ("x0", "y0", "x1", "y1")}
     if not (wvals["x1"] > wvals["x0"] and wvals["y1"] > wvals["y0"]):
         raise ParseError("window", "rectangle must have positive extent")
-    window = Rect(**wvals)
+    return Rect(**wvals)
+
+
+def parse_scenario(data: bytes | str) -> ScenarioFile:
+    """Parse and validate a scenario; errors carry the offending field path."""
+    raw = _json_object(data)
+    model = _need(raw, "model", "", str)
+    if model not in ("protocol", "sinr"):
+        raise ParseError("model", f"unknown model {model!r}")
+    window = _window(raw)
 
     txs_raw = _need(raw, "transmitters", "", list)
     if not txs_raw:
@@ -228,14 +240,17 @@ def parse_scenario(data: bytes | str) -> ScenarioFile:
         try:
             if kind == "grid":
                 dims = _need(sobj, "grid_dims", "sampling.", list)
-                sampling = SamplingPlan.grid(int(dims[0]), int(dims[1]))
+                if len(dims) != 2:
+                    raise ParseError("sampling.grid_dims", "expected two integers")
+                sampling = SamplingPlan.grid(*(_integer(v, f"sampling.grid_dims[{i}]")
+                                               for i, v in enumerate(dims)))
             elif kind == "random":
                 sampling = SamplingPlan.random(
-                    int(_num(sobj, "sample_count", "sampling.")),
+                    _int(sobj, "sample_count", "sampling."),
                     seed=_int(sobj, "seed", "sampling.") if "seed" in sobj else 0)
             else:
                 raise ParseError("sampling.kind", f"unknown kind {kind!r}")
-        except (ValueError, IndexError, TypeError) as e:
+        except ValueError as e:
             raise ParseError("sampling", str(e))
     seed = _int(raw, "seed", "") if "seed" in raw else None
     return ScenarioFile(model=model, window=window, transmitters=tuple(specs),
@@ -506,11 +521,9 @@ def _cmd_build_map(args) -> int:
 
 
 def _cmd_dynamic(args) -> int:
-    raw = json.loads(Path(args.script).read_bytes())
-    if not isinstance(raw, dict):
-        raise ParseError("<file>", "top level must be an object")
-    wobj = _need(raw, "window", "", dict)
-    window = Rect(*(_num(wobj, k, "window.") for k in ("x0", "y0", "x1", "y1")))
+    data = Path(args.script).read_bytes()
+    raw = _json_object(data)
+    window = _window(raw)
     seed = _int(raw, "seed", "") if "seed" in raw else 0
     dc = DynamicCoverage(window, seed=seed)
     t0 = time.perf_counter()
@@ -524,12 +537,11 @@ def _cmd_dynamic(args) -> int:
             raise ParseError(f"ops[{k}]", "expected an object")
         kind = op.get("op")
         if kind == "insert":
-            t = ProtocolTransmitter(Point2(_num(op, "x", path), _num(op, "y", path)),
-                                    _num(op, "tx_radius", path),
-                                    _num(op, "int_radius", path))
+            x, y = _num(op, "x", path), _num(op, "y", path)
+            radii = _num(op, "tx_radius", path), _num(op, "int_radius", path)
             try:
-                rep = dc.insert_transmitter(t)
-            except DuplicateSite as e:
+                rep = dc.insert_transmitter(ProtocolTransmitter(Point2(x, y), *radii))
+            except (DuplicateSite, ValueError) as e:
                 raise ParseError(f"ops[{k}]", str(e))
         elif kind == "delete":
             site = _int(op, "site", path)
@@ -546,7 +558,7 @@ def _cmd_dynamic(args) -> int:
     stats = {"op_wall_times": [rep.wall_time for rep in reports],
              "traverse_fallbacks": dc.traverse_fallbacks,
              "revival_tests": dc.revival_tests, "climb_steps": dc.climb_steps}
-    manifest = RunManifest("dynamic", _sha256(Path(args.script).read_bytes()),
+    manifest = RunManifest("dynamic", _sha256(data),
                            seed, {"ops": len(reports)},
                            wall_time=time.perf_counter() - t0, stats=stats)
     _write_outputs(args.out, Path(args.script).stem, result, manifest)

@@ -53,7 +53,7 @@ from typing import Optional
 from ..errors import DuplicateSite
 from ..geometry import (ArcPolygon, ConvexPolygon, Disk, Point2, Rect,
                         arc_polygon_area, boolean_chains, convex_polygon_intersection,
-                        geom_eps, power_distance)
+                        geom_eps, power_distance, side)
 from ..power_diagram import _clip_cell, _mega_square
 from ..protocol_coverage import ProtocolTransmitter
 
@@ -253,37 +253,39 @@ class DynamicCoverage:
     # ------------------------------------------------------------------
 
     def _outside(self, node: HistNode, hs: HalfSpace3) -> bool:
-        f = hs.height(node.x, node.y)
-        tol = 1e-12 * (1.0 + abs(f) + abs(node.z))
-        return node.z < f - tol
+        """Whether the plane of ``hs`` passes above the vertex: ``side`` of
+        the plane's height against the vertex's, the test ``_carve`` and the
+        clipper use."""
+        return side(hs.height(node.x, node.y), node.z) > 0
 
     def _climb(self, hs: HalfSpace3) -> Optional[int]:
         """Exact answer from the current lattice: a current vertex outside
         ``hs``, or None.  The plane's height above the lifted envelope is
         concave and linear on each cell, so a vertex that no vertex of its
         cells beats is the highest.  The climb starts at the cell owning the
-        disk's centre and explores every vertex within the ``_outside``
-        tolerance of the best height seen, so flat runs cannot stop it."""
+        disk's centre and explores every vertex that the plane, lowered by
+        the best height seen, does not pass strictly below (by ``side``), so
+        flat runs cannot stop it."""
         nodes = self.shuffle.nodes
 
-        def gap(u: int) -> tuple[float, float]:
+        def gap(u: int) -> float:
             n = nodes[u]
-            f = hs.height(n.x, n.y)
-            return f - n.z, 1e-12 * (1.0 + abs(f) + abs(n.z))
+            return hs.height(n.x, n.y) - n.z
 
         start = self._owner_of(Point2(0.5 * hs.a, 0.5 * hs.b))
         gaps = {u: gap(u) for (_, _, u) in self.cells[start]}
-        best = max(gaps, key=lambda u: gaps[u][0])
+        best = max(gaps, key=gaps.__getitem__)
         stack = list(gaps)
         while stack:
             u = stack.pop()
-            if gaps[u][0] < gaps[best][0] - gaps[u][1]:
+            n = nodes[u]
+            if side(hs.height(n.x, n.y) - gaps[best], n.z) < 0:
                 continue
-            for c in nodes[u].incident & self.cells.keys():
+            for c in n.incident & self.cells.keys():
                 for (_, _, w) in self.cells[c]:
                     if w not in gaps:
                         gaps[w] = gap(w)
-                        if gaps[w][0] > gaps[best][0]:
+                        if gaps[w] > gaps[best]:
                             best = w
                         stack.append(w)
         self.climb_steps += len(gaps)
@@ -474,27 +476,28 @@ class DynamicCoverage:
     def _carve(self, cells, hs: HalfSpace3, sid: int, height, seeds, keep):
         """Cut where the plane of ``hs`` passes above the lattice ``cells``
         out of it, searching from ``seeds`` through the cells around each
-        dead vertex (``incident``); None if no vertex dies.  Vertices are
-        decided once, against ``height`` where it has them, else their
-        nodes' heights; a dying edge's crossing, a node made for site
-        ``sid``, is shared by its cells (a vertex on the plane is its own).
+        dead vertex (``incident``); None if no vertex dies.  Each vertex is
+        decided once, by ``side`` (the test of ``_outside`` and of the
+        clipper): the plane passes above it (it dies), through it, or below
+        it.  Heights come from ``height`` where it has them, else from the
+        nodes.  A dying edge's crossing, a node made for site ``sid``, is
+        shared by its cells (a vertex on the plane is its own).
         Returns the new face (CCW ids), the shrunk cells, the swallowed
         cells (none of their vertices below the plane) and the dead
         vertices.  A dead vertex on the outer boundary stays in the face
         only if in ``keep``; any other lies inside a straight outer edge."""
         nodes = self.shuffle.nodes
         ha, hb, hc = hs.a, hs.b, hs.c
-        side: dict[int, int] = {}  # 1 dies, 0 on the plane, -1 stays
+        sides: dict[int, int] = {}  # 1 dies, 0 on the plane, -1 stays
 
         def dies(poly) -> bool:
-            """Decide each vertex of a cell, by the test of ``_outside``."""
+            """Decide each vertex of a cell once: ``side`` of the plane's
+            height against the vertex's, as in ``_outside``."""
             out = False
             for (x, y, u) in poly:
-                s = side.get(u)
+                s = sides.get(u)
                 if s is None:
-                    f, z = ha * x + hb * y + hc, height.get(u, nodes[u].z)
-                    tol = 1e-12 * (1.0 + abs(f) + abs(z))
-                    s = side[u] = 1 if z < f - tol else (-1 if z > f + tol else 0)
+                    s = sides[u] = side(ha * x + hb * y + hc, height.get(u, nodes[u].z))
                 out = out or s > 0
             return out
 
@@ -505,7 +508,7 @@ class DynamicCoverage:
             c = queue.popleft()
             if dies(cells[c]):
                 carved.append(c)
-                around = {o for (_, _, u) in cells[c] if side[u] > 0 for o in nodes[u].incident}
+                around = {o for (_, _, u) in cells[c] if sides[u] > 0 for o in nodes[u].incident}
                 queue.extend(o for o in around - seen if o in cells)
                 seen |= around
         if not carved:
@@ -514,18 +517,18 @@ class DynamicCoverage:
         sharers: dict[tuple[int, int], list[int]] = {}  # cells of each dying edge
         for c in carved:
             for a, b in _ring_edges(cells[c]):
-                if (side[a] > 0) != (side[b] > 0):
+                if (sides[a] > 0) != (sides[b] > 0):
                     sharers.setdefault((a, b) if a < b else (b, a), []).append(c)
         crossings: dict[tuple[int, int], int] = {}
 
         def crossing(a: int, b: int) -> int:  # a dies, b does not
-            if side[b] == 0:
+            if sides[b] == 0:
                 return b
             key = (a, b) if a < b else (b, a)
             if key not in crossings:
                 x, y = self._meet(hs, sharers[key], nodes[a], nodes[b])
                 crossings[key] = w = self._new_node(x, y, hs.height(x, y), sid)
-                side[w] = 0
+                sides[w] = 0
             return crossings[key]
 
         # what the carved cells lose, as directed edges: its outline is the
@@ -536,7 +539,7 @@ class DynamicCoverage:
         for c in carved:
             ring = [u for (_, _, u) in cells[c]]
             k = len(ring)
-            start = next((i for i in range(k) if side[ring[i]] < 0), None)
+            start = next((i for i in range(k) if sides[ring[i]] < 0), None)
             if start is None:
                 swallowed.append(c)
                 lost.update(_ring_edges(cells[c]))
@@ -545,7 +548,7 @@ class DynamicCoverage:
             entry = start
             for i in range(start, start + k):
                 a, b = ring[i % k], ring[(i + 1) % k]
-                da, db = side[a] > 0, side[b] > 0
+                da, db = sides[a] > 0, sides[b] > 0
                 if not da:
                     kept.append(a)
                 if da and db:
@@ -561,8 +564,8 @@ class DynamicCoverage:
                     if w != b:
                         kept.append(w)
             shrunk[c] = self._triples(kept)
-        dead = {u for c in carved for (_, _, u) in cells[c] if side[u] > 0}
-        face = _outline(lost, lambda u: side[u] <= 0 or u in keep)
+        dead = {u for c in carved for (_, _, u) in cells[c] if sides[u] > 0}
+        face = _outline(lost, lambda u: sides[u] <= 0 or u in keep)
         return face, shrunk, swallowed, dead
 
     def _meet(self, hs: HalfSpace3, sharers: list[int], na: HistNode,

@@ -5,13 +5,17 @@ convex clipping, and the circular-arc polygon boolean
 All types are immutable values and all operations are pure functions, so
 everything here is safe to call concurrently.
 
-Numerical policy: a single relative tolerance ``EPS_REL`` scaled by the scene
-diameter (``eps``) governs the boolean.  Two curves whose distance is within
-``eps`` of tangency touch at one point; a piece of a curve no longer than
-``eps`` contracts to a point.  Chains are stitched by the names of the curves
-that cross at each piece end, never by the distance between end points, so
-coincident crossings merge transitively along the curves.  Chain validation
-treats tangencies (single-point contacts) as non-intersections.
+Numerical policy: cells are decided by the side test, chains by keys.  A
+convex cell is cut by deciding each vertex once, with ``side``, as outside,
+on or inside the cutting line (a relative rounding test); the clipper never
+merges, moves or drops vertices by distance afterwards.  A single relative
+tolerance ``EPS_REL`` scaled by the scene diameter (``eps``) governs the
+boolean.  Two curves whose distance is within ``eps`` of tangency touch at
+one point; a piece of a curve no longer than ``eps`` contracts to a point.
+Chains are stitched by the names of the curves that cross at each piece end,
+never by the distance between end points, so coincident crossings merge
+transitively along the curves.  Chain validation treats tangencies
+(single-point contacts) as non-intersections.
 """
 
 from __future__ import annotations
@@ -31,6 +35,14 @@ EPS_REL = 1e-9
 def geom_eps(scale: float) -> float:
     """Absolute coincidence tolerance for a scene of the given diameter."""
     return EPS_REL * max(scale, 1.0)
+
+
+def side(a: float, b: float) -> int:
+    """+1 if ``a`` lies above ``b``, -1 if below, 0 if they agree up to
+    rounding: within 1e-12 * (1 + |a| + |b|).  The one decision every cell
+    vertex gets against a cutting line or plane."""
+    tol = 1e-12 * (1.0 + abs(a) + abs(b))
+    return 1 if b < a - tol else (-1 if b > a + tol else 0)
 
 
 @dataclass(frozen=True)
@@ -140,11 +152,6 @@ class ConvexPolygon:
             s += a.x * b.y - b.x * a.y
         return 0.5 * s
 
-    def centroid(self) -> Point2:
-        xs = sum(p.x for p in self.vertices) / len(self.vertices)
-        ys = sum(p.y for p in self.vertices) / len(self.vertices)
-        return Point2(xs, ys)
-
     def contains(self, p: Point2, tol: float = 0.0) -> bool:
         pts = self.vertices
         for i in range(len(pts)):
@@ -203,53 +210,36 @@ class Rect:
                               Point2(self.x1, self.y1), Point2(self.x0, self.y1)))
 
 
-def clip_convex(poly: Optional[ConvexPolygon], h: HalfPlane,
-                eps: float = 0.0) -> Optional[ConvexPolygon]:
+def clip_convex(poly: Optional[ConvexPolygon], h: HalfPlane) -> Optional[ConvexPolygon]:
     """Intersection of a convex polygon with a half-plane (None if empty).
 
-    Sutherland-Hodgman against a single clip line; output vertices stay in
-    CCW order.  Results of zero area collapse to None.
+    Each vertex is decided once, by ``side``, as outside, on or inside the
+    clip line.  With none outside the polygon itself is returned, with none
+    inside None.  Otherwise the inside and on vertices are kept, in CCW
+    order, and a new vertex is made only on an edge that runs strictly from
+    inside to outside or back.  Nothing is merged or dropped afterwards.
     """
     if poly is None:
         return None
     pts = poly.vertices
-    vals = [h.value(p) for p in pts]
-    if all(v <= eps for v in vals):
+    dots = [h.nx * p.x + h.ny * p.y for p in pts]
+    sides = [side(d, h.offset) for d in dots]
+    if max(sides) <= 0:
         return poly
+    if min(sides) >= 0:
+        return None
     out: list[Point2] = []
     n = len(pts)
     for i in range(n):
-        a, b = pts[i], pts[(i + 1) % n]
-        va, vb = vals[i], vals[(i + 1) % n]
-        if va <= 0.0:
-            out.append(a)
-            if vb > 0.0:
-                t = va / (va - vb)
-                out.append(Point2(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)))
-        elif vb < 0.0:
+        j = (i + 1) % n
+        if sides[i] <= 0:
+            out.append(pts[i])
+        if sides[i] * sides[j] < 0:
+            a, b = pts[i], pts[j]
+            va, vb = dots[i] - h.offset, dots[j] - h.offset
             t = va / (va - vb)
             out.append(Point2(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)))
-    return _polygon_or_none(out, eps)
-
-
-def _polygon_or_none(pts: list[Point2], eps: float) -> Optional[ConvexPolygon]:
-    """Deduplicate near-coincident consecutive vertices; None for degenerate."""
-    if len(pts) < 3:
-        return None
-    scale = max(max(abs(p.x), abs(p.y)) for p in pts)
-    tol = geom_eps(scale) if eps == 0.0 else eps
-    cleaned: list[Point2] = []
-    for p in pts:
-        if not cleaned or dist(cleaned[-1], p) > tol:
-            cleaned.append(p)
-    if len(cleaned) >= 2 and dist(cleaned[0], cleaned[-1]) <= tol:
-        cleaned.pop()
-    if len(cleaned) < 3:
-        return None
-    poly = ConvexPolygon(tuple(cleaned))
-    if poly.area() <= tol * tol:
-        return None
-    return poly
+    return ConvexPolygon(tuple(out))
 
 
 def convex_polygon_intersection(a: Optional[ConvexPolygon],
@@ -822,9 +812,6 @@ def region_disk_boolean(region: ConvexPolygon, include: Disk,
     scale = max(region.diameter(), include.radius + exclude.radius,
                 abs(include.center.x), abs(include.center.y))
     eps = geom_eps(scale)
-    # quick reject: include disk nowhere near the region
-    if not _disk_touches_polygon(include, region, eps):
-        return []
     out = boolean_chains(region, include, [exclude], eps)
     if any(ap.holes for ap in out):
         # hole: cut the region through the exclude center and redo both halves
@@ -835,23 +822,3 @@ def region_disk_boolean(region: ConvexPolygon, include: Disk,
             if part is not None:
                 out.extend(region_disk_boolean(part, include, exclude))
     return out
-
-
-def _disk_touches_polygon(d: Disk, poly: ConvexPolygon, eps: float) -> bool:
-    if poly.contains(d.center, eps):
-        return True
-    pts = poly.vertices
-    for i in range(len(pts)):
-        a, b = pts[i], pts[(i + 1) % len(pts)]
-        if _point_segment_distance(d.center, a, b) <= d.radius + eps:
-            return True
-    return False
-
-
-def _point_segment_distance(p: Point2, a: Point2, b: Point2) -> float:
-    dx, dy = b.x - a.x, b.y - a.y
-    L2 = dx * dx + dy * dy
-    if L2 == 0.0:
-        return dist(p, a)
-    t = max(0.0, min(1.0, ((p.x - a.x) * dx + (p.y - a.y) * dy) / L2))
-    return math.hypot(p.x - (a.x + t * dx), p.y - (a.y + t * dy))

@@ -210,28 +210,15 @@ def exhaustive_search(s: SinrScenario, b: Bounds, levels: int,
     return OptResult(pv, best_area, ev.calls, trace, pv.total())
 
 
-def _fit_to_bounds(vec: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                   proportional: bool) -> np.ndarray:
-    if proportional:
-        over = vec > hi
-        if over.any():
-            pos = vec > 0
-            f = np.min(hi[over & pos] / vec[over & pos]) if (over & pos).any() else 1.0
-            vec = vec * f
-    return np.clip(vec, lo, hi)
-
-
 def random_hill_climb(s: SinrScenario, b: Bounds, params: RhcParams,
-                      plan: SamplingPlan, seed: int,
-                      proportional_rescale: bool = False) -> OptResult:
+                      plan: SamplingPlan, seed: int) -> OptResult:
     """Bidirectional random hill climb from the lower power bound.
 
     Odd attempts stretch the random increment (scaled up further after
     ``scale_up_incr`` attempts), even attempts shrink it; the inner loop
     restarts with fresh increments after every improvement and the search
     stops when a full plateau of ``max_iterations`` attempts brings none.
-    Candidates are clamped into the bounds (or proportionally rescaled when
-    requested).
+    Candidates are clamped into the bounds.
     """
     rng = np.random.default_rng(seed)
     lo = b.p_min.as_array()
@@ -258,7 +245,7 @@ def random_hill_climb(s: SinrScenario, b: Bounds, params: RhcParams,
             else:
                 stretch = stretch * scale_up
                 cand = best + rng.random(n) * stretch
-            cand = _fit_to_bounds(cand, lo, hi, proportional_rescale)
+            cand = np.clip(cand, lo, hi)
             area = ev(cand)
             if area > best_area:
                 best_area = area

@@ -107,7 +107,9 @@ def _bisector_or_dominance(di: Disk, dj: Disk, eps: float):
 def _clip_cell(poly: ConvexPolygon, sites: Sequence[Disk] | Mapping[SiteId, Disk],
                i: SiteId, others: Iterable[SiteId], eps: float) -> Optional[ConvexPolygon]:
     """``poly`` clipped to where ``sites[i]`` beats every ``sites[j]``,
-    ``j`` in ``others`` (``i`` itself is skipped); None if empty."""
+    ``j`` in ``others`` (``i`` itself is skipped); None if empty.  Each
+    bisector cut decides every vertex once by the clipper's side test;
+    ``eps`` only tells concentric disks apart from a bisector line."""
     out: Optional[ConvexPolygon] = poly
     for j in others:
         if j == i:

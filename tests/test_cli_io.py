@@ -188,6 +188,24 @@ def test_cli_input_error_exit_2(tmp_path, capsys):
     sinr = json.loads(json.dumps(SINR_SCENARIO))
     sinr["bounds"]["p_min"] = [None, 0.0]
     rejected("estimate-area", sinr, "bounds.p_min[0]")
+    for dims, field in (([40.9, 40], "sampling.grid_dims[0]"),
+                        (["40", 40], "sampling.grid_dims[0]"),
+                        ([40, None], "sampling.grid_dims[1]"),
+                        ([40], "sampling.grid_dims")):
+        rejected("estimate-area", dict(SINR_SCENARIO, sampling={"kind": "grid", "grid_dims": dims}),
+                 field)
+    for count in (99.7, "99", True):
+        rejected("estimate-area",
+                 dict(SINR_SCENARIO, sampling={"kind": "random", "sample_count": count}),
+                 "sampling.sample_count")
+    rejected("dynamic", {"window": dict(window, x1=window["x0"]), "ops": []}, "window")
+    rejected("dynamic", {"window": window, "ops": [dict(insert, x=9.0)]}, "ops[0]")
+    rejected("dynamic", {"window": window, "ops": [insert, dict(insert, y=1.0, tx_radius=2.0)]},
+             "ops[1]")
+    rejected("dynamic", {"window": window, "ops": [dict(insert, tx_radius=-1.0)]}, "ops[0]")
+    bad.write_text("[1]")
+    assert cli(["dynamic", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: <file>: ")
 
 
 def test_cli_budget_error_exit_3(tmp_path):

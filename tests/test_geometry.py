@@ -10,7 +10,7 @@ from coveragekit.geometry import (ArcPolygon, CircularArc, ConvexPolygon, Disk,
                                   HalfPlane, Point2, Rect, Segment, TWO_PI,
                                   _edges_cross, arc_polygon_area,
                                   arc_polygon_contains, boolean_chains,
-                                  clip_convex, convex_polygon_intersection,
+                                  clip_convex, convex_polygon_intersection, dist,
                                   geom_eps, power_bisector, power_distance,
                                   region_disk_boolean, signed_distance)
 from oracles import grid_boolean_area, lens_area
@@ -88,8 +88,55 @@ def test_clip_convex_basic():
     r = clip_convex(UNIT_SQUARE, HalfPlane(1, 0, 0.5))
     assert r is not None
     assert r.area() == pytest.approx(0.5)
-    assert clip_convex(UNIT_SQUARE, HalfPlane(1, 0, 2.0)).area() == pytest.approx(1.0)
-    assert clip_convex(UNIT_SQUARE, HalfPlane(1, 0, -1.0)) is None
+    # no vertex outside, up to rounding: the polygon itself
+    for offset in (2.0, 1.0, 1 - 1e-15):
+        assert clip_convex(UNIT_SQUARE, HalfPlane(1, 0, offset)) is UNIT_SQUARE
+    # no vertex inside: empty, also when the line touches an edge
+    for offset in (-1.0, 0.0, 1e-15):
+        assert clip_convex(UNIT_SQUARE, HalfPlane(1, 0, offset)) is None
+
+
+def _repeats(poly: ConvexPolygon) -> bool:
+    pts = poly.vertices
+    return any(a == b for a, b in zip(pts, pts[1:] + pts[:1]))
+
+
+def _line_through(p: Point2, angle: float, s: float) -> HalfPlane:
+    """The half-plane with outward normal at ``angle`` whose line passes
+    through ``p`` up to rounding: its offset is taken at a point ``s`` along
+    the line from ``p``."""
+    nx, ny = math.cos(angle), math.sin(angle)
+    q = Point2(p.x - s * ny, p.y + s * nx)
+    return HalfPlane(nx, ny, nx * q.x + ny * q.y)
+
+
+def test_clip_convex_keeps_a_vertex_on_the_line():
+    corner = UNIT_SQUARE.vertices[1]  # (1, 0)
+    for k in range(60):
+        r = clip_convex(UNIT_SQUARE, _line_through(corner, 0.2 + 0.02 * k, 0.37))
+        assert any(v is corner for v in r.vertices), (k, r)
+        assert all(v is corner or dist(v, corner) > 1e-9 for v in r.vertices), (k, r)
+        assert not _repeats(r)
+
+
+def test_clip_convex_random_cuts_never_repeat_a_vertex():
+    rng = random.Random(5)
+    for _ in range(300):
+        angles = sorted(rng.uniform(0, TWO_PI) for _ in range(rng.randint(3, 9)))
+        r0 = rng.uniform(0.1, 1e3)
+        poly = ConvexPolygon(tuple(Point2(r0 * math.cos(a), r0 * math.sin(a))
+                                   for a in angles))
+        for _ in range(5):
+            angle, s = rng.uniform(0, TWO_PI), rng.uniform(-r0, r0)
+            through = rng.choice(poly.vertices + (None,))
+            h = (HalfPlane(math.cos(angle), math.sin(angle), s) if through is None
+                 else _line_through(through, angle, s))
+            out = clip_convex(poly, h)
+            if out is None:
+                continue
+            assert not _repeats(out), (poly, h, out)
+            assert out.area() <= poly.area() * (1 + 1e-12)
+            poly = out
 
 
 def test_convex_polygon_intersection():

@@ -247,3 +247,22 @@ def test_three_collinear_hand_computed_bisectors():
     assert h12.value(Point2(25.75, 3.0)) == pytest.approx(0.0)
     h12b = power_bisector(THREE_COLLINEAR[1], THREE_COLLINEAR[2])
     assert h12b.value(Point2(-21.75, -2.0)) == pytest.approx(0.0)
+
+
+GRID6 = [Disk(Point2(5.0 + 10 * i, 5.0 + 10 * j), 6.0) for i in range(6) for j in range(6)]
+COCIRCULAR = [Disk(Point2(30 + 20 * math.cos(k * math.pi / 6), 30 + 20 * math.sin(k * math.pi / 6)),
+                   8.0) for k in range(12)] + [Disk(Point2(30.0, 30.0), 4.0)]
+
+
+@pytest.mark.parametrize("disks", [GRID6, COCIRCULAR], ids=["grid6x6", "cocircular"])
+def test_cells_and_frames_never_repeat_a_vertex(disks):
+    # many bisectors meet in one point here, so cuts pass through vertices
+    window = Rect(0, 0, 60, 60)
+    for pd in (_build_direct(disks, window, 60.0), build(disks, window)):
+        assert sum(c.area() for c in pd.cells.values() if c) == pytest.approx(window.area())
+        polys = [c for c in pd.cells.values() if c is not None]
+        polys += [q for p in pd.cells if p not in pd.hidden
+                  for q in power_frame(pd, p).partitions.values()]
+        for poly in polys:
+            pts = poly.vertices
+            assert all(a != b for a, b in zip(pts, pts[1:] + pts[:1])), pts
