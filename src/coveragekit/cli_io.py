@@ -26,15 +26,15 @@ from typing import Any, Optional, Sequence
 
 from . import __version__
 from .errors import BudgetExceeded, DuplicateSite, ModelError, ParseError
-from .geometry import (ArcPolygon, CircularArc, Disk, Point2, Rect, Segment)
+from .geometry import (ArcPolygon, CircularArc, Disk, Point2, Rect, Segment,
+                       arc_polygon_area)
 from .optimizer import (Bounds, RhcParams, SamplingPlan,
                         estimate_area, exhaustive_search, grid_rule_samples,
                         nelder_mead, post_process, random_hill_climb,
                         required_samples, sweep_power)
 from .power_diagram import PowerDiagram, power_frame
 from .protocol_coverage import (CoverageMap, ProtocolTransmitter,
-                                compute_coverage_map, coverage_area,
-                                find_interference_bound, region_area)
+                                compute_coverage_map, find_interference_bound)
 from .sinr_model import PowerVector, SinrScenario, capture_grid
 from .dynamic_coverage import DynamicCoverage
 
@@ -503,9 +503,11 @@ def _cmd_build_map(args) -> int:
     except DuplicateSite as e:
         raise ParseError("transmitters", str(e))
     bound = find_interference_bound(cov)
+    # each chain integrated once, summed in coverage_area's and region_area's order
+    areas = {p: [arc_polygon_area(ap) for ap in chains] for p, chains in cov.regions.items()}
     result = {
-        "total_area": coverage_area(cov),
-        "region_areas": {str(p): region_area(cov, p) for p in sorted(cov.regions)},
+        "total_area": sum(a for chain_areas in areas.values() for a in chain_areas),
+        "region_areas": {str(p): sum(areas[p]) for p in sorted(areas)},
         "removed_sites": sorted(cov.diagram.hidden),
         "total_arcs": cov.total_arcs(),
         "interference_bound_site": bound,

@@ -15,7 +15,9 @@ one point; a piece of a curve no longer than ``eps`` contracts to a point.
 Chains are stitched by the names of the curves that cross at each piece end,
 never by the distance between end points, so coincident crossings merge
 transitively along the curves.  Chain validation treats tangencies
-(single-point contacts) as non-intersections.
+(single-point contacts) as non-intersections.  The boolean skips only work
+whose answer is known, where a point is ``_MARGIN`` eps clear of a rim: a
+margin that covers the touch rule and chains of contracted pieces.
 """
 
 from __future__ import annotations
@@ -121,14 +123,19 @@ def power_bisector(d1: Disk, d2: Disk, eps: float = 0.0) -> HalfPlane:
     The quadratic terms cancel, so the boundary locus is always a straight
     line.  Raises ConcentricDisks when the centers coincide.
     """
-    c1, c2 = d1.center, d2.center
-    nx = 2.0 * (c2.x - c1.x)
-    ny = 2.0 * (c2.y - c1.y)
+    nx, ny, off = bisector_line(d1, d2)
     if math.hypot(nx, ny) <= 2.0 * eps:
-        raise ConcentricDisks(f"disks centered at {c1} and {c2} have no bisector line")
-    off = (c2.x * c2.x + c2.y * c2.y) - (c1.x * c1.x + c1.y * c1.y) \
-        - d2.radius * d2.radius + d1.radius * d1.radius
+        raise ConcentricDisks(f"disks centered at {d1.center} and {d2.center} "
+                              f"have no bisector line")
     return HalfPlane(nx, ny, off)
+
+
+def bisector_line(d1: Disk, d2: Disk) -> tuple[float, float, float]:
+    """Coefficients ``(nx, ny, offset)`` of ``power_bisector(d1, d2)``, unchecked."""
+    c1, c2 = d1.center, d2.center
+    return (2.0 * (c2.x - c1.x), 2.0 * (c2.y - c1.y),
+            (c2.x * c2.x + c2.y * c2.y) - (c1.x * c1.x + c1.y * c1.y)
+            - d2.radius * d2.radius + d1.radius * d1.radius)
 
 
 # ---------------------------------------------------------------------------
@@ -210,36 +217,47 @@ class Rect:
                               Point2(self.x1, self.y1), Point2(self.x0, self.y1)))
 
 
-def clip_convex(poly: Optional[ConvexPolygon], h: HalfPlane) -> Optional[ConvexPolygon]:
-    """Intersection of a convex polygon with a half-plane (None if empty).
+def clip_coords(pts: list, nx: float, ny: float, offset: float) -> Optional[list]:
+    """Convex CCW vertices ``pts``, (x, y) tuples, clipped to nx*x + ny*y <= offset.
 
     Each vertex is decided once, by ``side``, as outside, on or inside the
-    clip line.  With none outside the polygon itself is returned, with none
-    inside None.  Otherwise the inside and on vertices are kept, in CCW
-    order, and a new vertex is made only on an edge that runs strictly from
-    inside to outside or back.  Nothing is merged or dropped afterwards.
+    clip line.  With none outside ``pts`` itself is returned, with none
+    inside None.  Otherwise the inside and on vertices are kept (the same
+    tuples), in CCW order, and a new vertex is made only on an edge that
+    runs strictly from inside to outside or back.  Nothing is merged or
+    dropped afterwards.
     """
-    if poly is None:
+    sides = [side(nx * x + ny * y, offset) for x, y in pts]
+    if 1 not in sides:
+        return pts
+    if -1 not in sides:
         return None
-    pts = poly.vertices
-    dots = [h.nx * p.x + h.ny * p.y for p in pts]
-    sides = [side(d, h.offset) for d in dots]
-    if max(sides) <= 0:
-        return poly
-    if min(sides) >= 0:
-        return None
-    out: list[Point2] = []
+    out = []
     n = len(pts)
     for i in range(n):
         j = (i + 1) % n
         if sides[i] <= 0:
             out.append(pts[i])
         if sides[i] * sides[j] < 0:
-            a, b = pts[i], pts[j]
-            va, vb = dots[i] - h.offset, dots[j] - h.offset
+            (ax, ay), (bx, by) = pts[i], pts[j]
+            va, vb = nx * ax + ny * ay - offset, nx * bx + ny * by - offset
             t = va / (va - vb)
-            out.append(Point2(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)))
-    return ConvexPolygon(tuple(out))
+            out.append((ax + t * (bx - ax), ay + t * (by - ay)))
+    return out
+
+
+def clip_convex(poly: Optional[ConvexPolygon], h: HalfPlane) -> Optional[ConvexPolygon]:
+    """Intersection of a convex polygon with a half-plane (None if empty),
+    by ``clip_coords``: ``poly`` itself when no vertex is outside, and the
+    uncut vertices keep their ``Point2`` objects."""
+    if poly is None:
+        return None
+    pts = [(p.x, p.y) for p in poly.vertices]
+    out = clip_coords(pts, h.nx, h.ny, h.offset)
+    if out is None or out is pts:
+        return None if out is None else poly
+    kept = dict(zip(pts, poly.vertices))
+    return ConvexPolygon(tuple(kept.get(v) or Point2(*v) for v in out))
 
 
 def convex_polygon_intersection(a: Optional[ConvexPolygon],
@@ -553,6 +571,9 @@ def circle_circle_points(d1: Disk, d2: Disk, touch: float = 0.0) -> list[Point2]
 # favours them, and a majority of three outvotes one tangency point.
 _PROBES = (1.0, 3.0, 5.0)
 
+# ``boolean_chains`` skips work only where a point is this many eps clear of a rim.
+_MARGIN = 64.0
+
 
 def boolean_chains(region: ConvexPolygon, include: Disk, excludes: Sequence[Disk],
                    eps: float) -> list[ArcPolygon]:
@@ -571,6 +592,17 @@ def boolean_chains(region: ConvexPolygon, include: Disk, excludes: Sequence[Disk
     keys (union-find), so crossings that coincide along a curve become one
     node.  Chains are stitched by looking end keys up, never by comparing
     coordinates; chains of negative area are holes.
+
+    Three shortcuts skip work whose answer is known, each only beyond a
+    margin of ``_MARGIN`` eps:
+    - when the include disk, or every region vertex, lies that deep in one
+      exclude, so does every piece's midpoint: the result is [] at once;
+    - ``keep`` tests the disks before the region, an ``and`` of pure tests;
+    - a crossing of an exclude circle with another one or with an edge,
+      lying that far outside the include disk, is no event, and an edge
+      that stays that far outside crosses no circle.  The pieces beside
+      such a crossing lie outside the include disk, between two of its
+      crossings, and are rejected whether cut there or not.
     """
     if include.radius <= eps:
         return []
@@ -578,30 +610,41 @@ def boolean_chains(region: ConvexPolygon, include: Disk, excludes: Sequence[Disk
     m = len(verts)
     circles = [include] + [d for d in excludes if d.radius > eps and
                            dist(d.center, include.center) < d.radius + include.radius]
+    margin = _MARGIN * eps
+    for d in circles[1:]:
+        deep = d.radius - margin
+        if (dist(include.center, d.center) + include.radius < deep
+                or all(dist(v, d.center) < deep for v in verts)):
+            return []
+    reach_out = include.radius + margin
 
     def keep(p: Point2, on: Optional[int]) -> bool:
         # ``on`` is the circle the point lies on, None for a region edge.
         # Rim points are outside the include disk, as in ``Disk.contains``,
-        # and outside every exclude.
-        if on is not None and not region.contains(p):
-            return False
-        if on != 0 and power_distance(p, include) >= 0.0:
-            return False
-        return all(power_distance(p, circles[l]) >= 0.0
-                   for l in range(1, len(circles)) if l != on)
+        # and outside every exclude.  Cheapest test first.
+        return ((on == 0 or power_distance(p, include) < 0.0)
+                and all(power_distance(p, circles[l]) >= 0.0
+                        for l in range(1, len(circles)) if l != on)
+                and (on is None or region.contains(p)))
 
     edge_events = [[(0.0, ("v", i)), (1.0, ("v", (i + 1) % m))] for i in range(m)]
     circle_events: list[list] = [[] for _ in circles]
     for i, (a, b) in enumerate(region.edges()):
         reach = eps / max(dist(a, b), eps)  # a crossing at a vertex counts on both edges
-        for k, d in enumerate(circles):
+        near = dist(_lerp(a, b, _foot(a, b, include.center)), include.center) <= reach_out
+        for k, d in enumerate(circles if near else ()):
             for j, t in enumerate(segment_circle_params(a, b, d, reach, eps)):
                 t = min(max(t, 0.0), 1.0)
+                p = _lerp(a, b, t)
+                if k and dist(p, include.center) > reach_out:
+                    continue
                 edge_events[i].append((t, ("e", i, k, j)))
-                circle_events[k].append((d.angle_of(_lerp(a, b, t)), ("e", i, k, j)))
+                circle_events[k].append((d.angle_of(p), ("e", i, k, j)))
     for k in range(len(circles)):
         for l in range(k + 1, len(circles)):
             for j, p in enumerate(circle_circle_points(circles[k], circles[l], eps)):
+                if k and dist(p, include.center) > reach_out:
+                    continue
                 circle_events[k].append((circles[k].angle_of(p), ("c", k, l, j)))
                 circle_events[l].append((circles[l].angle_of(p), ("c", k, l, j)))
 
@@ -678,6 +721,13 @@ def boolean_chains(region: ConvexPolygon, include: Disk, excludes: Sequence[Disk
         edges = tuple(_canonical(_coalesce(chain)))
         (outers if _chain_signed_area(edges) >= 0.0 else holes).append(ArcPolygon(edges))
     return _attach_holes(outers, holes, eps) if holes else outers
+
+
+def _foot(a: Point2, b: Point2, c: Point2) -> float:
+    """Parameter of the point of segment ab nearest to ``c``."""
+    dx, dy = b.x - a.x, b.y - a.y
+    l2 = dx * dx + dy * dy
+    return 0.0 if l2 == 0.0 else min(max(((c.x - a.x) * dx + (c.y - a.y) * dy) / l2, 0.0), 1.0)
 
 
 def _lerp(a: Point2, b: Point2, t: float) -> Point2:

@@ -26,8 +26,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import ConcentricDisks, DuplicateSite, HiddenSite
-from .geometry import (ConvexPolygon, Disk, Point2, Rect, clip_convex, geom_eps,
-                       power_bisector, power_distance)
+from .geometry import (ConvexPolygon, Disk, Point2, Rect, bisector_line, clip_coords,
+                       geom_eps, power_bisector, power_distance)
 
 SiteId = int
 
@@ -95,32 +95,27 @@ def build(disks: Sequence[Disk], window: Rect) -> PowerDiagram:
         return _build_direct(disks, window, scale)
 
 
-def _bisector_or_dominance(di: Disk, dj: Disk, eps: float):
-    """HalfPlane where di wins, or True (di always wins) / False (never)."""
-    c = math.hypot(di.center.x - dj.center.x, di.center.y - dj.center.y)
-    if c <= eps:
-        # concentric: the larger disk is closer everywhere
-        return di.radius > dj.radius
-    return power_bisector(di, dj)
-
-
 def _clip_cell(poly: ConvexPolygon, sites: Sequence[Disk] | Mapping[SiteId, Disk],
                i: SiteId, others: Iterable[SiteId], eps: float) -> Optional[ConvexPolygon]:
     """``poly`` clipped to where ``sites[i]`` beats every ``sites[j]``,
-    ``j`` in ``others`` (``i`` itself is skipped); None if empty.  Each
-    bisector cut decides every vertex once by the clipper's side test;
-    ``eps`` only tells concentric disks apart from a bisector line."""
-    out: Optional[ConvexPolygon] = poly
+    ``j`` in ``others`` (``i`` itself is skipped); None if empty.  The
+    coordinates are cut by ``clip_coords`` on each ``bisector_line`` and
+    wrapped once at the end (``poly`` itself if nothing was cut).  ``eps``
+    only tells concentric disks, the larger of which wins, from a line."""
+    di = sites[i]
+    start = pts = [(p.x, p.y) for p in poly.vertices]
     for j in others:
         if j == i:
             continue
-        h = _bisector_or_dominance(sites[i], sites[j], eps)
-        if h is True:
-            continue
-        out = None if h is False else clip_convex(out, h)
-        if out is None:
+        dj = sites[j]
+        if math.hypot(di.center.x - dj.center.x, di.center.y - dj.center.y) <= eps:
+            if di.radius > dj.radius:
+                continue
             return None
-    return out
+        pts = clip_coords(pts, *bisector_line(di, dj))
+        if pts is None:
+            return None
+    return poly if pts is start else ConvexPolygon(tuple(Point2(x, y) for x, y in pts))
 
 
 def _mega_square(window: Rect, scale: float) -> Rect:
@@ -244,8 +239,10 @@ def frame_partitions(cell: ConvexPolygon, sites: Sequence[Disk] | Mapping[SiteId
     """Split ``cell`` by the power diagram of the sites in ``gamma``.
 
     The piece of ``q`` is ``cell`` clipped by the half-planes where ``q``
-    beats every other ``r`` in ``gamma``.  Pieces come in the order of
-    ``gamma``; empty ones are left out.
+    beats every other ``r`` in ``gamma``, in the order of ``gamma``, on the
+    coordinate kernel of ``_clip_cell``: vertex for vertex the polygon that
+    ``clip_convex`` with each ``power_bisector`` would give.  Pieces come
+    in the order of ``gamma``; empty ones are left out.
     """
     partitions: dict[SiteId, ConvexPolygon] = {}
     for q in gamma:

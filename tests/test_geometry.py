@@ -298,3 +298,91 @@ def test_boolean_chains_hole_and_tangent_excludes():
     area = sum(arc_polygon_area(ap) for ap in chains)
     assert area == pytest.approx(grid_boolean_area(BIG, include, excludes, Rect(-2, -2, 2, 2)),
                                  abs=0.01)
+
+
+# The shortcuts of ``boolean_chains`` skip work only where a point is
+# 64 eps clear of a rim; these cases sit inside and just outside that margin.
+MARGIN_EPS = geom_eps(5.0)
+MARGIN = 64.0 * MARGIN_EPS
+
+
+def test_boolean_chains_exits_when_include_or_region_is_deep_in_one_exclude():
+    include = Disk(Point2(0, 0), 1.0)
+    around = Disk(Point2(0.3, 0), 1.3 + 2.0 * MARGIN)  # include inside by 2 margins
+    assert boolean_chains(BIG, include, [around], MARGIN_EPS) == []
+    small = ConvexPolygon((Point2(0.1, 0.1), Point2(0.4, 0.1), Point2(0.2, 0.3)))
+    cover = Disk(Point2(0.2, 0.2), 0.5)  # the region only, not the include disk
+    assert boolean_chains(small, include, [cover, Disk(Point2(3, 0), 2.5)], MARGIN_EPS) == []
+
+
+@pytest.mark.parametrize("gap", [-0.5, 0.5, 2.0])
+def test_boolean_chains_near_containment_takes_no_exit(gap):
+    # the include rim, then a region vertex, lies ``gap`` margins outside
+    # (< 0: inside) the rim of an exclude that otherwise holds it: a
+    # sliver a few eps wide, or nothing
+    include = Disk(Point2(0, 0), 1.0)
+    around = Disk(Point2(0.3, 0), 1.3 - gap * MARGIN)
+    cover = Disk(Point2(0.2, 0.2), 0.5)
+    small = ConvexPolygon((Point2(0.1, 0.1), Point2(0.7 + gap * MARGIN, 0.2), Point2(0.2, 0.3)))
+    for region, exclude in ((BIG, around), (small, cover)):
+        chains = boolean_chains(region, include, [exclude], MARGIN_EPS)
+        assert (chains != []) == (gap > 0)
+        area = sum(arc_polygon_area(ap) for ap in chains)
+        assert 0.0 <= area < 1e-6
+        assert area == pytest.approx(
+            grid_boolean_area(region, include, [exclude], Rect(-2, -2, 2, 2)), abs=1e-6)
+
+
+@pytest.mark.parametrize("gap", [-0.5, 0.0, 0.5])
+def test_boolean_chains_drops_only_far_crossings(gap):
+    # a and b cross once 1.42 outside the include rim and once inside it;
+    # a and c cross ``gap`` margins outside the rim (< 0: inside), where
+    # the boundary needs their crossing; a also crosses the region's right
+    # edge far outside the include disk
+    include = Disk(Point2(0, 0), 1.0)
+    rim = Point2((1.0 + gap * MARGIN) * math.cos(1.0), (1.0 + gap * MARGIN) * math.sin(1.0))
+    a = Disk(Point2(1.6, 0.3), dist(Point2(1.6, 0.3), rim))
+    b = Disk(Point2(1.4, -1.2), 1.1)
+    c = Disk(Point2(-0.1, 1.7), dist(Point2(-0.1, 1.7), rim))
+    excludes = [a, b, c]
+    chains = boolean_chains(BIG, include, excludes, MARGIN_EPS)
+    for ap in chains:
+        ap.validate()
+    area = sum(arc_polygon_area(ap) for ap in chains)
+    assert area == pytest.approx(grid_boolean_area(BIG, include, excludes, Rect(-2, -2, 2, 2)),
+                                 abs=0.005)
+
+
+@pytest.mark.parametrize("gap", [-0.5, 0.5])
+def test_boolean_chains_keeps_an_edge_within_the_margin(gap):
+    # the region's top edge passes ``gap`` margins outside the include rim
+    # (< 0: cutting a cap off the disk); only farther edges skip the circles
+    include = Disk(Point2(0, 0), 1.0)
+    top = 1.0 + gap * MARGIN
+    region = ConvexPolygon((Point2(-2, -2), Point2(2, -2), Point2(2, top), Point2(-2, top)))
+    chains = boolean_chains(region, include, [], MARGIN_EPS)
+    kinds = [type(e) for ap in chains for e in ap.edges]
+    assert kinds == ([CircularArc, Segment] if gap < 0 else [CircularArc])
+    assert sum(arc_polygon_area(ap) for ap in chains) == pytest.approx(math.pi, abs=1e-9)
+
+
+class _Spy(ConvexPolygon):
+    """A region that records every point its ``contains`` is asked about."""
+
+    def contains(self, p, tol=0.0):
+        self.__dict__.setdefault("asked", []).append(p)
+        return super().contains(p, tol)
+
+
+def test_boolean_chains_asks_the_region_last():
+    include = Disk(Point2(0, 0), 1.5)
+    excludes = [Disk(Point2(1.2, 0.4), 0.8), Disk(Point2(-0.7, -0.9), 0.6),
+                Disk(Point2(0.1, 1.4), 0.5)]
+    region = _Spy((Point2(-1.2, -1.8), Point2(1.6, -1.1), Point2(1.3, 1.4), Point2(-1.5, 0.9)))
+    boolean_chains(region, include, excludes, MARGIN_EPS)
+    asked = region.__dict__.get("asked", [])
+    assert asked
+    slack = 1e-9
+    for p in asked:
+        assert dist(p, include.center) <= include.radius + slack, p
+        assert all(dist(p, d.center) >= d.radius - slack for d in excludes), p

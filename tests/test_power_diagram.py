@@ -8,7 +8,8 @@ import pytest
 from scipy.spatial import QhullError
 
 from coveragekit.errors import DuplicateSite, HiddenSite
-from coveragekit.geometry import Disk, Point2, Rect, power_distance
+from coveragekit.geometry import (ConvexPolygon, Disk, Point2, Rect, clip_convex, power_bisector,
+                                  power_distance, side)
 from coveragekit.power_diagram import (build, nearest_site, power_frame,
                                        remove_redundant, _build_direct,
                                        _build_lifted, _validate)
@@ -266,3 +267,69 @@ def test_cells_and_frames_never_repeat_a_vertex(disks):
         for poly in polys:
             pts = poly.vertices
             assert all(a != b for a, b in zip(pts, pts[1:] + pts[:1])), pts
+
+
+def _clip_reference(poly, h):
+    """The clipper as it read over ``Point2`` objects before cells and
+    frames moved onto the coordinate kernel: the arithmetic to match."""
+    pts = poly.vertices
+    dots = [h.nx * p.x + h.ny * p.y for p in pts]
+    sides = [side(d, h.offset) for d in dots]
+    if max(sides) <= 0:
+        return poly
+    if min(sides) >= 0:
+        return None
+    out = []
+    for i in range(len(pts)):
+        j = (i + 1) % len(pts)
+        if sides[i] <= 0:
+            out.append(pts[i])
+        if sides[i] * sides[j] < 0:
+            a, b = pts[i], pts[j]
+            va, vb = dots[i] - h.offset, dots[j] - h.offset
+            t = va / (va - vb)
+            out.append(Point2(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)))
+    return ConvexPolygon(tuple(out))
+
+
+def _clip_in_order(poly, disks, q, order):
+    """``poly`` cut by ``power_bisector(disks[q], disks[r])`` for each r in
+    ``order``, by ``clip_convex`` and by the reference; both must agree."""
+    for r in order:
+        if r == q:
+            continue
+        h = power_bisector(disks[q], disks[r])
+        ref = _clip_reference(poly, h)
+        poly = clip_convex(poly, h)
+        assert _coords(poly) == _coords(ref)
+        if poly is None:
+            return None
+    return poly
+
+
+def _coords(poly):
+    return None if poly is None else [(v.x, v.y) for v in poly.vertices]
+
+
+@pytest.mark.parametrize("layout", ["random10", "random64", "grid6x6", "cocircular"])
+def test_cells_and_frames_clip_like_clip_convex(layout):
+    if layout.startswith("random"):
+        disks, window = random_disks(random.Random(3), int(layout[6:])), WIN
+    else:
+        disks, window = (GRID6 if layout == "grid6x6" else COCIRCULAR), Rect(0, 0, 60, 60)
+    n = len(disks)
+    routes = [(_build_direct(disks, window, _validate(disks, window)), True),
+              (_build_lifted(disks, window, _validate(disks, window)), False),
+              (build(disks, window), n <= 32)]
+    for pd, direct in routes:
+        for i, cell in pd.cells.items():
+            order = range(n) if direct else sorted(pd.neighbors[i])
+            want = None if i in pd.hidden else _clip_in_order(window.to_polygon(), disks, i, order)
+            assert _coords(cell) == _coords(want), (layout, direct, i)
+            if cell is None:
+                continue
+            gamma = sorted(pd.neighbors[i])
+            parts = power_frame(pd, i).partitions
+            for q in gamma:
+                want = _clip_in_order(cell, disks, q, gamma)
+                assert _coords(parts.get(q)) == _coords(want), (layout, direct, i, q)
