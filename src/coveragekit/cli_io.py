@@ -28,7 +28,7 @@ from . import __version__
 from .errors import BudgetExceeded, DuplicateSite, ModelError, ParseError
 from .geometry import (ArcPolygon, CircularArc, Disk, Point2, Rect, Segment,
                        arc_polygon_area)
-from .optimizer import (Bounds, RhcParams, SamplingPlan,
+from .optimizer import (MAX_SAMPLE_PAIRS, Bounds, RhcParams, SamplingPlan,
                         estimate_area, exhaustive_search, grid_rule_samples,
                         nelder_mead, post_process, random_hill_climb,
                         required_samples, sweep_power)
@@ -73,6 +73,13 @@ class ScenarioFile:
     def protocol_transmitters(self) -> list[ProtocolTransmitter]:
         return [ProtocolTransmitter(Point2(t.x, t.y), t.tx_radius, t.int_radius)
                 for t in self.transmitters]
+
+    def coverage_map(self) -> CoverageMap:
+        """The protocol-model map; identical transmitters are an input error."""
+        try:
+            return compute_coverage_map(self.protocol_transmitters(), self.window)
+        except DuplicateSite as e:
+            raise ParseError("transmitters", str(e))
 
     def sinr_scenario(self, powers: Optional[Sequence[float]] = None) -> SinrScenario:
         if powers is None:
@@ -498,10 +505,7 @@ def _cmd_build_map(args) -> int:
     if scen.model != "protocol":
         raise ModelError("build-map needs a protocol-model scenario")
     t0 = time.perf_counter()
-    try:
-        cov = compute_coverage_map(scen.protocol_transmitters(), scen.window)
-    except DuplicateSite as e:
-        raise ParseError("transmitters", str(e))
+    cov = scen.coverage_map()
     bound = find_interference_bound(cov)
     # each chain integrated once, summed in coverage_area's and region_area's order
     areas = {p: [arc_polygon_area(ap) for ap in chains] for p, chains in cov.regions.items()}
@@ -648,15 +652,20 @@ def _cmd_sweep_power(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    n = args.capture_grid
+    if n is not None and n < 1:
+        raise ParseError("--capture-grid", f"{n} is not a positive raster size")
     scen, _ = _load_scenario(args.scenario)
     if scen.model == "protocol":
-        if args.capture_grid:
+        if n is not None:
             raise ModelError("capture rasters need a sinr-model scenario")
-        cov = compute_coverage_map(scen.protocol_transmitters(), scen.window)
-        svg = render_svg(cov)
+        svg = render_svg(scen.coverage_map())
     else:
+        n = 64 if n is None else n
+        if len(scen.transmitters) * n * n > MAX_SAMPLE_PAIRS:
+            raise BudgetExceeded(f"{len(scen.transmitters)} sites x {n}x{n} raster cells "
+                                 f"exceed {MAX_SAMPLE_PAIRS}")
         s = scen.sinr_scenario()
-        n = args.capture_grid or 64
         grid = capture_grid(s, n, n)
         cr = CaptureRaster(scen.window,
                            tuple(tuple(int(v) for v in row) for row in grid))
@@ -718,7 +727,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="render a scenario to SVG")
     p.add_argument("scenario")
     p.add_argument("--svg", required=True)
-    p.add_argument("--capture-grid", type=int, default=0)
+    p.add_argument("--capture-grid", type=int, default=None)
     p.set_defaults(fn=_cmd_render)
 
     p = sub.add_parser("sample-size", help="Chernoff sample-count bound")

@@ -172,17 +172,16 @@ class DynamicCoverage:
     registered transmitters (hidden ones included as empty), up to the
     numeric tolerance of the two pipelines.  Cells share vertex nodes by
     construction (see the module docstring); ``check_invariants`` verifies
-    the lattice after any sequence of updates.
+    the lattice after any sequence of updates.  The working square is
+    centered on the window, with half-width 4 * max(window diameter, 1).
 
     ``seed`` is accepted for compatibility with callers that pass one; the
     structure draws no random numbers, so it does not change any result.
     """
 
-    def __init__(self, window: Rect, seed: int = 0,
-                 square_halfwidth: Optional[float] = None):
+    def __init__(self, window: Rect, seed: int = 0):
         self.window = window
-        half = square_halfwidth if square_halfwidth is not None \
-            else 4.0 * max(window.diameter(), 1.0)
+        half = 4.0 * max(window.diameter(), 1.0)
         c = window.center()
         self.square = Rect(c.x - half, c.y - half, c.x + half, c.y + half)
         self.transmitters: dict[int, ProtocolTransmitter] = {}

@@ -5,14 +5,24 @@ Cells are clipped to a rectangular window.  Site adjacency and empty-region
 shared boundary lies outside the window still constrains its neighbors'
 coverage inside it.
 
-Construction routes:
+Construction (one route, Aurenhammer 1987): lift each disk to the point
+(x, y, x^2 + y^2 - r^2).  The visible sites and their neighbors are the
+vertices and edges of the lower convex hull of the lifted points (scipy/Qhull),
+and each visible site's cell is the window clipped against its neighbors
+only, close to O(n log n).  Qhull rejects every input of at most three sites
+and every flat lift; only then are the neighbors read off the flat structure,
+in O(n log n) too.  Its one rounding test is ``side``, applied at the
+magnitude of the coordinates Qhull was given:
 
-* small or degenerate inputs: direct clipping of every bisector half-plane,
-  exact and dependency-free;
-* larger inputs: lift each disk to a plane in 3-D and read the regular
-  triangulation off the lower convex hull (scipy/Qhull), then clip each cell
-  against its triangulation neighbors only.  This keeps the build close to
-  O(n log n) in practice.
+* centers on one line: at parameter s along it the power distance is
+  s^2 - 2 s t_i + t_i^2 - r_i^2, so the visible sites are the lower chain
+  (Andrew 1979) of the points (t_i, t_i^2 - r_i^2), counting only the largest
+  of the disks sharing a center, and neighbors are consecutive on the chain;
+* a coplanar lift, z = a x + b y + c: the power distance is
+  |x|^2 + c - c_i . (2x - (a, b)), so the visible sites are the corners of
+  the centers' convex hull, each cell a wedge, and neighbors are adjacent
+  corners.  Every lifted point must lie on the plane; if one does not, the
+  Qhull error is raised again rather than turned into a wrong diagram.
 
 Diagrams are immutable after construction; concurrent reads are safe.
 """
@@ -25,14 +35,11 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConcentricDisks, DuplicateSite, HiddenSite
+from .errors import DuplicateSite, HiddenSite
 from .geometry import (ConvexPolygon, Disk, Point2, Rect, bisector_line, clip_coords,
-                       geom_eps, power_bisector, power_distance)
+                       geom_eps, power_distance, side)
 
 SiteId = int
-
-# Inputs at or below this size always use the direct construction.
-_DIRECT_MAX = 32
 
 # Half-side multiple of the auxiliary square used for unbounded-plane queries.
 _MEGA_FACTOR = 1.0e6
@@ -83,16 +90,88 @@ def build(disks: Sequence[Disk], window: Rect) -> PowerDiagram:
     Deterministic given input order.  Sites whose power region is empty in
     the unbounded plane are reported in ``hidden`` and get a None cell.
     """
-    scale = _validate(disks, window)
+    eps = geom_eps(_validate(disks, window))
     n = len(disks)
-    if n <= _DIRECT_MAX:
-        return _build_direct(disks, window, scale)
-    from scipy.spatial import QhullError
+    adj = _neighbors(disks)
+    wpoly = window.to_polygon()
+    cells = {i: _clip_cell(wpoly, disks, i, sorted(adj[i]), eps) if i in adj else None
+             for i in range(n)}
+    return PowerDiagram(window=window, sites=tuple(disks), cells=cells,
+                        neighbors={i: frozenset(adj.get(i, ())) for i in range(n)},
+                        hidden=frozenset(i for i in range(n) if i not in adj))
+
+
+def _neighbors(disks: Sequence[Disk]) -> dict[SiteId, set[SiteId]]:
+    """Unbounded-plane neighbors of every visible site; hidden sites are absent."""
+    from scipy.spatial import ConvexHull, QhullError
+
+    lift = [(d.center.x, d.center.y, d.center.x ** 2 + d.center.y ** 2 - d.radius ** 2)
+            for d in disks]
     try:
-        return _build_lifted(disks, window, scale)
-    except QhullError:
-        # degenerate lift (e.g. all centers collinear): fall back to exact path
-        return _build_direct(disks, window, scale)
+        hull = ConvexHull(np.array(lift), qhull_options="Qt")
+    except QhullError as err:
+        return _flat_neighbors(disks, lift, err)
+    adj: dict[SiteId, set[SiteId]] = {}
+    for a, b, c in hull.simplices[hull.equations[:, 2] < -1e-12].tolist():  # lower facets
+        adj.setdefault(a, set()).update((b, c))
+        adj.setdefault(b, set()).update((a, c))
+        adj.setdefault(c, set()).update((a, b))
+    return adj
+
+
+def _lower_chain(pts: Sequence[tuple[float, float]], order: Iterable[int]) -> list[int]:
+    """Andrew's monotone chain: the corners of the lower chain of ``pts``
+    taken in ``order`` (by x, then y; the reverse order gives the upper
+    chain).  A point stays only at a strict left turn, decided by ``side``."""
+    chain: list[int] = []
+    for k in order:
+        bx, by = pts[k]
+        while len(chain) >= 2:
+            (ox, oy), (ax, ay) = pts[chain[-2]], pts[chain[-1]]
+            if side((ax - ox) * (by - oy), (ay - oy) * (bx - ox)) == 1:
+                break
+            chain.pop()
+        chain.append(k)
+    return chain
+
+
+def _flat_neighbors(disks: Sequence[Disk], lift: Sequence[tuple[float, float, float]],
+                    err: Exception) -> dict[SiteId, set[SiteId]]:
+    """``_neighbors`` of the lifted points ``lift`` that Qhull rejected with
+    ``err``: centers on a line, or ``lift`` on a plane (else ``err`` is
+    raised again).  Centers are taken relative to site 0."""
+    n = len(disks)
+    x0, y0, z0 = lift[0]
+    xy = [(x - x0, y - y0) for x, y, _ in lift]
+    f = max(range(n), key=lambda i: xy[i][0] ** 2 + xy[i][1] ** 2)
+    ux, uy = xy[f]
+    if all(side(ux * y - uy * x, ux * y0 - uy * x0) == 0 for x, y, _ in lift):
+        norm = math.hypot(ux, uy) or 1.0
+        t = [(x * ux + y * uy) / norm for x, y in xy]
+        tw = [(ti, ti * ti - d.radius ** 2) for ti, d in zip(t, disks)]
+        order = sorted(range(n), key=lambda i: tw[i])
+        # of the disks sharing a center only the largest, first here, counts
+        order = [i for k, i in enumerate(order) if k == 0 or t[order[k - 1]] != t[i]]
+        chain = _lower_chain(tw, order)
+        edges = zip(chain, chain[1:])
+    else:
+        # the plane through site 0, the center farthest from it and the
+        # center farthest from their line, checked at every lifted point
+        g = max(range(n), key=lambda i: abs(ux * xy[i][1] - uy * xy[i][0]))
+        vx, vy = xy[g]
+        det = ux * vy - uy * vx
+        zu, zv = lift[f][2] - z0, lift[g][2] - z0
+        a, b = (zu * vy - uy * zv) / det, (ux * zv - vx * zu) / det
+        if any(side(p[2], z0 + a * x + b * y) for (x, y), p in zip(xy, lift)):
+            raise err
+        order = sorted(range(n), key=lambda i: xy[i])
+        chain = _lower_chain(xy, order)[:-1] + _lower_chain(xy, reversed(order))[:-1]
+        edges = zip(chain, chain[1:] + chain[:1])
+    adj: dict[SiteId, set[SiteId]] = {i: set() for i in chain}
+    for p, q in edges:
+        adj[p].add(q)
+        adj[q].add(p)
+    return adj
 
 
 def _clip_cell(poly: ConvexPolygon, sites: Sequence[Disk] | Mapping[SiteId, Disk],
@@ -122,116 +201,6 @@ def _mega_square(window: Rect, scale: float) -> Rect:
     half = _MEGA_FACTOR * max(scale, 1.0)
     c = window.center()
     return Rect(c.x - half, c.y - half, c.x + half, c.y + half)
-
-
-def _adjacency_exact(disks: Sequence[Disk], skip: frozenset[int],
-                     scale: float) -> dict[int, set[int]]:
-    """Unbounded-plane power adjacency by 1-D feasibility.
-
-    Sites i, j share a power edge iff some point on their bisector line has
-    power distance to i (= to j) no larger than to every other site; that is
-    a linear constraint per third site along the line parameter.
-    """
-    n = len(disks)
-    eps = geom_eps(scale)
-    cx = np.array([d.center.x for d in disks])
-    cy = np.array([d.center.y for d in disks])
-    w = cx * cx + cy * cy - np.array([d.radius for d in disks]) ** 2
-    tol_flat = 1e-14 * max(scale, 1.0)
-    tol_len = 1e-7 * max(scale, 1.0)
-    out: dict[int, set[int]] = {i: set() for i in range(n)}
-    for i in range(n):
-        if i in skip:
-            continue
-        for j in range(i + 1, n):
-            if j in skip:
-                continue
-            try:
-                h = power_bisector(disks[i], disks[j], eps)
-            except ConcentricDisks:
-                continue
-            nn = math.hypot(h.nx, h.ny)
-            p0x = h.nx * h.offset / (nn * nn)
-            p0y = h.ny * h.offset / (nn * nn)
-            dx, dy = -h.ny / nn, h.nx / nn
-            ax = cx[i] - cx
-            ay = cy[i] - cy
-            A = -2.0 * (dx * ax + dy * ay)
-            B = -2.0 * (p0x * ax + p0y * ay) + w[i] - w
-            A[i] = A[j] = 0.0
-            B[i] = B[j] = -1.0
-            flat = np.abs(A) <= tol_flat
-            if np.any(B[flat] > eps * max(scale, 1.0)):
-                continue
-            lo, hi = -math.inf, math.inf
-            pos = A > tol_flat
-            neg = A < -tol_flat
-            if pos.any():
-                hi = np.min(-B[pos] / A[pos])
-            if neg.any():
-                lo = np.max(-B[neg] / A[neg])
-            if hi - lo > tol_len:
-                out[i].add(j)
-                out[j].add(i)
-    return out
-
-
-def _build_direct(disks: Sequence[Disk], window: Rect, scale: float) -> PowerDiagram:
-    n = len(disks)
-    eps = geom_eps(scale)
-    mega = _mega_square(window, scale).to_polygon()
-    wpoly = window.to_polygon()
-
-    mega_cells: list[Optional[ConvexPolygon]] = []
-    cells: dict[SiteId, Optional[ConvexPolygon]] = {}
-    for i in range(n):
-        mc = _clip_cell(mega, disks, i, range(n), eps)
-        mega_cells.append(mc)
-        cells[i] = None if mc is None else _clip_cell(wpoly, disks, i, range(n), eps)
-
-    hidden = frozenset(i for i in range(n) if mega_cells[i] is None)
-    neighbors = _adjacency_exact(disks, hidden, scale)
-    return PowerDiagram(window=window, sites=tuple(disks), cells=cells,
-                        neighbors={i: frozenset(s) for i, s in neighbors.items()},
-                        hidden=hidden)
-
-
-def _build_lifted(disks: Sequence[Disk], window: Rect, scale: float) -> PowerDiagram:
-    from scipy.spatial import ConvexHull
-
-    n = len(disks)
-    pts = np.empty((n, 3))
-    for i, d in enumerate(disks):
-        pts[i, 0] = d.center.x
-        pts[i, 1] = d.center.y
-        pts[i, 2] = d.center.x ** 2 + d.center.y ** 2 - d.radius ** 2
-    hull = ConvexHull(pts, qhull_options="Qt")
-
-    lower = hull.equations[:, 2] < -1e-12
-    visible: set[int] = set()
-    adj: dict[int, set[int]] = {i: set() for i in range(n)}
-    for simplex, is_lower in zip(hull.simplices, lower):
-        if not is_lower:
-            continue
-        a, b, c = int(simplex[0]), int(simplex[1]), int(simplex[2])
-        visible.update((a, b, c))
-        adj[a].update((b, c))
-        adj[b].update((a, c))
-        adj[c].update((a, b))
-
-    hidden = frozenset(i for i in range(n) if i not in visible)
-    wpoly = window.to_polygon()
-    eps = geom_eps(scale)
-    cells: dict[SiteId, Optional[ConvexPolygon]] = {}
-    for i in range(n):
-        if i in hidden:
-            cells[i] = None
-            continue
-        cells[i] = _clip_cell(wpoly, disks, i, sorted(adj[i]), eps)
-
-    neighbors = {i: frozenset(adj[i]) - {i} for i in range(n)}
-    return PowerDiagram(window=window, sites=tuple(disks), cells=cells,
-                        neighbors=neighbors, hidden=hidden)
 
 
 def frame_partitions(cell: ConvexPolygon, sites: Sequence[Disk] | Mapping[SiteId, Disk],

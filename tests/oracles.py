@@ -116,6 +116,20 @@ def polygon_grid_area(poly: ConvexPolygon, window: Rect, n: int = 500) -> float:
     return mask.sum() * window.area() / len(pts)
 
 
+def grid_power_cell_areas(disks: list[Disk], window: Rect, n: int = 1000) -> np.ndarray:
+    """Per-disk area of the power diagram's cells in ``window`` by grid
+    membership counting: each sample goes to its power-nearest disk."""
+    pts = grid_points(window, n, n)
+    best = np.full(len(pts), np.inf)
+    owner = np.zeros(len(pts), dtype=np.int64)
+    for i, d in enumerate(disks):
+        power = (pts[:, 0] - d.center.x) ** 2 + (pts[:, 1] - d.center.y) ** 2 - d.radius ** 2
+        nearer = power < best
+        best[nearer] = power[nearer]
+        owner[nearer] = i
+    return np.bincount(owner, minlength=len(disks)) * window.area() / len(pts)
+
+
 def planes_above_lattice(dc, planes) -> np.ndarray:
     """For each lifted plane, whether it passes above some current vertex of
     a ``DynamicCoverage`` lattice (the half-space is then not redundant), by

@@ -160,6 +160,11 @@ def test_cli_input_error_exit_2(tmp_path, capsys):
     twin = json.loads(json.dumps(PROTOCOL_SCENARIO))
     twin["transmitters"].append(dict(twin["transmitters"][0]))
     rejected("build-map", twin, "transmitters")
+    twin_path = tmp_path / "twin.json"
+    twin_path.write_text(json.dumps(twin))
+    capsys.readouterr()
+    assert cli(["render", str(twin_path), "--svg", str(tmp_path / "twin.svg")]) == 2
+    assert capsys.readouterr().err.startswith("error: transmitters: ")
     rejected("build-map", dict(PROTOCOL_SCENARIO, seed=None), "seed")
     window = {"x0": -5.0, "y0": -5.0, "x1": 5.0, "y1": 5.0}
     insert = {"op": "insert", "x": 0.0, "y": 0.0, "tx_radius": 1.0, "int_radius": 1.5}
@@ -286,6 +291,21 @@ def test_cli_render_capture(tmp_path):
     assert cli(["render", str(scen), "--svg", str(svg),
                 "--capture-grid", "8"]) == 0
     assert svg.read_text().count("<rect ") == 64
+
+
+def test_cli_render_capture_grid_checks(tmp_path, capsys, monkeypatch):
+    scen = tmp_path / "s.json"
+    scen.write_text(json.dumps(SINR_SCENARIO))
+    svg = tmp_path / "cap.svg"
+    for value in ("0", "-3"):
+        capsys.readouterr()
+        assert cli(["render", str(scen), "--svg", str(svg), "--capture-grid", value]) == 2
+        assert capsys.readouterr().err.startswith("error: --capture-grid: ")
+    # 2 sites x 2300^2 cells exceed the sample budget: refused before any raster
+    monkeypatch.setattr("coveragekit.cli_io.capture_grid", None)
+    assert cli(["render", str(scen), "--svg", str(svg), "--capture-grid", "2300"]) == 3
+    assert "exceed" in capsys.readouterr().err
+    assert not svg.exists()
 
 
 def test_cli_rejects_numbers_too_large_to_square(tmp_path, capsys):

@@ -287,11 +287,12 @@ def test_nested_concentric_hidden_disk():
 
 
 def test_offstage_sites_match_static_visibility():
-    # with a working square of half-width 10, the small disk at (0, -5) wins
-    # only far below the window: parked, yet visible beyond the square
+    # the working square has half-width 4 * 12 * sqrt(2) ~ 67.9; the small
+    # disk at (0, -5) wins only below y = -92.4: parked, yet visible beyond
+    # the square
     win = Rect(-6, -6, 6, 6)
-    dc = DynamicCoverage(win, square_halfwidth=10.0)
-    for t in (tx(-1, 0, 4.0, 20.0), tx(1, 0, 4.0, 20.0), tx(0, -5, 0.05, 0.1)):
+    dc = DynamicCoverage(win)
+    for t in (tx(-1, 0, 4.0, 30.0), tx(1, 0, 4.0, 30.0), tx(0, -5, 0.05, 0.1)):
         dc.insert_transmitter(t)
 
     def check(tag):
@@ -328,13 +329,14 @@ def test_offstage_rechecked_only_after_deleting_a_cell_on_the_square():
         assert set(dc.cells) | dc.offstage == visible, tag
 
     # a 3x3 grid of equal disks: the middle cell is bounded, so deleting it
-    # changes nothing beyond the square; the disk nested in a corner one is
-    # parked and wins only far to the left, beyond the square
-    dc = DynamicCoverage(win, square_halfwidth=10.0)
+    # changes nothing beyond the square (half-width ~ 67.9); the disk nested
+    # in a corner one is parked and wins only far to the left (x < -97.8),
+    # beyond the square
+    dc = DynamicCoverage(win)
     for x in (-4, 0, 4):
         for y in (-4, 0, 4):
             dc.insert_transmitter(tx(x, y, 1.5, 2.0))
-    nested = dc.insert_transmitter(tx(-4.05, -4, 0.2, 0.5)).site
+    nested = dc.insert_transmitter(tx(-4.02, -4, 0.2, 0.5)).site
     check(dc, "grid")
     assert dc.hidden.keys() == dc.offstage == {nested}
     dc.delete_transmitter(4)
@@ -342,9 +344,9 @@ def test_offstage_rechecked_only_after_deleting_a_cell_on_the_square():
     check(dc, "middle deleted")
 
     # site 2's cell reaches the bottom of the square; once it is gone, the
-    # parked disk 3 wins far below (y < -39) though nowhere inside the square
-    dc = DynamicCoverage(win, square_halfwidth=10.0)
-    for t in (tx(-1, 0, 4.0, 20.0), tx(1, 0, 4.0, 20.0), tx(0, -5.8, 1.0, 20.0),
+    # parked disk 3 wins far below (y < -84.5) though nowhere inside the square
+    dc = DynamicCoverage(win)
+    for t in (tx(-1, 0, 4.0, 30.0), tx(1, 0, 4.0, 30.0), tx(0, -5.8, 1.0, 30.0),
               tx(0, -5.5, 0.05, 0.1)):
         dc.insert_transmitter(t)
     check(dc, "parked")

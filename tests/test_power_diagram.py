@@ -2,19 +2,99 @@
 
 import math
 import random
+import time
+from typing import Optional, Sequence
 
 import numpy as np
 import pytest
-from scipy.spatial import QhullError
+from scipy.spatial import ConvexHull, QhullError
 
-from coveragekit.errors import DuplicateSite, HiddenSite
-from coveragekit.geometry import (ConvexPolygon, Disk, Point2, Rect, clip_convex, power_bisector,
-                                  power_distance, side)
-from coveragekit.power_diagram import (build, nearest_site, power_frame,
-                                       remove_redundant, _build_direct,
-                                       _build_lifted, _validate)
+from coveragekit.errors import ConcentricDisks, DuplicateSite, HiddenSite
+from coveragekit.geometry import (ConvexPolygon, Disk, Point2, Rect, clip_convex, geom_eps,
+                                  power_bisector, power_distance, side)
+from coveragekit.power_diagram import (PowerDiagram, SiteId, build, nearest_site, power_frame,
+                                       remove_redundant, _clip_cell, _flat_neighbors,
+                                       _mega_square, _validate)
+
+from oracles import grid_power_cell_areas
 
 WIN = Rect(-6, -6, 6, 6)
+
+
+# The reference: a quadratic direct construction, each site clipped against
+# all others, and adjacency by 1-D feasibility along every bisector.
+
+def _adjacency_exact(disks: Sequence[Disk], skip: frozenset[int],
+                     scale: float) -> dict[int, set[int]]:
+    """Unbounded-plane power adjacency by 1-D feasibility.
+
+    Sites i, j share a power edge iff some point on their bisector line has
+    power distance to i (= to j) no larger than to every other site; that is
+    a linear constraint per third site along the line parameter.
+    """
+    n = len(disks)
+    eps = geom_eps(scale)
+    cx = np.array([d.center.x for d in disks])
+    cy = np.array([d.center.y for d in disks])
+    w = cx * cx + cy * cy - np.array([d.radius for d in disks]) ** 2
+    tol_flat = 1e-14 * max(scale, 1.0)
+    tol_len = 1e-7 * max(scale, 1.0)
+    out: dict[int, set[int]] = {i: set() for i in range(n)}
+    for i in range(n):
+        if i in skip:
+            continue
+        for j in range(i + 1, n):
+            if j in skip:
+                continue
+            try:
+                h = power_bisector(disks[i], disks[j], eps)
+            except ConcentricDisks:
+                continue
+            nn = math.hypot(h.nx, h.ny)
+            p0x = h.nx * h.offset / (nn * nn)
+            p0y = h.ny * h.offset / (nn * nn)
+            dx, dy = -h.ny / nn, h.nx / nn
+            ax = cx[i] - cx
+            ay = cy[i] - cy
+            A = -2.0 * (dx * ax + dy * ay)
+            B = -2.0 * (p0x * ax + p0y * ay) + w[i] - w
+            A[i] = A[j] = 0.0
+            B[i] = B[j] = -1.0
+            flat = np.abs(A) <= tol_flat
+            if np.any(B[flat] > eps * max(scale, 1.0)):
+                continue
+            lo, hi = -math.inf, math.inf
+            pos = A > tol_flat
+            neg = A < -tol_flat
+            if pos.any():
+                hi = np.min(-B[pos] / A[pos])
+            if neg.any():
+                lo = np.max(-B[neg] / A[neg])
+            if hi - lo > tol_len:
+                out[i].add(j)
+                out[j].add(i)
+    return out
+
+
+def _build_direct(disks: Sequence[Disk], window: Rect, scale: float) -> PowerDiagram:
+    n = len(disks)
+    eps = geom_eps(scale)
+    mega = _mega_square(window, scale).to_polygon()
+    wpoly = window.to_polygon()
+
+    mega_cells: list[Optional[ConvexPolygon]] = []
+    cells: dict[SiteId, Optional[ConvexPolygon]] = {}
+    for i in range(n):
+        mc = _clip_cell(mega, disks, i, range(n), eps)
+        mega_cells.append(mc)
+        cells[i] = None if mc is None else _clip_cell(wpoly, disks, i, range(n), eps)
+
+    hidden = frozenset(i for i in range(n) if mega_cells[i] is None)
+    neighbors = _adjacency_exact(disks, hidden, scale)
+    return PowerDiagram(window=window, sites=tuple(disks), cells=cells,
+                        neighbors={i: frozenset(s) for i, s in neighbors.items()},
+                        hidden=hidden)
+
 
 THREE_COLLINEAR = [Disk(Point2(0, 0), 10.0), Disk(Point2(2, 0), 1.0),
                    Disk(Point2(4, 0), 10.0)]
@@ -111,7 +191,7 @@ def test_direct_and_lifted_builds_agree():
     disks = random_disks(rng, 24)
     scale = _validate(disks, WIN)
     a = _build_direct(disks, WIN, scale)
-    b = _build_lifted(disks, WIN, scale)
+    b = build(disks, WIN)
     assert a.hidden == b.hidden
     for i in range(24):
         ca, cb = a.cells[i], b.cells[i]
@@ -145,7 +225,6 @@ def test_power_frame_symmetric_cross():
 
 
 def test_power_frame_partition_label_is_argmin():
-    # n = 10 takes the direct top-level route, n = 64 the lifted one
     for n in (10, 64):
         rng = random.Random(6)
         disks = random_disks(rng, n)
@@ -176,20 +255,6 @@ def test_power_frame_partition_label_is_argmin():
             assert label == vals[0][1]
             checked += 1
         assert checked > 1000
-
-
-def test_build_falls_back_to_direct_on_qhull_error():
-    # 40 collinear centres: the lifted points are coplanar, Qhull refuses
-    disks = [Disk(Point2(-5.5 + 11.0 * i / 39, 0.0), 0.2 + 0.01 * (i % 5))
-             for i in range(40)]
-    scale = _validate(disks, WIN)
-    with pytest.raises(QhullError):
-        _build_lifted(disks, WIN, scale)
-    pd = build(disks, WIN)
-    ref = _build_direct(disks, WIN, scale)
-    assert pd.cells == ref.cells
-    assert pd.neighbors == ref.neighbors
-    assert pd.hidden == ref.hidden
 
 
 def test_power_frame_hidden_site_raises():
@@ -298,7 +363,12 @@ def _clip_in_order(poly, disks, q, order):
     for r in order:
         if r == q:
             continue
-        h = power_bisector(disks[q], disks[r])
+        try:
+            h = power_bisector(disks[q], disks[r])
+        except ConcentricDisks:  # the larger of two concentric disks wins
+            if disks[q].radius > disks[r].radius:
+                continue
+            return None
         ref = _clip_reference(poly, h)
         poly = clip_convex(poly, h)
         assert _coords(poly) == _coords(ref)
@@ -311,25 +381,164 @@ def _coords(poly):
     return None if poly is None else [(v.x, v.y) for v in poly.vertices]
 
 
-@pytest.mark.parametrize("layout", ["random10", "random64", "grid6x6", "cocircular"])
-def test_cells_and_frames_clip_like_clip_convex(layout):
-    if layout.startswith("random"):
-        disks, window = random_disks(random.Random(3), int(layout[6:])), WIN
-    else:
-        disks, window = (GRID6 if layout == "grid6x6" else COCIRCULAR), Rect(0, 0, 60, 60)
+DIAGRAM_WIN = Rect(0, 0, 100, 100)
+
+
+def road(n, slope=0.0, icpt=50.0, seed=1):
+    """Transmitters along a road: centers drawn along y = slope * x + icpt."""
+    rng = random.Random(seed)
+    disks = []
+    for _ in range(n):
+        x = rng.uniform(1.0, 99.0)
+        disks.append(Disk(Point2(x, slope * x + icpt), rng.uniform(0.5, 1.5) * 100.0 / n))
+    return disks
+
+
+def ring(n):
+    """Equal disks around a stadium: cocircular centers, a coplanar lift."""
+    return [Disk(Point2(50.0 + 30.0 * math.cos(2.0 * math.pi * k / n),
+                        50.0 + 30.0 * math.sin(2.0 * math.pi * k / n)), 60.0 * math.pi / n)
+            for k in range(n)]
+
+
+SMALL = [Disk(Point2(30, 40), 5.0), Disk(Point2(60, 45), 8.0), Disk(Point2(45, 70), 2.0)]
+FLAT = {
+    "road": road(64),
+    "diagonal-road": road(64, 0.3, 10.0),
+    "ring": ring(64),
+    "n1": SMALL[:1],
+    "n2": SMALL[:2],
+    "n3": SMALL,
+    "concentric": [Disk(Point2(40, 60), r) for r in (3.0, 7.5, 1.0)],
+    # the middle point (t, t^2 - r^2) lies on the chain between the others
+    "collinear-tie": [Disk(Point2(50 + t, 50), r) for t, r in ((0, 1.0), (1, 2.0), (2, 3.0))],
+    # the last center lies on a hull edge, its lifted point on the plane
+    "hull-edge-site": [Disk(Point2(50 + x, 50 + y), 2.5) for x, y in
+                       ((-2, -2), (2, -2), (2, 2), (-2, 2))] + [Disk(Point2(52, 50), 1.5)],
+}
+
+
+def layout(name):
+    """Disks and window of a named test layout."""
+    if name.startswith("random"):
+        return random_disks(random.Random(3), int(name[6:])), WIN
+    if name == "collinear40":
+        return [Disk(Point2(-5.5 + 11.0 * i / 39, 0.0), 0.2 + 0.01 * (i % 5))
+                for i in range(40)], WIN
+    if name == "shared-center-road":  # a road with two more disks on its sites' centers
+        base = FLAT["road"]
+        return base + [Disk(base[5].center, 2.0 * base[5].radius),
+                       Disk(base[9].center, 0.5 * base[9].radius)], DIAGRAM_WIN
+    if name in ("road256", "ring256"):
+        return (road(256) if name == "road256" else ring(256)), DIAGRAM_WIN
+    return {"grid6x6": GRID6, "cocircular": COCIRCULAR, **FLAT}[name], \
+        (Rect(0, 0, 60, 60) if name in ("grid6x6", "cocircular") else DIAGRAM_WIN)
+
+
+def lift(disks):
+    return [(d.center.x, d.center.y, d.center.x ** 2 + d.center.y ** 2 - d.radius ** 2)
+            for d in disks]
+
+
+@pytest.mark.parametrize("name", ["random10", "random64", "grid6x6", "cocircular", *FLAT])
+def test_cells_and_frames_clip_like_clip_convex(name):
+    disks, window = layout(name)
     n = len(disks)
     routes = [(_build_direct(disks, window, _validate(disks, window)), True),
-              (_build_lifted(disks, window, _validate(disks, window)), False),
-              (build(disks, window), n <= 32)]
+              (build(disks, window), False)]
     for pd, direct in routes:
         for i, cell in pd.cells.items():
             order = range(n) if direct else sorted(pd.neighbors[i])
             want = None if i in pd.hidden else _clip_in_order(window.to_polygon(), disks, i, order)
-            assert _coords(cell) == _coords(want), (layout, direct, i)
+            assert _coords(cell) == _coords(want), (name, direct, i)
             if cell is None:
                 continue
             gamma = sorted(pd.neighbors[i])
             parts = power_frame(pd, i).partitions
             for q in gamma:
                 want = _clip_in_order(cell, disks, q, gamma)
-                assert _coords(parts.get(q)) == _coords(want), (layout, direct, i, q)
+                assert _coords(parts.get(q)) == _coords(want), (name, direct, i, q)
+
+
+@pytest.mark.parametrize("name", ["collinear40", *FLAT, "shared-center-road", "road256",
+                                  "ring256"])
+def test_flat_routes_match_the_direct_reference(name):
+    # Qhull rejects these lifts; the centers' line or hull decides the diagram
+    disks, window = layout(name)
+    with pytest.raises(QhullError):
+        ConvexHull(np.array(lift(disks)), qhull_options="Qt")
+    pd = build(disks, window)
+    ref = _build_direct(disks, window, _validate(disks, window))
+    assert pd.hidden == ref.hidden
+    assert pd.neighbors == ref.neighbors
+    for i, cell in pd.cells.items():
+        if cell is None:
+            assert ref.cells[i] is None
+        else:
+            assert cell.area() == pytest.approx(ref.cells[i].area(), rel=1e-9)
+
+
+@pytest.mark.parametrize("offset", [(1e4, 1e4), (5e5, 4e6)])
+@pytest.mark.parametrize("name", ["diagonal-road", "ring"])
+def test_flat_routes_hold_at_projected_offsets(name, offset):
+    # rounding leaves the shifted centers off their line or circle by about
+    # an ulp of the offset; the lift is still flat at the scale Qhull sees
+    disks, window = layout(name)
+    ox, oy = offset
+    shifted = [Disk(Point2(d.center.x + ox, d.center.y + oy), d.radius) for d in disks]
+    pd = build(shifted, Rect(window.x0 + ox, window.y0 + oy, window.x1 + ox, window.y1 + oy))
+    base = build(disks, window)
+    assert pd.hidden == base.hidden
+    assert pd.neighbors == base.neighbors
+
+
+@pytest.mark.parametrize("name", ["road", "diagonal-road", "ring"])
+def test_flat_route_areas_match_the_grid_oracle(name):
+    disks, window = layout(name)
+    pd = build(disks, window)
+    n = 1000
+    areas = grid_power_cell_areas(disks, window, n)
+    h = window.width / n
+    assert bool(pd.hidden) == (name != "ring")
+    for i, cell in pd.cells.items():
+        if cell is None:
+            assert areas[i] == 0.0
+            continue
+        vs = cell.vertices
+        # samples can be misassigned only within half a grid step of an edge
+        l1 = sum(abs(a.x - b.x) + abs(a.y - b.y) for a, b in zip(vs, vs[1:] + vs[:1]))
+        assert cell.area() == pytest.approx(areas[i], abs=0.5 * h * l1 + 4 * h * h)
+
+
+def test_ring_of_2048_takes_the_hull_route():
+    # site 0 with its two ring neighbours would fit the plane poorly; the
+    # route fits it through well-spread sites and checks every lifted point
+    disks = ring(2048)
+    pd = build(disks, DIAGRAM_WIN)
+    assert not pd.hidden
+    assert pd.neighbors == {k: frozenset({(k - 1) % 2048, (k + 1) % 2048}) for k in range(2048)}
+    assert sum(c.area() for c in pd.cells.values()) == pytest.approx(DIAGRAM_WIN.area(),
+                                                                      rel=1e-9)
+
+
+def test_road_build_doubling_exponent():
+    sizes = [256, 512, 1024, 2048]
+    times = []
+    for n in sizes:
+        disks = road(n)
+        best = math.inf
+        for _ in range(3):
+            t0 = time.perf_counter()
+            build(disks, DIAGRAM_WIN)
+            best = min(best, time.perf_counter() - t0)
+        times.append(best)
+    slope = np.polyfit(np.log(sizes), np.log(times), 1)[0]
+    assert slope <= 1.25, f"fitted exponent {slope:.3f} exceeds 1.25"
+
+
+def test_plane_route_raises_again_on_a_full_rank_lift():
+    disks = random_disks(random.Random(8), 6)
+    err = QhullError("rejected")
+    with pytest.raises(QhullError) as raised:
+        _flat_neighbors(disks, lift(disks), err)
+    assert raised.value is err
