@@ -17,14 +17,17 @@ never by the distance between end points, so coincident crossings merge
 transitively along the curves.  Chain validation treats tangencies
 (single-point contacts) as non-intersections.  The boolean skips only work
 whose answer is known, where a point is ``_MARGIN`` eps clear of a rim: a
-margin that covers the touch rule and chains of contracted pieces.
+margin that covers the touch rule and chains of contracted pieces.  Its
+events, keys and midpoint tests are floats (circles as ``(x, y, r)``);
+``Segment``, ``CircularArc`` and ``Point2`` objects are made only for the
+pieces kept, from the same floats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .errors import ConcentricDisks, InvalidChain
 
@@ -32,6 +35,9 @@ TWO_PI = 2.0 * math.pi
 
 # Relative tolerance: absolute epsilons are EPS_REL * scene scale.
 EPS_REL = 1e-9
+
+XY = tuple[float, float]
+Circle = tuple[float, float, float]  # (x, y, r): the form the hot kernels read
 
 
 def geom_eps(scale: float) -> float:
@@ -65,21 +71,16 @@ def dist(a: Point2, b: Point2) -> float:
 class Disk:
     center: Point2
     radius: float
+    xyr: Circle = field(init=False, repr=False, compare=False)  # read by the hot kernels
 
     def __post_init__(self):
         if not (self.radius >= 0.0) or not math.isfinite(self.radius):
             raise ValueError(f"disk radius must be finite and >= 0, got {self.radius}")
+        object.__setattr__(self, "xyr", (self.center.x, self.center.y, self.radius))
 
     def point_at(self, angle: float) -> Point2:
         return Point2(self.center.x + self.radius * math.cos(angle),
                       self.center.y + self.radius * math.sin(angle))
-
-    def angle_of(self, p: Point2) -> float:
-        return math.atan2(p.y - self.center.y, p.x - self.center.x) % TWO_PI
-
-    def contains(self, p: Point2) -> bool:
-        """Strict interior test (rim points are outside; open-set semantics)."""
-        return dist(p, self.center) < self.radius
 
 
 @dataclass(frozen=True)
@@ -99,19 +100,13 @@ class HalfPlane:
 
 
 def signed_distance(x: Point2, d: Disk) -> float:
-    """Euclidean distance to the disk center minus the radius.
-
-    Negative exactly when ``x`` lies strictly inside the disk.
-    """
+    """Distance to the disk center minus the radius: negative strictly inside."""
     return dist(x, d.center) - d.radius
 
 
 def power_distance(x: Point2, d: Disk) -> float:
-    """Squared center distance minus squared radius.
-
-    Negative inside the disk; for outside points this equals the squared
-    length of the tangent from ``x`` to the disk rim.
-    """
+    """Squared center distance minus squared radius: negative inside the disk,
+    outside it the squared length of the tangent from ``x`` to the rim."""
     dx = x.x - d.center.x
     dy = x.y - d.center.y
     return dx * dx + dy * dy - d.radius * d.radius
@@ -123,24 +118,21 @@ def power_bisector(d1: Disk, d2: Disk, eps: float = 0.0) -> HalfPlane:
     The quadratic terms cancel, so the boundary locus is always a straight
     line.  Raises ConcentricDisks when the centers coincide.
     """
-    nx, ny, off = bisector_line(d1, d2)
+    nx, ny, off = bisector_line(d1.xyr, d2.xyr)
     if math.hypot(nx, ny) <= 2.0 * eps:
         raise ConcentricDisks(f"disks centered at {d1.center} and {d2.center} "
                               f"have no bisector line")
     return HalfPlane(nx, ny, off)
 
 
-def bisector_line(d1: Disk, d2: Disk) -> tuple[float, float, float]:
-    """Coefficients ``(nx, ny, offset)`` of ``power_bisector(d1, d2)``, unchecked."""
-    c1, c2 = d1.center, d2.center
-    return (2.0 * (c2.x - c1.x), 2.0 * (c2.y - c1.y),
-            (c2.x * c2.x + c2.y * c2.y) - (c1.x * c1.x + c1.y * c1.y)
-            - d2.radius * d2.radius + d1.radius * d1.radius)
+def bisector_line(c1: Circle, c2: Circle) -> tuple[float, float, float]:
+    """Coefficients ``(nx, ny, offset)`` of ``power_bisector``, unchecked."""
+    (x1, y1, r1), (x2, y2, r2) = c1, c2
+    return (2.0 * (x2 - x1), 2.0 * (y2 - y1),
+            (x2 * x2 + y2 * y2) - (x1 * x1 + y1 * y1) - r2 * r2 + r1 * r1)
 
 
-# ---------------------------------------------------------------------------
-# Convex polygons
-# ---------------------------------------------------------------------------
+# --- Convex polygons -------------------------------------------------------
 
 @dataclass(frozen=True)
 class ConvexPolygon:
@@ -168,11 +160,6 @@ class ConvexPolygon:
             if cross < -tol:
                 return False
         return True
-
-    def edges(self) -> Iterable[tuple[Point2, Point2]]:
-        pts = self.vertices
-        for i in range(len(pts)):
-            yield pts[i], pts[(i + 1) % len(pts)]
 
     def diameter(self) -> float:
         xs = [p.x for p in self.vertices]
@@ -221,29 +208,35 @@ def clip_coords(pts: list, nx: float, ny: float, offset: float) -> Optional[list
     """Convex CCW vertices ``pts``, (x, y) tuples, clipped to nx*x + ny*y <= offset.
 
     Each vertex is decided once, by ``side``, as outside, on or inside the
-    clip line.  With none outside ``pts`` itself is returned, with none
-    inside None.  Otherwise the inside and on vertices are kept (the same
-    tuples), in CCW order, and a new vertex is made only on an edge that
-    runs strictly from inside to outside or back.  Nothing is merged or
-    dropped afterwards.
+    clip line, in the pass that builds the output.  With none outside ``pts``
+    itself is returned, with none inside None.  Otherwise the inside and on
+    vertices are kept (the same tuples), in CCW order, and a new vertex is
+    made only on an edge that runs strictly from inside to outside or back.
+    Nothing is merged or dropped afterwards.  When no value nx*x + ny*y
+    exceeds ``offset``, ``pts`` is returned before any ``side`` call, and
+    exactly so: for a <= b, fl(a - tol) <= a <= b, so ``side(a, b)`` is not +1.
     """
-    sides = [side(nx * x + ny * y, offset) for x, y in pts]
-    if 1 not in sides:
+    vals = [nx * x + ny * y for x, y in pts]
+    if max(vals) <= offset:
         return pts
-    if -1 not in sides:
-        return None
-    out = []
+    out, sides = [], []
     n = len(pts)
+    sj = side(vals[0], offset)
     for i in range(n):
+        si = sj
+        sides.append(si)
         j = (i + 1) % n
-        if sides[i] <= 0:
+        sj = side(vals[j], offset) if j else sides[0]
+        if si <= 0:
             out.append(pts[i])
-        if sides[i] * sides[j] < 0:
+        if si * sj < 0:
             (ax, ay), (bx, by) = pts[i], pts[j]
-            va, vb = nx * ax + ny * ay - offset, nx * bx + ny * by - offset
+            va, vb = vals[i] - offset, vals[j] - offset
             t = va / (va - vb)
             out.append((ax + t * (bx - ax), ay + t * (by - ay)))
-    return out
+    if 1 not in sides:
+        return pts
+    return out if -1 in sides else None
 
 
 def clip_convex(poly: Optional[ConvexPolygon], h: HalfPlane) -> Optional[ConvexPolygon]:
@@ -269,7 +262,7 @@ def convex_polygon_intersection(a: Optional[ConvexPolygon],
     if a is None or b is None:
         return None
     out = a
-    for p, q in b.edges():
+    for p, q in zip(b.vertices, b.vertices[1:] + b.vertices[:1]):
         # Inward normal of CCW edge (p -> q) points left; inside is left side.
         nx, ny = q.y - p.y, -(q.x - p.x)
         out = clip_convex(out, HalfPlane(nx, ny, nx * p.x + ny * p.y))
@@ -278,9 +271,7 @@ def convex_polygon_intersection(a: Optional[ConvexPolygon],
     return out
 
 
-# ---------------------------------------------------------------------------
-# Arcs, segments, chains
-# ---------------------------------------------------------------------------
+# --- Arcs, segments, chains ------------------------------------------------
 
 OUTWARD = "outward"   # region lies inside the supporting disk; CCW traversal
 INWARD = "inward"     # region lies outside the supporting disk; CW traversal
@@ -436,12 +427,8 @@ def arc_polygon_area(p: ArcPolygon) -> float:
 def _chain_self_intersects(edges: tuple[ArcEdge, ...], tol: float) -> bool:
     """Pairwise proper-crossing test between non-adjacent chain edges."""
     k = len(edges)
-    if k <= 2:
-        return False
     for i in range(k):
-        for j in range(i + 1, k):
-            if j == i or (j == (i + 1) % k) or (i == (j + 1) % k):
-                continue
+        for j in range(i + 2, k - (i == 0)):  # edges k - 1 and 0 are adjacent too
             if _edges_cross(edges[i], edges[j], tol):
                 return True
     return False
@@ -485,20 +472,20 @@ def _segment_segment_point(s1: Segment, s2: Segment) -> Optional[Point2]:
 
 def _segment_arc_points(seg: Segment, arc: CircularArc) -> list[Point2]:
     out = []
-    for t in segment_circle_params(seg.start, seg.end, arc.supporting_disk):
-        p = Point2(seg.start.x + t * (seg.end.x - seg.start.x),
-                   seg.start.y + t * (seg.end.y - seg.start.y))
-        if _angle_on_arc(arc, arc.supporting_disk.angle_of(p)):
+    a, b = seg.start, seg.end
+    for t in segment_circle_params((a.x, a.y), (b.x, b.y), arc.supporting_disk.xyr):
+        p = Point2(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+        if _angle_on_arc(arc, _angle(arc.supporting_disk.xyr, p.x, p.y)):
             out.append(p)
     return out
 
 
 def _arc_arc_points(a1: CircularArc, a2: CircularArc) -> list[Point2]:
     out = []
-    for p in circle_circle_points(a1.supporting_disk, a2.supporting_disk):
-        if (_angle_on_arc(a1, a1.supporting_disk.angle_of(p))
-                and _angle_on_arc(a2, a2.supporting_disk.angle_of(p))):
-            out.append(p)
+    c1, c2 = a1.supporting_disk.xyr, a2.supporting_disk.xyr
+    for x, y in circle_circle_points(c1, c2):
+        if _angle_on_arc(a1, _angle(c1, x, y)) and _angle_on_arc(a2, _angle(c2, x, y)):
+            out.append(Point2(x, y))
     return out
 
 
@@ -507,30 +494,27 @@ def _angle_on_arc(arc: CircularArc, angle: float) -> bool:
     return (angle - a0) % TWO_PI <= extent
 
 
-# ---------------------------------------------------------------------------
-# Circle intersections
-# ---------------------------------------------------------------------------
+# --- Circle intersections --------------------------------------------------
 
-def segment_circle_params(a: Point2, b: Point2, d: Disk, reach: float = -1e-14,
+def segment_circle_params(a: XY, b: XY, c: Circle, reach: float = -1e-14,
                           touch: float = 0.0) -> list[float]:
     """Parameters t in (-reach, 1 + reach) where line a+t(b-a) crosses the
-    circle rim; the default keeps crossings inside the segment only.  A line
-    whose distance from the centre is within ``touch`` of the radius is
-    tangent: its one touching parameter is returned.
-
-    The roots are taken around the foot of the perpendicular from the
-    centre, so a segment that starts far from the circle loses no digits to
-    cancellation in its squared length.
-    """
-    dx, dy = b.x - a.x, b.y - a.y
+    rim of circle c; the default keeps crossings inside the segment only.  A
+    line whose distance from the centre is within ``touch`` of the radius is
+    tangent: its one touching parameter is returned.  The roots are taken
+    around the foot of the perpendicular from the centre, so a segment that
+    starts far from the circle loses no digits to cancellation in its
+    squared length."""
+    (ax, ay), (bx, by), (cx, cy, r) = a, b, c
+    dx, dy = bx - ax, by - ay
     A = dx * dx + dy * dy
     if A == 0.0:
         return []
-    fx, fy = a.x - d.center.x, a.y - d.center.y
+    fx, fy = ax - cx, ay - cy
     t0 = -(fx * dx + fy * dy) / A
     px, py = fx + t0 * dx, fy + t0 * dy  # centre to foot
-    h2 = d.radius * d.radius - (px * px + py * py)  # ~ 2r(r - distance)
-    if touch > 0.0 and abs(h2) <= 2.0 * d.radius * touch:
+    h2 = r * r - (px * px + py * py)  # ~ 2r(r - distance)
+    if touch > 0.0 and abs(h2) <= 2.0 * r * touch:
         roots: tuple[float, ...] = (t0,)
     elif h2 > 0.0:
         s = math.sqrt(h2 / A)
@@ -540,32 +524,29 @@ def segment_circle_params(a: Point2, b: Point2, d: Disk, reach: float = -1e-14,
     return [t for t in roots if -reach < t < 1.0 + reach]
 
 
-def circle_circle_points(d1: Disk, d2: Disk, touch: float = 0.0) -> list[Point2]:
+def circle_circle_points(c1: Circle, c2: Circle, touch: float = 0.0) -> list[XY]:
     """Proper intersection points of two circle rims.  Tangency yields none,
     unless ``touch`` is positive: rims within ``touch`` of tangency, crossing
     or not, then yield their one touching point."""
-    dx = d2.center.x - d1.center.x
-    dy = d2.center.y - d1.center.y
+    (x1, y1, r1), (x2, y2, r2) = c1, c2
+    dx, dy = x2 - x1, y2 - y1
     d = math.hypot(dx, dy)
     if d == 0.0:
         return []
-    r1, r2 = d1.radius, d2.radius
     a = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
     h2 = r1 * r1 - a * a  # ~ -2 r1 times the gap between the rims
-    mx = d1.center.x + a * dx / d
-    my = d1.center.y + a * dy / d
+    mx = x1 + a * dx / d
+    my = y1 + a * dy / d
     if touch > 0.0 and abs(h2) <= 2.0 * r1 * touch:
-        return [Point2(mx, my)]
+        return [(mx, my)]
     if abs(r1 - r2) < d < r1 + r2 and h2 > 0.0:
         h = math.sqrt(h2)
         ox, oy = -dy / d * h, dx / d * h
-        return [Point2(mx + ox, my + oy), Point2(mx - ox, my - oy)]
+        return [(mx + ox, my + oy), (mx - ox, my - oy)]
     return []
 
 
-# ---------------------------------------------------------------------------
-# Keyed boolean: (region ∩ include) \ ∪ excludes
-# ---------------------------------------------------------------------------
+# --- Keyed boolean: (region ∩ include) \ ∪ excludes ------------------------
 
 # Probe angles (radians) for a circle no other curve crosses: no lattice
 # favours them, and a majority of three outvotes one tangency point.
@@ -597,7 +578,7 @@ def boolean_chains(region: ConvexPolygon, include: Disk, excludes: Sequence[Disk
     margin of ``_MARGIN`` eps:
     - when the include disk, or every region vertex, lies that deep in one
       exclude, so does every piece's midpoint: the result is [] at once;
-    - ``keep`` tests the disks before the region, an ``and`` of pure tests;
+    - ``keep`` tests the disks before the region, all of them pure tests;
     - a crossing of an exclude circle with another one or with an edge,
       lying that far outside the include disk, is no event, and an edge
       that stays that far outside crosses no circle.  The pieces beside
@@ -606,47 +587,59 @@ def boolean_chains(region: ConvexPolygon, include: Disk, excludes: Sequence[Disk
     """
     if include.radius <= eps:
         return []
-    verts = region.vertices
+    verts = [(v.x, v.y) for v in region.vertices]
     m = len(verts)
+    ix, iy, ir = include.xyr
     circles = [include] + [d for d in excludes if d.radius > eps and
-                           dist(d.center, include.center) < d.radius + include.radius]
+                           math.hypot(d.center.x - ix, d.center.y - iy) < d.radius + ir]
+    xyr = [d.xyr for d in circles]
     margin = _MARGIN * eps
-    for d in circles[1:]:
-        deep = d.radius - margin
-        if (dist(include.center, d.center) + include.radius < deep
-                or all(dist(v, d.center) < deep for v in verts)):
+    for cx, cy, r in xyr[1:]:
+        deep = r - margin
+        if (math.hypot(ix - cx, iy - cy) + ir < deep
+                or all(math.hypot(x - cx, y - cy) < deep for x, y in verts)):
             return []
-    reach_out = include.radius + margin
+    reach_out = ir + margin
+    # the excludes a point on circle k must lie outside; [0] also serves edges
+    others = [xyr[1:]] + [xyr[1:k] + xyr[k + 1:] for k in range(1, len(xyr))]
 
-    def keep(p: Point2, on: Optional[int]) -> bool:
-        # ``on`` is the circle the point lies on, None for a region edge.
-        # Rim points are outside the include disk, as in ``Disk.contains``,
-        # and outside every exclude.  Cheapest test first.
-        return ((on == 0 or power_distance(p, include) < 0.0)
-                and all(power_distance(p, circles[l]) >= 0.0
-                        for l in range(1, len(circles)) if l != on)
-                and (on is None or region.contains(p)))
+    def keep(x: float, y: float, on: Optional[int]) -> bool:
+        # ``on`` is the circle the point lies on, None for a region edge.  Rim
+        # points are outside every disk, by ``power_distance``'s arithmetic.
+        # Cheapest test first: the region, with a ``Point2``, goes last.
+        if on != 0:
+            dx, dy = x - ix, y - iy
+            if not dx * dx + dy * dy - ir * ir < 0.0:
+                return False
+        for cx, cy, r in others[on or 0]:
+            dx, dy = x - cx, y - cy
+            if not dx * dx + dy * dy - r * r >= 0.0:
+                return False
+        return on is None or region.contains(Point2(x, y))
 
     edge_events = [[(0.0, ("v", i)), (1.0, ("v", (i + 1) % m))] for i in range(m)]
     circle_events: list[list] = [[] for _ in circles]
-    for i, (a, b) in enumerate(region.edges()):
-        reach = eps / max(dist(a, b), eps)  # a crossing at a vertex counts on both edges
-        near = dist(_lerp(a, b, _foot(a, b, include.center)), include.center) <= reach_out
-        for k, d in enumerate(circles if near else ()):
-            for j, t in enumerate(segment_circle_params(a, b, d, reach, eps)):
+    for i in range(m):
+        a, b = verts[i], verts[(i + 1) % m]
+        # a crossing at a vertex counts on both edges
+        reach = eps / max(math.hypot(a[0] - b[0], a[1] - b[1]), eps)
+        fx, fy = _lerp(a, b, _foot(a, b, ix, iy))
+        near = math.hypot(fx - ix, fy - iy) <= reach_out
+        for k, c in enumerate(xyr if near else ()):
+            for j, t in enumerate(segment_circle_params(a, b, c, reach, eps)):
                 t = min(max(t, 0.0), 1.0)
-                p = _lerp(a, b, t)
-                if k and dist(p, include.center) > reach_out:
+                px, py = _lerp(a, b, t)
+                if k and math.hypot(px - ix, py - iy) > reach_out:
                     continue
                 edge_events[i].append((t, ("e", i, k, j)))
-                circle_events[k].append((d.angle_of(p), ("e", i, k, j)))
+                circle_events[k].append((_angle(c, px, py), ("e", i, k, j)))
     for k in range(len(circles)):
         for l in range(k + 1, len(circles)):
-            for j, p in enumerate(circle_circle_points(circles[k], circles[l], eps)):
-                if k and dist(p, include.center) > reach_out:
+            for j, (px, py) in enumerate(circle_circle_points(xyr[k], xyr[l], eps)):
+                if k and math.hypot(px - ix, py - iy) > reach_out:
                     continue
-                circle_events[k].append((circles[k].angle_of(p), ("c", k, l, j)))
-                circle_events[l].append((circles[l].angle_of(p), ("c", k, l, j)))
+                circle_events[k].append((_angle(xyr[k], px, py), ("c", k, l, j)))
+                circle_events[l].append((_angle(xyr[l], px, py), ("c", k, l, j)))
 
     root: dict[tuple, tuple] = {}
 
@@ -663,29 +656,32 @@ def boolean_chains(region: ConvexPolygon, include: Disk, excludes: Sequence[Disk
     # (edge, curve, start key, end key); curves are edges 0..m-1, circles m+k
     pieces: list[tuple[ArcEdge, int, tuple, tuple]] = []
     chains: list[list[tuple[ArcEdge, int, bool]]] = []
-    for i, (a, b) in enumerate(region.edges()):
+    for i in range(m):
+        a, b = verts[i], verts[(i + 1) % m]
         events = sorted(edge_events[i])
-        length = dist(a, b)
+        length = math.hypot(a[0] - b[0], a[1] - b[1])
         for (t0, k0), (t1, k1) in zip(events, events[1:]):
             if (t1 - t0) * length <= eps:
                 contract(k0, k1)
-            elif keep(_lerp(a, b, 0.5 * (t0 + t1)), None):
-                pieces.append((Segment(_lerp(a, b, t0), _lerp(a, b, t1)), i, k0, k1))
-    for k, d in enumerate(circles):
-        orient = OUTWARD if k == 0 else INWARD
+            elif keep(*_lerp(a, b, 0.5 * (t0 + t1)), None):
+                pieces.append((Segment(Point2(*_lerp(a, b, t0)), Point2(*_lerp(a, b, t1))),
+                               i, k0, k1))
+    for k, (d, (cx, cy, r)) in enumerate(zip(circles, xyr)):
         events = sorted(circle_events[k])
         if not events:
-            if sum(keep(d.point_at(a), k) for a in _PROBES) >= 2:
-                chains.append([(CircularArc(d, 0.0, 0.0, orient), m + k, True)])
+            if sum(keep(cx + r * math.cos(a), cy + r * math.sin(a), k) for a in _PROBES) >= 2:
+                chains.append([(CircularArc(d, 0.0, 0.0, INWARD if k else OUTWARD), m + k, True)])
             continue
-        for n, (a0, k0) in enumerate(events):
-            a1, k1 = events[(n + 1) % len(events)]
+        last = len(events) - 1
+        for n, ((a0, k0), (a1, k1)) in enumerate(zip(events, events[1:] + events[:1])):
             # the last piece wraps past angle 0 (the whole circle if every
             # event is at one angle)
-            extent = a1 - a0 if n + 1 < len(events) else a1 + TWO_PI - a0
-            if extent * d.radius <= eps:
+            extent = a1 - a0 if n < last else a1 + TWO_PI - a0
+            if extent * r <= eps:
                 contract(k0, k1)
-            elif keep(d.point_at(a0 + 0.5 * extent), k):
+                continue
+            mid = a0 + 0.5 * extent
+            if keep(cx + r * math.cos(mid), cy + r * math.sin(mid), k):
                 if k == 0:
                     pieces.append((CircularArc(d, a0, a1, OUTWARD), m, k0, k1))
                 else:
@@ -723,19 +719,26 @@ def boolean_chains(region: ConvexPolygon, include: Disk, excludes: Sequence[Disk
     return _attach_holes(outers, holes, eps) if holes else outers
 
 
-def _foot(a: Point2, b: Point2, c: Point2) -> float:
-    """Parameter of the point of segment ab nearest to ``c``."""
-    dx, dy = b.x - a.x, b.y - a.y
+def _foot(a: XY, b: XY, cx: float, cy: float) -> float:
+    """Parameter of the point of segment ab nearest to (cx, cy)."""
+    (ax, ay), (bx, by) = a, b
+    dx, dy = bx - ax, by - ay
     l2 = dx * dx + dy * dy
-    return 0.0 if l2 == 0.0 else min(max(((c.x - a.x) * dx + (c.y - a.y) * dy) / l2, 0.0), 1.0)
+    return 0.0 if l2 == 0.0 else min(max(((cx - ax) * dx + (cy - ay) * dy) / l2, 0.0), 1.0)
 
 
-def _lerp(a: Point2, b: Point2, t: float) -> Point2:
+def _lerp(a: XY, b: XY, t: float) -> XY:
     if t == 0.0:
         return a
     if t == 1.0:
         return b
-    return Point2(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+    (ax, ay), (bx, by) = a, b
+    return ax + t * (bx - ax), ay + t * (by - ay)
+
+
+def _angle(c: Circle, x: float, y: float) -> float:
+    """Angle of the point (x, y) seen from the centre of circle c, in [0, 2 pi)."""
+    return math.atan2(y - c[1], x - c[0]) % TWO_PI
 
 
 def _coalesce(chain: list[tuple[ArcEdge, int, bool]]) -> list[ArcEdge]:
@@ -783,7 +786,8 @@ def _attach_holes(outers: list[ArcPolygon], holes: list[ArcPolygon],
         # at angle 0
         e = hole.edges[0]
         probe = (e.supporting_disk.point_at(e.start_angle + 0.5 * e.sweep())
-                 if isinstance(e, CircularArc) else _lerp(e.start, e.end, 0.5))
+                 if isinstance(e, CircularArc)
+                 else Point2(*_lerp((e.start.x, e.start.y), (e.end.x, e.end.y), 0.5)))
         best = None
         best_area = math.inf
         for i, outer in enumerate(outers):
@@ -805,16 +809,9 @@ def arc_polygon_contains(poly: ArcPolygon, p: Point2, eps: float = 0.0) -> bool:
         eps = geom_eps(poly._scale())
     for attempt in range(6):
         py = p.y + attempt * 7.3 * eps
-        parity = 0
-        ok = True
-        for e in poly.edges:
-            hits = _ray_hits(e, p.x, py, eps)
-            if hits is None:
-                ok = False
-                break
-            parity ^= hits & 1
-        if ok:
-            return parity == 1
+        hits = [_ray_hits(e, p.x, py, eps) for e in poly.edges]
+        if None not in hits:
+            return sum(hits) % 2 == 1
     return False
 
 
@@ -840,7 +837,7 @@ def _ray_hits(e: ArcEdge, px: float, py: float, eps: float) -> Optional[int]:
     h = math.sqrt(d.radius * d.radius - dy * dy)
     ang_tol = eps / max(d.radius, eps)
     for x in (d.center.x + h, d.center.x - h):
-        ang = d.angle_of(Point2(x, py))
+        ang = _angle(d.xyr, x, py)
         a0, extent = e.angular_interval()
         rel = (ang - a0) % TWO_PI
         if min(rel, TWO_PI - rel) <= ang_tol or abs(extent - rel) <= ang_tol:

@@ -9,10 +9,13 @@ Construction (one route, Aurenhammer 1987): lift each disk to the point
 (x, y, x^2 + y^2 - r^2).  The visible sites and their neighbors are the
 vertices and edges of the lower convex hull of the lifted points (scipy/Qhull),
 and each visible site's cell is the window clipped against its neighbors
-only, close to O(n log n).  Qhull rejects every input of at most three sites
-and every flat lift; only then are the neighbors read off the flat structure,
-in O(n log n) too.  Its one rounding test is ``side``, applied at the
-magnitude of the coordinates Qhull was given:
+only, close to O(n log n).  A face of four or more cocircular sites comes
+back split into triangles on one plane; the edges inside it touch the
+diagram in a point and are no neighbor pairs.  Qhull rejects every input of
+at most three sites and every flat lift; only then are the neighbors read
+off the flat structure, in O(n log n) too.  Its one rounding test is
+``side``, applied at the magnitude of the coordinates Qhull was given (also
+to tell the split faces):
 
 * centers on one line: at parameter s along it the power distance is
   s^2 - 2 s t_i + t_i^2 - r_i^2, so the visible sites are the lower chain
@@ -111,11 +114,27 @@ def _neighbors(disks: Sequence[Disk]) -> dict[SiteId, set[SiteId]]:
         hull = ConvexHull(np.array(lift), qhull_options="Qt")
     except QhullError as err:
         return _flat_neighbors(disks, lift, err)
+    tris, across, planes = (hull.simplices.tolist(), hull.neighbors.tolist(),
+                            hull.equations.tolist())
+    lower = [nz < -1e-12 for _, _, nz, _ in planes]
     adj: dict[SiteId, set[SiteId]] = {}
-    for a, b, c in hull.simplices[hull.equations[:, 2] < -1e-12].tolist():  # lower facets
-        adj.setdefault(a, set()).update((b, c))
-        adj.setdefault(b, set()).update((a, c))
-        adj.setdefault(c, set()).update((a, b))
+    for f, tri in enumerate(tris):
+        if not lower[f]:
+            continue
+        for v in tri:
+            adj.setdefault(v, set())
+        a, b, c = tri
+        for u, v, g in ((b, c, across[f][0]), (c, a, across[f][1]), (a, b, across[f][2])):
+            if lower[g]:
+                if g < f:
+                    continue  # decided from g
+                # an edge inside a split face: g's far vertex lies on f's plane
+                nx, ny, nz, off = planes[f]
+                x, y, z = lift[tris[g][across[g].index(f)]]
+                if side(nx * x + ny * y + nz * z, -off) == 0:
+                    continue
+            adj[u].add(v)
+            adj[v].add(u)
     return adj
 
 
@@ -178,20 +197,21 @@ def _clip_cell(poly: ConvexPolygon, sites: Sequence[Disk] | Mapping[SiteId, Disk
                i: SiteId, others: Iterable[SiteId], eps: float) -> Optional[ConvexPolygon]:
     """``poly`` clipped to where ``sites[i]`` beats every ``sites[j]``,
     ``j`` in ``others`` (``i`` itself is skipped); None if empty.  The
-    coordinates are cut by ``clip_coords`` on each ``bisector_line`` and
-    wrapped once at the end (``poly`` itself if nothing was cut).  ``eps``
-    only tells concentric disks, the larger of which wins, from a line."""
-    di = sites[i]
+    coordinates are cut by ``clip_coords`` on each ``bisector_line`` of the
+    disks' ``xyr`` floats and wrapped once at the end (``poly`` itself if
+    nothing was cut).  ``eps`` only tells concentric disks, the larger of
+    which wins, from a line."""
+    x, y, r = c = sites[i].xyr
     start = pts = [(p.x, p.y) for p in poly.vertices]
     for j in others:
         if j == i:
             continue
-        dj = sites[j]
-        if math.hypot(di.center.x - dj.center.x, di.center.y - dj.center.y) <= eps:
-            if di.radius > dj.radius:
+        o = sites[j].xyr
+        if math.hypot(x - o[0], y - o[1]) <= eps:
+            if r > o[2]:
                 continue
             return None
-        pts = clip_coords(pts, *bisector_line(di, dj))
+        pts = clip_coords(pts, *bisector_line(c, o))
         if pts is None:
             return None
     return poly if pts is start else ConvexPolygon(tuple(Point2(x, y) for x, y in pts))
@@ -208,9 +228,11 @@ def frame_partitions(cell: ConvexPolygon, sites: Sequence[Disk] | Mapping[SiteId
     """Split ``cell`` by the power diagram of the sites in ``gamma``.
 
     The piece of ``q`` is ``cell`` clipped by the half-planes where ``q``
-    beats every other ``r`` in ``gamma``, in the order of ``gamma``, on the
-    coordinate kernel of ``_clip_cell``: vertex for vertex the polygon that
-    ``clip_convex`` with each ``power_bisector`` would give.  Pieces come
+    beats every other ``r`` in ``gamma``, in the order of ``gamma``, by
+    ``_clip_cell``, the kernel of ``build``'s cells: vertex for vertex the
+    polygon that ``clip_convex`` with each ``power_bisector`` would give.
+    Each cut reads the disks' ``xyr`` floats, made once per disk, and
+    decides the cell's vertices in one pass over their values.  Pieces come
     in the order of ``gamma``; empty ones are left out.
     """
     partitions: dict[SiteId, ConvexPolygon] = {}

@@ -5,15 +5,19 @@ import random
 
 import pytest
 
+from coveragekit import geometry
 from coveragekit.errors import ConcentricDisks, InvalidChain
 from coveragekit.geometry import (ArcPolygon, CircularArc, ConvexPolygon, Disk,
                                   HalfPlane, Point2, Rect, Segment, TWO_PI,
                                   _edges_cross, arc_polygon_area,
                                   arc_polygon_contains, boolean_chains,
-                                  clip_convex, convex_polygon_intersection, dist,
-                                  geom_eps, power_bisector, power_distance,
+                                  clip_convex, clip_coords, convex_polygon_intersection,
+                                  dist, geom_eps, power_bisector, power_distance,
                                   region_disk_boolean, signed_distance)
+from coveragekit.power_diagram import build
+from boolean_reference import boolean_chains_reference
 from oracles import grid_boolean_area, lens_area
+from test_power_diagram import COCIRCULAR, GRID6
 
 UNIT_SQUARE = ConvexPolygon((Point2(0, 0), Point2(1, 0), Point2(1, 1), Point2(0, 1)))
 
@@ -386,3 +390,124 @@ def test_boolean_chains_asks_the_region_last():
     for p in asked:
         assert dist(p, include.center) <= include.radius + slack, p
         assert all(dist(p, d.center) >= d.radius - slack for d in excludes), p
+
+
+# ``clip_coords`` returns ``pts`` itself, before any ``side`` call, when no
+# vertex value nx*x + ny*y exceeds the offset; just above it ``side`` decides.
+
+SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+
+
+def _side_calls(monkeypatch) -> list:
+    """Record every ``side`` call ``clip_coords`` makes."""
+    calls, side = [], geometry.side
+
+    def counted(a, b):
+        calls.append((a, b))
+        return side(a, b)
+
+    monkeypatch.setattr(geometry, "side", counted)
+    return calls
+
+
+@pytest.mark.parametrize("offset", [1.0, 1.5, 1e9])
+def test_clip_coords_returns_pts_without_side_when_no_value_exceeds_the_offset(
+        monkeypatch, offset):
+    calls = _side_calls(monkeypatch)
+    assert clip_coords(SQUARE, 1.0, 0.0, offset) is SQUARE
+    assert clip_coords(SQUARE, -0.5, 1.0, offset) is SQUARE
+    assert calls == []
+
+
+def test_clip_coords_lets_side_keep_a_vertex_within_its_tolerance(monkeypatch):
+    # the values 1.0 exceed the offset by 1e-13, within side's 3e-12
+    calls = _side_calls(monkeypatch)
+    offset = 1.0 - 1e-13
+    assert clip_coords(SQUARE, 1.0, 0.0, offset) is SQUARE
+    assert len(calls) == len(SQUARE)
+    assert geometry.side(1.0, offset) == 0
+
+
+def test_clip_coords_cuts_a_vertex_one_tolerance_further_out():
+    offset = 1.0 - 1e-11  # side's tolerance is 3e-12 here
+    assert geometry.side(1.0, offset) == 1
+    out = clip_coords(SQUARE, 1.0, 0.0, offset)
+    assert out is not SQUARE
+    assert out == [(0.0, 0.0), (offset, 0.0), (offset, 1.0), (0.0, 1.0)]
+
+
+# ``boolean_chains`` on floats equals, float for float, the boolean as it
+# read over ``Point2`` objects (``boolean_reference``).
+
+def _same_as_reference(region, include, excludes, eps):
+    got = boolean_chains(region, include, excludes, eps)
+    assert got == boolean_chains_reference(region, include, excludes, eps)
+    return got
+
+
+def _static_map_sites(disks, txs, window):
+    """(cell, transmission disk, neighbours' disks, eps) of every visible site,
+    as ``compute_coverage_map`` passes them."""
+    pd = build(disks, window)
+    eps = geom_eps(max(window.diameter(), max(d.radius for d in disks)))
+    return [(pd.cells[p], txs[p], [disks[q] for q in sorted(pd.neighbors[p])], eps)
+            for p in range(len(disks)) if pd.cells[p] is not None]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_boolean_chains_equals_the_reference_on_a_static_map(seed):
+    # the static-map generator: n = 256 in a 100 x 100 window
+    rng = random.Random(seed)
+    spread = 100.0 / math.sqrt(256)
+    disks, txs = [], []
+    for _ in range(256):
+        ir = rng.uniform(0.5, 1.5) * spread
+        c = Point2(rng.uniform(0.3, 99.7), rng.uniform(0.3, 99.7))
+        txs.append(Disk(c, max(1e-4, rng.uniform(0.5, 1.0) * ir)))
+        disks.append(Disk(c, ir))
+    sites = _static_map_sites(disks, txs, Rect(0.0, 0.0, 100.0, 100.0))
+    assert len(sites) > 150
+    assert sum(bool(_same_as_reference(*site)) for site in sites) > 60
+
+
+@pytest.mark.parametrize("share", [0.6, 1.0])
+@pytest.mark.parametrize("disks", [GRID6, COCIRCULAR], ids=["grid6x6", "cocircular"])
+def test_boolean_chains_equals_the_reference_on_cocircular_cells(disks, share):
+    # many circles cross in one point and rims touch cell corners here
+    txs = [Disk(d.center, share * d.radius) for d in disks]
+    for site in _static_map_sites(disks, txs, Rect(0, 0, 60, 60)):
+        _same_as_reference(*site)
+
+
+def _margin_cases():
+    include = Disk(Point2(0, 0), 1.0)
+    small = ConvexPolygon((Point2(0.1, 0.1), Point2(0.4, 0.1), Point2(0.2, 0.3)))
+    cover = Disk(Point2(0.2, 0.2), 0.5)
+    cases = [(BIG, include, [Disk(Point2(0.3, 0), 1.3 + 2.0 * MARGIN)]),
+             (small, include, [cover, Disk(Point2(3, 0), 2.5)])]
+    for gap in (-0.5, 0.0, 0.5, 2.0):
+        thin = ConvexPolygon((Point2(0.1, 0.1), Point2(0.7 + gap * MARGIN, 0.2),
+                              Point2(0.2, 0.3)))
+        cases += [(BIG, include, [Disk(Point2(0.3, 0), 1.3 - gap * MARGIN)]),
+                  (thin, include, [cover])]
+        rim = Point2((1.0 + gap * MARGIN) * math.cos(1.0), (1.0 + gap * MARGIN) * math.sin(1.0))
+        cases.append((BIG, include, [Disk(Point2(1.6, 0.3), dist(Point2(1.6, 0.3), rim)),
+                                     Disk(Point2(1.4, -1.2), 1.1),
+                                     Disk(Point2(-0.1, 1.7), dist(Point2(-0.1, 1.7), rim))]))
+        top = 1.0 + gap * MARGIN
+        cases.append((ConvexPolygon((Point2(-2, -2), Point2(2, -2), Point2(2, top),
+                                     Point2(-2, top))), include, []))
+    return cases
+
+
+FIVE_CURVES = (ConvexPolygon((Point2(-2, -2), Point2(3, -2), Point2(1, 0), Point2(-2, 2))),
+               Disk(Point2(0, 0), 1.0),
+               [Disk(Point2(2, 0), 1.0), Disk(Point2(1, 1), 1.0), Disk(Point2(-1, -1), 0.5)])
+HOLE_AND_TANGENTS = (BIG, Disk(Point2(0, 0), 1.5),
+                     [Disk(Point2(0.8, 0), 0.7), Disk(Point2(-0.2, 0), 0.3),
+                      Disk(Point2(-0.5, 0.9), 0.2)])
+
+
+@pytest.mark.parametrize("case", [FIVE_CURVES, HOLE_AND_TANGENTS, *_margin_cases()])
+def test_boolean_chains_equals_the_reference_on_tangent_hole_and_margin_cases(case):
+    _same_as_reference(*case, MARGIN_EPS)

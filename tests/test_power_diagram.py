@@ -334,6 +334,14 @@ def test_cells_and_frames_never_repeat_a_vertex(disks):
             assert all(a != b for a, b in zip(pts, pts[1:] + pts[:1])), pts
 
 
+@pytest.mark.parametrize("disks", [GRID6, COCIRCULAR], ids=["grid6x6", "cocircular"])
+def test_lifted_neighbors_equal_the_reference_on_cocircular_layouts(disks):
+    # Qhull splits a face of four cocircular sites into two triangles on one
+    # plane; their diagonal touches the diagram in a point and is no edge
+    window = Rect(0, 0, 60, 60)
+    assert build(disks, window).neighbors == _build_direct(disks, window, 60.0).neighbors
+
+
 def _clip_reference(poly, h):
     """The clipper as it read over ``Point2`` objects before cells and
     frames moved onto the coordinate kernel: the arithmetic to match."""
