@@ -18,9 +18,9 @@ transitively along the curves.  Chain validation treats tangencies
 (single-point contacts) as non-intersections.  The boolean skips only work
 whose answer is known, where a point is ``_MARGIN`` eps clear of a rim: a
 margin that covers the touch rule and chains of contracted pieces.  Its
-events, keys and midpoint tests are floats (circles as ``(x, y, r)``);
-``Segment``, ``CircularArc`` and ``Point2`` objects are made only for the
-pieces kept, from the same floats.
+events, keys and midpoint tests are floats (circles as ``(x, y, r)``); only
+kept pieces become ``Segment`` and ``CircularArc`` objects, from the same
+floats, and a midpoint becomes a ``Point2`` only to ask the region.
 """
 
 from __future__ import annotations

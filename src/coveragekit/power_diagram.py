@@ -201,14 +201,14 @@ def _clip_cell(poly: ConvexPolygon, sites: Sequence[Disk] | Mapping[SiteId, Disk
     disks' ``xyr`` floats and wrapped once at the end (``poly`` itself if
     nothing was cut).  ``eps`` only tells concentric disks, the larger of
     which wins, from a line."""
-    x, y, r = c = sites[i].xyr
+    xi, yi, ri = c = sites[i].xyr
     start = pts = [(p.x, p.y) for p in poly.vertices]
     for j in others:
         if j == i:
             continue
         o = sites[j].xyr
-        if math.hypot(x - o[0], y - o[1]) <= eps:
-            if r > o[2]:
+        if math.hypot(xi - o[0], yi - o[1]) <= eps:
+            if ri > o[2]:
                 continue
             return None
         pts = clip_coords(pts, *bisector_line(c, o))
