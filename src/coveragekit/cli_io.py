@@ -30,7 +30,7 @@ from .geometry import (ArcPolygon, CircularArc, Disk, Point2, Rect, Segment,
                        arc_polygon_area)
 from .optimizer import (MAX_SAMPLE_PAIRS, Bounds, RhcParams, SamplingPlan,
                         estimate_area, exhaustive_search, grid_rule_samples,
-                        nelder_mead, post_process, random_hill_climb,
+                        nelder_mead, objective, post_process, random_hill_climb,
                         required_samples, sweep_power)
 from .power_diagram import PowerDiagram, power_frame
 from .protocol_coverage import (CoverageMap, ProtocolTransmitter,
@@ -606,15 +606,17 @@ def _cmd_optimize(args) -> int:
         res = random_hill_climb(base, bounds, RhcParams.defaults(base.alpha),
                                 plan, seed)
     else:
-        res = nelder_mead(lambda p: estimate_area(base, p, plan), bounds,
+        res = nelder_mead(objective(base, plan), bounds,
                           restarts=args.restarts, seed=seed)
+    stats = {"search": {"calls": res.evaluations, "computed": res.computed}}
     if args.post_process:
         res = post_process(base, res.best_power, bounds.p_min, plan)
+        stats["post_process"] = {"calls": res.evaluations, "computed": res.computed}
     result = res.to_dict()
     manifest = RunManifest(f"optimize-{args.method}", digest, seed,
                            {"levels": args.levels, "restarts": args.restarts,
                             "post_process": bool(args.post_process)},
-                           wall_time=time.perf_counter() - t0)
+                           wall_time=time.perf_counter() - t0, stats=stats)
     _write_outputs(args.out, Path(args.scenario).stem, result, manifest)
     if args.trace:
         _write_trace_csv(Path(args.trace), res.trace)
@@ -637,7 +639,8 @@ def _cmd_sweep_power(args) -> int:
     result = {"curve": [[p, a] for p, a in curve]}
     manifest = RunManifest("sweep-power", digest, scen.seed,
                            {"levels": args.levels},
-                           wall_time=time.perf_counter() - t0)
+                           wall_time=time.perf_counter() - t0,
+                           stats={"calls": len(curve), "computed": len(curve)})
     _write_outputs(args.out, Path(args.scenario).stem, result, manifest)
     if args.csv:
         with Path(args.csv).open("w", newline="", encoding="utf-8") as fh:

@@ -8,10 +8,10 @@ optimizers use the deterministic grid.
 Three searches are provided: exhaustive enumeration over power levels in
 nondecreasing total-power order (so the first maximizer found is also the
 cheapest), a bidirectional random hill climb, and Nelder-Mead with restarts.
-Objective values are cached per exact power vector within one run;
-``evaluations`` counts objective queries, cached or not.  Sample points and
-their distance powers are built once per (sites, alpha, window, plan) and
-reused for every power vector; the result does not depend on thread settings.
+Each evaluates one bound ``objective``, whose distance powers are built once
+per (sites, alpha, window, plan), caching values per exact power vector
+(``evaluations`` counts queries, cached or not); exhaustive search folds each
+prefix of levels once.  No thread setting changes a result.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BudgetExceeded
-from .sinr_model import (PowerVector, SinrScenario, _cell_centers,
-                         _covered_samples, _path_loss, _site_major_rx)
+from .sinr_model import (PowerVector, SinrEvaluator, SinrScenario, _cell_centers,
+                         _path_loss)
 
 
 @dataclass(frozen=True)
@@ -101,6 +101,7 @@ class OptResult:
     evaluations: int
     trace: list[tuple[int, float]]
     total_power: float
+    computed: int = 0  # distinct vectors evaluated; for the manifest only
 
     def to_dict(self) -> dict:
         return {"best_power": list(self.best_power.values),
@@ -123,7 +124,7 @@ MAX_SAMPLE_PAIRS = 10 ** 7
 
 
 @functools.lru_cache(maxsize=1)
-def _gains(sites, alpha: float, window, plan: SamplingPlan):
+def _gains(sites, alpha: float, window, plan: SamplingPlan) -> np.ndarray:
     """``_path_loss`` of the plan's sample points; its callers share and only read it."""
     points = math.prod(plan.grid_dims) if plan.kind == "grid" else plan.sample_count
     if len(sites) * points > MAX_SAMPLE_PAIRS:
@@ -131,17 +132,15 @@ def _gains(sites, alpha: float, window, plan: SamplingPlan):
     return _path_loss(sites, alpha, sample_points(window, plan))
 
 
-def estimate_area(s: SinrScenario, p: PowerVector, plan: SamplingPlan) -> float:
-    """Fraction of the sample whose best SINR reaches the threshold.
+def objective(s: SinrScenario, plan: SamplingPlan) -> SinrEvaluator:
+    """Covered fraction of the window as a function of the powers, on the plan's sample."""
+    return SinrEvaluator(s, _gains(tuple(s.sites), s.alpha, s.window, plan))
 
-    Grid plans are deterministic; random plans are reproducible from their
-    seed.  Sample points and distance powers are built once per (sites,
-    alpha, window, plan) and reused; no thread setting changes the result.
-    """
-    denom, zero = _gains(tuple(s.sites), s.alpha, s.window, plan)
-    covered = _covered_samples(_site_major_rx(p.as_array(), denom, zero),
-                               s.beta, s.noise)
-    return int(covered.sum()) / denom.shape[1]
+
+def estimate_area(s: SinrScenario, p, plan: SamplingPlan) -> float:
+    """Fraction of the sample whose best SINR reaches the threshold under
+    powers p (a PowerVector or its values)."""
+    return objective(s, plan)(p.values if isinstance(p, PowerVector) else p)
 
 
 def required_samples(epsilon: float, delta: float, c_lower: float) -> int:
@@ -158,21 +157,27 @@ def grid_rule_samples(epsilon: float, delta: float, c_lower: float) -> int:
 
 
 class _CachedObjective:
-    """Counts logical evaluations; computes each exact vector once."""
+    """Counts logical evaluations; computes each exact vector once (``known`` ones ahead)."""
 
-    def __init__(self, fn: Callable[[PowerVector], float]):
+    def __init__(self, fn: Callable[[tuple[float, ...]], float],
+                 known: Optional[dict[tuple[float, ...], float]] = None):
         self._fn = fn
-        self._cache: dict[tuple[float, ...], float] = {}
+        self._cache = {} if known is None else known
         self.calls = 0
-        self.computed = 0
+        self.computed = len(self._cache)
 
     def __call__(self, values) -> float:
         self.calls += 1
-        key = tuple(float(v) for v in values)
-        if key not in self._cache:
-            self._cache[key] = self._fn(PowerVector(key))
+        key = tuple(values.tolist() if isinstance(values, np.ndarray) else values)
+        area = self._cache.get(key)
+        if area is None:
+            area = self._cache[key] = self._fn(key)
             self.computed += 1
-        return self._cache[key]
+        return area
+
+    def result(self, best, best_area: float, trace) -> OptResult:
+        pv = PowerVector.of(best)
+        return OptResult(pv, best_area, self.calls, trace, pv.total(), self.computed)
 
 
 def exhaustive_search(s: SinrScenario, b: Bounds, levels: int,
@@ -194,9 +199,10 @@ def exhaustive_search(s: SinrScenario, b: Bounds, levels: int,
             axes.append([lo])
         else:
             axes.append([lo + (hi - lo) * k / (levels - 1) for k in range(levels)])
-    vectors = sorted(itertools.product(*axes),
-                     key=lambda v: (sum(v), v))
-    ev = _CachedObjective(lambda p: estimate_area(s, p, plan))
+    distinct = [list(dict.fromkeys(axis)) for axis in axes]  # p_min == p_max repeats
+    areas = dict(zip(itertools.product(*distinct), objective(s, plan).product(distinct)))
+    ev = _CachedObjective(areas.__getitem__, areas)
+    vectors = sorted(itertools.product(*axes), key=lambda v: (sum(v), v))
     best_vec = vectors[0]
     best_area = -1.0
     trace: list[tuple[int, float]] = []
@@ -206,8 +212,7 @@ def exhaustive_search(s: SinrScenario, b: Bounds, levels: int,
             best_area = a
             best_vec = vec
             trace.append((ev.calls, a))
-    pv = PowerVector.of(best_vec)
-    return OptResult(pv, best_area, ev.calls, trace, pv.total())
+    return ev.result(best_vec, best_area, trace)
 
 
 def random_hill_climb(s: SinrScenario, b: Bounds, params: RhcParams,
@@ -224,7 +229,7 @@ def random_hill_climb(s: SinrScenario, b: Bounds, params: RhcParams,
     lo = b.p_min.as_array()
     hi = b.p_max.as_array()
     n = len(lo)
-    ev = _CachedObjective(lambda p: estimate_area(s, p, plan))
+    ev = _CachedObjective(objective(s, plan))
     best = lo.copy()
     best_area = ev(best)
     trace = [(ev.calls, best_area)]
@@ -254,16 +259,16 @@ def random_hill_climb(s: SinrScenario, b: Bounds, params: RhcParams,
                 trace.append((ev.calls, area))
         if attempts >= params.max_iterations:
             break
-    pv = PowerVector.of(best)
-    return OptResult(pv, best_area, ev.calls, trace, pv.total())
+    return ev.result(best, best_area, trace)
 
 
-def nelder_mead(objective: Callable[[PowerVector], float], b: Bounds,
+def nelder_mead(objective: Callable[[tuple[float, ...]], float], b: Bounds,
                 restarts: int, seed: int, max_iterations: int = 500,
                 f_tol: float = 1e-6) -> OptResult:
-    """Simplex maximization with reflection 1, expansion 2, contraction and
-    shrink 0.5; candidates are clamped into the bounds.  Each restart begins
-    from a fresh random vector and the best vertex over all restarts wins.
+    """Simplex maximization of a function of the powers' float tuple, with
+    reflection 1, expansion 2, contraction and shrink 0.5; candidates are
+    clamped into the bounds.  Each restart begins from a fresh random vector
+    and the best vertex over all restarts wins.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
@@ -271,7 +276,7 @@ def nelder_mead(objective: Callable[[PowerVector], float], b: Bounds,
     lo = b.p_min.as_array()
     hi = b.p_max.as_array()
     n = len(lo)
-    ev = _CachedObjective(lambda p: objective(p))
+    ev = _CachedObjective(objective)
     best_vec: Optional[np.ndarray] = None
     best_area = -math.inf
     trace: list[tuple[int, float]] = []
@@ -325,8 +330,7 @@ def nelder_mead(objective: Callable[[PowerVector], float], b: Bounds,
                     for i in range(1, n + 1):
                         simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
                         fvals[i] = feval(simplex[i])
-    pv = PowerVector.of(best_vec if best_vec is not None else lo)
-    return OptResult(pv, best_area, ev.calls, trace, pv.total())
+    return ev.result(best_vec if best_vec is not None else lo, best_area, trace)
 
 
 def post_process(s: SinrScenario, v: PowerVector, p_min: PowerVector,
@@ -337,7 +341,7 @@ def post_process(s: SinrScenario, v: PowerVector, p_min: PowerVector,
     than the input).  With a zero floor the sites left at positive power form
     a sufficient transmitter subset.
     """
-    ev = _CachedObjective(lambda p: estimate_area(s, p, plan))
+    ev = _CachedObjective(objective(s, plan))
     base = np.asarray(v.values, dtype=float)
     best = base.copy()
     best_area = ev(best)
@@ -353,8 +357,7 @@ def post_process(s: SinrScenario, v: PowerVector, p_min: PowerVector,
             best_area = a
             best = cand
             trace.append((ev.calls, a))
-    pv = PowerVector.of(best)
-    return OptResult(pv, best_area, ev.calls, trace, pv.total())
+    return ev.result(best, best_area, trace)
 
 
 def sweep_power(s: SinrScenario, b: Bounds, levels: int,
@@ -368,9 +371,9 @@ def sweep_power(s: SinrScenario, b: Bounds, levels: int,
         raise ValueError("need at least two levels")
     lo = b.p_min.as_array()
     hi = b.p_max.as_array()
+    area = objective(s, plan)
     out = []
     for k in range(levels):
-        vec = lo + (hi - lo) * k / (levels - 1)
-        pv = PowerVector.of(vec)
-        out.append((pv.total(), estimate_area(s, pv, plan)))
+        pv = PowerVector.of(lo + (hi - lo) * k / (levels - 1))
+        out.append((pv.total(), area(pv.values)))
     return out

@@ -18,6 +18,7 @@ all outputs are immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .geometry import (ArcPolygon, CircularArc, Disk, Point2, Rect, TWO_PI,
@@ -37,11 +38,11 @@ class ProtocolTransmitter:
         if self.int_radius < self.tx_radius:
             raise ValueError("interference radius must contain the transmission radius")
 
-    @property
+    @cached_property  # made once per transmitter; not a field, so eq and repr ignore it
     def tx_disk(self) -> Disk:
         return Disk(self.location, self.tx_radius)
 
-    @property
+    @cached_property
     def int_disk(self) -> Disk:
         return Disk(self.location, self.int_radius)
 

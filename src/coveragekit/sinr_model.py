@@ -8,11 +8,14 @@ ambient noise.  A point is covered when its best SINR reaches the receive
 threshold beta (non-strict, matching the area-estimation convention).
 
 Everything operates on immutable scenarios and is safe to parallelise over
-sample points.
+sample points.  A bound ``SinrEvaluator`` owns its scratch buffers, so each
+caller needs its own.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -130,11 +133,7 @@ def capture_transmitter(s: SinrScenario, x: Point2) -> SiteId:
         if math.hypot(x.x - site.x, x.y - site.y) <= s.eps() and s.powers[i] > 0:
             return i
     rx = _receive_powers(s, x)
-    best = max(rx)
-    for i, r in enumerate(rx):
-        if r == best:
-            return i
-    return 0
+    return rx.index(max(rx))
 
 
 def is_covered(s: SinrScenario, x: Point2) -> bool:
@@ -144,12 +143,13 @@ def is_covered(s: SinrScenario, x: Point2) -> bool:
     as covered: the SINR limit there is +infinity.  An unpowered transmitter
     there adds nothing, so the other transmitters decide.
     """
+    eps = s.eps()
     for i, site in enumerate(s.sites):
-        if s.powers[i] > 0.0 and math.hypot(x.x - site.x, x.y - site.y) <= s.eps():
+        if s.powers[i] > 0.0 and math.hypot(x.x - site.x, x.y - site.y) <= eps:
             return True
     rx = _receive_powers(s, x)
     total = sum(rx) + s.noise
-    t = capture_transmitter(s, x)
+    t = rx.index(max(rx))  # capture_transmitter(s, x): no powered site is this close
     if rx[t] <= 0.0:
         return False
     denom = total - rx[t]
@@ -166,46 +166,105 @@ def _cell_centers(window: Rect, nx: int, ny: int) -> np.ndarray:
     return np.column_stack([gx.ravel(), gy.ravel()])
 
 
-def _path_loss(sites, alpha: float, pts: np.ndarray) -> tuple:
-    """Site-major ``d**alpha``, shape (n_sites, N), for (N,2) points, and the
-    mask of zero distances (None when no point sits on a site)."""
+def _path_loss(sites, alpha: float, pts: np.ndarray) -> np.ndarray:
+    """Site-major ``d**alpha``, shape (n_sites, N), for (N,2) points."""
     sx = np.array([q.x for q in sites])[:, None]
     sy = np.array([q.y for q in sites])[:, None]
     d2 = (pts[:, 0] - sx) ** 2 + (pts[:, 1] - sy) ** 2
-    zero = d2 == 0.0
-    return d2 ** (alpha / 2.0), (zero if zero.any() else None)
+    return d2 ** (alpha / 2.0)
 
 
-def _site_major_rx(p: np.ndarray, denom: np.ndarray, zero) -> np.ndarray:
-    """Receive powers, shape (n_sites, N); on a site: +inf if powered, else 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rx = p[:, None] / denom
-    if zero is not None:
-        rx = np.where(zero, np.where(p[:, None] > 0.0, np.inf, 0.0), rx)
-    return rx
+class SinrEvaluator:
+    """Coverage of a fixed sample of N points (``d**alpha`` rows ``dpow``)
+    under any power vector, a float tuple or an ndarray: the powered sites
+    are folded in index order into scratch rows, ``r = p_i / d_i``, ``acc +=
+    r``, ``rmax = max(rmax, r)``.  For N >= 2 that is numpy's axis-0 sum order,
+    so results equal a site-major reduction bit for bit; for N = 1 it is
+    ``is_covered``'s.  Unpowered sites are skipped: they would add +0.0."""
 
+    def __init__(self, s: SinrScenario, dpow: np.ndarray):
+        self.rows, self.beta, self.noise = list(dpow), s.beta, s.noise
+        self.size = dpow.shape[1]
+        self._quiet = contextlib.nullcontext if dpow.all() else \
+            lambda: np.errstate(divide="ignore", invalid="ignore")  # a sample on a site
+        self._f = list(np.zeros((7, self.size)))  # 0, r, acc, rmax, last site's acc, rmax, tail
+        self._b = list(np.empty((2, self.size), dtype=bool))
 
-def _covered_samples(rx: np.ndarray, beta: float, noise: float) -> np.ndarray:
-    """Coverage mask over the columns of site-major receive powers."""
-    rmax = rx.max(axis=0)
-    with np.errstate(invalid="ignore"):  # inf - inf where rmax is infinite
-        denom = rx.sum(axis=0) - rmax + noise
-        return np.isinf(rmax) | ((rmax > 0.0) & ((denom <= 0.0) | (rmax >= beta * denom)))
+    def _fold(self, p, first: int = 0, state=None, out=(2, 3)):
+        """Fold sites first, first + 1, ... at powers p into ``state`` (acc,
+        rmax), zero rows by default, writing the scratch rows ``out``."""
+        f = self._f
+        acc, rmax = state or (f[0], f[0])
+        r, out_acc, out_max = f[1], f[out[0]], f[out[1]]
+        for v, row in zip(p, self.rows[first:]):
+            if v != 0.0:
+                np.divide(v, row, out=r)
+                acc = np.add(acc, r, out=out_acc)
+                rmax = np.maximum(rmax, r, out=out_max)
+        return acc, rmax
+
+    def _covered(self, acc, rmax) -> np.ndarray:
+        # no denom <= 0 test: denom >= 0 as acc >= rmax, and rmax >= beta * 0
+        cov, tmp = self._b
+        t = np.subtract(acc, rmax, out=self._f[6])  # inf - inf where rmax is infinite
+        t += self.noise
+        t *= self.beta
+        np.greater_equal(rmax, t, out=cov)
+        cov &= np.greater(rmax, 0.0, out=tmp)
+        cov |= np.isinf(rmax, out=tmp)
+        return cov
+
+    def mask(self, p) -> np.ndarray:
+        """Coverage mask of the sample under powers p (a scratch row)."""
+        if len(p) != len(self.rows):
+            raise ValueError("power vector length must match site count")
+        with self._quiet():
+            return self._covered(*self._fold(p))
+
+    def __call__(self, p) -> float:
+        """Covered fraction of the sample under powers p."""
+        return np.count_nonzero(self.mask(p)) / self.size
+
+    def product(self, axes) -> list[float]:
+        """``[self(v) for v in itertools.product(*axes)]``, folding each
+        prefix once and finishing it with every level of the last site."""
+        *head, last = axes
+        if len(axes) != len(self.rows):
+            raise ValueError("one level list per site")
+        out = []
+        with self._quiet():
+            for prefix in itertools.product(*head):
+                state = self._fold(prefix)
+                for v in last:
+                    cov = self._covered(*self._fold((v,), len(head), state, (4, 5)))
+                    out.append(np.count_nonzero(cov) / self.size)
+        return out
+
+    def capture(self, p) -> np.ndarray:
+        """Per sample, the first site of largest receive power (``argmax``):
+        site 0 unless a powered site beats 0, as an unpowered one cannot."""
+        r, best, up = self._f[1], np.zeros(self.size), self._b[0]
+        ids = np.zeros(self.size, dtype=np.intp)
+        with self._quiet():
+            for i, v in enumerate(p):
+                if v != 0.0:
+                    np.divide(v, self.rows[i], out=r)
+                    ids[np.greater(r, best, out=up)] = i
+                    np.maximum(best, r, out=best)
+        return ids
 
 
 def sinr_max_covered_mask(s: SinrScenario, pts: np.ndarray,
                           powers: Optional[PowerVector] = None) -> np.ndarray:
     """Vectorized coverage mask for an (N,2) array of sample points."""
-    p = (powers if powers is not None else s.powers).as_array()
-    rx = _site_major_rx(p, *_path_loss(s.sites, s.alpha, pts))
-    return _covered_samples(rx, s.beta, s.noise)
+    p = powers if powers is not None else s.powers
+    return SinrEvaluator(s, _path_loss(s.sites, s.alpha, pts)).mask(p.values)
 
 
 def capture_grid(s: SinrScenario, nx: int, ny: int) -> np.ndarray:
     """Capture-transmitter ids (smallest on ties) on an (ny, nx) raster."""
-    pts = _cell_centers(s.window, nx, ny)
-    rx = _site_major_rx(s.powers.as_array(), *_path_loss(s.sites, s.alpha, pts))
-    return rx.argmax(axis=0).reshape(ny, nx)
+    dpow = _path_loss(s.sites, s.alpha, _cell_centers(s.window, nx, ny))
+    return SinrEvaluator(s, dpow).capture(s.powers.values).reshape(ny, nx)
 
 
 def _ray_exit_distance(window: Rect, origin: Point2, dx: float, dy: float) -> float:

@@ -241,6 +241,27 @@ def test_cli_optimize_rhc_deterministic(tmp_path):
     assert out1.read_text() == out2.read_text()
 
 
+def test_cli_objective_counters_in_manifest_only(tmp_path):
+    scen = tmp_path / "s.json"
+    scen.write_text(json.dumps(SINR_SCENARIO))
+    for method, extra in (("rhc", ["--seed", "7"]), ("nm", ["--seed", "7"]),
+                          ("exhaustive", ["--levels", "4"])):
+        out = tmp_path / f"{method}.result.json"
+        assert cli(["optimize", method, str(scen), *extra, "--post-process",
+                    "--out", str(out)]) == 0
+        result = json.loads(out.read_text())
+        stats = json.loads((tmp_path / f"{method}.manifest.json").read_text())["stats"]
+        assert "stats" not in result and "computed" not in result
+        assert set(stats) == {"search", "post_process"}
+        for phase in stats.values():
+            assert 1 <= phase["computed"] <= phase["calls"]
+        assert stats["post_process"]["calls"] == result["evaluations"]
+    assert cli(["sweep-power", str(scen), "--levels", "5",
+                "--out", str(tmp_path / "sw.result.json")]) == 0
+    stats = json.loads((tmp_path / "sw.manifest.json").read_text())["stats"]
+    assert stats == {"calls": 5, "computed": 5}
+
+
 def test_cli_estimate_and_sweep(tmp_path, capsys):
     scen = tmp_path / "s.json"
     scen.write_text(json.dumps(SINR_SCENARIO))

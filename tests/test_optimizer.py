@@ -11,12 +11,14 @@ from coveragekit.errors import BudgetExceeded
 from coveragekit.geometry import Point2, Rect
 from coveragekit.optimizer import (Bounds, OptResult, RhcParams, SamplingPlan,
                                    estimate_area, exhaustive_search,
-                                   grid_rule_samples, nelder_mead,
+                                   grid_rule_samples, nelder_mead, objective,
                                    post_process, random_hill_climb,
                                    required_samples, sample_points,
                                    sweep_power)
-from coveragekit.sinr_model import (PowerVector, SinrScenario,
+from coveragekit.sinr_model import (PowerVector, SinrEvaluator, SinrScenario,
                                     sinr_max_covered_mask)
+
+from sinr_reference import reference_mask
 
 UNIT = Rect(0.0, 0.0, 1.0, 1.0)
 
@@ -162,8 +164,8 @@ def test_rhc_trace_monotone_and_reproducible():
 
 
 def test_nelder_mead_quadratic_objective():
-    def objective(p: PowerVector) -> float:
-        return -sum((v - 50.0) ** 2 for v in p.values)
+    def objective(p: tuple[float, ...]) -> float:
+        return -sum((v - 50.0) ** 2 for v in p)
 
     b = Bounds.uniform(3, 0.0, 100.0)
     res = nelder_mead(objective, b, restarts=3, seed=11)
@@ -172,7 +174,7 @@ def test_nelder_mead_quadratic_objective():
 
 
 def test_nelder_mead_constant_objective():
-    def objective(p: PowerVector) -> float:
+    def objective(p: tuple[float, ...]) -> float:
         return 0.25
 
     b = Bounds.uniform(2, 0.0, 10.0)
@@ -274,48 +276,114 @@ def test_estimate_area_interleaved_keys_match_fresh_samples():
     assert all(a != b for a, b in zip(got, got[1:])), got
 
 
-def test_rhc_never_leaves_bounds():
+def test_rhc_never_leaves_bounds(monkeypatch):
     rng = random.Random(77)
     s = random_scenario(rng, 3, beta=1.3)
     b = Bounds(PowerVector.of([5.0, 0.0, 2.0]), PowerVector.of([50.0, 80.0, 60.0]))
     seen = []
+    original = SinrEvaluator.__call__
 
-    import coveragekit.optimizer as opt
-    original = opt.estimate_area
+    def spy(self, p):
+        seen.append(tuple(p))
+        return original(self, p)
 
-    def spy(scenario, p, plan):
-        seen.append(p.values)
-        return original(scenario, p, plan)
-
-    opt_fn = opt.random_hill_climb
-    try:
-        opt.estimate_area = spy
-        res = opt_fn(s, b, RhcParams(scale_factor=0.1, max_iterations=300),
-                     SamplingPlan.grid(10, 10), seed=5)
-    finally:
-        opt.estimate_area = original
-    assert seen
+    monkeypatch.setattr(SinrEvaluator, "__call__", spy)
+    res = random_hill_climb(s, b, RhcParams(scale_factor=0.1, max_iterations=300),
+                            SamplingPlan.grid(10, 10), seed=5)
+    assert len(seen) == res.computed > 1
     for vec in seen:
         for v, lo, hi in zip(vec, b.p_min.values, b.p_max.values):
             assert lo - 1e-12 <= v <= hi + 1e-12
 
 
-def test_exhaustive_enumeration_order_is_nondecreasing_total_power():
+def test_exhaustive_enumeration_order_is_nondecreasing_total_power(monkeypatch):
     import coveragekit.optimizer as opt
     rng = random.Random(13)
     s = random_scenario(rng, 3, beta=1.0)
     b = Bounds.uniform(3, 0.0, 30.0)
     totals = []
-    original = opt.estimate_area
+    original = opt._CachedObjective.__call__
 
-    def spy(scenario, p, plan):
-        totals.append(sum(p.values))
-        return original(scenario, p, plan)
+    def spy(self, values):
+        totals.append(sum(values))
+        return original(self, values)
 
-    try:
-        opt.estimate_area = spy
-        exhaustive_search(s, b, 3, SamplingPlan.grid(8, 8))
-    finally:
-        opt.estimate_area = original
+    monkeypatch.setattr(opt._CachedObjective, "__call__", spy)
+    exhaustive_search(s, b, 3, SamplingPlan.grid(8, 8))
     assert len(totals) == 27
     assert all(b2 >= a2 - 1e-12 for a2, b2 in zip(totals, totals[1:]))
+
+
+def reference_area(s, p, plan):
+    pts = sample_points(s.window, plan)
+    return int(reference_mask(s, pts, p).sum()) / len(pts)
+
+
+def test_exhaustive_prefix_folding_equals_per_vector_evaluation():
+    """Every area the prefix fold gives equals a fresh evaluation of its
+    vector and the site-major reference, with one level, with zero levels,
+    and with a site whose bounds coincide (so vectors repeat)."""
+    rng = random.Random(29)
+    s = random_scenario(rng, 3, alpha=3.0, beta=0.9)
+    plan = SamplingPlan.grid(12, 9)
+    for axes in ([[0.0, 2.5, 7.0], [1.0, 0.0], [0.0, 3.0, 6.0, 9.0]],
+                 [[4.0], [4.0], [4.0]],
+                 [[0.0, 0.0], [5.0, 5.0, 5.0], [0.0, 1.0]],
+                 [[0.0], [0.0], [0.0, 8.0]],
+                 [[3.0, 3.0], [0.0, 6.0], [2.0, 2.0]]):
+        got = objective(s, plan).product(axes)
+        vectors = list(itertools.product(*axes))
+        assert len(got) == len(vectors)
+        for v, a in zip(vectors, got):
+            assert a == objective(s, plan)(v) == reference_area(s, v, plan)
+    single = random_scenario(rng, 1)
+    assert objective(single, plan).product([[0.0, 1.0, 4.0]]) == \
+        [reference_area(single, [v], plan) for v in (0.0, 1.0, 4.0)]
+
+
+def reference_exhaustive(s, b, levels, plan):
+    """The scan of the earlier ``exhaustive_search``: every vector evaluated
+    on its own, in nondecreasing total power."""
+    axes = [[lo] if levels == 1 else [lo + (hi - lo) * k / (levels - 1)
+                                      for k in range(levels)]
+            for lo, hi in zip(b.p_min.values, b.p_max.values)]
+    vectors = sorted(itertools.product(*axes), key=lambda v: (sum(v), v))
+    best_vec, best_area, trace = vectors[0], -1.0, []
+    for calls, vec in enumerate(vectors, 1):
+        a = reference_area(s, vec, plan)
+        if a > best_area:
+            best_vec, best_area = vec, a
+            trace.append((calls, a))
+    return best_vec, best_area, len(vectors), trace, len(set(vectors))
+
+
+def test_exhaustive_search_matches_per_vector_scan():
+    rng = random.Random(31)
+    plan = SamplingPlan.grid(10, 10)
+    cases = [(random_scenario(rng, 3, beta=1.2), Bounds.uniform(3, 0.0, 20.0), 4),
+             (random_scenario(rng, 3, beta=0.7), Bounds.uniform(3, 0.0, 20.0), 1),
+             (random_scenario(rng, 3, beta=1.0),
+              Bounds(PowerVector.of([0.0, 3.0, 1.0]), PowerVector.of([9.0, 3.0, 1.0])), 3)]
+    for s, b, levels in cases:
+        res = exhaustive_search(s, b, levels, plan)
+        best_vec, best_area, calls, trace, distinct = reference_exhaustive(s, b, levels, plan)
+        assert res.best_power.values == best_vec
+        assert (res.best_area, res.evaluations, res.trace) == (best_area, calls, trace)
+        assert res.computed == distinct
+
+
+def test_bound_evaluation_allocates_less_than_one_sample_row():
+    import tracemalloc
+    rng = random.Random(43)
+    s = random_scenario(rng, 10)
+    plan = SamplingPlan.grid(64, 64)
+    ev = objective(s, plan)
+    ev(tuple(rng.uniform(0.0, 10.0) for _ in range(10)))  # warm-up
+    p = tuple(rng.uniform(0.0, 10.0) for _ in range(10))
+    tracemalloc.start()
+    try:
+        ev(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 64 * 64, peak

@@ -8,11 +8,15 @@ import pytest
 
 from coveragekit.errors import Singularity
 from coveragekit.geometry import Point2, Rect
-from coveragekit.sinr_model import (PowerVector, SinrScenario, capture_grid,
+from coveragekit.sinr_model import (PowerVector, SinrEvaluator, SinrScenario,
+                                    _cell_centers, _path_loss, capture_grid,
                                     capture_transmitter, is_covered,
                                     ratio_profile, ray_coverage_profile,
                                     sinr_at, sinr_max_covered_mask,
                                     weighted_capture_oracle)
+
+from sinr_reference import _path_loss as _reference_path_loss
+from sinr_reference import _site_major_rx, reference_capture, reference_mask
 
 UNIT = Rect(0.0, 0.0, 1.0, 1.0)
 
@@ -246,3 +250,80 @@ def test_capture_grid_shape_and_values():
     assert set(np.unique(grid)) <= {0, 1}
     assert grid[:, :3].max() == 0  # left third captured by the left site
     assert grid[:, -3:].min() == 1
+
+
+def fold_cases():
+    """(scenario, samples, powers) triples on which the site fold must equal
+    the site-major reference exactly."""
+    rng = random.Random(41)
+    cases = []
+    for alpha in (2.0, 3.0, 4.0):
+        for n in (1, 2, 5, 12):
+            s = scen([(rng.random(), rng.random()) for _ in range(n)],
+                     [rng.uniform(0.1, 9.0) for _ in range(n)], alpha=alpha,
+                     beta=rng.choice([0.3, 1.0, 2.5]), noise=rng.choice([1e-3, 0.5]))
+            for size in (2, 3, 8, 257):
+                pts = np.array([[rng.random(), rng.random()] for _ in range(size)])
+                zeroed = [0.0 if rng.random() < 0.4 else v for v in s.powers.values]
+                for p in (s.powers.values, zeroed, [0.0] * n):
+                    cases.append((s, pts, p))
+            cases.append((s, _cell_centers(UNIT, 16, 12), s.powers.values))
+    # (4.5/8, 2.5/8) is exactly a sample of the 8x8 grid: powered, then not
+    grid8 = _cell_centers(UNIT, 8, 8)
+    on_site = scen([(0.5625, 0.3125), (0.2, 0.8), (0.6, 0.35)], [3.0, 1.0, 1.0],
+                   alpha=3.0, beta=2.0, noise=0.5)
+    for p in ([3.0, 1.0, 1.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.0], [2.0, 0.0, 0.0]):
+        cases.append((on_site, grid8, p))
+    # zero noise: a lone powered site covers everything it reaches
+    for n in (2, 6):
+        s = scen([(rng.random(), rng.random()) for _ in range(n)], [1.0] * n,
+                 beta=1.0, noise=0.0)
+        for p in ([1.0] * n, [2.0] + [0.0] * (n - 1), [0.0] * n):
+            cases.append((s, grid8, p))
+    return cases
+
+
+def test_site_fold_equals_site_major_reference():
+    for s, pts, p in fold_cases():
+        want = reference_mask(s, pts, p)
+        got = sinr_max_covered_mask(s, pts, PowerVector.of(p))
+        assert got.dtype == bool and np.array_equal(got, want), (s, p)
+        ev = SinrEvaluator(s, _path_loss(s.sites, s.alpha, pts))
+        assert ev(tuple(p)) == ev(np.asarray(p)) == int(want.sum()) / len(pts)
+        assert np.array_equal(ev.capture(p), reference_capture(s, pts, p))
+    with pytest.raises(ValueError):
+        ev(tuple(p) + (1.0,))
+    with pytest.raises(ValueError):
+        ev.product([[1.0]] * (len(p) - 1))
+
+
+def test_site_fold_single_sample_sums_in_site_order():
+    """On one sample numpy's axis-0 sum is pairwise (n >= 8); the fold adds
+    the receive powers in site order, as ``is_covered``'s ``sum(rx)`` does."""
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(8, 16)
+        s = scen([(rng.random(), rng.random()) for _ in range(n)],
+                 [rng.uniform(0.0, 5.0) for _ in range(n)], beta=rng.uniform(0.05, 0.6))
+        pt = np.array([[rng.random(), rng.random()]])
+        rx = _site_major_rx(s.powers.as_array(), *_reference_path_loss(s.sites, s.alpha, pt))
+        rx = rx[:, 0].tolist()
+        denom = sum(rx) - max(rx) + s.noise
+        want = max(rx) > 0.0 and (denom <= 0.0 or max(rx) >= s.beta * denom)
+        assert sinr_max_covered_mask(s, pt).tolist() == [want]
+
+
+def test_capture_grid_matches_argmax_reference():
+    rng = random.Random(17)
+    for n in (1, 3, 9):
+        powers = [rng.choice([0.0, rng.uniform(0.2, 4.0)]) for _ in range(n)]
+        s = scen([(rng.random(), rng.random()) for _ in range(n)], powers, alpha=3.0)
+        want = reference_capture(s, _cell_centers(UNIT, 20, 7), powers).reshape(7, 20)
+        assert np.array_equal(capture_grid(s, 20, 7), want)
+    # ties at every sample: two coincident equal sites, and an all-zero vector
+    twin = scen([(0.3, 0.3), (0.3, 0.3), (0.7, 0.6)], [1.0, 1.0, 0.0])
+    assert np.array_equal(capture_grid(twin, 9, 9),
+                          reference_capture(twin, _cell_centers(UNIT, 9, 9),
+                                            [1.0, 1.0, 0.0]).reshape(9, 9))
+    dark = scen([(0.3, 0.3), (0.7, 0.6)], [0.0, 0.0])
+    assert not capture_grid(dark, 5, 5).any()
