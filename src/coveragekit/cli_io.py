@@ -754,7 +754,7 @@ def cli(argv: Optional[Sequence[str]] = None) -> int:
     except BudgetExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (ParseError, ModelError, FileNotFoundError, ValueError, KeyError) as e:
+    except (ParseError, ModelError, OSError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

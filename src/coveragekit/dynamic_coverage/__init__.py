@@ -1,13 +1,11 @@
 """Dynamic maintenance of power diagrams and coverage maps, plus the 1-D
 treap warm-up structure."""
 
-from .shuffle import (DynamicCoverage, FacialLatticeView, HalfSpace3, HistNode,
-                      Shuffle, ShuffleVertex, UpdateReport, lift,
+from .shuffle import (DynamicCoverage, HalfSpace3, UpdateReport, lift,
                       traverse_shuffle)
 from .treap import (Treap, TreapNode, treap_delete, treap_insert, treap_of)
 
 __all__ = [
-    "DynamicCoverage", "FacialLatticeView", "HalfSpace3", "HistNode",
-    "Shuffle", "ShuffleVertex", "UpdateReport", "lift", "traverse_shuffle",
+    "DynamicCoverage", "HalfSpace3", "UpdateReport", "lift", "traverse_shuffle",
     "Treap", "TreapNode", "treap_delete", "treap_insert", "treap_of",
 ]

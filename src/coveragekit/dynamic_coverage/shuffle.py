@@ -4,13 +4,18 @@ Disks lift to upper half-spaces in 3-D (z >= 2cx*x + 2cy*y - |c|^2 + r^2);
 the power diagram is the downward projection of the lower boundary of the
 half-space intersection, bounded by a large working square.  The structure
 maintained here is that projected lattice (cells as convex polygons of
-vertex nodes) plus a history of every vertex ever made:
+vertex nodes) plus a history of every vertex ever made, each kept once, in
+parallel lists indexed by node id (the compact vertex arrays of Boissonnat
+et al. 2002, *Triangulations in CGAL*):
 
-* each vertex is a node carrying its 3-D position, the site whose half-space
-  made it, the update (layer) that made it, and, once it dies, a pointer to
-  a vertex made by the update that killed it (``next``);
-* eight root nodes stand for the corners of the bounding volume;
-* the vertices of each update are listed under its layer.
+* each vertex has its 3-D position (``x``, ``y``, ``z``), the update that
+  made it (``layer``), once it dies a vertex made by the update that killed
+  it (``next``), and the sites whose cells have had it as a corner
+  (``incident``);
+* a cell is a CCW ring of node ids, so it stores no coordinate;
+* nodes 0-7, made first, are the roots: the corners of the bounding volume,
+  the four lower ones first;
+* the vertices of each update are listed under its layer (``face_by_layer``).
 
 Vertex identity is kept by construction, never by comparing coordinates.
 An insertion decides once per vertex whether the new plane passes above it
@@ -46,7 +51,7 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from itertools import chain
 from typing import Optional
 
@@ -54,10 +59,12 @@ from ..errors import DuplicateSite
 from ..geometry import (ArcPolygon, ConvexPolygon, Disk, Point2, Rect,
                         arc_polygon_area, boolean_chains, convex_polygon_intersection,
                         geom_eps, power_distance, side)
-from ..power_diagram import _clip_cell, _mega_square
+from ..power_diagram import _clip_cell
 from ..protocol_coverage import ProtocolTransmitter
 
 _Z_BIG = 1.0e30
+# Half-side multiple of the auxiliary square used for unbounded-plane queries.
+_MEGA_FACTOR = 1.0e6
 
 
 @dataclass(frozen=True)
@@ -92,45 +99,15 @@ def _outline(edges: set, keep=None) -> list[int]:
     return [u for u in cycle if keep is None or keep(u)]
 
 
-def _ring_edges(poly) -> zip:
-    """Directed edges (u, v) of a cell given as (x, y, vertex id) triples."""
-    ids = [t[2] for t in poly]
-    return zip(ids[-1:] + ids[:-1], ids)
+def _ring_edges(ring: list[int]) -> zip:
+    """Directed edges (u, v) of a cell's ring of vertex ids."""
+    return zip(ring[-1:] + ring[:-1], ring)
 
 
-@dataclass
-class HistNode:
-    """One history vertex; ``incident`` holds the sites whose cells have had
-    it as a corner, which seeds the search for the cells an insert carves."""
-    nid: int
-    x: float
-    y: float
-    z: float
-    created: Optional[int]          # site whose half-space created the vertex
-    next: Optional[int] = None      # replacement vertex after death
-    incident: set = field(default_factory=set)
-    layer: int = 0                  # update that created the vertex
-
-
-@dataclass
-class Shuffle:
-    """History records: vertex nodes, the eight roots, and the vertices each
-    update made (an insertion's whole new face), keyed by its layer.  The
-    traversal walks ``face_by_layer``; layers only grow, so walks end."""
-    nodes: dict[int, HistNode] = field(default_factory=dict)
-    roots: list[int] = field(default_factory=list)
-    face_by_layer: dict[int, list[int]] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class ShuffleVertex:
-    """Read-only view of one history vertex."""
-    node_id: int
-    x: float
-    y: float
-    z: float
-    created: Optional[int]
-    is_current: bool
+def _mega_square(window: Rect, scale: float) -> Rect:
+    half = _MEGA_FACTOR * max(scale, 1.0)
+    c = window.center()
+    return Rect(c.x - half, c.y - half, c.x + half, c.y + half)
 
 
 @dataclass
@@ -148,21 +125,6 @@ class UpdateReport:
         d = dict(asdict(self), hidden_events=[list(e) for e in self.hidden_events])
         del d["wall_time"]
         return d
-
-
-@dataclass(frozen=True)
-class FacialLatticeView:
-    """Counts over the current lattice (the live cells plus the outer face)."""
-    vertices: int
-    edges: int
-    faces: int
-
-    @property
-    def size(self) -> int:
-        return self.vertices + self.edges + self.faces
-
-    def euler_ok(self) -> bool:
-        return self.vertices - self.edges + self.faces == 2
 
 
 class DynamicCoverage:
@@ -185,21 +147,27 @@ class DynamicCoverage:
         c = window.center()
         self.square = Rect(c.x - half, c.y - half, c.x + half, c.y + half)
         self.transmitters: dict[int, ProtocolTransmitter] = {}
-        self._tx_keys: dict[tuple, int] = {}
+        self._tx_keys: dict[ProtocolTransmitter, int] = {}
         self._int_disks: dict[int, Disk] = {}
         self.planes: dict[int, HalfSpace3] = {}
-        self.cells: dict[int, list[tuple[float, float, int]]] = {}
+        # vertex nodes, one slot per id in each list (see the module docstring)
+        self.x: list[float] = []
+        self.y: list[float] = []
+        self.z: list[float] = []
+        self.layer: list[int] = []
+        self.next: list[Optional[int]] = []
+        self.incident: list[set[int]] = []
+        self.face_by_layer: dict[int, list[int]] = {}
+        self.cells: dict[int, list[int]] = {}  # CCW rings of vertex ids
         self.neighbors: dict[int, set[int]] = {}
         self.hidden: dict[int, int] = {}
         self.offstage: set[int] = set()
         self._offstage_pending: set[int] = set()
-        self.shuffle = Shuffle()
         self.last_traverse_visits = 0
         self.traverse_fallbacks = 0
         self.revival_tests = 0  # parked planes against vertices, by deletes
         self.climb_steps = 0    # vertices the confirming climbs evaluated
         self._next_site = 0
-        self._node_counter = 0
         self._layer = 0
         # insertions only: the layers are nested and a negative walk is exact
         self._nested = True
@@ -210,52 +178,50 @@ class DynamicCoverage:
         self._tol = geom_eps(self.square.diameter())
         sq = self.square
         corners = [(sq.x0, sq.y0), (sq.x1, sq.y0), (sq.x1, sq.y1), (sq.x0, sq.y1)]
-        for (x, y) in corners:
-            self.shuffle.roots.append(self._new_node(x, y, -_Z_BIG, None))
-        for (x, y) in corners:
-            self.shuffle.roots.append(self._new_node(x, y, _Z_BIG, None))
+        for z in (-_Z_BIG, _Z_BIG):  # the roots, nodes 0-7
+            for (x, y) in corners:
+                self._new_node(x, y, z)
 
     # ------------------------------------------------------------------
     # node and record helpers
     # ------------------------------------------------------------------
 
-    def _new_node(self, x: float, y: float, z: float, created: Optional[int]) -> int:
-        nid = self._node_counter
-        self._node_counter += 1
-        self.shuffle.nodes[nid] = HistNode(nid, x, y, z, created, layer=self._layer)
-        self.shuffle.face_by_layer.setdefault(self._layer, []).append(nid)
+    def _new_node(self, x: float, y: float, z: float) -> int:
+        nid = len(self.x)
+        self.x.append(x)
+        self.y.append(y)
+        self.z.append(z)
+        self.layer.append(self._layer)
+        self.next.append(None)
+        self.incident.append(set())
+        self.face_by_layer.setdefault(self._layer, []).append(nid)
         return nid
 
-    def _commit_cell(self, sid: int, poly: list[tuple[float, float, int]]) -> None:
-        self.cells[sid] = poly
-        for (_, _, nid) in poly:
-            self.shuffle.nodes[nid].incident.add(sid)
-
-    def _triples(self, ring) -> list[tuple[float, float, int]]:
-        nodes = self.shuffle.nodes
-        return [(nodes[u].x, nodes[u].y, u) for u in ring]
+    def _commit_cell(self, sid: int, ring: list[int]) -> None:
+        self.cells[sid] = ring
+        for u in ring:
+            self.incident[u].add(sid)
 
     def _bury(self, dead, face: list[int]) -> None:
         """Point each dead vertex at a vertex of ``face`` this update made:
         the walk scans that vertex's layer.  An update that made none breaks
         the nesting of the layers, as a deletion does."""
-        nodes = self.shuffle.nodes
-        target = next((u for u in face if nodes[u].layer == self._layer), None)
+        target = next((u for u in face if self.layer[u] == self._layer), None)
         if target is None:
             self._nested = False
             target = face[0]
         for d in dead:
-            nodes[d].next = target
+            self.next[d] = target
 
     # ------------------------------------------------------------------
     # traversal
     # ------------------------------------------------------------------
 
-    def _outside(self, node: HistNode, hs: HalfSpace3) -> bool:
-        """Whether the plane of ``hs`` passes above the vertex: ``side`` of
-        the plane's height against the vertex's, the test ``_carve`` and the
-        clipper use."""
-        return side(hs.height(node.x, node.y), node.z) > 0
+    def _outside(self, u: int, hs: HalfSpace3) -> bool:
+        """Whether the plane of ``hs`` passes above vertex ``u``: ``side``
+        of the plane's height against the vertex's, the test ``_carve`` and
+        the clipper use."""
+        return side(hs.height(self.x[u], self.y[u]), self.z[u]) > 0
 
     def _climb(self, hs: HalfSpace3) -> Optional[int]:
         """Exact answer from the current lattice: a current vertex outside
@@ -265,55 +231,52 @@ class DynamicCoverage:
         disk's centre and explores every vertex that the plane, lowered by
         the best height seen, does not pass strictly below (by ``side``), so
         flat runs cannot stop it."""
-        nodes = self.shuffle.nodes
+        xs, ys, zs = self.x, self.y, self.z
 
         def gap(u: int) -> float:
-            n = nodes[u]
-            return hs.height(n.x, n.y) - n.z
+            return hs.height(xs[u], ys[u]) - zs[u]
 
         start = self._owner_of(Point2(0.5 * hs.a, 0.5 * hs.b))
-        gaps = {u: gap(u) for (_, _, u) in self.cells[start]}
+        gaps = {u: gap(u) for u in self.cells[start]}
         best = max(gaps, key=gaps.__getitem__)
         stack = list(gaps)
         while stack:
             u = stack.pop()
-            n = nodes[u]
-            if side(hs.height(n.x, n.y) - gaps[best], n.z) < 0:
+            if side(hs.height(xs[u], ys[u]) - gaps[best], zs[u]) < 0:
                 continue
-            for c in n.incident & self.cells.keys():
-                for (_, _, w) in self.cells[c]:
+            for c in self.incident[u] & self.cells.keys():
+                for w in self.cells[c]:
                     if w not in gaps:
                         gaps[w] = gap(w)
                         if gaps[w] > gaps[best]:
                             best = w
                         stack.append(w)
         self.climb_steps += len(gaps)
-        return best if self._outside(nodes[best], hs) else None
+        return best if self._outside(best, hs) else None
 
     def _traverse(self, hs: HalfSpace3) -> Optional[int]:
-        nodes = self.shuffle.nodes
         visits = 0
         u = None
-        for r in self.shuffle.roots:
+        for r in range(8):  # the roots
             visits += 1
-            if self._outside(nodes[r], hs):
+            if self._outside(r, hs):
                 u = r
                 break
         if u is None:
             self.last_traverse_visits = visits
             return None
         guard = 0
-        limit = 2 * len(nodes) + 64
+        limit = 2 * len(self.x) + 64
         while True:
             visits += 1
-            nxt = nodes[u].next
+            nxt = self.next[u]
             if nxt is None:
                 self.last_traverse_visits = visits
                 return u
             found = None
-            for w in self.shuffle.face_by_layer.get(nodes[nxt].layer, ()):
+            for w in self.face_by_layer.get(self.layer[nxt], ()):
                 visits += 1
-                if self._outside(nodes[w], hs):
+                if self._outside(w, hs):
                     found = w
                     break
             if found is None:
@@ -346,15 +309,13 @@ class DynamicCoverage:
         lattice; everyone else gets a cell and patched neighbor regions.
         """
         start = time.perf_counter()
-        key = (t.location.x, t.location.y, t.tx_radius, t.int_radius)
-        if key in self._tx_keys:
-            raise DuplicateSite(
-                f"transmitter already present as site {self._tx_keys[key]}")
+        if t in self._tx_keys:
+            raise DuplicateSite(f"transmitter already present as site {self._tx_keys[t]}")
         if not self.window.contains(t.location):
             raise ValueError(f"transmitter center {t.location} outside window")
         sid = self._next_site
         self._next_site += 1
-        self._tx_keys[key] = sid
+        self._tx_keys[t] = sid
         self.transmitters[sid] = t
         self._int_disks[sid] = t.int_disk
         self.planes[sid] = lift(t.int_disk)
@@ -432,35 +393,34 @@ class DynamicCoverage:
         current vertex outside it (a root when the structure is empty);
         returns the sites whose cells it shrank or swallowed."""
         hs = self.planes[sid]
-        nodes = self.shuffle.nodes
+        xs, ys = self.x, self.y
         self._layer += 1
         if not self.cells:
-            for r in self.shuffle.roots[:4]:
-                n = nodes[r]
-                n.next = self._new_node(n.x, n.y, hs.height(n.x, n.y), sid)
-            self._corners = set(self.shuffle.face_by_layer[self._layer])
-            self._commit_cell(sid, self._triples(self.shuffle.face_by_layer[self._layer]))
+            for r in range(4):  # the lower roots
+                self.next[r] = self._new_node(xs[r], ys[r], hs.height(xs[r], ys[r]))
+            face = self.face_by_layer[self._layer]
+            self._corners = set(face)
+            self._commit_cell(sid, list(face))
             self.neighbors[sid] = set()
             self._dirty.add(sid)
             return []
 
         face, shrunk, swallowed, dead = self._carve(
-            self.cells, hs, sid, {},
-            sorted(o for o in nodes[probe].incident if o in self.cells), self._corners)
+            self.cells, hs, {},
+            sorted(o for o in self.incident[probe] if o in self.cells), self._corners)
         # a square corner the new cell takes changes height: a new vertex
         for i, u in enumerate(face):
             if u in dead:
-                n = nodes[u]
-                face[i] = self._new_node(n.x, n.y, hs.height(n.x, n.y), sid)
+                face[i] = self._new_node(xs[u], ys[u], hs.height(xs[u], ys[u]))
                 self._corners ^= {u, face[i]}
         for c in shrunk:
             self._commit_cell(c, shrunk[c])
         for c in swallowed:
             del self.cells[c]
-        self._commit_cell(sid, self._triples(face))
+        self._commit_cell(sid, list(face))
         # the layer lists the whole new face, kept vertices too: there a walk
         # finds a vertex outside any half-space that cuts the structure
-        self.shuffle.face_by_layer[self._layer] = face
+        self.face_by_layer[self._layer] = face
         self._bury(dead, face)
         self._relink(set(shrunk) | {sid}, set(swallowed))
         for c in swallowed:
@@ -472,31 +432,31 @@ class DynamicCoverage:
         self._dirty.add(sid)
         return affected
 
-    def _carve(self, cells, hs: HalfSpace3, sid: int, height, seeds, keep):
+    def _carve(self, cells, hs: HalfSpace3, height, seeds, keep):
         """Cut where the plane of ``hs`` passes above the lattice ``cells``
-        out of it, searching from ``seeds`` through the cells around each
-        dead vertex (``incident``); None if no vertex dies.  Each vertex is
-        decided once, by ``side`` (the test of ``_outside`` and of the
-        clipper): the plane passes above it (it dies), through it, or below
-        it.  Heights come from ``height`` where it has them, else from the
-        nodes.  A dying edge's crossing, a node made for site ``sid``, is
-        shared by its cells (a vertex on the plane is its own).
+        (rings of vertex ids) out of it, searching from ``seeds`` through
+        the cells around each dead vertex (``incident``); None if no vertex
+        dies.  Each vertex is decided once, by ``side`` (the test of
+        ``_outside`` and of the clipper): the plane passes above it (it
+        dies), through it, or below it.  Heights come from ``height`` where
+        it has them, else from the nodes.  A dying edge's crossing, a new
+        node, is shared by its cells (a vertex on the plane is its own).
         Returns the new face (CCW ids), the shrunk cells, the swallowed
         cells (none of their vertices below the plane) and the dead
         vertices.  A dead vertex on the outer boundary stays in the face
         only if in ``keep``; any other lies inside a straight outer edge."""
-        nodes = self.shuffle.nodes
+        xs, ys, zs, incident = self.x, self.y, self.z, self.incident
         ha, hb, hc = hs.a, hs.b, hs.c
         sides: dict[int, int] = {}  # 1 dies, 0 on the plane, -1 stays
 
-        def dies(poly) -> bool:
+        def dies(ring) -> bool:
             """Decide each vertex of a cell once: ``side`` of the plane's
             height against the vertex's, as in ``_outside``."""
             out = False
-            for (x, y, u) in poly:
+            for u in ring:
                 s = sides.get(u)
                 if s is None:
-                    s = sides[u] = side(ha * x + hb * y + hc, height.get(u, nodes[u].z))
+                    s = sides[u] = side(ha * xs[u] + hb * ys[u] + hc, height.get(u, zs[u]))
                 out = out or s > 0
             return out
 
@@ -507,7 +467,7 @@ class DynamicCoverage:
             c = queue.popleft()
             if dies(cells[c]):
                 carved.append(c)
-                around = {o for (_, _, u) in cells[c] if sides[u] > 0 for o in nodes[u].incident}
+                around = {o for u in cells[c] if sides[u] > 0 for o in incident[u]}
                 queue.extend(o for o in around - seen if o in cells)
                 seen |= around
         if not carved:
@@ -525,23 +485,23 @@ class DynamicCoverage:
                 return b
             key = (a, b) if a < b else (b, a)
             if key not in crossings:
-                x, y = self._meet(hs, sharers[key], nodes[a], nodes[b])
-                crossings[key] = w = self._new_node(x, y, hs.height(x, y), sid)
+                x, y = self._meet(hs, sharers[key], a, b)
+                crossings[key] = w = self._new_node(x, y, hs.height(x, y))
                 sides[w] = 0
             return crossings[key]
 
         # what the carved cells lose, as directed edges: its outline is the
         # new cell
         lost: set[tuple[int, int]] = set()
-        shrunk: dict[int, list[tuple[float, float, int]]] = {}
+        shrunk: dict[int, list[int]] = {}
         swallowed = []
         for c in carved:
-            ring = [u for (_, _, u) in cells[c]]
+            ring = cells[c]
             k = len(ring)
             start = next((i for i in range(k) if sides[ring[i]] < 0), None)
             if start is None:
                 swallowed.append(c)
-                lost.update(_ring_edges(cells[c]))
+                lost.update(_ring_edges(ring))
                 continue
             kept = []
             entry = start
@@ -562,17 +522,16 @@ class DynamicCoverage:
                     lost.update(((a, w), (w, entry)))
                     if w != b:
                         kept.append(w)
-            shrunk[c] = self._triples(kept)
-        dead = {u for c in carved for (_, _, u) in cells[c] if sides[u] > 0}
+            shrunk[c] = kept
+        dead = {u for c in carved for u in cells[c] if sides[u] > 0}
         face = _outline(lost, lambda u: sides[u] <= 0 or u in keep)
         return face, shrunk, swallowed, dead
 
-    def _meet(self, hs: HalfSpace3, sharers: list[int], na: HistNode,
-              nb: HistNode) -> tuple[float, float]:
-        """Where ``hs`` cuts the edge na-nb: solved from the planes of
-        ``hs`` and of the edge's two cells, so no rounding of na or nb
-        carries over; interpolated along an outer edge or a near-parallel
-        cut."""
+    def _meet(self, hs: HalfSpace3, sharers: list[int], a: int, b: int) -> tuple[float, float]:
+        """Where ``hs`` cuts the edge between vertices a and b: solved from
+        the planes of ``hs`` and of the edge's two cells, so no rounding of
+        a or b carries over; interpolated along an outer edge or a
+        near-parallel cut."""
         p = self.planes[sharers[0]]
         a1, b1, c1 = hs.a - p.a, hs.b - p.b, hs.c - p.c
         if len(sharers) == 2:
@@ -581,9 +540,10 @@ class DynamicCoverage:
             det = a1 * b2 - a2 * b1
             if abs(det) > 1e-4 * math.hypot(a1, b1) * math.hypot(a2, b2):
                 return (b1 * c2 - b2 * c1) / det, (a2 * c1 - a1 * c2) / det
-        ga, gb = a1 * na.x + b1 * na.y + c1, a1 * nb.x + b1 * nb.y + c1
+        ax, ay, bx, by = self.x[a], self.y[a], self.x[b], self.y[b]
+        ga, gb = a1 * ax + b1 * ay + c1, a1 * bx + b1 * by + c1
         t = ga / (ga - gb) if ga != gb else 0.5  # 0.5: a concentric tie
-        return na.x + t * (nb.x - na.x), na.y + t * (nb.y - na.y)
+        return ax + t * (bx - ax), ay + t * (by - ay)
 
     def _relink(self, changed: set[int], gone: set[int]) -> None:
         """Re-derive the neighbours of the ``changed`` cells from the edges
@@ -634,7 +594,7 @@ class DynamicCoverage:
         self._forget(sid)
         hole = self.cells.pop(sid)
         sq = self.square
-        on_side = any(x in (sq.x0, sq.x1) or y in (sq.y0, sq.y1) for (x, y, _) in hole)
+        on_side = any(self.x[u] in (sq.x0, sq.x1) or self.y[u] in (sq.y0, sq.y1) for u in hole)
         near = self._retile(hole, nbrs)
         self._relink(set(nbrs), {sid})
         self._dirty.update(nbrs)
@@ -654,7 +614,7 @@ class DynamicCoverage:
             events.append(("revived", h))
             affected.extend(a for a in self._insert_site(h, probe, events) if a in self.cells)
             revived.append(h)
-            near.extend(u for (_, _, u) in self.cells[h])
+            near.extend(self.cells[h])
         self._rekey(set(affected) | {sid})
 
         self._dirty.update(a for a in affected if a in self.cells)
@@ -665,21 +625,20 @@ class DynamicCoverage:
 
     def _first_outside(self, hs: HalfSpace3, near: list[int]) -> Optional[int]:
         """The first current vertex of ``near`` outside ``hs``, if any."""
-        nodes = self.shuffle.nodes
         for u in near:
-            if nodes[u].next is None:
+            if self.next[u] is None:
                 self.revival_tests += 1
-                if self._outside(nodes[u], hs):
+                if self._outside(u, hs):
                     return u
         return None
 
     def _forget(self, sid: int) -> None:
         gone = self.transmitters.pop(sid)
-        del self._tx_keys[(gone.location.x, gone.location.y, gone.tx_radius, gone.int_radius)]
+        del self._tx_keys[gone]
         del self._int_disks[sid], self.planes[sid]
         self._regions.pop(sid, None)
 
-    def _retile(self, hole: list[tuple[float, float, int]], nbrs: list[int]) -> list[int]:
+    def _retile(self, hole: list[int], nbrs: list[int]) -> list[int]:
         """Hand the deleted cell ``hole`` to its neighbours ``nbrs``: the
         first takes it whole, each other one's plane carves its piece (with
         heights local to the hole, whose vertices stay), and each piece
@@ -687,61 +646,56 @@ class DynamicCoverage:
         edge dies; a square corner changes height, so it is made anew.
         Returns the current vertices over the hole: the four lower roots
         when the structure is empty again."""
-        nodes = self.shuffle.nodes
-        ring = [u for (_, _, u) in hole]
+        xs, ys = self.x, self.y
         if not nbrs:  # the last cell: the structure is empty again
-            for r in self.shuffle.roots[:4]:
-                nodes[r].next = None
+            for r in range(4):  # the lower roots
+                self.next[r] = None
             self._corners = set()
-            self._bury(ring, self.shuffle.roots[:1])
-            return self.shuffle.roots[:4]
+            self._bury(hole, [0])
+            return [0, 1, 2, 3]
         base = self.planes[nbrs[0]]
-        height = {u: base.height(nodes[u].x, nodes[u].y) for u in ring}
+        height = {u: base.height(xs[u], ys[u]) for u in hole}
         pieces = {nbrs[0]: hole}
         for n in nbrs[1:]:
             hs = self.planes[n]
-            res = self._carve(pieces, hs, n, height, sorted(pieces), set(ring))
+            res = self._carve(pieces, hs, height, sorted(pieces), set(hole))
             if res is None:
                 continue
             face, shrunk, swallowed, dead = res
             for u in dead.intersection(face):
-                height[u] = hs.height(nodes[u].x, nodes[u].y)
+                height[u] = hs.height(xs[u], ys[u])
             pieces.update(shrunk)
             for c in swallowed:
                 del pieces[c]
-            pieces[n] = self._triples(face)
+            pieces[n] = face
         for m, piece in pieces.items():
             edges = set(chain(_ring_edges(self.cells[m]), _ring_edges(piece)))
-            self._commit_cell(m, self._triples(_outline(edges)))
+            self._commit_cell(m, _outline(edges))
 
         dead = []
-        for u in ring:
-            holders = [c for c in sorted(nodes[u].incident)
-                       if c in self.cells and any(t[2] == u for t in self.cells[c])]
+        for u in hole:
+            holders = [c for c in sorted(self.incident[u])
+                       if c in self.cells and u in self.cells[c]]
             w = None
             if u in self._corners:
-                n = nodes[u]
-                w = self._new_node(n.x, n.y, self.planes[holders[0]].height(n.x, n.y),
-                                   holders[0])
+                w = self._new_node(xs[u], ys[u], self.planes[holders[0]].height(xs[u], ys[u]))
                 self._corners ^= {u, w}
             elif len({v for c in holders for e in _ring_edges(self.cells[c])
                       if u in e for v in e}) > 3:  # u has three neighbours or more
                 continue
             dead.append(u)
             for c in holders:
-                poly = self.cells[c]
-                self._commit_cell(c, [t for t in poly if t[2] != u] if w is None else
-                                  [t if t[2] != u else (t[0], t[1], w) for t in poly])
-        # forget the vertices one carve made and a later one killed
-        live = {u for m in nbrs for (_, _, u) in self.cells[m]}
-        made = self.shuffle.face_by_layer.pop(self._layer, [])
-        for w in set(made) - live:
-            del nodes[w]
-        made = [w for w in made if w in live]
+                ring = self.cells[c]
+                self._commit_cell(c, [t for t in ring if t != u] if w is None else
+                                  [w if t == u else t for t in ring])
+        # the layer keeps only the vertices that outlived the re-tiling; one
+        # carve made and a later one killed stay in the node lists, unreferenced
+        live = {u for m in nbrs for u in self.cells[m]}
+        made = [w for w in self.face_by_layer.pop(self._layer, []) if w in live]
         if made:
-            self.shuffle.face_by_layer[self._layer] = made
-        self._bury(dead, made or [self.cells[nbrs[0]][0][2]])
-        return [u for u in ring if nodes[u].next is None] + made
+            self.face_by_layer[self._layer] = made
+        self._bury(dead, made or [self.cells[nbrs[0]][0]])
+        return [u for u in hole if self.next[u] is None] + made
 
     # ------------------------------------------------------------------
     # queries
@@ -774,7 +728,7 @@ class DynamicCoverage:
         return {sid: self._regions[sid][1] for sid in self.regions}
 
     def _compute_region(self, sid: int) -> list[ArcPolygon]:
-        cell_poly = ConvexPolygon(tuple(Point2(x, y) for (x, y, _) in self.cells[sid]))
+        cell_poly = ConvexPolygon(tuple(Point2(self.x[u], self.y[u]) for u in self.cells[sid]))
         # the window is clipped by the cell, so its sides keep their exact
         # coordinates
         region_cell = convex_polygon_intersection(self.window.to_polygon(), cell_poly)
@@ -785,30 +739,27 @@ class DynamicCoverage:
         cand = sorted(set(self.neighbors.get(sid, set())) | self.offstage)
         return boolean_chains(region_cell, t.tx_disk, [self._int_disks[q] for q in cand], eps)
 
-    def facial_lattice(self) -> FacialLatticeView:
-        edges = {(min(e), max(e)) for poly in self.cells.values() for e in _ring_edges(poly)}
-        verts = {u for e in edges for u in e}
-        return FacialLatticeView(vertices=len(verts), edges=len(edges),
-                                 faces=len(self.cells) + 1)
-
     def check_invariants(self) -> None:
         """Assert that the cells form a valid lattice: they tile the working
-        square (areas sum to it within 1e-9 relative), every edge off the
-        square's boundary has exactly two cells, each neighbour set is the
-        set of cells sharing an edge (hence symmetric and free of
-        self-loops), and Euler's formula holds.  An empty structure has no
-        lattice to check."""
+        square (areas sum to it within 1e-9 relative), every vertex of a
+        cell is current and lists the cell in ``incident`` (the walk and
+        the carve rely on both), every edge off the square's boundary has
+        exactly two cells, each neighbour set is the set of cells sharing an
+        edge (hence symmetric and free of self-loops), and Euler's formula
+        holds.  An empty structure has no lattice to check."""
         assert bool(self.cells) == bool(self.neighbors), "neighbours without cells"
         if not self.cells:
             return
-        sq, nodes = self.square, self.shuffle.nodes
+        sq, xs, ys = self.square, self.x, self.y
         owner: dict[tuple[int, int], int] = {}
         total = 0.0
-        for sid, poly in self.cells.items():
-            assert len({t[2] for t in poly}) == len(poly) >= 3, f"cell {sid}: {poly}"
-            total += sum(xa * yb - xb * ya for (xa, ya, _), (xb, yb, _)
-                         in zip(poly[-1:] + poly[:-1], poly)) / 2.0
-            for e in _ring_edges(poly):
+        for sid, ring in self.cells.items():
+            assert len(set(ring)) == len(ring) >= 3, f"cell {sid}: {ring}"
+            for u in ring:
+                assert self.next[u] is None, f"cell {sid}: vertex {u} is not current"
+                assert sid in self.incident[u], f"cell {sid}: vertex {u} has no incident entry"
+            total += sum(xs[a] * ys[b] - xs[b] * ys[a] for a, b in _ring_edges(ring)) / 2.0
+            for e in _ring_edges(ring):
                 assert e not in owner, f"edge {e} in cells {owner[e]} and {sid}"
                 owner[e] = sid
         area = sq.width * sq.height
@@ -818,20 +769,18 @@ class DynamicCoverage:
             if (v, u) in owner:
                 shared[sid].add(owner[(v, u)])
             else:  # an edge of one cell lies on a side of the square
-                a, b = nodes[u], nodes[v]
-                assert (a.x == b.x and a.x in (sq.x0, sq.x1)) or \
-                    (a.y == b.y and a.y in (sq.y0, sq.y1)), f"edge {(u, v)} has one cell"
+                assert (xs[u] == xs[v] and xs[u] in (sq.x0, sq.x1)) or \
+                    (ys[u] == ys[v] and ys[u] in (sq.y0, sq.y1)), f"edge {(u, v)} has one cell"
         assert self.neighbors == shared, "neighbour sets differ from the shared edges"
-        assert self.facial_lattice().euler_ok(), f"Euler fails: {self.facial_lattice()}"
+        # the live cells plus the outer face
+        edges = {(min(e), max(e)) for e in owner}
+        verts = {u for e in edges for u in e}
+        assert len(verts) - len(edges) + len(self.cells) + 1 == 2, \
+            f"Euler fails: {len(verts)} vertices, {len(edges)} edges, {len(self.cells)} cells"
 
 
-def traverse_shuffle(dc: DynamicCoverage, s: HalfSpace3) -> Optional[ShuffleVertex]:
-    """Find a current polytope vertex strictly outside the half-space, or
-    None exactly when the half-space is redundant for the current structure
-    (the bounded polytope is contained in it)."""
-    nid = dc._traverse(s)
-    if nid is None:
-        return None
-    n = dc.shuffle.nodes[nid]
-    return ShuffleVertex(node_id=n.nid, x=n.x, y=n.y, z=n.z,
-                         created=n.created, is_current=n.next is None)
+def traverse_shuffle(dc: DynamicCoverage, s: HalfSpace3) -> Optional[int]:
+    """Find a current polytope vertex strictly outside the half-space, as
+    its node id, or None exactly when the half-space is redundant for the
+    current structure (the bounded polytope is contained in it)."""
+    return dc._traverse(s)

@@ -44,9 +44,6 @@ from .geometry import (ConvexPolygon, Disk, Point2, Rect, bisector_line, clip_co
 
 SiteId = int
 
-# Half-side multiple of the auxiliary square used for unbounded-plane queries.
-_MEGA_FACTOR = 1.0e6
-
 
 @dataclass(frozen=True)
 class PowerDiagram:
@@ -215,12 +212,6 @@ def _clip_cell(poly: ConvexPolygon, sites: Sequence[Disk] | Mapping[SiteId, Disk
         if pts is None:
             return None
     return poly if pts is start else ConvexPolygon(tuple(Point2(x, y) for x, y in pts))
-
-
-def _mega_square(window: Rect, scale: float) -> Rect:
-    half = _MEGA_FACTOR * max(scale, 1.0)
-    c = window.center()
-    return Rect(c.x - half, c.y - half, c.x + half, c.y + half)
 
 
 def frame_partitions(cell: ConvexPolygon, sites: Sequence[Disk] | Mapping[SiteId, Disk],

@@ -136,11 +136,10 @@ def planes_above_lattice(dc, planes) -> np.ndarray:
     a scan of every vertex with the structure's own test (``_outside``,
     evaluated in the same order of floating-point operations).  Every plane
     passes above an empty structure."""
-    nodes = dc.shuffle.nodes
-    ids = sorted({u for poly in dc.cells.values() for (_, _, u) in poly})
+    ids = sorted({u for ring in dc.cells.values() for u in ring})
     if not ids:
         return np.ones(len(planes), dtype=bool)
-    x, y, z = (np.array([getattr(nodes[u], k) for u in ids]) for k in "xyz")
+    x, y, z = (np.array(getattr(dc, k))[ids] for k in "xyz")
     p = np.array([(h.a, h.b, h.c) for h in planes], dtype=float).reshape(-1, 3)
     f = p[:, :1] * x + p[:, 1:2] * y + p[:, 2:]
     tol = 1e-12 * (1.0 + np.abs(f) + np.abs(z))

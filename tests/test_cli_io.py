@@ -213,6 +213,24 @@ def test_cli_input_error_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: <file>: ")
 
 
+@pytest.mark.parametrize("where", ["scenario", "script", "--out", "--svg"])
+def test_cli_directory_path_exit_2(tmp_path, capsys, where):
+    """A path that names a directory is an input error (exit 2), whether it
+    is read (scenario, script) or written (``--out``, ``--svg``)."""
+    scen = tmp_path / "s.json"
+    scen.write_text(json.dumps(PROTOCOL_SCENARIO))
+    d = tmp_path / "d"
+    d.mkdir()
+    out = ["--out", str(tmp_path / "s.result.json")]
+    argv = {"scenario": ["build-map", f"{d}/", *out],
+            "script": ["dynamic", f"{d}/", *out],
+            "--out": ["build-map", str(scen), "--out", f"{d}/"],
+            "--svg": ["build-map", str(scen), *out, "--svg", f"{d}/"]}[where]
+    capsys.readouterr()
+    assert cli(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_budget_error_exit_3(tmp_path):
     scen_dict = json.loads(json.dumps(SINR_SCENARIO))
     scen_dict["transmitters"] = [

@@ -143,7 +143,7 @@ def test_traverse_empty_structure_returns_corner():
     dc = DynamicCoverage(WIN, seed=1)
     v = traverse_shuffle(dc, lift(Disk(Point2(0, 0), 1.0)))
     assert v is not None
-    assert v.created is None  # a root corner
+    assert v < 8  # a root corner
 
 
 THREE = [tx(0, 0, 1.0, 10.0), tx(2, 0, 0.5, 1.0), tx(4, 0, 1.0, 10.0)]
@@ -178,7 +178,7 @@ def assert_traverse_agrees(dc: DynamicCoverage, planes, tag=""):
         v = traverse_shuffle(dc, hs)
         assert (v is not None) == above, f"{tag} plane {hs}"
         if v is not None:
-            assert v.is_current and dc._outside(dc.shuffle.nodes[v.node_id], hs), tag
+            assert dc.next[v] is None and dc._outside(v, hs), tag
         if dc.cells:
             assert (dc._climb(hs) is not None) == above, f"{tag} climb, plane {hs}"
 
@@ -191,10 +191,9 @@ def test_climb_leaves_the_cell_owning_the_centre():
         dc.insert_transmitter(tx(x, y, 0.5 * r, r))
     hs = lift(Disk(Point2(4.6, 7.5), 1.6))
     assert dc._owner_of(Point2(4.6, 7.5)) == 0
-    nodes = dc.shuffle.nodes
-    assert not any(dc._outside(nodes[u], hs) for (_, _, u) in dc.cells[0])
+    assert not any(dc._outside(u, hs) for u in dc.cells[0])
     v = dc._climb(hs)
-    assert v is not None and dc._outside(nodes[v], hs)
+    assert v is not None and dc._outside(v, hs)
     assert dc.climb_steps > len(dc.cells[0])
 
 
@@ -406,9 +405,12 @@ def test_lattice_size_linear_and_euler():
                                        0.4, rng.uniform(0.5, 1.5)))
         if not rep.redundant:
             inserted += 1
-        view = dc.facial_lattice()
-        assert view.euler_ok()
-        assert view.size <= 20 * max(inserted, 1)
+        edges = {(min(e), max(e)) for ring in dc.cells.values()
+                 for e in zip(ring[-1:] + ring[:-1], ring)}
+        verts = {u for e in edges for u in e}
+        faces = len(dc.cells) + 1  # the live cells plus the outer face
+        assert len(verts) - len(edges) + faces == 2
+        assert len(verts) + len(edges) + faces <= 20 * max(inserted, 1)
 
 
 def test_update_report_fields():
@@ -449,6 +451,16 @@ def test_check_invariants_detects_broken_lattice():
         dc.check_invariants()
     dc.neighbors[0].add(1)
     dc.cells[2] = dc.cells[2][1:] + dc.cells[2][:1]  # same ring, other start
+    dc.check_invariants()
+    u = dc.cells[2][0]
+    dc.next[u] = 0  # a dead vertex left in a live cell
+    with pytest.raises(AssertionError, match="not current"):
+        dc.check_invariants()
+    dc.next[u] = None
+    dc.incident[u].discard(2)  # a carve killing u would not find cell 2
+    with pytest.raises(AssertionError, match="incident"):
+        dc.check_invariants()
+    dc.incident[u].add(2)
     dc.check_invariants()
     dc.cells[2] = dc.cells[2][:-1]
     with pytest.raises(AssertionError):

@@ -12,9 +12,10 @@ from scipy.spatial import ConvexHull, QhullError
 from coveragekit.errors import ConcentricDisks, DuplicateSite, HiddenSite
 from coveragekit.geometry import (ConvexPolygon, Disk, Point2, Rect, clip_convex, geom_eps,
                                   power_bisector, power_distance, side)
+from coveragekit.dynamic_coverage.shuffle import _mega_square
 from coveragekit.power_diagram import (PowerDiagram, SiteId, build, nearest_site, power_frame,
                                        remove_redundant, _clip_cell, _flat_neighbors,
-                                       _mega_square, _validate)
+                                       _validate)
 
 from oracles import grid_power_cell_areas
 
