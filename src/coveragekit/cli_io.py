@@ -21,8 +21,9 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence
 
 from . import __version__
 from .errors import BudgetExceeded, DuplicateSite, ModelError, ParseError
@@ -32,7 +33,7 @@ from .optimizer import (MAX_SAMPLE_PAIRS, Bounds, RhcParams, SamplingPlan,
                         estimate_area, exhaustive_search, grid_rule_samples,
                         nelder_mead, objective, post_process, random_hill_climb,
                         required_samples, sweep_power)
-from .power_diagram import PowerDiagram, power_frame
+from .power_diagram import PowerDiagram
 from .protocol_coverage import (CoverageMap, ProtocolTransmitter,
                                 compute_coverage_map, find_interference_bound)
 from .sinr_model import PowerVector, SinrScenario, capture_grid
@@ -277,6 +278,9 @@ def _fmt(v: float) -> str:
     return f"{v:.6f}"
 
 
+_fmt_xy = "{:.6f},{:.6f}".format  # a point's two ``_fmt`` strings
+
+
 class _Canvas:
     def __init__(self, window: Rect, pixels: float = 640.0):
         m = 0.05 * max(window.width, window.height)
@@ -290,8 +294,7 @@ class _Canvas:
         return ((x - self.x0) * self.scale, (self.y1 - y) * self.scale)
 
     def fmt_pt(self, x: float, y: float) -> str:
-        px, py = self.pt(x, y)
-        return f"{_fmt(px)},{_fmt(py)}"
+        return _fmt_xy(*self.pt(x, y))
 
 
 def _svg_header(c: _Canvas) -> str:
@@ -389,17 +392,7 @@ def _render_coverage(cov: CoverageMap) -> str:
         color = _PALETTE[sid % len(_PALETTE)]
         for ap in cov.regions[sid]:
             out.append(_region_path(c, ap, color))
-    for sid in sorted(pd.cells):
-        cell = pd.cells[sid]
-        if cell is None:
-            continue
-        pts = " ".join(c.fmt_pt(p.x, p.y) for p in cell.vertices)
-        out.append(f'<polygon points="{pts}" fill="none" stroke="#555555" '
-                   f'stroke-width="1" stroke-dasharray="6,4"/>\n')
-        for piece in power_frame(pd, sid).partitions.values():
-            pts = " ".join(c.fmt_pt(p.x, p.y) for p in piece.vertices)
-            out.append(f'<polygon points="{pts}" fill="none" stroke="#999999" '
-                       f'stroke-width="0.6"/>\n')
+    out.extend(_cells_and_frames(c, pd))
     for sid, t in enumerate(cov.transmitters):
         color = _PALETTE[sid % len(_PALETTE)]
         out.append(_circle_svg(c, t.int_disk,
@@ -411,6 +404,24 @@ def _render_coverage(cov: CoverageMap) -> str:
         out.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="2.5" fill="{color}"/>\n')
     out.append("</svg>\n")
     return "".join(out)
+
+
+def _cells_and_frames(c: _Canvas, pd: PowerDiagram) -> Iterator[str]:
+    """Each cell's outline, then its frame pieces: one row kernel call, row
+    (p, q) for q ascending, formatted from its floats as they are drawn."""
+    pts = map(_fmt_xy, *(v.tolist() for v in c.pt(*pd.frames.xy.T)))
+    sizes = iter(pd.frames.sizes.tolist())
+    for sid in sorted(pd.cells):
+        cell = pd.cells[sid]
+        if cell is None:
+            continue
+        cpts = " ".join(c.fmt_pt(p.x, p.y) for p in cell.vertices)
+        yield (f'<polygon points="{cpts}" fill="none" stroke="#555555" '
+               f'stroke-width="1" stroke-dasharray="6,4"/>\n')
+        for size in islice(sizes, len(pd.neighbors[sid])):
+            if size:
+                yield (f'<polygon points="{" ".join(islice(pts, size))}" fill="none" '
+                       f'stroke="#999999" stroke-width="0.6"/>\n')
 
 
 @dataclass(frozen=True)
@@ -517,10 +528,18 @@ def _cmd_build_map(args) -> int:
         "interference_bound_site": bound,
     }
     manifest = RunManifest("build-map", digest, scen.seed, {},
-                           wall_time=time.perf_counter() - t0)
+                           wall_time=time.perf_counter() - t0,
+                           stats={"hidden": len(cov.diagram.hidden),
+                                  "edges": cov.diagram.edge_count()})
+    svg = render_svg(cov) if args.svg else None
+    if svg is not None:
+        f = cov.diagram.frames  # the frames just drawn, made once
+        manifest.stats.update(frame_rows=len(f.sizes), frame_cuts=f.cuts,
+                              frame_cuts_unchanged=f.unchanged,
+                              frame_pieces_empty=f.sizes.tolist().count(0))
     _write_outputs(args.out, Path(args.scenario).stem, result, manifest)
-    if args.svg:
-        Path(args.svg).write_text(render_svg(cov), encoding="utf-8")
+    if svg is not None:
+        Path(args.svg).write_text(svg, encoding="utf-8")
         print(f"wrote {args.svg}")
     print(f"covered area {result['total_area']:.6g} over {len(cov.regions)} sites")
     return 0

@@ -53,13 +53,12 @@ import time
 from collections import deque
 from dataclasses import asdict, dataclass
 from itertools import chain
-from typing import Optional
+from typing import Iterable, Mapping, Optional
 
 from ..errors import DuplicateSite
 from ..geometry import (ArcPolygon, ConvexPolygon, Disk, Point2, Rect,
-                        arc_polygon_area, boolean_chains, convex_polygon_intersection,
-                        geom_eps, power_distance, side)
-from ..power_diagram import _clip_cell
+                        arc_polygon_area, bisector_line, boolean_chains, clip_coords,
+                        convex_polygon_intersection, geom_eps, power_distance, side)
 from ..protocol_coverage import ProtocolTransmitter
 
 _Z_BIG = 1.0e30
@@ -108,6 +107,31 @@ def _mega_square(window: Rect, scale: float) -> Rect:
     half = _MEGA_FACTOR * max(scale, 1.0)
     c = window.center()
     return Rect(c.x - half, c.y - half, c.x + half, c.y + half)
+
+
+def _clip_cell(poly: ConvexPolygon, sites: Mapping[int, Disk], i: int,
+               others: Iterable[int], eps: float) -> Optional[ConvexPolygon]:
+    """``poly`` clipped to where ``sites[i]`` beats every ``sites[j]``,
+    ``j`` in ``others`` (``i`` itself is skipped); None if empty.  The
+    coordinates are cut by ``clip_coords`` on each ``bisector_line`` of the
+    disks' ``xyr`` floats and wrapped once at the end (``poly`` itself if
+    nothing was cut).  ``eps`` only tells concentric disks, the larger of
+    which wins, from a line.  One polygon, left at its first empty cut: the
+    scalar counterpart of ``clip_rows``, for ``_globally_visible``."""
+    xi, yi, ri = c = sites[i].xyr
+    start = pts = [(p.x, p.y) for p in poly.vertices]
+    for j in others:
+        if j == i:
+            continue
+        o = sites[j].xyr
+        if math.hypot(xi - o[0], yi - o[1]) <= eps:
+            if ri > o[2]:
+                continue
+            return None
+        pts = clip_coords(pts, *bisector_line(c, o))
+        if pts is None:
+            return None
+    return poly if pts is start else ConvexPolygon(tuple(Point2(x, y) for x, y in pts))
 
 
 @dataclass

@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
+
+import numpy as np
 
 from .errors import ConcentricDisks, InvalidChain
 
@@ -45,12 +47,13 @@ def geom_eps(scale: float) -> float:
     return EPS_REL * max(scale, 1.0)
 
 
-def side(a: float, b: float) -> int:
+def side(a, b):
     """+1 if ``a`` lies above ``b``, -1 if below, 0 if they agree up to
     rounding: within 1e-12 * (1 + |a| + |b|).  The one decision every cell
-    vertex gets against a cutting line or plane."""
+    vertex gets against a cutting line or plane; on floats an int, on
+    arrays the same decision elementwise (0 where either is NaN)."""
     tol = 1e-12 * (1.0 + abs(a) + abs(b))
-    return 1 if b < a - tol else (-1 if b > a + tol else 0)
+    return (b < a - tol) * 1 - (b > a + tol) * 1
 
 
 @dataclass(frozen=True)
@@ -126,7 +129,8 @@ def power_bisector(d1: Disk, d2: Disk, eps: float = 0.0) -> HalfPlane:
 
 
 def bisector_line(c1: Circle, c2: Circle) -> tuple[float, float, float]:
-    """Coefficients ``(nx, ny, offset)`` of ``power_bisector``, unchecked."""
+    """Coefficients ``(nx, ny, offset)`` of ``power_bisector``, unchecked;
+    elementwise on arrays."""
     (x1, y1, r1), (x2, y2, r2) = c1, c2
     return (2.0 * (x2 - x1), 2.0 * (y2 - y1),
             (x2 * x2 + y2 * y2) - (x1 * x1 + y1 * y1) - r2 * r2 + r1 * r1)
@@ -215,6 +219,8 @@ def clip_coords(pts: list, nx: float, ny: float, offset: float) -> Optional[list
     Nothing is merged or dropped afterwards.  When no value nx*x + ny*y
     exceeds ``offset``, ``pts`` is returned before any ``side`` call, and
     exactly so: for a <= b, fl(a - tol) <= a <= b, so ``side(a, b)`` is not +1.
+    The kernel for one polygon (``clip_convex``, and cells that stop at their
+    first empty cut); ``clip_rows`` cuts whole diagrams with its arithmetic.
     """
     vals = [nx * x + ny * y for x, y in pts]
     if max(vals) <= offset:
@@ -237,6 +243,82 @@ def clip_coords(pts: list, nx: float, ny: float, offset: float) -> Optional[list
     if 1 not in sides:
         return pts
     return out if -1 in sides else None
+
+
+def padded(rows: Sequence[Sequence], fill) -> tuple[np.ndarray, np.ndarray]:
+    """``rows`` left-aligned in one array, ``fill`` after each; and their lengths."""
+    sizes = np.array([len(r) for r in rows], dtype=int)
+    flat = np.array([v for r in rows for v in r])
+    out = np.full((len(rows), sizes.max(initial=0)) + flat.shape[1:], fill)
+    out[np.arange(out.shape[1]) < sizes[:, None]] = flat
+    return out, sizes
+
+
+class ClippedRows(NamedTuple):
+    """``clip_rows``' output: each row's vertices, row after row."""
+    xy: np.ndarray  # (vertices, 2)
+    sizes: np.ndarray  # vertices per row, 0 for an empty row
+    cuts: int  # cuts applied to non-empty rows
+    unchanged: int  # of those, the cuts that left the row as it was
+
+
+_CHUNK = 512  # rows per pass of ``clip_rows``: bounds its working arrays
+
+
+def clip_rows(polys: Sequence[ConvexPolygon], circles: np.ndarray, poly: np.ndarray,
+              own: np.ndarray, cuts: np.ndarray, eps: float) -> ClippedRows:
+    """Row r is ``polys[poly[r]]`` cut in turn by ``bisector_line(circles[own[r]],
+    circles[k])`` for each k in ``cuts[r]`` up to its first -1: bit for bit
+    chained ``clip_coords`` (the same values, ``side`` decisions, exits and
+    new vertices), with one numpy step per cut for every row of a diagram.
+    Centres within ``eps`` have no line: the larger circle skips the cut,
+    else the row empties.  Rows run in chunks, longest cut list first, so
+    the rows still cutting are a prefix, trimmed to its longest row."""
+    px, pn = padded([[v.x for v in p.vertices] for p in polys], 0.0)
+    pxy = np.stack([px, padded([[v.y for v in p.vertices] for p in polys], 0.0)[0]], 2)
+    ncut = (cuts >= 0).sum(1)
+    out, sizes, made, unchanged = [np.zeros((0, 2))], [np.zeros(0, int)], 0, 0
+    for lo in range(0, len(own), _CHUNK):
+        order = lo + np.argsort(-ncut[lo:lo + _CHUNK], kind="stable")
+        xy, n = pxy[poly[order]], pn[poly[order]]
+        c1, c2 = circles[own[order]].T[:, None], circles[cuts[order]].T  # (3, 1 or C, rows)
+        lines = np.array(bisector_line(c1, c2))
+        dx, dy = c1[0] - c2[0], c1[1] - c2[1]
+        for s, i in zip(*np.nonzero((abs(dx) <= eps) & (abs(dy) <= eps))):
+            if math.hypot(dx[s, i], dy[s, i]) <= eps:  # no line: the larger keeps all
+                lines[:, s, i] = 0.0, 0.0, (1.0 if c1[2, 0, i] > c2[2, s, i] else -1.0)
+        for s in range(ncut[order[0]]):
+            k = np.count_nonzero(ncut[order] > s)
+            nx, ny, off = lines[:, s, :k]
+            w = n[:k].max()
+            col = np.arange(w)
+            vals = nx[:, None] * xy[:k, :w, 0] + ny[:, None] * xy[:k, :w, 1]
+            sides = side(vals, off[:, None]) * (col < n[:k, None])
+            above, below = (sides > 0).any(1), (sides < 0).any(1)
+            made += np.count_nonzero(n[:k])
+            unchanged += np.count_nonzero(n[:k] * ~above)
+            n[:k][above & ~below] = 0
+            r = np.flatnonzero(above & below)
+            sr, vr, xr, m = sides[r], vals[r], xy[r, :w], n[r]
+            nxt = np.where(col + 1 < m[:, None], col + 1, 0)
+            keep = (sr <= 0) & (col < m[:, None])
+            cross = sr * np.take_along_axis(sr, nxt, 1) < 0
+            cnt = keep * 1 + cross
+            end = np.cumsum(cnt, 1)
+            n[r] = cnt.sum(1)
+            if n[:k].max() > xy.shape[1]:
+                xy = np.concatenate([xy, np.zeros((len(xy), n[:k].max() - xy.shape[1], 2))], 1)
+            a, i = np.nonzero(keep)
+            xy[r[a], end[a, i] - cnt[a, i]] = xr[a, i]
+            a, i = np.nonzero(cross)
+            j = nxt[a, i]
+            va, vb = vr[a, i] - off[r[a]], vr[a, j] - off[r[a]]
+            t = (va / (va - vb))[:, None]
+            xy[r[a], end[a, i] - 1] = xr[a, i] + t * (xr[a, j] - xr[a, i])
+        back = np.argsort(order)
+        out.append(xy[back][np.arange(xy.shape[1]) < n[back, None]])
+        sizes.append(n[back])
+    return ClippedRows(np.concatenate(out), np.concatenate(sizes), int(made), int(unchanged))
 
 
 def clip_convex(poly: Optional[ConvexPolygon], h: HalfPlane) -> Optional[ConvexPolygon]:

@@ -9,13 +9,16 @@ Construction (one route, Aurenhammer 1987): lift each disk to the point
 (x, y, x^2 + y^2 - r^2).  The visible sites and their neighbors are the
 vertices and edges of the lower convex hull of the lifted points (scipy/Qhull),
 and each visible site's cell is the window clipped against its neighbors
-only, close to O(n log n).  A face of four or more cocircular sites comes
-back split into triangles on one plane; the edges inside it touch the
-diagram in a point and are no neighbor pairs.  Qhull rejects every input of
-at most three sites and every flat lift; only then are the neighbors read
-off the flat structure, in O(n log n) too.  Its one rounding test is
-``side``, applied at the magnitude of the coordinates Qhull was given (also
-to tell the split faces):
+only, close to O(n log n).  All cells are cut in one ``clip_rows`` call, and
+so are all power frames (``frame_partitions``): one numpy step per cut for
+every polygon, with the arithmetic of the scalar ``clip_coords``, which
+serves single polygons that stop at their first empty cut.  A face of four
+or more cocircular sites comes back split into triangles on one plane; the
+edges inside it touch the diagram in a point and are no neighbor pairs.
+Qhull rejects every input of at most three sites and every flat lift; only
+then are the neighbors read off the flat structure, in O(n log n) too.  Its
+one rounding test is ``side``, applied at the magnitude of the coordinates
+Qhull was given (also to tell the split faces):
 
 * centers on one line: at parameter s along it the power distance is
   s^2 - 2 s t_i + t_i^2 - r_i^2, so the visible sites are the lower chain
@@ -34,13 +37,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import DuplicateSite, HiddenSite
-from .geometry import (ConvexPolygon, Disk, Point2, Rect, bisector_line, clip_coords,
-                       geom_eps, power_distance, side)
+from .geometry import (ClippedRows, ConvexPolygon, Disk, Point2, Rect, clip_rows, geom_eps,
+                       padded, power_distance, side)
 
 SiteId = int
 
@@ -56,6 +60,11 @@ class PowerDiagram:
 
     def edge_count(self) -> int:
         return sum(len(v) for v in self.neighbors.values()) // 2
+
+    @cached_property  # not a field: eq, hash and repr ignore it
+    def frames(self) -> ClippedRows:
+        """``frame_partitions`` of every visible site, ascending, made once."""
+        return frame_partitions(self, [p for p in sorted(self.cells) if self.cells[p] is not None])
 
 
 @dataclass(frozen=True)
@@ -81,6 +90,11 @@ def _validate(disks: Sequence[Disk], window: Rect) -> float:
         seen[key] = i
         if not window.contains(d.center):
             raise ValueError(f"disk {i} center {d.center} outside window")
+    return _scale(disks, window)
+
+
+def _scale(disks: Sequence[Disk], window: Rect) -> float:
+    """The scene size ``build``'s tolerance is taken from."""
     return max(window.diameter(), max(d.radius for d in disks))
 
 
@@ -93,9 +107,12 @@ def build(disks: Sequence[Disk], window: Rect) -> PowerDiagram:
     eps = geom_eps(_validate(disks, window))
     n = len(disks)
     adj = _neighbors(disks)
-    wpoly = window.to_polygon()
-    cells = {i: _clip_cell(wpoly, disks, i, sorted(adj[i]), eps) if i in adj else None
-             for i in range(n)}
+    visible = sorted(adj)
+    cuts, _ = padded([sorted(adj[i]) for i in visible], -1)
+    rows = clip_rows([window.to_polygon()], np.array([d.xyr for d in disks]),
+                     np.zeros(len(visible), int), np.array(visible), cuts, eps)
+    cells: dict[SiteId, Optional[ConvexPolygon]] = dict.fromkeys(range(n))
+    cells.update(zip(visible, _polygons(rows)))
     return PowerDiagram(window=window, sites=tuple(disks), cells=cells,
                         neighbors={i: frozenset(adj.get(i, ())) for i in range(n)},
                         hidden=frozenset(i for i in range(n) if i not in adj))
@@ -190,62 +207,40 @@ def _flat_neighbors(disks: Sequence[Disk], lift: Sequence[tuple[float, float, fl
     return adj
 
 
-def _clip_cell(poly: ConvexPolygon, sites: Sequence[Disk] | Mapping[SiteId, Disk],
-               i: SiteId, others: Iterable[SiteId], eps: float) -> Optional[ConvexPolygon]:
-    """``poly`` clipped to where ``sites[i]`` beats every ``sites[j]``,
-    ``j`` in ``others`` (``i`` itself is skipped); None if empty.  The
-    coordinates are cut by ``clip_coords`` on each ``bisector_line`` of the
-    disks' ``xyr`` floats and wrapped once at the end (``poly`` itself if
-    nothing was cut).  ``eps`` only tells concentric disks, the larger of
-    which wins, from a line."""
-    xi, yi, ri = c = sites[i].xyr
-    start = pts = [(p.x, p.y) for p in poly.vertices]
-    for j in others:
-        if j == i:
-            continue
-        o = sites[j].xyr
-        if math.hypot(xi - o[0], yi - o[1]) <= eps:
-            if ri > o[2]:
-                continue
-            return None
-        pts = clip_coords(pts, *bisector_line(c, o))
-        if pts is None:
-            return None
-    return poly if pts is start else ConvexPolygon(tuple(Point2(x, y) for x, y in pts))
-
-
-def frame_partitions(cell: ConvexPolygon, sites: Sequence[Disk] | Mapping[SiteId, Disk],
-                     gamma: Sequence[SiteId], eps: float) -> dict[SiteId, ConvexPolygon]:
-    """Split ``cell`` by the power diagram of the sites in ``gamma``.
-
-    The piece of ``q`` is ``cell`` clipped by the half-planes where ``q``
-    beats every other ``r`` in ``gamma``, in the order of ``gamma``, by
-    ``_clip_cell``, the kernel of ``build``'s cells: vertex for vertex the
-    polygon that ``clip_convex`` with each ``power_bisector`` would give.
-    Each cut reads the disks' ``xyr`` floats, made once per disk, and
-    decides the cell's vertices in one pass over their values.  Pieces come
-    in the order of ``gamma``; empty ones are left out.
-    """
-    partitions: dict[SiteId, ConvexPolygon] = {}
-    for q in gamma:
-        piece = _clip_cell(cell, sites, q, gamma, eps)
-        if piece is not None:
-            partitions[q] = piece
-    return partitions
+def frame_partitions(pd: PowerDiagram, owners: Sequence[SiteId]) -> ClippedRows:
+    """The power frames of the visible sites ``owners``, by one ``clip_rows``
+    call: a row for each owner p, in turn, and each neighbour q of p,
+    ascending.  Row (p, q) is cell(p) cut by the bisector of q and each other
+    neighbour r, ascending, so q is power-nearest among the neighbours on
+    it; vertex for vertex what ``clip_convex`` with each ``power_bisector``
+    would give.  An empty row is a piece left out.  ``eps`` is ``build``'s."""
+    gammas, g = padded([sorted(pd.neighbors[p]) for p in owners], np.int32(-1))
+    o = np.repeat(np.arange(len(owners)), g)
+    k = (np.arange(len(o)) - np.repeat(np.cumsum(g) - g, g)).astype(np.int32)  # q's place
+    j = np.arange(max(gammas.shape[1] - 1, 0), dtype=np.int32)
+    cuts = gammas[o[:, None], j + (j >= k[:, None])]  # gamma without q
+    return clip_rows([pd.cells[p] for p in owners], np.array([d.xyr for d in pd.sites]), o,
+                     gammas[o, k], cuts, geom_eps(_scale(pd.sites, pd.window)))
 
 
 def power_frame(pd: PowerDiagram, p: SiteId) -> PowerFrame:
-    """Partition of cell(p) among p's neighbors, by local clipping.
+    """Partition of cell(p) among p's neighbors (``frame_partitions``).
 
     The piece labeled ``q`` is cell(p) clipped by the bisectors between q and
     each other neighbor, so q is power-nearest among the neighbors on it.
     """
-    cell = pd.cells.get(p)
-    if cell is None:
+    if pd.cells.get(p) is None:
         raise HiddenSite(f"site {p} has an empty power region")
-    gamma = sorted(pd.neighbors.get(p, frozenset()))
-    eps = geom_eps(pd.window.diameter())
-    return PowerFrame(owner=p, partitions=frame_partitions(cell, pd.sites, gamma, eps))
+    pieces = zip(sorted(pd.neighbors[p]), _polygons(frame_partitions(pd, [p])))
+    return PowerFrame(owner=p, partitions={q: c for q, c in pieces if c is not None})
+
+
+def _polygons(rows: ClippedRows) -> Iterator[Optional[ConvexPolygon]]:
+    """Each row of ``rows`` as a polygon, None if empty."""
+    pts, a = list(map(Point2, *rows.xy.T.tolist())), 0
+    for size in rows.sizes.tolist():
+        yield ConvexPolygon(tuple(pts[a:a + size])) if size else None
+        a += size
 
 
 def remove_redundant(disks: Sequence[Disk], window: Rect) -> tuple[list[SiteId], list[SiteId]]:

@@ -143,6 +143,30 @@ def test_cli_build_map(tmp_path, capsys):
     assert manifest["tool_version"]
 
 
+def test_cli_build_map_counters_in_manifest_only(tmp_path):
+    scen = tmp_path / "s.json"
+    doc = json.loads(json.dumps(PROTOCOL_SCENARIO))
+    doc["transmitters"] += [{"x": 0.0, "y": 2.0, "tx_radius": 0.8, "int_radius": 1.2},
+                            {"x": -1.5, "y": 0.0, "tx_radius": 0.2, "int_radius": 0.3}]
+    scen.write_text(json.dumps(doc))
+    assert cli(["build-map", str(scen), "--out", str(tmp_path / "a.result.json")]) == 0
+    assert cli(["build-map", str(scen), "--out", str(tmp_path / "b.result.json"),
+                "--svg", str(tmp_path / "b.svg")]) == 0
+    assert (tmp_path / "a.result.json").read_bytes() == (tmp_path / "b.result.json").read_bytes()
+    plain = json.loads((tmp_path / "a.manifest.json").read_text())["stats"]
+    drawn = json.loads((tmp_path / "b.manifest.json").read_text())["stats"]
+    pd = build([Disk(Point2(t["x"], t["y"]), t["int_radius"]) for t in doc["transmitters"]],
+               Rect(-5.0, -5.0, 5.0, 5.0))
+    assert pd.hidden == {3}  # concentric with site 0, and smaller
+    assert plain == {"hidden": 1, "edges": pd.edge_count()}
+    rows = sum(len(pd.neighbors[p]) for p in pd.cells if pd.cells[p] is not None)
+    assert drawn == {**plain, "frame_rows": rows, "frame_cuts": pd.frames.cuts,
+                     "frame_cuts_unchanged": pd.frames.unchanged,
+                     "frame_pieces_empty": pd.frames.sizes.tolist().count(0)}
+    assert drawn["frame_cuts"] >= drawn["frame_cuts_unchanged"] and rows == 6
+    assert "stats" not in json.loads((tmp_path / "b.result.json").read_text())
+
+
 def test_cli_input_error_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{")

@@ -2,8 +2,11 @@
 
 import math
 import random
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coveragekit import geometry
 from coveragekit.errors import ConcentricDisks, InvalidChain
@@ -11,7 +14,8 @@ from coveragekit.geometry import (ArcPolygon, CircularArc, ConvexPolygon, Disk,
                                   HalfPlane, Point2, Rect, Segment, TWO_PI,
                                   _edges_cross, arc_polygon_area,
                                   arc_polygon_contains, boolean_chains,
-                                  clip_convex, clip_coords, convex_polygon_intersection,
+                                  bisector_line, clip_convex, clip_coords, clip_rows,
+                                  convex_polygon_intersection,
                                   dist, geom_eps, power_bisector, power_distance,
                                   region_disk_boolean, signed_distance)
 from coveragekit.power_diagram import build
@@ -511,3 +515,166 @@ HOLE_AND_TANGENTS = (BIG, Disk(Point2(0, 0), 1.5),
 @pytest.mark.parametrize("case", [FIVE_CURVES, HOLE_AND_TANGENTS, *_margin_cases()])
 def test_boolean_chains_equals_the_reference_on_tangent_hole_and_margin_cases(case):
     _same_as_reference(*case, MARGIN_EPS)
+
+
+# One rounding test: ``side``'s tolerance, the same on floats and arrays.
+
+def test_the_rounding_expression_is_written_once_in_src():
+    src = Path(geometry.__file__).parent
+    found = [f"{f.relative_to(src)}:{n}" for f in sorted(src.rglob("*.py"))
+             for n, line in enumerate(f.read_text().splitlines(), 1)
+             if "1e-12 * (1.0 + abs(" in line]
+    assert len(found) == 1, found
+
+
+def test_side_and_bisector_line_on_arrays_equal_the_scalar_results():
+    rng = random.Random(5)
+    a = [rng.uniform(-1e3, 1e3) for _ in range(400)]
+    # ties within the tolerance, just beyond it, exact ties, signed zeros, NaN
+    b = [x + rng.choice((0.0, 1.0, -1.0)) * rng.choice((1e-13, 1e-10, 2.0)) * (1.0 + 2.0 * abs(x))
+         for x in a]
+    a += [0.0, -0.0, 1.0, math.nan, 1.0, math.nan, 1.0 - 1e-13, 1.0 - 1e-11]
+    b += [-0.0, 0.0, 1.0, 1.0, math.nan, math.nan, 1.0, 1.0]
+    got = geometry.side(np.array(a), np.array(b))
+    assert got.tolist() == [geometry.side(x, y) for x, y in zip(a, b)]
+    assert {geometry.side(x, y) for x, y in zip(a, b)} == {-1, 0, 1}
+    circles = [(rng.uniform(-50, 50), rng.uniform(-50, 50), rng.uniform(0, 9)) for _ in range(200)]
+    circles[7] = (math.nan, 1.0, 2.0)
+    lines = bisector_line(np.array(circles[:100]).T, np.array(circles[100:]).T)
+    for i, c in enumerate(zip(*lines)):
+        want = bisector_line(circles[i], circles[100 + i])
+        assert repr(tuple(map(float, c))) == repr(want), i
+
+
+# ``clip_rows`` cuts every row of a batch in lockstep; each row must equal,
+# float for float, ``clip_coords`` chained over its lines.
+
+def _chained(pts, circles, own, cuts, eps):
+    """Reference: the row cut cut by cut, with the count of cuts applied to
+    a non-empty row and of those that left it unchanged."""
+    c, made, unchanged = circles[own], 0, 0
+    for k in cuts:
+        o = circles[k]
+        made += 1
+        if math.hypot(c[0] - o[0], c[1] - o[1]) <= eps:
+            if c[2] > o[2]:
+                unchanged += 1
+                continue
+            return None, made, unchanged
+        out = clip_coords(pts, *bisector_line(c, o))
+        unchanged += out is pts
+        if out is None:
+            return None, made, unchanged
+        pts = out
+    return pts, made, unchanged
+
+
+def _check_rows(polys, circles, rows, eps=1e-9):
+    """Run ``clip_rows`` on ``rows`` of (poly, own, cuts) and compare every
+    row and both counters with ``_chained``."""
+    width = max((len(cuts) for _, _, cuts in rows), default=0)
+    cuts = np.array([list(c) + [-1] * (width - len(c)) for _, _, c in rows], dtype=int)
+    cuts = cuts.reshape(len(rows), width)
+    got = clip_rows([ConvexPolygon(tuple(Point2(*v) for v in p)) for p in polys],
+                    np.array(circles, dtype=float), np.array([p for p, _, _ in rows], dtype=int),
+                    np.array([o for _, o, _ in rows], dtype=int), cuts, eps)
+    pts, a = list(map(tuple, got.xy.tolist())), 0
+    made = unchanged = 0
+    out = []
+    for (p, own, row_cuts), size in zip(rows, got.sizes.tolist()):
+        want, m, u = _chained(list(polys[p]), circles, own, row_cuts, eps)
+        made, unchanged = made + m, unchanged + u
+        assert (pts[a:a + size] if size else None) == want
+        out.append(want)
+        a += size
+    assert a == len(pts) and got.xy.shape == (a, 2)
+    assert (got.cuts, got.unchanged) == (made, unchanged)
+    return out
+
+
+def _ngon(cx, cy, r, angles):
+    return [(cx + r * math.cos(t), cy + r * math.sin(t)) for t in sorted(set(angles))]
+
+
+@st.composite
+def _batches(draw):
+    """Convex polygons of 3-12 vertices and rows of 0-8 cuts each.  A cut
+    circle is random, or made so the line runs through a vertex of the
+    row's polygon (``side`` 0 there), or far off on either side, or
+    concentric with the row's own circle."""
+    coord = st.floats(-3.0, 3.0)
+    polys = []
+    for _ in range(draw(st.integers(1, 3))):
+        angles = draw(st.lists(st.floats(0.0, 6.28), min_size=3, max_size=12,
+                               unique_by=lambda t: round(t, 3)))
+        polys.append(_ngon(draw(coord), draw(coord), draw(st.floats(0.5, 3.0)), angles))
+    circles, rows = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        p = draw(st.integers(0, len(polys) - 1))
+        own = len(circles)
+        cx, cy, r = draw(coord), draw(coord), draw(st.floats(0.0, 2.0))
+        circles.append((cx, cy, r))
+        cuts = []
+        for _ in range(draw(st.integers(0, 8))):
+            kind = draw(st.sampled_from(["random", "random", "vertex", "far", "concentric"]))
+            if kind == "random":
+                c = (draw(coord), draw(coord), draw(st.floats(0.0, 2.0)))
+            elif kind == "vertex":
+                vx, vy = draw(st.sampled_from(polys[p]))
+                t, d = draw(st.floats(0.0, 6.28)), draw(st.floats(0.1, 4.0))
+                ox, oy = vx + d * math.cos(t), vy + d * math.sin(t)
+                r2 = (vx - ox) ** 2 + (vy - oy) ** 2 - (vx - cx) ** 2 - (vy - cy) ** 2 + r * r
+                c = (ox, oy, math.sqrt(max(r2, 0.0)))
+            elif kind == "far":
+                c = (cx + 0.5, cy, r + draw(st.sampled_from([-1.0, 1.0])) * 30.0)
+            else:
+                c = (cx, cy, draw(st.floats(0.0, 4.0)))
+            if c[2] < 0.0:
+                c = (c[0], c[1], 0.0)
+            cuts.append(len(circles))
+            circles.append(c)
+        rows.append((p, own, cuts))
+    return polys, circles, rows
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(batch=_batches())
+def test_clip_rows_equals_chained_clip_coords(batch):
+    _check_rows(*batch)
+
+
+SQUARE_POLY = [(0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)]
+TRIANGLE = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+# circles: 0 and 1 bisect at x + y = 3.5 (a corner of the square); 2 at x = 1
+# from 0's side; 3 and 4 concentric with 0, smaller and larger
+CIRCLES = [(0.0, 0.0, 1.0), (3.5, 3.5, 1.0), (2.0, 0.0, 1.0), (0.0, 0.0, 0.5),
+           (0.0, 0.0, 2.0), (0.0, 0.0, 3.0)]
+
+
+def test_clip_rows_grows_past_the_starting_width_and_empties_rows():
+    rows = [(0, 0, [1]),  # the square loses a corner: 5 vertices, wider than 4
+            (0, 0, [2, 1]),  # then x <= 1 leaves a rectangle
+            (1, 0, [4]),  # concentric, the smaller: empty
+            (1, 5, [0, 4]),  # concentric, the larger: both cuts skipped
+            (1, 0, []),
+            (0, 0, [2, 3, 1])]
+    out = _check_rows([SQUARE_POLY, TRIANGLE], CIRCLES, rows)
+    assert len(out[0]) == 5 and len(out[1]) == 4
+    assert out[2] is None and out[3] == TRIANGLE and out[4] == TRIANGLE
+    assert out[5][0] == (0.0, 0.0)
+
+
+def test_clip_rows_on_a_batch_of_one_and_on_no_rows():
+    assert _check_rows([SQUARE_POLY], CIRCLES, [(0, 0, [2])]) == [
+        [(0.0, 0.0), (1.0, 0.0), (1.0, 2.0), (0.0, 2.0)]]
+    _check_rows([SQUARE_POLY], CIRCLES, [])
+
+
+def test_clip_rows_runs_more_rows_than_a_chunk():
+    rng = random.Random(9)
+    circles = [(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(0, 1.5)) for _ in range(60)]
+    rows = [(rng.randrange(2), rng.randrange(60), rng.sample(range(60), rng.randrange(9)))
+            for _ in range(2 * geometry._CHUNK + 7)]
+    rows = [(p, own, [k for k in cuts if k != own]) for p, own, cuts in rows]
+    _check_rows([_ngon(0.0, 0.0, 2.0, [0.1 * i for i in range(0, 60, 7)]), TRIANGLE],
+                circles, rows)

@@ -12,10 +12,11 @@ from scipy.spatial import ConvexHull, QhullError
 from coveragekit.errors import ConcentricDisks, DuplicateSite, HiddenSite
 from coveragekit.geometry import (ConvexPolygon, Disk, Point2, Rect, clip_convex, geom_eps,
                                   power_bisector, power_distance, side)
-from coveragekit.dynamic_coverage.shuffle import _mega_square
-from coveragekit.power_diagram import (PowerDiagram, SiteId, build, nearest_site, power_frame,
-                                       remove_redundant, _clip_cell, _flat_neighbors,
-                                       _validate)
+from coveragekit.dynamic_coverage.shuffle import _clip_cell, _mega_square
+from coveragekit import geometry, power_diagram
+from coveragekit.power_diagram import (PowerDiagram, SiteId, build, frame_partitions,
+                                       nearest_site, power_frame, remove_redundant,
+                                       _flat_neighbors, _validate)
 
 from oracles import grid_power_cell_areas
 
@@ -551,3 +552,42 @@ def test_plane_route_raises_again_on_a_full_rank_lift():
     with pytest.raises(QhullError) as raised:
         _flat_neighbors(disks, lift(disks), err)
     assert raised.value is err
+
+
+def c02_disks(n, seed=202):
+    """Interference disks of c02's generator (100x100 window)."""
+    rng = random.Random(seed)
+    spread = 100.0 / math.sqrt(n)
+    disks = []
+    for _ in range(n):
+        ir = rng.uniform(0.5, 1.5) * spread
+        x, y = rng.uniform(0.3, 99.7), rng.uniform(0.3, 99.7)
+        rng.uniform(0.5, 1.0)  # the transmission radius
+        disks.append(Disk(Point2(x, y), ir))
+    return disks
+
+
+def test_all_frames_of_2048_sites_stay_within_a_fixed_memory_peak():
+    # rows are cut in chunks, so the working arrays stay bounded; unchunked, this fails
+    import tracemalloc
+    pd = build(c02_disks(2048), DIAGRAM_WIN)
+    owners = [p for p in sorted(pd.cells) if pd.cells[p] is not None]
+    tracemalloc.start()
+    try:
+        rows = frame_partitions(pd, owners)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows.sizes) == sum(len(pd.neighbors[p]) for p in owners) > 8000
+    assert peak < 4_000_000, peak
+
+
+def test_cells_and_frames_make_no_per_polygon_clip(monkeypatch):
+    def refused(*args):
+        raise AssertionError("per-polygon clip_coords call")
+
+    for module in (geometry, power_diagram):
+        monkeypatch.setattr(module, "clip_coords", refused, raising=False)
+    pd = build(c02_disks(256), DIAGRAM_WIN)
+    assert pd.frames.sizes.sum() > 0
+    assert all(power_frame(pd, p).partitions for p in pd.cells if pd.cells[p] is not None)
