@@ -57,6 +57,7 @@ class PowerDiagram:
     cells: dict[SiteId, Optional[ConvexPolygon]]
     neighbors: dict[SiteId, frozenset[SiteId]]
     hidden: frozenset[SiteId]
+    eps: float  # the tolerance the cells were cut with; the frames take it too
 
     def edge_count(self) -> int:
         return sum(len(v) for v in self.neighbors.values()) // 2
@@ -90,11 +91,6 @@ def _validate(disks: Sequence[Disk], window: Rect) -> float:
         seen[key] = i
         if not window.contains(d.center):
             raise ValueError(f"disk {i} center {d.center} outside window")
-    return _scale(disks, window)
-
-
-def _scale(disks: Sequence[Disk], window: Rect) -> float:
-    """The scene size ``build``'s tolerance is taken from."""
     return max(window.diameter(), max(d.radius for d in disks))
 
 
@@ -115,7 +111,7 @@ def build(disks: Sequence[Disk], window: Rect) -> PowerDiagram:
     cells.update(zip(visible, _polygons(rows)))
     return PowerDiagram(window=window, sites=tuple(disks), cells=cells,
                         neighbors={i: frozenset(adj.get(i, ())) for i in range(n)},
-                        hidden=frozenset(i for i in range(n) if i not in adj))
+                        hidden=frozenset(i for i in range(n) if i not in adj), eps=eps)
 
 
 def _neighbors(disks: Sequence[Disk]) -> dict[SiteId, set[SiteId]]:
@@ -213,14 +209,14 @@ def frame_partitions(pd: PowerDiagram, owners: Sequence[SiteId]) -> ClippedRows:
     ascending.  Row (p, q) is cell(p) cut by the bisector of q and each other
     neighbour r, ascending, so q is power-nearest among the neighbours on
     it; vertex for vertex what ``clip_convex`` with each ``power_bisector``
-    would give.  An empty row is a piece left out.  ``eps`` is ``build``'s."""
+    would give.  An empty row is a piece left out."""
     gammas, g = padded([sorted(pd.neighbors[p]) for p in owners], np.int32(-1))
     o = np.repeat(np.arange(len(owners)), g)
     k = (np.arange(len(o)) - np.repeat(np.cumsum(g) - g, g)).astype(np.int32)  # q's place
     j = np.arange(max(gammas.shape[1] - 1, 0), dtype=np.int32)
     cuts = gammas[o[:, None], j + (j >= k[:, None])]  # gamma without q
     return clip_rows([pd.cells[p] for p in owners], np.array([d.xyr for d in pd.sites]), o,
-                     gammas[o, k], cuts, geom_eps(_scale(pd.sites, pd.window)))
+                     gammas[o, k], cuts, pd.eps)
 
 
 def power_frame(pd: PowerDiagram, p: SiteId) -> PowerFrame:

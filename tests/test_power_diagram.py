@@ -95,7 +95,7 @@ def _build_direct(disks: Sequence[Disk], window: Rect, scale: float) -> PowerDia
     neighbors = _adjacency_exact(disks, hidden, scale)
     return PowerDiagram(window=window, sites=tuple(disks), cells=cells,
                         neighbors={i: frozenset(s) for i, s in neighbors.items()},
-                        hidden=hidden)
+                        hidden=hidden, eps=eps)
 
 
 THREE_COLLINEAR = [Disk(Point2(0, 0), 10.0), Disk(Point2(2, 0), 1.0),
