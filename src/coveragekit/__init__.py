@@ -10,12 +10,11 @@ optimization.
 __version__ = "0.1.0"
 
 from .errors import (BudgetExceeded, ConcentricDisks, CoverageKitError,
-                     DuplicateSite, HiddenSite, InvalidChain, ModelError,
-                     ParseError, Singularity)
+                     DiagramRejected, DuplicateSite, HiddenSite, InvalidChain,
+                     ModelError, ParseError, Singularity)
 from .geometry import (ArcPolygon, CircularArc, ConvexPolygon, Disk, HalfPlane,
                        Point2, Rect, Segment, arc_polygon_area, clip_convex,
-                       convex_polygon_intersection, power_bisector,
-                       power_distance, region_disk_boolean, signed_distance)
+                       convex_polygon_intersection, power_distance)
 from .power_diagram import (PowerDiagram, PowerFrame, SiteId, build,
                             power_frame, remove_redundant)
 from .protocol_coverage import (CoverageMap, ProtocolTransmitter,

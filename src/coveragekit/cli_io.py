@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Any, Iterator, Optional, Sequence
 
 from . import __version__
-from .errors import BudgetExceeded, DuplicateSite, ModelError, ParseError
+from .errors import BudgetExceeded, CoverageKitError, DuplicateSite, ModelError, ParseError
 from .geometry import (ArcPolygon, CircularArc, Disk, Point2, Rect, Segment,
                        arc_polygon_area)
 from .optimizer import (MAX_SAMPLE_PAIRS, Bounds, RhcParams, SamplingPlan,
@@ -530,7 +530,7 @@ def _cmd_build_map(args) -> int:
     manifest = RunManifest("build-map", digest, scen.seed, {},
                            wall_time=time.perf_counter() - t0,
                            stats={"hidden": len(cov.diagram.hidden),
-                                  "edges": cov.diagram.edge_count()})
+                                  "edges": cov.diagram.edge_count(), **cov.stats})
     svg = render_svg(cov) if args.svg else None
     if svg is not None:
         f = cov.diagram.frames  # the frames just drawn, made once
@@ -762,7 +762,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cli(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point: 0 on success, 2 on input errors, 3 on budget errors."""
+    """Entry point: 0 on success, 3 on budget errors, 2 on input errors and
+    every other ``CoverageKitError`` (a diagram the engine rejects too)."""
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -773,7 +774,7 @@ def cli(argv: Optional[Sequence[str]] = None) -> int:
     except BudgetExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (ParseError, ModelError, OSError, ValueError, KeyError) as e:
+    except (CoverageKitError, OSError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -57,7 +57,7 @@ from typing import Iterable, Mapping, Optional
 
 from ..errors import DuplicateSite
 from ..geometry import (ArcPolygon, ConvexPolygon, Disk, Point2, Rect,
-                        arc_polygon_area, bisector_line, boolean_chains, clip_coords,
+                        arc_polygon_area, bisector_line, boolean_rows, clip_coords,
                         convex_polygon_intersection, geom_eps, power_distance, side)
 from ..protocol_coverage import ProtocolTransmitter
 
@@ -737,11 +737,16 @@ class DynamicCoverage:
     @property
     def regions(self) -> dict[int, list[ArcPolygon]]:
         """Current coverage regions; recomputes (with their areas) only
-        sites marked dirty."""
+        sites marked dirty, in one ``boolean_rows`` pass."""
         self._resolve_offstage()
-        for sid in sorted(self._dirty):
+        dirty = sorted(self._dirty)
+        rows = {sid: self._region_row(sid) for sid in dirty if sid in self.cells}
+        rows = {sid: row for sid, row in rows.items() if row is not None}
+        chains = boolean_rows(*zip(*rows.values())).chains if rows else []
+        found = dict(zip(rows, chains))
+        for sid in dirty:
             if sid in self.transmitters:
-                chains = self._compute_region(sid) if sid in self.cells else []
+                chains = found.get(sid, [])
                 self._regions[sid] = (chains, sum(arc_polygon_area(ap) for ap in chains))
             else:
                 self._regions.pop(sid, None)
@@ -751,17 +756,20 @@ class DynamicCoverage:
     def region_areas(self) -> dict[int, float]:
         return {sid: self._regions[sid][1] for sid in self.regions}
 
-    def _compute_region(self, sid: int) -> list[ArcPolygon]:
+    def _region_row(self, sid: int) -> Optional[tuple]:
+        """The ``boolean_rows`` row of a site: its cell in the window, its
+        transmission disk, the interference disks that can cut it and its
+        tolerance; None if the cell misses the window."""
         cell_poly = ConvexPolygon(tuple(Point2(self.x[u], self.y[u]) for u in self.cells[sid]))
         # the window is clipped by the cell, so its sides keep their exact
         # coordinates
         region_cell = convex_polygon_intersection(self.window.to_polygon(), cell_poly)
         if region_cell is None:
-            return []
+            return None
         t = self.transmitters[sid]
-        eps = geom_eps(max(self.window.diameter(), t.int_radius))
         cand = sorted(set(self.neighbors.get(sid, set())) | self.offstage)
-        return boolean_chains(region_cell, t.tx_disk, [self._int_disks[q] for q in cand], eps)
+        return (region_cell, t.tx_disk, [self._int_disks[q] for q in cand],
+                geom_eps(max(self.window.diameter(), t.int_radius)))
 
     def check_invariants(self) -> None:
         """Assert that the cells form a valid lattice: they tile the working

@@ -13,6 +13,11 @@ class InvalidChain(CoverageKitError):
     """An arc-polygon chain is open, degenerate, or self-intersecting."""
 
 
+class DiagramRejected(CoverageKitError):
+    """Qhull rejected the lifted disks of a power diagram; the message is
+    the first line of its reason."""
+
+
 class DuplicateSite(CoverageKitError):
     """Two identical disks/transmitters were supplied to a diagram."""
 

@@ -17,10 +17,21 @@ never by the distance between end points, so coincident crossings merge
 transitively along the curves.  Chain validation treats tangencies
 (single-point contacts) as non-intersections.  The boolean skips only work
 whose answer is known, where a point is ``_MARGIN`` eps clear of a rim: a
-margin that covers the touch rule and chains of contracted pieces.  Its
-events, keys and midpoint tests are floats (circles as ``(x, y, r)``); only
-kept pieces become ``Segment`` and ``CircularArc`` objects, from the same
-floats, and a midpoint becomes a ``Point2`` only to ask the region.
+margin that covers the touch rule and chains of contracted pieces.
+
+The boolean runs on numpy arrays, every site of a map in lockstep
+(``boolean_rows``), and gives the bits its formulas give on floats, since
+each formula is written once for both.  So only correctly rounded
+operations run in numpy: + - * /, ``sqrt``, ``%`` (``np.remainder`` rounds
+as Python's ``%`` does) and comparisons.  ``atan2``, ``hypot``, ``cos`` and
+``sin`` stay ``math`` calls, mapped over an array's elements: on 10^6
+random inputs numpy's ``arctan2`` differed from ``math.atan2`` on 7.8 % of
+them and its ``hypot`` from ``math.hypot`` on 0.62 %; its ``cos`` and
+``sin`` matched, which numpy does not promise.  A distance that is only
+compared with a bound is sqrt(dx * dx + dy * dy) where that lies more than
+1e-9 (relative) from the bound, and so on the same side as ``math.hypot``.
+Only kept pieces become ``Segment`` and ``CircularArc`` objects, from the
+same floats.
 """
 
 from __future__ import annotations
@@ -31,14 +42,13 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import ConcentricDisks, InvalidChain
+from .errors import InvalidChain
 
 TWO_PI = 2.0 * math.pi
 
 # Relative tolerance: absolute epsilons are EPS_REL * scene scale.
 EPS_REL = 1e-9
 
-XY = tuple[float, float]
 Circle = tuple[float, float, float]  # (x, y, r): the form the hot kernels read
 
 
@@ -102,35 +112,16 @@ class HalfPlane:
         return self.nx * p.x + self.ny * p.y - self.offset
 
 
-def signed_distance(x: Point2, d: Disk) -> float:
-    """Distance to the disk center minus the radius: negative strictly inside."""
-    return dist(x, d.center) - d.radius
-
-
 def power_distance(x: Point2, d: Disk) -> float:
     """Squared center distance minus squared radius: negative inside the disk,
     outside it the squared length of the tangent from ``x`` to the rim."""
-    dx = x.x - d.center.x
-    dy = x.y - d.center.y
-    return dx * dx + dy * dy - d.radius * d.radius
-
-
-def power_bisector(d1: Disk, d2: Disk, eps: float = 0.0) -> HalfPlane:
-    """Half-plane {x : power_distance(x, d1) <= power_distance(x, d2)}.
-
-    The quadratic terms cancel, so the boundary locus is always a straight
-    line.  Raises ConcentricDisks when the centers coincide.
-    """
-    nx, ny, off = bisector_line(d1.xyr, d2.xyr)
-    if math.hypot(nx, ny) <= 2.0 * eps:
-        raise ConcentricDisks(f"disks centered at {d1.center} and {d2.center} "
-                              f"have no bisector line")
-    return HalfPlane(nx, ny, off)
+    return _power(x.x, x.y, *d.xyr)
 
 
 def bisector_line(c1: Circle, c2: Circle) -> tuple[float, float, float]:
-    """Coefficients ``(nx, ny, offset)`` of ``power_bisector``, unchecked;
-    elementwise on arrays."""
+    """Coefficients ``(nx, ny, offset)`` of the half-plane {x :
+    power_distance(x, c1) <= power_distance(x, c2)}, whose boundary is a
+    straight line as the quadratic terms cancel; elementwise on arrays."""
     (x1, y1, r1), (x2, y2, r2) = c1, c2
     return (2.0 * (x2 - x1), 2.0 * (y2 - y1),
             (x2 * x2 + y2 * y2) - (x1 * x1 + y1 * y1) - r2 * r2 + r1 * r1)
@@ -159,9 +150,7 @@ class ConvexPolygon:
         pts = self.vertices
         for i in range(len(pts)):
             a, b = pts[i], pts[(i + 1) % len(pts)]
-            # CCW edge: inside is to the left.
-            cross = (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x)
-            if cross < -tol:
+            if _cross(a.x, a.y, b.x, b.y, p.x, p.y) < -tol:  # CCW: inside is to the left
                 return False
         return True
 
@@ -555,20 +544,23 @@ def _segment_segment_point(s1: Segment, s2: Segment) -> Optional[Point2]:
 def _segment_arc_points(seg: Segment, arc: CircularArc) -> list[Point2]:
     out = []
     a, b = seg.start, seg.end
-    for t in segment_circle_params((a.x, a.y), (b.x, b.y), arc.supporting_disk.xyr):
-        p = Point2(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
-        if _angle_on_arc(arc, _angle(arc.supporting_disk.xyr, p.x, p.y)):
-            out.append(p)
+    t0, s, n = segment_circle_params(a.x, a.y, b.x, b.y, *arc.supporting_disk.xyr)
+    for t in (t0 - s, t0 + s)[:n]:  # proper crossings inside the segment
+        if 1e-14 < t < 1.0 - 1e-14:
+            p = Point2(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+            if _angle_on_arc(arc, _angle(arc.supporting_disk.xyr, p.x, p.y)):
+                out.append(p)
     return out
 
 
 def _arc_arc_points(a1: CircularArc, a2: CircularArc) -> list[Point2]:
-    out = []
-    c1, c2 = a1.supporting_disk.xyr, a2.supporting_disk.xyr
-    for x, y in circle_circle_points(c1, c2):
-        if _angle_on_arc(a1, _angle(c1, x, y)) and _angle_on_arc(a2, _angle(c2, x, y)):
-            out.append(Point2(x, y))
-    return out
+    (x1, y1, r1), (x2, y2, r2) = c1, c2 = a1.supporting_disk.xyr, a2.supporting_disk.xyr
+    d = math.hypot(x2 - x1, y2 - y1)
+    if d == 0.0:
+        return []
+    mx, my, ox, oy, n = circle_circle_points(x1, y1, r1, x2, y2, r2, d)
+    return [Point2(x, y) for x, y in ((mx + ox, my + oy), (mx - ox, my - oy))[:n]
+            if _angle_on_arc(a1, _angle(c1, x, y)) and _angle_on_arc(a2, _angle(c2, x, y))]
 
 
 def _angle_on_arc(arc: CircularArc, angle: float) -> bool:
@@ -576,205 +568,406 @@ def _angle_on_arc(arc: CircularArc, angle: float) -> bool:
     return (angle - a0) % TWO_PI <= extent
 
 
+# --- Elementwise arithmetic ------------------------------------------------
+#
+# Written once for floats (chain validation) and arrays (``boolean_rows``),
+# with the same bits: numpy's + - * /, sqrt and % round as Python's do, and
+# ``math`` functions are mapped over an array's elements.
+
+def _math(f, *args):
+    """``f`` from ``math`` on floats, or mapped over the elements of 1-D arrays."""
+    if not isinstance(args[0], np.ndarray):
+        return f(*args)
+    return np.fromiter(map(f, *(a.tolist() for a in args)), float, len(args[0]))
+
+
+def _sqrt(x):
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _hypot_to(dx: np.ndarray, dy: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """``math.hypot(dx, dy)`` within 1e-9 (relative) of ``bound``, elsewhere
+    sqrt(dx * dx + dy * dy), which is within 5e-16 of it: on the same side
+    of ``bound``, so only for comparing with it."""
+    h = np.sqrt(dx * dx + dy * dy)
+    t = np.flatnonzero(~(abs(h - bound) > 1e-9 * abs(bound)) | ~(h > 1e-150) | (h > 1e150))
+    h[t] = _math(math.hypot, dx[t], dy[t])
+    return h
+
+
+def _power(x, y, cx, cy, r):
+    """``power_distance`` of (x, y) from circle (cx, cy, r)."""
+    dx, dy = x - cx, y - cy
+    return dx * dx + dy * dy - r * r
+
+
+def _cross(ax, ay, bx, by, px, py):
+    """Positive when p lies left of the line from a to b."""
+    return (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+
+
+def _lerp(ax, ay, bx, by, t):
+    """The point a + t(b - a): exactly a at t = 0 and b at t = 1."""
+    x, y = ax + t * (bx - ax), ay + t * (by - ay)
+    if not isinstance(t, np.ndarray):
+        return (ax, ay) if t == 0.0 else (bx, by) if t == 1.0 else (x, y)
+    at_a, at_b = t == 0.0, t == 1.0
+    return np.where(at_a, ax, np.where(at_b, bx, x)), np.where(at_a, ay, np.where(at_b, by, y))
+
+
+def _angle(c, x, y):
+    """Angle of the point (x, y) seen from the centre (c[0], c[1]), in [0, 2 pi)."""
+    return _math(math.atan2, y - c[1], x - c[0]) % TWO_PI
+
+
 # --- Circle intersections --------------------------------------------------
 
-def segment_circle_params(a: XY, b: XY, c: Circle, reach: float = -1e-14,
-                          touch: float = 0.0) -> list[float]:
-    """Parameters t in (-reach, 1 + reach) where line a+t(b-a) crosses the
-    rim of circle c; the default keeps crossings inside the segment only.  A
-    line whose distance from the centre is within ``touch`` of the radius is
-    tangent: its one touching parameter is returned.  The roots are taken
-    around the foot of the perpendicular from the centre, so a segment that
-    starts far from the circle loses no digits to cancellation in its
-    squared length."""
-    (ax, ay), (bx, by), (cx, cy, r) = a, b, c
+def segment_circle_params(ax, ay, bx, by, cx, cy, r, touch=0.0):
+    """Where the line a + t(b - a), a != b, meets the rim of circle (cx, cy,
+    r): ``(t0, s, n)``, n roots.  n = 1: the line's distance from the centre
+    is within ``touch`` of the radius, and it touches at t0; n = 2: it
+    crosses at t0 - s and t0 + s.  The roots are taken around the foot t0 of
+    the perpendicular from the centre, so a segment that starts far from
+    the circle loses no digits to cancellation in its squared length."""
     dx, dy = bx - ax, by - ay
     A = dx * dx + dy * dy
-    if A == 0.0:
-        return []
     fx, fy = ax - cx, ay - cy
     t0 = -(fx * dx + fy * dy) / A
     px, py = fx + t0 * dx, fy + t0 * dy  # centre to foot
     h2 = r * r - (px * px + py * py)  # ~ 2r(r - distance)
-    if touch > 0.0 and abs(h2) <= 2.0 * r * touch:
-        roots: tuple[float, ...] = (t0,)
-    elif h2 > 0.0:
-        s = math.sqrt(h2 / A)
-        roots = (t0 - s, t0 + s)
-    else:
-        return []
-    return [t for t in roots if -reach < t < 1.0 + reach]
+    tangent = (touch > 0.0) * (abs(h2) <= 2.0 * r * touch)
+    crossing = (h2 > 0.0) * (tangent == 0)
+    return t0, _sqrt(h2 * crossing / A), tangent + 2 * crossing
 
 
-def circle_circle_points(c1: Circle, c2: Circle, touch: float = 0.0) -> list[XY]:
-    """Proper intersection points of two circle rims.  Tangency yields none,
-    unless ``touch`` is positive: rims within ``touch`` of tangency, crossing
-    or not, then yield their one touching point."""
-    (x1, y1, r1), (x2, y2, r2) = c1, c2
+def circle_circle_points(x1, y1, r1, x2, y2, r2, d, touch=0.0):
+    """Where two circle rims with centres d = ``math.hypot`` > 0 apart meet:
+    ``(mx, my, ox, oy, n)``, n points.  n = 1: the rims are within ``touch``
+    of tangency, crossing or not, and touch at (mx, my); n = 2: they cross
+    at (mx ± ox, my ± oy)."""
     dx, dy = x2 - x1, y2 - y1
-    d = math.hypot(dx, dy)
-    if d == 0.0:
-        return []
     a = (d * d + r1 * r1 - r2 * r2) / (2.0 * d)
     h2 = r1 * r1 - a * a  # ~ -2 r1 times the gap between the rims
-    mx = x1 + a * dx / d
-    my = y1 + a * dy / d
-    if touch > 0.0 and abs(h2) <= 2.0 * r1 * touch:
-        return [(mx, my)]
-    if abs(r1 - r2) < d < r1 + r2 and h2 > 0.0:
-        h = math.sqrt(h2)
-        ox, oy = -dy / d * h, dx / d * h
-        return [(mx + ox, my + oy), (mx - ox, my - oy)]
-    return []
+    tangent = (touch > 0.0) * (abs(h2) <= 2.0 * r1 * touch)
+    crossing = (abs(r1 - r2) < d) * (d < r1 + r2) * (h2 > 0.0) * (tangent == 0)
+    h = _sqrt(h2 * crossing)
+    return x1 + a * dx / d, y1 + a * dy / d, -dy / d * h, dx / d * h, tangent + 2 * crossing
 
 
-# --- Keyed boolean: (region ∩ include) \ ∪ excludes ------------------------
+# --- Keyed boolean: (cell ∩ include) \ ∪ excludes, every row at once --------
 
-# Probe angles (radians) for a circle no other curve crosses: no lattice
-# favours them, and a majority of three outvotes one tangency point.
-_PROBES = (1.0, 3.0, 5.0)
+# Probe directions, at 1, 3 and 5 radians, for a circle no other curve
+# crosses: no lattice favours them, and a majority of three outvotes one
+# tangency point.
+_PROBES = [(math.cos(a), math.sin(a)) for a in (1.0, 3.0, 5.0)]
 
-# ``boolean_chains`` skips work only where a point is this many eps clear of a rim.
+# ``boolean_rows`` skips work only where a point is this many eps clear of a rim.
 _MARGIN = 64.0
+
+# Rows per pass of ``boolean_rows``: bounds its arrays (on a 2048-site map
+# passes of 512 rows peaked at 9.8 MB of them, of 128 rows at 2.9 MB, and
+# took no longer).
+_BOOLEAN_CHUNK = 128
+
+
+class BooleanRows(NamedTuple):
+    """``boolean_rows``' output: each row's chains, and what the pass did."""
+    chains: list  # one list of ArcPolygon per row, in input order
+    empty: int  # rows found empty before any Python work
+    pieces: int  # boundary pieces kept, a whole circle counting as one
 
 
 def boolean_chains(region: ConvexPolygon, include: Disk, excludes: Sequence[Disk],
                    eps: float) -> list[ArcPolygon]:
-    """Closed boundary chains of (region ∩ include) \\ ∪ excludes.
+    """The ``boolean_rows`` of one row."""
+    return boolean_rows([region], [include], [excludes], eps).chains[0]
 
-    The curves are the region's edges, the include circle (traversed
+
+def boolean_rows(cells: Sequence[ConvexPolygon], includes: Sequence[Disk],
+                 excludes: Sequence[Sequence[Disk]], eps) -> BooleanRows:
+    """Row r is the closed boundary chains of (cells[r] ∩ includes[r]) \\
+    ∪ excludes[r], with tolerance ``eps`` (one value, or one per row).
+
+    The curves of a row are its cell's edges, the include circle (traversed
     counterclockwise) and the circles of the excludes that meet the include
     disk (traversed clockwise).  Every crossing of two curves is computed
     once and keyed by the curves that make it: ``("e", i, k, j)`` for edge i
     and circle k, ``("c", k, l, j)`` for circles k < l, ``("v", i)`` for
-    region vertex i; j tells the two crossings of one pair apart, and curves
-    within ``eps`` of tangency have one touching crossing.  Each curve is cut
-    at its crossings and a piece is boundary when its midpoint lies in the
-    region, in the include disk and outside every exclude, its own curve
-    aside.  A piece no longer than ``eps``, kept or not, merges its two end
-    keys (union-find), so crossings that coincide along a curve become one
-    node.  Chains are stitched by looking end keys up, never by comparing
-    coordinates; chains of negative area are holes.
+    vertex i; j tells the two crossings of one pair apart, and curves within
+    ``eps`` of tangency have one touching crossing.  Each curve is cut at
+    its crossings, in the order of (position, key), and a piece is boundary
+    when its midpoint lies in the cell, in the include disk and outside
+    every exclude, its own curve aside.  A piece no longer than ``eps``,
+    kept or not, merges its end crossings, so crossings that coincide along
+    a curve become one node.  Chains are stitched by their nodes, never by
+    comparing coordinates; chains of negative area are holes.
 
-    Three shortcuts skip work whose answer is known, each only beyond a
-    margin of ``_MARGIN`` eps:
-    - when the include disk, or every region vertex, lies that deep in one
-      exclude, so does every piece's midpoint: the result is [] at once;
-    - ``keep`` tests the disks before the region, all of them pure tests;
-    - a crossing of an exclude circle with another one or with an edge,
-      lying that far outside the include disk, is no event, and an edge
-      that stays that far outside crosses no circle.  The pieces beside
-      such a crossing lie outside the include disk, between two of its
-      crossings, and are rejected whether cut there or not.
+    Two shortcuts skip work whose answer is known, each only beyond a margin
+    of ``_MARGIN`` eps: when the include disk, or every vertex, lies that
+    deep in one exclude, the row is empty at once; and a crossing of an
+    exclude circle with an edge or another exclude, that far outside the
+    include disk, is no event (the pieces beside it lie outside the include
+    disk, between two of its crossings, rejected whether cut there or not),
+    and an edge that stays that far outside crosses no circle.
+
+    All of this runs in lockstep over chunks of rows; a row that keeps no
+    piece is empty before any Python work, and only kept pieces become
+    ``Segment`` and ``CircularArc`` objects (``_stitch``).
     """
-    if include.radius <= eps:
-        return []
-    verts = [(v.x, v.y) for v in region.vertices]
-    m = len(verts)
-    ix, iy, ir = include.xyr
-    circles = [include] + [d for d in excludes if d.radius > eps and
-                           math.hypot(d.center.x - ix, d.center.y - iy) < d.radius + ir]
-    xyr = [d.xyr for d in circles]
+    n = len(cells)
+    eps = np.broadcast_to(np.asarray(eps, dtype=float), (n,))
+    out = BooleanRows([], 0, 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo in range(0, n, _BOOLEAN_CHUNK):
+            part = _boolean_chunk(*(a[lo:lo + _BOOLEAN_CHUNK]
+                                    for a in (cells, includes, excludes, eps)))
+            out = BooleanRows(out.chains + part.chains, out.empty + part.empty,
+                              out.pieces + part.pieces)
+    return out
+
+
+def _by_row(rows: np.ndarray, of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j) with rows[i] == of[j], ``of`` ascending."""
+    lo = np.searchsorted(of, rows)
+    reps = np.searchsorted(of, rows, "right") - lo
+    i = np.repeat(np.arange(len(rows)), reps)
+    return i, np.arange(len(i)) - np.repeat(np.cumsum(reps) - reps - lo, reps)
+
+
+def _boolean_chunk(cells, includes, excludes, eps: np.ndarray) -> BooleanRows:
+    """``boolean_rows`` of at most ``_BOOLEAN_CHUNK`` rows, on flat arrays:
+    one entry per vertex (each starts an edge), circle, crossing, event,
+    piece or midpoint, with the row it belongs to."""
+    R = len(cells)
+    inc = np.array([d.xyr for d in includes], dtype=float).reshape(R, 3)
+    ix, iy, ir = inc.T
     margin = _MARGIN * eps
-    for cx, cy, r in xyr[1:]:
-        deep = r - margin
-        if (math.hypot(ix - cx, iy - cy) + ir < deep
-                or all(math.hypot(x - cx, y - cy) < deep for x, y in verts)):
-            return []
     reach_out = ir + margin
-    # the excludes a point on circle k must lie outside; [0] also serves edges
-    others = [xyr[1:]] + [xyr[1:k] + xyr[k + 1:] for k in range(1, len(xyr))]
 
-    def keep(x: float, y: float, on: Optional[int]) -> bool:
-        # ``on`` is the circle the point lies on, None for a region edge.  Rim
-        # points are outside every disk, by ``power_distance``'s arithmetic.
-        # Cheapest test first: the region, with a ``Point2``, goes last.
-        if on != 0:
-            dx, dy = x - ix, y - iy
-            if not dx * dx + dy * dy - ir * ir < 0.0:
-                return False
-        for cx, cy, r in others[on or 0]:
-            dx, dy = x - cx, y - cy
-            if not dx * dx + dy * dy - r * r >= 0.0:
-                return False
-        return on is None or region.contains(Point2(x, y))
+    def beyond(x, y, rows):  # farther than reach_out from the include centre
+        return _hypot_to(x - ix[rows], y - iy[rows], reach_out[rows]) > reach_out[rows]
 
-    edge_events = [[(0.0, ("v", i)), (1.0, ("v", (i + 1) % m))] for i in range(m)]
-    circle_events: list[list] = [[] for _ in circles]
-    for i in range(m):
-        a, b = verts[i], verts[(i + 1) % m]
-        # a crossing at a vertex counts on both edges
-        reach = eps / max(math.hypot(a[0] - b[0], a[1] - b[1]), eps)
-        fx, fy = _lerp(a, b, _foot(a, b, ix, iy))
-        near = math.hypot(fx - ix, fy - iy) <= reach_out
-        for k, c in enumerate(xyr if near else ()):
-            for j, t in enumerate(segment_circle_params(a, b, c, reach, eps)):
-                t = min(max(t, 0.0), 1.0)
-                px, py = _lerp(a, b, t)
-                if k and math.hypot(px - ix, py - iy) > reach_out:
-                    continue
-                edge_events[i].append((t, ("e", i, k, j)))
-                circle_events[k].append((_angle(c, px, py), ("e", i, k, j)))
-    for k in range(len(circles)):
-        for l in range(k + 1, len(circles)):
-            for j, (px, py) in enumerate(circle_circle_points(xyr[k], xyr[l], eps)):
-                if k and math.hypot(px - ix, py - iy) > reach_out:
-                    continue
-                circle_events[k].append((_angle(xyr[k], px, py), ("c", k, l, j)))
-                circle_events[l].append((_angle(xyr[l], px, py), ("c", k, l, j)))
+    # the circles: each row's include (k = 0), then its excludes that meet it
+    pool = [d for row in excludes for d in row]
+    xrow = np.repeat(np.arange(R), [len(row) for row in excludes])
+    xyr = np.array([d.xyr for d in pool], dtype=float).reshape(-1, 3)
+    s = np.flatnonzero((ir > eps)[xrow] & (xyr[:, 2] > eps[xrow]))
+    gap = _math(math.hypot, xyr[s, 0] - ix[xrow[s]], xyr[s, 1] - iy[xrow[s]])
+    met = gap < xyr[s, 2] + ir[xrow[s]]
+    s, gap = s[met], gap[met]
+    crow = np.concatenate([np.arange(R), xrow[s]])
+    o = np.argsort(crow, kind="stable")
+    pool = list(includes) + [pool[i] for i in s.tolist()]
+    cdisk = [pool[i] for i in o.tolist()]
+    crow, cgap = crow[o], np.concatenate([np.zeros(R), gap])[o]
+    cx, cy, cr = np.concatenate([inc, xyr[s]])[o].T
+    ck = np.arange(len(crow)) - np.searchsorted(crow, crow)
+    m = np.array([len(c.vertices) for c in cells])
+    vx, vy = np.array([(v.x, v.y) for c in cells for v in c.vertices], dtype=float).reshape(-1, 2).T
+    vrow = np.repeat(np.arange(R), m)
+    vi = np.arange(len(vrow)) - np.searchsorted(vrow, vrow)
 
-    root: dict[tuple, tuple] = {}
+    # rows whose include disk, or every vertex, lies deep in one exclude
+    deep = cr - margin[crow]
+    c = np.flatnonzero(ck > 0)
+    i, v = _by_row(crow[c], vrow)
+    c = c[i]
+    inside = _hypot_to(vx[v] - cx[c], vy[v] - cy[c], deep[c]) < deep[c]
+    fired = (ck > 0) & ((np.bincount(c[inside], minlength=len(crow)) == m[crow])
+                        | (cgap + ir[crow] < deep))
+    live = (ir > eps) & (np.bincount(crow[fired], minlength=R) == 0)
+    cid = np.flatnonzero(live[crow])  # into ``cdisk``
+    crow, cx, cy, cr, ck = crow[cid], cx[cid], cy[cid], cr[cid], ck[cid]
+    lv = live[vrow]
+    vrow, vx, vy, vi, m = vrow[lv], vx[lv], vy[lv], vi[lv], m * live
 
-    def find(key: tuple) -> tuple:
+    # the edges, from vertex g to vertex nv[g], and those near the include disk
+    V = len(vx)
+    nv = np.where(vi + 1 < m[vrow], np.arange(V) + 1, np.arange(V) - vi)
+    bx, by = vx[nv], vy[nv]
+    length = _math(math.hypot, vx - bx, vy - by)
+    reach = eps[vrow] / np.maximum(length, eps[vrow])  # a crossing at a vertex counts on both edges
+    dx, dy = bx - vx, by - vy
+    l2 = dx * dx + dy * dy
+    foot = np.where(l2 == 0.0, 0.0, np.clip(((ix[vrow] - vx) * dx + (iy[vrow] - vy) * dy) / l2,
+                                            0.0, 1.0))
+    g = np.flatnonzero(~beyond(*_lerp(vx, vy, bx, by, foot), vrow))
+
+    # edge x circle crossings; j counts the roots inside the reach
+    i, c = _by_row(vrow[g], crow)
+    g = g[i]
+    t0, s, n = segment_circle_params(vx[g], vy[g], bx[g], by[g], cx[c], cy[c], cr[c], eps[crow[c]])
+    n *= l2[g] != 0.0
+    r0, r1 = np.where(n == 1, t0, t0 - s), t0 + s
+    ok0 = (n > 0) & (-reach[g] < r0) & (r0 < 1.0 + reach[g])
+    ok1 = (n == 2) & (-reach[g] < r1) & (r1 < 1.0 + reach[g])
+    xg, xc = np.concatenate([g[ok0], g[ok1]]), np.concatenate([c[ok0], c[ok1]])
+    xj = np.concatenate([0 * g[ok0], ok0[ok1] * 1])
+    xt = np.clip(np.concatenate([r0[ok0], r1[ok1]]), 0.0, 1.0)
+    px, py = _lerp(vx[xg], vy[xg], bx[xg], by[xg], xt)
+    t = ~((ck[xc] > 0) & beyond(px, py, crow[xc]))
+    xg, xc, xj, xt, px, py = xg[t], xc[t], xj[t], xt[t], px[t], py[t]
+    xa = _angle((cx[xc], cy[xc]), px, py)
+
+    # circle x circle crossings
+    p, q = _by_row(crow, crow)
+    p, q = p[ck[p] < ck[q]], q[ck[p] < ck[q]]
+    d = _math(math.hypot, cx[q] - cx[p], cy[q] - cy[p])
+    mx, my, ox, oy, n = circle_circle_points(cx[p], cy[p], cr[p], cx[q], cy[q], cr[q], d,
+                                             eps[crow[p]])
+    n *= d != 0.0
+    one, two = n > 0, n == 2
+    yp, yq = np.concatenate([p[one], p[two]]), np.concatenate([q[one], q[two]])
+    yj = np.concatenate([0 * p[one], 1 + 0 * p[two]])
+    px = np.concatenate([np.where(n == 1, mx, mx + ox)[one], (mx - ox)[two]])
+    py = np.concatenate([np.where(n == 1, my, my + oy)[one], (my - oy)[two]])
+    t = ~((ck[yp] > 0) & beyond(px, py, crow[yp]))
+    yp, yq, yj, px, py = yp[t], yq[t], yj[t], px[t], py[t]
+
+    # events on each curve, a row's edges (curve W row + i) then its
+    # circles (W row + m + k), sorted by position, then as their keys
+    # ("c", k, l, j) < ("e", i, k, j) < ("v", i) compare: by kind 0, 1, 2,
+    # then (k, l), (i, k) or (i, 0), then j.  Columns: curve, position,
+    # kind, key, key, j, node, edge or circle, length or radius
+    W = m.max(initial=0) + ck.max(initial=0) + 1
+    X, Y = len(xg), len(yp)
+    ecurve, ccurve = vrow * W + vi, crow * W + m[crow] + ck
+    ev, xn, yn = np.arange(V), V + np.arange(X), V + X + np.arange(Y)
+    cols = [(ecurve, 0.0, 2, vi, 0, 0, ev, ev, length),  # ("v", i) at t = 0
+            (ecurve, 1.0, 2, vi[nv], 0, 0, nv, ev, length),  # ("v", i + 1) at t = 1
+            (ecurve[xg], xt, 1, vi[xg], ck[xc], xj, xn, xg, length[xg]),
+            (ccurve[xc], xa, 1, vi[xg], ck[xc], xj, xn, xc, cr[xc]),
+            (ccurve[yp], _angle((cx[yp], cy[yp]), px, py), 0, ck[yp], ck[yq], yj, yn, yp, cr[yp]),
+            (ccurve[yq], _angle((cx[yq], cy[yq]), px, py), 0, ck[yp], ck[yq], yj, yn, yq, cr[yq])]
+    curve, pos, node, obj, size = _sorted_events(cols, W)
+    del cols
+    row, local = np.divmod(curve, W)
+    circ = local >= m[row]
+
+    # pieces: each event to the next on its curve, a circle's last to its first
+    N = len(curve)
+    tail = np.ones(N, bool)
+    tail[:-1] = curve[1:] != curve[:-1]
+    first = np.maximum.accumulate(np.where(np.roll(tail, 1), np.arange(N), 0))
+    a = np.flatnonzero(~tail | circ)
+    b = np.where(tail, first, np.arange(N) + 1)[a]
+    p0, p1 = pos[a], pos[b]
+    extent = np.where(circ[a] & tail[a], p1 + TWO_PI - p0, p1 - p0)
+    short = extent * size[a] <= eps[row[a]]
+    pe, pc = np.flatnonzero(~short & ~circ[a]), np.flatnonzero(~short & circ[a])
+    e, c = obj[a[pe]], obj[a[pc]]
+    mid = p0[pc] + 0.5 * extent[pc]
+    lone = np.flatnonzero(np.bincount(obj[circ], minlength=len(crow)) == 0)  # probe these thrice
+    mx, my = _lerp(vx[e], vy[e], bx[e], by[e], 0.5 * (p0[pe] + p1[pe]))
+    x = np.concatenate([mx, cx[c] + cr[c] * _math(math.cos, mid),
+                        *(cx[lone] + cr[lone] * u for u, _ in _PROBES)])
+    y = np.concatenate([my, cy[c] + cr[c] * _math(math.sin, mid),
+                        *(cy[lone] + cr[lone] * w for _, w in _PROBES)])
+    rows = np.concatenate([vrow[e], crow[c], np.tile(crow[lone], 3)])
+    on = np.concatenate([-1 + 0 * e, ck[c], np.tile(ck[lone], 3)])  # the circle it lies on
+
+    # the midpoint tests: the include disk unless on its rim, the other
+    # excludes one at a time, then the cell's edges unless on one, each over
+    # the points still kept; rim points are outside every disk, by
+    # ``_power``'s arithmetic
+    ok = np.ones(len(x), bool)
+    t = np.flatnonzero(on != 0)
+    ok[t] = _power(x[t], y[t], ix[rows[t]], iy[rows[t]], ir[rows[t]]) < 0.0
+    csize = np.bincount(crow, minlength=R)
+    t = np.flatnonzero(ok)
+    for k in range(1, csize.max(initial=0)):
+        t = t[csize[rows[t]] > k]
+        c = np.searchsorted(crow, rows[t]) + k
+        out = ~(_power(x[t], y[t], cx[c], cy[c], cr[c]) >= 0.0) & (on[t] != k)
+        ok[t[out]], t = False, t[~out]
+    t = np.flatnonzero(ok & (on >= 0))
+    for i in range(m.max(initial=0)):
+        t = t[m[rows[t]] > i]
+        v = np.searchsorted(vrow, rows[t]) + i
+        out = _cross(vx[v], vy[v], bx[v], by[v], x[t], y[t]) < 0.0
+        ok[t[out]], t = False, t[~out]
+    kept = np.zeros(len(a), bool)
+    kept[np.concatenate([pe, pc])] = ok[:len(pe) + len(pc)]
+    whole = lone[ok[len(pe) + len(pc):].reshape(3, -1).sum(0) >= 2]
+
+    # only rows that keep a piece reach Python: an edge's piece becomes a
+    # segment, the include circle's an arc from p0 to p1, an exclude's an
+    # arc from p1 to p0 (clockwise), and a whole circle a chain of its own
+    k, h = a[kept], b[kept]
+    turn = local[k] - m[row[k]]  # < 0 on an edge, 0 on the include circle
+    g, ci = obj[k] * (turn < 0), cid[obj[k] * (turn >= 0)]  # the edge, or the circle's disk
+    x0, y0 = _lerp(vx[g], vy[g], bx[g], by[g], pos[k])
+    x1, y1 = _lerp(vx[g], vy[g], bx[g], by[g], pos[h])
+    edges = [Segment(Point2(*e0), Point2(*e1)) if u < 0 else
+             CircularArc(cdisk[i], a0, a1, OUTWARD) if u == 0 else
+             CircularArc(cdisk[i], a1, a0, INWARD)
+             for u, e0, e1, i, a0, a1 in zip(turn.tolist(), zip(x0.tolist(), y0.tolist()),
+                                             zip(x1.tolist(), y1.tolist()), ci.tolist(),
+                                             pos[k].tolist(), pos[h].tolist())]
+    pieces = _split(row[k], R, zip(edges, local[k].tolist(),
+                                   np.where(turn > 0, node[h], node[k]).tolist(),
+                                   np.where(turn > 0, node[k], node[h]).tolist()))
+    merged = _split(row[a[short]], R, zip(node[a[short]].tolist(), node[b[short]].tolist()))
+    arcs = [CircularArc(cdisk[i], 0.0, 0.0, INWARD if kw else OUTWARD)
+            for i, kw in zip(cid[whole].tolist(), ck[whole].tolist())]
+    wholes = _split(crow[whole], R, zip(arcs, (m[crow[whole]] + ck[whole]).tolist()))
+    busy = np.flatnonzero(np.bincount(np.concatenate([row[k], crow[whole]]), minlength=R))
+    busy = busy.tolist()
+    chains: list[list[ArcPolygon]] = [[] for _ in range(R)]
+    for r in busy:
+        chains[r] = _stitch(pieces[r], merged[r], wholes[r], float(eps[r]))
+    return BooleanRows(chains, R - len(busy), len(k) + len(whole))
+
+
+def _sorted_events(cols: list, W: int) -> tuple[np.ndarray, ...]:
+    """The columns curve, position, node, edge or circle, and length or
+    radius of the events ``cols``, sorted by curve, position and key: by one
+    integer that packs the three, positions replaced by their rank (ties,
+    -0.0 and 0.0 among them, share one), unless it could overflow."""
+    curve, pos, kind, ka, kb, kj, node, obj, size = (
+        np.concatenate([c[f] if isinstance(c[f], np.ndarray) else np.full(len(c[0]), c[f])
+                        for c in cols]) for f in range(9))
+    key = ((kind * W + ka) * W + kb) * 2 + kj
+    _, rank = np.unique(pos, return_inverse=True)
+    span = (int(rank.max(initial=0)) + 1, int(key.max(initial=0)) + 1)
+    if (int(curve.max(initial=0)) + 1) * span[0] * span[1] < 2 ** 62:
+        o = np.argsort((curve * span[0] + rank) * span[1] + key)
+    else:
+        o = np.lexsort((key, pos, curve))
+    return curve[o], pos[o], node[o], obj[o], size[o]
+
+
+def _split(rows: np.ndarray, R: int, items) -> list[list]:
+    """``items``, one per entry of the ascending ``rows``, as R lists by row."""
+    out: list[list] = [[] for _ in range(R)]
+    for r, item in zip(rows.tolist(), items):
+        out[r].append(item)
+    return out
+
+
+def _stitch(pieces: list, merged: list, whole: list, eps: float) -> list[ArcPolygon]:
+    """One row's chains: its ``whole`` circles (arc, curve), each a chain,
+    then its ``pieces`` (edge, curve, start node, end node) in curve order,
+    stitched by end nodes once the node pairs ``merged`` by short pieces are
+    joined (union-find).  Chains of negative area are holes."""
+    root: dict[int, int] = {}
+
+    def find(key: int) -> int:
         while key in root:
             key = root[key]
         return key
 
-    def contract(k0: tuple, k1: tuple) -> None:
+    for k0, k1 in merged:
         k0, k1 = find(k0), find(k1)
         if k0 != k1:
             root[k0] = k1
-
-    # (edge, curve, start key, end key); curves are edges 0..m-1, circles m+k
-    pieces: list[tuple[ArcEdge, int, tuple, tuple]] = []
-    chains: list[list[tuple[ArcEdge, int, bool]]] = []
-    for i in range(m):
-        a, b = verts[i], verts[(i + 1) % m]
-        events = sorted(edge_events[i])
-        length = math.hypot(a[0] - b[0], a[1] - b[1])
-        for (t0, k0), (t1, k1) in zip(events, events[1:]):
-            if (t1 - t0) * length <= eps:
-                contract(k0, k1)
-            elif keep(*_lerp(a, b, 0.5 * (t0 + t1)), None):
-                pieces.append((Segment(Point2(*_lerp(a, b, t0)), Point2(*_lerp(a, b, t1))),
-                               i, k0, k1))
-    for k, (d, (cx, cy, r)) in enumerate(zip(circles, xyr)):
-        events = sorted(circle_events[k])
-        if not events:
-            if sum(keep(cx + r * math.cos(a), cy + r * math.sin(a), k) for a in _PROBES) >= 2:
-                chains.append([(CircularArc(d, 0.0, 0.0, INWARD if k else OUTWARD), m + k, True)])
-            continue
-        last = len(events) - 1
-        for n, ((a0, k0), (a1, k1)) in enumerate(zip(events, events[1:] + events[:1])):
-            # the last piece wraps past angle 0 (the whole circle if every
-            # event is at one angle)
-            extent = a1 - a0 if n < last else a1 + TWO_PI - a0
-            if extent * r <= eps:
-                contract(k0, k1)
-                continue
-            mid = a0 + 0.5 * extent
-            if keep(cx + r * math.cos(mid), cy + r * math.sin(mid), k):
-                if k == 0:
-                    pieces.append((CircularArc(d, a0, a1, OUTWARD), m, k0, k1))
-                else:
-                    pieces.append((CircularArc(d, a1, a0, INWARD), m + k, k1, k0))
-
-    leaving: dict[tuple, list[int]] = {}
+    leaving: dict[int, list[int]] = {}
     for n in reversed(range(len(pieces))):
         leaving.setdefault(find(pieces[n][2]), []).append(n)
     # a piece may join the one before it only through a node it alone leaves
     alone = [len(leaving[find(start)]) == 1 for _, _, start, _ in pieces]
     used = [False] * len(pieces)
+    chains = [[(arc, curve, True)] for arc, curve in whole]
     for n, (edge, curve, start, end) in enumerate(pieces):
         if used[n]:
             continue
@@ -799,28 +992,6 @@ def boolean_chains(region: ConvexPolygon, include: Disk, excludes: Sequence[Disk
         edges = tuple(_canonical(_coalesce(chain)))
         (outers if _chain_signed_area(edges) >= 0.0 else holes).append(ArcPolygon(edges))
     return _attach_holes(outers, holes, eps) if holes else outers
-
-
-def _foot(a: XY, b: XY, cx: float, cy: float) -> float:
-    """Parameter of the point of segment ab nearest to (cx, cy)."""
-    (ax, ay), (bx, by) = a, b
-    dx, dy = bx - ax, by - ay
-    l2 = dx * dx + dy * dy
-    return 0.0 if l2 == 0.0 else min(max(((cx - ax) * dx + (cy - ay) * dy) / l2, 0.0), 1.0)
-
-
-def _lerp(a: XY, b: XY, t: float) -> XY:
-    if t == 0.0:
-        return a
-    if t == 1.0:
-        return b
-    (ax, ay), (bx, by) = a, b
-    return ax + t * (bx - ax), ay + t * (by - ay)
-
-
-def _angle(c: Circle, x: float, y: float) -> float:
-    """Angle of the point (x, y) seen from the centre of circle c, in [0, 2 pi)."""
-    return math.atan2(y - c[1], x - c[0]) % TWO_PI
 
 
 def _coalesce(chain: list[tuple[ArcEdge, int, bool]]) -> list[ArcEdge]:
@@ -854,8 +1025,8 @@ def _canonical(chain: list[ArcEdge]) -> list[ArcEdge]:
     """Rotate the chain so it starts at the lexicographically smallest endpoint."""
     if len(chain) <= 1:
         return chain
-    best = min(range(len(chain)),
-               key=lambda i: (chain[i].start_point.x, chain[i].start_point.y))
+    starts = [(p.x, p.y) for p in (e.start_point for e in chain)]
+    best = min(range(len(chain)), key=starts.__getitem__)
     return chain[best:] + chain[:best]
 
 
@@ -869,7 +1040,7 @@ def _attach_holes(outers: list[ArcPolygon], holes: list[ArcPolygon],
         e = hole.edges[0]
         probe = (e.supporting_disk.point_at(e.start_angle + 0.5 * e.sweep())
                  if isinstance(e, CircularArc)
-                 else Point2(*_lerp((e.start.x, e.start.y), (e.end.x, e.end.y), 0.5)))
+                 else Point2(*_lerp(e.start.x, e.start.y, e.end.x, e.end.y, 0.5)))
         best = None
         best_area = math.inf
         for i, outer in enumerate(outers):
@@ -927,27 +1098,3 @@ def _ray_hits(e: ArcEdge, px: float, py: float, eps: float) -> Optional[int]:
         if rel < extent and x > px:
             n += 1
     return n
-
-
-def region_disk_boolean(region: ConvexPolygon, include: Disk,
-                        exclude: Disk) -> list[ArcPolygon]:
-    """Disjoint arc polygons covering (region ∩ include) \\ exclude.
-
-    Each boundary edge is a polygon-edge fragment, an outward arc of
-    ``include``, or an inward arc of ``exclude``.  When ``exclude`` sits
-    strictly inside the intersection the region is split along a chord rather
-    than emitting an annulus.
-    """
-    scale = max(region.diameter(), include.radius + exclude.radius,
-                abs(include.center.x), abs(include.center.y))
-    eps = geom_eps(scale)
-    out = boolean_chains(region, include, [exclude], eps)
-    if any(ap.holes for ap in out):
-        # hole: cut the region through the exclude center and redo both halves
-        cy = exclude.center.y
-        out = []
-        for part in (clip_convex(region, HalfPlane(0.0, 1.0, cy)),
-                     clip_convex(region, HalfPlane(0.0, -1.0, -cy))):
-            if part is not None:
-                out.extend(region_disk_boolean(part, include, exclude))
-    return out

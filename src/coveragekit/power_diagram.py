@@ -42,7 +42,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import DuplicateSite, HiddenSite
+from .errors import DiagramRejected, DuplicateSite, HiddenSite
 from .geometry import (ClippedRows, ConvexPolygon, Disk, Point2, Rect, clip_rows, geom_eps,
                        padded, power_distance, side)
 
@@ -99,10 +99,18 @@ def build(disks: Sequence[Disk], window: Rect) -> PowerDiagram:
 
     Deterministic given input order.  Sites whose power region is empty in
     the unbounded plane are reported in ``hidden`` and get a None cell.
+    A lift that Qhull rejects and no flat route explains raises
+    ``DiagramRejected``.
     """
+    from scipy.spatial import QhullError
+
     eps = geom_eps(_validate(disks, window))
     n = len(disks)
-    adj = _neighbors(disks)
+    try:
+        adj = _neighbors(disks)
+    except QhullError as err:
+        reason = next((line for line in str(err).splitlines() if line.strip()), "no reason given")
+        raise DiagramRejected(f"Qhull rejected the sites: {reason.strip()}") from err
     visible = sorted(adj)
     cuts, _ = padded([sorted(adj[i]) for i in visible], -1)
     rows = clip_rows([window.to_polygon()], np.array([d.xyr for d in disks]),

@@ -5,24 +5,26 @@ and outside every other transmitter's interference disk.  The map is computed
 per site from the power diagram of the interference disks: inside p's cell
 the power-nearest other site is always one of p's neighbours, so p's region
 is its cell ∩ transmission disk minus the interference disks of its
-neighbours (``geometry.boolean_chains``).  On the rim of neighbour q's disk,
+neighbours (``geometry.boolean_rows``).  On the rim of neighbour q's disk,
 "outside every other neighbour's disk" is exactly "in q's piece of p's power
 frame", so the frame needs no building: its edges meet the region's boundary
 only where two neighbours' circles cross, and those crossings are keyed by
 the two circles.
 
-The per-site loop is embarrassingly parallel once the shared diagram exists;
-all outputs are immutable.
+Once the shared diagram exists, one lockstep pass computes every visible
+site's region (``geometry.boolean_rows``): the crossings, their angles and
+the midpoint tests of all sites in a few numpy steps, so that Python only
+stitches the pieces of the sites that keep any.  All outputs are immutable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
 from .geometry import (ArcPolygon, CircularArc, Disk, Point2, Rect, TWO_PI,
-                       arc_polygon_area, boolean_chains, dist, geom_eps)
+                       arc_polygon_area, boolean_rows, dist, geom_eps)
 from .power_diagram import PowerDiagram, SiteId, build
 
 
@@ -53,6 +55,8 @@ class CoverageMap:
     regions: dict[SiteId, list[ArcPolygon]]
     diagram: PowerDiagram
     transmitters: tuple[ProtocolTransmitter, ...]
+    # what the boolean pass did, for the run manifest; not compared
+    stats: dict[str, int] = field(default_factory=dict, compare=False, repr=False)
 
     def total_arcs(self) -> int:
         return sum(len(ap.edges) + sum(len(h.edges) for h in ap.holes)
@@ -69,19 +73,16 @@ def compute_coverage_map(txs: Sequence[ProtocolTransmitter], window: Rect) -> Co
         raise ValueError("need at least one transmitter")
     int_disks = [t.int_disk for t in txs]
     pd = build(int_disks, window)
-    scale = max(window.diameter(), max(t.int_radius for t in txs))
-    eps = geom_eps(scale)
-
-    regions: dict[SiteId, list[ArcPolygon]] = {}
-    for p in range(len(txs)):
-        cell = pd.cells.get(p)
-        if p in pd.hidden or cell is None:
-            regions[p] = []
-            continue
-        regions[p] = boolean_chains(cell, txs[p].tx_disk,
-                                    [int_disks[q] for q in sorted(pd.neighbors.get(p, ()))],
-                                    eps)
-    return CoverageMap(regions=regions, diagram=pd, transmitters=tuple(txs))
+    visible = [p for p in range(len(txs)) if p not in pd.hidden and pd.cells.get(p) is not None]
+    rows = boolean_rows([pd.cells[p] for p in visible], [txs[p].tx_disk for p in visible],
+                        [[int_disks[q] for q in sorted(pd.neighbors.get(p, ()))]
+                         for p in visible], pd.eps)
+    regions: dict[SiteId, list[ArcPolygon]] = {p: [] for p in range(len(txs))}
+    regions.update(zip(visible, rows.chains))
+    stats = {"boolean_sites": len(visible), "boolean_empty": rows.empty,
+             "boolean_pieces": rows.pieces,
+             "boolean_chains": sum(1 + len(ap.holes) for c in rows.chains for ap in c)}
+    return CoverageMap(regions=regions, diagram=pd, transmitters=tuple(txs), stats=stats)
 
 
 def coverage_area(cov: CoverageMap) -> float:

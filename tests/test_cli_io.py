@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from coveragekit.errors import ModelError, ParseError
 from coveragekit.geometry import Point2, Rect
 from coveragekit.power_diagram import build
 from coveragekit.protocol_coverage import ProtocolTransmitter, compute_coverage_map
-from coveragekit.geometry import Disk
+from coveragekit.geometry import Disk, boolean_rows
 
 PROTOCOL_SCENARIO = {
     "model": "protocol",
@@ -158,13 +159,41 @@ def test_cli_build_map_counters_in_manifest_only(tmp_path):
     pd = build([Disk(Point2(t["x"], t["y"]), t["int_radius"]) for t in doc["transmitters"]],
                Rect(-5.0, -5.0, 5.0, 5.0))
     assert pd.hidden == {3}  # concentric with site 0, and smaller
-    assert plain == {"hidden": 1, "edges": pd.edge_count()}
+    visible = [p for p in pd.cells if pd.cells[p] is not None]
+    txs = [Disk(Point2(t["x"], t["y"]), t["tx_radius"]) for t in doc["transmitters"]]
+    batch = boolean_rows([pd.cells[p] for p in visible], [txs[p] for p in visible],
+                         [[pd.sites[q] for q in sorted(pd.neighbors[p])] for p in visible],
+                         pd.eps)
+    assert plain == {"hidden": 1, "edges": pd.edge_count(), "boolean_sites": len(visible),
+                     "boolean_empty": batch.empty, "boolean_pieces": batch.pieces,
+                     "boolean_chains": sum(1 + len(ap.holes) for c in batch.chains for ap in c)}
+    assert plain["boolean_chains"] > 0 and plain["boolean_pieces"] >= plain["boolean_chains"]
     rows = sum(len(pd.neighbors[p]) for p in pd.cells if pd.cells[p] is not None)
     assert drawn == {**plain, "frame_rows": rows, "frame_cuts": pd.frames.cuts,
                      "frame_cuts_unchanged": pd.frames.unchanged,
                      "frame_pieces_empty": pd.frames.sizes.tolist().count(0)}
     assert drawn["frame_cuts"] >= drawn["frame_cuts_unchanged"] and rows == 6
     assert "stats" not in json.loads((tmp_path / "b.result.json").read_text())
+
+
+def test_cli_projected_coordinates_exit_2_without_a_traceback(tmp_path, capsys):
+    # the static-map generator (seed 11, n = 512, a 100 x 100 window) moved
+    # to UTM-like eastings and northings: Qhull rejects the lifted disks
+    rng, spread, (ox, oy) = random.Random(11), 100.0 / math.sqrt(512), (5e5, 4e6)
+    txs = []
+    for _ in range(512):
+        ir = rng.uniform(0.5, 1.5) * spread
+        x, y = rng.uniform(0.3, 99.7) + ox, rng.uniform(0.3, 99.7) + oy
+        txs.append({"x": x, "y": y, "tx_radius": max(1e-4, rng.uniform(0.5, 1.0) * ir),
+                    "int_radius": ir})
+    path = tmp_path / "utm.scenario.json"
+    path.write_text(json.dumps({"model": "protocol", "transmitters": txs, "window": {
+        "x0": ox, "y0": oy, "x1": ox + 100.0, "y1": oy + 100.0}}))
+    capsys.readouterr()
+    assert cli(["build-map", str(path), "--out", str(tmp_path / "utm.result.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Qhull rejected the sites: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
 
 
 def test_cli_input_error_exit_2(tmp_path, capsys):

@@ -657,3 +657,28 @@ def test_churn_against_vertex_scan(layout, n):
         check(f"churn {k}")
     assert parked > 0 and revived > 0, (parked, revived)
     assert_matches_static(dc, win, layout)
+
+
+def test_a_regions_read_builds_its_dirty_sites_in_one_batch(monkeypatch):
+    from coveragekit.dynamic_coverage import shuffle
+    batches, real = [], shuffle.boolean_rows
+
+    def counted(cells, includes, excludes, eps):
+        batches.append(len(cells))
+        return real(cells, includes, excludes, eps)
+
+    monkeypatch.setattr(shuffle, "boolean_rows", counted)
+    rng = random.Random(4)
+    dc = DynamicCoverage(Rect(0.0, 0.0, 20.0, 20.0), seed=4)
+    for _ in range(40):
+        dc.insert_transmitter(ProtocolTransmitter(Point2(rng.uniform(1, 19), rng.uniform(1, 19)),
+                                                  0.8, rng.uniform(1.0, 2.5)))
+    dc.regions
+    assert batches == [len(dc.cells)]
+    dc.insert_transmitter(ProtocolTransmitter(Point2(10.0, 10.0), 1.0, 2.0))
+    dirty = len(dc._dirty)
+    dc.regions
+    assert len(batches) == 2 and 0 < batches[1] <= dirty
+    dc.regions  # nothing dirty: no batch
+    assert len(batches) == 2
+

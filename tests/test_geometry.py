@@ -13,13 +13,14 @@ from coveragekit.errors import ConcentricDisks, InvalidChain
 from coveragekit.geometry import (ArcPolygon, CircularArc, ConvexPolygon, Disk,
                                   HalfPlane, Point2, Rect, Segment, TWO_PI,
                                   _edges_cross, arc_polygon_area,
-                                  arc_polygon_contains, boolean_chains,
-                                  bisector_line, clip_convex, clip_coords, clip_rows,
+                                  arc_polygon_contains, boolean_chains, boolean_rows,
+                                  bisector_line, circle_circle_points, clip_convex,
+                                  clip_coords, clip_rows,
                                   convex_polygon_intersection,
-                                  dist, geom_eps, power_bisector, power_distance,
-                                  region_disk_boolean, signed_distance)
+                                  dist, geom_eps, power_distance)
 from coveragekit.power_diagram import build
 from boolean_reference import boolean_chains_reference
+from geometry_reference import power_bisector, region_disk_boolean, signed_distance
 from oracles import grid_boolean_area, lens_area
 from test_power_diagram import COCIRCULAR, GRID6
 
@@ -374,24 +375,25 @@ def test_boolean_chains_keeps_an_edge_within_the_margin(gap):
     assert sum(arc_polygon_area(ap) for ap in chains) == pytest.approx(math.pi, abs=1e-9)
 
 
-class _Spy(ConvexPolygon):
-    """A region that records every point its ``contains`` is asked about."""
+def test_boolean_chains_asks_the_region_last(monkeypatch):
+    # the cell is tested only at midpoints that the include disk and every
+    # exclude keep
+    asked, cross = [], geometry._cross
 
-    def contains(self, p, tol=0.0):
-        self.__dict__.setdefault("asked", []).append(p)
-        return super().contains(p, tol)
+    def spy(ax, ay, bx, by, px, py):
+        asked.extend(zip(np.atleast_1d(px).tolist(), np.atleast_1d(py).tolist()))
+        return cross(ax, ay, bx, by, px, py)
 
-
-def test_boolean_chains_asks_the_region_last():
+    monkeypatch.setattr(geometry, "_cross", spy)
     include = Disk(Point2(0, 0), 1.5)
     excludes = [Disk(Point2(1.2, 0.4), 0.8), Disk(Point2(-0.7, -0.9), 0.6),
                 Disk(Point2(0.1, 1.4), 0.5)]
-    region = _Spy((Point2(-1.2, -1.8), Point2(1.6, -1.1), Point2(1.3, 1.4), Point2(-1.5, 0.9)))
+    region = ConvexPolygon((Point2(-1.2, -1.8), Point2(1.6, -1.1), Point2(1.3, 1.4),
+                            Point2(-1.5, 0.9)))
     boolean_chains(region, include, excludes, MARGIN_EPS)
-    asked = region.__dict__.get("asked", [])
     assert asked
     slack = 1e-9
-    for p in asked:
+    for p in map(Point2, *zip(*asked)):
         assert dist(p, include.center) <= include.radius + slack, p
         assert all(dist(p, d.center) >= d.radius - slack for d in excludes), p
 
@@ -453,8 +455,7 @@ def _static_map_sites(disks, txs, window):
     """(cell, transmission disk, neighbours' disks, eps) of every visible site,
     as ``compute_coverage_map`` passes them."""
     pd = build(disks, window)
-    eps = geom_eps(max(window.diameter(), max(d.radius for d in disks)))
-    return [(pd.cells[p], txs[p], [disks[q] for q in sorted(pd.neighbors[p])], eps)
+    return [(pd.cells[p], txs[p], [disks[q] for q in sorted(pd.neighbors[p])], pd.eps)
             for p in range(len(disks)) if pd.cells[p] is not None]
 
 
@@ -517,13 +518,144 @@ def test_boolean_chains_equals_the_reference_on_tangent_hole_and_margin_cases(ca
     _same_as_reference(*case, MARGIN_EPS)
 
 
+# ``boolean_rows`` computes every row of a batch in lockstep; each row must
+# equal the reference, float for float, whatever else shares its batch.
+
+def _rows_equal_reference(rows, eps):
+    """Run ``boolean_rows`` on ``rows`` of (cell, include, excludes) and
+    compare each row with the reference; eps is one value or one per row."""
+    per_row = np.broadcast_to(np.asarray(eps, dtype=float), (len(rows),)).tolist()
+    want = []
+    for (cell, include, excludes), e in zip(rows, per_row):
+        try:
+            want.append(boolean_chains_reference(cell, include, excludes, e))
+        except InvalidChain:
+            with pytest.raises(InvalidChain):
+                boolean_rows(*zip(*rows), eps)
+            return None
+    got = boolean_rows(*zip(*rows), eps) if rows else boolean_rows([], [], [], eps)
+    assert got.chains == want
+    assert got.empty == sum(not w for w in want)
+    return got
+
+
+@st.composite
+def _maps(draw):
+    """Small maps whose centres lie on a half-unit lattice and whose radii
+    are half-units too, so circles are often tangent, cocircular, shared
+    (the include equal to its own interference circle) or concentric."""
+    n = draw(st.integers(1, 9))
+    half = st.integers(1, 15).map(lambda k: 0.5 * k)
+    disks, txs, seen = [], [], set()
+    for _ in range(n):
+        x, y, r = draw(half), draw(half), draw(st.integers(1, 6).map(lambda k: 0.5 * k))
+        if (x, y, r) in seen:
+            continue
+        seen.add((x, y, r))
+        disks.append(Disk(Point2(x, y), r))
+        txs.append(Disk(Point2(x, y), r * draw(st.sampled_from([0.5, 0.75, 1.0]))))
+    return disks, txs, draw(st.booleans())
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(case=_maps())
+def test_boolean_rows_equal_the_reference_on_random_small_maps(case):
+    disks, txs, per_row_eps = case
+    window = Rect(0.0, 0.0, 8.0, 8.0)
+    pd = build(disks, window)
+    sites = [p for p in range(len(disks)) if pd.cells[p] is not None]
+    rows = [(pd.cells[p], txs[p], [disks[q] for q in sorted(pd.neighbors[p])]) for p in sites]
+    eps = [geom_eps(max(window.diameter(), disks[p].radius)) for p in sites] if per_row_eps \
+        else pd.eps
+    _rows_equal_reference(rows, eps)
+
+
+def _numpy_rounds_differently(rng, tries):
+    """Rows of the unit include circle and one exclude that crosses it:
+    four whose centre distance numpy's ``hypot`` rounds differently from
+    ``math``'s, and eight with a crossing angle that numpy's ``arctan2``
+    does."""
+    by_hypot, by_atan2 = [], []
+    for _ in range(tries):
+        ex, ey, er = rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5), rng.uniform(0.3, 1.2)
+        d = math.hypot(ex, ey)
+        mx, my, ox, oy, n = circle_circle_points(0.0, 0.0, 1.0, ex, ey, er, d)
+        if n != 2:
+            continue
+        row = (BIG, Disk(Point2(0.0, 0.0), 1.0), [Disk(Point2(ex, ey), er)])
+        angles = [(y - cy, x - cx) for x, y in ((mx + ox, my + oy), (mx - ox, my - oy))
+                  for cx, cy in ((0.0, 0.0), (ex, ey))]
+        if np.hypot(ex, ey) != d and len(by_hypot) < 4:
+            by_hypot.append(row)
+        elif any(np.arctan2(*a) != math.atan2(*a) for a in angles) and len(by_atan2) < 8:
+            by_atan2.append(row)
+        if len(by_hypot) + len(by_atan2) == 12:
+            return by_hypot + by_atan2
+    raise AssertionError(f"found {len(by_hypot)} and {len(by_atan2)} rows")
+
+
+def test_boolean_rows_match_math_where_numpy_rounds_differently():
+    rows = _numpy_rounds_differently(random.Random(17), 20000)
+    got = _rows_equal_reference(rows, MARGIN_EPS)
+    assert all(got.chains)
+
+
+def test_boolean_rows_keep_input_order_across_empty_hole_and_full_circle_rows(monkeypatch):
+    include = Disk(Point2(0, 0), 1.0)
+    hole = (BIG, Disk(Point2(0, 0), 1.5), [Disk(Point2(0.2, 0.1), 0.4)])
+    full = (BIG, include, [Disk(Point2(9, 9), 1.0)])
+    deep = (BIG, include, [Disk(Point2(0.1, 0), 3.0)])  # the include lies deep in it
+    tiny = (BIG, Disk(Point2(0, 0), 1e-12), [])  # no larger than eps
+    lens = (BIG, include, [Disk(Point2(1.5, 0), 1.0)])
+    cut = (ConvexPolygon((Point2(0, -2), Point2(2, -2), Point2(2, 2), Point2(0, 2))), include, [])
+    rows = [hole, deep, full, tiny, lens, cut, deep, hole]
+    got = _rows_equal_reference(rows, MARGIN_EPS)
+    assert [len(c) for c in got.chains] == [1, 0, 1, 0, 1, 1, 0, 1]
+    assert got.chains[0][0].holes and got.chains[0] == got.chains[7]
+    assert got.chains[2][0].edges == (CircularArc(include, 0.0, 0.0),)
+    assert got.chains == [boolean_chains(*row, MARGIN_EPS) for row in rows]
+    assert boolean_rows(*zip(*rows[::-1]), MARGIN_EPS).chains == got.chains[::-1]
+    # in chunks of three rows, every chunk mixes them again
+    monkeypatch.setattr(geometry, "_BOOLEAN_CHUNK", 3)
+    assert _rows_equal_reference(rows, MARGIN_EPS).chains == got.chains
+    assert _rows_equal_reference([], MARGIN_EPS).chains == []
+
+
+@pytest.mark.parametrize("curve_scale", [1, 2 ** 50])  # packed into one integer; too wide
+def test_sorted_events_order_by_curve_position_and_key(curve_scale):
+    rng = np.random.default_rng(3)
+    n, W = 600, 9
+    pos = rng.choice([0.0, -0.0, 0.5, 1.0, 2.0, 6.25], n)  # ties, signed zeros
+    # each event's (curve, key) is distinct, as the kernel's are
+    curve, kind, ka, kb, kj = np.unravel_index(rng.choice(20 * 3 * W * W * 2, n, replace=False),
+                                               (20, 3, W, W, 2))
+    curve = curve * curve_scale
+    node = np.arange(n)
+    got = geometry._sorted_events([(curve, pos, kind, ka, kb, kj, node, node, pos)], W)
+    want = np.lexsort((((kind * W + ka) * W + kb) * 2 + kj, pos, curve))
+    assert got[2].tolist() == want.tolist()
+
+
 # One rounding test: ``side``'s tolerance, the same on floats and arrays.
 
-def test_the_rounding_expression_is_written_once_in_src():
+def _written_in_src(expression: str) -> list[str]:
     src = Path(geometry.__file__).parent
-    found = [f"{f.relative_to(src)}:{n}" for f in sorted(src.rglob("*.py"))
-             for n, line in enumerate(f.read_text().splitlines(), 1)
-             if "1e-12 * (1.0 + abs(" in line]
+    return [f"{f.relative_to(src)}:{n}" for f in sorted(src.rglob("*.py"))
+            for n, line in enumerate(f.read_text().splitlines(), 1) if expression in line]
+
+
+def test_the_rounding_expression_is_written_once_in_src():
+    found = _written_in_src("1e-12 * (1.0 + abs(")
+    assert len(found) == 1, found
+
+
+@pytest.mark.parametrize("expression", [
+    "r * r - (px * px + py * py)",  # segment x circle: the root offset at the foot
+    "(d * d + r1 * r1 - r2 * r2) / (2.0 * d)",  # circle x circle: the chord's distance
+    "dx * dx + dy * dy - r * r",  # the power of a point: every midpoint test
+])
+def test_the_root_and_keep_formulas_are_written_once_in_src(expression):
+    found = _written_in_src(expression)
     assert len(found) == 1, found
 
 

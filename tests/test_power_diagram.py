@@ -9,15 +9,16 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull, QhullError
 
-from coveragekit.errors import ConcentricDisks, DuplicateSite, HiddenSite
+from coveragekit.errors import ConcentricDisks, DiagramRejected, DuplicateSite, HiddenSite
 from coveragekit.geometry import (ConvexPolygon, Disk, Point2, Rect, clip_convex, geom_eps,
-                                  power_bisector, power_distance, side)
+                                  power_distance, side)
 from coveragekit.dynamic_coverage.shuffle import _clip_cell, _mega_square
 from coveragekit import geometry, power_diagram
 from coveragekit.power_diagram import (PowerDiagram, SiteId, build, frame_partitions,
                                        nearest_site, power_frame, remove_redundant,
                                        _flat_neighbors, _validate)
 
+from geometry_reference import power_bisector
 from oracles import grid_power_cell_areas
 
 WIN = Rect(-6, -6, 6, 6)
@@ -310,7 +311,6 @@ def test_nearest_site_helper():
 def test_three_collinear_hand_computed_bisectors():
     # middle disk loses to the left one beyond x = 25.75 and to the right
     # one below x = -21.75: an empty intersection
-    from coveragekit.geometry import power_bisector
     h12 = power_bisector(THREE_COLLINEAR[1], THREE_COLLINEAR[0])
     assert h12.value(Point2(25.75, 3.0)) == pytest.approx(0.0)
     h12b = power_bisector(THREE_COLLINEAR[1], THREE_COLLINEAR[2])
@@ -544,6 +544,15 @@ def test_road_build_doubling_exponent():
         times.append(best)
     slope = np.polyfit(np.log(sizes), np.log(times), 1)[0]
     assert slope <= 1.25, f"fitted exponent {slope:.3f} exceeds 1.25"
+
+
+def test_build_turns_a_qhull_rejection_into_diagram_rejected():
+    # c02's generator at projected coordinates: the lift is too flat for Qhull
+    disks = [Disk(Point2(d.center.x + 5e5, d.center.y + 4e6), d.radius) for d in c02_disks(512)]
+    with pytest.raises(DiagramRejected, match="^Qhull rejected the sites: QH") as raised:
+        build(disks, Rect(5e5, 4e6, 5e5 + 100.0, 4e6 + 100.0))
+    assert isinstance(raised.value.__cause__, QhullError)
+    assert "\n" not in str(raised.value)
 
 
 def test_plane_route_raises_again_on_a_full_rank_lift():
