@@ -9,20 +9,16 @@ optimization.
 
 __version__ = "0.1.0"
 
-from .errors import (BudgetExceeded, ConcentricDisks, CoverageKitError,
-                     DiagramRejected, DuplicateSite, HiddenSite, InvalidChain,
-                     ModelError, ParseError, Singularity)
-from .geometry import (ArcPolygon, CircularArc, ConvexPolygon, Disk, HalfPlane,
-                       Point2, Rect, Segment, arc_polygon_area, clip_convex,
-                       convex_polygon_intersection, power_distance)
-from .power_diagram import (PowerDiagram, PowerFrame, SiteId, build,
-                            power_frame, remove_redundant)
+from .errors import (BudgetExceeded, CoverageKitError, DiagramRejected, DuplicateSite,
+                     InvalidChain, LatticeError, ModelError, ParseError, Singularity)
+from .geometry import (ArcPolygon, CircularArc, ConvexPolygon, Disk, Point2, Rect,
+                       Segment, arc_polygon_area, power_distance)
+from .power_diagram import PowerDiagram, SiteId, build
 from .protocol_coverage import (CoverageMap, ProtocolTransmitter,
                                 compute_coverage_map, coverage_area,
                                 find_interference_bound)
 from .sinr_model import (PowerVector, SinrScenario, capture_transmitter,
-                         is_covered, ratio_profile, ray_coverage_profile,
-                         sinr_at)
+                         is_covered, ratio_profile, ray_coverage_profile)
 from .optimizer import (Bounds, OptResult, RhcParams, SamplingPlan,
                         estimate_area, exhaustive_search, nelder_mead,
                         post_process, random_hill_climb, required_samples)

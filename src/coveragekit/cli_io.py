@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
-from typing import Any, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import __version__
 from .errors import BudgetExceeded, CoverageKitError, DuplicateSite, ModelError, ParseError
@@ -47,16 +47,6 @@ class TransmitterSpec:
     tx_radius: Optional[float] = None
     int_radius: Optional[float] = None
     power: Optional[float] = None
-
-    def to_dict(self) -> dict:
-        out: dict[str, Any] = {"x": self.x, "y": self.y}
-        if self.tx_radius is not None:
-            out["tx_radius"] = self.tx_radius
-        if self.int_radius is not None:
-            out["int_radius"] = self.int_radius
-        if self.power is not None:
-            out["power"] = self.power
-        return out
 
 
 @dataclass(frozen=True)
@@ -100,31 +90,6 @@ class ScenarioFile:
     def sampling_or_default(self) -> SamplingPlan:
         return self.sampling if self.sampling is not None \
             else SamplingPlan.grid(40, 40)
-
-    def to_dict(self) -> dict:
-        out: dict[str, Any] = {
-            "model": self.model,
-            "window": {"x0": self.window.x0, "y0": self.window.y0,
-                       "x1": self.window.x1, "y1": self.window.y1},
-            "transmitters": [t.to_dict() for t in self.transmitters],
-        }
-        for k in ("alpha", "beta", "noise", "seed"):
-            v = getattr(self, k)
-            if v is not None:
-                out[k] = v
-        if self.bounds is not None:
-            out["bounds"] = {"p_min": list(self.bounds[0]),
-                             "p_max": list(self.bounds[1])}
-        if self.sampling is not None:
-            sp: dict[str, Any] = {"kind": self.sampling.kind}
-            if self.sampling.kind == "grid":
-                sp["grid_dims"] = list(self.sampling.grid_dims)
-            else:
-                sp["sample_count"] = self.sampling.sample_count
-                if self.sampling.seed is not None:
-                    sp["seed"] = self.sampling.seed
-            out["sampling"] = sp
-        return out
 
 
 def _need(obj: dict, key: str, path: str, kind=None):

@@ -55,10 +55,10 @@ from dataclasses import asdict, dataclass
 from itertools import chain
 from typing import Iterable, Mapping, Optional
 
-from ..errors import DuplicateSite
+from ..errors import DuplicateSite, LatticeError
 from ..geometry import (ArcPolygon, ConvexPolygon, Disk, Point2, Rect,
                         arc_polygon_area, bisector_line, boolean_rows, clip_coords,
-                        convex_polygon_intersection, geom_eps, power_distance, side)
+                        geom_eps, power_distance, side)
 from ..protocol_coverage import ProtocolTransmitter
 
 _Z_BIG = 1.0e30
@@ -87,14 +87,15 @@ def lift(d: Disk) -> HalfSpace3:
 def _outline(edges: set, keep=None) -> list[int]:
     """The single boundary cycle (CCW vertex ids) of the union of faces
     whose directed edges are ``edges``, less the vertices ``keep`` rejects:
-    an edge and its twin, shared by two faces, cancel."""
+    an edge and its twin, shared by two faces, cancel.  Raises
+    ``LatticeError`` if they leave no single cycle."""
     edges = {(u, v) for (u, v) in edges if (v, u) not in edges}
     succ = dict(edges)
     cycle = [min(succ)]
     while len(cycle) <= len(succ) and succ.get(cycle[-1], cycle[0]) != cycle[0]:
         cycle.append(succ[cycle[-1]])
     if len(cycle) != len(edges) or len(succ) != len(edges):
-        raise RuntimeError(f"faces do not merge into one cycle: {sorted(edges)}")
+        raise LatticeError(f"faces do not merge into one cycle: {sorted(edges)}")
     return [u for u in cycle if keep is None or keep(u)]
 
 
@@ -170,6 +171,8 @@ class DynamicCoverage:
         half = 4.0 * max(window.diameter(), 1.0)
         c = window.center()
         self.square = Rect(c.x - half, c.y - half, c.x + half, c.y + half)
+        self._window_corners = [(p.x, p.y) for p in window.to_polygon().vertices]
+        self._mega = _mega_square(window, self.square.diameter()).to_polygon()
         self.transmitters: dict[int, ProtocolTransmitter] = {}
         self._tx_keys: dict[ProtocolTransmitter, int] = {}
         self._int_disks: dict[int, Disk] = {}
@@ -396,8 +399,7 @@ class DynamicCoverage:
         owner's neighbours go first: they usually empty the cell at once."""
         owner = self.hidden.get(sid)
         near = [owner, *sorted(self.neighbors[owner])] if owner in self.cells else []
-        mega = _mega_square(self.window, self.square.diameter()).to_polygon()
-        return _clip_cell(mega, self._int_disks, sid, chain(near, self._int_disks),
+        return _clip_cell(self._mega, self._int_disks, sid, chain(near, self._int_disks),
                           self._tol) is not None
 
     def _rekey(self, touched: set[int]) -> None:
@@ -759,16 +761,20 @@ class DynamicCoverage:
     def _region_row(self, sid: int) -> Optional[tuple]:
         """The ``boolean_rows`` row of a site: its cell in the window, its
         transmission disk, the interference disks that can cut it and its
-        tolerance; None if the cell misses the window."""
-        cell_poly = ConvexPolygon(tuple(Point2(self.x[u], self.y[u]) for u in self.cells[sid]))
-        # the window is clipped by the cell, so its sides keep their exact
-        # coordinates
-        region_cell = convex_polygon_intersection(self.window.to_polygon(), cell_poly)
-        if region_cell is None:
-            return None
+        tolerance; None if the cell misses the window.  The window's corners
+        are cut by ``clip_coords`` on each edge (u, v) of the cell's ring,
+        from its first vertex on, so the window's sides keep their exact
+        coordinates; an edge of zero length adds no constraint."""
+        pts, xs, ys, ring = self._window_corners, self.x, self.y, self.cells[sid]
+        for u, v in zip(ring, ring[1:] + ring[:1]):
+            nx, ny = ys[v] - ys[u], -(xs[v] - xs[u])  # inside is left of u -> v
+            pts = clip_coords(pts, nx, ny, nx * xs[u] + ny * ys[u])
+            if pts is None:
+                return None
+        cell = ConvexPolygon(tuple(Point2(x, y) for x, y in pts))
         t = self.transmitters[sid]
         cand = sorted(set(self.neighbors.get(sid, set())) | self.offstage)
-        return (region_cell, t.tx_disk, [self._int_disks[q] for q in cand],
+        return (cell, t.tx_disk, [self._int_disks[q] for q in cand],
                 geom_eps(max(self.window.diameter(), t.int_radius)))
 
     def check_invariants(self) -> None:

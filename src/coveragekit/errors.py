@@ -5,10 +5,6 @@ class CoverageKitError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ConcentricDisks(CoverageKitError):
-    """Two disks share a center, so no power bisector line exists."""
-
-
 class InvalidChain(CoverageKitError):
     """An arc-polygon chain is open, degenerate, or self-intersecting."""
 
@@ -22,8 +18,9 @@ class DuplicateSite(CoverageKitError):
     """Two identical disks/transmitters were supplied to a diagram."""
 
 
-class HiddenSite(CoverageKitError):
-    """Operation requires a non-empty power region but the site has none."""
+class LatticeError(CoverageKitError):
+    """The dynamic structure's faces do not merge into one cell, so an
+    update cannot be applied; the structure is not usable afterwards."""
 
 
 class Singularity(CoverageKitError):

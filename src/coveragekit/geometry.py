@@ -96,22 +96,6 @@ class Disk:
                       self.center.y + self.radius * math.sin(angle))
 
 
-@dataclass(frozen=True)
-class HalfPlane:
-    """The closed set {p : nx*px + ny*py <= offset}."""
-    nx: float
-    ny: float
-    offset: float
-
-    def __post_init__(self):
-        if self.nx == 0.0 and self.ny == 0.0:
-            raise ValueError("half-plane normal must be nonzero")
-
-    def value(self, p: Point2) -> float:
-        """Signed excess; <= 0 inside, boundary at 0."""
-        return self.nx * p.x + self.ny * p.y - self.offset
-
-
 def power_distance(x: Point2, d: Disk) -> float:
     """Squared center distance minus squared radius: negative inside the disk,
     outside it the squared length of the tangent from ``x`` to the rim."""
@@ -208,8 +192,9 @@ def clip_coords(pts: list, nx: float, ny: float, offset: float) -> Optional[list
     Nothing is merged or dropped afterwards.  When no value nx*x + ny*y
     exceeds ``offset``, ``pts`` is returned before any ``side`` call, and
     exactly so: for a <= b, fl(a - tol) <= a <= b, so ``side(a, b)`` is not +1.
-    The kernel for one polygon (``clip_convex``, and cells that stop at their
-    first empty cut); ``clip_rows`` cuts whole diagrams with its arithmetic.
+    The kernel for one polygon that stops at its first empty cut: the
+    dynamic structure's window cells and ``_clip_cell``; ``clip_rows`` cuts
+    whole diagrams with its arithmetic.
     """
     vals = [nx * x + ny * y for x, y in pts]
     if max(vals) <= offset:
@@ -308,38 +293,6 @@ def clip_rows(polys: Sequence[ConvexPolygon], circles: np.ndarray, poly: np.ndar
         out.append(xy[back][np.arange(xy.shape[1]) < n[back, None]])
         sizes.append(n[back])
     return ClippedRows(np.concatenate(out), np.concatenate(sizes), int(made), int(unchanged))
-
-
-def clip_convex(poly: Optional[ConvexPolygon], h: HalfPlane) -> Optional[ConvexPolygon]:
-    """Intersection of a convex polygon with a half-plane (None if empty),
-    by ``clip_coords``: ``poly`` itself when no vertex is outside, and the
-    uncut vertices keep their ``Point2`` objects."""
-    if poly is None:
-        return None
-    pts = [(p.x, p.y) for p in poly.vertices]
-    out = clip_coords(pts, h.nx, h.ny, h.offset)
-    if out is None or out is pts:
-        return None if out is None else poly
-    kept = dict(zip(pts, poly.vertices))
-    return ConvexPolygon(tuple(kept.get(v) or Point2(*v) for v in out))
-
-
-def convex_polygon_intersection(a: Optional[ConvexPolygon],
-                                b: Optional[ConvexPolygon]) -> Optional[ConvexPolygon]:
-    """Intersection of two convex polygons (None if empty).
-
-    Implemented by clipping ``a`` against each edge half-plane of ``b``.
-    """
-    if a is None or b is None:
-        return None
-    out = a
-    for p, q in zip(b.vertices, b.vertices[1:] + b.vertices[:1]):
-        # Inward normal of CCW edge (p -> q) points left; inside is left side.
-        nx, ny = q.y - p.y, -(q.x - p.x)
-        out = clip_convex(out, HalfPlane(nx, ny, nx * p.x + ny * p.y))
-        if out is None:
-            return None
-    return out
 
 
 # --- Arcs, segments, chains ------------------------------------------------
@@ -675,12 +628,6 @@ class BooleanRows(NamedTuple):
     chains: list  # one list of ArcPolygon per row, in input order
     empty: int  # rows found empty before any Python work
     pieces: int  # boundary pieces kept, a whole circle counting as one
-
-
-def boolean_chains(region: ConvexPolygon, include: Disk, excludes: Sequence[Disk],
-                   eps: float) -> list[ArcPolygon]:
-    """The ``boolean_rows`` of one row."""
-    return boolean_rows([region], [include], [excludes], eps).chains[0]
 
 
 def boolean_rows(cells: Sequence[ConvexPolygon], includes: Sequence[Disk],

@@ -42,9 +42,9 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import DiagramRejected, DuplicateSite, HiddenSite
+from .errors import DiagramRejected, DuplicateSite
 from .geometry import (ClippedRows, ConvexPolygon, Disk, Point2, Rect, clip_rows, geom_eps,
-                       padded, power_distance, side)
+                       padded, side)
 
 SiteId = int
 
@@ -66,18 +66,6 @@ class PowerDiagram:
     def frames(self) -> ClippedRows:
         """``frame_partitions`` of every visible site, ascending, made once."""
         return frame_partitions(self, [p for p in sorted(self.cells) if self.cells[p] is not None])
-
-
-@dataclass(frozen=True)
-class PowerFrame:
-    """Per-neighbor partition of one site's cell.
-
-    ``partitions[q]`` is the part of the owner's cell where ``q`` is
-    power-nearest among the owner's neighbors, cut from the cell by the
-    neighbors' bisectors; the pieces tile the cell.
-    """
-    owner: SiteId
-    partitions: dict[SiteId, ConvexPolygon]
 
 
 def _validate(disks: Sequence[Disk], window: Rect) -> float:
@@ -216,8 +204,9 @@ def frame_partitions(pd: PowerDiagram, owners: Sequence[SiteId]) -> ClippedRows:
     call: a row for each owner p, in turn, and each neighbour q of p,
     ascending.  Row (p, q) is cell(p) cut by the bisector of q and each other
     neighbour r, ascending, so q is power-nearest among the neighbours on
-    it; vertex for vertex what ``clip_convex`` with each ``power_bisector``
-    would give.  An empty row is a piece left out."""
+    it; vertex for vertex what chained ``clip_coords`` on each
+    ``bisector_line`` would give (the tests' ``clip_convex`` and
+    ``power_bisector`` references).  An empty row is a piece left out."""
     gammas, g = padded([sorted(pd.neighbors[p]) for p in owners], np.int32(-1))
     o = np.repeat(np.arange(len(owners)), g)
     k = (np.arange(len(o)) - np.repeat(np.cumsum(g) - g, g)).astype(np.int32)  # q's place
@@ -227,43 +216,9 @@ def frame_partitions(pd: PowerDiagram, owners: Sequence[SiteId]) -> ClippedRows:
                      gammas[o, k], cuts, pd.eps)
 
 
-def power_frame(pd: PowerDiagram, p: SiteId) -> PowerFrame:
-    """Partition of cell(p) among p's neighbors (``frame_partitions``).
-
-    The piece labeled ``q`` is cell(p) clipped by the bisectors between q and
-    each other neighbor, so q is power-nearest among the neighbors on it.
-    """
-    if pd.cells.get(p) is None:
-        raise HiddenSite(f"site {p} has an empty power region")
-    pieces = zip(sorted(pd.neighbors[p]), _polygons(frame_partitions(pd, [p])))
-    return PowerFrame(owner=p, partitions={q: c for q, c in pieces if c is not None})
-
-
 def _polygons(rows: ClippedRows) -> Iterator[Optional[ConvexPolygon]]:
     """Each row of ``rows`` as a polygon, None if empty."""
     pts, a = list(map(Point2, *rows.xy.T.tolist())), 0
     for size in rows.sizes.tolist():
         yield ConvexPolygon(tuple(pts[a:a + size])) if size else None
         a += size
-
-
-def remove_redundant(disks: Sequence[Disk], window: Rect) -> tuple[list[SiteId], list[SiteId]]:
-    """Split sites into (kept, removed) by empty-power-region status.
-
-    A removed disk is provably contained in the union of the other disks, so
-    it contributes interference but no coverage.
-    """
-    pd = build(disks, window)
-    removed = sorted(pd.hidden)
-    kept = [i for i in range(len(disks)) if i not in pd.hidden]
-    return kept, removed
-
-
-def nearest_site(pd: PowerDiagram, x: Point2) -> SiteId:
-    """Site of minimum power distance at ``x`` (smallest id wins ties)."""
-    best, best_v = 0, math.inf
-    for i, d in enumerate(pd.sites):
-        v = power_distance(x, d)
-        if v < best_v:
-            best, best_v = i, v
-    return best

@@ -88,9 +88,8 @@ class SinrScenario:
         return geom_eps(self.window.diameter())
 
 
-def _receive_powers(s: SinrScenario, x: Point2,
-                    powers: Optional[PowerVector] = None) -> list[float]:
-    p = powers if powers is not None else s.powers
+def _receive_powers(s: SinrScenario, x: Point2) -> list[float]:
+    p = s.powers
     out = []
     for i, site in enumerate(s.sites):
         d = math.hypot(x.x - site.x, x.y - site.y)
@@ -102,24 +101,6 @@ def _receive_powers(s: SinrScenario, x: Point2,
             continue
         out.append(p[i] / d ** s.alpha)
     return out
-
-
-def sinr_at(s: SinrScenario, x: Point2, t: SiteId) -> float:
-    """SINR of transmitter t at point x.
-
-    Raises Singularity when x sits on transmitter t, or when the denominator
-    is exactly zero (single transmitter with zero noise is rejected already
-    at scenario construction; zero interference with zero noise can still
-    occur when every other power is zero).
-    """
-    site = s.sites[t]
-    if math.hypot(x.x - site.x, x.y - site.y) <= s.eps():
-        raise Singularity(f"point {x} coincides with transmitter {t}")
-    rx = _receive_powers(s, x)
-    denom = sum(r for i, r in enumerate(rx) if i != t) + s.noise
-    if denom == 0.0:
-        raise Singularity("zero interference and zero noise")
-    return rx[t] / denom
 
 
 def capture_transmitter(s: SinrScenario, x: Point2) -> SiteId:
@@ -254,13 +235,6 @@ class SinrEvaluator:
         return ids
 
 
-def sinr_max_covered_mask(s: SinrScenario, pts: np.ndarray,
-                          powers: Optional[PowerVector] = None) -> np.ndarray:
-    """Vectorized coverage mask for an (N,2) array of sample points."""
-    p = powers if powers is not None else s.powers
-    return SinrEvaluator(s, _path_loss(s.sites, s.alpha, pts)).mask(p.values)
-
-
 def capture_grid(s: SinrScenario, nx: int, ny: int) -> np.ndarray:
     """Capture-transmitter ids (smallest on ties) on an (ny, nx) raster."""
     dpow = _path_loss(s.sites, s.alpha, _cell_centers(s.window, nx, ny))
@@ -366,18 +340,3 @@ def ratio_profile(t: Point2, u: Point2, line: tuple[Point2, tuple[float, float]]
         dt2 = (x.x - t.x) ** 2 + (x.y - t.y) ** 2
         out.append(dt2 / du2)
     return out
-
-
-def weighted_capture_oracle(s: SinrScenario, x: Point2) -> SiteId:
-    """Reference capture rule: argmin of d(x,t) * P_t^(-1/alpha).
-
-    Zero-power sites never capture (unless every power is zero).
-    """
-    best, best_v = 0, math.inf
-    for i, site in enumerate(s.sites):
-        if s.powers[i] <= 0.0:
-            continue
-        v = math.hypot(x.x - site.x, x.y - site.y) * s.powers[i] ** (-1.0 / s.alpha)
-        if v < best_v:
-            best, best_v = i, v
-    return best

@@ -1,6 +1,6 @@
 """The keyed boolean as it read over ``Point2`` objects before it moved
-onto float tuples: the reference that ``geometry.boolean_chains`` must equal
-exactly, piece for piece and float for float.
+onto float tuples: the reference that ``geometry.boolean_rows``, one row at
+a time, must equal exactly, piece for piece and float for float.
 
 The code is the earlier ``boolean_chains`` with the helpers it needs, kept
 as it was; only ``Disk.angle_of`` and ``ConvexPolygon.edges``, which the

@@ -4,10 +4,70 @@ depends on them, and the tests keep them as references."""
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
-from coveragekit.errors import ConcentricDisks
-from coveragekit.geometry import (ArcPolygon, ConvexPolygon, Disk, HalfPlane, Point2,
-                                  bisector_line, boolean_chains, clip_convex, dist, geom_eps)
+from coveragekit.errors import CoverageKitError
+from coveragekit.geometry import (ArcPolygon, ConvexPolygon, Disk, Point2, bisector_line,
+                                  boolean_rows, clip_coords, dist, geom_eps)
+
+
+class ConcentricDisks(CoverageKitError):
+    """Two disks share a center, so no power bisector line exists."""
+
+
+@dataclass(frozen=True)
+class HalfPlane:
+    """The closed set {p : nx*px + ny*py <= offset}."""
+    nx: float
+    ny: float
+    offset: float
+
+    def __post_init__(self):
+        if self.nx == 0.0 and self.ny == 0.0:
+            raise ValueError("half-plane normal must be nonzero")
+
+    def value(self, p: Point2) -> float:
+        """Signed excess; <= 0 inside, boundary at 0."""
+        return self.nx * p.x + self.ny * p.y - self.offset
+
+
+def clip_convex(poly: Optional[ConvexPolygon], h: HalfPlane) -> Optional[ConvexPolygon]:
+    """Intersection of a convex polygon with a half-plane (None if empty),
+    by ``clip_coords``: ``poly`` itself when no vertex is outside, and the
+    uncut vertices keep their ``Point2`` objects."""
+    if poly is None:
+        return None
+    pts = [(p.x, p.y) for p in poly.vertices]
+    out = clip_coords(pts, h.nx, h.ny, h.offset)
+    if out is None or out is pts:
+        return None if out is None else poly
+    kept = dict(zip(pts, poly.vertices))
+    return ConvexPolygon(tuple(kept.get(v) or Point2(*v) for v in out))
+
+
+def convex_polygon_intersection(a: Optional[ConvexPolygon],
+                                b: Optional[ConvexPolygon]) -> Optional[ConvexPolygon]:
+    """Intersection of two convex polygons (None if empty).
+
+    Implemented by clipping ``a`` against each edge half-plane of ``b``.
+    """
+    if a is None or b is None:
+        return None
+    out = a
+    for p, q in zip(b.vertices, b.vertices[1:] + b.vertices[:1]):
+        # Inward normal of CCW edge (p -> q) points left; inside is left side.
+        nx, ny = q.y - p.y, -(q.x - p.x)
+        out = clip_convex(out, HalfPlane(nx, ny, nx * p.x + ny * p.y))
+        if out is None:
+            return None
+    return out
+
+
+def boolean_chains(region: ConvexPolygon, include: Disk, excludes: Sequence[Disk],
+                   eps: float) -> list[ArcPolygon]:
+    """The ``boolean_rows`` of one row."""
+    return boolean_rows([region], [include], [excludes], eps).chains[0]
 
 
 def signed_distance(x: Point2, d: Disk) -> float:

@@ -15,6 +15,7 @@ from coveragekit.geometry import Point2, Rect
 from coveragekit.power_diagram import build
 from coveragekit.protocol_coverage import ProtocolTransmitter, compute_coverage_map
 from coveragekit.geometry import Disk, boolean_rows
+from cli_reference import scenario_to_dict
 
 PROTOCOL_SCENARIO = {
     "model": "protocol",
@@ -76,7 +77,7 @@ def test_parse_bad_json_and_bad_fields():
 def test_roundtrip_identity():
     for fixture in (PROTOCOL_SCENARIO, SINR_SCENARIO):
         scen = parse_scenario(json.dumps(fixture))
-        again = parse_scenario(json.dumps(scen.to_dict()))
+        again = parse_scenario(json.dumps(scenario_to_dict(scen)))
         assert again == scen
 
 
@@ -176,9 +177,9 @@ def test_cli_build_map_counters_in_manifest_only(tmp_path):
     assert "stats" not in json.loads((tmp_path / "b.result.json").read_text())
 
 
-def test_cli_projected_coordinates_exit_2_without_a_traceback(tmp_path, capsys):
-    # the static-map generator (seed 11, n = 512, a 100 x 100 window) moved
-    # to UTM-like eastings and northings: Qhull rejects the lifted disks
+def projected_transmitters() -> tuple[list[dict], dict]:
+    """The static-map generator (seed 11, n = 512, a 100 x 100 window) moved
+    to UTM-like eastings and northings: transmitters and window."""
     rng, spread, (ox, oy) = random.Random(11), 100.0 / math.sqrt(512), (5e5, 4e6)
     txs = []
     for _ in range(512):
@@ -186,13 +187,33 @@ def test_cli_projected_coordinates_exit_2_without_a_traceback(tmp_path, capsys):
         x, y = rng.uniform(0.3, 99.7) + ox, rng.uniform(0.3, 99.7) + oy
         txs.append({"x": x, "y": y, "tx_radius": max(1e-4, rng.uniform(0.5, 1.0) * ir),
                     "int_radius": ir})
+    return txs, {"x0": ox, "y0": oy, "x1": ox + 100.0, "y1": oy + 100.0}
+
+
+def test_cli_projected_coordinates_exit_2_without_a_traceback(tmp_path, capsys):
+    # Qhull rejects the lifted disks
+    txs, window = projected_transmitters()
     path = tmp_path / "utm.scenario.json"
-    path.write_text(json.dumps({"model": "protocol", "transmitters": txs, "window": {
-        "x0": ox, "y0": oy, "x1": ox + 100.0, "y1": oy + 100.0}}))
+    path.write_text(json.dumps({"model": "protocol", "transmitters": txs, "window": window}))
     capsys.readouterr()
     assert cli(["build-map", str(path), "--out", str(tmp_path / "utm.result.json")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: Qhull rejected the sites: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+def test_cli_dynamic_projected_coordinates_exit_2_without_a_traceback(tmp_path, capsys):
+    # the same transmitters inserted one by one: the lattice's faces stop
+    # merging into one cell
+    txs, window = projected_transmitters()
+    path = tmp_path / "utm.script.json"
+    path.write_text(json.dumps({"window": window,
+                                "ops": [dict(t, op="insert") for t in txs]}))
+    capsys.readouterr()
+    assert cli(["dynamic", str(path), "--out", str(tmp_path / "utm.result.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: faces do not merge into one cycle: ") \
+        and err.count("\n") == 1, err
     assert "Traceback" not in err
 
 

@@ -6,17 +6,19 @@ import math
 import random
 
 import pytest
-from hypothesis import HealthCheck, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
                                  precondition, rule)
 
 from coveragekit.errors import DuplicateSite
-from coveragekit.geometry import Disk, Point2, Rect, arc_polygon_area, power_distance
+from coveragekit.geometry import (ConvexPolygon, Disk, Point2, Rect, arc_polygon_area,
+                                  power_distance)
 from coveragekit.dynamic_coverage import (DynamicCoverage, HalfSpace3, Treap,
                                           lift, traverse_shuffle, treap_delete,
                                           treap_insert, treap_of)
 from coveragekit.protocol_coverage import (ProtocolTransmitter,
                                            compute_coverage_map, region_area)
+from geometry_reference import convex_polygon_intersection
 from oracles import planes_above_lattice
 
 WIN = Rect(-8.0, -8.0, 8.0, 8.0)
@@ -682,3 +684,60 @@ def test_a_regions_read_builds_its_dirty_sites_in_one_batch(monkeypatch):
     dc.regions  # nothing dirty: no batch
     assert len(batches) == 2
 
+
+
+# ---------------------------------------------------------------------------
+# the window cell of a site
+# ---------------------------------------------------------------------------
+
+def window_cell_reference(dc: DynamicCoverage, sid: int):
+    """The window clipped by the site's cell, as ``_region_row`` cut it
+    before it ran on ``clip_coords``: one ``HalfPlane`` and one polygon per
+    edge of the cell, from its first vertex on."""
+    cell = ConvexPolygon(tuple(Point2(dc.x[u], dc.y[u]) for u in dc.cells[sid]))
+    return convex_polygon_intersection(dc.window.to_polygon(), cell)
+
+
+WINDOW_CELL_SITES = st.lists(st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0),
+                                       st.floats(0.05, 4.0)),
+                             min_size=1, max_size=25, unique=True)
+
+
+def test_window_cell_equals_the_polygon_intersection_reference():
+    """Vertex for vertex, bits and signs of zero included, on random
+    lattices: cells inside the window, cells crossing its sides and cells
+    outside it (None) all occur."""
+    seen = set()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(WINDOW_CELL_SITES)
+    def check(sites):
+        dc = DynamicCoverage(Rect(0.0, 0.0, 10.0, 10.0))
+        for x, y, r in sites:
+            dc.insert_transmitter(tx(x, y, 0.5 * r, r))
+        for sid, ring in dc.cells.items():
+            row, want = dc._region_row(sid), window_cell_reference(dc, sid)
+            assert repr(row and row[0]) == repr(want)
+            inside = all(dc.window.contains(Point2(dc.x[u], dc.y[u])) for u in ring)
+            seen.add("outside" if want is None else "inside" if inside else "crossing")
+
+    check()
+    assert seen == {"inside", "crossing", "outside"}
+
+
+def test_window_cell_ignores_a_zero_length_ring_edge():
+    # the reference's ``HalfPlane`` rejects the edge's zero normal; under
+    # ``clip_coords`` it adds no constraint
+    dc = DynamicCoverage(Rect(0.0, 0.0, 10.0, 10.0))
+    for x, y in ((3.0, 3.0), (7.0, 4.0), (5.0, 8.0)):
+        dc.insert_transmitter(tx(x, y, 1.0, 2.0))
+    for sid, ring in list(dc.cells.items()):
+        before = dc._region_row(sid)
+        for k in range(len(ring)):
+            u = ring[k]
+            twin = dc._new_node(dc.x[u], dc.y[u], dc.z[u])
+            dc.cells[sid] = ring[:k + 1] + [twin] + ring[k + 1:]
+            with pytest.raises(ValueError):
+                window_cell_reference(dc, sid)
+            assert before is not None and repr(dc._region_row(sid)) == repr(before)
+        dc.cells[sid] = ring

@@ -9,18 +9,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coveragekit import geometry
-from coveragekit.errors import ConcentricDisks, InvalidChain
+from coveragekit.errors import InvalidChain
 from coveragekit.geometry import (ArcPolygon, CircularArc, ConvexPolygon, Disk,
-                                  HalfPlane, Point2, Rect, Segment, TWO_PI,
+                                  Point2, Rect, Segment, TWO_PI,
                                   _edges_cross, arc_polygon_area,
-                                  arc_polygon_contains, boolean_chains, boolean_rows,
-                                  bisector_line, circle_circle_points, clip_convex,
+                                  arc_polygon_contains, boolean_rows,
+                                  bisector_line, circle_circle_points,
                                   clip_coords, clip_rows,
-                                  convex_polygon_intersection,
                                   dist, geom_eps, power_distance)
 from coveragekit.power_diagram import build
 from boolean_reference import boolean_chains_reference
-from geometry_reference import power_bisector, region_disk_boolean, signed_distance
+from geometry_reference import (ConcentricDisks, HalfPlane, boolean_chains, clip_convex,
+                                convex_polygon_intersection, power_bisector,
+                                region_disk_boolean, signed_distance)
 from oracles import grid_boolean_area, lens_area
 from test_power_diagram import COCIRCULAR, GRID6
 

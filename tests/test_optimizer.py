@@ -15,10 +15,9 @@ from coveragekit.optimizer import (Bounds, OptResult, RhcParams, SamplingPlan,
                                    post_process, random_hill_climb,
                                    required_samples, sample_points,
                                    sweep_power)
-from coveragekit.sinr_model import (PowerVector, SinrEvaluator, SinrScenario,
-                                    sinr_max_covered_mask)
+from coveragekit.sinr_model import PowerVector, SinrEvaluator, SinrScenario
 
-from sinr_reference import reference_mask
+from sinr_reference import reference_mask, sinr_max_covered_mask
 
 UNIT = Rect(0.0, 0.0, 1.0, 1.0)
 

@@ -9,16 +9,16 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull, QhullError
 
-from coveragekit.errors import ConcentricDisks, DiagramRejected, DuplicateSite, HiddenSite
-from coveragekit.geometry import (ConvexPolygon, Disk, Point2, Rect, clip_convex, geom_eps,
+from coveragekit.errors import DiagramRejected, DuplicateSite
+from coveragekit.geometry import (ConvexPolygon, Disk, Point2, Rect, geom_eps,
                                   power_distance, side)
 from coveragekit.dynamic_coverage.shuffle import _clip_cell, _mega_square
 from coveragekit import geometry, power_diagram
 from coveragekit.power_diagram import (PowerDiagram, SiteId, build, frame_partitions,
-                                       nearest_site, power_frame, remove_redundant,
                                        _flat_neighbors, _validate)
 
-from geometry_reference import power_bisector
+from geometry_reference import ConcentricDisks, clip_convex, power_bisector
+from power_diagram_reference import HiddenSite, nearest_site, power_frame, remove_redundant
 from oracles import grid_power_cell_areas
 
 WIN = Rect(-6, -6, 6, 6)

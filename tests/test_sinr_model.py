@@ -11,12 +11,11 @@ from coveragekit.geometry import Point2, Rect
 from coveragekit.sinr_model import (PowerVector, SinrEvaluator, SinrScenario,
                                     _cell_centers, _path_loss, capture_grid,
                                     capture_transmitter, is_covered,
-                                    ratio_profile, ray_coverage_profile,
-                                    sinr_at, sinr_max_covered_mask,
-                                    weighted_capture_oracle)
+                                    ratio_profile, ray_coverage_profile)
 
 from sinr_reference import _path_loss as _reference_path_loss
 from sinr_reference import _site_major_rx, reference_capture, reference_mask
+from sinr_reference import sinr_at, sinr_max_covered_mask, weighted_capture_oracle
 
 UNIT = Rect(0.0, 0.0, 1.0, 1.0)
 
