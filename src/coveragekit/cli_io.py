@@ -14,10 +14,12 @@ same seed reproduces them byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -27,13 +29,13 @@ from typing import Iterator, Optional, Sequence
 
 from . import __version__
 from .errors import BudgetExceeded, CoverageKitError, DuplicateSite, ModelError, ParseError
-from .geometry import (ArcPolygon, CircularArc, Disk, Point2, Rect, Segment,
+from .geometry import (FRAME_BLOCK, ArcPolygon, CircularArc, Disk, Point2, Rect, Segment,
                        arc_polygon_area)
 from .optimizer import (MAX_SAMPLE_PAIRS, Bounds, RhcParams, SamplingPlan,
                         estimate_area, exhaustive_search, grid_rule_samples,
                         nelder_mead, objective, post_process, random_hill_climb,
                         required_samples, sweep_power)
-from .power_diagram import PowerDiagram
+from .power_diagram import PowerDiagram, frame_partitions
 from .protocol_coverage import (CoverageMap, ProtocolTransmitter,
                                 compute_coverage_map, find_interference_bound)
 from .sinr_model import PowerVector, SinrScenario, capture_grid
@@ -316,8 +318,14 @@ def render_svg(artifact) -> str:
     """Deterministic SVG for a power diagram, a coverage map, or a capture
     raster.  Interference disks solid, transmission disks dotted, diagram
     edges dashed, frame edges solid, regions shaded."""
+    return "".join(_svg_parts(artifact, {}))
+
+
+def _svg_parts(artifact, stats: dict) -> Iterator[str]:
+    """``render_svg``'s text in parts, each drawn when it is taken.  A
+    coverage map adds its frame counters to ``stats``."""
     if isinstance(artifact, CoverageMap):
-        return _render_coverage(artifact)
+        return _render_coverage(artifact, stats)
     if isinstance(artifact, PowerDiagram):
         return _render_diagram(artifact)
     if isinstance(artifact, CaptureRaster):
@@ -325,68 +333,73 @@ def render_svg(artifact) -> str:
     raise TypeError(f"cannot render {type(artifact).__name__}")
 
 
-def _render_diagram(pd: PowerDiagram) -> str:
+def _render_diagram(pd: PowerDiagram) -> Iterator[str]:
     c = _Canvas(pd.window)
-    out = [_svg_header(c)]
-    out.append(f'<rect x="0" y="0" width="{_fmt(c.w)}" height="{_fmt(c.h)}" '
-               f'fill="white"/>\n')
+    yield _svg_header(c)
+    yield (f'<rect x="0" y="0" width="{_fmt(c.w)}" height="{_fmt(c.h)}" '
+           f'fill="white"/>\n')
     for sid in sorted(pd.cells):
         cell = pd.cells[sid]
         if cell is None:
             continue
         pts = " ".join(c.fmt_pt(p.x, p.y) for p in cell.vertices)
-        out.append(f'<polygon points="{pts}" fill="none" stroke="#444444" '
-                   f'stroke-width="1" stroke-dasharray="6,4"/>\n')
+        yield (f'<polygon points="{pts}" fill="none" stroke="#444444" '
+               f'stroke-width="1" stroke-dasharray="6,4"/>\n')
     for sid, d in enumerate(pd.sites):
         color = _PALETTE[sid % len(_PALETTE)]
-        out.append(_circle_svg(c, d, f'fill="none" stroke="{color}" stroke-width="1.5"'))
+        yield _circle_svg(c, d, f'fill="none" stroke="{color}" stroke-width="1.5"')
         px, py = c.pt(d.center.x, d.center.y)
-        out.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="2.5" fill="{color}"/>\n')
-    out.append("</svg>\n")
-    return "".join(out)
+        yield f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="2.5" fill="{color}"/>\n'
+    yield "</svg>\n"
 
 
-def _render_coverage(cov: CoverageMap) -> str:
+def _render_coverage(cov: CoverageMap, stats: dict) -> Iterator[str]:
     pd = cov.diagram
     c = _Canvas(pd.window)
-    out = [_svg_header(c)]
-    out.append(f'<rect x="0" y="0" width="{_fmt(c.w)}" height="{_fmt(c.h)}" '
-               f'fill="white"/>\n')
+    yield _svg_header(c)
+    yield (f'<rect x="0" y="0" width="{_fmt(c.w)}" height="{_fmt(c.h)}" '
+           f'fill="white"/>\n')
     # shaded regions first, then structure lines on top
     for sid in sorted(cov.regions):
         color = _PALETTE[sid % len(_PALETTE)]
         for ap in cov.regions[sid]:
-            out.append(_region_path(c, ap, color))
-    out.extend(_cells_and_frames(c, pd))
+            yield _region_path(c, ap, color)
+    yield from _cells_and_frames(c, pd, stats)
     for sid, t in enumerate(cov.transmitters):
         color = _PALETTE[sid % len(_PALETTE)]
-        out.append(_circle_svg(c, t.int_disk,
-                               f'fill="none" stroke="{color}" stroke-width="1.5"'))
-        out.append(_circle_svg(c, t.tx_disk,
-                               f'fill="none" stroke="{color}" stroke-width="1.2" '
-                               f'stroke-dasharray="1.5,2.5"'))
+        yield _circle_svg(c, t.int_disk, f'fill="none" stroke="{color}" stroke-width="1.5"')
+        yield _circle_svg(c, t.tx_disk, f'fill="none" stroke="{color}" stroke-width="1.2" '
+                                        f'stroke-dasharray="1.5,2.5"')
         px, py = c.pt(t.location.x, t.location.y)
-        out.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="2.5" fill="{color}"/>\n')
-    out.append("</svg>\n")
-    return "".join(out)
+        yield f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="2.5" fill="{color}"/>\n'
+    yield "</svg>\n"
 
 
-def _cells_and_frames(c: _Canvas, pd: PowerDiagram) -> Iterator[str]:
-    """Each cell's outline, then its frame pieces: one row kernel call, row
-    (p, q) for q ascending, formatted from its floats as they are drawn."""
-    pts = map(_fmt_xy, *(v.tolist() for v in c.pt(*pd.frames.xy.T)))
-    sizes = iter(pd.frames.sizes.tolist())
-    for sid in sorted(pd.cells):
-        cell = pd.cells[sid]
-        if cell is None:
-            continue
-        cpts = " ".join(c.fmt_pt(p.x, p.y) for p in cell.vertices)
-        yield (f'<polygon points="{cpts}" fill="none" stroke="#555555" '
-               f'stroke-width="1" stroke-dasharray="6,4"/>\n')
-        for size in islice(sizes, len(pd.neighbors[sid])):
-            if size:
-                yield (f'<polygon points="{" ".join(islice(pts, size))}" fill="none" '
-                       f'stroke="#999999" stroke-width="0.6"/>\n')
+def _cells_and_frames(c: _Canvas, pd: PowerDiagram, stats: dict) -> Iterator[str]:
+    """Each cell's outline, then its frame pieces, row (p, q) for q
+    ascending.  The frames are made ``FRAME_BLOCK`` owners at a time, and
+    each block is formatted from its floats before the next is made; the
+    blocks' row, cut and empty-piece counts are summed into ``stats``."""
+    owners = [p for p in sorted(pd.cells) if pd.cells[p] is not None]
+    stats.update(frame_rows=0, frame_cuts=0, frame_cuts_unchanged=0, frame_pieces_empty=0)
+    for lo in range(0, len(owners), FRAME_BLOCK):
+        block = owners[lo:lo + FRAME_BLOCK]
+        frames = frame_partitions(pd, block)
+        sizes = frames.sizes.tolist()
+        stats["frame_rows"] += len(sizes)
+        stats["frame_cuts"] += frames.cuts
+        stats["frame_cuts_unchanged"] += frames.unchanged
+        stats["frame_pieces_empty"] += sizes.count(0)
+        pts = map(_fmt_xy, *(v.tolist() for v in c.pt(*frames.xy.T)))
+        sizes = iter(sizes)
+        for sid in block:
+            cpts = " ".join(c.fmt_pt(p.x, p.y) for p in pd.cells[sid].vertices)
+            yield (f'<polygon points="{cpts}" fill="none" stroke="#555555" '
+                   f'stroke-width="1" stroke-dasharray="6,4"/>\n')
+            for size in islice(sizes, len(pd.neighbors[sid])):
+                if size:
+                    yield (f'<polygon points="{" ".join(islice(pts, size))}" fill="none" '
+                           f'stroke="#999999" stroke-width="0.6"/>\n')
 
 
 @dataclass(frozen=True)
@@ -396,13 +409,13 @@ class CaptureRaster:
     ids: tuple[tuple[int, ...], ...]  # row-major, ids[row][col]
 
 
-def _render_capture(cr: CaptureRaster) -> str:
+def _render_capture(cr: CaptureRaster) -> Iterator[str]:
     c = _Canvas(cr.window)
     ny = len(cr.ids)
     nx = len(cr.ids[0])
     cw = cr.window.width / nx
     ch = cr.window.height / ny
-    out = [_svg_header(c)]
+    yield _svg_header(c)
     for j in range(ny):
         for i in range(nx):
             sid = cr.ids[j][i]
@@ -410,11 +423,10 @@ def _render_capture(cr: CaptureRaster) -> str:
             x = cr.window.x0 + i * cw
             y = cr.window.y0 + (j + 1) * ch
             px, py = c.pt(x, y)
-            out.append(f'<rect x="{_fmt(px)}" y="{_fmt(py)}" '
-                       f'width="{_fmt(cw * c.scale)}" height="{_fmt(ch * c.scale)}" '
-                       f'fill="{color}" fill-opacity="0.7"/>\n')
-    out.append("</svg>\n")
-    return "".join(out)
+            yield (f'<rect x="{_fmt(px)}" y="{_fmt(py)}" '
+                   f'width="{_fmt(cw * c.scale)}" height="{_fmt(ch * c.scale)}" '
+                   f'fill="{color}" fill-opacity="0.7"/>\n')
+    yield "</svg>\n"
 
 
 # ---------------------------------------------------------------------------
@@ -447,15 +459,40 @@ def _write_json(path: Path, payload: dict) -> None:
                     encoding="utf-8")
 
 
+def _output_paths(out: Optional[str], default_stem: str) -> tuple[Path, Path]:
+    """The result file and its manifest beside it."""
+    path = Path(out) if out else Path(default_stem + ".result.json")
+    if str(path).endswith(".result.json"):
+        return path, Path(str(path)[:-len(".result.json")] + ".manifest.json")
+    return path, Path(str(path) + ".manifest.json")
+
+
 def _write_outputs(out: Optional[str], default_stem: str, result: dict,
                    manifest: RunManifest) -> None:
-    path = Path(out) if out else Path(default_stem + ".result.json")
+    path, mpath = _output_paths(out, default_stem)
     _write_json(path, result)
-    if str(path).endswith(".result.json"):
-        mpath = Path(str(path)[:-len(".result.json")] + ".manifest.json")
-    else:
-        mpath = Path(str(path) + ".manifest.json")
     _write_json(mpath, manifest.to_dict())
+    print(f"wrote {path}")
+
+
+_SVG_BLOCK = 2048  # SVG parts joined per write: bounds the text held at once
+
+
+@contextlib.contextmanager
+def _svg_file(path: str, parts: Iterator[str]) -> Iterator[None]:
+    """Draw ``parts`` into a temporary file beside ``path``, writing them in
+    joined blocks; after the body, move it onto ``path``.  If the drawing or
+    the body fails, the temporary file is removed and ``path`` is untouched."""
+    target = Path(path).resolve()
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8") as fh:
+            while block := list(islice(parts, _SVG_BLOCK)):
+                fh.write("".join(block))
+        yield
+        os.replace(tmp, target)
+    finally:
+        tmp.unlink(missing_ok=True)
     print(f"wrote {path}")
 
 
@@ -477,6 +514,9 @@ def _load_scenario(path: str) -> tuple[ScenarioFile, str]:
 
 
 def _cmd_build_map(args) -> int:
+    if args.svg and Path(args.svg).resolve() in [
+            p.resolve() for p in _output_paths(args.out, Path(args.scenario).stem)]:
+        raise ParseError("--svg", f"{args.svg} is the result or the manifest path")
     scen, digest = _load_scenario(args.scenario)
     if scen.model != "protocol":
         raise ModelError("build-map needs a protocol-model scenario")
@@ -496,16 +536,10 @@ def _cmd_build_map(args) -> int:
                            wall_time=time.perf_counter() - t0,
                            stats={"hidden": len(cov.diagram.hidden),
                                   "edges": cov.diagram.edge_count(), **cov.stats})
-    svg = render_svg(cov) if args.svg else None
-    if svg is not None:
-        f = cov.diagram.frames  # the frames just drawn, made once
-        manifest.stats.update(frame_rows=len(f.sizes), frame_cuts=f.cuts,
-                              frame_cuts_unchanged=f.unchanged,
-                              frame_pieces_empty=f.sizes.tolist().count(0))
-    _write_outputs(args.out, Path(args.scenario).stem, result, manifest)
-    if svg is not None:
-        Path(args.svg).write_text(svg, encoding="utf-8")
-        print(f"wrote {args.svg}")
+    # the drawing adds its frame counters to the manifest before it is written
+    with (_svg_file(args.svg, _svg_parts(cov, manifest.stats)) if args.svg
+          else contextlib.nullcontext()):
+        _write_outputs(args.out, Path(args.scenario).stem, result, manifest)
     print(f"covered area {result['total_area']:.6g} over {len(cov.regions)} sites")
     return 0
 
@@ -646,7 +680,7 @@ def _cmd_render(args) -> int:
     if scen.model == "protocol":
         if n is not None:
             raise ModelError("capture rasters need a sinr-model scenario")
-        svg = render_svg(scen.coverage_map())
+        artifact = scen.coverage_map()
     else:
         n = 64 if n is None else n
         if len(scen.transmitters) * n * n > MAX_SAMPLE_PAIRS:
@@ -654,11 +688,10 @@ def _cmd_render(args) -> int:
                                  f"exceed {MAX_SAMPLE_PAIRS}")
         s = scen.sinr_scenario()
         grid = capture_grid(s, n, n)
-        cr = CaptureRaster(scen.window,
-                           tuple(tuple(int(v) for v in row) for row in grid))
-        svg = render_svg(cr)
-    Path(args.svg).write_text(svg, encoding="utf-8")
-    print(f"wrote {args.svg}")
+        artifact = CaptureRaster(scen.window,
+                                 tuple(tuple(int(v) for v in row) for row in grid))
+    with _svg_file(args.svg, _svg_parts(artifact, {})):
+        pass  # the drawing is the command's only output
     return 0
 
 

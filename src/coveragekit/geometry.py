@@ -237,6 +237,10 @@ class ClippedRows(NamedTuple):
 
 
 _CHUNK = 512  # rows per pass of ``clip_rows``: bounds its working arrays
+# Owners per power-frame call when a whole map's frames are drawn: about six
+# ``_CHUNK``s of rows, so a block costs what one call for the map would, while
+# a drawing holds one block's vertices at a time.
+FRAME_BLOCK = 512
 
 
 def clip_rows(polys: Sequence[ConvexPolygon], circles: np.ndarray, poly: np.ndarray,
@@ -381,9 +385,12 @@ class ArcPolygon:
 
     def validate(self, eps: Optional[float] = None) -> None:
         """Raise InvalidChain for open, degenerate or self-intersecting chains."""
+        self._validate(self._scale(), eps)
+
+    def _validate(self, scale: float, eps: Optional[float]) -> None:
+        """``validate``, given this chain's ``_scale()``."""
         if not self.edges:
             raise InvalidChain("empty chain")
-        scale = self._scale()
         tol = geom_eps(scale) * 64.0 if eps is None else eps
         k = len(self.edges)
         if k == 1 and isinstance(self.edges[0], Segment):
@@ -439,10 +446,11 @@ def arc_polygon_area(p: ArcPolygon) -> float:
     Raises InvalidChain for open or self-intersecting input and for chains
     whose net signed area is negative (wrong orientation).
     """
-    p.validate()
+    scale = p._scale()  # one walk of the chain, for the validation and the tolerance
+    p._validate(scale, None)
     outer = p.signed_area()
     total = outer + sum(h.signed_area() for h in p.holes)
-    tol = geom_eps(p._scale()) ** 0.5  # generous: area tolerance
+    tol = geom_eps(scale) ** 0.5  # generous: area tolerance
     if total < -tol:
         raise InvalidChain(f"negative enclosed area {total}")
     return max(total, 0.0)

@@ -10,11 +10,13 @@ Construction (one route, Aurenhammer 1987): lift each disk to the point
 vertices and edges of the lower convex hull of the lifted points (scipy/Qhull),
 and each visible site's cell is the window clipped against its neighbors
 only, close to O(n log n).  All cells are cut in one ``clip_rows`` call, and
-so are all power frames (``frame_partitions``): one numpy step per cut for
-every polygon, with the arithmetic of the scalar ``clip_coords``, which
-serves single polygons that stop at their first empty cut.  A face of four
-or more cocircular sites comes back split into triangles on one plane; the
-edges inside it touch the diagram in a point and are no neighbor pairs.
+so are the power frames of a block of owners (``frame_partitions``): one
+numpy step per cut for every polygon, with the arithmetic of the scalar
+``clip_coords``, which serves single polygons that stop at their first
+empty cut.  Rows are independent, so a row's vertices do not depend on the
+block it was cut in.  A face of four or more cocircular sites comes back
+split into triangles on one plane; the edges inside it touch the diagram in
+a point and are no neighbor pairs.
 Qhull rejects every input of at most three sites and every flat lift; only
 then are the neighbors read off the flat structure, in O(n log n) too.  Its
 one rounding test is ``side``, applied at the magnitude of the coordinates
@@ -37,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -61,11 +62,6 @@ class PowerDiagram:
 
     def edge_count(self) -> int:
         return sum(len(v) for v in self.neighbors.values()) // 2
-
-    @cached_property  # not a field: eq, hash and repr ignore it
-    def frames(self) -> ClippedRows:
-        """``frame_partitions`` of every visible site, ascending, made once."""
-        return frame_partitions(self, [p for p in sorted(self.cells) if self.cells[p] is not None])
 
 
 def _validate(disks: Sequence[Disk], window: Rect) -> float:

@@ -12,8 +12,9 @@ from coveragekit.cli_io import (CaptureRaster, ScenarioFile, cli,
                                 parse_scenario, render_svg)
 from coveragekit.errors import ModelError, ParseError
 from coveragekit.geometry import Point2, Rect
-from coveragekit.power_diagram import build
+from coveragekit.power_diagram import build, frame_partitions
 from coveragekit.protocol_coverage import ProtocolTransmitter, compute_coverage_map
+from coveragekit.sinr_model import capture_grid
 from coveragekit.geometry import Disk, boolean_rows
 from cli_reference import scenario_to_dict
 
@@ -170,11 +171,107 @@ def test_cli_build_map_counters_in_manifest_only(tmp_path):
                      "boolean_chains": sum(1 + len(ap.holes) for c in batch.chains for ap in c)}
     assert plain["boolean_chains"] > 0 and plain["boolean_pieces"] >= plain["boolean_chains"]
     rows = sum(len(pd.neighbors[p]) for p in pd.cells if pd.cells[p] is not None)
-    assert drawn == {**plain, "frame_rows": rows, "frame_cuts": pd.frames.cuts,
-                     "frame_cuts_unchanged": pd.frames.unchanged,
-                     "frame_pieces_empty": pd.frames.sizes.tolist().count(0)}
+    frames = frame_partitions(pd, visible)
+    assert drawn == {**plain, "frame_rows": rows, "frame_cuts": frames.cuts,
+                     "frame_cuts_unchanged": frames.unchanged,
+                     "frame_pieces_empty": frames.sizes.tolist().count(0)}
     assert drawn["frame_cuts"] >= drawn["frame_cuts_unchanged"] and rows == 6
     assert "stats" not in json.loads((tmp_path / "b.result.json").read_text())
+
+
+@pytest.mark.parametrize("svg", ["r.result.json", "r.manifest.json"])
+def test_cli_build_map_refuses_an_svg_path_that_is_an_output(tmp_path, capsys, monkeypatch,
+                                                             svg):
+    scen = tmp_path / "s.json"
+    scen.write_text(json.dumps(PROTOCOL_SCENARIO))
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    # the same file, named relative to the working directory and absolutely
+    assert cli(["build-map", "s.json", "--out", "r.result.json", "--svg", str(tmp_path / svg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --svg: ") and err.count("\n") == 1, err
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["s.json"]  # refused before any work
+
+
+def c02_scenario(n: int, seed: int = 202) -> dict:
+    """A protocol scenario from c02's generator (100x100 window)."""
+    rng, spread = random.Random(seed), 100.0 / math.sqrt(n)
+    txs = []
+    for _ in range(n):
+        ir = rng.uniform(0.5, 1.5) * spread
+        x, y = rng.uniform(0.3, 99.7), rng.uniform(0.3, 99.7)
+        txs.append({"x": x, "y": y, "tx_radius": max(1e-4, rng.uniform(0.5, 1.0) * ir),
+                    "int_radius": ir})
+    return {"model": "protocol", "window": {"x0": 0.0, "y0": 0.0, "x1": 100.0, "y1": 100.0},
+            "transmitters": txs}
+
+
+def test_cli_build_map_svg_stays_within_a_fixed_memory_peak(tmp_path):
+    # the SVG (2.4 MB here) is streamed and the frames made a block at a time;
+    # holding the whole document and every frame row peaked at 12.0 MB
+    import tracemalloc
+    small, scen = tmp_path / "small.json", tmp_path / "s.json"
+    small.write_text(json.dumps(c02_scenario(64)))
+    scen.write_text(json.dumps(c02_scenario(2048)))
+    out = ["--out", str(tmp_path / "r.result.json"), "--svg", str(tmp_path / "r.svg")]
+    assert cli(["build-map", str(small), *out]) == 0  # lazy imports outside the trace
+    tracemalloc.start()
+    try:
+        assert cli(["build-map", str(scen), *out]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "r.svg").stat().st_size > 2_000_000
+    assert peak <= 9_500_000, peak
+
+
+def test_cli_svg_files_equal_render_svg(tmp_path, monkeypatch):
+    """What ``--svg`` streams is ``render_svg``'s text, whatever the write
+    and frame block sizes: a coverage map (``build-map`` and ``render``), a
+    capture raster (``render``), and a bare diagram through the same writer."""
+    from coveragekit import cli_io
+    doc = c02_scenario(40)
+    scen, sinr = tmp_path / "s.json", tmp_path / "sinr.json"
+    scen.write_text(json.dumps(doc))
+    sinr.write_text(json.dumps(SINR_SCENARIO))
+    cov = parse_scenario(json.dumps(doc)).coverage_map()
+    s = parse_scenario(json.dumps(SINR_SCENARIO)).sinr_scenario()
+    raster = CaptureRaster(s.window, tuple(tuple(int(v) for v in row)
+                                           for row in capture_grid(s, 8, 8)))
+    drawn = render_svg(cov)
+    expected = {"map": drawn, "drawn": drawn, "raster": render_svg(raster),
+                "diagram": render_svg(cov.diagram)}
+    monkeypatch.setattr(cli_io, "_SVG_BLOCK", 3)
+    monkeypatch.setattr(cli_io, "FRAME_BLOCK", 4)
+    assert cli(["build-map", str(scen), "--out", str(tmp_path / "s.result.json"),
+                "--svg", str(tmp_path / "map.svg")]) == 0
+    assert cli(["render", str(scen), "--svg", str(tmp_path / "drawn.svg")]) == 0
+    assert cli(["render", str(sinr), "--svg", str(tmp_path / "raster.svg"),
+                "--capture-grid", "8"]) == 0
+    with cli_io._svg_file(str(tmp_path / "diagram.svg"), cli_io._svg_parts(cov.diagram, {})):
+        pass
+    for name, text in expected.items():
+        assert (tmp_path / f"{name}.svg").read_text(encoding="utf-8") == text, name
+    assert sum(c is not None for c in cov.diagram.cells.values()) > 2 * 4  # several blocks
+
+
+def test_cli_build_map_failing_mid_drawing_leaves_no_files(tmp_path, capsys, monkeypatch):
+    from coveragekit import cli_io
+    from coveragekit.errors import InvalidChain
+
+    def failing(c, pd, stats):
+        yield '<polygon points=""/>\n'
+        raise InvalidChain("drawing failed")
+
+    monkeypatch.setattr(cli_io, "_SVG_BLOCK", 1)  # a part reaches the file first
+    monkeypatch.setattr(cli_io, "_cells_and_frames", failing)
+    scen = tmp_path / "s.json"
+    scen.write_text(json.dumps(PROTOCOL_SCENARIO))
+    capsys.readouterr()
+    assert cli(["build-map", str(scen), "--out", str(tmp_path / "r.result.json"),
+                "--svg", str(tmp_path / "r.svg")]) == 2
+    assert capsys.readouterr().err == "error: drawing failed\n"
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["s.json"]
 
 
 def projected_transmitters() -> tuple[list[dict], dict]:

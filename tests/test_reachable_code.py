@@ -3,8 +3,11 @@
 Every public top-level function or class of a ``coveragekit`` module
 (package ``__init__`` files aside) must be referenced from code: in another
 module of the package, in its own module outside its definition, or in the
-acceptance suite.  Imports, ``__all__`` entries and docstrings do not count.
-A helper only unit tests reach belongs in a test reference module.
+acceptance suite.  Every public ``property`` or ``cached_property`` of a
+class there must be read as an attribute by some module of the package or
+by the acceptance suite.  Imports, ``__all__`` entries and docstrings do
+not count.  A helper only unit tests reach belongs in a test reference
+module.
 """
 
 from __future__ import annotations
@@ -14,13 +17,24 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "coveragekit"
+ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 
 # Kept on purpose though no code of the package or acceptance suite uses them.
 KEPT = {
     "is_covered": "the scalar SINR predicate, the benchmark's oracle for optimizer areas",
+    "render_svg": "the library's SVG as one string; the CLI streams the same parts to a file",
     "treap_delete": "part of the treap's documented API",
     "treap_of": "part of the treap's documented API",
 }
+
+# Properties kept on purpose though no code of the package or acceptance suite reads them.
+KEPT_PROPERTIES: dict[str, str] = {}
+
+PROPERTY_DECORATORS = {"property", "cached_property"}
+
+
+def parse(path: Path) -> ast.AST:
+    return ast.parse(path.read_text(encoding="utf-8"))
 
 
 def used_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
@@ -39,11 +53,39 @@ def used_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
     return out
 
 
+def attribute_reads(tree: ast.AST) -> set[str]:
+    """Attribute names read (loaded, not stored or deleted) in ``tree``."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def public_properties(tree: ast.AST) -> list[tuple[str, str]]:
+    """(``Class.name``, name) of each public property or cached_property
+    of the top-level classes of ``tree``."""
+    out = []
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for item in cls.body:
+            if not isinstance(item, ast.FunctionDef) or item.name.startswith("_"):
+                continue
+            if any((d.id if isinstance(d, ast.Name) else getattr(d, "attr", None))
+                   in PROPERTY_DECORATORS for d in item.decorator_list):
+                out.append((f"{cls.name}.{item.name}", item.name))
+    return out
+
+
+def unread_properties(modules: dict[str, ast.AST], readers: list[ast.AST]) -> dict[str, str]:
+    """Public properties of ``modules`` (by label) that neither they nor
+    ``readers`` read as an attribute."""
+    read = set().union(*map(attribute_reads, [*modules.values(), *readers]))
+    return {qual: label for label, tree in modules.items()
+            for qual, name in public_properties(tree) if name not in read}
+
+
 def unreferenced() -> dict[str, str]:
-    modules = {p: ast.parse(p.read_text(encoding="utf-8"))
-               for p in sorted(PACKAGE.rglob("*.py")) if p.name != "__init__.py"}
-    acceptance = used_names(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(
-        encoding="utf-8")))
+    modules = {p: parse(p) for p in sorted(PACKAGE.rglob("*.py")) if p.name != "__init__.py"}
+    acceptance = used_names(parse(ACCEPTANCE))
     out = {}
     for path, tree in modules.items():
         elsewhere = acceptance.union(*(used_names(t) for p, t in modules.items() if p != path))
@@ -61,3 +103,32 @@ def test_every_public_name_in_src_is_reached_from_code():
     assert not extra, f"referenced by no code of the package or acceptance suite: {extra}"
     stale = sorted(set(KEPT) - set(found))
     assert not stale, f"listed as kept but referenced now: {stale}"
+
+
+def test_every_public_property_in_src_is_read_from_code():
+    modules = {str(p.relative_to(ROOT)): parse(p) for p in sorted(PACKAGE.rglob("*.py"))}
+    assert any(public_properties(t) for t in modules.values())  # the scan sees some
+    found = unread_properties(modules, [parse(ACCEPTANCE)])
+    extra = {n: where for n, where in found.items() if n not in KEPT_PROPERTIES}
+    assert not extra, f"read by no code of the package or acceptance suite: {extra}"
+    stale = sorted(set(KEPT_PROPERTIES) - set(found))
+    assert not stale, f"listed as kept but read now: {stale}"
+
+
+def test_a_property_only_assigned_or_named_counts_as_unread():
+    module = ast.parse(
+        "import functools\n"
+        "class Diagram:\n"
+        "    @functools.cached_property\n"
+        "    def frames(self): ...\n"
+        "    @property\n"
+        "    def cells(self): ...\n"
+        "    @property\n"
+        "    def _private(self): ...\n"
+        "    def method(self): ...\n"
+        "def draw(d):\n"
+        "    d.frames = None\n"
+        "    return frames, d.cells\n")
+    assert unread_properties({"m.py": module}, []) == {"Diagram.frames": "m.py"}
+    reader = ast.parse("def use(d):\n    return d.frames\n")
+    assert unread_properties({"m.py": module}, [reader]) == {}
