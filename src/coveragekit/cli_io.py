@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import __version__
 from .errors import BudgetExceeded, CoverageKitError, DuplicateSite, ModelError, ParseError
@@ -496,12 +496,20 @@ def _svg_file(path: str, parts: Iterator[str]) -> Iterator[None]:
     print(f"wrote {path}")
 
 
-def _write_trace_csv(path: Path, trace: list[tuple[int, float]]) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
+def _write_csv(path: str, header: list[str], rows: Iterable[Sequence]) -> None:
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(["evaluation", "best_area"])
-        for i, a in trace:
-            w.writerow([i, f"{a:.10g}"])
+        w.writerow(header)
+        w.writerows(rows)
+    print(f"wrote {path}")
+
+
+def _refuse_output_path(args, option: str, path: Optional[str]) -> None:
+    """Refuse a ``path`` for ``option`` that is the run's own result or
+    manifest path, which writing it would replace; called before any work."""
+    outputs = _output_paths(args.out, Path(args.scenario).stem)
+    if path and Path(path).resolve() in [p.resolve() for p in outputs]:
+        raise ParseError(option, f"{path} is the result or the manifest path")
 
 
 # ---------------------------------------------------------------------------
@@ -514,9 +522,7 @@ def _load_scenario(path: str) -> tuple[ScenarioFile, str]:
 
 
 def _cmd_build_map(args) -> int:
-    if args.svg and Path(args.svg).resolve() in [
-            p.resolve() for p in _output_paths(args.out, Path(args.scenario).stem)]:
-        raise ParseError("--svg", f"{args.svg} is the result or the manifest path")
+    _refuse_output_path(args, "--svg", args.svg)
     scen, digest = _load_scenario(args.scenario)
     if scen.model != "protocol":
         raise ModelError("build-map needs a protocol-model scenario")
@@ -610,6 +616,7 @@ def _cmd_estimate_area(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
+    _refuse_output_path(args, "--trace", args.trace)
     scen, digest = _load_scenario(args.scenario)
     if scen.model != "sinr":
         raise ModelError("optimize needs a sinr-model scenario")
@@ -637,8 +644,8 @@ def _cmd_optimize(args) -> int:
                            wall_time=time.perf_counter() - t0, stats=stats)
     _write_outputs(args.out, Path(args.scenario).stem, result, manifest)
     if args.trace:
-        _write_trace_csv(Path(args.trace), res.trace)
-        print(f"wrote {args.trace}")
+        _write_csv(args.trace, ["evaluation", "best_area"],
+                   ([i, f"{a:.10g}"] for i, a in res.trace))
     print(f"{args.method}: best area {res.best_area:.6g} "
           f"with total power {res.total_power:.6g} "
           f"({res.evaluations} evaluations)")
@@ -646,6 +653,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_sweep_power(args) -> int:
+    _refuse_output_path(args, "--csv", args.csv)
     scen, digest = _load_scenario(args.scenario)
     if scen.model != "sinr":
         raise ModelError("sweep-power needs a sinr-model scenario")
@@ -661,12 +669,8 @@ def _cmd_sweep_power(args) -> int:
                            stats={"calls": len(curve), "computed": len(curve)})
     _write_outputs(args.out, Path(args.scenario).stem, result, manifest)
     if args.csv:
-        with Path(args.csv).open("w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["total_power", "estimated_area"])
-            for p, a in curve:
-                w.writerow([f"{p:.10g}", f"{a:.10g}"])
-        print(f"wrote {args.csv}")
+        _write_csv(args.csv, ["total_power", "estimated_area"],
+                   ([f"{p:.10g}", f"{a:.10g}"] for p, a in curve))
     best = max(a for _, a in curve)
     print(f"swept {args.levels} levels; peak area {best:.6g}")
     return 0

@@ -17,7 +17,10 @@ never by the distance between end points, so coincident crossings merge
 transitively along the curves.  Chain validation treats tangencies
 (single-point contacts) as non-intersections.  The boolean skips only work
 whose answer is known, where a point is ``_MARGIN`` eps clear of a rim: a
-margin that covers the touch rule and chains of contracted pieces.
+margin that covers the touch rule and chains of contracted pieces.  A
+circle that no other curve meets is decided by one probe point (the touch
+rule leaves every other curve more than eps clear of it), and a point lies
+in a chain by its winding number, with no tolerance.
 
 The boolean runs on numpy arrays, every site of a map in lockstep
 (``boolean_rows``), and gives the bits its formulas give on floats, since
@@ -172,9 +175,8 @@ class Rect:
     def center(self) -> Point2:
         return Point2(0.5 * (self.x0 + self.x1), 0.5 * (self.y0 + self.y1))
 
-    def contains(self, p: Point2, tol: float = 0.0) -> bool:
-        return (self.x0 - tol <= p.x <= self.x1 + tol
-                and self.y0 - tol <= p.y <= self.y1 + tol)
+    def contains(self, p: Point2) -> bool:
+        return self.x0 <= p.x <= self.x1 and self.y0 <= p.y <= self.y1
 
     def to_polygon(self) -> ConvexPolygon:
         return ConvexPolygon((Point2(self.x0, self.y0), Point2(self.x1, self.y0),
@@ -617,10 +619,10 @@ def circle_circle_points(x1, y1, r1, x2, y2, r2, d, touch=0.0):
 
 # --- Keyed boolean: (cell ∩ include) \ ∪ excludes, every row at once --------
 
-# Probe directions, at 1, 3 and 5 radians, for a circle no other curve
-# crosses: no lattice favours them, and a majority of three outvotes one
-# tangency point.
-_PROBES = [(math.cos(a), math.sin(a)) for a in (1.0, 3.0, 5.0)]
+# The probe direction, at 1 radian, for a circle no other curve meets: no
+# lattice favours it.  One probe decides the circle, as every other curve
+# lies more than eps clear of it, on one side; a nearer one touches it.
+_PROBE = (math.cos(1.0), math.sin(1.0))
 
 # ``boolean_rows`` skips work only where a point is this many eps clear of a rim.
 _MARGIN = 64.0
@@ -652,10 +654,12 @@ def boolean_rows(cells: Sequence[ConvexPolygon], includes: Sequence[Disk],
     ``eps`` of tangency have one touching crossing.  Each curve is cut at
     its crossings, in the order of (position, key), and a piece is boundary
     when its midpoint lies in the cell, in the include disk and outside
-    every exclude, its own curve aside.  A piece no longer than ``eps``,
-    kept or not, merges its end crossings, so crossings that coincide along
-    a curve become one node.  Chains are stitched by their nodes, never by
-    comparing coordinates; chains of negative area are holes.
+    every exclude, its own curve aside; a circle that no other curve meets
+    is a chain of its own when one probe point on it passes that test.  A
+    piece no longer than ``eps``, kept or not, merges its end crossings, so
+    crossings that coincide along a curve become one node.  Chains are
+    stitched by their nodes, never by comparing coordinates; chains of
+    negative area are holes.
 
     Two shortcuts skip work whose answer is known, each only beyond a margin
     of ``_MARGIN`` eps: when the include disk, or every vertex, lies that
@@ -812,14 +816,12 @@ def _boolean_chunk(cells, includes, excludes, eps: np.ndarray) -> BooleanRows:
     pe, pc = np.flatnonzero(~short & ~circ[a]), np.flatnonzero(~short & circ[a])
     e, c = obj[a[pe]], obj[a[pc]]
     mid = p0[pc] + 0.5 * extent[pc]
-    lone = np.flatnonzero(np.bincount(obj[circ], minlength=len(crow)) == 0)  # probe these thrice
+    lone = np.flatnonzero(np.bincount(obj[circ], minlength=len(crow)) == 0)  # probe these
     mx, my = _lerp(vx[e], vy[e], bx[e], by[e], 0.5 * (p0[pe] + p1[pe]))
-    x = np.concatenate([mx, cx[c] + cr[c] * _math(math.cos, mid),
-                        *(cx[lone] + cr[lone] * u for u, _ in _PROBES)])
-    y = np.concatenate([my, cy[c] + cr[c] * _math(math.sin, mid),
-                        *(cy[lone] + cr[lone] * w for _, w in _PROBES)])
-    rows = np.concatenate([vrow[e], crow[c], np.tile(crow[lone], 3)])
-    on = np.concatenate([-1 + 0 * e, ck[c], np.tile(ck[lone], 3)])  # the circle it lies on
+    x = np.concatenate([mx, cx[c] + cr[c] * _math(math.cos, mid), cx[lone] + cr[lone] * _PROBE[0]])
+    y = np.concatenate([my, cy[c] + cr[c] * _math(math.sin, mid), cy[lone] + cr[lone] * _PROBE[1]])
+    rows = np.concatenate([vrow[e], crow[c], crow[lone]])
+    on = np.concatenate([-1 + 0 * e, ck[c], ck[lone]])  # the circle it lies on
 
     # the midpoint tests: the include disk unless on its rim, the other
     # excludes one at a time, then the cell's edges unless on one, each over
@@ -843,7 +845,7 @@ def _boolean_chunk(cells, includes, excludes, eps: np.ndarray) -> BooleanRows:
         ok[t[out]], t = False, t[~out]
     kept = np.zeros(len(a), bool)
     kept[np.concatenate([pe, pc])] = ok[:len(pe) + len(pc)]
-    whole = lone[ok[len(pe) + len(pc):].reshape(3, -1).sum(0) >= 2]
+    whole = lone[ok[len(pe) + len(pc):]]
 
     # only rows that keep a piece reach Python: an edge's piece becomes a
     # segment, the include circle's an arc from p0 to p1, an exclude's an
@@ -870,7 +872,7 @@ def _boolean_chunk(cells, includes, excludes, eps: np.ndarray) -> BooleanRows:
     busy = busy.tolist()
     chains: list[list[ArcPolygon]] = [[] for _ in range(R)]
     for r in busy:
-        chains[r] = _stitch(pieces[r], merged[r], wholes[r], float(eps[r]))
+        chains[r] = _stitch(pieces[r], merged[r], wholes[r])
     return BooleanRows(chains, R - len(busy), len(k) + len(whole))
 
 
@@ -900,7 +902,7 @@ def _split(rows: np.ndarray, R: int, items) -> list[list]:
     return out
 
 
-def _stitch(pieces: list, merged: list, whole: list, eps: float) -> list[ArcPolygon]:
+def _stitch(pieces: list, merged: list, whole: list) -> list[ArcPolygon]:
     """One row's chains: its ``whole`` circles (arc, curve), each a chain,
     then its ``pieces`` (edge, curve, start node, end node) in curve order,
     stitched by end nodes once the node pairs ``merged`` by short pieces are
@@ -946,7 +948,7 @@ def _stitch(pieces: list, merged: list, whole: list, eps: float) -> list[ArcPoly
     for chain in chains:
         edges = tuple(_canonical(_coalesce(chain)))
         (outers if _chain_signed_area(edges) >= 0.0 else holes).append(ArcPolygon(edges))
-    return _attach_holes(outers, holes, eps) if holes else outers
+    return _attach_holes(outers, holes) if holes else outers
 
 
 def _coalesce(chain: list[tuple[ArcEdge, int, bool]]) -> list[ArcEdge]:
@@ -985,8 +987,7 @@ def _canonical(chain: list[ArcEdge]) -> list[ArcEdge]:
     return chain[best:] + chain[:best]
 
 
-def _attach_holes(outers: list[ArcPolygon], holes: list[ArcPolygon],
-                  eps: float) -> list[ArcPolygon]:
+def _attach_holes(outers: list[ArcPolygon], holes: list[ArcPolygon]) -> list[ArcPolygon]:
     assigned: dict[int, list[ArcPolygon]] = {i: [] for i in range(len(outers))}
     for hole in holes:
         # the middle of an edge, not a joint: a hole may touch its outer
@@ -1000,7 +1001,7 @@ def _attach_holes(outers: list[ArcPolygon], holes: list[ArcPolygon],
         best_area = math.inf
         for i, outer in enumerate(outers):
             a = outer.signed_area()
-            if a < best_area and arc_polygon_contains(outer, probe, eps):
+            if a < best_area and arc_polygon_contains(outer, probe):
                 best, best_area = i, a
         if best is None:
             raise InvalidChain("hole chain not contained in any outer chain")
@@ -1008,48 +1009,21 @@ def _attach_holes(outers: list[ArcPolygon], holes: list[ArcPolygon],
     return [ArcPolygon(outers[i].edges, tuple(assigned[i])) for i in range(len(outers))]
 
 
-def arc_polygon_contains(poly: ArcPolygon, p: Point2, eps: float = 0.0) -> bool:
-    """Crossing-parity containment test for the outer chain (holes ignored).
-
-    Near-tangent rays are retried with a nudged y to stay in general position.
-    """
-    if eps == 0.0:
-        eps = geom_eps(poly._scale())
-    for attempt in range(6):
-        py = p.y + attempt * 7.3 * eps
-        hits = [_ray_hits(e, p.x, py, eps) for e in poly.edges]
-        if None not in hits:
-            return sum(hits) % 2 == 1
-    return False
-
-
-def _ray_hits(e: ArcEdge, px: float, py: float, eps: float) -> Optional[int]:
-    """Crossings of the ray {(x, py): x > px} with one edge; None = degenerate."""
-    n = 0
-    if isinstance(e, Segment):
-        y0, y1 = e.start.y, e.end.y
-        if abs(y0 - py) <= eps * 0.5 or abs(y1 - py) <= eps * 0.5:
-            return None
-        if (y0 < py) != (y1 < py):
-            t = (py - y0) / (y1 - y0)
-            x = e.start.x + t * (e.end.x - e.start.x)
-            if x > px:
-                n += 1
-        return n
-    d = e.supporting_disk
-    dy = py - d.center.y
-    if abs(abs(dy) - d.radius) <= eps * 0.5:
-        return None
-    if abs(dy) >= d.radius:
-        return 0
-    h = math.sqrt(d.radius * d.radius - dy * dy)
-    ang_tol = eps / max(d.radius, eps)
-    for x in (d.center.x + h, d.center.x - h):
-        ang = _angle(d.xyr, x, py)
-        a0, extent = e.angular_interval()
-        rel = (ang - a0) % TWO_PI
-        if min(rel, TWO_PI - rel) <= ang_tol or abs(extent - rel) <= ang_tol:
-            return None  # crossing grazes an arc endpoint: retry nudged
-        if rel < extent and x > px:
-            n += 1
-    return n
+def arc_polygon_contains(poly: ArcPolygon, p: Point2) -> bool:
+    """Whether the outer chain (holes ignored) winds an odd number of times
+    around ``p``.  A segment, or an arc whose disk does not hold ``p``,
+    turns by the angle its chord subtends at ``p``, in (-pi, pi]; an arc
+    whose disk holds ``p`` by that angle taken in (0, 2 pi] when it runs
+    counterclockwise and in [-2 pi, 0) when clockwise, as a point running
+    along the rim turns monotonically around an inner point.  A point on
+    the chain may get either answer."""
+    total = 0.0
+    for e in poly.edges:
+        a, b = e.start_point, e.end_point
+        ax, ay, bx, by = a.x - p.x, a.y - p.y, b.x - p.x, b.y - p.y
+        turn = math.atan2(ax * by - ay * bx, ax * bx + ay * by)
+        if isinstance(e, CircularArc) and _power(p.x, p.y, *e.supporting_disk.xyr) < 0.0:
+            s = 1.0 if e.orientation == OUTWARD else -1.0
+            turn = s * (s * turn % TWO_PI or TWO_PI)
+        total += turn
+    return round(total / TWO_PI) % 2 == 1

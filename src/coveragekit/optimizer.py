@@ -157,7 +157,9 @@ def grid_rule_samples(epsilon: float, delta: float, c_lower: float) -> int:
 
 
 class _CachedObjective:
-    """Counts logical evaluations; computes each exact vector once (``known`` ones ahead)."""
+    """Counts logical evaluations; computes each exact vector once (``known``
+    ones ahead).  Keeps the first vector of the largest area, and the trace
+    of (calls, area) at each strict improvement."""
 
     def __init__(self, fn: Callable[[tuple[float, ...]], float],
                  known: Optional[dict[tuple[float, ...], float]] = None):
@@ -165,6 +167,9 @@ class _CachedObjective:
         self._cache = {} if known is None else known
         self.calls = 0
         self.computed = len(self._cache)
+        self.best: Optional[tuple[float, ...]] = None
+        self.best_area = -math.inf
+        self.trace: list[tuple[int, float]] = []
 
     def __call__(self, values) -> float:
         self.calls += 1
@@ -173,11 +178,14 @@ class _CachedObjective:
         if area is None:
             area = self._cache[key] = self._fn(key)
             self.computed += 1
+        if area > self.best_area:
+            self.best, self.best_area = key, area
+            self.trace.append((self.calls, area))
         return area
 
-    def result(self, best, best_area: float, trace) -> OptResult:
-        pv = PowerVector.of(best)
-        return OptResult(pv, best_area, self.calls, trace, pv.total(), self.computed)
+    def result(self) -> OptResult:
+        pv = PowerVector.of(self.best)
+        return OptResult(pv, self.best_area, self.calls, self.trace, pv.total(), self.computed)
 
 
 def exhaustive_search(s: SinrScenario, b: Bounds, levels: int,
@@ -202,17 +210,9 @@ def exhaustive_search(s: SinrScenario, b: Bounds, levels: int,
     distinct = [list(dict.fromkeys(axis)) for axis in axes]  # p_min == p_max repeats
     areas = dict(zip(itertools.product(*distinct), objective(s, plan).product(distinct)))
     ev = _CachedObjective(areas.__getitem__, areas)
-    vectors = sorted(itertools.product(*axes), key=lambda v: (sum(v), v))
-    best_vec = vectors[0]
-    best_area = -1.0
-    trace: list[tuple[int, float]] = []
-    for vec in vectors:
-        a = ev(vec)
-        if a > best_area:
-            best_area = a
-            best_vec = vec
-            trace.append((ev.calls, a))
-    return ev.result(best_vec, best_area, trace)
+    for vec in sorted(itertools.product(*axes), key=lambda v: (sum(v), v)):
+        ev(vec)
+    return ev.result()
 
 
 def random_hill_climb(s: SinrScenario, b: Bounds, params: RhcParams,
@@ -232,7 +232,6 @@ def random_hill_climb(s: SinrScenario, b: Bounds, params: RhcParams,
     ev = _CachedObjective(objective(s, plan))
     best = lo.copy()
     best_area = ev(best)
-    trace = [(ev.calls, best_area)]
     while True:
         attempts = 0
         scale_up = 1.0 + params.scale_factor
@@ -256,15 +255,19 @@ def random_hill_climb(s: SinrScenario, b: Bounds, params: RhcParams,
                 best_area = area
                 best = cand
                 improved = True
-                trace.append((ev.calls, area))
         if attempts >= params.max_iterations:
             break
-    return ev.result(best, best_area, trace)
+    return ev.result()
+
+
+# Nelder-Mead stops a restart after this many iterations, or once the
+# simplex's best and worst values differ by less than the tolerance.
+_NM_ITERATIONS = 500
+_NM_F_TOL = 1e-6
 
 
 def nelder_mead(objective: Callable[[tuple[float, ...]], float], b: Bounds,
-                restarts: int, seed: int, max_iterations: int = 500,
-                f_tol: float = 1e-6) -> OptResult:
+                restarts: int, seed: int) -> OptResult:
     """Simplex maximization of a function of the powers' float tuple, with
     reflection 1, expansion 2, contraction and shrink 0.5; candidates are
     clamped into the bounds.  Each restart begins from a fresh random vector
@@ -277,19 +280,6 @@ def nelder_mead(objective: Callable[[tuple[float, ...]], float], b: Bounds,
     hi = b.p_max.as_array()
     n = len(lo)
     ev = _CachedObjective(objective)
-    best_vec: Optional[np.ndarray] = None
-    best_area = -math.inf
-    trace: list[tuple[int, float]] = []
-
-    def feval(v: np.ndarray) -> float:
-        nonlocal best_vec, best_area
-        a = ev(v)
-        if a > best_area:
-            best_area = a
-            best_vec = v.copy()
-            trace.append((ev.calls, a))
-        return a
-
     for _ in range(restarts):
         x0 = lo + rng.random(n) * (hi - lo)
         simplex = [x0]
@@ -298,20 +288,20 @@ def nelder_mead(objective: Callable[[tuple[float, ...]], float], b: Bounds,
             v = x0.copy()
             v[i] = v[i] + span[i] if v[i] + span[i] <= hi[i] else v[i] - span[i]
             simplex.append(v)
-        fvals = [feval(v) for v in simplex]
-        for _ in range(max_iterations):
+        fvals = [ev(v) for v in simplex]
+        for _ in range(_NM_ITERATIONS):
             order = sorted(range(n + 1), key=lambda i: -fvals[i])
             simplex = [simplex[i] for i in order]
             fvals = [fvals[i] for i in order]
-            if fvals[0] - fvals[-1] < f_tol:
+            if fvals[0] - fvals[-1] < _NM_F_TOL:
                 break
             centroid = np.mean(simplex[:-1], axis=0)
             worst = simplex[-1]
             refl = np.clip(centroid + (centroid - worst), lo, hi)
-            f_refl = feval(refl)
+            f_refl = ev(refl)
             if f_refl > fvals[0]:
                 expa = np.clip(centroid + 2.0 * (centroid - worst), lo, hi)
-                f_expa = feval(expa)
+                f_expa = ev(expa)
                 if f_expa > f_refl:
                     simplex[-1], fvals[-1] = expa, f_expa
                 else:
@@ -323,14 +313,14 @@ def nelder_mead(objective: Callable[[tuple[float, ...]], float], b: Bounds,
                     cont = np.clip(centroid + 0.5 * (centroid - worst), lo, hi)
                 else:
                     cont = np.clip(centroid - 0.5 * (centroid - worst), lo, hi)
-                f_cont = feval(cont)
+                f_cont = ev(cont)
                 if f_cont > max(f_refl, fvals[-1]):
                     simplex[-1], fvals[-1] = cont, f_cont
                 else:
                     for i in range(1, n + 1):
                         simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
-                        fvals[i] = feval(simplex[i])
-    return ev.result(best_vec if best_vec is not None else lo, best_area, trace)
+                        fvals[i] = ev(simplex[i])
+    return ev.result()
 
 
 def post_process(s: SinrScenario, v: PowerVector, p_min: PowerVector,
@@ -343,21 +333,15 @@ def post_process(s: SinrScenario, v: PowerVector, p_min: PowerVector,
     """
     ev = _CachedObjective(objective(s, plan))
     base = np.asarray(v.values, dtype=float)
-    best = base.copy()
-    best_area = ev(best)
-    trace = [(ev.calls, best_area)]
+    ev(base)
     order = sorted(range(len(base)), key=lambda i: (base[i], i))
     floors = p_min.as_array()
     for i in range(1, len(base) + 1):
         cand = base.copy()
         for idx in order[:i]:
             cand[idx] = floors[idx]
-        a = ev(cand)
-        if a > best_area:
-            best_area = a
-            best = cand
-            trace.append((ev.calls, a))
-    return ev.result(best, best_area, trace)
+        ev(cand)
+    return ev.result()
 
 
 def sweep_power(s: SinrScenario, b: Bounds, levels: int,

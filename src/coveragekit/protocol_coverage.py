@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .geometry import (ArcPolygon, CircularArc, Disk, Point2, Rect, TWO_PI,
-                       arc_polygon_area, boolean_rows, dist, geom_eps)
+                       arc_polygon_area, boolean_rows)
 from .power_diagram import PowerDiagram, SiteId, build
 
 
@@ -73,7 +73,7 @@ def compute_coverage_map(txs: Sequence[ProtocolTransmitter], window: Rect) -> Co
         raise ValueError("need at least one transmitter")
     int_disks = [t.int_disk for t in txs]
     pd = build(int_disks, window)
-    visible = [p for p in range(len(txs)) if p not in pd.hidden and pd.cells.get(p) is not None]
+    visible = [p for p in range(len(txs)) if pd.cells.get(p) is not None]
     rows = boolean_rows([pd.cells[p] for p in visible], [txs[p].tx_disk for p in visible],
                         [[int_disks[q] for q in sorted(pd.neighbors.get(p, ()))]
                          for p in visible], pd.eps)
@@ -118,8 +118,6 @@ def find_interference_bound(cov: CoverageMap) -> Optional[SiteId]:
                 return p
             if abs(edge.sweep()) < TWO_PI or edge.orientation != "outward":
                 return p
-            own = cov.transmitters[p].tx_disk
-            if (dist(edge.supporting_disk.center, own.center) > geom_eps(own.radius)
-                    or abs(edge.supporting_disk.radius - own.radius) > geom_eps(own.radius)):
+            if edge.supporting_disk != cov.transmitters[p].tx_disk:
                 return p
     return None

@@ -236,7 +236,7 @@ def boolean_chains_reference(region: ConvexPolygon, include: Disk, excludes: Seq
     for chain in chains:
         edges = tuple(_canonical(_coalesce(chain)))
         (outers if _chain_signed_area(edges) >= 0.0 else holes).append(ArcPolygon(edges))
-    return _attach_holes(outers, holes, eps) if holes else outers
+    return _attach_holes(outers, holes) if holes else outers
 
 
 def _foot(a: Point2, b: Point2, c: Point2) -> float:

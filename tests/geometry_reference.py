@@ -8,8 +8,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from coveragekit.errors import CoverageKitError
-from coveragekit.geometry import (ArcPolygon, ConvexPolygon, Disk, Point2, bisector_line,
-                                  boolean_rows, clip_coords, dist, geom_eps)
+from coveragekit.geometry import (TWO_PI, ArcEdge, ArcPolygon, ConvexPolygon, Disk, Point2,
+                                  Segment, _angle, bisector_line, boolean_rows, clip_coords,
+                                  dist, geom_eps)
 
 
 class ConcentricDisks(CoverageKitError):
@@ -110,3 +111,51 @@ def region_disk_boolean(region: ConvexPolygon, include: Disk,
             if part is not None:
                 out.extend(region_disk_boolean(part, include, exclude))
     return out
+
+
+def arc_polygon_contains_ray(poly: ArcPolygon, p: Point2, eps: float = 0.0) -> bool:
+    """Crossing-parity containment test for the outer chain (holes ignored),
+    as ``arc_polygon_contains`` read before it became a winding number.
+
+    Near-tangent rays are retried with a nudged y to stay in general position.
+    """
+    if eps == 0.0:
+        eps = geom_eps(poly._scale())
+    for attempt in range(6):
+        py = p.y + attempt * 7.3 * eps
+        hits = [_ray_hits(e, p.x, py, eps) for e in poly.edges]
+        if None not in hits:
+            return sum(hits) % 2 == 1
+    return False
+
+
+def _ray_hits(e: ArcEdge, px: float, py: float, eps: float) -> Optional[int]:
+    """Crossings of the ray {(x, py): x > px} with one edge; None = degenerate."""
+    n = 0
+    if isinstance(e, Segment):
+        y0, y1 = e.start.y, e.end.y
+        if abs(y0 - py) <= eps * 0.5 or abs(y1 - py) <= eps * 0.5:
+            return None
+        if (y0 < py) != (y1 < py):
+            t = (py - y0) / (y1 - y0)
+            x = e.start.x + t * (e.end.x - e.start.x)
+            if x > px:
+                n += 1
+        return n
+    d = e.supporting_disk
+    dy = py - d.center.y
+    if abs(abs(dy) - d.radius) <= eps * 0.5:
+        return None
+    if abs(dy) >= d.radius:
+        return 0
+    h = math.sqrt(d.radius * d.radius - dy * dy)
+    ang_tol = eps / max(d.radius, eps)
+    for x in (d.center.x + h, d.center.x - h):
+        ang = _angle(d.xyr, x, py)
+        a0, extent = e.angular_interval()
+        rel = (ang - a0) % TWO_PI
+        if min(rel, TWO_PI - rel) <= ang_tol or abs(extent - rel) <= ang_tol:
+            return None  # crossing grazes an arc endpoint: retry nudged
+        if rel < extent and x > px:
+            n += 1
+    return n

@@ -193,6 +193,22 @@ def test_cli_build_map_refuses_an_svg_path_that_is_an_output(tmp_path, capsys, m
     assert sorted(f.name for f in tmp_path.iterdir()) == ["s.json"]  # refused before any work
 
 
+@pytest.mark.parametrize("target", ["r.result.json", "r.manifest.json", "s.manifest.json"])
+@pytest.mark.parametrize("command", [["optimize", "rhc", "s.json", "--trace"],
+                                     ["sweep-power", "s.json", "--csv"]], ids=["trace", "csv"])
+def test_cli_trace_and_csv_refuse_a_path_that_is_an_output(tmp_path, capsys, monkeypatch,
+                                                           command, target):
+    (tmp_path / "s.json").write_text(json.dumps(SINR_SCENARIO))
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    # with --out, or with the default output paths beside the working directory
+    out = [] if target.startswith("s.") else ["--out", "r.result.json"]
+    assert cli([*command, str(tmp_path / target), *out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {command[-1]}: ") and err.count("\n") == 1, err
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["s.json"]  # refused before any work
+
+
 def c02_scenario(n: int, seed: int = 202) -> dict:
     """A protocol scenario from c02's generator (100x100 window)."""
     rng, spread = random.Random(seed), 100.0 / math.sqrt(n)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from coveragekit import geometry
 from coveragekit.errors import InvalidChain
-from coveragekit.geometry import (ArcPolygon, CircularArc, ConvexPolygon, Disk,
+from coveragekit.geometry import (INWARD, ArcPolygon, CircularArc, ConvexPolygon, Disk,
                                   Point2, Rect, Segment, TWO_PI,
                                   _edges_cross, arc_polygon_area,
                                   arc_polygon_contains, boolean_rows,
@@ -19,7 +19,8 @@ from coveragekit.geometry import (ArcPolygon, CircularArc, ConvexPolygon, Disk,
                                   dist, geom_eps, power_distance)
 from coveragekit.power_diagram import build
 from boolean_reference import boolean_chains_reference
-from geometry_reference import (ConcentricDisks, HalfPlane, boolean_chains, clip_convex,
+from geometry_reference import (ConcentricDisks, HalfPlane, _ray_hits,
+                                arc_polygon_contains_ray, boolean_chains, clip_convex,
                                 convex_polygon_intersection, power_bisector,
                                 region_disk_boolean, signed_distance)
 from oracles import grid_boolean_area, lens_area
@@ -274,6 +275,106 @@ def test_arc_polygon_contains():
     assert not arc_polygon_contains(circle, Point2(1.5, 0.0))
 
 
+def _chain_distance(poly: ArcPolygon, p: Point2) -> float:
+    """Distance from ``p`` to the nearest edge of the outer chain."""
+    best = math.inf
+    for e in poly.edges:
+        if isinstance(e, Segment):
+            a, b = e.start, e.end
+            dx, dy = b.x - a.x, b.y - a.y
+            t = min(max(((p.x - a.x) * dx + (p.y - a.y) * dy) / (dx * dx + dy * dy), 0.0), 1.0)
+            best = min(best, math.hypot(a.x + t * dx - p.x, a.y + t * dy - p.y))
+        else:
+            d = e.supporting_disk
+            a0, extent = e.angular_interval()
+            angle = math.atan2(p.y - d.center.y, p.x - d.center.x) % TWO_PI
+            if (angle - a0) % TWO_PI <= extent:
+                best = min(best, abs(dist(p, d.center) - d.radius))
+            best = min(best, dist(p, e.start_point), dist(p, e.end_point))
+    return best
+
+
+def _contains_like_the_ray_cast(chains, probes) -> int:
+    """Compare ``arc_polygon_contains`` with the ray-cast reference on every
+    outer and hole chain at every probe more than 1e-6 from that chain;
+    return how many probes were compared."""
+    compared = 0
+    for ap in [c for ap in chains for c in (ap, *ap.holes)]:
+        for p in probes:
+            if _chain_distance(ap, p) > 1e-6:
+                assert arc_polygon_contains(ap, p) == arc_polygon_contains_ray(ap, p), (ap, p)
+                compared += 1
+    return compared
+
+
+# probes on the half-unit lattice, where the maps' vertices and rim tops lie
+LATTICE_PROBES = [Point2(0.5 * i, 0.5 * j) for i in range(-1, 18) for j in range(-1, 18)]
+
+
+def test_arc_polygon_contains_equals_the_ray_cast_on_chains_with_holes():
+    square = (Segment(Point2(0, 0), Point2(4, 0)), Segment(Point2(4, 0), Point2(4, 4)),
+              Segment(Point2(4, 4), Point2(0, 4)), Segment(Point2(0, 4), Point2(0, 0)))
+    hole = ArcPolygon((CircularArc(Disk(Point2(2, 2), 1.0), 0.0, 0.0, INWARD),))
+    lens_hole = ArcPolygon((CircularArc(Disk(Point2(1, 3), 0.5), math.pi, 0.0, INWARD),
+                            Segment(Point2(1.5, 3), Point2(0.5, 3))))
+    made = [ArcPolygon(square, (hole, lens_hole))]
+    assert arc_polygon_contains(made[0], Point2(2, 2))  # holes are ignored
+    assert arc_polygon_contains(hole, Point2(2, 2))  # a clockwise chain winds -1 times
+    assert not arc_polygon_contains(hole, Point2(0.5, 0.5))
+    stitched = boolean_chains(*HOLE_AND_TANGENTS, MARGIN_EPS)
+    assert any(ap.holes for ap in stitched)
+    probes = [Point2(0.25 * i, 0.25 * j) for i in range(-10, 27) for j in range(-10, 27)]
+    assert _contains_like_the_ray_cast(made + stitched, probes) > 2000
+
+
+def _square_in_disk() -> ArcPolygon:
+    """The square [-1, 1]^2 cut by the disk of radius 1.2 at the origin."""
+    square = ConvexPolygon((Point2(-1, -1), Point2(1, -1), Point2(1, 1), Point2(-1, 1)))
+    (chain,) = boolean_chains(square, Disk(Point2(0, 0), 1.2), [], geom_eps(4.0))
+    return chain
+
+
+def test_arc_polygon_contains_where_the_ray_cast_nudged():
+    # a horizontal line through a vertex, through an arc's end point, or
+    # along a rim's top made the ray cast retry; the winding number does not
+    diamond = ArcPolygon((Segment(Point2(0, -1), Point2(1, 0)), Segment(Point2(1, 0), Point2(0, 1)),
+                          Segment(Point2(0, 1), Point2(-1, 0)),
+                          Segment(Point2(-1, 0), Point2(0, -1))))
+    half = ArcPolygon((CircularArc(Disk(Point2(0, 0), 1.0), 0.0, math.pi),
+                       Segment(Point2(-1, 0), Point2(1, 0))))
+    cut = _square_in_disk()
+    # where an arc ends on a vertical side, at y = +-sqrt(1.2^2 - 1)
+    y_end = next(e.end_point.y for e in cut.edges
+                 if isinstance(e, CircularArc) and abs(e.end_point.y) < 0.9)
+    cases = [(diamond, Point2(0, 0), True), (diamond, Point2(-0.5, 0), True),
+             (diamond, Point2(-2, 0), False), (diamond, Point2(0.2, 1), False),
+             (half, Point2(-0.5, 1.0), False),
+             (half, Point2(-3, 1.0), False), (half, Point2(-2, 0), False),
+             (cut, Point2(0, y_end), True), (cut, Point2(-0.99, y_end), True),
+             (cut, Point2(-2, y_end), False)]
+    for chain, p, inside in cases:
+        eps = geom_eps(chain._scale())
+        assert None in [_ray_hits(e, p.x, p.y, eps) for e in chain.edges], p  # the ray nudged
+        assert arc_polygon_contains(chain, p) == inside, p
+        assert arc_polygon_contains_ray(chain, p) == inside, p
+
+
+def test_arc_polygon_contains_on_a_dense_grid_through_the_vertices():
+    # rows and columns through the square's sides and the arcs' end points
+    cut = _square_in_disk()
+    ends = sorted({round(e.end_point.y, 15) for e in cut.edges})
+    values = sorted(set(np.linspace(-1.5, 1.5, 61).tolist() + ends))
+    checked = 0
+    for x in values:
+        for y in values:
+            p = Point2(x, y)
+            if _chain_distance(cut, p) > 1e-6:
+                want = abs(x) < 1.0 and abs(y) < 1.0 and x * x + y * y < 1.44
+                assert arc_polygon_contains(cut, p) == want, p
+                checked += 1
+    assert checked > 3500
+
+
 def test_near_parallel_segments_do_not_cross():
     # two disjoint pieces of one window side x = 0, their x coordinates
     # rounding noise: the cross product of their directions is noise too
@@ -519,6 +620,51 @@ def test_boolean_chains_equals_the_reference_on_tangent_hole_and_margin_cases(ca
     _same_as_reference(*case, MARGIN_EPS)
 
 
+def _toward_the_probe(c: Point2, r: float) -> Point2:
+    """The point at distance r from ``c`` at 1 radian, where ``boolean_rows``
+    probes a circle that no other curve meets."""
+    return Point2(c.x + r * math.cos(1.0), c.y + r * math.sin(1.0))
+
+
+def _cell_tangent_at_the_probe(c: Point2, r: float) -> ConvexPolygon:
+    """An 8 x 8 square whose side touches the circle (c, r) at its probe
+    point, with the circle inside."""
+    u, t = (math.cos(1.0), math.sin(1.0)), (-math.sin(1.0), math.cos(1.0))
+    h = c.x * u[0] + c.y * u[1] + r
+    return ConvexPolygon(tuple(Point2(a * u[0] + b * t[0], a * u[1] + b * t[1])
+                               for a, b in ((h, -4.0), (h, 4.0), (h - 8.0, 4.0), (h - 8.0, -4.0))))
+
+
+def _tangent_at_the_probe_cases():
+    unit = Disk(Point2(0, 0), 1.0)
+    inner = Disk(_toward_the_probe(Point2(0, 0), 0.6), 0.4)
+    # overlapping by a quarter eps, so that it surely meets the include disk
+    outer = Disk(_toward_the_probe(Point2(0, 0), 1.4 - 0.25 * MARGIN_EPS), 0.4)
+    big = Disk(Point2(0, 0), 2.0)
+    small = Disk(Point2(0.2, -0.3), 0.5)
+    h = 0.2 * math.cos(1.0) - 0.3 * math.sin(1.0) + 0.5  # the cut side's distance from 0
+    cut = 4.0 * math.pi - (4.0 * math.acos(h / 2.0) - h * math.sqrt(4.0 - h * h))
+    return [(BIG, unit, [inner], [unit, inner], math.pi * (1.0 - 0.16)),
+            (BIG, unit, [outer], [unit], math.pi),
+            (_cell_tangent_at_the_probe(Point2(0, 0), 1.0), unit, [], [unit], math.pi),
+            (_cell_tangent_at_the_probe(small.center, 0.5), big, [small], [small],
+             cut - 0.25 * math.pi)]
+
+
+@pytest.mark.parametrize("case", _tangent_at_the_probe_cases(),
+                         ids=["exclude-inside", "exclude-outside", "edge-include", "edge-exclude"])
+def test_a_circle_tangent_at_the_probe_point_gets_a_touching_event(case):
+    # a circle with an event is cut there, so its arc starts at the probe
+    # angle; a circle without one would be a whole arc from angle 0
+    cell, include, excludes, touched, area = case
+    got = _same_as_reference(cell, include, excludes, MARGIN_EPS)
+    arcs = [e for ap in got for c in (ap, *ap.holes) for e in c.edges]
+    for disk in touched:
+        assert any(e.supporting_disk == disk and abs(e.start_angle - 1.0) < 1e-6
+                   for e in arcs if isinstance(e, CircularArc)), disk
+    assert abs(sum(arc_polygon_area(ap) for ap in got) - area) < 1e-9
+
+
 # ``boolean_rows`` computes every row of a batch in lockstep; each row must
 # equal the reference, float for float, whatever else shares its batch.
 
@@ -569,6 +715,21 @@ def test_boolean_rows_equal_the_reference_on_random_small_maps(case):
     eps = [geom_eps(max(window.diameter(), disks[p].radius)) for p in sites] if per_row_eps \
         else pd.eps
     _rows_equal_reference(rows, eps)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(case=_maps(),
+       probes=st.lists(st.builds(Point2, st.floats(-0.5, 8.5), st.floats(-0.5, 8.5)),
+                       min_size=30, max_size=30))
+def test_arc_polygon_contains_equals_the_ray_cast_on_random_small_maps(case, probes):
+    disks, txs, _ = case
+    window = Rect(0.0, 0.0, 8.0, 8.0)
+    pd = build(disks, window)
+    sites = [p for p in range(len(disks)) if pd.cells[p] is not None]
+    rows = boolean_rows([pd.cells[p] for p in sites], [txs[p] for p in sites],
+                        [[disks[q] for q in sorted(pd.neighbors[p])] for p in sites], pd.eps)
+    _contains_like_the_ray_cast([ap for c in rows.chains for ap in c],
+                                probes + LATTICE_PROBES[::3])
 
 
 def _numpy_rounds_differently(rng, tries):
