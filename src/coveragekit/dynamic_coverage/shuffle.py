@@ -40,8 +40,10 @@ envelope only over the deleted cell, so parked disks are tested against its
 new vertices alone.  Whether a parked disk still wins somewhere beyond the
 working square (``offstage``) is decided when regions are read.  Coverage
 regions are maintained lazily: updates mark affected sites dirty and
-``regions`` recomputes exactly those from the current cells, so any read
-sees the same map a static rebuild would give.
+``regions`` recomputes exactly those.  A read takes only the neighbours from
+the lattice and cuts the window by their bisectors with static ``build``'s
+recipe, ``power_diagram._clip_cell`` (the one cell builder here), so the
+rounding of the lattice's vertices never reaches a region.
 
 Single-writer structure: no concurrent mutation.
 """
@@ -53,12 +55,12 @@ import time
 from collections import deque
 from dataclasses import asdict, dataclass
 from itertools import chain
-from typing import Iterable, Mapping, Optional
+from typing import Optional
 
 from ..errors import DuplicateSite, LatticeError
-from ..geometry import (ArcPolygon, ConvexPolygon, Disk, Point2, Rect,
-                        arc_polygon_area, bisector_line, boolean_rows, clip_coords,
+from ..geometry import (ArcPolygon, Disk, Point2, Rect, arc_polygon_area, boolean_rows,
                         geom_eps, power_distance, side)
+from ..power_diagram import _clip_cell
 from ..protocol_coverage import ProtocolTransmitter
 
 _Z_BIG = 1.0e30
@@ -110,31 +112,6 @@ def _mega_square(window: Rect, scale: float) -> Rect:
     return Rect(c.x - half, c.y - half, c.x + half, c.y + half)
 
 
-def _clip_cell(poly: ConvexPolygon, sites: Mapping[int, Disk], i: int,
-               others: Iterable[int], eps: float) -> Optional[ConvexPolygon]:
-    """``poly`` clipped to where ``sites[i]`` beats every ``sites[j]``,
-    ``j`` in ``others`` (``i`` itself is skipped); None if empty.  The
-    coordinates are cut by ``clip_coords`` on each ``bisector_line`` of the
-    disks' ``xyr`` floats and wrapped once at the end (``poly`` itself if
-    nothing was cut).  ``eps`` only tells concentric disks, the larger of
-    which wins, from a line.  One polygon, left at its first empty cut: the
-    scalar counterpart of ``clip_rows``, for ``_globally_visible``."""
-    xi, yi, ri = c = sites[i].xyr
-    start = pts = [(p.x, p.y) for p in poly.vertices]
-    for j in others:
-        if j == i:
-            continue
-        o = sites[j].xyr
-        if math.hypot(xi - o[0], yi - o[1]) <= eps:
-            if ri > o[2]:
-                continue
-            return None
-        pts = clip_coords(pts, *bisector_line(c, o))
-        if pts is None:
-            return None
-    return poly if pts is start else ConvexPolygon(tuple(Point2(x, y) for x, y in pts))
-
-
 @dataclass
 class UpdateReport:
     op: str
@@ -156,10 +133,11 @@ class DynamicCoverage:
     """Coverage map under single-transmitter insertion and deletion.
 
     ``regions`` always equals the static coverage map of the currently
-    registered transmitters (hidden ones included as empty), up to the
-    numeric tolerance of the two pipelines.  Cells share vertex nodes by
-    construction (see the module docstring); ``check_invariants`` verifies
-    the lattice after any sequence of updates.  The working square is
+    registered transmitters (hidden ones included as empty), bit for bit
+    where the two agree on a site's neighbours (see ``_region_row``).
+    Transmitters are keyed by interference disk, as in ``power_diagram``.
+    Cells share vertex nodes by construction (see the module docstring);
+    ``check_invariants`` verifies the lattice after any sequence of updates.  The working square is
     centered on the window, with half-width 4 * max(window diameter, 1).
 
     ``seed`` is accepted for compatibility with callers that pass one; the
@@ -171,10 +149,10 @@ class DynamicCoverage:
         half = 4.0 * max(window.diameter(), 1.0)
         c = window.center()
         self.square = Rect(c.x - half, c.y - half, c.x + half, c.y + half)
-        self._window_corners = [(p.x, p.y) for p in window.to_polygon().vertices]
+        self._window_poly = window.to_polygon()
         self._mega = _mega_square(window, self.square.diameter()).to_polygon()
         self.transmitters: dict[int, ProtocolTransmitter] = {}
-        self._tx_keys: dict[ProtocolTransmitter, int] = {}
+        self._tx_keys: dict[tuple[float, float, float], int] = {}  # by interference disk
         self._int_disks: dict[int, Disk] = {}
         self.planes: dict[int, HalfSpace3] = {}
         # vertex nodes, one slot per id in each list (see the module docstring)
@@ -336,13 +314,14 @@ class DynamicCoverage:
         lattice; everyone else gets a cell and patched neighbor regions.
         """
         start = time.perf_counter()
-        if t in self._tx_keys:
-            raise DuplicateSite(f"transmitter already present as site {self._tx_keys[t]}")
+        key = t.int_disk.xyr
+        if key in self._tx_keys:
+            raise DuplicateSite(f"interference disk already present as site {self._tx_keys[key]}")
         if not self.window.contains(t.location):
             raise ValueError(f"transmitter center {t.location} outside window")
         sid = self._next_site
         self._next_site += 1
-        self._tx_keys[t] = sid
+        self._tx_keys[key] = sid
         self.transmitters[sid] = t
         self._int_disks[sid] = t.int_disk
         self.planes[sid] = lift(t.int_disk)
@@ -601,6 +580,8 @@ class DynamicCoverage:
         start = time.perf_counter()
         events: list[tuple[str, int]] = []
         if sid in self.hidden:
+            if sid in self.offstage:  # every row subtracted its disk
+                self._dirty.update(self.cells)
             if sid in self.offstage or sid in self._offstage_pending:
                 # its region beyond the square may pass to other parked disks
                 self._offstage_pending.update(self.hidden)
@@ -660,7 +641,7 @@ class DynamicCoverage:
 
     def _forget(self, sid: int) -> None:
         gone = self.transmitters.pop(sid)
-        del self._tx_keys[gone]
+        del self._tx_keys[gone.int_disk.xyr]
         del self._int_disks[sid], self.planes[sid]
         self._regions.pop(sid, None)
 
@@ -761,21 +742,17 @@ class DynamicCoverage:
     def _region_row(self, sid: int) -> Optional[tuple]:
         """The ``boolean_rows`` row of a site: its cell in the window, its
         transmission disk, the interference disks that can cut it and its
-        tolerance; None if the cell misses the window.  The window's corners
-        are cut by ``clip_coords`` on each edge (u, v) of the cell's ring,
-        from its first vertex on, so the window's sides keep their exact
-        coordinates; an edge of zero length adds no constraint."""
-        pts, xs, ys, ring = self._window_corners, self.x, self.y, self.cells[sid]
-        for u, v in zip(ring, ring[1:] + ring[:1]):
-            nx, ny = ys[v] - ys[u], -(xs[v] - xs[u])  # inside is left of u -> v
-            pts = clip_coords(pts, nx, ny, nx * xs[u] + ny * ys[u])
-            if pts is None:
-                return None
-        cell = ConvexPolygon(tuple(Point2(x, y) for x, y in pts))
-        t = self.transmitters[sid]
-        cand = sorted(set(self.neighbors.get(sid, set())) | self.offstage)
-        return (cell, t.tx_disk, [self._int_disks[q] for q in cand],
-                geom_eps(max(self.window.diameter(), t.int_radius)))
+        tolerance; None if the cell misses the window.  The cell is the
+        window cut by the bisectors of the site's lattice neighbours,
+        ascending (``_clip_cell``, the recipe of static ``build``), so no
+        rounding of the lattice's vertices reaches it, and it equals the
+        static cell bit for bit when the two neighbour sets agree."""
+        t, nbrs = self.transmitters[sid], self.neighbors[sid]
+        eps = geom_eps(max(self.window.diameter(), t.int_radius))
+        cell = _clip_cell(self._window_poly, self._int_disks, sid, sorted(nbrs), eps)
+        if cell is None:
+            return None
+        return cell, t.tx_disk, [self._int_disks[q] for q in sorted(nbrs | self.offstage)], eps
 
     def check_invariants(self) -> None:
         """Assert that the cells form a valid lattice: they tile the working

@@ -15,7 +15,10 @@ class DiagramRejected(CoverageKitError):
 
 
 class DuplicateSite(CoverageKitError):
-    """Two identical disks/transmitters were supplied to a diagram."""
+    """Two sites repeat one disk: for coverage maps, static and dynamic
+    alike, two transmitters with the same interference disk (centre and
+    interference radius, whatever their transmission radii).  Co-sited
+    transmitters with different interference radii are distinct sites."""
 
 
 class LatticeError(CoverageKitError):

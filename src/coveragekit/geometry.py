@@ -133,19 +133,6 @@ class ConvexPolygon:
             s += a.x * b.y - b.x * a.y
         return 0.5 * s
 
-    def contains(self, p: Point2, tol: float = 0.0) -> bool:
-        pts = self.vertices
-        for i in range(len(pts)):
-            a, b = pts[i], pts[(i + 1) % len(pts)]
-            if _cross(a.x, a.y, b.x, b.y, p.x, p.y) < -tol:  # CCW: inside is to the left
-                return False
-        return True
-
-    def diameter(self) -> float:
-        xs = [p.x for p in self.vertices]
-        ys = [p.y for p in self.vertices]
-        return math.hypot(max(xs) - min(xs), max(ys) - min(ys))
-
 
 @dataclass(frozen=True)
 class Rect:
@@ -194,9 +181,9 @@ def clip_coords(pts: list, nx: float, ny: float, offset: float) -> Optional[list
     Nothing is merged or dropped afterwards.  When no value nx*x + ny*y
     exceeds ``offset``, ``pts`` is returned before any ``side`` call, and
     exactly so: for a <= b, fl(a - tol) <= a <= b, so ``side(a, b)`` is not +1.
-    The kernel for one polygon that stops at its first empty cut: the
-    dynamic structure's window cells and ``_clip_cell``; ``clip_rows`` cuts
-    whole diagrams with its arithmetic.
+    The kernel of ``power_diagram._clip_cell``, the cell builder for one
+    polygon that stops at its first empty cut (every cell the dynamic
+    structure reads); ``clip_rows`` cuts whole diagrams with its arithmetic.
     """
     vals = [nx * x + ny * y for x, y in pts]
     if max(vals) <= offset:

@@ -12,10 +12,11 @@ and each visible site's cell is the window clipped against its neighbors
 only, close to O(n log n).  All cells are cut in one ``clip_rows`` call, and
 so are the power frames of a block of owners (``frame_partitions``): one
 numpy step per cut for every polygon, with the arithmetic of the scalar
-``clip_coords``, which serves single polygons that stop at their first
-empty cut.  Rows are independent, so a row's vertices do not depend on the
-block it was cut in.  A face of four or more cocircular sites comes back
-split into triangles on one plane; the edges inside it touch the diagram in
+``clip_coords``.  ``_clip_cell`` is the same recipe for one polygon that
+stops at its first empty cut, the dynamic structure's one cell builder.
+Rows are independent, so a row's vertices do not depend on the block it
+was cut in.  A face of four or more cocircular sites comes back split into
+triangles on one plane; the edges inside it touch the diagram in
 a point and are no neighbor pairs.
 Qhull rejects every input of at most three sites and every flat lift; only
 then are the neighbors read off the flat structure, in O(n log n) too.  Its
@@ -29,8 +30,9 @@ Qhull was given (also to tell the split faces):
 * a coplanar lift, z = a x + b y + c: the power distance is
   |x|^2 + c - c_i . (2x - (a, b)), so the visible sites are the corners of
   the centers' convex hull, each cell a wedge, and neighbors are adjacent
-  corners.  Every lifted point must lie on the plane; if one does not, the
-  Qhull error is raised again rather than turned into a wrong diagram.
+  corners.  Every lifted point besides the three the plane is fitted
+  through must lie on it (any three do); if one does not, the Qhull error
+  is raised again rather than turned into a wrong diagram.
 
 Diagrams are immutable after construction; concurrent reads are safe.
 """
@@ -39,13 +41,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import DiagramRejected, DuplicateSite
-from .geometry import (ClippedRows, ConvexPolygon, Disk, Point2, Rect, clip_rows, geom_eps,
-                       padded, side)
+from .geometry import (ClippedRows, ConvexPolygon, Disk, Point2, Rect, bisector_line,
+                       clip_coords, clip_rows, geom_eps, padded, side)
 
 SiteId = int
 
@@ -104,6 +106,33 @@ def build(disks: Sequence[Disk], window: Rect) -> PowerDiagram:
     return PowerDiagram(window=window, sites=tuple(disks), cells=cells,
                         neighbors={i: frozenset(adj.get(i, ())) for i in range(n)},
                         hidden=frozenset(i for i in range(n) if i not in adj), eps=eps)
+
+
+def _clip_cell(poly: ConvexPolygon, sites: Mapping[int, Disk], i: int,
+               others: Iterable[int], eps: float) -> Optional[ConvexPolygon]:
+    """``poly`` clipped to where ``sites[i]`` beats every ``sites[j]``,
+    ``j`` in ``others`` (``i`` itself is skipped); None if empty.  The
+    coordinates are cut by ``clip_coords`` on each ``bisector_line`` of the
+    disks' ``xyr`` floats and wrapped once at the end (``poly`` itself if
+    nothing was cut).  ``eps`` only tells concentric disks, the larger of
+    which wins, from a line.  The cell recipe of ``build`` for one polygon
+    that stops at its first empty cut: with the window, the site's sorted
+    neighbours and ``build``'s eps it equals that ``clip_rows`` row bit for
+    bit.  The dynamic structure's only cell builder."""
+    xi, yi, ri = c = sites[i].xyr
+    start = pts = [(p.x, p.y) for p in poly.vertices]
+    for j in others:
+        if j == i:
+            continue
+        o = sites[j].xyr
+        if math.hypot(xi - o[0], yi - o[1]) <= eps:
+            if ri > o[2]:
+                continue
+            return None
+        pts = clip_coords(pts, *bisector_line(c, o))
+        if pts is None:
+            return None
+    return poly if pts is start else ConvexPolygon(tuple(Point2(x, y) for x, y in pts))
 
 
 def _neighbors(disks: Sequence[Disk]) -> dict[SiteId, set[SiteId]]:
@@ -177,13 +206,15 @@ def _flat_neighbors(disks: Sequence[Disk], lift: Sequence[tuple[float, float, fl
         edges = zip(chain, chain[1:])
     else:
         # the plane through site 0, the center farthest from it and the
-        # center farthest from their line, checked at every lifted point
+        # center farthest from their line, checked at every other lifted
+        # point (the three it was fitted to carry only the fit's rounding)
         g = max(range(n), key=lambda i: abs(ux * xy[i][1] - uy * xy[i][0]))
         vx, vy = xy[g]
         det = ux * vy - uy * vx
         zu, zv = lift[f][2] - z0, lift[g][2] - z0
         a, b = (zu * vy - uy * zv) / det, (ux * zv - vx * zu) / det
-        if any(side(p[2], z0 + a * x + b * y) for (x, y), p in zip(xy, lift)):
+        if any(side(p[2], z0 + a * x + b * y)
+               for i, ((x, y), p) in enumerate(zip(xy, lift)) if i not in (0, f, g)):
             raise err
         order = sorted(range(n), key=lambda i: xy[i])
         chain = _lower_chain(xy, order)[:-1] + _lower_chain(xy, reversed(order))[:-1]

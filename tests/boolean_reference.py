@@ -3,9 +3,9 @@ onto float tuples: the reference that ``geometry.boolean_rows``, one row at
 a time, must equal exactly, piece for piece and float for float.
 
 The code is the earlier ``boolean_chains`` with the helpers it needs, kept
-as it was; only ``Disk.angle_of`` and ``ConvexPolygon.edges``, which the
-library no longer has, are spelled as the module helpers ``_angle_of`` and
-``_edges``.  Stitching (``_coalesce``, ``_canonical``, ``_attach_holes``) is
+as it was; only ``Disk.angle_of``, ``ConvexPolygon.edges`` and
+``ConvexPolygon.contains``, which the library no longer has, are spelled as
+the helpers ``_angle_of``, ``_edges`` and ``polygon_contains``.  Stitching (``_coalesce``, ``_canonical``, ``_attach_holes``) is
 the library's own, unchanged.
 """
 
@@ -19,6 +19,7 @@ from coveragekit.geometry import (INWARD, OUTWARD, TWO_PI, ArcEdge, ArcPolygon,
                                   CircularArc, ConvexPolygon, Disk, Point2, Segment,
                                   _attach_holes, _canonical, _chain_signed_area,
                                   _coalesce, dist, power_distance)
+from geometry_reference import polygon_contains
 
 
 def _angle_of(d: Disk, p: Point2) -> float:
@@ -141,7 +142,7 @@ def boolean_chains_reference(region: ConvexPolygon, include: Disk, excludes: Seq
         return ((on == 0 or power_distance(p, include) < 0.0)
                 and all(power_distance(p, circles[l]) >= 0.0
                         for l in range(1, len(circles)) if l != on)
-                and (on is None or region.contains(p)))
+                and (on is None or polygon_contains(region, p)))
 
     edge_events = [[(0.0, ("v", i)), (1.0, ("v", (i + 1) % m))] for i in range(m)]
     circle_events: list[list] = [[] for _ in circles]

@@ -9,8 +9,8 @@ from typing import Optional, Sequence
 
 from coveragekit.errors import CoverageKitError
 from coveragekit.geometry import (TWO_PI, ArcEdge, ArcPolygon, ConvexPolygon, Disk, Point2,
-                                  Segment, _angle, bisector_line, boolean_rows, clip_coords,
-                                  dist, geom_eps)
+                                  Segment, _angle, _cross, bisector_line, boolean_rows,
+                                  clip_coords, dist, geom_eps)
 
 
 class ConcentricDisks(CoverageKitError):
@@ -31,6 +31,24 @@ class HalfPlane:
     def value(self, p: Point2) -> float:
         """Signed excess; <= 0 inside, boundary at 0."""
         return self.nx * p.x + self.ny * p.y - self.offset
+
+
+def polygon_contains(poly: ConvexPolygon, p: Point2, tol: float = 0.0) -> bool:
+    """Whether ``p`` lies left of every edge of the CCW ``poly``, each
+    cross product allowed down to ``-tol`` (a negative ``tol`` asks for a
+    margin inside)."""
+    pts = poly.vertices
+    for a, b in zip(pts, pts[1:] + pts[:1]):
+        if _cross(a.x, a.y, b.x, b.y, p.x, p.y) < -tol:
+            return False
+    return True
+
+
+def polygon_diameter(poly: ConvexPolygon) -> float:
+    """Diagonal of the polygon's bounding box."""
+    xs = [p.x for p in poly.vertices]
+    ys = [p.y for p in poly.vertices]
+    return math.hypot(max(xs) - min(xs), max(ys) - min(ys))
 
 
 def clip_convex(poly: Optional[ConvexPolygon], h: HalfPlane) -> Optional[ConvexPolygon]:
@@ -98,7 +116,7 @@ def region_disk_boolean(region: ConvexPolygon, include: Disk,
     strictly inside the intersection the region is split along a chord rather
     than emitting an annulus.
     """
-    scale = max(region.diameter(), include.radius + exclude.radius,
+    scale = max(polygon_diameter(region), include.radius + exclude.radius,
                 abs(include.center.x), abs(include.center.y))
     eps = geom_eps(scale)
     out = boolean_chains(region, include, [exclude], eps)

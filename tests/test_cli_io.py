@@ -10,7 +10,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from coveragekit.cli_io import (CaptureRaster, ScenarioFile, cli,
                                 parse_scenario, render_svg)
-from coveragekit.errors import ModelError, ParseError
+from coveragekit.dynamic_coverage import DynamicCoverage
+from coveragekit.errors import DuplicateSite, ModelError, ParseError
 from coveragekit.geometry import Point2, Rect
 from coveragekit.power_diagram import build, frame_partitions
 from coveragekit.protocol_coverage import ProtocolTransmitter, compute_coverage_map
@@ -328,6 +329,36 @@ def test_cli_dynamic_projected_coordinates_exit_2_without_a_traceback(tmp_path, 
     assert err.startswith("error: faces do not merge into one cycle: ") \
         and err.count("\n") == 1, err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("tx_radius", [0.5, 1.0])
+def test_a_repeated_interference_disk_is_refused_by_both_engines_and_commands(
+        tmp_path, capsys, tx_radius):
+    # a transmitter on site 0's mast with site 0's interference radius and a
+    # smaller or equal transmission radius
+    window = Rect(-5.0, -5.0, 5.0, 5.0)
+    specs = [*PROTOCOL_SCENARIO["transmitters"],
+             {"x": -1.5, "y": 0.0, "tx_radius": tx_radius, "int_radius": 1.5}]
+    txs = [ProtocolTransmitter(Point2(t["x"], t["y"]), t["tx_radius"], t["int_radius"])
+           for t in specs]
+    with pytest.raises(DuplicateSite, match="disks 0 and 2"):
+        compute_coverage_map(txs, window)
+    dc = DynamicCoverage(window)
+    for t in txs[:2]:
+        dc.insert_transmitter(t)
+    with pytest.raises(DuplicateSite, match="site 0"):
+        dc.insert_transmitter(txs[2])
+
+    def refused(command, doc, field):
+        path = tmp_path / "cosited.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli([command, str(path), "--out", str(tmp_path / "x.result.json")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}: ")
+
+    refused("build-map", dict(PROTOCOL_SCENARIO, transmitters=specs), "transmitters")
+    refused("dynamic", {"window": PROTOCOL_SCENARIO["window"],
+                        "ops": [dict(t, op="insert") for t in specs]}, "ops[2]")
 
 
 def test_cli_input_error_exit_2(tmp_path, capsys):

@@ -16,6 +16,7 @@ from coveragekit.geometry import (ConvexPolygon, Disk, Point2, Rect, arc_polygon
 from coveragekit.dynamic_coverage import (DynamicCoverage, HalfSpace3, Treap,
                                           lift, traverse_shuffle, treap_delete,
                                           treap_insert, treap_of)
+from coveragekit.power_diagram import build
 from coveragekit.protocol_coverage import (ProtocolTransmitter,
                                            compute_coverage_map, region_area)
 from geometry_reference import convex_polygon_intersection
@@ -239,10 +240,19 @@ def test_insert_then_delete_restores_previous_regions():
 
 
 def test_duplicate_insert_rejected():
+    # keyed by interference disk, as ``build`` keys its sites: a co-sited
+    # transmitter with a smaller or equal transmission radius is refused,
+    # one with another interference radius is a site of its own
     dc = DynamicCoverage(WIN, seed=0)
     dc.insert_transmitter(tx(0, 0, 1.0, 1.5))
-    with pytest.raises(DuplicateSite):
-        dc.insert_transmitter(tx(0, 0, 1.0, 1.5))
+    for t in (1.0, 0.5):
+        with pytest.raises(DuplicateSite, match="site 0"):
+            dc.insert_transmitter(tx(0, 0, t, 1.5))
+    assert list(dc.transmitters) == [0]
+    dc.insert_transmitter(tx(0, 0, 0.5, 1.2))
+    dc.delete_transmitter(0)
+    dc.insert_transmitter(tx(0, 0, 0.5, 1.5))  # free again once deleted
+    assert_matches_static(dc, WIN)
 
 
 def test_delete_unknown_raises():
@@ -356,6 +366,22 @@ def test_offstage_rechecked_only_after_deleting_a_cell_on_the_square():
     assert dc._offstage_pending == {3}
     check(dc, "bottom deleted")
     assert dc.hidden.keys() == dc.offstage == {3}
+
+
+def test_deleting_an_offstage_disk_gives_back_its_area():
+    # the small disk wins only below y = -92.4, beyond the working square, so
+    # it is parked and offstage; as a static neighbour of site 0 it takes a
+    # sliver of site 0's transmission disk, which its deletion gives back
+    win = Rect(-6, -6, 6, 6)
+    dc = DynamicCoverage(win)
+    big = dc.insert_transmitter(tx(0, 0, 5.5, 30.0)).site
+    small = dc.insert_transmitter(tx(0, -5, 0.05, 0.1)).site
+    before = dc.region_areas()[big]
+    assert dc.offstage == {small}
+    assert_matches_static(dc, win, "offstage")
+    dc.delete_transmitter(small)
+    assert dc.region_areas()[big] == pytest.approx(before + math.pi * 0.01, rel=1e-9)
+    assert_matches_static(dc, win, "offstage deleted")
 
 
 def test_random_inserts_match_static_on_prefixes():
@@ -540,8 +566,8 @@ def test_tangent_lattice_in_any_insertion_order_matches_static():
 
 @pytest.mark.parametrize("x, y", [(4, 7), (1, 1)])
 def test_disk_touching_window_side_is_whole(x, y):
-    # the cell is the working square clipped to the window; the window's
-    # sides must keep their exact coordinates for the circle to touch them
+    # the cell is the whole window, uncut; its sides must keep their exact
+    # coordinates for the circle to touch them
     dc = DynamicCoverage(LATTICE_WIN)
     sid = dc.insert_transmitter(tx(x, y, 1.0, 1.0)).site
     assert dc.region_areas()[sid] == pytest.approx(math.pi, rel=1e-12)
@@ -691,9 +717,9 @@ def test_a_regions_read_builds_its_dirty_sites_in_one_batch(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def window_cell_reference(dc: DynamicCoverage, sid: int):
-    """The window clipped by the site's cell, as ``_region_row`` cut it
-    before it ran on ``clip_coords``: one ``HalfPlane`` and one polygon per
-    edge of the cell, from its first vertex on."""
+    """The window clipped by the site's lattice cell, edge by edge of its
+    ring: a cell whose vertices carry the rounding of the updates that
+    made them."""
     cell = ConvexPolygon(tuple(Point2(dc.x[u], dc.y[u]) for u in dc.cells[sid]))
     return convex_polygon_intersection(dc.window.to_polygon(), cell)
 
@@ -703,11 +729,13 @@ WINDOW_CELL_SITES = st.lists(st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0
                              min_size=1, max_size=25, unique=True)
 
 
-def test_window_cell_equals_the_polygon_intersection_reference():
+def test_window_cell_equals_the_static_cell():
     """Vertex for vertex, bits and signs of zero included, on random
-    lattices: cells inside the window, cells crossing its sides and cells
-    outside it (None) all occur."""
-    seen = set()
+    lattices: a site's window cell is ``build``'s cell whenever the lattice
+    and the static diagram list the same neighbours (a site adjacent only
+    beyond the working square is one the lattice lacks).  Cells inside the
+    window, cells crossing its sides and cells outside it (None) all occur."""
+    seen, compared = set(), [0, 0]
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=100)
     @given(WINDOW_CELL_SITES)
@@ -715,19 +743,27 @@ def test_window_cell_equals_the_polygon_intersection_reference():
         dc = DynamicCoverage(Rect(0.0, 0.0, 10.0, 10.0))
         for x, y, r in sites:
             dc.insert_transmitter(tx(x, y, 0.5 * r, r))
+        sids = sorted(dc.transmitters)
+        pd = build([dc.transmitters[s].int_disk for s in sids], dc.window)
         for sid, ring in dc.cells.items():
-            row, want = dc._region_row(sid), window_cell_reference(dc, sid)
+            k = sids.index(sid)
+            if {sids[q] for q in pd.neighbors[k]} != dc.neighbors[sid]:
+                compared[1] += 1
+                continue
+            compared[0] += 1
+            row, want = dc._region_row(sid), pd.cells[k]
             assert repr(row and row[0]) == repr(want)
             inside = all(dc.window.contains(Point2(dc.x[u], dc.y[u])) for u in ring)
             seen.add("outside" if want is None else "inside" if inside else "crossing")
 
     check()
     assert seen == {"inside", "crossing", "outside"}
+    assert compared[0] > 10 * compared[1], compared
 
 
 def test_window_cell_ignores_a_zero_length_ring_edge():
-    # the reference's ``HalfPlane`` rejects the edge's zero normal; under
-    # ``clip_coords`` it adds no constraint
+    # the ring-edge reference's ``HalfPlane`` rejects the edge's zero
+    # normal; the read cuts the window by bisectors, never by ring edges
     dc = DynamicCoverage(Rect(0.0, 0.0, 10.0, 10.0))
     for x, y in ((3.0, 3.0), (7.0, 4.0), (5.0, 8.0)):
         dc.insert_transmitter(tx(x, y, 1.0, 2.0))
@@ -741,3 +777,58 @@ def test_window_cell_ignores_a_zero_length_ring_edge():
                 window_cell_reference(dc, sid)
             assert before is not None and repr(dc._region_row(sid)) == repr(before)
         dc.cells[sid] = ring
+
+
+# ---------------------------------------------------------------------------
+# reads equal a static rebuild
+# ---------------------------------------------------------------------------
+
+def c03_churn(seed: int):
+    """Criterion 3's script at another seed: 200 random inserts and deletes
+    on the 0-10 window, about one insert in five a disk nested in a live
+    one's (a repeat of one already there is refused, as in criterion 3).  Yields
+    the structure and the step after every op."""
+    rng = random.Random(seed)
+    dc = DynamicCoverage(Rect(0.0, 0.0, 10.0, 10.0), seed=99)
+    live: list[int] = []
+    for step in range(200):
+        roll = rng.random()
+        if live and roll < 0.32:
+            dc.delete_transmitter(live.pop(rng.randrange(len(live))))
+        else:
+            if live and roll > 0.85:
+                host = dc.transmitters[live[rng.randrange(len(live))]]
+                ir = max(0.25, host.int_radius * 0.45)
+                t = tx(host.location.x + 0.02, host.location.y + 0.01, 0.7 * ir, ir)
+            else:
+                ir = rng.uniform(0.5, 2.4)
+                t = tx(rng.uniform(0.4, 9.6), rng.uniform(0.4, 9.6),
+                       rng.uniform(0.5, 1.0) * ir, ir)
+            try:
+                live.append(dc.insert_transmitter(t).site)
+            except DuplicateSite:
+                continue
+        yield dc, step
+
+
+@pytest.mark.parametrize("seed", [304, 305, 306])
+def test_every_read_equals_the_static_rebuild(seed):
+    """After every op each area is the static rebuild's, float for float,
+    unless the static diagram gives the site a neighbour the lattice lacks
+    (adjacent only beyond the working square): then within 1e-6."""
+    exact = 0
+    for dc, step in c03_churn(seed):
+        sids = sorted(dc.transmitters)
+        if not sids:
+            continue
+        static = compute_coverage_map([dc.transmitters[s] for s in sids], dc.window)
+        areas = dc.region_areas()
+        for k, sid in enumerate(sids):
+            want = region_area(static, k)
+            if areas[sid] == want:
+                exact += 1
+                continue
+            lacks = {sids[q] for q in static.diagram.neighbors[k]} - dc.neighbors.get(sid, set())
+            assert lacks and abs(areas[sid] - want) <= 1e-6, \
+                f"step {step} site {sid}: dynamic {areas[sid]} static {want}"
+    assert exact > 4000

@@ -12,12 +12,12 @@ from scipy.spatial import ConvexHull, QhullError
 from coveragekit.errors import DiagramRejected, DuplicateSite
 from coveragekit.geometry import (ConvexPolygon, Disk, Point2, Rect, geom_eps,
                                   power_distance, side)
-from coveragekit.dynamic_coverage.shuffle import _clip_cell, _mega_square
+from coveragekit.dynamic_coverage.shuffle import _mega_square
 from coveragekit import geometry, power_diagram
 from coveragekit.power_diagram import (PowerDiagram, SiteId, build, frame_partitions,
-                                       _flat_neighbors, _validate)
+                                       _clip_cell, _flat_neighbors, _validate)
 
-from geometry_reference import ConcentricDisks, clip_convex, power_bisector
+from geometry_reference import ConcentricDisks, clip_convex, polygon_contains, power_bisector
 from power_diagram_reference import HiddenSite, nearest_site, power_frame, remove_redundant
 from oracles import grid_power_cell_areas
 
@@ -161,7 +161,7 @@ def test_partition_property_random():
             continue  # boundary tie
         best = vals[0][1]
         containing = [i for i, c in pd.cells.items()
-                      if c is not None and c.contains(x, tol=1e-9)]
+                      if c is not None and polygon_contains(c, x, tol=1e-9)]
         assert best in containing
         hits += 1
     assert hits > 15000
@@ -186,7 +186,7 @@ def test_equal_radii_matches_euclidean_voronoi():
         order = sorted(range(10), key=lambda i: d2[i])
         if d2[order[1]] - d2[order[0]] < 1e-9:
             continue
-        assert pd.cells[order[0]].contains(x, tol=1e-9)
+        assert polygon_contains(pd.cells[order[0]], x, tol=1e-9)
 
 
 def test_direct_and_lifted_builds_agree():
@@ -243,14 +243,14 @@ def test_power_frame_partition_label_is_argmin():
         checked = 0
         for _ in range(10000):
             x = Point2(rng.uniform(min(xs), max(xs)), rng.uniform(min(ys), max(ys)))
-            if not cell.contains(x, tol=-1e-7):  # strictly interior
+            if not polygon_contains(cell, x, tol=-1e-7):  # strictly interior
                 continue
             vals = sorted((power_distance(x, pd.sites[q]), q) for q in gamma)
             if len(vals) > 1 and vals[1][0] - vals[0][0] < 1e-7:
                 continue
             label = None
             for q, piece in frame.partitions.items():
-                if piece.contains(x, tol=-1e-9):
+                if polygon_contains(piece, x, tol=-1e-9):
                     label = q
                     break
             if label is None:
@@ -561,6 +561,31 @@ def test_plane_route_raises_again_on_a_full_rank_lift():
     with pytest.raises(QhullError) as raised:
         _flat_neighbors(disks, lift(disks), err)
     assert raised.value is err
+
+
+# the plane fitted through these three lifted points misses one of them by
+# more than ``side``'s tolerance: the fit's own rounding
+THREE_SITES_OFF_THEIR_OWN_PLANE = [(6.9575608472854515, 5.892727472131112, 0.5021986528163866),
+                                   (1.296955174992834, 1.415957624862291, 1.7206462859359788),
+                                   (2.486915201714077, 2.3733450693214104, 0.7544166707628057)]
+
+
+def test_every_three_site_layout_builds():
+    # Qhull rejects every lift of three points, and any three lie on a plane
+    window = Rect(0.0, 0.0, 10.0, 10.0)
+    rng = random.Random(3)
+    layouts = [THREE_SITES_OFF_THEIR_OWN_PLANE] + [
+        [(rng.uniform(0, 10), rng.uniform(0, 10), rng.uniform(0.05, 2.0)) for _ in range(3)]
+        for _ in range(300)]
+    for layout in layouts:
+        disks = [Disk(Point2(x, y), r) for x, y, r in layout]
+        pd = build(disks, window)
+        ref = _build_direct(disks, window, _validate(disks, window))
+        assert pd.hidden == ref.hidden and pd.neighbors == ref.neighbors, layout
+        for i, cell in pd.cells.items():
+            assert (cell is None) == (ref.cells[i] is None), layout
+            if cell is not None:
+                assert cell.area() == pytest.approx(ref.cells[i].area(), rel=1e-9, abs=1e-12)
 
 
 def c02_disks(n, seed=202):

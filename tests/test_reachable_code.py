@@ -1,13 +1,16 @@
 """Code that no output needs stays out of ``src/``.
 
 Every public top-level function or class of a ``coveragekit`` module
-(package ``__init__`` files aside) must be referenced from code: in another
-module of the package, in its own module outside its definition, or in the
-acceptance suite.  Every public ``property`` or ``cached_property`` of a
-class there must be read as an attribute by some module of the package or
-by the acceptance suite.  Imports, ``__all__`` entries and docstrings do
-not count.  A helper only unit tests reach belongs in a test reference
-module.
+(package ``__init__`` files aside), and every public method of a class
+there, must be referenced from code: in another module of the package, in
+its own module outside its definition, or in the acceptance suite.  Every
+public ``property`` or ``cached_property`` of a class there must be read as
+an attribute by some module of the package or by the acceptance suite.
+Imports, ``__all__`` entries and docstrings do not count.  A helper only
+unit tests reach belongs in a test reference module.
+
+The scan goes by name, so a method is reached when any code names it: it
+cannot tell one class's ``contains`` from another's.
 """
 
 from __future__ import annotations
@@ -25,6 +28,9 @@ KEPT = {
     "render_svg": "the library's SVG as one string; the CLI streams the same parts to a file",
     "treap_delete": "part of the treap's documented API",
     "treap_of": "part of the treap's documented API",
+    "DynamicCoverage.check_invariants": "the lattice's invariants, for callers to check after updates",
+    "Treap.check_invariants": "the treap's invariants, part of its documented API",
+    "SinrScenario.with_powers": "the scenario at other powers, for the benchmark's area oracle",
 }
 
 # Properties kept on purpose though no code of the package or acceptance suite reads them.
@@ -59,6 +65,11 @@ def attribute_reads(tree: ast.AST) -> set[str]:
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
 
 
+def is_property(func: ast.FunctionDef) -> bool:
+    return any((d.id if isinstance(d, ast.Name) else getattr(d, "attr", None))
+               in PROPERTY_DECORATORS for d in func.decorator_list)
+
+
 def public_properties(tree: ast.AST) -> list[tuple[str, str]]:
     """(``Class.name``, name) of each public property or cached_property
     of the top-level classes of ``tree``."""
@@ -69,8 +80,7 @@ def public_properties(tree: ast.AST) -> list[tuple[str, str]]:
         for item in cls.body:
             if not isinstance(item, ast.FunctionDef) or item.name.startswith("_"):
                 continue
-            if any((d.id if isinstance(d, ast.Name) else getattr(d, "attr", None))
-                   in PROPERTY_DECORATORS for d in item.decorator_list):
+            if is_property(item):
                 out.append((f"{cls.name}.{item.name}", item.name))
     return out
 
@@ -83,17 +93,31 @@ def unread_properties(modules: dict[str, ast.AST], readers: list[ast.AST]) -> di
             for qual, name in public_properties(tree) if name not in read}
 
 
+def public_definitions(tree: ast.AST) -> list[tuple[str, ast.AST]]:
+    """(label, node) of each public top-level function or class of
+    ``tree`` and of each public method (``Class.name``) of its classes,
+    properties aside."""
+    out = []
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        out.append((node.name, node))
+        if isinstance(node, ast.ClassDef):
+            out.extend((f"{node.name}.{item.name}", item) for item in node.body
+                       if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                       and not is_property(item))
+    return out
+
+
 def unreferenced() -> dict[str, str]:
     modules = {p: parse(p) for p in sorted(PACKAGE.rglob("*.py")) if p.name != "__init__.py"}
     acceptance = used_names(parse(ACCEPTANCE))
     out = {}
     for path, tree in modules.items():
         elsewhere = acceptance.union(*(used_names(t) for p, t in modules.items() if p != path))
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-                continue
+        for label, node in public_definitions(tree):
             if node.name not in elsewhere and node.name not in used_names(tree, node):
-                out[node.name] = str(path.relative_to(ROOT))
+                out[label] = str(path.relative_to(ROOT))
     return out
 
 
@@ -132,3 +156,16 @@ def test_a_property_only_assigned_or_named_counts_as_unread():
     assert unread_properties({"m.py": module}, []) == {"Diagram.frames": "m.py"}
     reader = ast.parse("def use(d):\n    return d.frames\n")
     assert unread_properties({"m.py": module}, [reader]) == {}
+
+
+def test_public_methods_are_scanned_and_properties_are_not():
+    module = ast.parse(
+        "import functools\n"
+        "class Diagram:\n"
+        "    @functools.cached_property\n"
+        "    def frames(self): ...\n"
+        "    def cells(self): ...\n"
+        "    def _private(self): ...\n"
+        "def draw(d): ...\n")
+    assert [label for label, _ in public_definitions(module)] == [
+        "Diagram", "Diagram.cells", "draw"]
