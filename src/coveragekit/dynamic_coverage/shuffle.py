@@ -57,10 +57,10 @@ from dataclasses import asdict, dataclass
 from itertools import chain
 from typing import Optional
 
-from ..errors import DuplicateSite, LatticeError
+from ..errors import LatticeError
 from ..geometry import (ArcPolygon, Disk, Point2, Rect, arc_polygon_area, boolean_rows,
                         geom_eps, power_distance, side)
-from ..power_diagram import _clip_cell
+from ..power_diagram import _clip_cell, admit
 from ..protocol_coverage import ProtocolTransmitter
 
 _Z_BIG = 1.0e30
@@ -135,7 +135,9 @@ class DynamicCoverage:
     ``regions`` always equals the static coverage map of the currently
     registered transmitters (hidden ones included as empty), bit for bit
     where the two agree on a site's neighbours (see ``_region_row``).
-    Transmitters are keyed by interference disk, as in ``power_diagram``.
+    As in static ``build``, transmitters are admitted on their interference
+    disks by ``power_diagram.admit``, and cells and regions are cut at
+    ``eps``, the window's ``geom_eps``.
     Cells share vertex nodes by construction (see the module docstring);
     ``check_invariants`` verifies the lattice after any sequence of updates.  The working square is
     centered on the window, with half-width 4 * max(window diameter, 1).
@@ -146,6 +148,7 @@ class DynamicCoverage:
 
     def __init__(self, window: Rect, seed: int = 0):
         self.window = window
+        self.eps = geom_eps(window.diameter())
         half = 4.0 * max(window.diameter(), 1.0)
         c = window.center()
         self.square = Rect(c.x - half, c.y - half, c.x + half, c.y + half)
@@ -180,7 +183,6 @@ class DynamicCoverage:
         self._walk_hint: Optional[int] = None
         self._dirty: set[int] = set()
         self._regions: dict[int, tuple[list[ArcPolygon], float]] = {}  # chains, area
-        self._tol = geom_eps(self.square.diameter())
         sq = self.square
         corners = [(sq.x0, sq.y0), (sq.x1, sq.y0), (sq.x1, sq.y1), (sq.x0, sq.y1)]
         for z in (-_Z_BIG, _Z_BIG):  # the roots, nodes 0-7
@@ -309,19 +311,15 @@ class DynamicCoverage:
     def insert_transmitter(self, t: ProtocolTransmitter) -> UpdateReport:
         """Register a transmitter and update lattice, history and regions.
 
-        A transmitter whose lifted half-space is redundant is parked in
+        It is ``admit``ted first, by its interference disk.  A transmitter
+        whose lifted half-space is redundant is parked in
         ``hidden`` (keyed by the owner of its center) without touching the
         lattice; everyone else gets a cell and patched neighbor regions.
         """
         start = time.perf_counter()
-        key = t.int_disk.xyr
-        if key in self._tx_keys:
-            raise DuplicateSite(f"interference disk already present as site {self._tx_keys[key]}")
-        if not self.window.contains(t.location):
-            raise ValueError(f"transmitter center {t.location} outside window")
         sid = self._next_site
+        admit(self._tx_keys, sid, t.int_disk, self.window)
         self._next_site += 1
-        self._tx_keys[key] = sid
         self.transmitters[sid] = t
         self._int_disks[sid] = t.int_disk
         self.planes[sid] = lift(t.int_disk)
@@ -379,7 +377,7 @@ class DynamicCoverage:
         owner = self.hidden.get(sid)
         near = [owner, *sorted(self.neighbors[owner])] if owner in self.cells else []
         return _clip_cell(self._mega, self._int_disks, sid, chain(near, self._int_disks),
-                          self._tol) is not None
+                          self.eps) is not None
 
     def _rekey(self, touched: set[int]) -> None:
         """Re-key the parked disks owned by a ``touched`` site or by no live
@@ -725,7 +723,7 @@ class DynamicCoverage:
         dirty = sorted(self._dirty)
         rows = {sid: self._region_row(sid) for sid in dirty if sid in self.cells}
         rows = {sid: row for sid, row in rows.items() if row is not None}
-        chains = boolean_rows(*zip(*rows.values())).chains if rows else []
+        chains = boolean_rows(*zip(*rows.values()), self.eps).chains if rows else []
         found = dict(zip(rows, chains))
         for sid in dirty:
             if sid in self.transmitters:
@@ -741,18 +739,17 @@ class DynamicCoverage:
 
     def _region_row(self, sid: int) -> Optional[tuple]:
         """The ``boolean_rows`` row of a site: its cell in the window, its
-        transmission disk, the interference disks that can cut it and its
-        tolerance; None if the cell misses the window.  The cell is the
-        window cut by the bisectors of the site's lattice neighbours,
-        ascending (``_clip_cell``, the recipe of static ``build``), so no
-        rounding of the lattice's vertices reaches it, and it equals the
-        static cell bit for bit when the two neighbour sets agree."""
+        transmission disk and the interference disks that can cut it; None
+        if the cell misses the window.  The cell is the window cut by the
+        bisectors of the site's lattice neighbours, ascending (``_clip_cell``,
+        the recipe of static ``build``), so no rounding of the lattice's
+        vertices reaches it, and it equals the static cell bit for bit when
+        the two neighbour sets agree."""
         t, nbrs = self.transmitters[sid], self.neighbors[sid]
-        eps = geom_eps(max(self.window.diameter(), t.int_radius))
-        cell = _clip_cell(self._window_poly, self._int_disks, sid, sorted(nbrs), eps)
+        cell = _clip_cell(self._window_poly, self._int_disks, sid, sorted(nbrs), self.eps)
         if cell is None:
             return None
-        return cell, t.tx_disk, [self._int_disks[q] for q in sorted(nbrs | self.offstage)], eps
+        return cell, t.tx_disk, [self._int_disks[q] for q in sorted(nbrs | self.offstage)]
 
     def check_invariants(self) -> None:
         """Assert that the cells form a valid lattice: they tile the working

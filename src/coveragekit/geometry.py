@@ -8,9 +8,10 @@ everything here is safe to call concurrently.
 Numerical policy: cells are decided by the side test, chains by keys.  A
 convex cell is cut by deciding each vertex once, with ``side``, as outside,
 on or inside the cutting line (a relative rounding test); the clipper never
-merges, moves or drops vertices by distance afterwards.  A single relative
-tolerance ``EPS_REL`` scaled by the scene diameter (``eps``) governs the
-boolean.  Two curves whose distance is within ``eps`` of tangency touch at
+merges, moves or drops vertices by distance afterwards.  One tolerance,
+``eps = geom_eps(window.diameter())``, decided once per map by both
+protocol engines, governs the boolean (and tells concentric disks in the
+cells).  Two curves whose distance is within ``eps`` of tangency touch at
 one point; a piece of a curve no longer than ``eps`` contracts to a point.
 Chains are stitched by the names of the curves that cross at each piece end,
 never by the distance between end points, so coincident crossings merge
@@ -124,14 +125,6 @@ class ConvexPolygon:
     def __post_init__(self):
         if len(self.vertices) < 3:
             raise ValueError("convex polygon needs at least 3 vertices")
-
-    def area(self) -> float:
-        s = 0.0
-        pts = self.vertices
-        for i in range(len(pts)):
-            a, b = pts[i], pts[(i + 1) % len(pts)]
-            s += a.x * b.y - b.x * a.y
-        return 0.5 * s
 
 
 @dataclass(frozen=True)
@@ -628,9 +621,10 @@ class BooleanRows(NamedTuple):
 
 
 def boolean_rows(cells: Sequence[ConvexPolygon], includes: Sequence[Disk],
-                 excludes: Sequence[Sequence[Disk]], eps) -> BooleanRows:
+                 excludes: Sequence[Sequence[Disk]], eps: float) -> BooleanRows:
     """Row r is the closed boundary chains of (cells[r] ∩ includes[r]) \\
-    ∪ excludes[r], with tolerance ``eps`` (one value, or one per row).
+    ∪ excludes[r], with tolerance ``eps`` (a map's ``geom_eps`` of its
+    window diameter).
 
     The curves of a row are its cell's edges, the include circle (traversed
     counterclockwise) and the circles of the excludes that meet the include
@@ -660,13 +654,11 @@ def boolean_rows(cells: Sequence[ConvexPolygon], includes: Sequence[Disk],
     piece is empty before any Python work, and only kept pieces become
     ``Segment`` and ``CircularArc`` objects (``_stitch``).
     """
-    n = len(cells)
-    eps = np.broadcast_to(np.asarray(eps, dtype=float), (n,))
     out = BooleanRows([], 0, 0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for lo in range(0, n, _BOOLEAN_CHUNK):
+        for lo in range(0, len(cells), _BOOLEAN_CHUNK):
             part = _boolean_chunk(*(a[lo:lo + _BOOLEAN_CHUNK]
-                                    for a in (cells, includes, excludes, eps)))
+                                    for a in (cells, includes, excludes)), eps)
             out = BooleanRows(out.chains + part.chains, out.empty + part.empty,
                               out.pieces + part.pieces)
     return out
@@ -680,7 +672,7 @@ def _by_row(rows: np.ndarray, of: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return i, np.arange(len(i)) - np.repeat(np.cumsum(reps) - reps - lo, reps)
 
 
-def _boolean_chunk(cells, includes, excludes, eps: np.ndarray) -> BooleanRows:
+def _boolean_chunk(cells, includes, excludes, eps: float) -> BooleanRows:
     """``boolean_rows`` of at most ``_BOOLEAN_CHUNK`` rows, on flat arrays:
     one entry per vertex (each starts an edge), circle, crossing, event,
     piece or midpoint, with the row it belongs to."""
@@ -697,7 +689,7 @@ def _boolean_chunk(cells, includes, excludes, eps: np.ndarray) -> BooleanRows:
     pool = [d for row in excludes for d in row]
     xrow = np.repeat(np.arange(R), [len(row) for row in excludes])
     xyr = np.array([d.xyr for d in pool], dtype=float).reshape(-1, 3)
-    s = np.flatnonzero((ir > eps)[xrow] & (xyr[:, 2] > eps[xrow]))
+    s = np.flatnonzero((ir > eps)[xrow] & (xyr[:, 2] > eps))
     gap = _math(math.hypot, xyr[s, 0] - ix[xrow[s]], xyr[s, 1] - iy[xrow[s]])
     met = gap < xyr[s, 2] + ir[xrow[s]]
     s, gap = s[met], gap[met]
@@ -714,7 +706,7 @@ def _boolean_chunk(cells, includes, excludes, eps: np.ndarray) -> BooleanRows:
     vi = np.arange(len(vrow)) - np.searchsorted(vrow, vrow)
 
     # rows whose include disk, or every vertex, lies deep in one exclude
-    deep = cr - margin[crow]
+    deep = cr - margin
     c = np.flatnonzero(ck > 0)
     i, v = _by_row(crow[c], vrow)
     c = c[i]
@@ -732,7 +724,7 @@ def _boolean_chunk(cells, includes, excludes, eps: np.ndarray) -> BooleanRows:
     nv = np.where(vi + 1 < m[vrow], np.arange(V) + 1, np.arange(V) - vi)
     bx, by = vx[nv], vy[nv]
     length = _math(math.hypot, vx - bx, vy - by)
-    reach = eps[vrow] / np.maximum(length, eps[vrow])  # a crossing at a vertex counts on both edges
+    reach = eps / np.maximum(length, eps)  # a crossing at a vertex counts on both edges
     dx, dy = bx - vx, by - vy
     l2 = dx * dx + dy * dy
     foot = np.where(l2 == 0.0, 0.0, np.clip(((ix[vrow] - vx) * dx + (iy[vrow] - vy) * dy) / l2,
@@ -742,7 +734,7 @@ def _boolean_chunk(cells, includes, excludes, eps: np.ndarray) -> BooleanRows:
     # edge x circle crossings; j counts the roots inside the reach
     i, c = _by_row(vrow[g], crow)
     g = g[i]
-    t0, s, n = segment_circle_params(vx[g], vy[g], bx[g], by[g], cx[c], cy[c], cr[c], eps[crow[c]])
+    t0, s, n = segment_circle_params(vx[g], vy[g], bx[g], by[g], cx[c], cy[c], cr[c], eps)
     n *= l2[g] != 0.0
     r0, r1 = np.where(n == 1, t0, t0 - s), t0 + s
     ok0 = (n > 0) & (-reach[g] < r0) & (r0 < 1.0 + reach[g])
@@ -759,8 +751,7 @@ def _boolean_chunk(cells, includes, excludes, eps: np.ndarray) -> BooleanRows:
     p, q = _by_row(crow, crow)
     p, q = p[ck[p] < ck[q]], q[ck[p] < ck[q]]
     d = _math(math.hypot, cx[q] - cx[p], cy[q] - cy[p])
-    mx, my, ox, oy, n = circle_circle_points(cx[p], cy[p], cr[p], cx[q], cy[q], cr[q], d,
-                                             eps[crow[p]])
+    mx, my, ox, oy, n = circle_circle_points(cx[p], cy[p], cr[p], cx[q], cy[q], cr[q], d, eps)
     n *= d != 0.0
     one, two = n > 0, n == 2
     yp, yq = np.concatenate([p[one], p[two]]), np.concatenate([q[one], q[two]])
@@ -799,7 +790,7 @@ def _boolean_chunk(cells, includes, excludes, eps: np.ndarray) -> BooleanRows:
     b = np.where(tail, first, np.arange(N) + 1)[a]
     p0, p1 = pos[a], pos[b]
     extent = np.where(circ[a] & tail[a], p1 + TWO_PI - p0, p1 - p0)
-    short = extent * size[a] <= eps[row[a]]
+    short = extent * size[a] <= eps
     pe, pc = np.flatnonzero(~short & ~circ[a]), np.flatnonzero(~short & circ[a])
     e, c = obj[a[pe]], obj[a[pc]]
     mid = p0[pc] + 0.5 * extent[pc]

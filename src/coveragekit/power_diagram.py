@@ -60,37 +60,48 @@ class PowerDiagram:
     cells: dict[SiteId, Optional[ConvexPolygon]]
     neighbors: dict[SiteId, frozenset[SiteId]]
     hidden: frozenset[SiteId]
-    eps: float  # the tolerance the cells were cut with; the frames take it too
+    # geom_eps(window.diameter()): the cells', frames' and boolean's tolerance
+    eps: float
 
     def edge_count(self) -> int:
         return sum(len(v) for v in self.neighbors.values()) // 2
 
 
-def _validate(disks: Sequence[Disk], window: Rect) -> float:
+def admit(sites: dict[tuple[float, float, float], SiteId], sid: SiteId, d: Disk,
+          window: Rect) -> None:
+    """Record ``d`` as site ``sid`` in ``sites`` (keyed by ``d.xyr``), the
+    one admission rule of both engines: its centre lies in ``window``
+    (else ValueError) and it repeats no recorded disk (else DuplicateSite)."""
+    if not window.contains(d.center):
+        raise ValueError(f"site {sid} center {d.center} outside window")
+    if d.xyr in sites:
+        raise DuplicateSite(f"site {sid} repeats the disk of site {sites[d.xyr]}")
+    sites[d.xyr] = sid
+
+
+def _validate(disks: Sequence[Disk], window: Rect) -> None:
+    """``admit`` each of ``disks`` in turn; at least one is needed."""
     if not disks:
         raise ValueError("need at least one disk")
-    seen = {}
+    sites: dict[tuple[float, float, float], SiteId] = {}
     for i, d in enumerate(disks):
-        key = (d.center.x, d.center.y, d.radius)
-        if key in seen:
-            raise DuplicateSite(f"disks {seen[key]} and {i} are identical")
-        seen[key] = i
-        if not window.contains(d.center):
-            raise ValueError(f"disk {i} center {d.center} outside window")
-    return max(window.diameter(), max(d.radius for d in disks))
+        admit(sites, i, d, window)
 
 
 def build(disks: Sequence[Disk], window: Rect) -> PowerDiagram:
     """Power diagram of ``disks`` clipped to ``window``.
 
-    Deterministic given input order.  Sites whose power region is empty in
-    the unbounded plane are reported in ``hidden`` and get a None cell.
+    Deterministic given input order.  Every disk is ``admit``ted, and the
+    cells are cut with ``geom_eps(window.diameter())``.  Sites whose power
+    region is empty in the unbounded plane are reported in ``hidden`` and
+    get a None cell.
     A lift that Qhull rejects and no flat route explains raises
     ``DiagramRejected``.
     """
     from scipy.spatial import QhullError
 
-    eps = geom_eps(_validate(disks, window))
+    _validate(disks, window)
+    eps = geom_eps(window.diameter())
     n = len(disks)
     try:
         adj = _neighbors(disks)

@@ -263,7 +263,8 @@ def ray_coverage_profile(s: SinrScenario, t: SiteId, direction: tuple[float, flo
     per-transmitter SINR alone is not: beyond t's capture cell the ratio
     terms may fall again), so for equal powers the bits along any such ray
     form a prefix.  Sampling starts one coincidence tolerance away from the
-    transmitter and ends on the window boundary.
+    transmitter and ends on the window boundary; the bits are a
+    ``SinrEvaluator``'s ``capture`` and ``mask`` on those samples.
     """
     if samples < 2:
         raise ValueError("need at least two samples")
@@ -277,21 +278,11 @@ def ray_coverage_profile(s: SinrScenario, t: SiteId, direction: tuple[float, flo
     if not math.isfinite(tmax) or tmax <= 0.0:
         raise ValueError("ray does not leave the transmitter toward the window")
     t0 = s.eps()
-    out = []
-    for k in range(samples):
-        dist_k = t0 + (tmax - t0) * k / (samples - 1)
-        x = Point2(origin.x + dist_k * dx, origin.y + dist_k * dy)
-        if math.hypot(x.x - origin.x, x.y - origin.y) <= s.eps():
-            out.append(s.powers[t] > 0.0)
-            continue
-        rx = _receive_powers(s, x)
-        if rx[t] < max(rx):
-            out.append(False)  # captured by another transmitter
-            continue
-        denom = sum(r for i, r in enumerate(rx) if i != t) + s.noise
-        out.append(math.isinf(rx[t]) or (denom > 0.0 and rx[t] >= s.beta * denom)
-                   or (denom == 0.0 and rx[t] > 0.0))
-    return out
+    dist = t0 + (tmax - t0) * np.arange(samples) / (samples - 1)
+    pts = np.column_stack([origin.x + dist * dx, origin.y + dist * dy])
+    ev = SinrEvaluator(s, _path_loss(s.sites, s.alpha, pts))
+    mine = ev.capture(s.powers.values) == t  # first: capture reuses mask's scratch row
+    return (ev.mask(s.powers.values) & mine).tolist()
 
 
 def ratio_profile(t: Point2, u: Point2, line: tuple[Point2, tuple[float, float]],

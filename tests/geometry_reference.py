@@ -44,6 +44,12 @@ def polygon_contains(poly: ConvexPolygon, p: Point2, tol: float = 0.0) -> bool:
     return True
 
 
+def polygon_area(poly: ConvexPolygon) -> float:
+    """Shoelace area of the CCW ``poly``."""
+    pts = poly.vertices
+    return 0.5 * sum(a.x * b.y - b.x * a.y for a, b in zip(pts, pts[1:] + pts[:1]))
+
+
 def polygon_diameter(poly: ConvexPolygon) -> float:
     """Diagonal of the polygon's bounding box."""
     xs = [p.x for p in poly.vertices]

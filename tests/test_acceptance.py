@@ -15,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+from coveragekit.errors import DuplicateSite
 from coveragekit.geometry import Disk, Point2, Rect, arc_polygon_area
 from coveragekit.dynamic_coverage import (DynamicCoverage, Treap, lift,
                                           traverse_shuffle, treap_insert)
@@ -140,7 +141,7 @@ def test_c03_dynamic_equivalence():
                     rng.uniform(0.5, 1.0) * ir, ir)
             try:
                 rep = dc.insert_transmitter(t)
-            except Exception:
+            except DuplicateSite:  # the nested branch can repeat a host's disk
                 continue
             live.append(rep.site)
             parked_seen += sum(1 for kind, _ in rep.hidden_events

@@ -341,12 +341,13 @@ def test_a_repeated_interference_disk_is_refused_by_both_engines_and_commands(
              {"x": -1.5, "y": 0.0, "tx_radius": tx_radius, "int_radius": 1.5}]
     txs = [ProtocolTransmitter(Point2(t["x"], t["y"]), t["tx_radius"], t["int_radius"])
            for t in specs]
-    with pytest.raises(DuplicateSite, match="disks 0 and 2"):
+    # one admission rule, so one message names both sites
+    with pytest.raises(DuplicateSite, match="site 2 repeats the disk of site 0"):
         compute_coverage_map(txs, window)
     dc = DynamicCoverage(window)
     for t in txs[:2]:
         dc.insert_transmitter(t)
-    with pytest.raises(DuplicateSite, match="site 0"):
+    with pytest.raises(DuplicateSite, match="site 2 repeats the disk of site 0"):
         dc.insert_transmitter(txs[2])
 
     def refused(command, doc, field):

@@ -1,5 +1,6 @@
 """Geometry primitives: distances, bisectors, clipping, arc booleans."""
 
+import ast
 import math
 import random
 from pathlib import Path
@@ -17,11 +18,13 @@ from coveragekit.geometry import (INWARD, ArcPolygon, CircularArc, ConvexPolygon
                                   bisector_line, circle_circle_points,
                                   clip_coords, clip_rows,
                                   dist, geom_eps, power_distance)
+from coveragekit.dynamic_coverage import DynamicCoverage
 from coveragekit.power_diagram import build
+from coveragekit.protocol_coverage import ProtocolTransmitter, compute_coverage_map, region_area
 from boolean_reference import boolean_chains_reference
 from geometry_reference import (ConcentricDisks, HalfPlane, _ray_hits,
                                 arc_polygon_contains_ray, boolean_chains, clip_convex,
-                                convex_polygon_intersection, power_bisector,
+                                convex_polygon_intersection, polygon_area, power_bisector,
                                 region_disk_boolean, signed_distance)
 from oracles import grid_boolean_area, lens_area
 from test_power_diagram import COCIRCULAR, GRID6
@@ -98,7 +101,7 @@ def test_power_bisector_boundary_residual_property():
 def test_clip_convex_basic():
     r = clip_convex(UNIT_SQUARE, HalfPlane(1, 0, 0.5))
     assert r is not None
-    assert r.area() == pytest.approx(0.5)
+    assert polygon_area(r) == pytest.approx(0.5)
     # no vertex outside, up to rounding: the polygon itself
     for offset in (2.0, 1.0, 1 - 1e-15):
         assert clip_convex(UNIT_SQUARE, HalfPlane(1, 0, offset)) is UNIT_SQUARE
@@ -146,18 +149,18 @@ def test_clip_convex_random_cuts_never_repeat_a_vertex():
             if out is None:
                 continue
             assert not _repeats(out), (poly, h, out)
-            assert out.area() <= poly.area() * (1 + 1e-12)
+            assert polygon_area(out) <= polygon_area(poly) * (1 + 1e-12)
             poly = out
 
 
 def test_convex_polygon_intersection():
     tri = ConvexPolygon((Point2(0, 0), Point2(2, 0), Point2(0, 2)))
     same = convex_polygon_intersection(tri, tri)
-    assert same.area() == pytest.approx(tri.area())
+    assert polygon_area(same) == pytest.approx(polygon_area(tri))
     shifted = ConvexPolygon((Point2(0.5, 0.5), Point2(1.5, 0.5),
                              Point2(1.5, 1.5), Point2(0.5, 1.5)))
     inter = convex_polygon_intersection(UNIT_SQUARE, shifted)
-    assert inter.area() == pytest.approx(0.25)
+    assert polygon_area(inter) == pytest.approx(0.25)
     far = ConvexPolygon((Point2(5, 5), Point2(6, 5), Point2(6, 6)))
     assert convex_polygon_intersection(UNIT_SQUARE, far) is None
 
@@ -255,7 +258,7 @@ def test_boolean_random_instances_match_grid_oracle():
         assert abs(area - grid) <= 0.005 * win.area()
         # never negative, never more than the clipped include disk
         assert area >= 0.0
-        cap = min(math.pi * include.radius**2, BIG.area())
+        cap = min(math.pi * include.radius**2, polygon_area(BIG))
         assert area <= cap + 1e-9
 
 
@@ -670,12 +673,11 @@ def test_a_circle_tangent_at_the_probe_point_gets_a_touching_event(case):
 
 def _rows_equal_reference(rows, eps):
     """Run ``boolean_rows`` on ``rows`` of (cell, include, excludes) and
-    compare each row with the reference; eps is one value or one per row."""
-    per_row = np.broadcast_to(np.asarray(eps, dtype=float), (len(rows),)).tolist()
+    compare each row with the reference."""
     want = []
-    for (cell, include, excludes), e in zip(rows, per_row):
+    for cell, include, excludes in rows:
         try:
-            want.append(boolean_chains_reference(cell, include, excludes, e))
+            want.append(boolean_chains_reference(cell, include, excludes, eps))
         except InvalidChain:
             with pytest.raises(InvalidChain):
                 boolean_rows(*zip(*rows), eps)
@@ -701,20 +703,18 @@ def _maps(draw):
         seen.add((x, y, r))
         disks.append(Disk(Point2(x, y), r))
         txs.append(Disk(Point2(x, y), r * draw(st.sampled_from([0.5, 0.75, 1.0]))))
-    return disks, txs, draw(st.booleans())
+    return disks, txs
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(case=_maps())
 def test_boolean_rows_equal_the_reference_on_random_small_maps(case):
-    disks, txs, per_row_eps = case
+    disks, txs = case
     window = Rect(0.0, 0.0, 8.0, 8.0)
     pd = build(disks, window)
     sites = [p for p in range(len(disks)) if pd.cells[p] is not None]
     rows = [(pd.cells[p], txs[p], [disks[q] for q in sorted(pd.neighbors[p])]) for p in sites]
-    eps = [geom_eps(max(window.diameter(), disks[p].radius)) for p in sites] if per_row_eps \
-        else pd.eps
-    _rows_equal_reference(rows, eps)
+    _rows_equal_reference(rows, pd.eps)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -722,7 +722,7 @@ def test_boolean_rows_equal_the_reference_on_random_small_maps(case):
        probes=st.lists(st.builds(Point2, st.floats(-0.5, 8.5), st.floats(-0.5, 8.5)),
                        min_size=30, max_size=30))
 def test_arc_polygon_contains_equals_the_ray_cast_on_random_small_maps(case, probes):
-    disks, txs, _ = case
+    disks, txs = case
     window = Rect(0.0, 0.0, 8.0, 8.0)
     pd = build(disks, window)
     sites = [p for p in range(len(disks)) if pd.cells[p] is not None]
@@ -809,6 +809,53 @@ def _written_in_src(expression: str) -> list[str]:
 def test_the_rounding_expression_is_written_once_in_src():
     found = _written_in_src("1e-12 * (1.0 + abs(")
     assert len(found) == 1, found
+
+
+# One map tolerance: geom_eps of the window's diameter, in both engines.
+
+# Chain validation still scales by the chain's own coordinates (``_scale``).
+CHAIN_SCALED = {"ArcPolygon._validate", "arc_polygon_area"}
+
+
+def _geom_eps_arguments() -> list[tuple[str, str]]:
+    """(function, argument) of every ``geom_eps(...)`` call in ``src/``."""
+    out = []
+    for f in sorted(Path(geometry.__file__).parent.rglob("*.py")):
+        tree = ast.parse(f.read_text())
+        for top in tree.body:
+            for fn in [top] if not isinstance(top, ast.ClassDef) else top.body:
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                name = f"{top.name}.{fn.name}" if fn is not top else fn.name
+                out += [(name, ast.unparse(node.args[0])) for node in ast.walk(fn)
+                        if isinstance(node, ast.Call)
+                        and getattr(node.func, "id", "") == "geom_eps"]
+    return out
+
+
+def test_the_map_tolerance_is_the_window_diameters_in_src():
+    calls = _geom_eps_arguments()
+    maps = [(fn, arg) for fn, arg in calls if fn not in CHAIN_SCALED]
+    assert maps and all(arg.endswith("window.diameter()") for _, arg in maps), maps
+    assert {arg for fn, arg in calls if fn in CHAIN_SCALED} == {"scale"}
+
+
+def test_both_engines_cut_at_the_window_tolerance_when_a_disk_outgrows_the_window():
+    window = Rect(0.0, 0.0, 10.0, 10.0)
+    rng = random.Random(23)
+    txs = [ProtocolTransmitter(Point2(rng.uniform(0.5, 9.5), rng.uniform(0.5, 9.5)),
+                               0.7 * r, r) for r in (rng.uniform(0.5, 2.0) for _ in range(40))]
+    big = ProtocolTransmitter(Point2(6.0, 4.0), 3.0, 20.0)  # covers the window
+    txs.insert(17, big)
+    assert geom_eps(big.int_radius) > geom_eps(window.diameter())  # a disk's scale differs
+    dc = DynamicCoverage(window)
+    for t in txs:
+        dc.insert_transmitter(t)
+    static = compute_coverage_map(txs, window)
+    assert static.diagram.eps == dc.eps == geom_eps(window.diameter())
+    areas = dc.region_areas()
+    assert [areas[k] for k in sorted(areas)] == [region_area(static, p) for p in range(len(txs))]
+    assert [p for p in range(len(txs)) if region_area(static, p) > 0.0] == [17]
 
 
 @pytest.mark.parametrize("expression", [

@@ -17,7 +17,8 @@ from coveragekit import geometry, power_diagram
 from coveragekit.power_diagram import (PowerDiagram, SiteId, build, frame_partitions,
                                        _clip_cell, _flat_neighbors, _validate)
 
-from geometry_reference import ConcentricDisks, clip_convex, polygon_contains, power_bisector
+from geometry_reference import (ConcentricDisks, clip_convex, polygon_area, polygon_contains,
+                                power_bisector)
 from power_diagram_reference import HiddenSite, nearest_site, power_frame, remove_redundant
 from oracles import grid_power_cell_areas
 
@@ -79,8 +80,9 @@ def _adjacency_exact(disks: Sequence[Disk], skip: frozenset[int],
     return out
 
 
-def _build_direct(disks: Sequence[Disk], window: Rect, scale: float) -> PowerDiagram:
-    n = len(disks)
+def _build_direct(disks: Sequence[Disk], window: Rect) -> PowerDiagram:
+    _validate(disks, window)
+    n, scale = len(disks), window.diameter()
     eps = geom_eps(scale)
     mega = _mega_square(window, scale).to_polygon()
     wpoly = window.to_polygon()
@@ -115,15 +117,15 @@ def random_disks(rng, n, window=WIN, rmin=0.3, rmax=2.5):
 
 def test_single_disk_cell_is_window():
     pd = build([Disk(Point2(0, 0), 1.0)], WIN)
-    assert pd.cells[0].area() == pytest.approx(WIN.area())
+    assert polygon_area(pd.cells[0]) == pytest.approx(WIN.area())
     assert pd.neighbors[0] == frozenset()
     assert not pd.hidden
 
 
 def test_two_equal_disks_split_at_midline():
     pd = build([Disk(Point2(0, 0), 1.0), Disk(Point2(4, 0), 1.0)], WIN)
-    a0 = pd.cells[0].area()
-    a1 = pd.cells[1].area()
+    a0 = polygon_area(pd.cells[0])
+    a1 = polygon_area(pd.cells[1])
     assert a0 + a1 == pytest.approx(WIN.area())
     # split at x = 2 inside a [-6,6] window: left part is 8/12 of the width
     assert a0 == pytest.approx(WIN.area() * 8 / 12)
@@ -192,8 +194,7 @@ def test_equal_radii_matches_euclidean_voronoi():
 def test_direct_and_lifted_builds_agree():
     rng = random.Random(41)
     disks = random_disks(rng, 24)
-    scale = _validate(disks, WIN)
-    a = _build_direct(disks, WIN, scale)
+    a = _build_direct(disks, WIN)
     b = build(disks, WIN)
     assert a.hidden == b.hidden
     for i in range(24):
@@ -201,7 +202,7 @@ def test_direct_and_lifted_builds_agree():
         if ca is None or cb is None:
             assert ca is None and cb is None
             continue
-        assert ca.area() == pytest.approx(cb.area(), rel=1e-9, abs=1e-9)
+        assert polygon_area(ca) == pytest.approx(polygon_area(cb), rel=1e-9, abs=1e-9)
     for i in range(24):
         if i not in a.hidden:
             assert a.neighbors[i] == b.neighbors[i]
@@ -211,7 +212,7 @@ def test_power_frame_two_sites():
     pd = build([Disk(Point2(-2, 0), 1.0), Disk(Point2(2, 0), 1.0)], WIN)
     f = power_frame(pd, 0)
     assert set(f.partitions) == {1}
-    assert f.partitions[1].area() == pytest.approx(pd.cells[0].area())
+    assert polygon_area(f.partitions[1]) == pytest.approx(polygon_area(pd.cells[0]))
 
 
 def test_power_frame_symmetric_cross():
@@ -220,11 +221,11 @@ def test_power_frame_symmetric_cross():
     pd = build(disks, WIN)
     f = power_frame(pd, 0)
     assert set(f.partitions) == {1, 2, 3, 4}
-    areas = [f.partitions[q].area() for q in (1, 2, 3, 4)]
+    areas = [polygon_area(f.partitions[q]) for q in (1, 2, 3, 4)]
     for a in areas:
         assert a == pytest.approx(areas[0], rel=1e-9)
     total = sum(areas)
-    assert total == pytest.approx(pd.cells[0].area(), rel=1e-9)
+    assert total == pytest.approx(polygon_area(pd.cells[0]), rel=1e-9)
 
 
 def test_power_frame_partition_label_is_argmin():
@@ -236,8 +237,8 @@ def test_power_frame_partition_label_is_argmin():
         frame = power_frame(pd, p)
         gamma = sorted(pd.neighbors[p])
         cell = pd.cells[p]
-        assert sum(piece.area() for piece in frame.partitions.values()) == \
-            pytest.approx(cell.area(), rel=1e-9)
+        assert sum(polygon_area(piece) for piece in frame.partitions.values()) == \
+            pytest.approx(polygon_area(cell), rel=1e-9)
         xs = [v.x for v in cell.vertices]
         ys = [v.y for v in cell.vertices]
         checked = 0
@@ -326,8 +327,8 @@ COCIRCULAR = [Disk(Point2(30 + 20 * math.cos(k * math.pi / 6), 30 + 20 * math.si
 def test_cells_and_frames_never_repeat_a_vertex(disks):
     # many bisectors meet in one point here, so cuts pass through vertices
     window = Rect(0, 0, 60, 60)
-    for pd in (_build_direct(disks, window, 60.0), build(disks, window)):
-        assert sum(c.area() for c in pd.cells.values() if c) == pytest.approx(window.area())
+    for pd in (_build_direct(disks, window), build(disks, window)):
+        assert sum(polygon_area(c) for c in pd.cells.values() if c) == pytest.approx(window.area())
         polys = [c for c in pd.cells.values() if c is not None]
         polys += [q for p in pd.cells if p not in pd.hidden
                   for q in power_frame(pd, p).partitions.values()]
@@ -341,7 +342,7 @@ def test_lifted_neighbors_equal_the_reference_on_cocircular_layouts(disks):
     # Qhull splits a face of four cocircular sites into two triangles on one
     # plane; their diagonal touches the diagram in a point and is no edge
     window = Rect(0, 0, 60, 60)
-    assert build(disks, window).neighbors == _build_direct(disks, window, 60.0).neighbors
+    assert build(disks, window).neighbors == _build_direct(disks, window).neighbors
 
 
 def _clip_reference(poly, h):
@@ -454,7 +455,7 @@ def lift(disks):
 def test_cells_and_frames_clip_like_clip_convex(name):
     disks, window = layout(name)
     n = len(disks)
-    routes = [(_build_direct(disks, window, _validate(disks, window)), True),
+    routes = [(_build_direct(disks, window), True),
               (build(disks, window), False)]
     for pd, direct in routes:
         for i, cell in pd.cells.items():
@@ -478,14 +479,14 @@ def test_flat_routes_match_the_direct_reference(name):
     with pytest.raises(QhullError):
         ConvexHull(np.array(lift(disks)), qhull_options="Qt")
     pd = build(disks, window)
-    ref = _build_direct(disks, window, _validate(disks, window))
+    ref = _build_direct(disks, window)
     assert pd.hidden == ref.hidden
     assert pd.neighbors == ref.neighbors
     for i, cell in pd.cells.items():
         if cell is None:
             assert ref.cells[i] is None
         else:
-            assert cell.area() == pytest.approx(ref.cells[i].area(), rel=1e-9)
+            assert polygon_area(cell) == pytest.approx(polygon_area(ref.cells[i]), rel=1e-9)
 
 
 @pytest.mark.parametrize("offset", [(1e4, 1e4), (5e5, 4e6)])
@@ -517,7 +518,7 @@ def test_flat_route_areas_match_the_grid_oracle(name):
         vs = cell.vertices
         # samples can be misassigned only within half a grid step of an edge
         l1 = sum(abs(a.x - b.x) + abs(a.y - b.y) for a, b in zip(vs, vs[1:] + vs[:1]))
-        assert cell.area() == pytest.approx(areas[i], abs=0.5 * h * l1 + 4 * h * h)
+        assert polygon_area(cell) == pytest.approx(areas[i], abs=0.5 * h * l1 + 4 * h * h)
 
 
 def test_ring_of_2048_takes_the_hull_route():
@@ -527,7 +528,7 @@ def test_ring_of_2048_takes_the_hull_route():
     pd = build(disks, DIAGRAM_WIN)
     assert not pd.hidden
     assert pd.neighbors == {k: frozenset({(k - 1) % 2048, (k + 1) % 2048}) for k in range(2048)}
-    assert sum(c.area() for c in pd.cells.values()) == pytest.approx(DIAGRAM_WIN.area(),
+    assert sum(polygon_area(c) for c in pd.cells.values()) == pytest.approx(DIAGRAM_WIN.area(),
                                                                       rel=1e-9)
 
 
@@ -580,12 +581,13 @@ def test_every_three_site_layout_builds():
     for layout in layouts:
         disks = [Disk(Point2(x, y), r) for x, y, r in layout]
         pd = build(disks, window)
-        ref = _build_direct(disks, window, _validate(disks, window))
+        ref = _build_direct(disks, window)
         assert pd.hidden == ref.hidden and pd.neighbors == ref.neighbors, layout
         for i, cell in pd.cells.items():
             assert (cell is None) == (ref.cells[i] is None), layout
             if cell is not None:
-                assert cell.area() == pytest.approx(ref.cells[i].area(), rel=1e-9, abs=1e-12)
+                assert polygon_area(cell) == pytest.approx(polygon_area(ref.cells[i]),
+                                                           rel=1e-9, abs=1e-12)
 
 
 def c02_disks(n, seed=202):

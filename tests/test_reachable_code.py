@@ -10,7 +10,10 @@ Imports, ``__all__`` entries and docstrings do not count.  A helper only
 unit tests reach belongs in a test reference module.
 
 The scan goes by name, so a method is reached when any code names it: it
-cannot tell one class's ``contains`` from another's.
+cannot tell one class's ``contains`` from another's.  So a public method or
+property name that two classes of the package define must be listed, for
+each class, in ``SHARED`` (or ``KEPT``) with the reason the class's own
+definition is reached.
 """
 
 from __future__ import annotations
@@ -35,6 +38,22 @@ KEPT = {
 
 # Properties kept on purpose though no code of the package or acceptance suite reads them.
 KEPT_PROPERTIES: dict[str, str] = {}
+
+# Public names that several classes define, each class's definition reached
+# for the reason given (the name scan alone cannot tell them apart).
+SHARED = {
+    "Rect.height": "the window's height: the SVG canvas and the capture raster",
+    "HalfSpace3.height": "a lifted plane's height: the walk, the carve and the climb",
+    "CircularArc.start_point": "chain validation and the SVG walk every edge kind",
+    "Segment.start_point": "chain validation and the SVG walk every edge kind",
+    "CircularArc.end_point": "chain validation and the crossing test walk every edge kind",
+    "Segment.end_point": "chain validation and the crossing test walk every edge kind",
+    "CircularArc.length": "chain validation rejects short edges of either kind",
+    "Segment.length": "chain validation rejects short edges of either kind",
+    "OptResult.to_dict": "the optimize command's result file",
+    "RunManifest.to_dict": "every command's manifest file",
+    "UpdateReport.to_dict": "the dynamic command's per-op reports",
+}
 
 PROPERTY_DECORATORS = {"property", "cached_property"}
 
@@ -127,6 +146,35 @@ def test_every_public_name_in_src_is_reached_from_code():
     assert not extra, f"referenced by no code of the package or acceptance suite: {extra}"
     stale = sorted(set(KEPT) - set(found))
     assert not stale, f"listed as kept but referenced now: {stale}"
+
+
+def shared_names(modules: list[ast.AST]) -> dict[str, list[str]]:
+    """Each public method or property name that two or more top-level
+    classes of ``modules`` define, with the ``Class.name`` labels."""
+    by_name: dict[str, list[str]] = {}
+    for tree in modules:
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                for item in cls.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        by_name.setdefault(item.name, []).append(f"{cls.name}.{item.name}")
+    return {name: sorted(labels) for name, labels in by_name.items() if len(labels) > 1}
+
+
+def test_a_public_name_that_two_classes_define_is_listed_for_each():
+    found = {label for labels in shared_names(
+        [parse(p) for p in sorted(PACKAGE.rglob("*.py"))]).values() for label in labels}
+    extra = sorted(found - SHARED.keys() - KEPT.keys())
+    assert not extra, f"defined by two classes, so the name scan cannot tell them: {extra}"
+    stale = sorted(SHARED.keys() - found)
+    assert not stale, f"listed as shared but defined by one class now: {stale}"
+
+
+def test_shared_names_are_found_across_modules():
+    a = ast.parse("class Rect:\n    def area(self): ...\n    def _own(self): ...\n")
+    b = ast.parse("class Polygon:\n    @property\n    def area(self): ...\n"
+                  "    def _own(self): ...\n    def edges(self): ...\n")
+    assert shared_names([a, b]) == {"area": ["Polygon.area", "Rect.area"]}
 
 
 def test_every_public_property_in_src_is_read_from_code():

@@ -326,3 +326,36 @@ def test_capture_grid_matches_argmax_reference():
                                             [1.0, 1.0, 0.0]).reshape(9, 9))
     dark = scen([(0.3, 0.3), (0.7, 0.6)], [0.0, 0.0])
     assert not capture_grid(dark, 5, 5).any()
+
+
+def _criterion_5_scenarios():
+    """The six scenarios of acceptance criterion 5 (seed 505), drawn as it
+    draws them: per alpha in 2, 3, 4, nine sites at equal powers 2 and at
+    uniform(0.5, 30) powers, then its 10,000 sample points (skipped here)."""
+    rng = random.Random(505)
+    out = []
+    for alpha in (2.0, 3.0, 4.0):
+        sites = [(rng.random(), rng.random()) for _ in range(9)]
+        powers = [rng.uniform(0.5, 30.0) for _ in range(9)]
+        for _ in range(2 * 10000):
+            rng.random()
+        out += [scen(sites, [2.0] * 9, alpha=alpha), scen(sites, powers, alpha=alpha)]
+    return out
+
+
+def test_capture_grid_equals_the_scalar_capture_at_every_cell_centre():
+    # the capture rule has two routines: ``capture_grid`` (an evaluator over
+    # a raster) and the scalar ``capture_transmitter``, which stays scalar
+    # because a one-point evaluator made criterion 5 4.7x slower; they agree
+    # wherever the two largest receive powers are more than 1e-9 apart
+    checked = 0
+    for s in _criterion_5_scenarios():
+        grid = capture_grid(s, 64, 64).ravel().tolist()
+        for (x, y), got in zip(_cell_centers(s.window, 64, 64).tolist(), grid):
+            rx = sorted(p / math.hypot(x - q.x, y - q.y) ** s.alpha
+                        for p, q in zip(s.powers.values, s.sites))
+            if rx[-1] - rx[-2] <= 1e-9 * rx[-1]:
+                continue
+            checked += 1
+            assert capture_transmitter(s, Point2(x, y)) == got, (s.alpha, x, y)
+    assert checked >= 24000
