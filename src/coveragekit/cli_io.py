@@ -3,7 +3,8 @@
 Scenario files are JSON: a ``model`` ("protocol" or "sinr"), a ``window``
 rectangle, a ``transmitters`` list (radii for the protocol model, powers for
 SINR), and, for SINR, ``alpha``/``beta``/``noise`` plus optional ``bounds``
-and ``sampling`` blocks.  Results are JSON, traces are CSV, drawings are SVG.
+and ``sampling`` blocks, parsed straight into the engines' types; a refusal
+names the field it refuses.  Results are JSON, traces are CSV, drawings SVG.
 
 Every run also writes a manifest (command, input hash, seed, parameters,
 version, wall time, and any per-operation timings and counters) next to the
@@ -22,13 +23,14 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import __version__
-from .errors import BudgetExceeded, CoverageKitError, DuplicateSite, ModelError, ParseError
+from .errors import (BudgetExceeded, CoverageKitError, DuplicateSite, InvalidArgument,
+                     ModelError, ParseError)
 from .geometry import (FRAME_BLOCK, ArcPolygon, CircularArc, Disk, Point2, Rect, Segment,
                        arc_polygon_area)
 from .optimizer import (MAX_SAMPLE_PAIRS, Bounds, RhcParams, SamplingPlan,
@@ -43,55 +45,46 @@ from .dynamic_coverage import DynamicCoverage
 
 
 @dataclass(frozen=True)
-class TransmitterSpec:
-    x: float
-    y: float
-    tx_radius: Optional[float] = None
-    int_radius: Optional[float] = None
-    power: Optional[float] = None
-
-
-@dataclass(frozen=True)
 class ScenarioFile:
+    """A scenario file as the engines' own types, built once by
+    ``parse_scenario``: protocol ``transmitters``, or a ``sinr`` scenario
+    with ``bounds`` (0..100 unless given); ``sampling`` is a 40x40 grid
+    unless given.  A SINR transmitter without power is at 0 in ``sinr``,
+    and ``unpowered`` names the first such field."""
     model: str
     window: Rect
-    transmitters: tuple[TransmitterSpec, ...]
-    alpha: Optional[float] = None
-    beta: Optional[float] = None
-    noise: Optional[float] = None
-    bounds: Optional[tuple[tuple[float, ...], tuple[float, ...]]] = None
-    sampling: Optional[SamplingPlan] = None
+    transmitters: tuple[ProtocolTransmitter, ...] = ()
+    sinr: Optional[SinrScenario] = None
+    unpowered: Optional[str] = None
+    bounds: Optional[Bounds] = None
+    sampling: SamplingPlan = SamplingPlan.grid(40, 40)
     seed: Optional[int] = None
 
-    def protocol_transmitters(self) -> list[ProtocolTransmitter]:
-        return [ProtocolTransmitter(Point2(t.x, t.y), t.tx_radius, t.int_radius)
-                for t in self.transmitters]
-
     def coverage_map(self) -> CoverageMap:
-        """The protocol-model map; identical transmitters are an input error."""
-        try:
-            return compute_coverage_map(self.protocol_transmitters(), self.window)
-        except DuplicateSite as e:
-            raise ParseError("transmitters", str(e))
+        """The protocol-model map; the admission's refusals name ``transmitters``."""
+        with _field("transmitters"):
+            return compute_coverage_map(self.transmitters, self.window)
 
-    def sinr_scenario(self, powers: Optional[Sequence[float]] = None) -> SinrScenario:
-        if powers is None:
-            powers = [t.power if t.power is not None else 0.0
-                      for t in self.transmitters]
-        return SinrScenario(tuple(Point2(t.x, t.y) for t in self.transmitters),
-                            PowerVector.of(powers), self.alpha, self.beta,
-                            self.noise, self.window)
+    def powered(self) -> SinrScenario:
+        """``sinr``, for the commands that evaluate the file's own powers."""
+        if self.unpowered:
+            raise ParseError(self.unpowered, "missing required field")
+        return self.sinr
 
-    def bounds_or_default(self) -> Bounds:
-        if self.bounds is not None:
-            return Bounds(PowerVector.of(self.bounds[0]),
-                          PowerVector.of(self.bounds[1]))
-        n = len(self.transmitters)
-        return Bounds.uniform(n, 0.0, 100.0)
 
-    def sampling_or_default(self) -> SamplingPlan:
-        return self.sampling if self.sampling is not None \
-            else SamplingPlan.grid(40, 40)
+@contextlib.contextmanager
+def _field(path: str) -> Iterator[None]:
+    """Report a refusal of what the body builds as a ParseError at ``path``,
+    or at the file's field for the argument an ``InvalidArgument`` names
+    (SinrScenario's ``sites`` and ``powers`` are ``transmitters``): the one
+    place where the engine types' ValueErrors and the admission's
+    ``DuplicateSite`` become input errors."""
+    try:
+        yield
+    except (ValueError, DuplicateSite) as e:
+        if isinstance(e, InvalidArgument):
+            path = "transmitters" if e.name in ("sites", "powers") else e.name
+        raise ParseError(path, str(e)) from None
 
 
 def _need(obj: dict, key: str, path: str, kind=None):
@@ -100,6 +93,12 @@ def _need(obj: dict, key: str, path: str, kind=None):
     v = obj[key]
     if kind is not None and not isinstance(v, kind):
         raise ParseError(f"{path}{key}", f"expected {kind}, got {type(v).__name__}")
+    return v
+
+
+def _object(v, path: str) -> dict:
+    if not isinstance(v, dict):
+        raise ParseError(path, "expected an object")
     return v
 
 
@@ -142,95 +141,88 @@ def _json_object(data: bytes | str) -> dict:
         raw = json.loads(data)
     except json.JSONDecodeError as e:
         raise ParseError("<file>", f"invalid JSON: {e}")
-    if not isinstance(raw, dict):
-        raise ParseError("<file>", "top level must be an object")
-    return raw
+    return _object(raw, "<file>")
 
 
 def _window(raw: dict) -> Rect:
     wobj = _need(raw, "window", "", dict)
     wvals = {k: _num(wobj, k, "window.") for k in ("x0", "y0", "x1", "y1")}
-    if not (wvals["x1"] > wvals["x0"] and wvals["y1"] > wvals["y0"]):
-        raise ParseError("window", "rectangle must have positive extent")
-    return Rect(**wvals)
+    with _field("window"):
+        return Rect(**wvals)
+
+
+def _transmitter(t: dict, path: str) -> ProtocolTransmitter:
+    """The protocol-model transmitter of object ``t`` at ``path``, a scenario
+    file's ``transmitters[i]`` or a ``dynamic`` insert's ``ops[k]``."""
+    x, y, tx_radius, int_radius = (_num(t, k, f"{path}.")
+                                   for k in ("x", "y", "tx_radius", "int_radius"))
+    with _field(path):
+        return ProtocolTransmitter(Point2(x, y), tx_radius, int_radius)
+
+
+def _bounds(raw: dict, n: int) -> Bounds:
+    bobj = _need(raw, "bounds", "", dict)
+    vectors = {k: _need(bobj, k, "bounds.", list) for k in ("p_min", "p_max")}
+    if any(len(vals) != n for vals in vectors.values()):
+        raise ParseError("bounds", "bound vectors must match transmitter count")
+    with _field("bounds"):
+        return Bounds(*(PowerVector.of([_number(v, f"bounds.{k}[{i}]") for i, v in enumerate(vals)])
+                        for k, vals in vectors.items()))
+
+
+def _sampling(raw: dict) -> SamplingPlan:
+    sobj = _need(raw, "sampling", "", dict)
+    kind = _need(sobj, "kind", "sampling.", str)
+    with _field("sampling"):
+        if kind == "grid":
+            dims = _need(sobj, "grid_dims", "sampling.", list)
+            if len(dims) != 2:
+                raise ParseError("sampling.grid_dims", "expected two integers")
+            return SamplingPlan.grid(*(_integer(v, f"sampling.grid_dims[{i}]")
+                                       for i, v in enumerate(dims)))
+        if kind == "random":
+            return SamplingPlan.random(
+                _int(sobj, "sample_count", "sampling."),
+                seed=_int(sobj, "seed", "sampling.") if "seed" in sobj else 0)
+        return SamplingPlan(kind)  # which refuses the unknown kind
 
 
 def parse_scenario(data: bytes | str) -> ScenarioFile:
-    """Parse and validate a scenario; errors carry the offending field path."""
+    """Parse a scenario into the engines' types; errors carry the offending
+    field path."""
     raw = _json_object(data)
     model = _need(raw, "model", "", str)
     if model not in ("protocol", "sinr"):
         raise ParseError("model", f"unknown model {model!r}")
     window = _window(raw)
-
-    txs_raw = _need(raw, "transmitters", "", list)
-    if not txs_raw:
-        raise ParseError("transmitters", "need at least one transmitter")
-    specs = []
-    for i, t in enumerate(txs_raw):
-        path = f"transmitters[{i}]."
-        if not isinstance(t, dict):
-            raise ParseError(f"transmitters[{i}]", "expected an object")
-        x = _num(t, "x", path)
-        y = _num(t, "y", path)
-        spec = TransmitterSpec(
-            x=x, y=y,
-            tx_radius=_num(t, "tx_radius", path) if "tx_radius" in t else None,
-            int_radius=_num(t, "int_radius", path) if "int_radius" in t else None,
-            power=_num(t, "power", path) if "power" in t else None)
-        if model == "protocol":
-            if spec.tx_radius is None:
-                raise ParseError(path + "tx_radius", "protocol model needs radii")
-            if spec.int_radius is None:
-                raise ParseError(path + "int_radius", "protocol model needs radii")
-            if spec.tx_radius <= 0:
-                raise ModelError(f"transmitter {i}: transmission radius must be positive")
-            if spec.tx_radius > spec.int_radius:
-                raise ModelError(
-                    f"transmitter {i}: transmission radius {spec.tx_radius} exceeds "
-                    f"interference radius {spec.int_radius}")
-        specs.append(spec)
-
-    alpha = beta = noise = None
-    bounds = None
-    if model == "sinr":
-        alpha = _num(raw, "alpha", "")
-        beta = _num(raw, "beta", "")
-        noise = _num(raw, "noise", "")
+    txs = [_object(t, f"transmitters[{i}]")
+           for i, t in enumerate(_need(raw, "transmitters", "", list))]
+    if model == "protocol":
+        parts = {"transmitters": tuple(_transmitter(t, f"transmitters[{i}]")
+                                       for i, t in enumerate(txs))}
+    else:
+        sites, powers = [], []
+        for i, t in enumerate(txs):
+            path = f"transmitters[{i}]."
+            sites.append(Point2(_num(t, "x", path), _num(t, "y", path)))
+            powers.append(_num(t, "power", path) if "power" in t else None)
+        alpha, beta, noise = (_num(raw, k, "") for k in ("alpha", "beta", "noise"))
+        unpowered = next((f"transmitters[{i}].power"
+                          for i, p in enumerate(powers) if p is None), None)
         if "bounds" in raw:
-            bobj = _need(raw, "bounds", "", dict)
-            p_min = _need(bobj, "p_min", "bounds.", list)
-            p_max = _need(bobj, "p_max", "bounds.", list)
-            if len(p_min) != len(specs) or len(p_max) != len(specs):
-                raise ParseError("bounds", "bound vectors must match transmitter count")
-            bounds = tuple(tuple(_number(v, f"bounds.{name}[{i}]") for i, v in enumerate(vals))
-                           for name, vals in (("p_min", p_min), ("p_max", p_max)))
-        elif not all(t.power is not None for t in specs):
+            bounds = _bounds(raw, len(txs))
+        elif unpowered:
             raise ParseError("transmitters", "sinr model needs powers or bounds")
-
-    sampling = None
+        else:
+            bounds = Bounds.uniform(len(txs), 0.0, 100.0)
+        with _field("transmitters"):
+            vector = PowerVector.of(0.0 if p is None else p for p in powers)
+            sinr = SinrScenario(tuple(sites), vector, alpha, beta, noise, window)
+        parts = {"sinr": sinr, "unpowered": unpowered, "bounds": bounds}
     if "sampling" in raw:
-        sobj = _need(raw, "sampling", "", dict)
-        kind = _need(sobj, "kind", "sampling.", str)
-        try:
-            if kind == "grid":
-                dims = _need(sobj, "grid_dims", "sampling.", list)
-                if len(dims) != 2:
-                    raise ParseError("sampling.grid_dims", "expected two integers")
-                sampling = SamplingPlan.grid(*(_integer(v, f"sampling.grid_dims[{i}]")
-                                               for i, v in enumerate(dims)))
-            elif kind == "random":
-                sampling = SamplingPlan.random(
-                    _int(sobj, "sample_count", "sampling."),
-                    seed=_int(sobj, "seed", "sampling.") if "seed" in sobj else 0)
-            else:
-                raise ParseError("sampling.kind", f"unknown kind {kind!r}")
-        except ValueError as e:
-            raise ParseError("sampling", str(e))
+        parts["sampling"] = _sampling(raw)
     seed = _int(raw, "seed", "") if "seed" in raw else None
-    return ScenarioFile(model=model, window=window, transmitters=tuple(specs),
-                        alpha=alpha, beta=beta, noise=noise, bounds=bounds,
-                        sampling=sampling, seed=seed)
+    return ScenarioFile(model, window, seed=seed, **parts)
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +307,10 @@ def _region_path(c: _Canvas, ap: ArcPolygon, color: str) -> str:
 
 
 def render_svg(artifact) -> str:
-    """Deterministic SVG for a power diagram, a coverage map, or a capture
-    raster.  Interference disks solid, transmission disks dotted, diagram
-    edges dashed, frame edges solid, regions shaded."""
+    """Deterministic SVG for a coverage map or a capture raster.  A map's
+    interference disks solid, transmission disks dotted, cell edges dashed,
+    frame edges solid, regions shaded; a raster's cells shaded by their
+    capturing transmitter."""
     return "".join(_svg_parts(artifact, {}))
 
 
@@ -326,31 +319,9 @@ def _svg_parts(artifact, stats: dict) -> Iterator[str]:
     coverage map adds its frame counters to ``stats``."""
     if isinstance(artifact, CoverageMap):
         return _render_coverage(artifact, stats)
-    if isinstance(artifact, PowerDiagram):
-        return _render_diagram(artifact)
     if isinstance(artifact, CaptureRaster):
         return _render_capture(artifact)
     raise TypeError(f"cannot render {type(artifact).__name__}")
-
-
-def _render_diagram(pd: PowerDiagram) -> Iterator[str]:
-    c = _Canvas(pd.window)
-    yield _svg_header(c)
-    yield (f'<rect x="0" y="0" width="{_fmt(c.w)}" height="{_fmt(c.h)}" '
-           f'fill="white"/>\n')
-    for sid in sorted(pd.cells):
-        cell = pd.cells[sid]
-        if cell is None:
-            continue
-        pts = " ".join(c.fmt_pt(p.x, p.y) for p in cell.vertices)
-        yield (f'<polygon points="{pts}" fill="none" stroke="#444444" '
-               f'stroke-width="1" stroke-dasharray="6,4"/>\n')
-    for sid, d in enumerate(pd.sites):
-        color = _PALETTE[sid % len(_PALETTE)]
-        yield _circle_svg(c, d, f'fill="none" stroke="{color}" stroke-width="1.5"')
-        px, py = c.pt(d.center.x, d.center.y)
-        yield f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="2.5" fill="{color}"/>\n'
-    yield "</svg>\n"
 
 
 def _render_coverage(cov: CoverageMap, stats: dict) -> Iterator[str]:
@@ -516,16 +487,19 @@ def _refuse_output_path(args, option: str, path: Optional[str]) -> None:
 # CLI commands
 # ---------------------------------------------------------------------------
 
-def _load_scenario(path: str) -> tuple[ScenarioFile, str]:
-    data = Path(path).read_bytes()
-    return parse_scenario(data), _sha256(data)
+def _load_scenario(args, model: Optional[str] = None) -> tuple[ScenarioFile, str]:
+    """The command's scenario and its digest; a command that computes one
+    ``model`` refuses the other."""
+    data = Path(args.scenario).read_bytes()
+    scen = parse_scenario(data)
+    if model and scen.model != model:
+        raise ModelError(f"{args.command} needs a {model}-model scenario")
+    return scen, _sha256(data)
 
 
 def _cmd_build_map(args) -> int:
     _refuse_output_path(args, "--svg", args.svg)
-    scen, digest = _load_scenario(args.scenario)
-    if scen.model != "protocol":
-        raise ModelError("build-map needs a protocol-model scenario")
+    scen, digest = _load_scenario(args, "protocol")
     t0 = time.perf_counter()
     cov = scen.coverage_map()
     bound = find_interference_bound(cov)
@@ -562,24 +536,19 @@ def _cmd_dynamic(args) -> int:
     if not isinstance(ops, list):
         raise ParseError("ops", "expected a list")
     for k, op in enumerate(ops):
-        path = f"ops[{k}]."
-        if not isinstance(op, dict):
-            raise ParseError(f"ops[{k}]", "expected an object")
-        kind = op.get("op")
+        path = f"ops[{k}]"
+        kind = _object(op, path).get("op")
         if kind == "insert":
-            x, y = _num(op, "x", path), _num(op, "y", path)
-            radii = _num(op, "tx_radius", path), _num(op, "int_radius", path)
-            try:
-                rep = dc.insert_transmitter(ProtocolTransmitter(Point2(x, y), *radii))
-            except (DuplicateSite, ValueError) as e:
-                raise ParseError(f"ops[{k}]", str(e))
+            tx = _transmitter(op, path)
+            with _field(path):
+                rep = dc.insert_transmitter(tx)
         elif kind == "delete":
-            site = _int(op, "site", path)
+            site = _int(op, "site", f"{path}.")
             if site not in dc.transmitters:
-                raise ParseError(f"{path}site", f"site {site} not present")
+                raise ParseError(f"{path}.site", f"site {site} not present")
             rep = dc.delete_transmitter(site)
         else:
-            raise ParseError(f"ops[{k}].op", f"unknown op {kind!r}")
+            raise ParseError(f"{path}.op", f"unknown op {kind!r}")
         reports.append(rep)
     areas = dc.region_areas()
     result = {"reports": [rep.to_dict() for rep in reports],
@@ -597,17 +566,11 @@ def _cmd_dynamic(args) -> int:
 
 
 def _cmd_estimate_area(args) -> int:
-    scen, digest = _load_scenario(args.scenario)
-    if scen.model != "sinr":
-        raise ModelError("estimate-area needs a sinr-model scenario")
-    s = scen.sinr_scenario()
-    plan = scen.sampling_or_default()
+    scen, digest = _load_scenario(args, "sinr")
+    s, plan = scen.powered(), scen.sampling
     t0 = time.perf_counter()
     area = estimate_area(s, s.powers, plan)
-    result = {"estimated_area": area,
-              "plan": {"kind": plan.kind,
-                       "grid_dims": list(plan.grid_dims) if plan.grid_dims else None,
-                       "sample_count": plan.sample_count, "seed": plan.seed}}
+    result = {"estimated_area": area, "plan": asdict(plan)}
     manifest = RunManifest("estimate-area", digest, scen.seed, {},
                            wall_time=time.perf_counter() - t0)
     _write_outputs(args.out, Path(args.scenario).stem, result, manifest)
@@ -617,12 +580,9 @@ def _cmd_estimate_area(args) -> int:
 
 def _cmd_optimize(args) -> int:
     _refuse_output_path(args, "--trace", args.trace)
-    scen, digest = _load_scenario(args.scenario)
-    if scen.model != "sinr":
-        raise ModelError("optimize needs a sinr-model scenario")
-    bounds = scen.bounds_or_default()
-    plan = scen.sampling_or_default()
-    base = scen.sinr_scenario([0.0] * len(scen.transmitters))
+    scen, digest = _load_scenario(args, "sinr")
+    # the searches read the scenario's layout and constants, not its powers
+    base, bounds, plan = scen.sinr, scen.bounds, scen.sampling
     seed = args.seed if args.seed is not None else (scen.seed or 0)
     t0 = time.perf_counter()
     if args.method == "exhaustive":
@@ -654,14 +614,9 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_sweep_power(args) -> int:
     _refuse_output_path(args, "--csv", args.csv)
-    scen, digest = _load_scenario(args.scenario)
-    if scen.model != "sinr":
-        raise ModelError("sweep-power needs a sinr-model scenario")
-    bounds = scen.bounds_or_default()
-    plan = scen.sampling_or_default()
-    base = scen.sinr_scenario([0.0] * len(scen.transmitters))
+    scen, digest = _load_scenario(args, "sinr")
     t0 = time.perf_counter()
-    curve = sweep_power(base, bounds, args.levels, plan)
+    curve = sweep_power(scen.sinr, scen.bounds, args.levels, scen.sampling)
     result = {"curve": [[p, a] for p, a in curve]}
     manifest = RunManifest("sweep-power", digest, scen.seed,
                            {"levels": args.levels},
@@ -680,19 +635,19 @@ def _cmd_render(args) -> int:
     n = args.capture_grid
     if n is not None and n < 1:
         raise ParseError("--capture-grid", f"{n} is not a positive raster size")
-    scen, _ = _load_scenario(args.scenario)
+    scen, _ = _load_scenario(args)
     if scen.model == "protocol":
         if n is not None:
             raise ModelError("capture rasters need a sinr-model scenario")
         artifact = scen.coverage_map()
     else:
+        s = scen.powered()
         n = 64 if n is None else n
-        if len(scen.transmitters) * n * n > MAX_SAMPLE_PAIRS:
-            raise BudgetExceeded(f"{len(scen.transmitters)} sites x {n}x{n} raster cells "
+        if len(s.sites) * n * n > MAX_SAMPLE_PAIRS:
+            raise BudgetExceeded(f"{len(s.sites)} sites x {n}x{n} raster cells "
                                  f"exceed {MAX_SAMPLE_PAIRS}")
-        s = scen.sinr_scenario()
         grid = capture_grid(s, n, n)
-        artifact = CaptureRaster(scen.window,
+        artifact = CaptureRaster(s.window,
                                  tuple(tuple(int(v) for v in row) for row in grid))
     with _svg_file(args.svg, _svg_parts(artifact, {})):
         pass  # the drawing is the command's only output

@@ -49,4 +49,13 @@ class ParseError(CoverageKitError):
 
 
 class ModelError(CoverageKitError):
-    """A scenario is schema-valid but violates a model constraint."""
+    """A scenario's model does not suit the command, e.g. ``build-map`` on
+    a sinr-model file."""
+
+
+class InvalidArgument(ValueError):
+    """A constructor refuses its argument ``name``; the message is the reason."""
+
+    def __init__(self, name: str, reason: str):
+        self.name = name
+        super().__init__(reason)

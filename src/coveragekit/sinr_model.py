@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import Singularity
+from .errors import InvalidArgument, Singularity
 from .geometry import Point2, Rect, geom_eps
 
 SiteId = int
@@ -56,7 +56,8 @@ class PowerVector:
 
 @dataclass(frozen=True)
 class SinrScenario:
-    """Transmitter layout plus propagation constants on a unit-area window."""
+    """Transmitter layout plus propagation constants on a unit-area window.
+    Each refusal is an ``InvalidArgument`` naming the argument it rejects."""
     sites: tuple[Point2, ...]
     powers: PowerVector
     alpha: float
@@ -66,19 +67,19 @@ class SinrScenario:
 
     def __post_init__(self):
         if not self.sites:
-            raise ValueError("need at least one transmitter")
+            raise InvalidArgument("sites", "need at least one transmitter")
         if len(self.powers) != len(self.sites):
-            raise ValueError("power vector length must match site count")
+            raise InvalidArgument("powers", "power vector length must match site count")
         if self.alpha < 2.0:
-            raise ValueError("path-loss exponent must be >= 2")
+            raise InvalidArgument("alpha", "path-loss exponent must be >= 2")
         if self.beta <= 0.0:
-            raise ValueError("receive threshold must be positive")
+            raise InvalidArgument("beta", "receive threshold must be positive")
         if self.noise < 0.0:
-            raise ValueError("noise power must be >= 0")
+            raise InvalidArgument("noise", "noise power must be >= 0")
         if self.noise == 0.0 and len(self.sites) < 2:
-            raise ValueError("zero noise needs at least two transmitters")
+            raise InvalidArgument("noise", "zero noise needs at least two transmitters")
         if abs(self.window.area() - 1.0) > 1e-9:
-            raise ValueError("evaluation window must have unit area")
+            raise InvalidArgument("window", "evaluation window must have unit area")
 
     def with_powers(self, powers: PowerVector) -> "SinrScenario":
         return SinrScenario(self.sites, powers, self.alpha, self.beta,

@@ -1,8 +1,11 @@
 """Scenario parsing, serialization round-trips, SVG output, CLI runs."""
 
+import ast
+import inspect
 import json
 import math
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -11,11 +14,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from coveragekit.cli_io import (CaptureRaster, ScenarioFile, cli,
                                 parse_scenario, render_svg)
 from coveragekit.dynamic_coverage import DynamicCoverage
-from coveragekit.errors import DuplicateSite, ModelError, ParseError
+from coveragekit import cli_io, geometry, optimizer, power_diagram, protocol_coverage, sinr_model
+from coveragekit.errors import DuplicateSite, ParseError
 from coveragekit.geometry import Point2, Rect
 from coveragekit.power_diagram import build, frame_partitions
 from coveragekit.protocol_coverage import ProtocolTransmitter, compute_coverage_map
-from coveragekit.sinr_model import capture_grid
+from coveragekit.optimizer import Bounds, SamplingPlan
+from coveragekit.sinr_model import PowerVector, SinrScenario, capture_grid
 from coveragekit.geometry import Disk, boolean_rows
 from cli_reference import scenario_to_dict
 
@@ -42,20 +47,27 @@ SINR_SCENARIO = {
 }
 
 
+def refusal(make, *args, **kwargs) -> str:
+    """The reason ``make`` gives for refusing its arguments."""
+    with pytest.raises(ValueError) as err:
+        make(*args, **kwargs)
+    return str(err.value)
+
+
 def test_parse_minimal_protocol():
     scen = parse_scenario(json.dumps(PROTOCOL_SCENARIO))
     assert scen.model == "protocol"
     assert len(scen.transmitters) == 2
-    txs = scen.protocol_transmitters()
-    assert txs[0].int_radius == 1.5
+    assert scen.transmitters[0] == ProtocolTransmitter(Point2(-1.5, 0.0), 1.0, 1.5)
 
 
 def test_parse_rejects_tx_over_int():
     bad = json.loads(json.dumps(PROTOCOL_SCENARIO))
     bad["transmitters"][1]["tx_radius"] = 9.0
-    with pytest.raises(ModelError) as err:
+    with pytest.raises(ParseError) as err:
         parse_scenario(json.dumps(bad))
-    assert "transmitter 1" in str(err.value)
+    assert err.value.path == "transmitters[1]"
+    assert err.value.reason == refusal(ProtocolTransmitter, Point2(1.5, 0.0), 9.0, 1.5)
 
 
 def test_parse_missing_alpha_names_field():
@@ -85,11 +97,16 @@ def test_roundtrip_identity():
 
 def test_sinr_scenario_construction():
     scen = parse_scenario(json.dumps(SINR_SCENARIO))
-    s = scen.sinr_scenario()
+    s = scen.sinr
     assert s.alpha == 2.0
     assert s.powers.values == (2.0, 2.0)
-    b = scen.bounds_or_default()
-    assert b.p_max.values == (100.0, 100.0)
+    assert scen.bounds.p_max.values == (100.0, 100.0)
+    assert scen.sampling == SamplingPlan.grid(20, 20)
+    # the defaults are resolved while parsing
+    plain = {k: v for k, v in SINR_SCENARIO.items() if k not in ("bounds", "sampling")}
+    scen = parse_scenario(json.dumps(plain))
+    assert scen.bounds == Bounds.uniform(2, 0.0, 100.0)
+    assert scen.sampling == SamplingPlan.grid(40, 40)
 
 
 def test_render_one_transmitter_single_shaded_path():
@@ -101,10 +118,11 @@ def test_render_one_transmitter_single_shaded_path():
 
 
 def test_render_two_site_diagram_has_dashed_edge():
-    pd = build([Disk(Point2(-2, 0), 1.0), Disk(Point2(2, 0), 1.0)],
-               Rect(-5, -5, 5, 5))
-    svg = render_svg(pd)
-    assert 'stroke-dasharray="6,4"' in svg
+    # the coverage map draws its diagram's cell outlines dashed
+    cov = compute_coverage_map([ProtocolTransmitter(Point2(-2, 0), 0.8, 1.0),
+                                ProtocolTransmitter(Point2(2, 0), 0.8, 1.0)], Rect(-5, -5, 5, 5))
+    svg = render_svg(cov)
+    assert svg.count('stroke-dasharray="6,4"') == 2
 
 
 def test_render_deterministic_across_reconstruction():
@@ -244,20 +262,18 @@ def test_cli_build_map_svg_stays_within_a_fixed_memory_peak(tmp_path):
 
 def test_cli_svg_files_equal_render_svg(tmp_path, monkeypatch):
     """What ``--svg`` streams is ``render_svg``'s text, whatever the write
-    and frame block sizes: a coverage map (``build-map`` and ``render``), a
-    capture raster (``render``), and a bare diagram through the same writer."""
-    from coveragekit import cli_io
+    and frame block sizes: a coverage map (``build-map`` and ``render``) and a
+    capture raster (``render``)."""
     doc = c02_scenario(40)
     scen, sinr = tmp_path / "s.json", tmp_path / "sinr.json"
     scen.write_text(json.dumps(doc))
     sinr.write_text(json.dumps(SINR_SCENARIO))
     cov = parse_scenario(json.dumps(doc)).coverage_map()
-    s = parse_scenario(json.dumps(SINR_SCENARIO)).sinr_scenario()
+    s = parse_scenario(json.dumps(SINR_SCENARIO)).sinr
     raster = CaptureRaster(s.window, tuple(tuple(int(v) for v in row)
                                            for row in capture_grid(s, 8, 8)))
     drawn = render_svg(cov)
-    expected = {"map": drawn, "drawn": drawn, "raster": render_svg(raster),
-                "diagram": render_svg(cov.diagram)}
+    expected = {"map": drawn, "drawn": drawn, "raster": render_svg(raster)}
     monkeypatch.setattr(cli_io, "_SVG_BLOCK", 3)
     monkeypatch.setattr(cli_io, "FRAME_BLOCK", 4)
     assert cli(["build-map", str(scen), "--out", str(tmp_path / "s.result.json"),
@@ -265,8 +281,6 @@ def test_cli_svg_files_equal_render_svg(tmp_path, monkeypatch):
     assert cli(["render", str(scen), "--svg", str(tmp_path / "drawn.svg")]) == 0
     assert cli(["render", str(sinr), "--svg", str(tmp_path / "raster.svg"),
                 "--capture-grid", "8"]) == 0
-    with cli_io._svg_file(str(tmp_path / "diagram.svg"), cli_io._svg_parts(cov.diagram, {})):
-        pass
     for name, text in expected.items():
         assert (tmp_path / f"{name}.svg").read_text(encoding="utf-8") == text, name
     assert sum(c is not None for c in cov.diagram.cells.values()) > 2 * 4  # several blocks
@@ -369,12 +383,17 @@ def test_cli_input_error_exit_2(tmp_path, capsys):
     missing = tmp_path / "nope.json"
     assert cli(["build-map", str(missing)]) == 2
 
-    def rejected(command, doc, field):
+    def rejected(command, doc, field, reason=None):
         path = tmp_path / "input.json"
         path.write_text(json.dumps(doc))
         capsys.readouterr()
-        assert cli([command, str(path), "--out", str(tmp_path / "x.result.json")]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {field}: ")
+        out = ["--svg", str(tmp_path / "x.svg")] if command == "render" \
+            else ["--out", str(tmp_path / "x.result.json")]
+        assert cli([command, str(path), *out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}: ")
+        if reason is not None:  # one line, with no traceback
+            assert err == f"error: {field}: {reason}\n"
 
     twin = json.loads(json.dumps(PROTOCOL_SCENARIO))
     twin["transmitters"].append(dict(twin["transmitters"][0]))
@@ -427,6 +446,50 @@ def test_cli_input_error_exit_2(tmp_path, capsys):
     rejected("dynamic", {"window": window, "ops": [insert, dict(insert, y=1.0, tx_radius=2.0)]},
              "ops[1]")
     rejected("dynamic", {"window": window, "ops": [dict(insert, tx_radius=-1.0)]}, "ops[0]")
+
+    # each refusal names its field, with the reason of the type that owns the rule
+    outside = json.loads(json.dumps(PROTOCOL_SCENARIO))
+    outside["transmitters"][1]["x"] = 9.0
+    rejected("build-map", outside, "transmitters", refusal(
+        compute_coverage_map, [ProtocolTransmitter(Point2(-1.5, 0.0), 1.0, 1.5),
+                               ProtocolTransmitter(Point2(9.0, 0.0), 1.0, 1.5)],
+        Rect(-5.0, -5.0, 5.0, 5.0)))
+    over = refusal(ProtocolTransmitter, Point2(1.5, 0.0), 2.0, 1.5)
+    wide = json.loads(json.dumps(PROTOCOL_SCENARIO))
+    wide["transmitters"][1]["tx_radius"] = 2.0
+    rejected("build-map", wide, "transmitters[1]", over)
+    rejected("dynamic", {"window": window, "ops": [dict(wide["transmitters"][1], op="insert")]},
+             "ops[0]", over)
+    sites = (Point2(0.3, 0.5), Point2(0.7, 0.5))
+    unit = {"sites": sites, "powers": PowerVector.of([2.0, 2.0]), "alpha": 2.0, "beta": 1.0,
+            "noise": 1e-3, "window": Rect(0.0, 0.0, 1.0, 1.0)}
+    for field, value in (("alpha", 1.0), ("beta", 0.0)):
+        rejected("estimate-area", dict(SINR_SCENARIO, **{field: value}), field,
+                 refusal(SinrScenario, **dict(unit, **{field: value})))
+    alone = dict(SINR_SCENARIO, noise=0.0, transmitters=SINR_SCENARIO["transmitters"][:1],
+                 bounds={"p_min": [0.0], "p_max": [100.0]})
+    rejected("estimate-area", alone, "noise", refusal(
+        SinrScenario, **dict(unit, sites=sites[:1], powers=PowerVector.of([2.0]), noise=0.0)))
+    rejected("estimate-area", dict(SINR_SCENARIO, window={"x0": 0, "y0": 0, "x1": 2, "y1": 2}),
+             "window", refusal(SinrScenario, **dict(unit, window=Rect(0.0, 0.0, 2.0, 2.0))))
+    negative = json.loads(json.dumps(SINR_SCENARIO))
+    negative["transmitters"][1]["power"] = -1.0
+    rejected("estimate-area", negative, "transmitters", refusal(PowerVector.of, [2.0, -1.0]))
+    crossed = dict(SINR_SCENARIO, bounds={"p_min": [0.0, 50.0], "p_max": [100.0, 10.0]})
+    rejected("estimate-area", crossed, "bounds", refusal(
+        Bounds, PowerVector.of([0.0, 50.0]), PowerVector.of([100.0, 10.0])))
+    # a file with bounds but no powers can be optimized, not evaluated or drawn
+    unpowered = json.loads(json.dumps(SINR_SCENARIO))
+    for t in unpowered["transmitters"]:
+        del t["power"]
+    for command in ("estimate-area", "render"):
+        rejected(command, unpowered, "transmitters[0].power", "missing required field")
+    path = tmp_path / "unpowered.json"
+    path.write_text(json.dumps(unpowered))
+    assert cli(["optimize", "rhc", str(path), "--out", str(tmp_path / "o.result.json")]) == 0
+    assert cli(["sweep-power", str(path), "--levels", "3",
+                "--out", str(tmp_path / "w.result.json")]) == 0
+
     bad.write_text("[1]")
     assert cli(["dynamic", str(bad)]) == 2
     assert capsys.readouterr().err.startswith("error: <file>: ")
@@ -576,6 +639,46 @@ def test_cli_rejects_numbers_too_large_to_square(tmp_path, capsys):
         capsys.readouterr()
         assert cli(["dynamic", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ops[0].int_radius: ")
+
+
+# ---------------------------------------------------------------------------
+# one home per input rule
+# ---------------------------------------------------------------------------
+
+# The types and the admission that scenario files build and admit: the
+# parser reports their refusals and restates none of them.
+RULE_OWNERS = [(geometry, "Rect"), (protocol_coverage, "ProtocolTransmitter"),
+               (power_diagram, "admit"), (sinr_model, "PowerVector"),
+               (sinr_model, "SinrScenario"), (optimizer, "Bounds")]
+
+
+def _raised(tree: ast.AST) -> list[ast.Call]:
+    """The exception call of every ``raise`` in ``tree``."""
+    return [n.exc for n in ast.walk(tree)
+            if isinstance(n, ast.Raise) and isinstance(n.exc, ast.Call)]
+
+
+def _reason_texts(call: ast.Call) -> list[str]:
+    """The literal text of an exception's reason (its last argument): each
+    literal part of ten or more characters, for an f-string."""
+    reason = call.args[-1]
+    parts = reason.values if isinstance(reason, ast.JoinedStr) else [reason]
+    return [p.value.strip() for p in parts if isinstance(p, ast.Constant)
+            and isinstance(p.value, str) and len(p.value.strip()) >= 10]
+
+
+def test_cli_io_restates_no_rule_of_the_types_it_builds():
+    source = Path(cli_io.__file__).read_text(encoding="utf-8")
+    owned = [text for module, name in RULE_OWNERS
+             for call in _raised(ast.parse(inspect.getsource(getattr(module, name))))
+             for text in _reason_texts(call)]
+    assert len(owned) >= 10, owned  # the scan sees the rules
+    assert not [text for text in owned if text in source]
+    # a ModelError is a command given the other model's file, nothing else
+    mismatches = [ast.unparse(call.args[0]) for call in _raised(ast.parse(source))
+                  if getattr(call.func, "id", "") == "ModelError"]
+    assert mismatches and all(re.fullmatch(r"f?'[^']* needs? a [^']*-model scenario'", m)
+                              for m in mismatches), mismatches
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,8 @@ ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 # Kept on purpose though no code of the package or acceptance suite uses them.
 KEPT = {
     "is_covered": "the scalar SINR predicate, the benchmark's oracle for optimizer areas",
-    "render_svg": "the library's SVG as one string; the CLI streams the same parts to a file",
+    "render_svg": "the library's SVG of a coverage map or a capture raster as one string; "
+                  "the CLI streams the same parts to a file",
     "treap_delete": "part of the treap's documented API",
     "treap_of": "part of the treap's documented API",
     "DynamicCoverage.check_invariants": "the lattice's invariants, for callers to check after updates",
