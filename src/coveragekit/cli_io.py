@@ -33,14 +33,15 @@ from .errors import (BudgetExceeded, CoverageKitError, DuplicateSite, InvalidArg
                      ModelError, ParseError)
 from .geometry import (FRAME_BLOCK, ArcPolygon, CircularArc, Disk, Point2, Rect, Segment,
                        arc_polygon_area)
-from .optimizer import (MAX_SAMPLE_PAIRS, Bounds, RhcParams, SamplingPlan,
+from .optimizer import (Bounds, RhcParams, SamplingPlan,
                         estimate_area, exhaustive_search, grid_rule_samples,
                         nelder_mead, objective, post_process, random_hill_climb,
                         required_samples, sweep_power)
 from .power_diagram import PowerDiagram, frame_partitions
 from .protocol_coverage import (CoverageMap, ProtocolTransmitter,
                                 compute_coverage_map, find_interference_bound)
-from .sinr_model import PowerVector, SinrScenario, capture_grid
+from .sinr_model import (PowerVector, SinrScenario, capture_grid, check_sample_budget,
+                         filter_counts)
 from .dynamic_coverage import DynamicCoverage
 
 
@@ -565,14 +566,20 @@ def _cmd_dynamic(args) -> int:
     return 0
 
 
+def _filter_stats(before: dict) -> dict:
+    """The SINR filter's counters since ``before``, a copy of ``filter_counts``."""
+    return {k: v - before[k] for k, v in filter_counts.items()}
+
+
 def _cmd_estimate_area(args) -> int:
     scen, digest = _load_scenario(args, "sinr")
     s, plan = scen.powered(), scen.sampling
-    t0 = time.perf_counter()
+    t0, before = time.perf_counter(), dict(filter_counts)
     area = estimate_area(s, s.powers, plan)
     result = {"estimated_area": area, "plan": asdict(plan)}
     manifest = RunManifest("estimate-area", digest, scen.seed, {},
-                           wall_time=time.perf_counter() - t0)
+                           wall_time=time.perf_counter() - t0,
+                           stats={"filter": _filter_stats(before)})
     _write_outputs(args.out, Path(args.scenario).stem, result, manifest)
     print(f"estimated covered fraction {area:.6g}")
     return 0
@@ -584,7 +591,7 @@ def _cmd_optimize(args) -> int:
     # the searches read the scenario's layout and constants, not its powers
     base, bounds, plan = scen.sinr, scen.bounds, scen.sampling
     seed = args.seed if args.seed is not None else (scen.seed or 0)
-    t0 = time.perf_counter()
+    t0, before = time.perf_counter(), dict(filter_counts)
     if args.method == "exhaustive":
         res = exhaustive_search(base, bounds, args.levels, plan, budget=args.budget)
     elif args.method == "rhc":
@@ -593,10 +600,13 @@ def _cmd_optimize(args) -> int:
     else:
         res = nelder_mead(objective(base, plan), bounds,
                           restarts=args.restarts, seed=seed)
-    stats = {"search": {"calls": res.evaluations, "computed": res.computed}}
+    stats = {"search": {"calls": res.evaluations, "computed": res.computed,
+                        "filter": _filter_stats(before)}}
     if args.post_process:
+        before = dict(filter_counts)
         res = post_process(base, res.best_power, bounds.p_min, plan)
-        stats["post_process"] = {"calls": res.evaluations, "computed": res.computed}
+        stats["post_process"] = {"calls": res.evaluations, "computed": res.computed,
+                                 "filter": _filter_stats(before)}
     result = res.to_dict()
     manifest = RunManifest(f"optimize-{args.method}", digest, seed,
                            {"levels": args.levels, "restarts": args.restarts,
@@ -615,13 +625,14 @@ def _cmd_optimize(args) -> int:
 def _cmd_sweep_power(args) -> int:
     _refuse_output_path(args, "--csv", args.csv)
     scen, digest = _load_scenario(args, "sinr")
-    t0 = time.perf_counter()
+    t0, before = time.perf_counter(), dict(filter_counts)
     curve = sweep_power(scen.sinr, scen.bounds, args.levels, scen.sampling)
     result = {"curve": [[p, a] for p, a in curve]}
     manifest = RunManifest("sweep-power", digest, scen.seed,
                            {"levels": args.levels},
                            wall_time=time.perf_counter() - t0,
-                           stats={"calls": len(curve), "computed": len(curve)})
+                           stats={"calls": len(curve), "computed": len(curve),
+                                  "filter": _filter_stats(before)})
     _write_outputs(args.out, Path(args.scenario).stem, result, manifest)
     if args.csv:
         _write_csv(args.csv, ["total_power", "estimated_area"],
@@ -643,9 +654,7 @@ def _cmd_render(args) -> int:
     else:
         s = scen.powered()
         n = 64 if n is None else n
-        if len(s.sites) * n * n > MAX_SAMPLE_PAIRS:
-            raise BudgetExceeded(f"{len(s.sites)} sites x {n}x{n} raster cells "
-                                 f"exceed {MAX_SAMPLE_PAIRS}")
+        check_sample_budget(len(s.sites), n * n)
         grid = capture_grid(s, n, n)
         artifact = CaptureRaster(s.window,
                                  tuple(tuple(int(v) for v in row) for row in grid))

@@ -719,6 +719,15 @@ class DynamicCoverage:
     def regions(self) -> dict[int, list[ArcPolygon]]:
         """Current coverage regions; recomputes (with their areas) only
         sites marked dirty, in one ``boolean_rows`` pass."""
+        self._refresh()
+        return {sid: self._regions[sid][0] for sid in self.transmitters}
+
+    def region_areas(self) -> dict[int, float]:
+        self._refresh()
+        return {sid: self._regions[sid][1] for sid in self.transmitters}
+
+    def _refresh(self) -> None:
+        """Recompute the regions and areas of the dirty sites."""
         self._resolve_offstage()
         dirty = sorted(self._dirty)
         rows = {sid: self._region_row(sid) for sid in dirty if sid in self.cells}
@@ -732,10 +741,6 @@ class DynamicCoverage:
             else:
                 self._regions.pop(sid, None)
         self._dirty.clear()
-        return {sid: self._regions[sid][0] for sid in self.transmitters}
-
-    def region_areas(self) -> dict[int, float]:
-        return {sid: self._regions[sid][1] for sid in self.regions}
 
     def _region_row(self, sid: int) -> Optional[tuple]:
         """The ``boolean_rows`` row of a site: its cell in the window, its

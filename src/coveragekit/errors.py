@@ -59,3 +59,9 @@ class InvalidArgument(ValueError):
     def __init__(self, name: str, reason: str):
         self.name = name
         super().__init__(reason)
+
+
+def require_transmitters(sites) -> None:
+    """The rule both engines share: a layout has at least one transmitter."""
+    if not sites:
+        raise InvalidArgument("sites", "need at least one transmitter")

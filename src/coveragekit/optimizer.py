@@ -8,10 +8,11 @@ optimizers use the deterministic grid.
 Three searches are provided: exhaustive enumeration over power levels in
 nondecreasing total-power order (so the first maximizer found is also the
 cheapest), a bidirectional random hill climb, and Nelder-Mead with restarts.
-Each evaluates one bound ``objective``, whose distance powers are built once
-per (sites, alpha, window, plan), caching values per exact power vector
-(``evaluations`` counts queries, cached or not); exhaustive search folds each
-prefix of levels once.  No thread setting changes a result.
+Each evaluates one bound ``objective``, whose distance powers (and the SINR
+filter's gain rows, shared with ``post_process``) are built once per (sites,
+alpha, window, plan), caching values per exact power vector (``evaluations``
+counts queries, cached or not); exhaustive search folds each prefix of
+levels once.  No thread setting changes a result.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BudgetExceeded
-from .sinr_model import (PowerVector, SinrEvaluator, SinrScenario, _cell_centers,
-                         _path_loss)
+from .sinr_model import (PathLoss, PowerVector, SinrEvaluator, SinrScenario, _cell_centers,
+                         _path_loss, check_sample_budget)
 
 
 @dataclass(frozen=True)
@@ -118,17 +119,12 @@ def sample_points(window, plan: SamplingPlan) -> np.ndarray:
     return pts * (window.width, window.height) + (window.x0, window.y0)
 
 
-# Most sites x sample points (entries of one float64 array) an estimate may
-# hold; larger plans raise BudgetExceeded before any sample is allocated.
-MAX_SAMPLE_PAIRS = 10 ** 7
-
-
 @functools.lru_cache(maxsize=1)
-def _gains(sites, alpha: float, window, plan: SamplingPlan) -> np.ndarray:
-    """``_path_loss`` of the plan's sample points; its callers share and only read it."""
-    points = math.prod(plan.grid_dims) if plan.kind == "grid" else plan.sample_count
-    if len(sites) * points > MAX_SAMPLE_PAIRS:
-        raise BudgetExceeded(f"{len(sites)} sites x {points} samples exceed {MAX_SAMPLE_PAIRS}")
+def _gains(sites, alpha: float, window, plan: SamplingPlan) -> PathLoss:
+    """``_path_loss`` of the plan's sample points; its callers share it, and
+    the filter's gain rows built on it, and only read them."""
+    check_sample_budget(len(sites), math.prod(plan.grid_dims) if plan.kind == "grid"
+                        else plan.sample_count)
     return _path_loss(sites, alpha, sample_points(window, plan))
 
 

@@ -45,7 +45,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import DiagramRejected, DuplicateSite
+from .errors import DiagramRejected, DuplicateSite, require_transmitters
 from .geometry import (ClippedRows, ConvexPolygon, Disk, Point2, Rect, bisector_line,
                        clip_coords, clip_rows, geom_eps, padded, side)
 
@@ -81,8 +81,7 @@ def admit(sites: dict[tuple[float, float, float], SiteId], sid: SiteId, d: Disk,
 
 def _validate(disks: Sequence[Disk], window: Rect) -> None:
     """``admit`` each of ``disks`` in turn; at least one is needed."""
-    if not disks:
-        raise ValueError("need at least one disk")
+    require_transmitters(disks)
     sites: dict[tuple[float, float, float], SiteId] = {}
     for i, d in enumerate(disks):
         admit(sites, i, d, window)

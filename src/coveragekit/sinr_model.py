@@ -9,7 +9,13 @@ threshold beta (non-strict, matching the area-estimation convention).
 
 Everything operates on immutable scenarios and is safe to parallelise over
 sample points.  A bound ``SinrEvaluator`` owns its scratch buffers, so each
-caller needs its own.
+caller needs its own.  Its masks come from a float32 filter that decides a
+sample only when the margin ``(1+beta) rmax - beta (acc + noise)`` clears a
+band of relative width ``k = 2 (n + 16) 2**-24`` for n sites, derived in the
+class docstring from the float32 and float64 unit roundoffs; samples in the
+band, samples on a site, and every sample of a vector outside the filter's
+float32 range take the exact float64 fold, so every mask is the fold's bit
+for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidArgument, Singularity
+from .errors import BudgetExceeded, InvalidArgument, Singularity, require_transmitters
 from .geometry import Point2, Rect, geom_eps
 
 SiteId = int
@@ -66,8 +72,7 @@ class SinrScenario:
     window: Rect
 
     def __post_init__(self):
-        if not self.sites:
-            raise InvalidArgument("sites", "need at least one transmitter")
+        require_transmitters(self.sites)
         if len(self.powers) != len(self.sites):
             raise InvalidArgument("powers", "power vector length must match site count")
         if self.alpha < 2.0:
@@ -148,47 +153,163 @@ def _cell_centers(window: Rect, nx: int, ny: int) -> np.ndarray:
     return np.column_stack([gx.ravel(), gy.ravel()])
 
 
-def _path_loss(sites, alpha: float, pts: np.ndarray) -> np.ndarray:
+# Most sites x sample points one sample may hold; larger requests raise
+# BudgetExceeded before any sample is allocated.  Each pair holds 8 bytes,
+# a float64 ``d**alpha``.  The filter's float32 rows, reserved up front and
+# touched only once it runs, add 4 for the gain (one per sample) and 4 for
+# the product (one per evaluator): 80 MB at the bound for a one-shot
+# estimate, 160 MB for a search or a post-process.
+MAX_SAMPLE_PAIRS = 10 ** 7
+
+
+def check_sample_budget(sites: int, points: int) -> None:
+    """Refuse ``sites`` x ``points`` pairs beyond ``MAX_SAMPLE_PAIRS``."""
+    if sites * points > MAX_SAMPLE_PAIRS:
+        raise BudgetExceeded(f"{sites} sites x {points} samples exceed {MAX_SAMPLE_PAIRS}")
+
+
+# The filter's range: every power, gain and receive power it forms, and
+# each sum of receive powers plus noise, lies in [2**-100, 2**100], deep
+# inside float32's normal range, so each of its roundings is relative.
+_LO, _HI = 2.0 ** -100, 2.0 ** 100
+_U32 = 2.0 ** -24  # float32 unit roundoff
+
+# Running totals over every evaluator, for run manifests: samples the
+# filter decided, samples in its band (decided by the exact fold), and
+# evaluations the exact fold made whole, of which ``range_fallbacks``
+# failed the range check (the others came before the gain rows existed).
+filter_counts = {"decided": 0, "band": 0, "whole": 0, "range_fallbacks": 0}
+
+
+class PathLoss:
+    """A sample's site-major ``d**alpha`` rows, shape (n_sites, N), as
+    ``dpow``; and, filled by the first ``gains()`` and shared by every
+    evaluator of the sample, the filter's float32 gain rows ``1/d**alpha``
+    (both rounded to float32; NaN on a site or beyond float32) with each
+    row's least and largest gain, 0 and inf for a row outside the filter's
+    range.  The gain rows are reserved here and touched only when filled,
+    so a sample never filtered costs them no memory."""
+
+    def __init__(self, dpow: np.ndarray):
+        self.dpow = dpow
+        self._g = np.empty(dpow.shape, dtype=np.float32)
+        self._ranges: Optional[tuple[list[float], list[float]]] = None
+
+    @property
+    def built(self) -> bool:
+        return self._ranges is not None
+
+    def gains(self) -> tuple[np.ndarray, list[float], list[float]]:
+        if self._ranges is None:
+            lo, hi = [], []
+            with np.errstate(divide="ignore", over="ignore"):
+                for row, out in zip(self.dpow, self._g):
+                    np.copyto(out, row, casting="same_kind")
+                    np.divide(np.float32(1.0), out, out=out)
+                    out[np.isinf(out)] = np.nan
+                    a, b = float(np.fmin.reduce(out)), float(np.fmax.reduce(out))
+                    ok = _LO <= a and b <= _HI  # False for a row of NaNs
+                    lo.append(a if ok else 0.0)
+                    hi.append(b if ok else math.inf)
+            self._ranges = lo, hi
+        return (self._g, *self._ranges)
+
+
+def _path_loss(sites, alpha: float, pts: np.ndarray) -> PathLoss:
     """Site-major ``d**alpha``, shape (n_sites, N), for (N,2) points."""
     sx = np.array([q.x for q in sites])[:, None]
     sy = np.array([q.y for q in sites])[:, None]
     d2 = (pts[:, 0] - sx) ** 2 + (pts[:, 1] - sy) ** 2
-    return d2 ** (alpha / 2.0)
+    return PathLoss(d2 ** (alpha / 2.0))
 
 
 class SinrEvaluator:
-    """Coverage of a fixed sample of N points (``d**alpha`` rows ``dpow``)
-    under any power vector, a float tuple or an ndarray: the powered sites
-    are folded in index order into scratch rows, ``r = p_i / d_i``, ``acc +=
-    r``, ``rmax = max(rmax, r)``.  For N >= 2 that is numpy's axis-0 sum order,
-    so results equal a site-major reduction bit for bit; for N = 1 it is
-    ``is_covered``'s.  Unpowered sites are skipped: they would add +0.0."""
+    """Coverage of a fixed sample of N points (``PathLoss`` rows ``dpow``)
+    under any power vector, a float tuple or an ndarray.
 
-    def __init__(self, s: SinrScenario, dpow: np.ndarray):
+    The exact fold folds the powered sites in index order into scratch rows,
+    ``r = p_i / d_i``, ``acc += r``, ``rmax = max(rmax, r)``, and a sample
+    is covered when ``rmax >= beta * (acc - rmax + noise)``.  For N >= 2
+    that is numpy's axis-0 sum order, so results equal a site-major
+    reduction bit for bit; for N = 1 it is ``is_covered``'s.  Unpowered
+    sites are skipped: they would add +0.0.  ``capture`` and ``product``
+    (which folds each prefix once) use it alone.
+
+    ``mask`` first runs a float32 filter with no division: ``r = g_i * p_i``
+    over the float32 gain rows, ``acc = sum r``, ``rmax = max r``.  The
+    margin ``(1+beta) rmax - beta (acc + noise)`` has the sign of the exact
+    test; the filter decides a sample covered when ``rmax > (1+k) h (acc +
+    noise)`` and uncovered when ``rmax < (1-k) h (acc + noise)``, with ``h =
+    beta/(1+beta)``, which is ``|margin| > k' * ((1+beta) rmax + beta (acc +
+    noise))`` for ``k'`` about ``k/2``.  Every other sample takes the exact
+    fold on its own columns, with the fold's operations in its order: those
+    in the band, those on a site or with a gain beyond float32 (NaN gains),
+    and every sample of a vector whose powered sites' powers, gains or
+    receive powers, or whose sum plus noise, leave [2**-100, 2**100] (the
+    range check).  So every mask equals the exact fold's bit for bit.
+
+    The band.  Take ``u = 2**-24`` and ``u64 = 2**-53``, n sites, the exact
+    receive powers ``x_i = p_i / d_i**alpha``, ``M = max x_i``, ``X = sum
+    x_i`` and ``W = (1+beta) M + beta (X + noise)``.  The fold rounds ``r``,
+    its n - 1 sums, ``acc - rmax``, ``+ noise`` and ``* beta`` once each,
+    so it decides as ``E = (1+beta) M - beta (X + noise)`` does whenever
+    ``|E| > (n + 6) u64 W``.  In the filter each ``r`` carries four
+    roundings (``d**alpha`` and its reciprocal to float32, ``p_i``, the
+    product), so ``rmax`` is within 4u of M; ``acc + noise`` adds n - 1
+    sums, noise's rounding and one sum, within (n + 5)u of ``X + noise``;
+    the threshold adds its constant's and its product's, (n + 7)u.  A
+    decided sample thus has M beyond ``(1 ± k) h (X + noise)`` times ``1 ∓
+    (n + 11)u``, and ``k = 2 (n + 16) u`` exceeds ``(n + 11)u + 2 (n + 6)
+    u64`` with room for the second-order terms while n < 2**12: its sign
+    is E's and the fold's.  (With no site powered, ``rmax`` is 0, and the
+    filter can only call a sample uncovered, as the fold does.)  Larger
+    layouts, and beta below 2**-20 (whose thresholds would leave the range),
+    always take the fold.
+
+    The gain rows are filled on an evaluator's second call, unless the
+    sample's are filled already, so a one-shot estimate costs only the fold;
+    they and the filter's scratch are reserved up front and touched only
+    when the filter runs, so no evaluation after the first allocates more
+    than its band's columns.
+    """
+
+    def __init__(self, s: SinrScenario, loss: PathLoss):
+        dpow = loss.dpow
         self.rows, self.beta, self.noise = list(dpow), s.beta, s.noise
         self.size = dpow.shape[1]
+        self._loss, self._seen = loss, False
         self._quiet = contextlib.nullcontext if dpow.all() else \
             lambda: np.errstate(divide="ignore", invalid="ignore")  # a sample on a site
         self._f = list(np.zeros((7, self.size)))  # 0, r, acc, rmax, last site's acc, rmax, tail
         self._b = list(np.empty((2, self.size), dtype=bool))
+        n = len(self.rows)
+        h, k = s.beta / (1.0 + s.beta), 2 * (n + 16) * _U32
+        self._filter = None  # float32 thresholds (1+k) h and (1-k) h, and the noise
+        if n < 2 ** 12 and h >= 2.0 ** -20:
+            self._filter = tuple(np.float32(v) for v in (h * (1 + k), h * (1 - k), min(s.noise, _HI)))
+            prod = np.empty((n + 3, self.size), dtype=np.float32)  # touched only by the filter
+            self._scratch = (prod[:n], list(prod[:n]), *prod[n:],
+                             *np.empty((2, self.size), dtype=bool))
 
-    def _fold(self, p, first: int = 0, state=None, out=(2, 3)):
+    def _fold(self, p, first: int = 0, state=None, out=(2, 3), f=None, cols=None):
         """Fold sites first, first + 1, ... at powers p into ``state`` (acc,
-        rmax), zero rows by default, writing the scratch rows ``out``."""
-        f = self._f
+        rmax), zero rows by default, writing the scratch rows ``out`` of
+        ``f`` (the evaluator's own by default), on the sample columns
+        ``cols`` (all by default)."""
+        f = f or self._f
         acc, rmax = state or (f[0], f[0])
         r, out_acc, out_max = f[1], f[out[0]], f[out[1]]
         for v, row in zip(p, self.rows[first:]):
             if v != 0.0:
-                np.divide(v, row, out=r)
+                np.divide(v, row if cols is None else np.take(row, cols, out=f[6]), out=r)
                 acc = np.add(acc, r, out=out_acc)
                 rmax = np.maximum(rmax, r, out=out_max)
         return acc, rmax
 
-    def _covered(self, acc, rmax) -> np.ndarray:
+    def _covered(self, acc, rmax, f=None, b=None) -> np.ndarray:
         # no denom <= 0 test: denom >= 0 as acc >= rmax, and rmax >= beta * 0
-        cov, tmp = self._b
-        t = np.subtract(acc, rmax, out=self._f[6])  # inf - inf where rmax is infinite
+        cov, tmp = b or self._b
+        t = np.subtract(acc, rmax, out=(f or self._f)[6])  # inf - inf where rmax is infinite
         t += self.noise
         t *= self.beta
         np.greater_equal(rmax, t, out=cov)
@@ -196,12 +317,58 @@ class SinrEvaluator:
         cov |= np.isinf(rmax, out=tmp)
         return cov
 
+    def _exact(self, p, cols=None) -> np.ndarray:
+        """The exact fold's mask of p on the sample columns ``cols`` (all
+        by default), in views of the scratch rows."""
+        if cols is None:
+            return self._covered(*self._fold(p))
+        f, b = ([row[:len(cols)] for row in rows] for rows in (self._f, self._b))
+        return self._covered(*self._fold(p, f=f, cols=cols), f, b)
+
+    def _in_range(self, p) -> bool:
+        """The range check, on the powered sites of p."""
+        _, lo, hi = self._loss.gains()
+        total = self.noise
+        for v, a, b in zip(p, lo, hi):
+            if v != 0.0:
+                if not (_LO <= v <= _HI and v * a >= _LO):
+                    return False
+                total += v * b
+        return total <= _HI
+
+    def _filtered(self, p) -> np.ndarray:
+        """The filter's mask of p, its band decided by the exact fold."""
+        prod, prod_rows, acc, rmax, t, cov, decided = self._scratch
+        hi, lo, noise = self._filter
+        for g, out, v in zip(self._loss.gains()[0], prod_rows, np.array(p, dtype=np.float32)):
+            np.multiply(g, v, out=out)
+        np.add.reduce(prod, axis=0, out=acc)
+        np.maximum.reduce(prod, axis=0, out=rmax)  # NaN where a gain is NaN
+        np.add(acc, noise, out=t)
+        np.greater(rmax, np.multiply(t, hi, out=acc), out=cov)
+        np.less(rmax, np.multiply(t, lo, out=acc), out=decided)
+        decided |= cov
+        band = self.size - int(np.count_nonzero(decided))
+        if band:
+            cols = np.flatnonzero(np.logical_not(decided, out=decided))
+            cov[cols] = self._exact(p, cols)
+        filter_counts["decided"] += self.size - band
+        filter_counts["band"] += band
+        return cov
+
     def mask(self, p) -> np.ndarray:
         """Coverage mask of the sample under powers p (a scratch row)."""
         if len(p) != len(self.rows):
             raise ValueError("power vector length must match site count")
+        p = p.tolist() if isinstance(p, np.ndarray) else p  # floats for the range check
+        seen, self._seen = self._seen, True
         with self._quiet():
-            return self._covered(*self._fold(p))
+            if seen or self._loss.built:
+                if self._filter is not None and self._in_range(p):
+                    return self._filtered(p)
+                filter_counts["range_fallbacks"] += 1
+            filter_counts["whole"] += 1
+            return self._exact(p)
 
     def __call__(self, p) -> float:
         """Covered fraction of the sample under powers p."""
@@ -238,8 +405,8 @@ class SinrEvaluator:
 
 def capture_grid(s: SinrScenario, nx: int, ny: int) -> np.ndarray:
     """Capture-transmitter ids (smallest on ties) on an (ny, nx) raster."""
-    dpow = _path_loss(s.sites, s.alpha, _cell_centers(s.window, nx, ny))
-    return SinrEvaluator(s, dpow).capture(s.powers.values).reshape(ny, nx)
+    loss = _path_loss(s.sites, s.alpha, _cell_centers(s.window, nx, ny))
+    return SinrEvaluator(s, loss).capture(s.powers.values).reshape(ny, nx)
 
 
 def _ray_exit_distance(window: Rect, origin: Point2, dx: float, dy: float) -> float:

@@ -376,6 +376,25 @@ def test_a_repeated_interference_disk_is_refused_by_both_engines_and_commands(
                         "ops": [dict(t, op="insert") for t in specs]}, "ops[2]")
 
 
+def test_cli_refuses_an_empty_transmitter_list_in_one_text(tmp_path, capsys):
+    # both engines apply one rule, so every command of both models refuses
+    # ``"transmitters": []`` with the same line (the SINR file without its
+    # two-site bounds, which would be refused first)
+    sinr = {k: v for k, v in SINR_SCENARIO.items() if k != "bounds"}
+    runs = [(PROTOCOL_SCENARIO, ["build-map"]), (PROTOCOL_SCENARIO, ["render"]),
+            (sinr, ["estimate-area"]), (sinr, ["sweep-power"]), (sinr, ["render"])]
+    runs += [(sinr, ["optimize", m]) for m in ("rhc", "nm", "exhaustive")]
+    for doc, command in runs:
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(dict(doc, transmitters=[])))
+        out = ["--svg", str(tmp_path / "x.svg")] if command == ["render"] \
+            else ["--out", str(tmp_path / "x.result.json")]
+        capsys.readouterr()
+        assert cli([*command, str(path), *out]) == 2, command
+        assert capsys.readouterr().err == "error: transmitters: need at least one transmitter\n"
+    assert not list(tmp_path.glob("x.*"))
+
+
 def test_cli_input_error_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
@@ -551,15 +570,23 @@ def test_cli_objective_counters_in_manifest_only(tmp_path):
                     "--out", str(out)]) == 0
         result = json.loads(out.read_text())
         stats = json.loads((tmp_path / f"{method}.manifest.json").read_text())["stats"]
-        assert "stats" not in result and "computed" not in result
+        assert not {"stats", "computed", "filter"} & set(result)
         assert set(stats) == {"search", "post_process"}
-        for phase in stats.values():
+        for name, phase in stats.items():
             assert 1 <= phase["computed"] <= phase["calls"]
+            # every computed vector is one mask of the 20x20 grid, except
+            # exhaustive search's, which folds level prefixes exactly
+            masks = 0 if (method, name) == ("exhaustive", "search") else phase["computed"]
+            f = phase["filter"]
+            assert f["decided"] + f["band"] + 400 * f["whole"] == 400 * masks
         assert stats["post_process"]["calls"] == result["evaluations"]
     assert cli(["sweep-power", str(scen), "--levels", "5",
                 "--out", str(tmp_path / "sw.result.json")]) == 0
     stats = json.loads((tmp_path / "sw.manifest.json").read_text())["stats"]
+    f = stats.pop("filter")
     assert stats == {"calls": 5, "computed": 5}
+    assert f["decided"] + f["band"] + 400 * f["whole"] == 5 * 400
+    assert f["range_fallbacks"] == 0 and f["whole"] <= 1
 
 
 def test_cli_estimate_and_sweep(tmp_path, capsys):

@@ -5,12 +5,13 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coveragekit.errors import Singularity
 from coveragekit.geometry import Point2, Rect
 from coveragekit.sinr_model import (PowerVector, SinrEvaluator, SinrScenario,
                                     _cell_centers, _path_loss, capture_grid,
-                                    capture_transmitter, is_covered,
+                                    capture_transmitter, filter_counts, is_covered,
                                     ratio_profile, ray_coverage_profile)
 
 from sinr_reference import _path_loss as _reference_path_loss
@@ -359,3 +360,69 @@ def test_capture_grid_equals_the_scalar_capture_at_every_cell_centre():
             checked += 1
             assert capture_transmitter(s, Point2(x, y)) == got, (s.alpha, x, y)
     assert checked >= 24000
+
+
+# Powers for the filter property: unpowered sites, ordinary powers, and
+# powers whose receive powers leave the filter's range, which must fall
+# back whole: 1e-300 underflows float32, 1e90 overflows it, and near 1e37
+# one receive power fits float32 while a sum of them overflows.
+FILTER_POWERS = st.one_of(st.just(0.0), st.floats(0.01, 100.0),
+                          st.sampled_from([1e-300, 1e90]), st.floats(1e36, 1e38))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(alpha=st.sampled_from([2.0, 3.0, 4.0]), beta=st.sampled_from([0.3, 1.0, 1.5, 2.5]),
+       noise=st.sampled_from([0.0, 1e-3, 0.5, 1000.0]),
+       sites=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=2, max_size=8),
+       data=st.data())
+def test_filtered_mask_equals_reference_mask(alpha, beta, noise, sites, data):
+    n = len(sites)
+    vectors = data.draw(st.lists(st.lists(FILTER_POWERS, min_size=n, max_size=n),
+                                 min_size=1, max_size=4))
+    s = scen(sites, [1.0] * n, alpha=alpha, beta=beta, noise=noise)
+    pts = np.vstack([_cell_centers(UNIT, 12, 12), np.array(sites)])  # the last n on the sites
+    ev = SinrEvaluator(s, _path_loss(s.sites, s.alpha, pts))
+    assert np.array_equal(ev.mask([1.0] * n), reference_mask(s, pts, [1.0] * n))
+    before = dict(filter_counts)
+    for p in vectors:
+        assert np.array_equal(ev.mask(p), reference_mask(s, pts, p)), p
+    after = {k: v - before[k] for k, v in filter_counts.items()}
+    # the first mask was exact and whole; every later one was filtered, its
+    # band taking the exact fold, or fell back whole on the range check
+    assert after["whole"] == after["range_fallbacks"]
+    assert (after["decided"] + after["band"]) / len(pts) + after["range_fallbacks"] == len(vectors)
+
+
+def _bisect_to_boundary(covered, lo: float, hi: float) -> tuple[float, float]:
+    """Shrink [lo, hi], covered at lo and not at hi, to adjacent floats."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo, hi
+        lo, hi = (mid, hi) if covered(mid) else (lo, mid)
+
+
+def test_samples_on_the_coverage_boundary_take_the_exact_fold():
+    rng = random.Random(23)
+    powers = [rng.uniform(0.5, 5.0) for _ in range(6)]
+    s = scen([(rng.random(), rng.random()) for _ in range(6)], powers,
+             alpha=3.0, beta=1.5, noise=0.5)
+    pts = []
+    for site in s.sites:
+        for k in range(12):
+            dx, dy = math.cos(0.1 + k * math.pi / 6), math.sin(0.1 + k * math.pi / 6)
+
+            def covered(t):
+                return reference_mask(s, np.array([[site.x + t * dx, site.y + t * dy]]), powers)[0]
+            if covered(1e-6) and not covered(2.0):
+                for t in _bisect_to_boundary(covered, 1e-6, 2.0):
+                    pts.append((site.x + t * dx, site.y + t * dy))
+    pts = np.array(pts + [(q.x, q.y) for q in s.sites])  # and the sites themselves
+    want = reference_mask(s, pts, powers)
+    assert len(pts) >= 100 and 0 < want.sum() < len(pts)
+    ev = SinrEvaluator(s, _path_loss(s.sites, s.alpha, pts))
+    assert np.array_equal(ev.mask(powers), want)  # the first mask: exact and whole
+    before = dict(filter_counts)
+    assert np.array_equal(ev.mask(powers), want)
+    assert filter_counts["band"] > before["band"]
+    assert filter_counts["whole"] == before["whole"]
