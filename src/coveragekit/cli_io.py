@@ -557,7 +557,8 @@ def _cmd_dynamic(args) -> int:
               "hidden": {str(k): v for k, v in sorted(dc.hidden.items())}}
     stats = {"op_wall_times": [rep.wall_time for rep in reports],
              "traverse_fallbacks": dc.traverse_fallbacks,
-             "revival_tests": dc.revival_tests, "climb_steps": dc.climb_steps}
+             "revival_tests": dc.revival_tests, "climb_steps": dc.climb_steps,
+             "lattice_nodes": len(dc.x), "parked": len(dc.hidden)}
     manifest = RunManifest("dynamic", _sha256(data),
                            seed, {"ops": len(reports)},
                            wall_time=time.perf_counter() - t0, stats=stats)

@@ -5,13 +5,15 @@ the power diagram is the downward projection of the lower boundary of the
 half-space intersection, bounded by a large working square.  The structure
 maintained here is that projected lattice (cells as convex polygons of
 vertex nodes) plus a history of every vertex ever made, each kept once, in
-parallel lists indexed by node id (the compact vertex arrays of Boissonnat
-et al. 2002, *Triangulations in CGAL*):
+one slot per node id of a few node arrays (the compact vertex arrays of
+Boissonnat et al. 2002, *Triangulations in CGAL*, and Blandford et al.
+2005, *Compact representations of simplicial meshes*):
 
-* each vertex has its 3-D position (``x``, ``y``, ``z``), the update that
-  made it (``layer``), once it dies a vertex made by the update that killed
-  it (``next``), and the sites whose cells have had it as a corner
-  (``incident``);
+* each vertex has its 3-D position (``x``, ``y``, ``z``, typed ``array('d')``)
+  and the update that made it (``layer``, ``array('q')``); once it dies, a
+  vertex made by the update that killed it (``next``, a list, None while it
+  is current); and the sites whose cells have had it as a corner
+  (``incident``, a tuple that only grows, each site once);
 * a cell is a CCW ring of node ids, so it stores no coordinate;
 * nodes 0-7, made first, are the roots: the corners of the bounding volume,
   the four lower ones first;
@@ -37,13 +39,17 @@ local climb over the lattice (exact: the envelope is convex).
 Redundant half-spaces are never inserted: the disk is parked in ``hidden``
 keyed by the site whose cell contains its center.  A deletion lowers the
 envelope only over the deleted cell, so parked disks are tested against its
-new vertices alone.  Whether a parked disk still wins somewhere beyond the
-working square (``offstage``) is decided when regions are read.  Coverage
-regions are maintained lazily: updates mark affected sites dirty and
-``regions`` recomputes exactly those.  A read takes only the neighbours from
-the lattice and cuts the window by their bisectors with static ``build``'s
-recipe, ``power_diagram._clip_cell`` (the one cell builder here), so the
-rounding of the lattice's vertices never reaches a region.
+new vertices alone: their planes, stacked in ascending site order, against
+those vertices in one numpy pass over views of the node arrays; the first
+disk that passes above one is inserted, and only the disks after it are
+tested again, against the vertices its cell added as well.  Whether a
+parked disk still wins somewhere beyond the working square (``offstage``)
+is decided when regions are read.  Coverage regions are maintained lazily:
+updates mark affected sites dirty and ``regions`` recomputes exactly those.
+A read takes only the neighbours from the lattice and cuts the window by
+their bisectors with static ``build``'s recipe, ``power_diagram._clip_cell``
+(the one cell builder here), so the rounding of the lattice's vertices
+never reaches a region.
 
 Single-writer structure: no concurrent mutation.
 """
@@ -52,10 +58,13 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
 from collections import deque
 from dataclasses import asdict, dataclass
 from itertools import chain
-from typing import Optional
+from typing import NamedTuple, Optional
+
+import numpy as np
 
 from ..errors import LatticeError
 from ..geometry import (ArcPolygon, Disk, Point2, Rect, arc_polygon_area, boolean_rows,
@@ -68,9 +77,9 @@ _Z_BIG = 1.0e30
 _MEGA_FACTOR = 1.0e6
 
 
-@dataclass(frozen=True)
-class HalfSpace3:
-    """Upper half-space {(x, y, z) : z >= a*x + b*y + c}."""
+class HalfSpace3(NamedTuple):
+    """Upper half-space {(x, y, z) : z >= a*x + b*y + c}; a tuple, so
+    planes stack into numpy rows."""
     a: float
     b: float
     c: float
@@ -138,9 +147,13 @@ class DynamicCoverage:
     As in static ``build``, transmitters are admitted on their interference
     disks by ``power_diagram.admit``, and cells and regions are cut at
     ``eps``, the window's ``geom_eps``.
-    Cells share vertex nodes by construction (see the module docstring);
-    ``check_invariants`` verifies the lattice after any sequence of updates.  The working square is
-    centered on the window, with half-width 4 * max(window diameter, 1).
+    Cells share vertex nodes by construction (see the module docstring):
+    positions and layers in typed arrays, incident sites in tuples, one
+    slot per node id, kept for vertices that died too.  A deletion tests
+    every parked disk against the vertices it uncovered in one numpy pass
+    (``_scan_parked``).  ``check_invariants`` verifies the lattice after any
+    sequence of updates.  The working square is centered on the window,
+    with half-width 4 * max(window diameter, 1).
 
     ``seed`` is accepted for compatibility with callers that pass one; the
     structure draws no random numbers, so it does not change any result.
@@ -158,13 +171,13 @@ class DynamicCoverage:
         self._tx_keys: dict[tuple[float, float, float], int] = {}  # by interference disk
         self._int_disks: dict[int, Disk] = {}
         self.planes: dict[int, HalfSpace3] = {}
-        # vertex nodes, one slot per id in each list (see the module docstring)
-        self.x: list[float] = []
-        self.y: list[float] = []
-        self.z: list[float] = []
-        self.layer: list[int] = []
+        # vertex nodes, one slot per id in each (see the module docstring)
+        self.x = array("d")
+        self.y = array("d")
+        self.z = array("d")
+        self.layer = array("q")
         self.next: list[Optional[int]] = []
-        self.incident: list[set[int]] = []
+        self.incident: list[tuple[int, ...]] = []
         self.face_by_layer: dict[int, list[int]] = {}
         self.cells: dict[int, list[int]] = {}  # CCW rings of vertex ids
         self.neighbors: dict[int, set[int]] = {}
@@ -200,14 +213,16 @@ class DynamicCoverage:
         self.z.append(z)
         self.layer.append(self._layer)
         self.next.append(None)
-        self.incident.append(set())
+        self.incident.append(())
         self.face_by_layer.setdefault(self._layer, []).append(nid)
         return nid
 
     def _commit_cell(self, sid: int, ring: list[int]) -> None:
         self.cells[sid] = ring
+        incident = self.incident
         for u in ring:
-            self.incident[u].add(sid)
+            if sid not in incident[u]:
+                incident[u] += (sid,)
 
     def _bury(self, dead, face: list[int]) -> None:
         """Point each dead vertex at a vertex of ``face`` this update made:
@@ -251,8 +266,8 @@ class DynamicCoverage:
             u = stack.pop()
             if side(hs.height(xs[u], ys[u]) - gaps[best], zs[u]) < 0:
                 continue
-            for c in self.incident[u] & self.cells.keys():
-                for w in self.cells[c]:
+            for c in self.incident[u]:
+                for w in self.cells.get(c, ()):
                     if w not in gaps:
                         gaps[w] = gap(w)
                         if gaps[w] > gaps[best]:
@@ -262,11 +277,14 @@ class DynamicCoverage:
         return best if self._outside(best, hs) else None
 
     def _traverse(self, hs: HalfSpace3) -> Optional[int]:
+        # ``_outside`` inline: the plane's height, then ``side``
+        xs, ys, zs = self.x, self.y, self.z
+        ha, hb, hc = hs.a, hs.b, hs.c
         visits = 0
         u = None
         for r in range(8):  # the roots
             visits += 1
-            if self._outside(r, hs):
+            if side(ha * xs[r] + hb * ys[r] + hc, zs[r]) > 0:
                 u = r
                 break
         if u is None:
@@ -283,7 +301,7 @@ class DynamicCoverage:
             found = None
             for w in self.face_by_layer.get(self.layer[nxt], ()):
                 visits += 1
-                if self._outside(w, hs):
+                if side(ha * xs[w] + hb * ys[w] + hc, zs[w]) > 0:
                     found = w
                     break
             if found is None:
@@ -609,12 +627,16 @@ class DynamicCoverage:
         # square's boundary had its whole power cell inside the square, so
         # only a deleted cell on the boundary changes who wins beyond it
         revived: list[int] = []
-        for h in sorted(self.hidden):
-            probe = self._first_outside(self.planes[h], near)
+        parked = sorted(self.hidden)
+        planes = np.fromiter(chain.from_iterable(map(self.planes.__getitem__, parked)),
+                             float, 3 * len(parked)).reshape(-1, 3)
+        while parked:
+            k, probe = self._scan_parked(planes, near)
+            if on_side:
+                self._offstage_pending.update(parked[:k])
             if probe is None:
-                if on_side:
-                    self._offstage_pending.add(h)
-                continue
+                break
+            h, parked, planes = parked[k], parked[k + 1:], planes[k + 1:]
             self._unpark(h)
             events.append(("revived", h))
             affected.extend(a for a in self._insert_site(h, probe, events) if a in self.cells)
@@ -628,14 +650,24 @@ class DynamicCoverage:
                             structural_change=len(set(affected)) + 1, hidden_events=events,
                             wall_time=time.perf_counter() - start)
 
-    def _first_outside(self, hs: HalfSpace3, near: list[int]) -> Optional[int]:
-        """The first current vertex of ``near`` outside ``hs``, if any."""
-        for u in near:
-            if self.next[u] is None:
-                self.revival_tests += 1
-                if self._outside(u, hs):
-                    return u
-        return None
+    def _scan_parked(self, planes: np.ndarray, near: list[int]) -> tuple[int, Optional[int]]:
+        """The first row ``k`` of ``planes`` (rows ``a, b, c``) that passes
+        above a current vertex of ``near``, and the first such vertex in
+        ``near`` order: the test of ``_outside``, made for every row and
+        vertex in one numpy pass over views of the node arrays.  Returns
+        ``(len(planes), None)`` if no row does.  ``revival_tests`` counts the
+        vertices a row-by-row scan stopping at the first hit would test."""
+        cur = np.array([u for u in near if self.next[u] is None], dtype=np.intp)
+        x, y, z = (np.frombuffer(a)[cur] for a in (self.x, self.y, self.z))
+        out = side(planes[:, :1] * x + planes[:, 1:2] * y + planes[:, 2:], z) > 0
+        hit = out.any(axis=1)
+        if not hit.any():
+            self.revival_tests += len(planes) * len(cur)
+            return len(planes), None
+        k = int(hit.argmax())
+        j = int(out[k].argmax())
+        self.revival_tests += k * len(cur) + j + 1
+        return k, int(cur[j])
 
     def _forget(self, sid: int) -> None:
         gone = self.transmitters.pop(sid)
@@ -760,11 +792,14 @@ class DynamicCoverage:
         """Assert that the cells form a valid lattice: they tile the working
         square (areas sum to it within 1e-9 relative), every vertex of a
         cell is current and lists the cell in ``incident`` (the walk and
-        the carve rely on both), every edge off the square's boundary has
-        exactly two cells, each neighbour set is the set of cells sharing an
-        edge (hence symmetric and free of self-loops), and Euler's formula
-        holds.  An empty structure has no lattice to check."""
+        the carve rely on both), no ``incident`` tuple lists a site twice,
+        every edge off the square's boundary has exactly two cells, each
+        neighbour set is the set of cells sharing an edge (hence symmetric
+        and free of self-loops), and Euler's formula holds.  An empty
+        structure has no lattice to check."""
         assert bool(self.cells) == bool(self.neighbors), "neighbours without cells"
+        for u, sites in enumerate(self.incident):
+            assert len(set(sites)) == len(sites), f"vertex {u}: incident repeats a site {sites}"
         if not self.cells:
             return
         sq, xs, ys = self.square, self.x, self.y

@@ -632,6 +632,32 @@ def test_cli_dynamic_script(tmp_path):
     assert stats["revival_tests"] > 0
 
 
+def test_cli_dynamic_manifest_counts_lattice_nodes_and_parked(tmp_path):
+    window = {"x0": -5.0, "y0": -5.0, "x1": 5.0, "y1": 5.0}
+    ops = [{"op": "insert", "x": x, "y": 0.0, "tx_radius": 1.0, "int_radius": 1.5}
+           for x in (-2.0, 0.0, 2.0)]
+    ops += [{"op": "insert", "x": -0.1, "y": 0.0, "tx_radius": 0.3, "int_radius": 0.5},
+            {"op": "delete", "site": 2}]
+    path = tmp_path / "script.json"
+    path.write_text(json.dumps({"window": window, "ops": ops}))
+    out = tmp_path / "dyn.result.json"
+    assert cli(["dynamic", str(path), "--out", str(out)]) == 0
+    # the same ops on a structure of our own: its node slots, the vertices
+    # its re-tiling made and dropped included, and the disk still parked
+    dc = DynamicCoverage(Rect(-5.0, -5.0, 5.0, 5.0))
+    for op in ops[:4]:
+        dc.insert_transmitter(ProtocolTransmitter(Point2(op["x"], op["y"]), op["tx_radius"],
+                                                  op["int_radius"]))
+    dc.delete_transmitter(2)
+    live = {u for ring in dc.cells.values() for u in ring}
+    assert len(dc.x) > 8 + len(live) and list(dc.hidden) == [3]
+    stats = json.loads((tmp_path / "dyn.manifest.json").read_text())["stats"]
+    assert (stats["lattice_nodes"], stats["parked"]) == (len(dc.x), 1)
+    result = json.loads(out.read_text())
+    assert sorted(result) == ["final_region_areas", "hidden", "reports"]
+    assert "lattice_nodes" not in json.dumps(result)
+
+
 def test_cli_render_capture(tmp_path):
     scen = tmp_path / "s.json"
     scen.write_text(json.dumps(SINR_SCENARIO))

@@ -4,6 +4,7 @@ rebuild of the same transmitter set."""
 
 import math
 import random
+from types import MethodType
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -297,6 +298,100 @@ def test_nested_concentric_hidden_disk():
     assert_matches_static(dc, win, "nested-revive")
 
 
+def sequential_scan_parked(dc: DynamicCoverage, planes, near):
+    """The reference of ``DynamicCoverage._scan_parked``: each parked plane,
+    in row order, against each current vertex of ``near`` in turn with
+    ``_outside``, stopping at the first vertex outside."""
+    for k, (a, b, c) in enumerate(planes.tolist()):
+        hs = HalfSpace3(a, b, c)
+        for u in near:
+            if dc.next[u] is None:
+                dc.revival_tests += 1
+                if dc._outside(u, hs):
+                    return k, u
+    return len(planes), None
+
+
+def with_sequential_scan(dc: DynamicCoverage) -> DynamicCoverage:
+    dc._scan_parked = MethodType(sequential_scan_parked, dc)
+    return dc
+
+
+def test_second_revival_probes_a_vertex_of_the_first():
+    # three sites meet at the origin once the big middle disk is gone, so
+    # the hole's one current vertex is there; both parked disks pass above
+    # it, site 4 revives first and kills it, and site 5 then passes above
+    # vertices of site 4's new cell alone
+    win = Rect(-8.0, -8.0, 8.0, 8.0)
+    layout = [(0.0, 6.0, 2.0), (-6.0, -3.0, 2.0), (6.0, -3.0, 2.0), (0.0, 0.0, 4.0),
+              (-1.0, -0.5, 0.5), (0.5, 0.0, 1.0)]
+    runs = []
+    for dc in (DynamicCoverage(win), with_sequential_scan(DynamicCoverage(win))):
+        reps = [dc.insert_transmitter(tx(x, y, 0.7 * r, r)) for (x, y, r) in layout]
+        assert [r.redundant for r in reps] == [False] * 4 + [True] * 2
+        hole, probes = [], {}
+        retile, insert_site = dc._retile, dc._insert_site
+
+        def recorded_retile(*args, retile=retile):
+            hole.extend(retile(*args))
+            return list(hole)
+
+        def recorded_insert(sid, probe, events, dc=dc, insert_site=insert_site):
+            # the probe, whether it is current and whether the last update made it
+            probes[sid] = (probe, dc.next[probe] is None, dc.layer[probe] == dc._layer)
+            return insert_site(sid, probe, events)
+
+        dc._retile, dc._insert_site = recorded_retile, recorded_insert
+        rep = dc.delete_transmitter(3)
+        assert rep.hidden_events == [("revived", 4), ("revived", 5)]
+        (centre,) = hole
+        assert probes[4] == (centre, True, True) and dc.next[centre] is not None
+        assert dc._outside(centre, dc.planes[5])
+        assert probes[5][1:] == (True, True) and probes[5][0] != centre
+        dc.check_invariants()
+        assert_matches_static(dc, win)
+        runs.append((rep.to_dict(), dc.region_areas(), dc.cells, dc.revival_tests))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_one_pass_revival_equals_the_sequential_scan(seed):
+    # the benchmark's churn: a 1000-site fill, then rounds of deletes up to
+    # a visible one, as many inserts and a read
+    spread = 100.0 / math.sqrt(1000)
+    rng = random.Random(seed)
+
+    def draw():
+        ir = rng.uniform(0.5, 1.5) * spread
+        return tx(rng.uniform(0.3, 99.7), rng.uniform(0.3, 99.7),
+                  max(1e-4, rng.uniform(0.5, 1.0) * ir), ir)
+
+    win = Rect(0.0, 0.0, 100.0, 100.0)
+    pair = fast, ref = DynamicCoverage(win), with_sequential_scan(DynamicCoverage(win))
+
+    def apply(op, *args):
+        reps = [getattr(dc, op)(*args).to_dict() for dc in pair]
+        assert reps[0] == reps[1], (op, args)
+        return reps[0]
+
+    live = [apply("insert_transmitter", draw())["site"] for _ in range(1000)]
+    revived = 0
+    for step in range(150):
+        deleted = 0
+        while True:
+            rep = apply("delete_transmitter", live.pop(rng.randrange(len(live))))
+            revived += sum(kind == "revived" for kind, _ in rep["hidden_events"])
+            deleted += 1
+            if not rep["redundant"]:
+                break
+        live += [apply("insert_transmitter", draw())["site"] for _ in range(deleted)]
+        assert fast.region_areas() == ref.region_areas(), step
+        assert (fast.hidden, fast.offstage) == (ref.hidden, ref.offstage), step
+    assert revived > 0
+    counters = [(dc.revival_tests, dc.climb_steps, dc.traverse_fallbacks) for dc in pair]
+    assert counters[0] == counters[1]
+
+
 def test_offstage_sites_match_static_visibility():
     # the working square has half-width 4 * 12 * sqrt(2) ~ 67.9; the small
     # disk at (0, -5) wins only below y = -92.4: parked, yet visible beyond
@@ -485,10 +580,14 @@ def test_check_invariants_detects_broken_lattice():
     with pytest.raises(AssertionError, match="not current"):
         dc.check_invariants()
     dc.next[u] = None
-    dc.incident[u].discard(2)  # a carve killing u would not find cell 2
+    sites = dc.incident[u]
+    dc.incident[u] = tuple(c for c in sites if c != 2)  # a carve killing u would not find cell 2
     with pytest.raises(AssertionError, match="incident"):
         dc.check_invariants()
-    dc.incident[u].add(2)
+    dc.incident[u] = sites + (2,)  # cell 2 listed twice
+    with pytest.raises(AssertionError, match="incident repeats"):
+        dc.check_invariants()
+    dc.incident[u] = sites
     dc.check_invariants()
     dc.cells[2] = dc.cells[2][:-1]
     with pytest.raises(AssertionError):
