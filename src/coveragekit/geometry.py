@@ -365,42 +365,33 @@ class ArcPolygon:
     edges: tuple[ArcEdge, ...]
     holes: tuple["ArcPolygon", ...] = field(default=())
 
-    def validate(self, eps: Optional[float] = None) -> None:
-        """Raise InvalidChain for open, degenerate or self-intersecting chains."""
-        self._validate(self._scale(), eps)
-
-    def _validate(self, scale: float, eps: Optional[float]) -> None:
-        """``validate``, given this chain's ``_scale()``."""
+    def validate(self, eps: float) -> None:
+        """Raise InvalidChain unless the chain is closed and simple at a
+        map's tolerance ``eps``: each edge ends within ``eps`` of where the
+        next starts, none is ``eps`` long or shorter, and no two cross away
+        from their ends; its holes likewise.  The metric check, for chains
+        made by hand and for tests: ``arc_polygon_area`` trusts the chains
+        the stitcher closed by crossing keys."""
         if not self.edges:
             raise InvalidChain("empty chain")
-        tol = geom_eps(scale) * 64.0 if eps is None else eps
         k = len(self.edges)
         if k == 1 and isinstance(self.edges[0], Segment):
             raise InvalidChain("single straight segment cannot close")
         for i, e in enumerate(self.edges):
             nxt = self.edges[(i + 1) % k]
-            if dist(e.end_point, nxt.start_point) > tol:
+            if dist(e.end_point, nxt.start_point) > eps:
                 raise InvalidChain(
                     f"edge {i} ends at {e.end_point}, edge {(i + 1) % k} starts at "
                     f"{nxt.start_point}")
-            if e.length() <= geom_eps(scale):
+            if e.length() <= eps:
                 raise InvalidChain(f"degenerate edge {i}")
-        if _chain_self_intersects(self.edges, tol):
+        if _chain_self_intersects(self.edges, eps):
             raise InvalidChain("chain self-intersects")
         for h in self.holes:
             h.validate(eps)
 
     def signed_area(self) -> float:
         return _chain_signed_area(self.edges)
-
-    def _scale(self) -> float:
-        best = 1.0
-        for e in self.edges:
-            p = e.start_point
-            best = max(best, abs(p.x), abs(p.y))
-            if isinstance(e, CircularArc):
-                best = max(best, e.supporting_disk.radius)
-        return best
 
 
 def _chain_signed_area(edges: tuple[ArcEdge, ...]) -> float:
@@ -423,19 +414,14 @@ def _chain_signed_area(edges: tuple[ArcEdge, ...]) -> float:
 
 
 def arc_polygon_area(p: ArcPolygon) -> float:
-    """Enclosed area of a validated chain; holes subtract.
-
-    Raises InvalidChain for open or self-intersecting input and for chains
-    whose net signed area is negative (wrong orientation).
-    """
-    scale = p._scale()  # one walk of the chain, for the validation and the tolerance
-    p._validate(scale, None)
+    """Enclosed area of a chain, its holes subtracted, by Green's theorem.
+    Chains are trusted as made (``ArcPolygon.validate`` is the metric
+    check); an outer chain of negative signed area, traversed clockwise,
+    raises InvalidChain."""
     outer = p.signed_area()
-    total = outer + sum(h.signed_area() for h in p.holes)
-    tol = geom_eps(scale) ** 0.5  # generous: area tolerance
-    if total < -tol:
-        raise InvalidChain(f"negative enclosed area {total}")
-    return max(total, 0.0)
+    if outer < 0.0:
+        raise InvalidChain(f"outer chain of negative area {outer}")
+    return max(outer + sum(h.signed_area() for h in p.holes), 0.0)
 
 
 def _chain_self_intersects(edges: tuple[ArcEdge, ...], tol: float) -> bool:

@@ -137,14 +137,13 @@ def region_disk_boolean(region: ConvexPolygon, include: Disk,
     return out
 
 
-def arc_polygon_contains_ray(poly: ArcPolygon, p: Point2, eps: float = 0.0) -> bool:
+def arc_polygon_contains_ray(poly: ArcPolygon, p: Point2, eps: float) -> bool:
     """Crossing-parity containment test for the outer chain (holes ignored),
     as ``arc_polygon_contains`` read before it became a winding number.
 
-    Near-tangent rays are retried with a nudged y to stay in general position.
+    Rays within ``eps`` (the chain's map tolerance) of a tangency or an end
+    point are retried with a nudged y to stay in general position.
     """
-    if eps == 0.0:
-        eps = geom_eps(poly._scale())
     for attempt in range(6):
         py = p.y + attempt * 7.3 * eps
         hits = [_ray_hits(e, p.x, py, eps) for e in poly.edges]

@@ -186,10 +186,11 @@ def test_area_half_disk():
 
 
 def test_area_rejects_open_chain():
+    # the area step trusts chains as made; the metric check refuses this one
     bad = ArcPolygon((Segment(Point2(0, 0), Point2(1, 0)),
                       Segment(Point2(1, 0), Point2(1, 1))))
-    with pytest.raises(InvalidChain):
-        arc_polygon_area(bad)
+    with pytest.raises(InvalidChain, match="ends at"):
+        bad.validate(geom_eps(1.0))
 
 
 def test_area_rejects_self_intersection():
@@ -197,8 +198,8 @@ def test_area_rejects_self_intersection():
                       Segment(Point2(1, 1), Point2(1, 0)),
                       Segment(Point2(1, 0), Point2(0, 1)),
                       Segment(Point2(0, 1), Point2(0, 0))))
-    with pytest.raises(InvalidChain):
-        arc_polygon_area(bow)
+    with pytest.raises(InvalidChain, match="self-intersects"):
+        bow.validate(geom_eps(1.0))
 
 
 BIG = ConvexPolygon((Point2(-2, -2), Point2(2, -2), Point2(2, 2), Point2(-2, 2)))
@@ -297,15 +298,15 @@ def _chain_distance(poly: ArcPolygon, p: Point2) -> float:
     return best
 
 
-def _contains_like_the_ray_cast(chains, probes) -> int:
-    """Compare ``arc_polygon_contains`` with the ray-cast reference on every
-    outer and hole chain at every probe more than 1e-6 from that chain;
-    return how many probes were compared."""
+def _contains_like_the_ray_cast(chains, probes, eps) -> int:
+    """Compare ``arc_polygon_contains`` with the ray-cast reference, at the
+    chains' tolerance ``eps``, on every outer and hole chain at every probe
+    more than 1e-6 from that chain; return how many probes were compared."""
     compared = 0
     for ap in [c for ap in chains for c in (ap, *ap.holes)]:
         for p in probes:
             if _chain_distance(ap, p) > 1e-6:
-                assert arc_polygon_contains(ap, p) == arc_polygon_contains_ray(ap, p), (ap, p)
+                assert arc_polygon_contains(ap, p) == arc_polygon_contains_ray(ap, p, eps), (ap, p)
                 compared += 1
     return compared
 
@@ -327,7 +328,7 @@ def test_arc_polygon_contains_equals_the_ray_cast_on_chains_with_holes():
     stitched = boolean_chains(*HOLE_AND_TANGENTS, MARGIN_EPS)
     assert any(ap.holes for ap in stitched)
     probes = [Point2(0.25 * i, 0.25 * j) for i in range(-10, 27) for j in range(-10, 27)]
-    assert _contains_like_the_ray_cast(made + stitched, probes) > 2000
+    assert _contains_like_the_ray_cast(made + stitched, probes, MARGIN_EPS) > 2000
 
 
 def _square_in_disk() -> ArcPolygon:
@@ -355,11 +356,11 @@ def test_arc_polygon_contains_where_the_ray_cast_nudged():
              (half, Point2(-3, 1.0), False), (half, Point2(-2, 0), False),
              (cut, Point2(0, y_end), True), (cut, Point2(-0.99, y_end), True),
              (cut, Point2(-2, y_end), False)]
+    eps = geom_eps(4.0)  # the tolerance ``cut`` was made with
     for chain, p, inside in cases:
-        eps = geom_eps(chain._scale())
         assert None in [_ray_hits(e, p.x, p.y, eps) for e in chain.edges], p  # the ray nudged
         assert arc_polygon_contains(chain, p) == inside, p
-        assert arc_polygon_contains_ray(chain, p) == inside, p
+        assert arc_polygon_contains_ray(chain, p, eps) == inside, p
 
 
 def test_arc_polygon_contains_on_a_dense_grid_through_the_vertices():
@@ -394,7 +395,7 @@ def test_boolean_chains_where_five_curves_meet():
     excludes = [Disk(Point2(2, 0), 1.0), Disk(Point2(1, 1), 1.0), Disk(Point2(-1, -1), 0.5)]
     chains = boolean_chains(region, include, excludes, geom_eps(5.0))
     for ap in chains:
-        ap.validate()
+        ap.validate(geom_eps(5.0))
     area = sum(arc_polygon_area(ap) for ap in chains)
     grid = grid_boolean_area(region, include, excludes, Rect(-2, -2, 3, 2))
     assert area == pytest.approx(grid, abs=0.01)
@@ -408,7 +409,7 @@ def test_boolean_chains_hole_and_tangent_excludes():
                 Disk(Point2(-0.5, 0.9), 0.2)]
     chains = boolean_chains(BIG, include, excludes, geom_eps(5.0))
     for ap in chains:
-        ap.validate()
+        ap.validate(geom_eps(5.0))
     area = sum(arc_polygon_area(ap) for ap in chains)
     assert area == pytest.approx(grid_boolean_area(BIG, include, excludes, Rect(-2, -2, 2, 2)),
                                  abs=0.01)
@@ -461,7 +462,7 @@ def test_boolean_chains_drops_only_far_crossings(gap):
     excludes = [a, b, c]
     chains = boolean_chains(BIG, include, excludes, MARGIN_EPS)
     for ap in chains:
-        ap.validate()
+        ap.validate(MARGIN_EPS)
     area = sum(arc_polygon_area(ap) for ap in chains)
     assert area == pytest.approx(grid_boolean_area(BIG, include, excludes, Rect(-2, -2, 2, 2)),
                                  abs=0.005)
@@ -714,7 +715,9 @@ def test_boolean_rows_equal_the_reference_on_random_small_maps(case):
     pd = build(disks, window)
     sites = [p for p in range(len(disks)) if pd.cells[p] is not None]
     rows = [(pd.cells[p], txs[p], [disks[q] for q in sorted(pd.neighbors[p])]) for p in sites]
-    _rows_equal_reference(rows, pd.eps)
+    got = _rows_equal_reference(rows, pd.eps)
+    for ap in (ap for chains in (got.chains if got else []) for ap in chains):
+        ap.validate(pd.eps)  # trusted by the area step, and metrically sound
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -729,7 +732,7 @@ def test_arc_polygon_contains_equals_the_ray_cast_on_random_small_maps(case, pro
     rows = boolean_rows([pd.cells[p] for p in sites], [txs[p] for p in sites],
                         [[disks[q] for q in sorted(pd.neighbors[p])] for p in sites], pd.eps)
     _contains_like_the_ray_cast([ap for c in rows.chains for ap in c],
-                                probes + LATTICE_PROBES[::3])
+                                probes + LATTICE_PROBES[::3], pd.eps)
 
 
 def _numpy_rounds_differently(rng, tries):
@@ -813,10 +816,6 @@ def test_the_rounding_expression_is_written_once_in_src():
 
 # One map tolerance: geom_eps of the window's diameter, in both engines.
 
-# Chain validation still scales by the chain's own coordinates (``_scale``).
-CHAIN_SCALED = {"ArcPolygon._validate", "arc_polygon_area"}
-
-
 def _geom_eps_arguments() -> list[tuple[str, str]]:
     """(function, argument) of every ``geom_eps(...)`` call in ``src/``."""
     out = []
@@ -835,9 +834,7 @@ def _geom_eps_arguments() -> list[tuple[str, str]]:
 
 def test_the_map_tolerance_is_the_window_diameters_in_src():
     calls = _geom_eps_arguments()
-    maps = [(fn, arg) for fn, arg in calls if fn not in CHAIN_SCALED]
-    assert maps and all(arg.endswith("window.diameter()") for _, arg in maps), maps
-    assert {arg for fn, arg in calls if fn in CHAIN_SCALED} == {"scale"}
+    assert calls and all(arg.endswith("window.diameter()") for _, arg in calls), calls
 
 
 def test_both_engines_cut_at_the_window_tolerance_when_a_disk_outgrows_the_window():

@@ -239,7 +239,7 @@ def test_pinch_where_interference_circle_touches_window_side():
     txs = [tx(0.2, 0.2, 0.21, 0.3), tx(0.2, 0.3, 0.21, 0.3)]
     cov = assert_sites_match_grid(txs, Rect(0, 0, 1, 1), 1e-5)
     for ap in cov.regions[0]:
-        ap.validate()
+        ap.validate(cov.diagram.eps)
 
 
 def test_bisector_tangent_to_transmission_circle():

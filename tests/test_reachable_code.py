@@ -33,6 +33,8 @@ KEPT = {
     "treap_delete": "part of the treap's documented API",
     "treap_of": "part of the treap's documented API",
     "DynamicCoverage.check_invariants": "the lattice's invariants, for callers to check after updates",
+    "ArcPolygon.validate": "the chains' metric check, for hand-made chains and for tests to "
+                           "check after a map is made",
     "Treap.check_invariants": "the treap's invariants, part of its documented API",
     "SinrScenario.with_powers": "the scenario at other powers, for the benchmark's area oracle",
 }
