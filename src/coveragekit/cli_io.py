@@ -337,12 +337,13 @@ def _render_coverage(cov: CoverageMap, stats: dict) -> Iterator[str]:
         for ap in cov.regions[sid]:
             yield _region_path(c, ap, color)
     yield from _cells_and_frames(c, pd, stats)
-    for sid, t in enumerate(cov.transmitters):
+    for sid, (t, d) in enumerate(zip(cov.transmitters, pd.sites)):  # d: in the map's frame
         color = _PALETTE[sid % len(_PALETTE)]
-        yield _circle_svg(c, t.int_disk, f'fill="none" stroke="{color}" stroke-width="1.5"')
-        yield _circle_svg(c, t.tx_disk, f'fill="none" stroke="{color}" stroke-width="1.2" '
-                                        f'stroke-dasharray="1.5,2.5"')
-        px, py = c.pt(t.location.x, t.location.y)
+        yield _circle_svg(c, d, f'fill="none" stroke="{color}" stroke-width="1.5"')
+        yield _circle_svg(c, Disk(d.center, t.tx_radius),
+                          f'fill="none" stroke="{color}" stroke-width="1.2" '
+                          f'stroke-dasharray="1.5,2.5"')
+        px, py = c.pt(d.center.x, d.center.y)
         yield f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="2.5" fill="{color}"/>\n'
     yield "</svg>\n"
 

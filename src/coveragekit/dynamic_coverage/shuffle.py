@@ -69,7 +69,7 @@ import numpy as np
 from ..errors import LatticeError
 from ..geometry import (ArcPolygon, Disk, Point2, Rect, arc_polygon_area, boolean_rows,
                         geom_eps, power_distance, side)
-from ..power_diagram import _clip_cell, admit
+from ..power_diagram import _clip_cell, admit, window_frame
 from ..protocol_coverage import ProtocolTransmitter
 
 _Z_BIG = 1.0e30
@@ -115,12 +115,6 @@ def _ring_edges(ring: list[int]) -> zip:
     return zip(ring[-1:] + ring[:-1], ring)
 
 
-def _mega_square(window: Rect, scale: float) -> Rect:
-    half = _MEGA_FACTOR * max(scale, 1.0)
-    c = window.center()
-    return Rect(c.x - half, c.y - half, c.x + half, c.y + half)
-
-
 @dataclass
 class UpdateReport:
     op: str
@@ -144,9 +138,10 @@ class DynamicCoverage:
     ``regions`` always equals the static coverage map of the currently
     registered transmitters (hidden ones included as empty), bit for bit
     where the two agree on a site's neighbours (see ``_region_row``).
-    As in static ``build``, transmitters are admitted on their interference
-    disks by ``power_diagram.admit``, and cells and regions are cut at
-    ``eps``, the window's ``geom_eps``.
+    As in ``compute_coverage_map``, transmitters are moved into the window's
+    frame (``power_diagram.window_frame``: less ``origin``, the window's
+    centre) and admitted there on their interference disks; the lattice and
+    regions are in that frame, cut at ``eps``, the window's ``geom_eps``.
     Cells share vertex nodes by construction (see the module docstring):
     positions and layers in typed arrays, incident sites in tuples, one
     slot per node id, kept for vertices that died too.  A deletion tests
@@ -161,15 +156,17 @@ class DynamicCoverage:
 
     def __init__(self, window: Rect, seed: int = 0):
         self.window = window
+        self.origin, window, self._local = window_frame(window)
+        self._frame_window, self._window_poly = window, window.to_polygon()
         self.eps = geom_eps(window.diameter())
         half = 4.0 * max(window.diameter(), 1.0)
-        c = window.center()
-        self.square = Rect(c.x - half, c.y - half, c.x + half, c.y + half)
-        self._window_poly = window.to_polygon()
-        self._mega = _mega_square(window, self.square.diameter()).to_polygon()
+        self.square = Rect(-half, -half, half, half)  # centred on the origin
+        mega = _MEGA_FACTOR * self.square.diameter()
+        self._mega = Rect(-mega, -mega, mega, mega).to_polygon()
         self.transmitters: dict[int, ProtocolTransmitter] = {}
         self._tx_keys: dict[tuple[float, float, float], int] = {}  # by interference disk
-        self._int_disks: dict[int, Disk] = {}
+        self._int_disks: dict[int, Disk] = {}  # in the window's frame, as are the next two
+        self._tx_disks: dict[int, Disk] = {}
         self.planes: dict[int, HalfSpace3] = {}
         # vertex nodes, one slot per id in each (see the module docstring)
         self.x = array("d")
@@ -336,11 +333,14 @@ class DynamicCoverage:
         """
         start = time.perf_counter()
         sid = self._next_site
-        admit(self._tx_keys, sid, t.int_disk, self.window)
+        at = self._local(t.location)
+        int_disk = Disk(at, t.int_radius)
+        admit(self._tx_keys, sid, int_disk, self._frame_window)
         self._next_site += 1
         self.transmitters[sid] = t
-        self._int_disks[sid] = t.int_disk
-        self.planes[sid] = lift(t.int_disk)
+        self._int_disks[sid] = int_disk
+        self._tx_disks[sid] = Disk(at, t.tx_radius)
+        self.planes[sid] = lift(int_disk)
         events: list[tuple[str, int]] = []
         probe = self._traverse(self.planes[sid])
         if probe is None:
@@ -361,7 +361,7 @@ class DynamicCoverage:
         self._offstage_pending.discard(sid)
 
     def _park(self, sid: int, events: list[tuple[str, int]]) -> None:
-        owner = self._owner_of(self.transmitters[sid].location)
+        owner = self._owner_of(self._int_disks[sid].center)
         self.hidden[sid] = owner if owner is not None else -1
         # visibility beyond the working square is only needed when regions
         # are read; defer the exact check until then
@@ -404,7 +404,7 @@ class DynamicCoverage:
         cell)."""
         for h in sorted(h for h, o in self.hidden.items()
                         if o in touched or o not in self.cells):
-            center = self.transmitters[h].location
+            center = self._int_disks[h].center
             cand = [c for c in sorted(touched | {self.hidden[h]}) if c in self.cells]
             self.hidden[h] = min(cand, default=-1, key=lambda c: power_distance(
                 center, self._int_disks[c]))
@@ -670,9 +670,8 @@ class DynamicCoverage:
         return k, int(cur[j])
 
     def _forget(self, sid: int) -> None:
-        gone = self.transmitters.pop(sid)
-        del self._tx_keys[gone.int_disk.xyr]
-        del self._int_disks[sid], self.planes[sid]
+        del self.transmitters[sid], self._tx_keys[self._int_disks[sid].xyr]
+        del self._int_disks[sid], self._tx_disks[sid], self.planes[sid]
         self._regions.pop(sid, None)
 
     def _retile(self, hole: list[int], nbrs: list[int]) -> list[int]:
@@ -782,11 +781,11 @@ class DynamicCoverage:
         the recipe of static ``build``), so no rounding of the lattice's
         vertices reaches it, and it equals the static cell bit for bit when
         the two neighbour sets agree."""
-        t, nbrs = self.transmitters[sid], self.neighbors[sid]
+        nbrs = self.neighbors[sid]
         cell = _clip_cell(self._window_poly, self._int_disks, sid, sorted(nbrs), self.eps)
         if cell is None:
             return None
-        return cell, t.tx_disk, [self._int_disks[q] for q in sorted(nbrs | self.offstage)]
+        return cell, self._tx_disks[sid], [self._int_disks[q] for q in sorted(nbrs | self.offstage)]
 
     def check_invariants(self) -> None:
         """Assert that the cells form a valid lattice: they tile the working

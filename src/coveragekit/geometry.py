@@ -5,23 +5,27 @@ convex clipping, and the circular-arc polygon boolean
 All types are immutable values and all operations are pure functions, so
 everything here is safe to call concurrently.
 
-Numerical policy: cells are decided by the side test, chains by keys.  A
-convex cell is cut by deciding each vertex once, with ``side``, as outside,
-on or inside the cutting line (a relative rounding test); the clipper never
-merges, moves or drops vertices by distance afterwards.  One tolerance,
-``eps = geom_eps(window.diameter())``, decided once per map by both
-protocol engines, governs the boolean (and tells concentric disks in the
-cells).  Two curves whose distance is within ``eps`` of tangency touch at
-one point; a piece of a curve no longer than ``eps`` contracts to a point.
-Chains are stitched by the names of the curves that cross at each piece end,
-never by the distance between end points, so coincident crossings merge
-transitively along the curves.  Chain validation treats tangencies
-(single-point contacts) as non-intersections.  The boolean skips only work
-whose answer is known, where a point is ``_MARGIN`` eps clear of a rim: a
-margin that covers the touch rule and chains of contracted pieces.  A
-circle that no other curve meets is decided by one probe point (the touch
-rule leaves every other curve more than eps clear of it), and a point lies
-in a chain by its winding number, with no tolerance.
+Numerical policy: one frame, one tolerance, chains trusted by
+construction.  Both protocol engines compute relative to the window's
+centre (``power_diagram.window_frame``), so rounding scales with the window
+as the tolerance does, wherever the window lies.  A convex cell is cut by
+deciding each vertex once, with ``side``, as outside, on or inside the
+cutting line (a relative rounding test); the clipper never merges, moves or
+drops vertices by distance afterwards.  One tolerance, ``eps =
+geom_eps(window.diameter())``, decided once per map by both engines,
+governs the boolean (and tells concentric disks in the cells).  Two curves
+whose distance is within ``eps`` of tangency touch at one point; a piece of
+a curve no longer than ``eps`` contracts to a point.  Chains are stitched
+by the names of the curves that cross at each piece end, never by the
+distance between end points, so coincident crossings merge transitively
+along the curves and a chain closes when its names do: the area step only
+integrates, and ``ArcPolygon.validate(eps)`` is the metric check for chains
+made by hand and for tests.  The boolean skips only work whose answer is
+known, where a point is ``_MARGIN`` eps clear of a rim: a margin that covers
+the touch rule and chains of contracted pieces.  A circle that no other
+curve meets is decided by one probe point (the touch rule leaves every other
+curve more than eps clear of it), and a point lies in a chain by its
+winding number, with no tolerance.
 
 The boolean runs on numpy arrays, every site of a map in lockstep
 (``boolean_rows``), and gives the bits its formulas give on floats, since
@@ -366,17 +370,13 @@ class ArcPolygon:
     holes: tuple["ArcPolygon", ...] = field(default=())
 
     def validate(self, eps: float) -> None:
-        """Raise InvalidChain unless the chain is closed and simple at a
-        map's tolerance ``eps``: each edge ends within ``eps`` of where the
-        next starts, none is ``eps`` long or shorter, and no two cross away
-        from their ends; its holes likewise.  The metric check, for chains
-        made by hand and for tests: ``arc_polygon_area`` trusts the chains
-        the stitcher closed by crossing keys."""
+        """Raise InvalidChain unless the chain, and each hole, is closed and
+        simple at a map's ``eps``: each edge ends within ``eps`` of where the
+        next starts, is longer than ``eps``, and crosses no other edge away
+        from their ends."""
         if not self.edges:
             raise InvalidChain("empty chain")
-        k = len(self.edges)
-        if k == 1 and isinstance(self.edges[0], Segment):
-            raise InvalidChain("single straight segment cannot close")
+        k = len(self.edges)  # a lone segment is open or degenerate
         for i, e in enumerate(self.edges):
             nxt = self.edges[(i + 1) % k]
             if dist(e.end_point, nxt.start_point) > eps:
@@ -414,10 +414,8 @@ def _chain_signed_area(edges: tuple[ArcEdge, ...]) -> float:
 
 
 def arc_polygon_area(p: ArcPolygon) -> float:
-    """Enclosed area of a chain, its holes subtracted, by Green's theorem.
-    Chains are trusted as made (``ArcPolygon.validate`` is the metric
-    check); an outer chain of negative signed area, traversed clockwise,
-    raises InvalidChain."""
+    """Enclosed area of a chain as made, holes subtracted (Green's theorem);
+    InvalidChain if the outer chain's signed area is negative."""
     outer = p.signed_area()
     if outer < 0.0:
         raise InvalidChain(f"outer chain of negative area {outer}")

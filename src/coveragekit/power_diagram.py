@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -73,10 +73,20 @@ def admit(sites: dict[tuple[float, float, float], SiteId], sid: SiteId, d: Disk,
     one admission rule of both engines: its centre lies in ``window``
     (else ValueError) and it repeats no recorded disk (else DuplicateSite)."""
     if not window.contains(d.center):
-        raise ValueError(f"site {sid} center {d.center} outside window")
+        raise ValueError(f"site {sid} center lies outside the window")
     if d.xyr in sites:
         raise DuplicateSite(f"site {sid} repeats the disk of site {sites[d.xyr]}")
     sites[d.xyr] = sid
+
+
+def window_frame(window: Rect) -> tuple[Point2, Rect, Callable[[Point2], Point2]]:
+    """The frame both engines compute in: its origin, ``window``'s centre
+    (cx, cy); the window in it; and the map (x, y) -> (x - cx, y - cy) into
+    it.  Rounding, relative to the magnitude of the coordinates (which
+    lifting squares), then scales with the window as the tolerance does."""
+    cx, cy = origin = window.center()
+    return (origin, Rect(window.x0 - cx, window.y0 - cy, window.x1 - cx, window.y1 - cy),
+            lambda p: Point2(p.x - cx, p.y - cy))
 
 
 def _validate(disks: Sequence[Disk], window: Rect) -> None:

@@ -20,12 +20,11 @@ stitches the pieces of the sites that keep any.  All outputs are immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional, Sequence
 
 from .geometry import (ArcPolygon, CircularArc, Disk, Point2, Rect, TWO_PI,
                        arc_polygon_area, boolean_rows)
-from .power_diagram import PowerDiagram, SiteId, build
+from .power_diagram import PowerDiagram, SiteId, build, window_frame
 
 
 @dataclass(frozen=True)
@@ -40,21 +39,15 @@ class ProtocolTransmitter:
         if self.int_radius < self.tx_radius:
             raise ValueError("interference radius must contain the transmission radius")
 
-    @cached_property  # made once per transmitter; not a field, so eq and repr ignore it
-    def tx_disk(self) -> Disk:
-        return Disk(self.location, self.tx_radius)
-
-    @cached_property
-    def int_disk(self) -> Disk:
-        return Disk(self.location, self.int_radius)
-
 
 @dataclass(frozen=True)
 class CoverageMap:
-    """Coverage regions keyed by site, plus the interference-disk diagram."""
+    """Coverage regions keyed by site, plus the interference-disk diagram,
+    both less ``origin``, the window's centre; ``transmitters`` as given."""
     regions: dict[SiteId, list[ArcPolygon]]
     diagram: PowerDiagram
     transmitters: tuple[ProtocolTransmitter, ...]
+    origin: Point2
     # what the boolean pass did, for the run manifest; not compared
     stats: dict[str, int] = field(default_factory=dict, compare=False, repr=False)
 
@@ -68,20 +61,24 @@ def compute_coverage_map(txs: Sequence[ProtocolTransmitter], window: Rect) -> Co
 
     Interference-disk sites with empty power regions are dropped up front
     (they cannot cover anything) and reported with empty region lists.
-    The interference disks are admitted as ``build`` admits its sites.
+    Transmitters are moved into the window's frame first, and admitted
+    there on their interference disks as ``build`` admits its sites.
     """
-    int_disks = [t.int_disk for t in txs]
-    pd = build(int_disks, window)
+    origin, window, local = window_frame(window)
+    centres = [local(t.location) for t in txs]
+    pd = build([Disk(c, t.int_radius) for c, t in zip(centres, txs)], window)
     visible = [p for p in range(len(txs)) if pd.cells.get(p) is not None]
-    rows = boolean_rows([pd.cells[p] for p in visible], [txs[p].tx_disk for p in visible],
-                        [[int_disks[q] for q in sorted(pd.neighbors.get(p, ()))]
+    rows = boolean_rows([pd.cells[p] for p in visible],
+                        [Disk(centres[p], txs[p].tx_radius) for p in visible],
+                        [[pd.sites[q] for q in sorted(pd.neighbors.get(p, ()))]
                          for p in visible], pd.eps)
     regions: dict[SiteId, list[ArcPolygon]] = {p: [] for p in range(len(txs))}
     regions.update(zip(visible, rows.chains))
     stats = {"boolean_sites": len(visible), "boolean_empty": rows.empty,
              "boolean_pieces": rows.pieces,
              "boolean_chains": sum(1 + len(ap.holes) for c in rows.chains for ap in c)}
-    return CoverageMap(regions=regions, diagram=pd, transmitters=tuple(txs), stats=stats)
+    return CoverageMap(regions=regions, diagram=pd, transmitters=tuple(txs), origin=origin,
+                       stats=stats)
 
 
 def coverage_area(cov: CoverageMap) -> float:
@@ -117,6 +114,7 @@ def find_interference_bound(cov: CoverageMap) -> Optional[SiteId]:
                 return p
             if abs(edge.sweep()) < TWO_PI or edge.orientation != "outward":
                 return p
-            if edge.supporting_disk != cov.transmitters[p].tx_disk:
+            if edge.supporting_disk != Disk(cov.diagram.sites[p].center,
+                                            cov.transmitters[p].tx_radius):
                 return p
     return None

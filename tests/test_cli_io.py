@@ -305,10 +305,10 @@ def test_cli_build_map_failing_mid_drawing_leaves_no_files(tmp_path, capsys, mon
     assert sorted(f.name for f in tmp_path.iterdir()) == ["s.json"]
 
 
-def projected_transmitters() -> tuple[list[dict], dict]:
+def projected_transmitters(offset=(5e5, 4e6)) -> tuple[list[dict], dict]:
     """The static-map generator (seed 11, n = 512, a 100 x 100 window) moved
     to UTM-like eastings and northings: transmitters and window."""
-    rng, spread, (ox, oy) = random.Random(11), 100.0 / math.sqrt(512), (5e5, 4e6)
+    rng, spread, (ox, oy) = random.Random(11), 100.0 / math.sqrt(512), offset
     txs = []
     for _ in range(512):
         ir = rng.uniform(0.5, 1.5) * spread
@@ -318,31 +318,46 @@ def projected_transmitters() -> tuple[list[dict], dict]:
     return txs, {"x0": ox, "y0": oy, "x1": ox + 100.0, "y1": oy + 100.0}
 
 
-def test_cli_projected_coordinates_exit_2_without_a_traceback(tmp_path, capsys):
-    # Qhull rejects the lifted disks
-    txs, window = projected_transmitters()
-    path = tmp_path / "utm.scenario.json"
-    path.write_text(json.dumps({"model": "protocol", "transmitters": txs, "window": window}))
-    capsys.readouterr()
-    assert cli(["build-map", str(path), "--out", str(tmp_path / "utm.result.json")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: Qhull rejected the sites: ") and err.count("\n") == 1, err
-    assert "Traceback" not in err
+def _run_at_both_offsets(tmp_path, capsys, command, document) -> list[tuple[str, dict]]:
+    """``command`` on ``document(txs, window)`` at offset 0 and at UTM-like
+    coordinates: each run's closing console line and result."""
+    runs = []
+    for offset in ((0.0, 0.0), (5e5, 4e6)):
+        path = tmp_path / f"{offset[0]:.0f}.json"
+        path.write_text(json.dumps(document(*projected_transmitters(offset))))
+        out = tmp_path / f"{offset[0]:.0f}.result.json"
+        capsys.readouterr()
+        assert cli([command, str(path), "--out", str(out)]) == 0, capsys.readouterr().err
+        runs.append((capsys.readouterr().out.splitlines()[-1], json.loads(out.read_text())))
+    return runs
 
 
-def test_cli_dynamic_projected_coordinates_exit_2_without_a_traceback(tmp_path, capsys):
-    # the same transmitters inserted one by one: the lattice's faces stop
-    # merging into one cell
-    txs, window = projected_transmitters()
-    path = tmp_path / "utm.script.json"
-    path.write_text(json.dumps({"window": window,
-                                "ops": [dict(t, op="insert") for t in txs]}))
-    capsys.readouterr()
-    assert cli(["dynamic", str(path), "--out", str(tmp_path / "utm.result.json")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: faces do not merge into one cycle: ") \
-        and err.count("\n") == 1, err
-    assert "Traceback" not in err
+def test_cli_build_map_at_projected_coordinates_prints_the_offset_0_areas(tmp_path, capsys):
+    # the lift of these disks was too flat for Qhull before the engines
+    # computed relative to the window's centre
+    (line, base), (moved_line, moved) = _run_at_both_offsets(
+        tmp_path, capsys, "build-map",
+        lambda txs, window: {"model": "protocol", "transmitters": txs, "window": window})
+    assert moved_line == line and line.startswith("covered area ")
+    assert moved["removed_sites"] == base["removed_sites"]
+    assert moved["total_area"] == pytest.approx(base["total_area"], abs=1e-8)
+    for site, area in base["region_areas"].items():
+        assert moved["region_areas"][site] == pytest.approx(area, abs=1e-8), site
+
+
+def test_cli_dynamic_at_projected_coordinates_prints_the_offset_0_areas(tmp_path, capsys):
+    # the same transmitters inserted one by one, then every fifth deleted:
+    # the lattice's faces stopped merging into one cell before
+    def script(txs, window):
+        ops = [dict(t, op="insert") for t in txs]
+        return {"window": window, "ops": ops + [{"op": "delete", "site": k}
+                                                for k in range(0, len(txs), 5)]}
+
+    (line, base), (moved_line, moved) = _run_at_both_offsets(tmp_path, capsys, "dynamic", script)
+    assert moved_line == line and line.startswith("ran 615 updates; ")
+    assert moved["reports"] == base["reports"] and moved["hidden"] == base["hidden"]
+    for site, area in base["final_region_areas"].items():
+        assert moved["final_region_areas"][site] == pytest.approx(area, abs=1e-8), site
 
 
 @pytest.mark.parametrize("tx_radius", [0.5, 1.0])

@@ -193,8 +193,9 @@ def test_climb_leaves_the_cell_owning_the_centre():
     dc = DynamicCoverage(Rect(0.0, 0.0, 10.0, 10.0))
     for (x, y, r) in [(3.3, 6.0, 2.8), (4.0, 7.0, 2.0), (9.0, 5.4, 4.0)]:
         dc.insert_transmitter(tx(x, y, 0.5 * r, r))
-    hs = lift(Disk(Point2(4.6, 7.5), 1.6))
-    assert dc._owner_of(Point2(4.6, 7.5)) == 0
+    centre = dc._local(Point2(4.6, 7.5))  # the lattice is in the window's frame
+    hs = lift(Disk(centre, 1.6))
+    assert dc._owner_of(centre) == 0
     assert not any(dc._outside(u, hs) for u in dc.cells[0])
     v = dc._climb(hs)
     assert v is not None and dc._outside(v, hs)
@@ -817,10 +818,10 @@ def test_a_regions_read_builds_its_dirty_sites_in_one_batch(monkeypatch):
 
 def window_cell_reference(dc: DynamicCoverage, sid: int):
     """The window clipped by the site's lattice cell, edge by edge of its
-    ring: a cell whose vertices carry the rounding of the updates that
-    made them."""
+    ring, in the window's frame: a cell whose vertices carry the rounding
+    of the updates that made them."""
     cell = ConvexPolygon(tuple(Point2(dc.x[u], dc.y[u]) for u in dc.cells[sid]))
-    return convex_polygon_intersection(dc.window.to_polygon(), cell)
+    return convex_polygon_intersection(dc._frame_window.to_polygon(), cell)
 
 
 WINDOW_CELL_SITES = st.lists(st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0),
@@ -843,7 +844,7 @@ def test_window_cell_equals_the_static_cell():
         for x, y, r in sites:
             dc.insert_transmitter(tx(x, y, 0.5 * r, r))
         sids = sorted(dc.transmitters)
-        pd = build([dc.transmitters[s].int_disk for s in sids], dc.window)
+        pd = build([dc._int_disks[s] for s in sids], dc._frame_window)  # as the static map does
         for sid, ring in dc.cells.items():
             k = sids.index(sid)
             if {sids[q] for q in pd.neighbors[k]} != dc.neighbors[sid]:
@@ -852,7 +853,7 @@ def test_window_cell_equals_the_static_cell():
             compared[0] += 1
             row, want = dc._region_row(sid), pd.cells[k]
             assert repr(row and row[0]) == repr(want)
-            inside = all(dc.window.contains(Point2(dc.x[u], dc.y[u])) for u in ring)
+            inside = all(dc._frame_window.contains(Point2(dc.x[u], dc.y[u])) for u in ring)
             seen.add("outside" if want is None else "inside" if inside else "crossing")
 
     check()
@@ -965,3 +966,47 @@ def test_every_chain_of_both_engines_passes_the_metric_check():
             ap.validate(dc.eps)
             checked += 1
     assert checked > 2500, checked
+
+
+def _both_engines(txs, window):
+    """Per-site areas and hidden sites of each engine on one layout."""
+    cov = compute_coverage_map(txs, window)
+    dc = DynamicCoverage(window)
+    for t in txs:
+        dc.insert_transmitter(t)
+    areas = dc.region_areas()
+    return {"static": ([region_area(cov, p) for p in range(len(txs))], cov.diagram.hidden),
+            "dynamic": ([areas[p] for p in range(len(txs))], set(dc.hidden))}
+
+
+@pytest.mark.parametrize("offset", [(1e5, 1e5), (5e5, 4e6), (1e6, 1e6)])
+def test_both_engines_give_the_offset_0_areas_at_projected_offsets(offset):
+    # UTM eastings are about 5e5 and northings reach 1e7; lifting squares the
+    # coordinates, so before the engines computed relative to the window's
+    # centre these maps were wrong (1e5) or refused (5e5, 4e6 and 1e6)
+    for seed in (11, 12, 13):
+        base = _both_engines(*static_map_transmitters(seed))
+        moved = _both_engines(*static_map_transmitters(seed, offset=offset))
+        for engine, (areas, hidden) in moved.items():
+            want, want_hidden = base[engine]
+            assert set(hidden) == set(want_hidden), (engine, seed)
+            worst = max(abs(a - b) for a, b in zip(areas, want))
+            assert worst <= 1e-8, (engine, seed, worst)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(sites=st.lists(st.tuples(st.integers(1, 15), st.integers(1, 15), st.integers(1, 6),
+                                st.sampled_from([0.5, 0.75, 1.0])),
+                      min_size=1, max_size=12, unique_by=lambda s: s[:3]),
+       offset=st.tuples(st.integers(-2 ** 25, 2 ** 25), st.integers(-2 ** 25, 2 ** 25)))
+def test_a_layout_moved_by_a_representable_offset_gives_the_same_maps(sites, offset):
+    """Centres and radii on a half-unit lattice (tangent, cocircular and
+    concentric circles are common) moved by a multiple of 0.5 up to 1.7e7:
+    the moved floats are exact, so each engine's local frame, and with it
+    every area and hidden site, is bit for bit the unmoved one's."""
+    ox, oy = 0.5 * offset[0], 0.5 * offset[1]
+    layout = [(0.5 * x, 0.5 * y, 0.5 * r * share, 0.5 * r) for x, y, r, share in sites]
+    base = _both_engines([tx(x, y, t, i) for x, y, t, i in layout], Rect(0.0, 0.0, 8.0, 8.0))
+    moved = _both_engines([tx(x + ox, y + oy, t, i) for x, y, t, i in layout],
+                          Rect(ox, oy, ox + 8.0, oy + 8.0))
+    assert moved == base

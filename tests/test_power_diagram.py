@@ -12,7 +12,6 @@ from scipy.spatial import ConvexHull, QhullError
 from coveragekit.errors import DiagramRejected, DuplicateSite
 from coveragekit.geometry import (ConvexPolygon, Disk, Point2, Rect, geom_eps,
                                   power_distance, side)
-from coveragekit.dynamic_coverage.shuffle import _mega_square
 from coveragekit import geometry, power_diagram
 from coveragekit.power_diagram import (PowerDiagram, SiteId, build, frame_partitions,
                                        _clip_cell, _flat_neighbors, _validate)
@@ -84,7 +83,8 @@ def _build_direct(disks: Sequence[Disk], window: Rect) -> PowerDiagram:
     _validate(disks, window)
     n, scale = len(disks), window.diameter()
     eps = geom_eps(scale)
-    mega = _mega_square(window, scale).to_polygon()
+    c, half = window.center(), 1e6 * max(scale, 1.0)  # as far as the working square
+    mega = Rect(c.x - half, c.y - half, c.x + half, c.y + half).to_polygon()
     wpoly = window.to_polygon()
 
     mega_cells: list[Optional[ConvexPolygon]] = []

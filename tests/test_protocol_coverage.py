@@ -129,11 +129,12 @@ def test_covered_points_clear_every_interferer():
     checked = 0
     for _ in range(8000):
         x = Point2(rng.uniform(0, 12), rng.uniform(0, 12))
+        at = Point2(x.x - cov.origin.x, x.y - cov.origin.y)  # the chains' frame
         owner = None
         for p, chains in cov.regions.items():
             for ap in chains:
-                if arc_polygon_contains(ap, x) and not any(
-                        arc_polygon_contains(h, x) for h in ap.holes):
+                if arc_polygon_contains(ap, at) and not any(
+                        arc_polygon_contains(h, at) for h in ap.holes):
                     owner = p
                     break
             if owner is not None:
