@@ -516,7 +516,8 @@ def _cmd_build_map(args) -> int:
     }
     manifest = RunManifest("build-map", digest, scen.seed, {},
                            wall_time=time.perf_counter() - t0,
-                           stats={"hidden": len(cov.diagram.hidden),
+                           stats={"diagram_route": cov.diagram.route,
+                                  "hidden": len(cov.diagram.hidden),
                                   "edges": cov.diagram.edge_count(), **cov.stats})
     # the drawing adds its frame counters to the manifest before it is written
     with (_svg_file(args.svg, _svg_parts(cov, manifest.stats)) if args.svg

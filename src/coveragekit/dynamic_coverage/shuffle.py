@@ -2,10 +2,12 @@
 
 Disks lift to upper half-spaces in 3-D (z >= 2cx*x + 2cy*y - |c|^2 + r^2);
 the power diagram is the downward projection of the lower boundary of the
-half-space intersection, bounded by a large working square.  The structure
-maintained here is that projected lattice (cells as convex polygons of
-vertex nodes) plus a history of every vertex ever made, each kept once, in
-one slot per node id of a few node arrays (the compact vertex arrays of
+half-space intersection, bounded by a working square that reaches 1.1e7
+window diameters (at least 1.1e7) from the window's centre and stands in
+for the plane the static map sees.  The structure maintained here is
+that projected lattice (cells as convex polygons of vertex nodes) plus a
+history of every vertex ever made, each kept once, in one slot per node
+id of a few node arrays (the compact vertex arrays of
 Boissonnat et al. 2002, *Triangulations in CGAL*, and Blandford et al.
 2005, *Compact representations of simplicial meshes*):
 
@@ -42,9 +44,9 @@ envelope only over the deleted cell, so parked disks are tested against its
 new vertices alone: their planes, stacked in ascending site order, against
 those vertices in one numpy pass over views of the node arrays; the first
 disk that passes above one is inserted, and only the disks after it are
-tested again, against the vertices its cell added as well.  Whether a
-parked disk still wins somewhere beyond the working square (``offstage``)
-is decided when regions are read.  Coverage regions are maintained lazily:
+tested again, against the vertices its cell added as well.  So a disk is
+parked exactly when no point of the working square prefers it.  Coverage
+regions are maintained lazily:
 updates mark affected sites dirty and ``regions`` recomputes exactly those.
 A read takes only the neighbours from the lattice and cuts the window by
 their bisectors with static ``build``'s recipe, ``power_diagram._clip_cell``
@@ -73,7 +75,9 @@ from ..power_diagram import _clip_cell, admit, window_frame
 from ..protocol_coverage import ProtocolTransmitter
 
 _Z_BIG = 1.0e30
-# Half-side multiple of the auxiliary square used for unbounded-plane queries.
+# The working square's half-width, as a multiple of the diameter of the
+# square of half-width 4 * max(window diameter, 1): so far out that only
+# sites whose centres nearly coincide meet beyond it
 _MEGA_FACTOR = 1.0e6
 
 
@@ -136,8 +140,10 @@ class DynamicCoverage:
     """Coverage map under single-transmitter insertion and deletion.
 
     ``regions`` always equals the static coverage map of the currently
-    registered transmitters (hidden ones included as empty), bit for bit
-    where the two agree on a site's neighbours (see ``_region_row``).
+    registered transmitters (hidden ones included as empty), bit for bit:
+    the lattice's cells are the static map's visible sites, ``hidden`` its
+    hidden ones, and each cell's neighbours its static neighbours, unless
+    two sites meet only beyond the working square (see ``_MEGA_FACTOR``).
     As in ``compute_coverage_map``, transmitters are moved into the window's
     frame (``power_diagram.window_frame``: less ``origin``, the window's
     centre) and admitted there on their interference disks; the lattice and
@@ -147,8 +153,9 @@ class DynamicCoverage:
     slot per node id, kept for vertices that died too.  A deletion tests
     every parked disk against the vertices it uncovered in one numpy pass
     (``_scan_parked``).  ``check_invariants`` verifies the lattice after any
-    sequence of updates.  The working square is centered on the window,
-    with half-width 4 * max(window diameter, 1).
+    sequence of updates.  The working square is centred on the window,
+    with half-width ``_MEGA_FACTOR`` times the diameter of the square of
+    half-width 4 * max(window diameter, 1).
 
     ``seed`` is accepted for compatibility with callers that pass one; the
     structure draws no random numbers, so it does not change any result.
@@ -159,10 +166,9 @@ class DynamicCoverage:
         self.origin, window, self._local = window_frame(window)
         self._frame_window, self._window_poly = window, window.to_polygon()
         self.eps = geom_eps(window.diameter())
-        half = 4.0 * max(window.diameter(), 1.0)
+        near = 4.0 * max(window.diameter(), 1.0)
+        half = _MEGA_FACTOR * Rect(-near, -near, near, near).diameter()
         self.square = Rect(-half, -half, half, half)  # centred on the origin
-        mega = _MEGA_FACTOR * self.square.diameter()
-        self._mega = Rect(-mega, -mega, mega, mega).to_polygon()
         self.transmitters: dict[int, ProtocolTransmitter] = {}
         self._tx_keys: dict[tuple[float, float, float], int] = {}  # by interference disk
         self._int_disks: dict[int, Disk] = {}  # in the window's frame, as are the next two
@@ -179,8 +185,6 @@ class DynamicCoverage:
         self.cells: dict[int, list[int]] = {}  # CCW rings of vertex ids
         self.neighbors: dict[int, set[int]] = {}
         self.hidden: dict[int, int] = {}
-        self.offstage: set[int] = set()
-        self._offstage_pending: set[int] = set()
         self.last_traverse_visits = 0
         self.traverse_fallbacks = 0
         self.revival_tests = 0  # parked planes against vertices, by deletes
@@ -348,24 +352,14 @@ class DynamicCoverage:
             affected = None
         else:
             affected = self._insert_site(sid, probe, events)
-        # the new disk may take the region beyond the square of a parked one
-        self._offstage_pending.update(self.offstage)
         return UpdateReport(op="insert", site=sid, redundant=affected is None,
                             affected=sorted(affected or []),
                             structural_change=len(affected or []), hidden_events=events,
                             wall_time=time.perf_counter() - start)
 
-    def _unpark(self, sid: int) -> None:
-        self.hidden.pop(sid, None)
-        self.offstage.discard(sid)
-        self._offstage_pending.discard(sid)
-
     def _park(self, sid: int, events: list[tuple[str, int]]) -> None:
         owner = self._owner_of(self._int_disks[sid].center)
         self.hidden[sid] = owner if owner is not None else -1
-        # visibility beyond the working square is only needed when regions
-        # are read; defer the exact check until then
-        self._offstage_pending.add(sid)
         events.append(("parked", sid))
         self._dirty.add(sid)
 
@@ -386,16 +380,6 @@ class DynamicCoverage:
                 self._walk_hint = cur
                 return cur
             cur = step
-
-    def _globally_visible(self, sid: int) -> bool:
-        """Exact unbounded-plane visibility: does any point prefer this site
-        to every other registered one?  Its cell in a square far larger than
-        the working one is then non-empty.  The owner of its center and the
-        owner's neighbours go first: they usually empty the cell at once."""
-        owner = self.hidden.get(sid)
-        near = [owner, *sorted(self.neighbors[owner])] if owner in self.cells else []
-        return _clip_cell(self._mega, self._int_disks, sid, chain(near, self._int_disks),
-                          self.eps) is not None
 
     def _rekey(self, touched: set[int]) -> None:
         """Re-key the parked disks owned by a ``touched`` site or by no live
@@ -596,12 +580,7 @@ class DynamicCoverage:
         start = time.perf_counter()
         events: list[tuple[str, int]] = []
         if sid in self.hidden:
-            if sid in self.offstage:  # every row subtracted its disk
-                self._dirty.update(self.cells)
-            if sid in self.offstage or sid in self._offstage_pending:
-                # its region beyond the square may pass to other parked disks
-                self._offstage_pending.update(self.hidden)
-            self._unpark(sid)
+            del self.hidden[sid]
             self._forget(sid)
             self._dirty.discard(sid)
             events.append(("unparked", sid))
@@ -616,28 +595,22 @@ class DynamicCoverage:
         nbrs = sorted(self.neighbors[sid])
         self._forget(sid)
         hole = self.cells.pop(sid)
-        sq = self.square
-        on_side = any(self.x[u] in (sq.x0, sq.x1) or self.y[u] in (sq.y0, sq.y1) for u in hole)
         near = self._retile(hole, nbrs)
         self._relink(set(nbrs), {sid})
         self._dirty.update(nbrs)
         affected = list(nbrs)
 
-        # the envelope fell only over the hole; a cell that stayed off the
-        # square's boundary had its whole power cell inside the square, so
-        # only a deleted cell on the boundary changes who wins beyond it
+        # the envelope fell only over the hole
         revived: list[int] = []
         parked = sorted(self.hidden)
         planes = np.fromiter(chain.from_iterable(map(self.planes.__getitem__, parked)),
                              float, 3 * len(parked)).reshape(-1, 3)
         while parked:
             k, probe = self._scan_parked(planes, near)
-            if on_side:
-                self._offstage_pending.update(parked[:k])
             if probe is None:
                 break
             h, parked, planes = parked[k], parked[k + 1:], planes[k + 1:]
-            self._unpark(h)
+            del self.hidden[h]
             events.append(("revived", h))
             affected.extend(a for a in self._insert_site(h, probe, events) if a in self.cells)
             revived.append(h)
@@ -737,15 +710,6 @@ class DynamicCoverage:
     # queries
     # ------------------------------------------------------------------
 
-    def _resolve_offstage(self) -> None:
-        """Decide for each pending parked disk whether it wins somewhere
-        beyond the working square; a change re-dirties every cell."""
-        for sid in sorted(self._offstage_pending):
-            if self._globally_visible(sid) != (sid in self.offstage):
-                self.offstage ^= {sid}
-                self._dirty.update(self.cells.keys())
-        self._offstage_pending.clear()
-
     @property
     def regions(self) -> dict[int, list[ArcPolygon]]:
         """Current coverage regions; recomputes (with their areas) only
@@ -759,7 +723,6 @@ class DynamicCoverage:
 
     def _refresh(self) -> None:
         """Recompute the regions and areas of the dirty sites."""
-        self._resolve_offstage()
         dirty = sorted(self._dirty)
         rows = {sid: self._region_row(sid) for sid in dirty if sid in self.cells}
         rows = {sid: row for sid, row in rows.items() if row is not None}
@@ -779,23 +742,25 @@ class DynamicCoverage:
         if the cell misses the window.  The cell is the window cut by the
         bisectors of the site's lattice neighbours, ascending (``_clip_cell``,
         the recipe of static ``build``), so no rounding of the lattice's
-        vertices reaches it, and it equals the static cell bit for bit when
-        the two neighbour sets agree."""
-        nbrs = self.neighbors[sid]
-        cell = _clip_cell(self._window_poly, self._int_disks, sid, sorted(nbrs), self.eps)
+        vertices reaches it, and it equals the static cell bit for bit."""
+        nbrs = sorted(self.neighbors[sid])
+        cell = _clip_cell(self._window_poly, self._int_disks, sid, nbrs, self.eps)
         if cell is None:
             return None
-        return cell, self._tx_disks[sid], [self._int_disks[q] for q in sorted(nbrs | self.offstage)]
+        return cell, self._tx_disks[sid], [self._int_disks[q] for q in nbrs]
 
     def check_invariants(self) -> None:
         """Assert that the cells form a valid lattice: they tile the working
-        square (areas sum to it within 1e-9 relative), every vertex of a
-        cell is current and lists the cell in ``incident`` (the walk and
-        the carve rely on both), no ``incident`` tuple lists a site twice,
-        every edge off the square's boundary has exactly two cells, each
-        neighbour set is the set of cells sharing an edge (hence symmetric
-        and free of self-loops), and Euler's formula holds.  An empty
-        structure has no lattice to check."""
+        square, every vertex of a cell is current and lists the cell in
+        ``incident`` (the walk and the carve rely on both), no ``incident``
+        tuple lists a site twice, and each neighbour set is the set of cells
+        sharing an edge (hence symmetric and free of self-loops).  The
+        square's area dwarfs the window's, so the areas summing to it
+        within 1e-9 relative cannot see a gap or an overlap near the
+        window; the tiling rests on the edges: each directed edge is in one
+        cell, every edge off the square's sides has its twin in another, an
+        edge without one lies on a side, and Euler's formula holds.  An
+        empty structure has no lattice to check."""
         assert bool(self.cells) == bool(self.neighbors), "neighbours without cells"
         for u, sites in enumerate(self.incident):
             assert len(set(sites)) == len(sites), f"vertex {u}: incident repeats a site {sites}"

@@ -19,7 +19,8 @@ was cut in.  A face of four or more cocircular sites comes back split into
 triangles on one plane; the edges inside it touch the diagram in
 a point and are no neighbor pairs.
 Qhull rejects every input of at most three sites and every flat lift; only
-then are the neighbors read off the flat structure, in O(n log n) too.  Its
+then are the neighbors read off the flat structure, in O(n log n) too, and
+the diagram's ``route`` says which of the three routes was taken.  Its
 one rounding test is ``side``, applied at the magnitude of the coordinates
 Qhull was given (also to tell the split faces):
 
@@ -62,6 +63,9 @@ class PowerDiagram:
     hidden: frozenset[SiteId]
     # geom_eps(window.diameter()): the cells', frames' and boolean's tolerance
     eps: float
+    # how the neighbours were found: "hull" (Qhull's lower hull), or on a
+    # lift Qhull rejected, "line" (centres on one line) or "plane"
+    route: str
 
     def edge_count(self) -> int:
         return sum(len(v) for v in self.neighbors.values()) // 2
@@ -113,7 +117,7 @@ def build(disks: Sequence[Disk], window: Rect) -> PowerDiagram:
     eps = geom_eps(window.diameter())
     n = len(disks)
     try:
-        adj = _neighbors(disks)
+        adj, route = _neighbors(disks)
     except QhullError as err:
         reason = next((line for line in str(err).splitlines() if line.strip()), "no reason given")
         raise DiagramRejected(f"Qhull rejected the sites: {reason.strip()}") from err
@@ -125,7 +129,8 @@ def build(disks: Sequence[Disk], window: Rect) -> PowerDiagram:
     cells.update(zip(visible, _polygons(rows)))
     return PowerDiagram(window=window, sites=tuple(disks), cells=cells,
                         neighbors={i: frozenset(adj.get(i, ())) for i in range(n)},
-                        hidden=frozenset(i for i in range(n) if i not in adj), eps=eps)
+                        hidden=frozenset(i for i in range(n) if i not in adj), eps=eps,
+                        route=route)
 
 
 def _clip_cell(poly: ConvexPolygon, sites: Mapping[int, Disk], i: int,
@@ -155,8 +160,9 @@ def _clip_cell(poly: ConvexPolygon, sites: Mapping[int, Disk], i: int,
     return poly if pts is start else ConvexPolygon(tuple(Point2(x, y) for x, y in pts))
 
 
-def _neighbors(disks: Sequence[Disk]) -> dict[SiteId, set[SiteId]]:
-    """Unbounded-plane neighbors of every visible site; hidden sites are absent."""
+def _neighbors(disks: Sequence[Disk]) -> tuple[dict[SiteId, set[SiteId]], str]:
+    """Unbounded-plane neighbors of every visible site (hidden sites are
+    absent), and the route that found them (``PowerDiagram.route``)."""
     from scipy.spatial import ConvexHull, QhullError
 
     lift = [(d.center.x, d.center.y, d.center.x ** 2 + d.center.y ** 2 - d.radius ** 2)
@@ -186,7 +192,7 @@ def _neighbors(disks: Sequence[Disk]) -> dict[SiteId, set[SiteId]]:
                     continue
             adj[u].add(v)
             adj[v].add(u)
-    return adj
+    return adj, "hull"
 
 
 def _lower_chain(pts: Sequence[tuple[float, float]], order: Iterable[int]) -> list[int]:
@@ -206,10 +212,11 @@ def _lower_chain(pts: Sequence[tuple[float, float]], order: Iterable[int]) -> li
 
 
 def _flat_neighbors(disks: Sequence[Disk], lift: Sequence[tuple[float, float, float]],
-                    err: Exception) -> dict[SiteId, set[SiteId]]:
+                    err: Exception) -> tuple[dict[SiteId, set[SiteId]], str]:
     """``_neighbors`` of the lifted points ``lift`` that Qhull rejected with
-    ``err``: centers on a line, or ``lift`` on a plane (else ``err`` is
-    raised again).  Centers are taken relative to site 0."""
+    ``err``: centers on a line (route "line"), or ``lift`` on a plane
+    ("plane"; else ``err`` is raised again).  Centers are taken relative to
+    site 0."""
     n = len(disks)
     x0, y0, z0 = lift[0]
     xy = [(x - x0, y - y0) for x, y, _ in lift]
@@ -223,7 +230,7 @@ def _flat_neighbors(disks: Sequence[Disk], lift: Sequence[tuple[float, float, fl
         # of the disks sharing a center only the largest, first here, counts
         order = [i for k, i in enumerate(order) if k == 0 or t[order[k - 1]] != t[i]]
         chain = _lower_chain(tw, order)
-        edges = zip(chain, chain[1:])
+        edges, route = zip(chain, chain[1:]), "line"
     else:
         # the plane through site 0, the center farthest from it and the
         # center farthest from their line, checked at every other lifted
@@ -238,12 +245,12 @@ def _flat_neighbors(disks: Sequence[Disk], lift: Sequence[tuple[float, float, fl
             raise err
         order = sorted(range(n), key=lambda i: xy[i])
         chain = _lower_chain(xy, order)[:-1] + _lower_chain(xy, reversed(order))[:-1]
-        edges = zip(chain, chain[1:] + chain[:1])
+        edges, route = zip(chain, chain[1:] + chain[:1]), "plane"
     adj: dict[SiteId, set[SiteId]] = {i: set() for i in chain}
     for p, q in edges:
         adj[p].add(q)
         adj[q].add(p)
-    return adj
+    return adj, route
 
 
 def frame_partitions(pd: PowerDiagram, owners: Sequence[SiteId]) -> ClippedRows:

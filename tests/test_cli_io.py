@@ -185,7 +185,8 @@ def test_cli_build_map_counters_in_manifest_only(tmp_path):
     batch = boolean_rows([pd.cells[p] for p in visible], [txs[p] for p in visible],
                          [[pd.sites[q] for q in sorted(pd.neighbors[p])] for p in visible],
                          pd.eps)
-    assert plain == {"hidden": 1, "edges": pd.edge_count(), "boolean_sites": len(visible),
+    assert plain == {"diagram_route": "hull", "hidden": 1, "edges": pd.edge_count(),
+                     "boolean_sites": len(visible),
                      "boolean_empty": batch.empty, "boolean_pieces": batch.pieces,
                      "boolean_chains": sum(1 + len(ap.holes) for c in batch.chains for ap in c)}
     assert plain["boolean_chains"] > 0 and plain["boolean_pieces"] >= plain["boolean_chains"]
@@ -196,6 +197,41 @@ def test_cli_build_map_counters_in_manifest_only(tmp_path):
                      "frame_pieces_empty": frames.sizes.tolist().count(0)}
     assert drawn["frame_cuts"] >= drawn["frame_cuts_unchanged"] and rows == 6
     assert "stats" not in json.loads((tmp_path / "b.result.json").read_text())
+
+
+def route_scenario(route: str) -> dict:
+    """64 transmitters in a 100 x 100 window whose lift takes ``route``:
+    a road (centres on one line), a ring of equal disks (cocircular
+    centres, a coplanar lift) or random sites."""
+    rng = random.Random(1)
+    if route == "line":
+        sites = [(rng.uniform(1.0, 99.0), 50.0, rng.uniform(0.8, 2.4)) for _ in range(64)]
+    elif route == "plane":
+        sites = [(50.0 + 30.0 * math.cos(math.pi * k / 32),
+                  50.0 + 30.0 * math.sin(math.pi * k / 32), 3.0) for k in range(64)]
+    else:
+        sites = [(rng.uniform(1.0, 99.0), rng.uniform(1.0, 99.0), rng.uniform(4.0, 12.0))
+                 for _ in range(64)]
+    return {"model": "protocol", "window": {"x0": 0.0, "y0": 0.0, "x1": 100.0, "y1": 100.0},
+            "transmitters": [{"x": x, "y": y, "tx_radius": 0.7 * r, "int_radius": r}
+                             for x, y, r in sites]}
+
+
+@pytest.mark.parametrize("route", ["hull", "line", "plane"])
+def test_cli_build_map_reports_the_diagram_route_in_the_manifest(tmp_path, route):
+    # Qhull rejects the flat lifts of a road and a ring; the manifest says
+    # which route read the neighbours instead, and the result does not
+    doc = route_scenario(route)
+    scen = tmp_path / "s.json"
+    scen.write_text(json.dumps(doc))
+    assert cli(["build-map", str(scen), "--out", str(tmp_path / "s.result.json")]) == 0
+    stats = json.loads((tmp_path / "s.manifest.json").read_text())["stats"]
+    assert stats["diagram_route"] == route
+    cov = parse_scenario(json.dumps(doc)).coverage_map()
+    assert cov.diagram.route == route
+    result = json.loads((tmp_path / "s.result.json").read_text())
+    assert result["removed_sites"] == sorted(cov.diagram.hidden)
+    assert "diagram_route" not in json.dumps(result)
 
 
 @pytest.mark.parametrize("svg", ["r.result.json", "r.manifest.json"])
@@ -645,6 +681,31 @@ def test_cli_dynamic_script(tmp_path):
     stats = json.loads((tmp_path / "dyn0.manifest.json").read_text())["stats"]
     assert len(stats["op_wall_times"]) == 4
     assert stats["revival_tests"] > 0
+
+
+def test_cli_dynamic_hidden_sites_are_build_maps_removed_sites(tmp_path):
+    # two big disks and a small one at (0, -5) that wins only below
+    # y = -92.4, far beyond the window: the static map keeps it, so the
+    # structure must give it a cell, not park it
+    window = {"x0": -6.0, "y0": -6.0, "x1": 6.0, "y1": 6.0}
+    final = [{"x": -1.0, "y": 0.0, "tx_radius": 4.0, "int_radius": 30.0},
+             {"x": 1.0, "y": 0.0, "tx_radius": 4.0, "int_radius": 30.0},
+             {"x": 0.0, "y": -5.0, "tx_radius": 0.05, "int_radius": 0.1}]
+    ops = [dict(final[0], op="insert"), dict(final[1], op="insert"),
+           {"op": "insert", "x": 0.0, "y": -5.8, "tx_radius": 1.0, "int_radius": 30.0},
+           dict(final[2], op="insert"), {"op": "delete", "site": 2}]
+    script, scen = tmp_path / "script.json", tmp_path / "final.json"
+    script.write_text(json.dumps({"window": window, "ops": ops}))
+    scen.write_text(json.dumps({"model": "protocol", "window": window, "transmitters": final}))
+    assert cli(["dynamic", str(script), "--out", str(tmp_path / "dyn.result.json")]) == 0
+    assert cli(["build-map", str(scen), "--out", str(tmp_path / "map.result.json")]) == 0
+    dynamic = json.loads((tmp_path / "dyn.result.json").read_text())
+    static = json.loads((tmp_path / "map.result.json").read_text())
+    live = [0, 1, 3]  # the final transmitters' sites, in build-map's order
+    assert dynamic["reports"][3]["redundant"]  # hidden while site 2 lived
+    assert sorted(live.index(int(s)) for s in dynamic["hidden"]) == static["removed_sites"]
+    assert {str(live.index(int(s))): a for s, a in dynamic["final_region_areas"].items()} == \
+        static["region_areas"]
 
 
 def test_cli_dynamic_manifest_counts_lattice_nodes_and_parked(tmp_path):

@@ -17,7 +17,7 @@ from coveragekit.geometry import (ConvexPolygon, Disk, Point2, Rect, arc_polygon
 from coveragekit.dynamic_coverage import (DynamicCoverage, HalfSpace3, Treap,
                                           lift, traverse_shuffle, treap_delete,
                                           treap_insert, treap_of)
-from coveragekit.power_diagram import build
+from coveragekit.power_diagram import _clip_cell, build
 from coveragekit.protocol_coverage import (ProtocolTransmitter,
                                            compute_coverage_map, region_area)
 from geometry_reference import convex_polygon_intersection
@@ -222,6 +222,23 @@ def assert_matches_static(dc: DynamicCoverage, window: Rect, tag=""):
             f"{tag} site {sid}: dynamic {a_dyn} static {a_st}"
 
 
+def assert_equals_static_rebuild(dc: DynamicCoverage, tag=""):
+    """The lattice's cells are the static map's visible sites, ``hidden``
+    its hidden ones, and every area is the static rebuild's, float for
+    float.  Returns the number of areas compared."""
+    sids = sorted(dc.transmitters)
+    if not sids:
+        assert not dc.cells and not dc.hidden, tag
+        return 0
+    static = compute_coverage_map([dc.transmitters[s] for s in sids], dc.window)
+    hidden = {sids[k] for k in static.diagram.hidden}
+    assert set(dc.cells) == set(sids) - hidden, tag
+    assert dc.hidden.keys() == hidden, tag
+    areas = dc.region_areas()
+    assert [areas[s] for s in sids] == [region_area(static, k) for k in range(len(sids))], tag
+    return len(sids)
+
+
 def test_insert_single_matches_static():
     dc = DynamicCoverage(WIN, seed=3)
     dc.insert_transmitter(tx(0, 0, 1.0, 1.5))
@@ -287,16 +304,19 @@ def test_hidden_parked_and_revived():
     assert_matches_static(dc, win, "revived")
 
 
-def test_nested_concentric_hidden_disk():
-    win = Rect(-6, -6, 6, 6)
-    dc = DynamicCoverage(win, seed=9)
+@pytest.mark.parametrize("dx", [0.0, 0.05])
+def test_nested_concentric_hidden_disk(dx):
+    # concentric, the smaller disk wins nowhere; moved by 0.05 it wins
+    # where x > 80.025, far beyond the window, and so has a cell
+    dc = DynamicCoverage(Rect(-6, -6, 6, 6), seed=9)
     big = dc.insert_transmitter(tx(0.0, 0.0, 2.0, 3.0))
-    small = dc.insert_transmitter(tx(0.05, 0.0, 0.5, 1.0))
-    assert small.redundant
-    assert_matches_static(dc, win, "nested")
-    dc.delete_transmitter(big.site)
+    small = dc.insert_transmitter(tx(dx, 0.0, 0.5, 1.0))
+    assert small.redundant == (dx == 0.0)
+    assert_equals_static_rebuild(dc, "nested")
+    rep = dc.delete_transmitter(big.site)
+    assert rep.hidden_events == ([("revived", small.site)] if dx == 0.0 else [])
     assert small.site not in dc.hidden
-    assert_matches_static(dc, win, "nested-revive")
+    assert_equals_static_rebuild(dc, "nested-revive")
 
 
 def sequential_scan_parked(dc: DynamicCoverage, planes, near):
@@ -387,97 +407,80 @@ def test_one_pass_revival_equals_the_sequential_scan(seed):
                 break
         live += [apply("insert_transmitter", draw())["site"] for _ in range(deleted)]
         assert fast.region_areas() == ref.region_areas(), step
-        assert (fast.hidden, fast.offstage) == (ref.hidden, ref.offstage), step
+        assert fast.hidden == ref.hidden, step
     assert revived > 0
     counters = [(dc.revival_tests, dc.climb_steps, dc.traverse_fallbacks) for dc in pair]
     assert counters[0] == counters[1]
 
 
-def test_offstage_sites_match_static_visibility():
-    # the working square has half-width 4 * 12 * sqrt(2) ~ 67.9; the small
-    # disk at (0, -5) wins only below y = -92.4: parked, yet visible beyond
-    # the square
+def test_disks_winning_only_far_from_the_window_have_cells():
+    # the small disk at (0, -5) wins only below y = -92.4, some 87 window
+    # half-widths away: a static neighbour, so a visible site with a cell
     win = Rect(-6, -6, 6, 6)
     dc = DynamicCoverage(win)
     for t in (tx(-1, 0, 4.0, 30.0), tx(1, 0, 4.0, 30.0), tx(0, -5, 0.05, 0.1)):
         dc.insert_transmitter(t)
-
-    def check(tag):
-        sids = sorted(dc.transmitters)
-        static = compute_coverage_map([dc.transmitters[s] for s in sids], win)
-        assert_matches_static(dc, win, tag)
-        visible = {s for k, s in enumerate(sids) if k not in static.diagram.hidden}
-        assert set(dc.cells) | dc.offstage == visible, tag
-
-    check("parked")
-    assert dc.offstage == {2}
-    dc.insert_transmitter(tx(0, 3, 1.0, 2.0))  # parked and offstage too
-    check("insert")
+    assert_equals_static_rebuild(dc, "far")
+    assert set(dc.cells) == {0, 1, 2} and not dc.hidden
+    dc.insert_transmitter(tx(0, 3, 1.0, 2.0))  # wins only far above
+    assert_equals_static_rebuild(dc, "insert")
     dc.delete_transmitter(0)
-    check("delete")
+    assert_equals_static_rebuild(dc, "delete")
     # on the line from (1, 0) through (0, -5), just past it: this disk takes
-    # all of site 2's far region, though it is parked itself
-    dc.insert_transmitter(tx(-0.1, -5.5, 0.5, 1.0))
-    check("second insert")
-    assert dc.offstage == {3, 4}
-    dc.delete_transmitter(4)  # a parked delete hands the region back
-    check("parked delete")
-    assert dc.offstage == {2, 3}
+    # all of site 2's far region, which it swallows
+    rep = dc.insert_transmitter(tx(-0.1, -5.5, 0.5, 1.0))
+    assert ("parked", 2) in rep.hidden_events
+    assert_equals_static_rebuild(dc, "second insert")
+    assert dc.hidden.keys() == {2}
+    rep = dc.delete_transmitter(4)  # hands the region back
+    assert rep.hidden_events == [("revived", 2)]
+    assert_equals_static_rebuild(dc, "revived")
+    assert set(dc.cells) == {1, 2, 3} and not dc.hidden
 
 
-def test_offstage_rechecked_only_after_deleting_a_cell_on_the_square():
+def test_deleting_a_cell_revives_a_disk_that_wins_only_far_away():
+    # a 3x3 grid of equal disks; the disk nested in a corner one wins only
+    # far to the left (x < -97.8), so it has a cell, and deleting the middle
+    # one changes nothing there
     win = Rect(-6, -6, 6, 6)
-
-    def check(dc, tag):
-        sids = sorted(dc.transmitters)
-        static = compute_coverage_map([dc.transmitters[s] for s in sids], win)
-        assert_matches_static(dc, win, tag)
-        visible = {s for k, s in enumerate(sids) if k not in static.diagram.hidden}
-        assert set(dc.cells) | dc.offstage == visible, tag
-
-    # a 3x3 grid of equal disks: the middle cell is bounded, so deleting it
-    # changes nothing beyond the square (half-width ~ 67.9); the disk nested
-    # in a corner one is parked and wins only far to the left (x < -97.8),
-    # beyond the square
     dc = DynamicCoverage(win)
     for x in (-4, 0, 4):
         for y in (-4, 0, 4):
             dc.insert_transmitter(tx(x, y, 1.5, 2.0))
     nested = dc.insert_transmitter(tx(-4.02, -4, 0.2, 0.5)).site
-    check(dc, "grid")
-    assert dc.hidden.keys() == dc.offstage == {nested}
+    assert_equals_static_rebuild(dc, "grid")
+    assert nested in dc.cells and not dc.hidden
     dc.delete_transmitter(4)
-    assert not dc._offstage_pending
-    check(dc, "middle deleted")
+    assert_equals_static_rebuild(dc, "middle deleted")
 
-    # site 2's cell reaches the bottom of the square; once it is gone, the
-    # parked disk 3 wins far below (y < -84.5) though nowhere inside the square
+    # site 2 covers everything below site 3; once it is gone, site 3 wins
+    # far below (y < -84.5) though nowhere near the window
     dc = DynamicCoverage(win)
     for t in (tx(-1, 0, 4.0, 30.0), tx(1, 0, 4.0, 30.0), tx(0, -5.8, 1.0, 30.0),
               tx(0, -5.5, 0.05, 0.1)):
         dc.insert_transmitter(t)
-    check(dc, "parked")
-    assert dc.hidden.keys() == {3} and not dc.offstage
-    dc.delete_transmitter(2)
-    assert dc._offstage_pending == {3}
-    check(dc, "bottom deleted")
-    assert dc.hidden.keys() == dc.offstage == {3}
+    assert_equals_static_rebuild(dc, "parked")
+    assert dc.hidden.keys() == {3}
+    rep = dc.delete_transmitter(2)
+    assert rep.hidden_events == [("revived", 3)]
+    assert_equals_static_rebuild(dc, "bottom deleted")
+    assert set(dc.cells) == {0, 1, 3} and not dc.hidden
 
 
-def test_deleting_an_offstage_disk_gives_back_its_area():
-    # the small disk wins only below y = -92.4, beyond the working square, so
-    # it is parked and offstage; as a static neighbour of site 0 it takes a
-    # sliver of site 0's transmission disk, which its deletion gives back
+def test_deleting_a_far_winning_disk_gives_back_its_area():
+    # the small disk wins only below y = -92.4, far from the window; as a
+    # neighbour of site 0 it takes a sliver of site 0's transmission disk,
+    # which its deletion gives back
     win = Rect(-6, -6, 6, 6)
     dc = DynamicCoverage(win)
     big = dc.insert_transmitter(tx(0, 0, 5.5, 30.0)).site
     small = dc.insert_transmitter(tx(0, -5, 0.05, 0.1)).site
     before = dc.region_areas()[big]
-    assert dc.offstage == {small}
-    assert_matches_static(dc, win, "offstage")
+    assert dc.neighbors[big] == {small} and not dc.hidden
+    assert_equals_static_rebuild(dc, "far")
     dc.delete_transmitter(small)
     assert dc.region_areas()[big] == pytest.approx(before + math.pi * 0.01, rel=1e-9)
-    assert_matches_static(dc, win, "offstage deleted")
+    assert_equals_static_rebuild(dc, "far deleted")
 
 
 def test_random_inserts_match_static_on_prefixes():
@@ -829,36 +832,101 @@ WINDOW_CELL_SITES = st.lists(st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0
                              min_size=1, max_size=25, unique=True)
 
 
+def pairs_beyond_the_square(dc: DynamicCoverage, pd) -> set[tuple[int, int]]:
+    """The static diagram ``pd``'s neighbour pairs (p, q), as indices of its
+    sites, whose shared edge misses the working square: the interval of
+    their bisector where both beat every other site, each site and each
+    side of the square one linear bound on the line's parameter."""
+    xy = [(d.center.x, d.center.y) for d in pd.sites]
+    w = [x * x + y * y - d.radius ** 2 for (x, y), d in zip(xy, pd.sites)]
+    half = dc.square.x1
+    beyond = set()
+    for p, q in ((p, q) for p in range(len(xy)) for q in pd.neighbors[p]):
+        (px, py), (qx, qy) = xy[p], xy[q]
+        nx, ny, k = qx - px, qy - py, 0.5 * (w[q] - w[p])
+        nn = nx * nx + ny * ny
+        x0, y0, dx, dy = nx * k / nn, ny * k / nn, -ny / math.sqrt(nn), nx / math.sqrt(nn)
+        bounds = [(2 * ((ox - px) * dx + (oy - py) * dy),
+                   w[o] - w[p] - 2 * ((ox - px) * x0 + (oy - py) * y0))
+                  for o, (ox, oy) in enumerate(xy) if o not in (p, q)]
+        bounds += [(s * dx, half - s * x0) for s in (1, -1)] + [(s * dy, half - s * y0)
+                                                                 for s in (1, -1)]
+        lo = max((b / a for a, b in bounds if a < 0), default=-math.inf)
+        hi = min((b / a for a, b in bounds if a > 0), default=math.inf)
+        if lo >= hi or any(a == 0 and b < 0 for a, b in bounds):
+            beyond.add((p, q))
+    return beyond
+
+
+def window_cells_against_static(sites) -> tuple[int, set[int], set[str]]:
+    """Insert ``sites`` (x, y, interference radius) into a 0-10 window and
+    assert, for every site: it has a lattice cell exactly when the static
+    diagram keeps it, its lattice neighbours are its static ones, and its
+    window cell is ``build``'s cell vertex for vertex, bits and signs of
+    zero included.  Exempt are the sites of a static neighbour pair that the
+    lattice cannot tell: one adjacent only beyond the working square, or
+    one whose centres lie within ``eps`` (the cell builders' concentric
+    rule; the lattice's planes for two such disks of one radius agree to
+    rounding).  Returns the sites compared, the exempt ones, and which
+    cells occurred: inside the window, crossing its sides, or outside it
+    (None)."""
+    dc = DynamicCoverage(Rect(0.0, 0.0, 10.0, 10.0))
+    for x, y, r in sites:
+        dc.insert_transmitter(tx(x, y, 0.5 * r, r))
+    sids = sorted(dc.transmitters)
+    pd = build([dc._int_disks[s] for s in sids], dc._frame_window)  # as the static map does
+    close = {(p, q) for p in range(len(sids)) for q in pd.neighbors[p]
+             if math.dist(pd.sites[p].center, pd.sites[q].center) <= pd.eps}
+    exempt = {k for pair in pairs_beyond_the_square(dc, pd) | close for k in pair}
+    seen = set()
+    for k, sid in enumerate(sids):
+        if k in exempt:
+            continue
+        assert (sid in dc.cells) == (k not in pd.hidden), sid
+        if sid not in dc.cells:
+            continue
+        assert {sids[q] for q in pd.neighbors[k]} == dc.neighbors[sid], sid
+        row, want = dc._region_row(sid), pd.cells[k]
+        assert repr(row and row[0]) == repr(want)
+        inside = all(dc._frame_window.contains(Point2(dc.x[u], dc.y[u])) for u in dc.cells[sid])
+        seen.add("outside" if want is None else "inside" if inside else "crossing")
+    return len(sids) - len(exempt), {sids[k] for k in exempt}, seen
+
+
 def test_window_cell_equals_the_static_cell():
-    """Vertex for vertex, bits and signs of zero included, on random
-    lattices: a site's window cell is ``build``'s cell whenever the lattice
-    and the static diagram list the same neighbours (a site adjacent only
-    beyond the working square is one the lattice lacks).  Cells inside the
-    window, cells crossing its sides and cells outside it (None) all occur."""
-    seen, compared = set(), [0, 0]
+    """``window_cells_against_static`` on random lattices."""
+    seen, compared, exempt = set(), [0], []
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=100)
     @given(WINDOW_CELL_SITES)
     def check(sites):
-        dc = DynamicCoverage(Rect(0.0, 0.0, 10.0, 10.0))
-        for x, y, r in sites:
-            dc.insert_transmitter(tx(x, y, 0.5 * r, r))
-        sids = sorted(dc.transmitters)
-        pd = build([dc._int_disks[s] for s in sids], dc._frame_window)  # as the static map does
-        for sid, ring in dc.cells.items():
-            k = sids.index(sid)
-            if {sids[q] for q in pd.neighbors[k]} != dc.neighbors[sid]:
-                compared[1] += 1
-                continue
-            compared[0] += 1
-            row, want = dc._region_row(sid), pd.cells[k]
-            assert repr(row and row[0]) == repr(want)
-            inside = all(dc._frame_window.contains(Point2(dc.x[u], dc.y[u])) for u in ring)
-            seen.add("outside" if want is None else "inside" if inside else "crossing")
+        n, skipped, kinds = window_cells_against_static(sites)
+        compared[0] += n
+        exempt.append(len(skipped))
+        seen.update(kinds)
 
     check()
     assert seen == {"inside", "crossing", "outside"}
-    assert compared[0] > 10 * compared[1], compared
+    assert compared[0] > 20 * sum(exempt), (compared, sum(exempt))
+
+
+@pytest.mark.parametrize("sites, cells", [
+    # site 0 wins only where y < -1.5e9: it is parked
+    ([(0.0, 0.0, 1.0), (0.0, 1e-9, 2.0)], {1}),
+    # sites 0 and 1 meet only where x < -1.75e8
+    ([(0.0, 0.0, 1.0), (0.0, 5.0, 1.0), (5.960464477539063e-08, 2.0, 4.0)], {0, 1, 2}),
+])
+def test_a_pair_adjacent_only_beyond_the_working_square_is_not_in_the_lattice(sites, cells):
+    # the static diagram sees the whole plane, the lattice a square of
+    # half-width 1.6e8 here: centres about 1e-8 apart put an edge beyond it
+    dc = DynamicCoverage(Rect(0.0, 0.0, 10.0, 10.0))
+    for x, y, r in sites:
+        dc.insert_transmitter(tx(x, y, 0.5 * r, r))
+    pd = build([dc._int_disks[s] for s in sorted(dc.transmitters)], dc._frame_window)
+    assert pairs_beyond_the_square(dc, pd) == {(0, 1), (1, 0)}
+    assert 1 in pd.neighbors[0] and not pd.hidden
+    assert set(dc.cells) == cells and 1 not in dc.neighbors.get(0, ())
+    assert window_cells_against_static(sites)[1] == {0, 1}
 
 
 def test_window_cell_ignores_a_zero_length_ring_edge():
@@ -913,25 +981,14 @@ def c03_churn(seed: int):
 
 @pytest.mark.parametrize("seed", [304, 305, 306])
 def test_every_read_equals_the_static_rebuild(seed):
-    """After every op each area is the static rebuild's, float for float,
-    unless the static diagram gives the site a neighbour the lattice lacks
-    (adjacent only beyond the working square): then within 1e-6."""
-    exact = 0
+    """After every op the lattice holds, its cells are the static rebuild's
+    visible sites, ``hidden`` its hidden ones, and each area is the static
+    rebuild's, float for float."""
+    compared = 0
     for dc, step in c03_churn(seed):
-        sids = sorted(dc.transmitters)
-        if not sids:
-            continue
-        static = compute_coverage_map([dc.transmitters[s] for s in sids], dc.window)
-        areas = dc.region_areas()
-        for k, sid in enumerate(sids):
-            want = region_area(static, k)
-            if areas[sid] == want:
-                exact += 1
-                continue
-            lacks = {sids[q] for q in static.diagram.neighbors[k]} - dc.neighbors.get(sid, set())
-            assert lacks and abs(areas[sid] - want) <= 1e-6, \
-                f"step {step} site {sid}: dynamic {areas[sid]} static {want}"
-    assert exact > 4000
+        dc.check_invariants()
+        compared += assert_equals_static_rebuild(dc, f"step {step}")
+    assert compared > 4000
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,7 @@ def _build_direct(disks: Sequence[Disk], window: Rect) -> PowerDiagram:
     neighbors = _adjacency_exact(disks, hidden, scale)
     return PowerDiagram(window=window, sites=tuple(disks), cells=cells,
                         neighbors={i: frozenset(s) for i, s in neighbors.items()},
-                        hidden=hidden, eps=eps)
+                        hidden=hidden, eps=eps, route="direct")  # no route of ``build``'s
 
 
 THREE_COLLINEAR = [Disk(Point2(0, 0), 10.0), Disk(Point2(2, 0), 1.0),
@@ -489,6 +489,13 @@ def test_flat_routes_match_the_direct_reference(name):
             assert polygon_area(cell) == pytest.approx(polygon_area(ref.cells[i]), rel=1e-9)
 
 
+@pytest.mark.parametrize("name, route", [("road", "line"), ("diagonal-road", "line"),
+                                         ("ring", "plane"), ("ring256", "plane"),
+                                         ("random64", "hull"), ("grid6x6", "hull")])
+def test_the_diagram_records_the_route_it_took(name, route):
+    assert build(*layout(name)).route == route
+
+
 @pytest.mark.parametrize("offset", [(1e4, 1e4), (5e5, 4e6)])
 @pytest.mark.parametrize("name", ["diagonal-road", "ring"])
 def test_flat_routes_hold_at_projected_offsets(name, offset):
@@ -526,6 +533,7 @@ def test_ring_of_2048_takes_the_hull_route():
     # route fits it through well-spread sites and checks every lifted point
     disks = ring(2048)
     pd = build(disks, DIAGRAM_WIN)
+    assert pd.route == "plane"  # the corners of the centres' hull
     assert not pd.hidden
     assert pd.neighbors == {k: frozenset({(k - 1) % 2048, (k + 1) % 2048}) for k in range(2048)}
     assert sum(polygon_area(c) for c in pd.cells.values()) == pytest.approx(DIAGRAM_WIN.area(),
