@@ -75,9 +75,8 @@ from ..power_diagram import _clip_cell, admit, window_frame
 from ..protocol_coverage import ProtocolTransmitter
 
 _Z_BIG = 1.0e30
-# The working square's half-width, as a multiple of the diameter of the
-# square of half-width 4 * max(window diameter, 1): so far out that only
-# sites whose centres nearly coincide meet beyond it
+# The working square's half-width, in diameters of the square of half-width
+# 4 * max(window diameter, 1); only near-degenerate layouts meet beyond it
 _MEGA_FACTOR = 1.0e6
 
 
