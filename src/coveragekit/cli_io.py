@@ -553,14 +553,14 @@ def _cmd_dynamic(args) -> int:
         else:
             raise ParseError(f"{path}.op", f"unknown op {kind!r}")
         reports.append(rep)
-    areas = dc.region_areas()
+    areas, hidden = dc.region_areas(), dc.hidden  # each read of hidden computes the owners
     result = {"reports": [rep.to_dict() for rep in reports],
               "final_region_areas": {str(k): v for k, v in sorted(areas.items())},
-              "hidden": {str(k): v for k, v in sorted(dc.hidden.items())}}
+              "hidden": {str(k): v for k, v in hidden.items()}}
     stats = {"op_wall_times": [rep.wall_time for rep in reports],
              "traverse_fallbacks": dc.traverse_fallbacks,
              "revival_tests": dc.revival_tests, "climb_steps": dc.climb_steps,
-             "lattice_nodes": len(dc.x), "parked": len(dc.hidden)}
+             "lattice_nodes": len(dc.x), "parked": len(hidden)}
     manifest = RunManifest("dynamic", _sha256(data),
                            seed, {"ops": len(reports)},
                            wall_time=time.perf_counter() - t0, stats=stats)

@@ -38,9 +38,10 @@ half-space redundant).  Layers only grow, so the walk ends; once a deletion
 has broken the nesting of the layers, a negative answer is confirmed by a
 local climb over the lattice (exact: the envelope is convex).
 
-Redundant half-spaces are never inserted: the disk is parked in ``hidden``
-keyed by the site whose cell contains its center.  A deletion lowers the
-envelope only over the deleted cell, so parked disks are tested against its
+Redundant half-spaces are never inserted: the disk is parked, with no owner
+kept (reading ``hidden`` computes each parked disk's owner, the live site of
+least power distance from its center).  A deletion lowers the envelope only
+over the deleted cell, so parked disks are tested against its
 new vertices alone: their planes, stacked in ascending site order, against
 those vertices in one numpy pass over views of the node arrays; the first
 disk that passes above one is inserted, and only the disks after it are
@@ -69,8 +70,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from ..errors import LatticeError
-from ..geometry import (ArcPolygon, Disk, Point2, Rect, arc_polygon_area, boolean_rows,
-                        geom_eps, power_distance, side)
+from ..geometry import (ArcPolygon, Disk, Point2, Rect, _power, arc_polygon_area,
+                        boolean_rows, geom_eps, power_distance, side)
 from ..power_diagram import _clip_cell, admit, window_frame
 from ..protocol_coverage import ProtocolTransmitter
 
@@ -170,8 +171,7 @@ class DynamicCoverage:
         self.square = Rect(-half, -half, half, half)  # centred on the origin
         self.transmitters: dict[int, ProtocolTransmitter] = {}
         self._tx_keys: dict[tuple[float, float, float], int] = {}  # by interference disk
-        self._int_disks: dict[int, Disk] = {}  # in the window's frame, as are the next two
-        self._tx_disks: dict[int, Disk] = {}
+        self._int_disks: dict[int, Disk] = {}  # in the window's frame, as is the next one
         self.planes: dict[int, HalfSpace3] = {}
         # vertex nodes, one slot per id in each (see the module docstring)
         self.x = array("d")
@@ -183,7 +183,7 @@ class DynamicCoverage:
         self.face_by_layer: dict[int, list[int]] = {}
         self.cells: dict[int, list[int]] = {}  # CCW rings of vertex ids
         self.neighbors: dict[int, set[int]] = {}
-        self.hidden: dict[int, int] = {}
+        self._parked: set[int] = set()  # sites whose half-space is redundant
         self.last_traverse_visits = 0
         self.traverse_fallbacks = 0
         self.revival_tests = 0  # parked planes against vertices, by deletes
@@ -193,7 +193,6 @@ class DynamicCoverage:
         # insertions only: the layers are nested and a negative walk is exact
         self._nested = True
         self._corners: set[int] = set()  # current vertices at square corners
-        self._walk_hint: Optional[int] = None
         self._dirty: set[int] = set()
         self._regions: dict[int, tuple[list[ArcPolygon], float]] = {}  # chains, area
         sq = self.square
@@ -330,9 +329,9 @@ class DynamicCoverage:
         """Register a transmitter and update lattice, history and regions.
 
         It is ``admit``ted first, by its interference disk.  A transmitter
-        whose lifted half-space is redundant is parked in
-        ``hidden`` (keyed by the owner of its center) without touching the
-        lattice; everyone else gets a cell and patched neighbor regions.
+        whose lifted half-space is redundant is parked without touching the
+        lattice (``hidden`` names its owner when read); everyone else gets a
+        cell and patched neighbor regions.
         """
         start = time.perf_counter()
         sid = self._next_site
@@ -342,7 +341,6 @@ class DynamicCoverage:
         self._next_site += 1
         self.transmitters[sid] = t
         self._int_disks[sid] = int_disk
-        self._tx_disks[sid] = Disk(at, t.tx_radius)
         self.planes[sid] = lift(int_disk)
         events: list[tuple[str, int]] = []
         probe = self._traverse(self.planes[sid])
@@ -357,40 +355,26 @@ class DynamicCoverage:
                             wall_time=time.perf_counter() - start)
 
     def _park(self, sid: int, events: list[tuple[str, int]]) -> None:
-        owner = self._owner_of(self._int_disks[sid].center)
-        self.hidden[sid] = owner if owner is not None else -1
+        self._parked.add(sid)
         events.append(("parked", sid))
         self._dirty.add(sid)
 
     def _owner_of(self, p: Point2) -> Optional[int]:
-        """Site whose cell contains ``p``, by stepping from the last answer to
-        a neighbour nearer in power distance while there is one.  A site
-        that does not own ``p`` always has one: the neighbour across the
-        edge where the segment from its cell to ``p`` leaves the cell."""
+        """Site whose cell contains ``p``, by stepping from the lowest live
+        site to a neighbour nearer in power distance while there is one.  A
+        site that does not own ``p`` always has one: the neighbour across
+        the edge where the segment from its cell to ``p`` leaves the cell."""
         if not self.cells:
             return None
-        cur = self._walk_hint if self._walk_hint in self.cells else min(self.cells)
+        cur = min(self.cells)
         dist = {cur: power_distance(p, self._int_disks[cur])}
         while True:
             for v in self.neighbors[cur] - dist.keys():
                 dist[v] = power_distance(p, self._int_disks[v])
             step = min(self.neighbors[cur], key=dist.__getitem__, default=cur)
             if dist[step] >= dist[cur]:
-                self._walk_hint = cur
                 return cur
             cur = step
-
-    def _rekey(self, touched: set[int]) -> None:
-        """Re-key the parked disks owned by a ``touched`` site or by no live
-        cell.  The area those cells lost or gained stayed among ``touched``,
-        so the new owner is the old one or a touched site (-1 if none has a
-        cell)."""
-        for h in sorted(h for h, o in self.hidden.items()
-                        if o in touched or o not in self.cells):
-            center = self._int_disks[h].center
-            cand = [c for c in sorted(touched | {self.hidden[h]}) if c in self.cells]
-            self.hidden[h] = min(cand, default=-1, key=lambda c: power_distance(
-                center, self._int_disks[c]))
 
     def _insert_site(self, sid: int, probe: int, events: list[tuple[str, int]]) -> list[int]:
         """Insert a registered site's half-space, carving from ``probe``, a
@@ -431,7 +415,6 @@ class DynamicCoverage:
             self._park(c, events)
         # insertions never revive parked disks, so no re-probe here
         affected = sorted(shrunk) + swallowed
-        self._rekey(set(affected) | {sid})
         self._dirty.update(shrunk)
         self._dirty.add(sid)
         return affected
@@ -578,8 +561,8 @@ class DynamicCoverage:
         its insertion carves from."""
         start = time.perf_counter()
         events: list[tuple[str, int]] = []
-        if sid in self.hidden:
-            del self.hidden[sid]
+        if sid in self._parked:
+            self._parked.remove(sid)
             self._forget(sid)
             self._dirty.discard(sid)
             events.append(("unparked", sid))
@@ -601,7 +584,7 @@ class DynamicCoverage:
 
         # the envelope fell only over the hole
         revived: list[int] = []
-        parked = sorted(self.hidden)
+        parked = sorted(self._parked)
         planes = np.fromiter(chain.from_iterable(map(self.planes.__getitem__, parked)),
                              float, 3 * len(parked)).reshape(-1, 3)
         while parked:
@@ -609,12 +592,11 @@ class DynamicCoverage:
             if probe is None:
                 break
             h, parked, planes = parked[k], parked[k + 1:], planes[k + 1:]
-            del self.hidden[h]
+            self._parked.remove(h)
             events.append(("revived", h))
             affected.extend(a for a in self._insert_site(h, probe, events) if a in self.cells)
             revived.append(h)
             near.extend(self.cells[h])
-        self._rekey(set(affected) | {sid})
 
         self._dirty.update(a for a in affected if a in self.cells)
         return UpdateReport(op="delete", site=sid, redundant=False,
@@ -643,7 +625,7 @@ class DynamicCoverage:
 
     def _forget(self, sid: int) -> None:
         del self.transmitters[sid], self._tx_keys[self._int_disks[sid].xyr]
-        del self._int_disks[sid], self._tx_disks[sid], self.planes[sid]
+        del self._int_disks[sid], self.planes[sid]
         self._regions.pop(sid, None)
 
     def _retile(self, hole: list[int], nbrs: list[int]) -> list[int]:
@@ -710,6 +692,19 @@ class DynamicCoverage:
     # ------------------------------------------------------------------
 
     @property
+    def hidden(self) -> dict[int, int]:
+        """Each parked disk, ascending, with its owner: the live site of
+        least power distance from its center (the lowest id on a tie, -1
+        when no site has a cell), by one argmin over the live sites per
+        disk.  Computed at each read; a read changes no state."""
+        live = sorted(self.cells)
+        if not live:
+            return dict.fromkeys(sorted(self._parked), -1)
+        cx, cy, r = np.array([self._int_disks[c].xyr for c in live]).T
+        return {h: live[int(np.argmin(_power(*self._int_disks[h].center, cx, cy, r)))]
+                for h in sorted(self._parked)}
+
+    @property
     def regions(self) -> dict[int, list[ArcPolygon]]:
         """Current coverage regions; recomputes (with their areas) only
         sites marked dirty, in one ``boolean_rows`` pass."""
@@ -746,7 +741,8 @@ class DynamicCoverage:
         cell = _clip_cell(self._window_poly, self._int_disks, sid, nbrs, self.eps)
         if cell is None:
             return None
-        return cell, self._tx_disks[sid], [self._int_disks[q] for q in nbrs]
+        tx_disk = Disk(self._int_disks[sid].center, self.transmitters[sid].tx_radius)
+        return cell, tx_disk, [self._int_disks[q] for q in nbrs]
 
     def check_invariants(self) -> None:
         """Assert that the cells form a valid lattice: they tile the working

@@ -224,8 +224,10 @@ def assert_matches_static(dc: DynamicCoverage, window: Rect, tag=""):
 
 def assert_equals_static_rebuild(dc: DynamicCoverage, tag=""):
     """The lattice's cells are the static map's visible sites, ``hidden``
-    its hidden ones, and every area is the static rebuild's, float for
-    float.  Returns the number of areas compared."""
+    its hidden ones, each owned by the live site of least power distance
+    from its centre (the lowest id on a tie, -1 exactly when no cell is
+    live), and every area is the static rebuild's, float for float.
+    Returns the number of areas compared."""
     sids = sorted(dc.transmitters)
     if not sids:
         assert not dc.cells and not dc.hidden, tag
@@ -234,6 +236,10 @@ def assert_equals_static_rebuild(dc: DynamicCoverage, tag=""):
     hidden = {sids[k] for k in static.diagram.hidden}
     assert set(dc.cells) == set(sids) - hidden, tag
     assert dc.hidden.keys() == hidden, tag
+    for h, owner in dc.hidden.items():
+        centre = dc._int_disks[h].center
+        dist = {c: power_distance(centre, dc._int_disks[c]) for c in dc.cells}
+        assert owner == min(sorted(dist), key=dist.__getitem__, default=-1), (tag, h)
     areas = dc.region_areas()
     assert [areas[s] for s in sids] == [region_area(static, k) for k in range(len(sids))], tag
     return len(sids)
@@ -388,11 +394,13 @@ def test_one_pass_revival_equals_the_sequential_scan(seed):
                   max(1e-4, rng.uniform(0.5, 1.0) * ir), ir)
 
     win = Rect(0.0, 0.0, 100.0, 100.0)
-    pair = fast, ref = DynamicCoverage(win), with_sequential_scan(DynamicCoverage(win))
+    # ``unread``'s ``hidden`` is read only at the end: a read changes no state
+    trio = fast, ref, unread = (DynamicCoverage(win), with_sequential_scan(DynamicCoverage(win)),
+                                DynamicCoverage(win))
 
     def apply(op, *args):
-        reps = [getattr(dc, op)(*args).to_dict() for dc in pair]
-        assert reps[0] == reps[1], (op, args)
+        reps = [getattr(dc, op)(*args).to_dict() for dc in trio]
+        assert reps[0] == reps[1] == reps[2], (op, args)
         return reps[0]
 
     live = [apply("insert_transmitter", draw())["site"] for _ in range(1000)]
@@ -406,11 +414,12 @@ def test_one_pass_revival_equals_the_sequential_scan(seed):
             if not rep["redundant"]:
                 break
         live += [apply("insert_transmitter", draw())["site"] for _ in range(deleted)]
-        assert fast.region_areas() == ref.region_areas(), step
+        assert fast.region_areas() == ref.region_areas() == unread.region_areas(), step
         assert fast.hidden == ref.hidden, step
     assert revived > 0
-    counters = [(dc.revival_tests, dc.climb_steps, dc.traverse_fallbacks) for dc in pair]
-    assert counters[0] == counters[1]
+    assert unread.hidden == fast.hidden
+    counters = [(dc.revival_tests, dc.climb_steps, dc.traverse_fallbacks) for dc in trio]
+    assert counters[0] == counters[1] == counters[2]
 
 
 def test_disks_winning_only_far_from_the_window_have_cells():
