@@ -33,15 +33,13 @@ from .errors import (BudgetExceeded, CoverageKitError, DuplicateSite, InvalidArg
                      ModelError, ParseError)
 from .geometry import (FRAME_BLOCK, ArcPolygon, CircularArc, Disk, Point2, Rect, Segment,
                        arc_polygon_area)
-from .optimizer import (Bounds, RhcParams, SamplingPlan,
-                        estimate_area, exhaustive_search, grid_rule_samples,
-                        nelder_mead, objective, post_process, random_hill_climb,
-                        required_samples, sweep_power)
+from .optimizer import (Bounds, RhcParams, SamplingPlan, exhaustive_search,
+                        grid_rule_samples, nelder_mead, objective, post_process, power_ramp,
+                        random_hill_climb, required_samples)
 from .power_diagram import PowerDiagram, frame_partitions
 from .protocol_coverage import (CoverageMap, ProtocolTransmitter,
                                 compute_coverage_map, find_interference_bound)
-from .sinr_model import (PowerVector, SinrScenario, capture_grid, check_sample_budget,
-                         filter_counts)
+from .sinr_model import PowerVector, SinrScenario, capture_grid, check_sample_budget
 from .dynamic_coverage import DynamicCoverage
 
 
@@ -230,8 +228,8 @@ def parse_scenario(data: bytes | str) -> ScenarioFile:
 # SVG rendering
 # ---------------------------------------------------------------------------
 
-_PALETTE = ["#4e79a7", "#f28e2b", "#59a14f", "#e15759", "#76b7b2", "#edc948",
-            "#b07aa1", "#ff9da7", "#9c755f", "#bab0ac"]
+_PALETTE = ("#4e79a7", "#f28e2b", "#59a14f", "#e15759", "#76b7b2", "#edc948",
+            "#b07aa1", "#ff9da7", "#9c755f", "#bab0ac")
 
 
 def _fmt(v: float) -> str:
@@ -569,20 +567,15 @@ def _cmd_dynamic(args) -> int:
     return 0
 
 
-def _filter_stats(before: dict) -> dict:
-    """The SINR filter's counters since ``before``, a copy of ``filter_counts``."""
-    return {k: v - before[k] for k, v in filter_counts.items()}
-
-
 def _cmd_estimate_area(args) -> int:
     scen, digest = _load_scenario(args, "sinr")
     s, plan = scen.powered(), scen.sampling
-    t0, before = time.perf_counter(), dict(filter_counts)
-    area = estimate_area(s, s.powers, plan)
+    t0, evaluator = time.perf_counter(), objective(s, plan)
+    area = evaluator(s.powers.values)
     result = {"estimated_area": area, "plan": asdict(plan)}
     manifest = RunManifest("estimate-area", digest, scen.seed, {},
                            wall_time=time.perf_counter() - t0,
-                           stats={"filter": _filter_stats(before)})
+                           stats={"filter": evaluator.counts})
     _write_outputs(args.out, Path(args.scenario).stem, result, manifest)
     print(f"estimated covered fraction {area:.6g}")
     return 0
@@ -594,7 +587,7 @@ def _cmd_optimize(args) -> int:
     # the searches read the scenario's layout and constants, not its powers
     base, bounds, plan = scen.sinr, scen.bounds, scen.sampling
     seed = args.seed if args.seed is not None else (scen.seed or 0)
-    t0, before = time.perf_counter(), dict(filter_counts)
+    t0 = time.perf_counter()
     if args.method == "exhaustive":
         res = exhaustive_search(base, bounds, args.levels, plan, budget=args.budget)
     elif args.method == "rhc":
@@ -604,12 +597,11 @@ def _cmd_optimize(args) -> int:
         res = nelder_mead(objective(base, plan), bounds,
                           restarts=args.restarts, seed=seed)
     stats = {"search": {"calls": res.evaluations, "computed": res.computed,
-                        "filter": _filter_stats(before)}}
+                        "filter": res.counts}}
     if args.post_process:
-        before = dict(filter_counts)
         res = post_process(base, res.best_power, bounds.p_min, plan)
         stats["post_process"] = {"calls": res.evaluations, "computed": res.computed,
-                                 "filter": _filter_stats(before)}
+                                 "filter": res.counts}
     result = res.to_dict()
     manifest = RunManifest(f"optimize-{args.method}", digest, seed,
                            {"levels": args.levels, "restarts": args.restarts,
@@ -628,14 +620,14 @@ def _cmd_optimize(args) -> int:
 def _cmd_sweep_power(args) -> int:
     _refuse_output_path(args, "--csv", args.csv)
     scen, digest = _load_scenario(args, "sinr")
-    t0, before = time.perf_counter(), dict(filter_counts)
-    curve = sweep_power(scen.sinr, scen.bounds, args.levels, scen.sampling)
+    t0, evaluator = time.perf_counter(), objective(scen.sinr, scen.sampling)
+    curve = power_ramp(evaluator, scen.bounds, args.levels)
     result = {"curve": [[p, a] for p, a in curve]}
     manifest = RunManifest("sweep-power", digest, scen.seed,
                            {"levels": args.levels},
                            wall_time=time.perf_counter() - t0,
                            stats={"calls": len(curve), "computed": len(curve),
-                                  "filter": _filter_stats(before)})
+                                  "filter": evaluator.counts})
     _write_outputs(args.out, Path(args.scenario).stem, result, manifest)
     if args.csv:
         _write_csv(args.csv, ["total_power", "estimated_area"],

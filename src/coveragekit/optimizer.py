@@ -8,11 +8,11 @@ optimizers use the deterministic grid.
 Three searches are provided: exhaustive enumeration over power levels in
 nondecreasing total-power order (so the first maximizer found is also the
 cheapest), a bidirectional random hill climb, and Nelder-Mead with restarts.
-Each evaluates one bound ``objective``, whose distance powers (and the SINR
-filter's gain rows, shared with ``post_process``) are built once per (sites,
-alpha, window, plan), caching values per exact power vector (``evaluations``
-counts queries, cached or not); exhaustive search folds each prefix of
-levels once.  No thread setting changes a result.
+Each evaluates one bound ``objective``, whose read-only distance powers are
+built once per (sites, alpha, window, plan) and shared with the next
+evaluator of that sample, caching values per exact power vector
+(``evaluations`` counts queries, cached or not); exhaustive search folds
+each prefix of levels once.  No thread setting changes a result.
 """
 
 from __future__ import annotations
@@ -20,14 +20,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import BudgetExceeded
-from .sinr_model import (PathLoss, PowerVector, SinrEvaluator, SinrScenario, _cell_centers,
-                         _path_loss, check_sample_budget)
+from .sinr_model import (PowerVector, SinrEvaluator, SinrScenario, _cell_centers, _path_loss,
+                         check_sample_budget)
 
 
 @dataclass(frozen=True)
@@ -103,6 +103,7 @@ class OptResult:
     trace: list[tuple[int, float]]
     total_power: float
     computed: int = 0  # distinct vectors evaluated; for the manifest only
+    counts: dict = field(default_factory=dict)  # the evaluator's filter counts; likewise
 
     def to_dict(self) -> dict:
         return {"best_power": list(self.best_power.values),
@@ -120,9 +121,9 @@ def sample_points(window, plan: SamplingPlan) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def _gains(sites, alpha: float, window, plan: SamplingPlan) -> PathLoss:
-    """``_path_loss`` of the plan's sample points; its callers share it, and
-    the filter's gain rows built on it, and only read them."""
+def _sample_rows(sites, alpha: float, window, plan: SamplingPlan) -> np.ndarray:
+    """``_path_loss`` of the plan's sample points, which the evaluators of
+    one sample share."""
     check_sample_budget(len(sites), math.prod(plan.grid_dims) if plan.kind == "grid"
                         else plan.sample_count)
     return _path_loss(sites, alpha, sample_points(window, plan))
@@ -130,7 +131,7 @@ def _gains(sites, alpha: float, window, plan: SamplingPlan) -> PathLoss:
 
 def objective(s: SinrScenario, plan: SamplingPlan) -> SinrEvaluator:
     """Covered fraction of the window as a function of the powers, on the plan's sample."""
-    return SinrEvaluator(s, _gains(tuple(s.sites), s.alpha, s.window, plan))
+    return SinrEvaluator(s, _sample_rows(tuple(s.sites), s.alpha, s.window, plan))
 
 
 def estimate_area(s: SinrScenario, p, plan: SamplingPlan) -> float:
@@ -154,8 +155,9 @@ def grid_rule_samples(epsilon: float, delta: float, c_lower: float) -> int:
 
 class _CachedObjective:
     """Counts logical evaluations; computes each exact vector once (``known``
-    ones ahead).  Keeps the first vector of the largest area, and the trace
-    of (calls, area) at each strict improvement."""
+    ones ahead).  Keeps the first vector of the largest area, the trace of
+    (calls, area) at each strict improvement, and for an evaluator ``fn``
+    its filter counts."""
 
     def __init__(self, fn: Callable[[tuple[float, ...]], float],
                  known: Optional[dict[tuple[float, ...], float]] = None):
@@ -181,7 +183,8 @@ class _CachedObjective:
 
     def result(self) -> OptResult:
         pv = PowerVector.of(self.best)
-        return OptResult(pv, self.best_area, self.calls, self.trace, pv.total(), self.computed)
+        return OptResult(pv, self.best_area, self.calls, self.trace, pv.total(), self.computed,
+                         dict(getattr(self._fn, "counts", {})))
 
 
 def exhaustive_search(s: SinrScenario, b: Bounds, levels: int,
@@ -204,8 +207,8 @@ def exhaustive_search(s: SinrScenario, b: Bounds, levels: int,
         else:
             axes.append([lo + (hi - lo) * k / (levels - 1) for k in range(levels)])
     distinct = [list(dict.fromkeys(axis)) for axis in axes]  # p_min == p_max repeats
-    areas = dict(zip(itertools.product(*distinct), objective(s, plan).product(distinct)))
-    ev = _CachedObjective(areas.__getitem__, areas)
+    area = objective(s, plan)
+    ev = _CachedObjective(area, dict(zip(itertools.product(*distinct), area.product(distinct))))
     for vec in sorted(itertools.product(*axes), key=lambda v: (sum(v), v)):
         ev(vec)
     return ev.result()
@@ -342,16 +345,19 @@ def post_process(s: SinrScenario, v: PowerVector, p_min: PowerVector,
 
 def sweep_power(s: SinrScenario, b: Bounds, levels: int,
                 plan: SamplingPlan) -> list[tuple[float, float]]:
-    """Coverage along the uniform ramp from p_min to p_max.
+    """``power_ramp`` of the plan's objective."""
+    return power_ramp(objective(s, plan), b, levels)
 
-    Returns (total power, estimated area) per level.  With positive noise the
-    covered set only grows along this ramp, so the curve is nondecreasing.
-    """
+
+def power_ramp(area: Callable[[tuple[float, ...]], float], b: Bounds,
+               levels: int) -> list[tuple[float, float]]:
+    """(total power, ``area`` of the powers' float tuple) at ``levels`` even
+    steps of the uniform ramp from p_min to p_max.  With positive noise the
+    covered set only grows along it, so the curve is nondecreasing."""
     if levels < 2:
         raise ValueError("need at least two levels")
     lo = b.p_min.as_array()
     hi = b.p_max.as_array()
-    area = objective(s, plan)
     out = []
     for k in range(levels):
         pv = PowerVector.of(lo + (hi - lo) * k / (levels - 1))

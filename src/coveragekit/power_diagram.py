@@ -19,10 +19,10 @@ was cut in.  A face of four or more cocircular sites comes back split into
 triangles on one plane; the edges inside it touch the diagram in
 a point and are no neighbor pairs.
 Qhull rejects every input of at most three sites and every flat lift; only
-then are the neighbors read off the flat structure, in O(n log n) too, and
-the diagram's ``route`` says which of the three routes was taken.  Its
-one rounding test is ``side``, applied at the magnitude of the coordinates
-Qhull was given (also to tell the split faces):
+then (and for a far window, see ``build``) are the neighbors read off the
+flat structure, in O(n log n) too, and the diagram's ``route`` names the
+route.  Its one rounding test is ``side``, at the magnitude of the
+coordinates it runs on (also to tell the split faces):
 
 * centers on one line: at parameter s along it the power distance is
   s^2 - 2 s t_i + t_i^2 - r_i^2, so the visible sites are the lower chain
@@ -108,6 +108,9 @@ def build(disks: Sequence[Disk], window: Rect) -> PowerDiagram:
     cells are cut with ``geom_eps(window.diameter())``.  Sites whose power
     region is empty in the unbounded plane are reported in ``hidden`` and
     get a None cell.
+    A window without the origin is computed in its frame (``window_frame``)
+    and the cells moved back, so rounding scales with the window; a lift
+    flat up to the rounding of the given coordinates takes its flat route.
     A lift that Qhull rejects and no flat route explains raises
     ``DiagramRejected``.
     """
@@ -116,15 +119,21 @@ def build(disks: Sequence[Disk], window: Rect) -> PowerDiagram:
     _validate(disks, window)
     eps = geom_eps(window.diameter())
     n = len(disks)
+    sites, frame, origin = disks, window, None
+    if not window.contains(Point2(0.0, 0.0)):
+        origin, frame, local = window_frame(window)
+        sites = [Disk(local(d.center), d.radius) for d in disks]
     try:
-        adj, route = _neighbors(disks)
+        adj, route = _neighbors(disks, sites)
     except QhullError as err:
         reason = next((line for line in str(err).splitlines() if line.strip()), "no reason given")
         raise DiagramRejected(f"Qhull rejected the sites: {reason.strip()}") from err
     visible = sorted(adj)
     cuts, _ = padded([sorted(adj[i]) for i in visible], -1)
-    rows = clip_rows([window.to_polygon()], np.array([d.xyr for d in disks]),
+    rows = clip_rows([frame.to_polygon()], np.array([d.xyr for d in sites]),
                      np.zeros(len(visible), int), np.array(visible), cuts, eps)
+    if origin is not None:
+        rows.xy[:] += tuple(origin)
     cells: dict[SiteId, Optional[ConvexPolygon]] = dict.fromkeys(range(n))
     cells.update(zip(visible, _polygons(rows)))
     return PowerDiagram(window=window, sites=tuple(disks), cells=cells,
@@ -160,13 +169,25 @@ def _clip_cell(poly: ConvexPolygon, sites: Mapping[int, Disk], i: int,
     return poly if pts is start else ConvexPolygon(tuple(Point2(x, y) for x, y in pts))
 
 
-def _neighbors(disks: Sequence[Disk]) -> tuple[dict[SiteId, set[SiteId]], str]:
+def _lift(disks: Sequence[Disk]) -> list[tuple[float, float, float]]:
+    return [(d.center.x, d.center.y, d.center.x ** 2 + d.center.y ** 2 - d.radius ** 2)
+            for d in disks]
+
+
+def _neighbors(disks: Sequence[Disk], moved: Sequence[Disk]
+               ) -> tuple[dict[SiteId, set[SiteId]], str]:
     """Unbounded-plane neighbors of every visible site (hidden sites are
-    absent), and the route that found them (``PowerDiagram.route``)."""
+    absent), and the route that found them (``PowerDiagram.route``).  When
+    ``moved`` is ``disks`` in the window's frame, a lift of ``disks`` flat at
+    their magnitude takes its flat route on them, and any other is ``moved``'s."""
     from scipy.spatial import ConvexHull, QhullError
 
-    lift = [(d.center.x, d.center.y, d.center.x ** 2 + d.center.y ** 2 - d.radius ** 2)
-            for d in disks]
+    lift = _lift(disks)
+    if moved is not disks:
+        try:
+            return _flat_neighbors(disks, lift, QhullError("the lift is not flat"))
+        except QhullError:
+            disks, lift = moved, _lift(moved)
     try:
         hull = ConvexHull(np.array(lift), qhull_options="Qt")
     except QhullError as err:

@@ -8,14 +8,14 @@ ambient noise.  A point is covered when its best SINR reaches the receive
 threshold beta (non-strict, matching the area-estimation convention).
 
 Everything operates on immutable scenarios and is safe to parallelise over
-sample points.  A bound ``SinrEvaluator`` owns its scratch buffers, so each
-caller needs its own.  Its masks come from a float32 filter that decides a
-sample only when the margin ``(1+beta) rmax - beta (acc + noise)`` clears a
-band of relative width ``k = 2 (n + 16) 2**-24`` for n sites, derived in the
-class docstring from the float32 and float64 unit roundoffs; samples in the
-band, samples on a site, and every sample of a vector outside the filter's
-float32 range take the exact float64 fold, so every mask is the fold's bit
-for bit.
+sample points.  A bound ``SinrEvaluator`` owns its scratch buffers, its
+gain rows and its filter counts, so each caller needs its own.  Its masks
+come from a float32 filter that decides a sample only when the margin
+``(1+beta) rmax - beta (acc + noise)`` clears a band of relative width ``k
+= 2 (n + 16) 2**-24`` for n sites, derived in the class docstring from the
+float32 and float64 unit roundoffs; samples in the band, samples on a site,
+and every sample of a vector outside the filter's float32 range take the
+exact float64 fold, so every mask is the fold's bit for bit.
 """
 
 from __future__ import annotations
@@ -155,10 +155,10 @@ def _cell_centers(window: Rect, nx: int, ny: int) -> np.ndarray:
 
 # Most sites x sample points one sample may hold; larger requests raise
 # BudgetExceeded before any sample is allocated.  Each pair holds 8 bytes,
-# a float64 ``d**alpha``.  The filter's float32 rows, reserved up front and
-# touched only once it runs, add 4 for the gain (one per sample) and 4 for
-# the product (one per evaluator): 80 MB at the bound for a one-shot
-# estimate, 160 MB for a search or a post-process.
+# a float64 ``d**alpha``.  Each evaluator's float32 filter rows, reserved up
+# front and touched only once it runs, add 4 for the gain and 4 for the
+# product: 80 MB at the bound for a one-shot estimate, 160 MB for a search
+# or a post-process, whose evaluators live one after the other.
 MAX_SAMPLE_PAIRS = 10 ** 7
 
 
@@ -174,58 +174,22 @@ def check_sample_budget(sites: int, points: int) -> None:
 _LO, _HI = 2.0 ** -100, 2.0 ** 100
 _U32 = 2.0 ** -24  # float32 unit roundoff
 
-# Running totals over every evaluator, for run manifests: samples the
-# filter decided, samples in its band (decided by the exact fold), and
-# evaluations the exact fold made whole, of which ``range_fallbacks``
-# failed the range check (the others came before the gain rows existed).
-filter_counts = {"decided": 0, "band": 0, "whole": 0, "range_fallbacks": 0}
 
-
-class PathLoss:
-    """A sample's site-major ``d**alpha`` rows, shape (n_sites, N), as
-    ``dpow``; and, filled by the first ``gains()`` and shared by every
-    evaluator of the sample, the filter's float32 gain rows ``1/d**alpha``
-    (both rounded to float32; NaN on a site or beyond float32) with each
-    row's least and largest gain, 0 and inf for a row outside the filter's
-    range.  The gain rows are reserved here and touched only when filled,
-    so a sample never filtered costs them no memory."""
-
-    def __init__(self, dpow: np.ndarray):
-        self.dpow = dpow
-        self._g = np.empty(dpow.shape, dtype=np.float32)
-        self._ranges: Optional[tuple[list[float], list[float]]] = None
-
-    @property
-    def built(self) -> bool:
-        return self._ranges is not None
-
-    def gains(self) -> tuple[np.ndarray, list[float], list[float]]:
-        if self._ranges is None:
-            lo, hi = [], []
-            with np.errstate(divide="ignore", over="ignore"):
-                for row, out in zip(self.dpow, self._g):
-                    np.copyto(out, row, casting="same_kind")
-                    np.divide(np.float32(1.0), out, out=out)
-                    out[np.isinf(out)] = np.nan
-                    a, b = float(np.fmin.reduce(out)), float(np.fmax.reduce(out))
-                    ok = _LO <= a and b <= _HI  # False for a row of NaNs
-                    lo.append(a if ok else 0.0)
-                    hi.append(b if ok else math.inf)
-            self._ranges = lo, hi
-        return (self._g, *self._ranges)
-
-
-def _path_loss(sites, alpha: float, pts: np.ndarray) -> PathLoss:
-    """Site-major ``d**alpha``, shape (n_sites, N), for (N,2) points."""
-    sx = np.array([q.x for q in sites])[:, None]
-    sy = np.array([q.y for q in sites])[:, None]
-    d2 = (pts[:, 0] - sx) ** 2 + (pts[:, 1] - sy) ** 2
-    return PathLoss(d2 ** (alpha / 2.0))
+def _path_loss(sites, alpha: float, pts: np.ndarray) -> np.ndarray:
+    """Site-major ``d**alpha``, shape (n_sites, N), for (N,2) points: one
+    read-only array, built in place."""
+    out, t = np.empty((len(sites), len(pts))), np.empty(len(pts))
+    for q, row in zip(sites, out):
+        np.square(np.subtract(pts[:, 0], q.x, out=row), out=row)
+        row += np.square(np.subtract(pts[:, 1], q.y, out=t), out=t)
+    out **= alpha / 2.0
+    out.flags.writeable = False
+    return out
 
 
 class SinrEvaluator:
-    """Coverage of a fixed sample of N points (``PathLoss`` rows ``dpow``)
-    under any power vector, a float tuple or an ndarray.
+    """Coverage of a fixed sample of N points (its read-only ``_path_loss``
+    rows ``dpow``) under any power vector, a float tuple or an ndarray.
 
     The exact fold folds the powered sites in index order into scratch rows,
     ``r = p_i / d_i``, ``acc += r``, ``rmax = max(rmax, r)``, and a sample
@@ -236,7 +200,8 @@ class SinrEvaluator:
     (which folds each prefix once) use it alone.
 
     ``mask`` first runs a float32 filter with no division: ``r = g_i * p_i``
-    over the float32 gain rows, ``acc = sum r``, ``rmax = max r``.  The
+    over the float32 gain rows ``1/d**alpha`` (both rounded to float32; NaN
+    on a site or beyond float32), ``acc = sum r``, ``rmax = max r``.  The
     margin ``(1+beta) rmax - beta (acc + noise)`` has the sign of the exact
     test; the filter decides a sample covered when ``rmax > (1+k) h (acc +
     noise)`` and uncovered when ``rmax < (1-k) h (acc + noise)``, with ``h =
@@ -266,18 +231,19 @@ class SinrEvaluator:
     layouts, and beta below 2**-20 (whose thresholds would leave the range),
     always take the fold.
 
-    The gain rows are filled on an evaluator's second call, unless the
-    sample's are filled already, so a one-shot estimate costs only the fold;
-    they and the filter's scratch are reserved up front and touched only
-    when the filter runs, so no evaluation after the first allocates more
-    than its band's columns.
+    The evaluator's gain rows are filled on its second call, so a one-shot
+    estimate costs only the fold; they and the filter's scratch are reserved
+    up front and touched only when the filter runs, so no evaluation after
+    the first allocates more than its band's columns.  ``counts`` are its own:
+    samples the filter ``decided``, samples in its ``band``, and evaluations
+    the exact fold made ``whole``, the first and the ``range_fallbacks``.
     """
 
-    def __init__(self, s: SinrScenario, loss: PathLoss):
-        dpow = loss.dpow
+    def __init__(self, s: SinrScenario, dpow: np.ndarray):
         self.rows, self.beta, self.noise = list(dpow), s.beta, s.noise
         self.size = dpow.shape[1]
-        self._loss, self._seen = loss, False
+        self.counts = {"decided": 0, "band": 0, "whole": 0, "range_fallbacks": 0}
+        self._seen, self._ranges = False, None
         self._quiet = contextlib.nullcontext if dpow.all() else \
             lambda: np.errstate(divide="ignore", invalid="ignore")  # a sample on a site
         self._f = list(np.zeros((7, self.size)))  # 0, r, acc, rmax, last site's acc, rmax, tail
@@ -287,8 +253,9 @@ class SinrEvaluator:
         self._filter = None  # float32 thresholds (1+k) h and (1-k) h, and the noise
         if n < 2 ** 12 and h >= 2.0 ** -20:
             self._filter = tuple(np.float32(v) for v in (h * (1 + k), h * (1 - k), min(s.noise, _HI)))
-            prod = np.empty((n + 3, self.size), dtype=np.float32)  # touched only by the filter
-            self._scratch = (prod[:n], list(prod[:n]), *prod[n:],
+            rows = np.empty((2 * n + 3, self.size), dtype=np.float32)  # touched only by the filter
+            self._g, prod = rows[:n], rows[n:2 * n]
+            self._scratch = (prod, list(prod), *rows[2 * n:],
                              *np.empty((2, self.size), dtype=bool))
 
     def _fold(self, p, first: int = 0, state=None, out=(2, 3), f=None, cols=None):
@@ -326,8 +293,21 @@ class SinrEvaluator:
         return self._covered(*self._fold(p, f=f, cols=cols), f, b)
 
     def _in_range(self, p) -> bool:
-        """The range check, on the powered sites of p."""
-        _, lo, hi = self._loss.gains()
+        """The range check, on the powered sites of p; the first fills the gain
+        rows and each row's least and largest gain (0 and inf out of range)."""
+        if self._ranges is None:
+            lo, hi = [], []
+            with np.errstate(divide="ignore", over="ignore"):
+                for row, out in zip(self.rows, self._g):
+                    np.copyto(out, row, casting="same_kind")
+                    np.divide(np.float32(1.0), out, out=out)
+                    out[np.isinf(out)] = np.nan
+                    a, b = float(np.fmin.reduce(out)), float(np.fmax.reduce(out))
+                    ok = _LO <= a and b <= _HI  # False for a row of NaNs
+                    lo.append(a if ok else 0.0)
+                    hi.append(b if ok else math.inf)
+            self._ranges = lo, hi
+        lo, hi = self._ranges
         total = self.noise
         for v, a, b in zip(p, lo, hi):
             if v != 0.0:
@@ -340,7 +320,7 @@ class SinrEvaluator:
         """The filter's mask of p, its band decided by the exact fold."""
         prod, prod_rows, acc, rmax, t, cov, decided = self._scratch
         hi, lo, noise = self._filter
-        for g, out, v in zip(self._loss.gains()[0], prod_rows, np.array(p, dtype=np.float32)):
+        for g, out, v in zip(self._g, prod_rows, np.array(p, dtype=np.float32)):
             np.multiply(g, v, out=out)
         np.add.reduce(prod, axis=0, out=acc)
         np.maximum.reduce(prod, axis=0, out=rmax)  # NaN where a gain is NaN
@@ -352,8 +332,8 @@ class SinrEvaluator:
         if band:
             cols = np.flatnonzero(np.logical_not(decided, out=decided))
             cov[cols] = self._exact(p, cols)
-        filter_counts["decided"] += self.size - band
-        filter_counts["band"] += band
+        self.counts["decided"] += self.size - band
+        self.counts["band"] += band
         return cov
 
     def mask(self, p) -> np.ndarray:
@@ -363,11 +343,11 @@ class SinrEvaluator:
         p = p.tolist() if isinstance(p, np.ndarray) else p  # floats for the range check
         seen, self._seen = self._seen, True
         with self._quiet():
-            if seen or self._loss.built:
+            if seen:
                 if self._filter is not None and self._in_range(p):
                     return self._filtered(p)
-                filter_counts["range_fallbacks"] += 1
-            filter_counts["whole"] += 1
+                self.counts["range_fallbacks"] += 1
+            self.counts["whole"] += 1
             return self._exact(p)
 
     def __call__(self, p) -> float:
@@ -405,8 +385,8 @@ class SinrEvaluator:
 
 def capture_grid(s: SinrScenario, nx: int, ny: int) -> np.ndarray:
     """Capture-transmitter ids (smallest on ties) on an (ny, nx) raster."""
-    loss = _path_loss(s.sites, s.alpha, _cell_centers(s.window, nx, ny))
-    return SinrEvaluator(s, loss).capture(s.powers.values).reshape(ny, nx)
+    dpow = _path_loss(s.sites, s.alpha, _cell_centers(s.window, nx, ny))
+    return SinrEvaluator(s, dpow).capture(s.powers.values).reshape(ny, nx)
 
 
 def _ray_exit_distance(window: Rect, origin: Point2, dx: float, dy: float) -> float:

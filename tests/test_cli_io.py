@@ -640,6 +640,23 @@ def test_cli_objective_counters_in_manifest_only(tmp_path):
     assert f["range_fallbacks"] == 0 and f["whole"] <= 1
 
 
+def test_cli_optimize_manifest_does_not_depend_on_an_earlier_run(tmp_path):
+    scen = tmp_path / "s.json"
+    # a grid no other test samples, so the first run finds nothing cached
+    scen.write_text(json.dumps(dict(SINR_SCENARIO, sampling={"kind": "grid",
+                                                             "grid_dims": [23, 19]})))
+    manifests = []
+    for method in ("nm", "rhc", "nm"):
+        assert cli(["optimize", method, str(scen), "--seed", "7", "--post-process",
+                    "--out", str(tmp_path / f"{method}.result.json")]) == 0
+        manifest = json.loads((tmp_path / f"{method}.manifest.json").read_text())
+        manifest.pop("wall_time")
+        manifests.append(manifest)
+    assert manifests[0] == manifests[2]
+    for phase in manifests[0]["stats"].values():
+        assert phase["filter"]["whole"] == 1  # each phase's evaluator folds its first mask
+
+
 def test_cli_estimate_and_sweep(tmp_path, capsys):
     scen = tmp_path / "s.json"
     scen.write_text(json.dumps(SINR_SCENARIO))

@@ -386,3 +386,25 @@ def test_bound_evaluation_allocates_less_than_one_sample_row():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 64 * 64, peak
+
+
+def test_evaluators_of_one_sample_share_only_its_read_only_rows():
+    rng = random.Random(47)
+    s = random_scenario(rng, 6, beta=1.2)
+    plan = SamplingPlan.grid(24, 24)
+    vectors = [tuple(rng.uniform(0.5, 5.0) for _ in range(6)) for _ in range(3)]
+    first = objective(s, plan)
+    for p in vectors:
+        first(p)
+    second = objective(s, plan)
+    with pytest.raises(ValueError):
+        second.rows[0][0] = 1.0  # the cached d**alpha rows are only read
+    pts = sample_points(UNIT, plan)
+    assert second(vectors[-1]) == int(reference_mask(s, pts, vectors[-1]).sum()) / len(pts)
+    assert second.counts == {"decided": 0, "band": 0, "whole": 1, "range_fallbacks": 0}
+    assert first.counts["whole"] == 1
+    assert first.counts["decided"] + first.counts["band"] == 2 * len(pts)
+    # a search's result carries the counts of the evaluator it ran
+    res = post_process(s, PowerVector.of(vectors[0]), Bounds.uniform(6, 0.0, 5.0).p_min, plan)
+    assert res.counts["whole"] == 1
+    assert res.counts["decided"] + res.counts["band"] == (res.computed - 1) * len(pts)

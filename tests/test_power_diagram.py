@@ -555,11 +555,31 @@ def test_road_build_doubling_exponent():
     assert slope <= 1.25, f"fitted exponent {slope:.3f} exceeds 1.25"
 
 
+@pytest.mark.parametrize("offset", [(1e5, 1e5), (5e5, 4e6), (1e6, 1e6)])
+def test_build_computes_in_the_window_frame_at_projected_offsets(offset):
+    # c02's generator at projected coordinates: computed as given, the lift
+    # loses the digits that decide the diagram (or Qhull rejects it)
+    ox, oy = offset
+    disks = c02_disks(512)
+    shifted = [Disk(Point2(d.center.x + ox, d.center.y + oy), d.radius) for d in disks]
+    window = Rect(ox, oy, 100.0 + ox, 100.0 + oy)
+    pd, base = build(shifted, window), build(disks, DIAGRAM_WIN)
+    assert (pd.hidden, pd.neighbors, pd.route) == (base.hidden, base.neighbors, base.route)
+    assert pd.window == window and pd.sites == tuple(shifted)
+    for i, cell in pd.cells.items():  # moved back into the caller's coordinates
+        if cell is not None:
+            back = ConvexPolygon(tuple(Point2(v.x - ox, v.y - oy) for v in cell.vertices))
+            assert polygon_area(back) == pytest.approx(polygon_area(base.cells[i]), abs=1e-6)
+            assert all(window.x0 <= v.x <= window.x1 and window.y0 <= v.y <= window.y1
+                       for v in cell.vertices)
+
+
 def test_build_turns_a_qhull_rejection_into_diagram_rejected():
-    # c02's generator at projected coordinates: the lift is too flat for Qhull
+    # c02's generator far from the origin in a window that holds the origin,
+    # so it is computed as given: the lift is too flat for Qhull
     disks = [Disk(Point2(d.center.x + 5e5, d.center.y + 4e6), d.radius) for d in c02_disks(512)]
     with pytest.raises(DiagramRejected, match="^Qhull rejected the sites: QH") as raised:
-        build(disks, Rect(5e5, 4e6, 5e5 + 100.0, 4e6 + 100.0))
+        build(disks, Rect(0.0, 0.0, 5e5 + 100.0, 4e6 + 100.0))
     assert isinstance(raised.value.__cause__, QhullError)
     assert "\n" not in str(raised.value)
 

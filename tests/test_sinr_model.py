@@ -11,7 +11,7 @@ from coveragekit.errors import Singularity
 from coveragekit.geometry import Point2, Rect
 from coveragekit.sinr_model import (PowerVector, SinrEvaluator, SinrScenario,
                                     _cell_centers, _path_loss, capture_grid,
-                                    capture_transmitter, filter_counts, is_covered,
+                                    capture_transmitter, is_covered,
                                     ratio_profile, ray_coverage_profile)
 
 from sinr_reference import _path_loss as _reference_path_loss
@@ -383,14 +383,13 @@ def test_filtered_mask_equals_reference_mask(alpha, beta, noise, sites, data):
     pts = np.vstack([_cell_centers(UNIT, 12, 12), np.array(sites)])  # the last n on the sites
     ev = SinrEvaluator(s, _path_loss(s.sites, s.alpha, pts))
     assert np.array_equal(ev.mask([1.0] * n), reference_mask(s, pts, [1.0] * n))
-    before = dict(filter_counts)
     for p in vectors:
         assert np.array_equal(ev.mask(p), reference_mask(s, pts, p)), p
-    after = {k: v - before[k] for k, v in filter_counts.items()}
     # the first mask was exact and whole; every later one was filtered, its
     # band taking the exact fold, or fell back whole on the range check
-    assert after["whole"] == after["range_fallbacks"]
-    assert (after["decided"] + after["band"]) / len(pts) + after["range_fallbacks"] == len(vectors)
+    c = ev.counts
+    assert c["whole"] == 1 + c["range_fallbacks"]
+    assert (c["decided"] + c["band"]) / len(pts) + c["range_fallbacks"] == len(vectors)
 
 
 def _bisect_to_boundary(covered, lo: float, hi: float) -> tuple[float, float]:
@@ -422,7 +421,28 @@ def test_samples_on_the_coverage_boundary_take_the_exact_fold():
     assert len(pts) >= 100 and 0 < want.sum() < len(pts)
     ev = SinrEvaluator(s, _path_loss(s.sites, s.alpha, pts))
     assert np.array_equal(ev.mask(powers), want)  # the first mask: exact and whole
-    before = dict(filter_counts)
+    assert ev.counts == {"decided": 0, "band": 0, "whole": 1, "range_fallbacks": 0}
     assert np.array_equal(ev.mask(powers), want)
-    assert filter_counts["band"] > before["band"]
-    assert filter_counts["whole"] == before["whole"]
+    assert ev.counts["band"] > 0
+    assert ev.counts["whole"] == 1
+
+
+def test_each_evaluator_fills_its_own_gain_rows_and_counts_only_its_own_masks():
+    rng = random.Random(31)
+    s = scen([(rng.random(), rng.random()) for _ in range(5)], [1.0] * 5,
+             alpha=3.0, beta=1.5, noise=0.01)
+    pts = _cell_centers(UNIT, 16, 16)
+    dpow = _path_loss(s.sites, s.alpha, pts)
+    vectors = [[rng.uniform(0.5, 5.0) for _ in range(5)] for _ in range(3)]
+    first = SinrEvaluator(s, dpow)
+    for p in vectors:
+        first.mask(p)  # the second and third run the filter on first's gain rows
+    second = SinrEvaluator(s, dpow)
+    assert np.array_equal(second.mask(vectors[-1]), reference_mask(s, pts, vectors[-1]))
+    # second's first mask is exact and whole: it does not inherit first's rows
+    assert second.counts == {"decided": 0, "band": 0, "whole": 1, "range_fallbacks": 0}
+    assert first.counts["whole"] == 1
+    assert first.counts["decided"] + first.counts["band"] == 2 * len(pts)
+    assert np.array_equal(second.mask(vectors[0]), reference_mask(s, pts, vectors[0]))
+    assert second.counts["decided"] + second.counts["band"] == len(pts)
+    assert first.counts["decided"] + first.counts["band"] == 2 * len(pts)
