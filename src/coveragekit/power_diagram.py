@@ -19,10 +19,10 @@ was cut in.  A face of four or more cocircular sites comes back split into
 triangles on one plane; the edges inside it touch the diagram in
 a point and are no neighbor pairs.
 Qhull rejects every input of at most three sites and every flat lift; only
-then (and for a far window, see ``build``) are the neighbors read off the
-flat structure, in O(n log n) too, and the diagram's ``route`` names the
-route.  Its one rounding test is ``side``, at the magnitude of the
-coordinates it runs on (also to tell the split faces):
+then are the neighbors read off the flat structure, in O(n log n) too, and
+the diagram's ``route`` names the route (a layout ``build`` moved tries
+them first).  Their one rounding test is ``side``, at the magnitude of the
+coordinates they run on (also to tell the split faces):
 
 * centers on one line: at parameter s along it the power distance is
   s^2 - 2 s t_i + t_i^2 - r_i^2, so the visible sites are the lower chain
@@ -105,26 +105,28 @@ def build(disks: Sequence[Disk], window: Rect) -> PowerDiagram:
     """Power diagram of ``disks`` clipped to ``window``.
 
     Deterministic given input order.  Every disk is ``admit``ted, and the
-    cells are cut with ``geom_eps(window.diameter())``.  Sites whose power
-    region is empty in the unbounded plane are reported in ``hidden`` and
-    get a None cell.
-    A window without the origin is computed in its frame (``window_frame``)
-    and the cells moved back, so rounding scales with the window; a lift
-    flat up to the rounding of the given coordinates takes its flat route.
-    A lift that Qhull rejects and no flat route explains raises
-    ``DiagramRejected``.
+    cells are cut with ``eps = geom_eps(window.diameter())``.  Sites whose
+    power region is empty in the unbounded plane are reported in ``hidden``
+    and get a None cell.
+    It is computed in the window's frame (``window_frame``) and the cells
+    moved back, so rounding scales with the window; a window centred within
+    ``eps`` of the origin (an engine's frame) is computed as given.  A moved
+    layout tries the flat routes before Qhull, allowing for the rounding of
+    the given coordinates, which can bend a far road or ring into a sliver
+    that Qhull accepts (``_flat_neighbors``).  A lift that Qhull rejects and
+    no flat route explains raises ``DiagramRejected``.
     """
     from scipy.spatial import QhullError
 
     _validate(disks, window)
     eps = geom_eps(window.diameter())
     n = len(disks)
-    sites, frame, origin = disks, window, None
-    if not window.contains(Point2(0.0, 0.0)):
-        origin, frame, local = window_frame(window)
-        sites = [Disk(local(d.center), d.radius) for d in disks]
+    origin, frame, local = window_frame(window)
+    far = max(abs(origin.x), abs(origin.y))
+    frame, far = (frame, far) if far > eps else (window, 0.0)
+    sites = [Disk(local(d.center), d.radius) for d in disks] if far else disks
     try:
-        adj, route = _neighbors(disks, sites)
+        adj, route = _neighbors(sites, far)
     except QhullError as err:
         reason = next((line for line in str(err).splitlines() if line.strip()), "no reason given")
         raise DiagramRejected(f"Qhull rejected the sites: {reason.strip()}") from err
@@ -132,7 +134,7 @@ def build(disks: Sequence[Disk], window: Rect) -> PowerDiagram:
     cuts, _ = padded([sorted(adj[i]) for i in visible], -1)
     rows = clip_rows([frame.to_polygon()], np.array([d.xyr for d in sites]),
                      np.zeros(len(visible), int), np.array(visible), cuts, eps)
-    if origin is not None:
+    if far:
         rows.xy[:] += tuple(origin)
     cells: dict[SiteId, Optional[ConvexPolygon]] = dict.fromkeys(range(n))
     cells.update(zip(visible, _polygons(rows)))
@@ -169,29 +171,22 @@ def _clip_cell(poly: ConvexPolygon, sites: Mapping[int, Disk], i: int,
     return poly if pts is start else ConvexPolygon(tuple(Point2(x, y) for x, y in pts))
 
 
-def _lift(disks: Sequence[Disk]) -> list[tuple[float, float, float]]:
-    return [(d.center.x, d.center.y, d.center.x ** 2 + d.center.y ** 2 - d.radius ** 2)
-            for d in disks]
-
-
-def _neighbors(disks: Sequence[Disk], moved: Sequence[Disk]
-               ) -> tuple[dict[SiteId, set[SiteId]], str]:
+def _neighbors(disks: Sequence[Disk], far: float) -> tuple[dict[SiteId, set[SiteId]], str]:
     """Unbounded-plane neighbors of every visible site (hidden sites are
-    absent), and the route that found them (``PowerDiagram.route``).  When
-    ``moved`` is ``disks`` in the window's frame, a lift of ``disks`` flat at
-    their magnitude takes its flat route on them, and any other is ``moved``'s."""
+    absent), and the route that found them (``PowerDiagram.route``).  Moved
+    from coordinates of magnitude ``far`` > 0, it tries the flat routes first."""
     from scipy.spatial import ConvexHull, QhullError
 
-    lift = _lift(disks)
-    if moved is not disks:
-        try:
-            return _flat_neighbors(disks, lift, QhullError("the lift is not flat"))
-        except QhullError:
-            disks, lift = moved, _lift(moved)
+    lift = [(d.center.x, d.center.y, d.center.x ** 2 + d.center.y ** 2 - d.radius ** 2)
+            for d in disks]
+    if far and (flat := _flat_neighbors(disks, lift, far)):
+        return flat
     try:
         hull = ConvexHull(np.array(lift), qhull_options="Qt")
-    except QhullError as err:
-        return _flat_neighbors(disks, lift, err)
+    except QhullError:
+        if far or not (flat := _flat_neighbors(disks, lift)):
+            raise
+        return flat
     tris, across, planes = (hull.simplices.tolist(), hull.neighbors.tolist(),
                             hull.equations.tolist())
     lower = [nz < -1e-12 for _, _, nz, _ in planes]
@@ -233,17 +228,21 @@ def _lower_chain(pts: Sequence[tuple[float, float]], order: Iterable[int]) -> li
 
 
 def _flat_neighbors(disks: Sequence[Disk], lift: Sequence[tuple[float, float, float]],
-                    err: Exception) -> tuple[dict[SiteId, set[SiteId]], str]:
-    """``_neighbors`` of the lifted points ``lift`` that Qhull rejected with
-    ``err``: centers on a line (route "line"), or ``lift`` on a plane
-    ("plane"; else ``err`` is raised again).  Centers are taken relative to
-    site 0."""
+                    far: float = 0.0) -> Optional[tuple[dict[SiteId, set[SiteId]], str]]:
+    """``_neighbors`` of the lifted points ``lift`` if their centers lie on
+    a line (route "line") or ``lift`` on a plane ("plane"), else None.
+    Centers are taken relative to site 0.  Besides ``side``'s rounding, a
+    point may miss the line or plane by ``1e-12 * far`` per unit of the
+    centers' extent: ``side``'s rounding at the magnitude ``far`` of the
+    coordinates they were moved from, which a far road or ring carries."""
     n = len(disks)
     x0, y0, z0 = lift[0]
     xy = [(x - x0, y - y0) for x, y, _ in lift]
     f = max(range(n), key=lambda i: xy[i][0] ** 2 + xy[i][1] ** 2)
     ux, uy = xy[f]
-    if all(side(ux * y - uy * x, ux * y0 - uy * x0) == 0 for x, y, _ in lift):
+    slack = 1e-12 * far * math.hypot(ux, uy)
+    on = lambda a, b: side(a, b) == 0 or abs(a - b) <= slack
+    if all(on(ux * y - uy * x, ux * y0 - uy * x0) for x, y, _ in lift):
         norm = math.hypot(ux, uy) or 1.0
         t = [(x * ux + y * uy) / norm for x, y in xy]
         tw = [(ti, ti * ti - d.radius ** 2) for ti, d in zip(t, disks)]
@@ -261,9 +260,9 @@ def _flat_neighbors(disks: Sequence[Disk], lift: Sequence[tuple[float, float, fl
         det = ux * vy - uy * vx
         zu, zv = lift[f][2] - z0, lift[g][2] - z0
         a, b = (zu * vy - uy * zv) / det, (ux * zv - vx * zu) / det
-        if any(side(p[2], z0 + a * x + b * y)
-               for i, ((x, y), p) in enumerate(zip(xy, lift)) if i not in (0, f, g)):
-            raise err
+        if not all(on(p[2], z0 + a * x + b * y)
+                   for i, ((x, y), p) in enumerate(zip(xy, lift)) if i not in (0, f, g)):
+            return None
         order = sorted(range(n), key=lambda i: xy[i])
         chain = _lower_chain(xy, order)[:-1] + _lower_chain(xy, reversed(order))[:-1]
         edges, route = zip(chain, chain[1:] + chain[:1]), "plane"

@@ -14,7 +14,7 @@ from coveragekit.geometry import (ConvexPolygon, Disk, Point2, Rect, geom_eps,
                                   power_distance, side)
 from coveragekit import geometry, power_diagram
 from coveragekit.power_diagram import (PowerDiagram, SiteId, build, frame_partitions,
-                                       _clip_cell, _flat_neighbors, _validate)
+                                       window_frame, _clip_cell, _flat_neighbors, _validate)
 
 from geometry_reference import (ConcentricDisks, clip_convex, polygon_area, polygon_contains,
                                 power_bisector)
@@ -455,12 +455,21 @@ def lift(disks):
 def test_cells_and_frames_clip_like_clip_convex(name):
     disks, window = layout(name)
     n = len(disks)
+    # build cuts its cells in the window's frame and moves them back
+    (ox, oy), frame, local = window_frame(window)
+    moved = [Disk(local(d.center), d.radius) for d in disks]
     routes = [(_build_direct(disks, window), True),
               (build(disks, window), False)]
     for pd, direct in routes:
         for i, cell in pd.cells.items():
-            order = range(n) if direct else sorted(pd.neighbors[i])
-            want = None if i in pd.hidden else _clip_in_order(window.to_polygon(), disks, i, order)
+            if i in pd.hidden:
+                want = None
+            elif direct:
+                want = _clip_in_order(window.to_polygon(), disks, i, range(n))
+            else:
+                want = _clip_in_order(frame.to_polygon(), moved, i, sorted(pd.neighbors[i]))
+                want = want and ConvexPolygon(tuple(Point2(v.x + ox, v.y + oy)
+                                                    for v in want.vertices))
             assert _coords(cell) == _coords(want), (name, direct, i)
             if cell is None:
                 continue
@@ -555,16 +564,25 @@ def test_road_build_doubling_exponent():
     assert slope <= 1.25, f"fitted exponent {slope:.3f} exceeds 1.25"
 
 
+# four equal disks in a window 0.2 wide: the fourth, inside the others'
+# triangle, owns its own centre, yet its lift lies only 0.015 below the
+# plane through theirs
+SLIGHT = ([Disk(Point2(x, y), 1.0) for x, y in ((0, 0), (0.2, 0), (0, 0.2), (0.05, 0.05))],
+          Rect(0.0, 0.0, 0.2, 0.2))
+
+
 @pytest.mark.parametrize("offset", [(1e5, 1e5), (5e5, 4e6), (1e6, 1e6)])
-def test_build_computes_in_the_window_frame_at_projected_offsets(offset):
-    # c02's generator at projected coordinates: computed as given, the lift
-    # loses the digits that decide the diagram (or Qhull rejects it)
+@pytest.mark.parametrize("name", ["c02", "slight"])
+def test_build_computes_in_the_window_frame_at_projected_offsets(name, offset):
+    # a layout at projected coordinates: computed as given, the lift loses
+    # the digits that decide the diagram (or Qhull rejects it)
+    disks, win = (c02_disks(512), DIAGRAM_WIN) if name == "c02" else SLIGHT
     ox, oy = offset
-    disks = c02_disks(512)
     shifted = [Disk(Point2(d.center.x + ox, d.center.y + oy), d.radius) for d in disks]
-    window = Rect(ox, oy, 100.0 + ox, 100.0 + oy)
-    pd, base = build(shifted, window), build(disks, DIAGRAM_WIN)
+    window = Rect(win.x0 + ox, win.y0 + oy, win.x1 + ox, win.y1 + oy)
+    pd, base = build(shifted, window), build(disks, win)
     assert (pd.hidden, pd.neighbors, pd.route) == (base.hidden, base.neighbors, base.route)
+    assert name == "c02" or not pd.hidden
     assert pd.window == window and pd.sites == tuple(shifted)
     for i, cell in pd.cells.items():  # moved back into the caller's coordinates
         if cell is not None:
@@ -575,21 +593,20 @@ def test_build_computes_in_the_window_frame_at_projected_offsets(offset):
 
 
 def test_build_turns_a_qhull_rejection_into_diagram_rejected():
-    # c02's generator far from the origin in a window that holds the origin,
-    # so it is computed as given: the lift is too flat for Qhull
+    # c02's generator far from the origin in a window centred on it, so
+    # computed as given: the lift is too flat for Qhull
     disks = [Disk(Point2(d.center.x + 5e5, d.center.y + 4e6), d.radius) for d in c02_disks(512)]
+    half = 4e6 + 100.0
     with pytest.raises(DiagramRejected, match="^Qhull rejected the sites: QH") as raised:
-        build(disks, Rect(0.0, 0.0, 5e5 + 100.0, 4e6 + 100.0))
+        build(disks, Rect(-half, -half, half, half))
     assert isinstance(raised.value.__cause__, QhullError)
     assert "\n" not in str(raised.value)
 
 
-def test_plane_route_raises_again_on_a_full_rank_lift():
+def test_flat_routes_find_nothing_in_a_full_rank_lift():
     disks = random_disks(random.Random(8), 6)
-    err = QhullError("rejected")
-    with pytest.raises(QhullError) as raised:
-        _flat_neighbors(disks, lift(disks), err)
-    assert raised.value is err
+    assert _flat_neighbors(disks, lift(disks)) is None
+    assert _flat_neighbors(disks, lift(disks), 1e6) is None
 
 
 # the plane fitted through these three lifted points misses one of them by

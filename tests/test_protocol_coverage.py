@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from coveragekit.geometry import Point2, Rect, arc_polygon_area, power_distance
+from coveragekit.geometry import Disk, Point2, Rect, arc_polygon_area, power_distance
+from coveragekit.power_diagram import build
 from coveragekit.protocol_coverage import (CoverageMap, ProtocolTransmitter,
                                            compute_coverage_map, coverage_area,
                                            find_interference_bound, region_area)
@@ -84,6 +85,20 @@ def test_hidden_transmitter_has_empty_region():
     # middle tiny disk is inside both big interference disks and hidden
     if 1 in cov.diagram.hidden:
         assert cov.regions[1] == []
+
+
+@pytest.mark.parametrize("offset", [(0.0, 0.0), (1e5, 1e5), (5e5, 4e6)])
+def test_map_and_direct_build_agree_far_from_the_origin(offset):
+    # four equal interference disks in a window 0.2 wide, the fourth inside
+    # the others' triangle: both compute in the window's frame, so both
+    # keep every site visible and find the same neighbours
+    ox, oy = offset
+    txs = [tx(x + ox, y + oy, 0.5, 1.0) for x, y in ((0, 0), (0.2, 0), (0, 0.2), (0.05, 0.05))]
+    window = Rect(ox, oy, ox + 0.2, oy + 0.2)
+    cov = compute_coverage_map(txs, window)
+    pd = build([Disk(t.location, t.int_radius) for t in txs], window)
+    assert not pd.hidden and not cov.diagram.hidden
+    assert pd.neighbors == cov.diagram.neighbors and pd.route == cov.diagram.route == "hull"
 
 
 def test_random_instances_match_grid_oracle():
