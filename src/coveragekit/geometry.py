@@ -19,10 +19,9 @@ a curve no longer than ``eps`` contracts to a point.  Chains are stitched
 by the names of the curves that cross at each piece end, never by the
 distance between end points, so coincident crossings merge transitively
 along the curves and a chain closes when its names do: the area step only
-integrates, and ``ArcPolygon.validate(eps)`` is the metric check for chains
-made by hand and for tests.  The boolean skips only work whose answer is
-known, where a point is ``_MARGIN`` eps clear of a rim: a margin that covers
-the touch rule and chains of contracted pieces.  A circle that no other
+integrates (the tests keep a metric check of chains).  The boolean skips
+only work whose answer is known, where a point is ``_MARGIN`` eps clear of
+a rim: a margin that covers the touch rule and chains of contracted pieces.  A circle that no other
 curve meets is decided by one probe point (the touch rule leaves every other
 curve more than eps clear of it), and a point lies in a chain by its
 winding number, with no tolerance.
@@ -82,10 +81,6 @@ class Point2:
     def __iter__(self):
         yield self.x
         yield self.y
-
-
-def dist(a: Point2, b: Point2) -> float:
-    return math.hypot(a.x - b.x, a.y - b.y)
 
 
 @dataclass(frozen=True)
@@ -327,15 +322,6 @@ class CircularArc:
         s = (self.start_angle - self.end_angle) % TWO_PI
         return -TWO_PI if s == 0.0 else -s
 
-    def angular_interval(self) -> tuple[float, float]:
-        """Geometric span as (ccw start angle, extent), independent of direction."""
-        if self.orientation == OUTWARD:
-            return self.start_angle, abs(self.sweep())
-        return self.end_angle, abs(self.sweep())
-
-    def length(self) -> float:
-        return abs(self.sweep()) * self.supporting_disk.radius
-
 
 @dataclass(frozen=True)
 class Segment:
@@ -349,9 +335,6 @@ class Segment:
     @property
     def end_point(self) -> Point2:
         return self.end
-
-    def length(self) -> float:
-        return dist(self.start, self.end)
 
 
 ArcEdge = Union[CircularArc, Segment]
@@ -368,27 +351,6 @@ class ArcPolygon:
     """
     edges: tuple[ArcEdge, ...]
     holes: tuple["ArcPolygon", ...] = field(default=())
-
-    def validate(self, eps: float) -> None:
-        """Raise InvalidChain unless the chain, and each hole, is closed and
-        simple at a map's ``eps``: each edge ends within ``eps`` of where the
-        next starts, is longer than ``eps``, and crosses no other edge away
-        from their ends."""
-        if not self.edges:
-            raise InvalidChain("empty chain")
-        k = len(self.edges)  # a lone segment is open or degenerate
-        for i, e in enumerate(self.edges):
-            nxt = self.edges[(i + 1) % k]
-            if dist(e.end_point, nxt.start_point) > eps:
-                raise InvalidChain(
-                    f"edge {i} ends at {e.end_point}, edge {(i + 1) % k} starts at "
-                    f"{nxt.start_point}")
-            if e.length() <= eps:
-                raise InvalidChain(f"degenerate edge {i}")
-        if _chain_self_intersects(self.edges, eps):
-            raise InvalidChain("chain self-intersects")
-        for h in self.holes:
-            h.validate(eps)
 
     def signed_area(self) -> float:
         return _chain_signed_area(self.edges)
@@ -422,82 +384,9 @@ def arc_polygon_area(p: ArcPolygon) -> float:
     return max(outer + sum(h.signed_area() for h in p.holes), 0.0)
 
 
-def _chain_self_intersects(edges: tuple[ArcEdge, ...], tol: float) -> bool:
-    """Pairwise proper-crossing test between non-adjacent chain edges."""
-    k = len(edges)
-    for i in range(k):
-        for j in range(i + 2, k - (i == 0)):  # edges k - 1 and 0 are adjacent too
-            if _edges_cross(edges[i], edges[j], tol):
-                return True
-    return False
-
-
-def _edges_cross(e1: ArcEdge, e2: ArcEdge, tol: float) -> bool:
-    pts: list[Point2] = []
-    if isinstance(e1, Segment) and isinstance(e2, Segment):
-        p = _segment_segment_point(e1, e2)
-        if p is not None:
-            pts.append(p)
-    elif isinstance(e1, Segment):
-        pts.extend(_segment_arc_points(e1, e2))
-    elif isinstance(e2, Segment):
-        pts.extend(_segment_arc_points(e2, e1))
-    else:
-        pts.extend(_arc_arc_points(e1, e2))
-    for p in pts:
-        # Endpoint contacts are chain joints, not crossings.
-        if (dist(p, e1.start_point) > tol and dist(p, e1.end_point) > tol
-                and dist(p, e2.start_point) > tol and dist(p, e2.end_point) > tol):
-            return True
-    return False
-
-
-def _segment_segment_point(s1: Segment, s2: Segment) -> Optional[Point2]:
-    ax, ay = s1.start.x, s1.start.y
-    dx1, dy1 = s1.end.x - ax, s1.end.y - ay
-    bx, by = s2.start.x, s2.start.y
-    dx2, dy2 = s2.end.x - bx, s2.end.y - by
-    den = dx1 * dy2 - dy1 * dx2
-    # parallel up to rounding: the cross product of the directions is noise
-    if abs(den) <= EPS_REL * math.hypot(dx1, dy1) * math.hypot(dx2, dy2):
-        return None
-    t = ((bx - ax) * dy2 - (by - ay) * dx2) / den
-    u = ((bx - ax) * dy1 - (by - ay) * dx1) / den
-    if 0.0 <= t <= 1.0 and 0.0 <= u <= 1.0:
-        return Point2(ax + t * dx1, ay + t * dy1)
-    return None
-
-
-def _segment_arc_points(seg: Segment, arc: CircularArc) -> list[Point2]:
-    out = []
-    a, b = seg.start, seg.end
-    t0, s, n = segment_circle_params(a.x, a.y, b.x, b.y, *arc.supporting_disk.xyr)
-    for t in (t0 - s, t0 + s)[:n]:  # proper crossings inside the segment
-        if 1e-14 < t < 1.0 - 1e-14:
-            p = Point2(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
-            if _angle_on_arc(arc, _angle(arc.supporting_disk.xyr, p.x, p.y)):
-                out.append(p)
-    return out
-
-
-def _arc_arc_points(a1: CircularArc, a2: CircularArc) -> list[Point2]:
-    (x1, y1, r1), (x2, y2, r2) = c1, c2 = a1.supporting_disk.xyr, a2.supporting_disk.xyr
-    d = math.hypot(x2 - x1, y2 - y1)
-    if d == 0.0:
-        return []
-    mx, my, ox, oy, n = circle_circle_points(x1, y1, r1, x2, y2, r2, d)
-    return [Point2(x, y) for x, y in ((mx + ox, my + oy), (mx - ox, my - oy))[:n]
-            if _angle_on_arc(a1, _angle(c1, x, y)) and _angle_on_arc(a2, _angle(c2, x, y))]
-
-
-def _angle_on_arc(arc: CircularArc, angle: float) -> bool:
-    a0, extent = arc.angular_interval()
-    return (angle - a0) % TWO_PI <= extent
-
-
 # --- Elementwise arithmetic ------------------------------------------------
 #
-# Written once for floats (chain validation) and arrays (``boolean_rows``),
+# Written once for floats (the tests' chain check) and arrays (``boolean_rows``),
 # with the same bits: numpy's + - * /, sqrt and % round as Python's do, and
 # ``math`` functions are mapped over an array's elements.
 

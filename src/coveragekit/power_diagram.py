@@ -5,24 +5,27 @@ Cells are clipped to a rectangular window.  Site adjacency and empty-region
 shared boundary lies outside the window still constrains its neighbors'
 coverage inside it.
 
-Construction (one route, Aurenhammer 1987): lift each disk to the point
-(x, y, x^2 + y^2 - r^2).  The visible sites and their neighbors are the
-vertices and edges of the lower convex hull of the lifted points (scipy/Qhull),
-and each visible site's cell is the window clipped against its neighbors
-only, close to O(n log n).  All cells are cut in one ``clip_rows`` call, and
-so are the power frames of a block of owners (``frame_partitions``): one
+``build`` moves the disks into the window's frame (``window_frame``), so
+rounding scales with the window wherever it lies, and returns the diagram
+in that frame.  Construction (Aurenhammer 1987): lift each disk to the
+point (x, y, x^2 + y^2 - r^2).  The visible sites and their neighbors are
+the vertices and edges of the lower convex hull of the lifted points, and
+each visible site's cell is the window clipped against its neighbors only,
+close to O(n log n).  All cells are cut in one ``clip_rows`` call, and so
+are the power frames of a block of owners (``frame_partitions``): one
 numpy step per cut for every polygon, with the arithmetic of the scalar
 ``clip_coords``.  ``_clip_cell`` is the same recipe for one polygon that
 stops at its first empty cut, the dynamic structure's one cell builder.
 Rows are independent, so a row's vertices do not depend on the block it
-was cut in.  A face of four or more cocircular sites comes back split into
-triangles on one plane; the edges inside it touch the diagram in
-a point and are no neighbor pairs.
-Qhull rejects every input of at most three sites and every flat lift; only
-then are the neighbors read off the flat structure, in O(n log n) too, and
-the diagram's ``route`` names the route (a layout ``build`` moved tries
-them first).  Their one rounding test is ``side``, at the magnitude of the
-coordinates they run on (also to tell the split faces):
+was cut in.  A face of four or more cocircular sites comes back from Qhull
+split into triangles on one plane; the edges inside it touch the diagram
+in a point and are no neighbor pairs.
+The neighbors are read off a flat lift first, in O(n log n) too, and Qhull
+(scipy) gets the lift only when no flat route explains it; the diagram's
+``route`` names the route.  Their one rounding test is ``side``, at the
+magnitude of the coordinates they run on (also to tell the split faces),
+with a slack for the rounding of the given coordinates, which bends a far
+road or ring into a sliver that Qhull would accept:
 
 * centers on one line: at parameter s along it the power distance is
   s^2 - 2 s t_i + t_i^2 - r_i^2, so the visible sites are the lower chain
@@ -32,8 +35,7 @@ coordinates they run on (also to tell the split faces):
   |x|^2 + c - c_i . (2x - (a, b)), so the visible sites are the corners of
   the centers' convex hull, each cell a wedge, and neighbors are adjacent
   corners.  Every lifted point besides the three the plane is fitted
-  through must lie on it (any three do); if one does not, the Qhull error
-  is raised again rather than turned into a wrong diagram.
+  through must lie on it (any three do); if one does not, Qhull decides.
 
 Diagrams are immutable after construction; concurrent reads are safe.
 """
@@ -55,16 +57,19 @@ SiteId = int
 
 @dataclass(frozen=True)
 class PowerDiagram:
-    """Convex-cell partition of a window, plus unbounded-plane adjacency."""
+    """Convex-cell partition of a window, plus unbounded-plane adjacency,
+    in the window's frame."""
     window: Rect
     sites: tuple[Disk, ...]
+    # the window's centre: ``window``, ``sites`` and the cells are less it
+    origin: Point2
     cells: dict[SiteId, Optional[ConvexPolygon]]
     neighbors: dict[SiteId, frozenset[SiteId]]
     hidden: frozenset[SiteId]
     # geom_eps(window.diameter()): the cells', frames' and boolean's tolerance
     eps: float
-    # how the neighbours were found: "hull" (Qhull's lower hull), or on a
-    # lift Qhull rejected, "line" (centres on one line) or "plane"
+    # how the neighbours were found: "line" (centres on one line), "plane"
+    # (a coplanar lift) or "hull" (Qhull's lower hull)
     route: str
 
     def edge_count(self) -> int:
@@ -102,43 +107,37 @@ def _validate(disks: Sequence[Disk], window: Rect) -> None:
 
 
 def build(disks: Sequence[Disk], window: Rect) -> PowerDiagram:
-    """Power diagram of ``disks`` clipped to ``window``.
+    """Power diagram of ``disks`` clipped to ``window``, in the window's frame.
 
-    Deterministic given input order.  Every disk is ``admit``ted, and the
-    cells are cut with ``eps = geom_eps(window.diameter())``.  Sites whose
-    power region is empty in the unbounded plane are reported in ``hidden``
-    and get a None cell.
-    It is computed in the window's frame (``window_frame``) and the cells
-    moved back, so rounding scales with the window; a window centred within
-    ``eps`` of the origin (an engine's frame) is computed as given.  A moved
-    layout tries the flat routes before Qhull, allowing for the rounding of
-    the given coordinates, which can bend a far road or ring into a sliver
-    that Qhull accepts (``_flat_neighbors``).  A lift that Qhull rejects and
-    no flat route explains raises ``DiagramRejected``.
+    Deterministic given input order.  The disks are moved into the frame
+    (``window_frame``) and ``admit``ted there, and the diagram comes back
+    in it: its ``window``, ``sites`` and cells are less ``origin``, the
+    window's centre.  The cells are cut with ``eps =
+    geom_eps(window.diameter())`` of the frame's window.  Sites whose power
+    region is empty in the unbounded plane are reported in ``hidden`` and
+    get a None cell.  The flat routes are tried before Qhull, allowing for
+    the rounding of the given coordinates (``_flat_neighbors``); a lift
+    that Qhull rejects then raises ``DiagramRejected``.
     """
     from scipy.spatial import QhullError
 
-    _validate(disks, window)
+    origin, window, local = window_frame(window)
+    sites = [Disk(local(d.center), d.radius) for d in disks]
+    _validate(sites, window)
     eps = geom_eps(window.diameter())
-    n = len(disks)
-    origin, frame, local = window_frame(window)
-    far = max(abs(origin.x), abs(origin.y))
-    frame, far = (frame, far) if far > eps else (window, 0.0)
-    sites = [Disk(local(d.center), d.radius) for d in disks] if far else disks
+    n = len(sites)
     try:
-        adj, route = _neighbors(sites, far)
+        adj, route = _neighbors(sites, max(abs(origin.x), abs(origin.y)))
     except QhullError as err:
         reason = next((line for line in str(err).splitlines() if line.strip()), "no reason given")
         raise DiagramRejected(f"Qhull rejected the sites: {reason.strip()}") from err
     visible = sorted(adj)
     cuts, _ = padded([sorted(adj[i]) for i in visible], -1)
-    rows = clip_rows([frame.to_polygon()], np.array([d.xyr for d in sites]),
+    rows = clip_rows([window.to_polygon()], np.array([d.xyr for d in sites]),
                      np.zeros(len(visible), int), np.array(visible), cuts, eps)
-    if far:
-        rows.xy[:] += tuple(origin)
     cells: dict[SiteId, Optional[ConvexPolygon]] = dict.fromkeys(range(n))
     cells.update(zip(visible, _polygons(rows)))
-    return PowerDiagram(window=window, sites=tuple(disks), cells=cells,
+    return PowerDiagram(window=window, sites=tuple(sites), origin=origin, cells=cells,
                         neighbors={i: frozenset(adj.get(i, ())) for i in range(n)},
                         hidden=frozenset(i for i in range(n) if i not in adj), eps=eps,
                         route=route)
@@ -173,20 +172,16 @@ def _clip_cell(poly: ConvexPolygon, sites: Mapping[int, Disk], i: int,
 
 def _neighbors(disks: Sequence[Disk], far: float) -> tuple[dict[SiteId, set[SiteId]], str]:
     """Unbounded-plane neighbors of every visible site (hidden sites are
-    absent), and the route that found them (``PowerDiagram.route``).  Moved
-    from coordinates of magnitude ``far`` > 0, it tries the flat routes first."""
-    from scipy.spatial import ConvexHull, QhullError
+    absent), and the route that found them (``PowerDiagram.route``): the
+    flat routes for ``disks`` moved from coordinates of magnitude ``far``,
+    else Qhull's lower hull (QhullError if Qhull rejects the lift)."""
+    from scipy.spatial import ConvexHull
 
     lift = [(d.center.x, d.center.y, d.center.x ** 2 + d.center.y ** 2 - d.radius ** 2)
             for d in disks]
-    if far and (flat := _flat_neighbors(disks, lift, far)):
+    if flat := _flat_neighbors(disks, lift, far):
         return flat
-    try:
-        hull = ConvexHull(np.array(lift), qhull_options="Qt")
-    except QhullError:
-        if far or not (flat := _flat_neighbors(disks, lift)):
-            raise
-        return flat
+    hull = ConvexHull(np.array(lift), qhull_options="Qt")
     tris, across, planes = (hull.simplices.tolist(), hull.neighbors.tolist(),
                             hull.equations.tolist())
     lower = [nz < -1e-12 for _, _, nz, _ in planes]
@@ -228,7 +223,7 @@ def _lower_chain(pts: Sequence[tuple[float, float]], order: Iterable[int]) -> li
 
 
 def _flat_neighbors(disks: Sequence[Disk], lift: Sequence[tuple[float, float, float]],
-                    far: float = 0.0) -> Optional[tuple[dict[SiteId, set[SiteId]], str]]:
+                    far: float) -> Optional[tuple[dict[SiteId, set[SiteId]], str]]:
     """``_neighbors`` of the lifted points ``lift`` if their centers lie on
     a line (route "line") or ``lift`` on a plane ("plane"), else None.
     Centers are taken relative to site 0.  Besides ``side``'s rounding, a

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 from .geometry import (ArcPolygon, CircularArc, Disk, Point2, Rect, TWO_PI,
                        arc_polygon_area, boolean_rows)
-from .power_diagram import PowerDiagram, SiteId, build, window_frame
+from .power_diagram import PowerDiagram, SiteId, build
 
 
 @dataclass(frozen=True)
@@ -43,11 +43,11 @@ class ProtocolTransmitter:
 @dataclass(frozen=True)
 class CoverageMap:
     """Coverage regions keyed by site, plus the interference-disk diagram,
-    both less ``origin``, the window's centre; ``transmitters`` as given."""
+    both in the diagram's frame (less ``diagram.origin``, the window's
+    centre); ``transmitters`` as given."""
     regions: dict[SiteId, list[ArcPolygon]]
     diagram: PowerDiagram
     transmitters: tuple[ProtocolTransmitter, ...]
-    origin: Point2
     # what the boolean pass did, for the run manifest; not compared
     stats: dict[str, int] = field(default_factory=dict, compare=False, repr=False)
 
@@ -61,15 +61,13 @@ def compute_coverage_map(txs: Sequence[ProtocolTransmitter], window: Rect) -> Co
 
     Interference-disk sites with empty power regions are dropped up front
     (they cannot cover anything) and reported with empty region lists.
-    Transmitters are moved into the window's frame first, and admitted
-    there on their interference disks as ``build`` admits its sites.
+    The map is computed in the frame of the interference disks' diagram
+    (``build``), which admits the transmitters on those disks.
     """
-    origin, window, local = window_frame(window)
-    centres = [local(t.location) for t in txs]
-    pd = build([Disk(c, t.int_radius) for c, t in zip(centres, txs)], window)
+    pd = build([Disk(t.location, t.int_radius) for t in txs], window)
     visible = [p for p in range(len(txs)) if pd.cells.get(p) is not None]
     rows = boolean_rows([pd.cells[p] for p in visible],
-                        [Disk(centres[p], txs[p].tx_radius) for p in visible],
+                        [Disk(pd.sites[p].center, txs[p].tx_radius) for p in visible],
                         [[pd.sites[q] for q in sorted(pd.neighbors.get(p, ()))]
                          for p in visible], pd.eps)
     regions: dict[SiteId, list[ArcPolygon]] = {p: [] for p in range(len(txs))}
@@ -77,8 +75,7 @@ def compute_coverage_map(txs: Sequence[ProtocolTransmitter], window: Rect) -> Co
     stats = {"boolean_sites": len(visible), "boolean_empty": rows.empty,
              "boolean_pieces": rows.pieces,
              "boolean_chains": sum(1 + len(ap.holes) for c in rows.chains for ap in c)}
-    return CoverageMap(regions=regions, diagram=pd, transmitters=tuple(txs), origin=origin,
-                       stats=stats)
+    return CoverageMap(regions=regions, diagram=pd, transmitters=tuple(txs), stats=stats)
 
 
 def coverage_area(cov: CoverageMap) -> float:

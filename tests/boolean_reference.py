@@ -18,8 +18,8 @@ from coveragekit.errors import InvalidChain
 from coveragekit.geometry import (INWARD, OUTWARD, TWO_PI, ArcEdge, ArcPolygon,
                                   CircularArc, ConvexPolygon, Disk, Point2, Segment,
                                   _attach_holes, _canonical, _chain_signed_area,
-                                  _coalesce, dist, power_distance)
-from geometry_reference import polygon_contains
+                                  _coalesce, power_distance)
+from geometry_reference import dist, polygon_contains
 
 
 def _angle_of(d: Disk, p: Point2) -> float:

@@ -7,10 +7,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from coveragekit.errors import CoverageKitError
-from coveragekit.geometry import (TWO_PI, ArcEdge, ArcPolygon, ConvexPolygon, Disk, Point2,
-                                  Segment, _angle, _cross, bisector_line, boolean_rows,
-                                  clip_coords, dist, geom_eps)
+from coveragekit.errors import CoverageKitError, InvalidChain
+from coveragekit.geometry import (EPS_REL, OUTWARD, TWO_PI, ArcEdge, ArcPolygon, CircularArc,
+                                  ConvexPolygon, Disk, Point2, Segment, _angle, _cross,
+                                  bisector_line, boolean_rows, circle_circle_points,
+                                  clip_coords, geom_eps, segment_circle_params)
 
 
 class ConcentricDisks(CoverageKitError):
@@ -175,10 +176,122 @@ def _ray_hits(e: ArcEdge, px: float, py: float, eps: float) -> Optional[int]:
     ang_tol = eps / max(d.radius, eps)
     for x in (d.center.x + h, d.center.x - h):
         ang = _angle(d.xyr, x, py)
-        a0, extent = e.angular_interval()
+        a0, extent = angular_interval(e)
         rel = (ang - a0) % TWO_PI
         if min(rel, TWO_PI - rel) <= ang_tol or abs(extent - rel) <= ang_tol:
             return None  # crossing grazes an arc endpoint: retry nudged
         if rel < extent and x > px:
             n += 1
     return n
+
+
+# --- Chain validation: the metric check of a map's chains -----------------
+
+def dist(a: Point2, b: Point2) -> float:
+    return math.hypot(a.x - b.x, a.y - b.y)
+
+
+def edge_length(e: ArcEdge) -> float:
+    if isinstance(e, Segment):
+        return dist(e.start, e.end)
+    return abs(e.sweep()) * e.supporting_disk.radius
+
+
+def angular_interval(arc: CircularArc) -> tuple[float, float]:
+    """Geometric span as (ccw start angle, extent), independent of direction."""
+    return (arc.start_angle if arc.orientation == OUTWARD else arc.end_angle), abs(arc.sweep())
+
+
+def validate(ap: ArcPolygon, eps: float) -> None:
+    """Raise InvalidChain unless the chain ``ap``, and each hole, is closed
+    and simple at a map's ``eps``: each edge ends within ``eps`` of where
+    the next starts, is longer than ``eps``, and crosses no other edge away
+    from their ends."""
+    if not ap.edges:
+        raise InvalidChain("empty chain")
+    k = len(ap.edges)  # a lone segment is open or degenerate
+    for i, e in enumerate(ap.edges):
+        nxt = ap.edges[(i + 1) % k]
+        if dist(e.end_point, nxt.start_point) > eps:
+            raise InvalidChain(
+                f"edge {i} ends at {e.end_point}, edge {(i + 1) % k} starts at "
+                f"{nxt.start_point}")
+        if edge_length(e) <= eps:
+            raise InvalidChain(f"degenerate edge {i}")
+    if _chain_self_intersects(ap.edges, eps):
+        raise InvalidChain("chain self-intersects")
+    for h in ap.holes:
+        validate(h, eps)
+
+
+def _chain_self_intersects(edges: tuple[ArcEdge, ...], tol: float) -> bool:
+    """Pairwise proper-crossing test between non-adjacent chain edges."""
+    k = len(edges)
+    for i in range(k):
+        for j in range(i + 2, k - (i == 0)):  # edges k - 1 and 0 are adjacent too
+            if _edges_cross(edges[i], edges[j], tol):
+                return True
+    return False
+
+
+def _edges_cross(e1: ArcEdge, e2: ArcEdge, tol: float) -> bool:
+    pts: list[Point2] = []
+    if isinstance(e1, Segment) and isinstance(e2, Segment):
+        p = _segment_segment_point(e1, e2)
+        if p is not None:
+            pts.append(p)
+    elif isinstance(e1, Segment):
+        pts.extend(_segment_arc_points(e1, e2))
+    elif isinstance(e2, Segment):
+        pts.extend(_segment_arc_points(e2, e1))
+    else:
+        pts.extend(_arc_arc_points(e1, e2))
+    for p in pts:
+        # Endpoint contacts are chain joints, not crossings.
+        if (dist(p, e1.start_point) > tol and dist(p, e1.end_point) > tol
+                and dist(p, e2.start_point) > tol and dist(p, e2.end_point) > tol):
+            return True
+    return False
+
+
+def _segment_segment_point(s1: Segment, s2: Segment) -> Optional[Point2]:
+    ax, ay = s1.start.x, s1.start.y
+    dx1, dy1 = s1.end.x - ax, s1.end.y - ay
+    bx, by = s2.start.x, s2.start.y
+    dx2, dy2 = s2.end.x - bx, s2.end.y - by
+    den = dx1 * dy2 - dy1 * dx2
+    # parallel up to rounding: the cross product of the directions is noise
+    if abs(den) <= EPS_REL * math.hypot(dx1, dy1) * math.hypot(dx2, dy2):
+        return None
+    t = ((bx - ax) * dy2 - (by - ay) * dx2) / den
+    u = ((bx - ax) * dy1 - (by - ay) * dx1) / den
+    if 0.0 <= t <= 1.0 and 0.0 <= u <= 1.0:
+        return Point2(ax + t * dx1, ay + t * dy1)
+    return None
+
+
+def _segment_arc_points(seg: Segment, arc: CircularArc) -> list[Point2]:
+    out = []
+    a, b = seg.start, seg.end
+    t0, s, n = segment_circle_params(a.x, a.y, b.x, b.y, *arc.supporting_disk.xyr)
+    for t in (t0 - s, t0 + s)[:n]:  # proper crossings inside the segment
+        if 1e-14 < t < 1.0 - 1e-14:
+            p = Point2(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+            if _angle_on_arc(arc, _angle(arc.supporting_disk.xyr, p.x, p.y)):
+                out.append(p)
+    return out
+
+
+def _arc_arc_points(a1: CircularArc, a2: CircularArc) -> list[Point2]:
+    (x1, y1, r1), (x2, y2, r2) = c1, c2 = a1.supporting_disk.xyr, a2.supporting_disk.xyr
+    d = math.hypot(x2 - x1, y2 - y1)
+    if d == 0.0:
+        return []
+    mx, my, ox, oy, n = circle_circle_points(x1, y1, r1, x2, y2, r2, d)
+    return [Point2(x, y) for x, y in ((mx + ox, my + oy), (mx - ox, my - oy))[:n]
+            if _angle_on_arc(a1, _angle(c1, x, y)) and _angle_on_arc(a2, _angle(c2, x, y))]
+
+
+def _angle_on_arc(arc: CircularArc, angle: float) -> bool:
+    a0, extent = angular_interval(arc)
+    return (angle - a0) % TWO_PI <= extent

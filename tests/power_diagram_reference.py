@@ -54,7 +54,8 @@ def remove_redundant(disks: Sequence[Disk], window: Rect) -> tuple[list[SiteId],
 
 
 def nearest_site(pd: PowerDiagram, x: Point2) -> SiteId:
-    """Site of minimum power distance at ``x`` (smallest id wins ties)."""
+    """Site of minimum power distance at ``x``, in the diagram's frame
+    (smallest id wins ties)."""
     best, best_v = 0, math.inf
     for i, d in enumerate(pd.sites):
         v = power_distance(x, d)

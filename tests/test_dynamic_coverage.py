@@ -20,7 +20,7 @@ from coveragekit.dynamic_coverage import (DynamicCoverage, HalfSpace3, Treap,
 from coveragekit.power_diagram import _clip_cell, build
 from coveragekit.protocol_coverage import (ProtocolTransmitter,
                                            compute_coverage_map, region_area)
-from geometry_reference import convex_polygon_intersection
+from geometry_reference import convex_polygon_intersection, validate
 from oracles import planes_above_lattice
 
 WIN = Rect(-8.0, -8.0, 8.0, 8.0)
@@ -1025,11 +1025,11 @@ def test_every_chain_of_both_engines_passes_the_metric_check():
     for seed in (11, 12, 13):
         cov = compute_coverage_map(*static_map_transmitters(seed))
         for ap in (ap for chains in cov.regions.values() for ap in chains):
-            ap.validate(cov.diagram.eps)
+            validate(ap, cov.diagram.eps)
             checked += 1
     for dc, step in c03_churn(305):
         for ap in (ap for chains in dc.regions.values() for ap in chains):
-            ap.validate(dc.eps)
+            validate(ap, dc.eps)
             checked += 1
     assert checked > 2500, checked
 

@@ -12,20 +12,18 @@ from hypothesis import given, settings, strategies as st
 from coveragekit import geometry
 from coveragekit.errors import InvalidChain
 from coveragekit.geometry import (INWARD, ArcPolygon, CircularArc, ConvexPolygon, Disk,
-                                  Point2, Rect, Segment, TWO_PI,
-                                  _edges_cross, arc_polygon_area,
+                                  Point2, Rect, Segment, TWO_PI, arc_polygon_area,
                                   arc_polygon_contains, boolean_rows,
                                   bisector_line, circle_circle_points,
-                                  clip_coords, clip_rows,
-                                  dist, geom_eps, power_distance)
+                                  clip_coords, clip_rows, geom_eps, power_distance)
 from coveragekit.dynamic_coverage import DynamicCoverage
 from coveragekit.power_diagram import build
 from coveragekit.protocol_coverage import ProtocolTransmitter, compute_coverage_map, region_area
 from boolean_reference import boolean_chains_reference
-from geometry_reference import (ConcentricDisks, HalfPlane, _ray_hits,
-                                arc_polygon_contains_ray, boolean_chains, clip_convex,
-                                convex_polygon_intersection, polygon_area, power_bisector,
-                                region_disk_boolean, signed_distance)
+from geometry_reference import (ConcentricDisks, HalfPlane, _edges_cross, _ray_hits,
+                                angular_interval, arc_polygon_contains_ray, boolean_chains,
+                                clip_convex, convex_polygon_intersection, dist, polygon_area,
+                                power_bisector, region_disk_boolean, signed_distance, validate)
 from oracles import grid_boolean_area, lens_area
 from test_power_diagram import COCIRCULAR, GRID6
 
@@ -190,7 +188,7 @@ def test_area_rejects_open_chain():
     bad = ArcPolygon((Segment(Point2(0, 0), Point2(1, 0)),
                       Segment(Point2(1, 0), Point2(1, 1))))
     with pytest.raises(InvalidChain, match="ends at"):
-        bad.validate(geom_eps(1.0))
+        validate(bad, geom_eps(1.0))
 
 
 def test_area_rejects_self_intersection():
@@ -199,7 +197,7 @@ def test_area_rejects_self_intersection():
                       Segment(Point2(1, 0), Point2(0, 1)),
                       Segment(Point2(0, 1), Point2(0, 0))))
     with pytest.raises(InvalidChain, match="self-intersects"):
-        bow.validate(geom_eps(1.0))
+        validate(bow, geom_eps(1.0))
 
 
 BIG = ConvexPolygon((Point2(-2, -2), Point2(2, -2), Point2(2, 2), Point2(-2, 2)))
@@ -290,7 +288,7 @@ def _chain_distance(poly: ArcPolygon, p: Point2) -> float:
             best = min(best, math.hypot(a.x + t * dx - p.x, a.y + t * dy - p.y))
         else:
             d = e.supporting_disk
-            a0, extent = e.angular_interval()
+            a0, extent = angular_interval(e)
             angle = math.atan2(p.y - d.center.y, p.x - d.center.x) % TWO_PI
             if (angle - a0) % TWO_PI <= extent:
                 best = min(best, abs(dist(p, d.center) - d.radius))
@@ -395,7 +393,7 @@ def test_boolean_chains_where_five_curves_meet():
     excludes = [Disk(Point2(2, 0), 1.0), Disk(Point2(1, 1), 1.0), Disk(Point2(-1, -1), 0.5)]
     chains = boolean_chains(region, include, excludes, geom_eps(5.0))
     for ap in chains:
-        ap.validate(geom_eps(5.0))
+        validate(ap, geom_eps(5.0))
     area = sum(arc_polygon_area(ap) for ap in chains)
     grid = grid_boolean_area(region, include, excludes, Rect(-2, -2, 3, 2))
     assert area == pytest.approx(grid, abs=0.01)
@@ -409,7 +407,7 @@ def test_boolean_chains_hole_and_tangent_excludes():
                 Disk(Point2(-0.5, 0.9), 0.2)]
     chains = boolean_chains(BIG, include, excludes, geom_eps(5.0))
     for ap in chains:
-        ap.validate(geom_eps(5.0))
+        validate(ap, geom_eps(5.0))
     area = sum(arc_polygon_area(ap) for ap in chains)
     assert area == pytest.approx(grid_boolean_area(BIG, include, excludes, Rect(-2, -2, 2, 2)),
                                  abs=0.01)
@@ -462,7 +460,7 @@ def test_boolean_chains_drops_only_far_crossings(gap):
     excludes = [a, b, c]
     chains = boolean_chains(BIG, include, excludes, MARGIN_EPS)
     for ap in chains:
-        ap.validate(MARGIN_EPS)
+        validate(ap, MARGIN_EPS)
     area = sum(arc_polygon_area(ap) for ap in chains)
     assert area == pytest.approx(grid_boolean_area(BIG, include, excludes, Rect(-2, -2, 2, 2)),
                                  abs=0.005)
@@ -558,11 +556,13 @@ def _same_as_reference(region, include, excludes, eps):
 
 
 def _static_map_sites(disks, txs, window):
-    """(cell, transmission disk, neighbours' disks, eps) of every visible site,
-    as ``compute_coverage_map`` passes them."""
+    """(cell, transmission disk, neighbours' disks) of every visible site, in
+    the frame of the diagram of ``disks``, as ``compute_coverage_map`` passes
+    them; and that diagram."""
     pd = build(disks, window)
-    return [(pd.cells[p], txs[p], [disks[q] for q in sorted(pd.neighbors[p])], pd.eps)
-            for p in range(len(disks)) if pd.cells[p] is not None]
+    return [(pd.cells[p], Disk(pd.sites[p].center, txs[p].radius),
+             [pd.sites[q] for q in sorted(pd.neighbors[p])])
+            for p in range(len(disks)) if pd.cells[p] is not None], pd
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -576,9 +576,9 @@ def test_boolean_chains_equals_the_reference_on_a_static_map(seed):
         c = Point2(rng.uniform(0.3, 99.7), rng.uniform(0.3, 99.7))
         txs.append(Disk(c, max(1e-4, rng.uniform(0.5, 1.0) * ir)))
         disks.append(Disk(c, ir))
-    sites = _static_map_sites(disks, txs, Rect(0.0, 0.0, 100.0, 100.0))
-    assert len(sites) > 150
-    assert sum(bool(_same_as_reference(*site)) for site in sites) > 60
+    rows, pd = _static_map_sites(disks, txs, Rect(0.0, 0.0, 100.0, 100.0))
+    assert len(rows) > 150
+    assert sum(bool(_same_as_reference(*row, pd.eps)) for row in rows) > 60
 
 
 @pytest.mark.parametrize("share", [0.6, 1.0])
@@ -586,8 +586,9 @@ def test_boolean_chains_equals_the_reference_on_a_static_map(seed):
 def test_boolean_chains_equals_the_reference_on_cocircular_cells(disks, share):
     # many circles cross in one point and rims touch cell corners here
     txs = [Disk(d.center, share * d.radius) for d in disks]
-    for site in _static_map_sites(disks, txs, Rect(0, 0, 60, 60)):
-        _same_as_reference(*site)
+    rows, pd = _static_map_sites(disks, txs, Rect(0, 0, 60, 60))
+    for row in rows:
+        _same_as_reference(*row, pd.eps)
 
 
 def _margin_cases():
@@ -710,14 +711,10 @@ def _maps(draw):
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(case=_maps())
 def test_boolean_rows_equal_the_reference_on_random_small_maps(case):
-    disks, txs = case
-    window = Rect(0.0, 0.0, 8.0, 8.0)
-    pd = build(disks, window)
-    sites = [p for p in range(len(disks)) if pd.cells[p] is not None]
-    rows = [(pd.cells[p], txs[p], [disks[q] for q in sorted(pd.neighbors[p])]) for p in sites]
+    rows, pd = _static_map_sites(*case, Rect(0.0, 0.0, 8.0, 8.0))
     got = _rows_equal_reference(rows, pd.eps)
     for ap in (ap for chains in (got.chains if got else []) for ap in chains):
-        ap.validate(pd.eps)  # trusted by the area step, and metrically sound
+        validate(ap, pd.eps)  # trusted by the area step, and metrically sound
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -725,14 +722,12 @@ def test_boolean_rows_equal_the_reference_on_random_small_maps(case):
        probes=st.lists(st.builds(Point2, st.floats(-0.5, 8.5), st.floats(-0.5, 8.5)),
                        min_size=30, max_size=30))
 def test_arc_polygon_contains_equals_the_ray_cast_on_random_small_maps(case, probes):
-    disks, txs = case
-    window = Rect(0.0, 0.0, 8.0, 8.0)
-    pd = build(disks, window)
-    sites = [p for p in range(len(disks)) if pd.cells[p] is not None]
-    rows = boolean_rows([pd.cells[p] for p in sites], [txs[p] for p in sites],
-                        [[disks[q] for q in sorted(pd.neighbors[p])] for p in sites], pd.eps)
-    _contains_like_the_ray_cast([ap for c in rows.chains for ap in c],
-                                probes + LATTICE_PROBES[::3], pd.eps)
+    rows, pd = _static_map_sites(*case, Rect(0.0, 0.0, 8.0, 8.0))
+    chains = boolean_rows(*zip(*rows), pd.eps).chains
+    ox, oy = pd.origin  # the probes, like the chains, in the diagram's frame
+    _contains_like_the_ray_cast([ap for c in chains for ap in c],
+                                [Point2(p.x - ox, p.y - oy)
+                                 for p in probes + LATTICE_PROBES[::3]], pd.eps)
 
 
 def _numpy_rounds_differently(rng, tries):
@@ -816,8 +811,8 @@ def test_the_rounding_expression_is_written_once_in_src():
 
 # One map tolerance: geom_eps of the window's diameter, in both engines.
 
-def _geom_eps_arguments() -> list[tuple[str, str]]:
-    """(function, argument) of every ``geom_eps(...)`` call in ``src/``."""
+def _calls_in_src(callee: str) -> list[tuple[str, str]]:
+    """(function, first argument) of every ``callee(...)`` call in ``src/``."""
     out = []
     for f in sorted(Path(geometry.__file__).parent.rglob("*.py")):
         tree = ast.parse(f.read_text())
@@ -828,13 +823,19 @@ def _geom_eps_arguments() -> list[tuple[str, str]]:
                 name = f"{top.name}.{fn.name}" if fn is not top else fn.name
                 out += [(name, ast.unparse(node.args[0])) for node in ast.walk(fn)
                         if isinstance(node, ast.Call)
-                        and getattr(node.func, "id", "") == "geom_eps"]
+                        and getattr(node.func, "id", "") == callee]
     return out
 
 
 def test_the_map_tolerance_is_the_window_diameters_in_src():
-    calls = _geom_eps_arguments()
+    calls = _calls_in_src("geom_eps")
     assert calls and all(arg.endswith("window.diameter()") for _, arg in calls), calls
+
+
+def test_only_build_and_the_dynamic_structure_choose_a_frame_in_src():
+    # each engine moves its input once; the static map takes build's frame
+    calls = _calls_in_src("window_frame")
+    assert sorted(fn for fn, _ in calls) == ["DynamicCoverage.__init__", "build"], calls
 
 
 def test_both_engines_cut_at_the_window_tolerance_when_a_disk_outgrows_the_window():

@@ -96,7 +96,7 @@ def _build_direct(disks: Sequence[Disk], window: Rect) -> PowerDiagram:
 
     hidden = frozenset(i for i in range(n) if mega_cells[i] is None)
     neighbors = _adjacency_exact(disks, hidden, scale)
-    return PowerDiagram(window=window, sites=tuple(disks), cells=cells,
+    return PowerDiagram(window=window, sites=tuple(disks), origin=Point2(0.0, 0.0), cells=cells,
                         neighbors={i: frozenset(s) for i, s in neighbors.items()},
                         hidden=hidden, eps=eps, route="direct")  # no route of ``build``'s
 
@@ -455,28 +455,23 @@ def lift(disks):
 def test_cells_and_frames_clip_like_clip_convex(name):
     disks, window = layout(name)
     n = len(disks)
-    # build cuts its cells in the window's frame and moves them back
-    (ox, oy), frame, local = window_frame(window)
-    moved = [Disk(local(d.center), d.radius) for d in disks]
-    routes = [(_build_direct(disks, window), True),
-              (build(disks, window), False)]
-    for pd, direct in routes:
+    # the reference cuts as given, build in the window's frame: each is
+    # compared in its own diagram's coordinates
+    for pd, direct in ((_build_direct(disks, window), True), (build(disks, window), False)):
+        sites = pd.sites
         for i, cell in pd.cells.items():
             if i in pd.hidden:
                 want = None
-            elif direct:
-                want = _clip_in_order(window.to_polygon(), disks, i, range(n))
             else:
-                want = _clip_in_order(frame.to_polygon(), moved, i, sorted(pd.neighbors[i]))
-                want = want and ConvexPolygon(tuple(Point2(v.x + ox, v.y + oy)
-                                                    for v in want.vertices))
+                want = _clip_in_order(pd.window.to_polygon(), sites, i,
+                                      range(n) if direct else sorted(pd.neighbors[i]))
             assert _coords(cell) == _coords(want), (name, direct, i)
             if cell is None:
                 continue
             gamma = sorted(pd.neighbors[i])
             parts = power_frame(pd, i).partitions
             for q in gamma:
-                want = _clip_in_order(cell, disks, q, gamma)
+                want = _clip_in_order(cell, sites, q, gamma)
                 assert _coords(parts.get(q)) == _coords(want), (name, direct, i, q)
 
 
@@ -583,18 +578,19 @@ def test_build_computes_in_the_window_frame_at_projected_offsets(name, offset):
     pd, base = build(shifted, window), build(disks, win)
     assert (pd.hidden, pd.neighbors, pd.route) == (base.hidden, base.neighbors, base.route)
     assert name == "c02" or not pd.hidden
-    assert pd.window == window and pd.sites == tuple(shifted)
-    for i, cell in pd.cells.items():  # moved back into the caller's coordinates
+    origin, frame, local = window_frame(window)
+    assert pd.origin == origin and pd.window == frame
+    assert pd.sites == tuple(Disk(local(d.center), d.radius) for d in shifted)
+    for i, cell in pd.cells.items():  # left in the window's frame
         if cell is not None:
-            back = ConvexPolygon(tuple(Point2(v.x - ox, v.y - oy) for v in cell.vertices))
-            assert polygon_area(back) == pytest.approx(polygon_area(base.cells[i]), abs=1e-6)
-            assert all(window.x0 <= v.x <= window.x1 and window.y0 <= v.y <= window.y1
-                       for v in cell.vertices)
+            assert polygon_area(cell) == pytest.approx(polygon_area(base.cells[i]), abs=1e-6)
+            assert all(frame.contains(v) for v in cell.vertices)
 
 
 def test_build_turns_a_qhull_rejection_into_diagram_rejected():
-    # c02's generator far from the origin in a window centred on it, so
-    # computed as given: the lift is too flat for Qhull
+    # c02's generator far from the origin in a window centred exactly on
+    # it: the move into the frame is by zero, no flat route explains the
+    # lift, and it is too flat for Qhull (QH6154)
     disks = [Disk(Point2(d.center.x + 5e5, d.center.y + 4e6), d.radius) for d in c02_disks(512)]
     half = 4e6 + 100.0
     with pytest.raises(DiagramRejected, match="^Qhull rejected the sites: QH") as raised:
@@ -605,7 +601,7 @@ def test_build_turns_a_qhull_rejection_into_diagram_rejected():
 
 def test_flat_routes_find_nothing_in_a_full_rank_lift():
     disks = random_disks(random.Random(8), 6)
-    assert _flat_neighbors(disks, lift(disks)) is None
+    assert _flat_neighbors(disks, lift(disks), 0.0) is None
     assert _flat_neighbors(disks, lift(disks), 1e6) is None
 
 

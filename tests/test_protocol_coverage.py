@@ -10,9 +10,10 @@ from coveragekit.power_diagram import build
 from coveragekit.protocol_coverage import (CoverageMap, ProtocolTransmitter,
                                            compute_coverage_map, coverage_area,
                                            find_interference_bound, region_area)
-from geometry_reference import polygon_contains
+from geometry_reference import edge_length, polygon_contains, validate
 from oracles import (grid_protocol_areas, lens_area,
                      pairwise_interference_exists)
+from test_power_diagram import SLIGHT, layout
 
 
 def tx(x, y, t, i):
@@ -87,18 +88,36 @@ def test_hidden_transmitter_has_empty_region():
         assert cov.regions[1] == []
 
 
-@pytest.mark.parametrize("offset", [(0.0, 0.0), (1e5, 1e5), (5e5, 4e6)])
-def test_map_and_direct_build_agree_far_from_the_origin(offset):
-    # four equal interference disks in a window 0.2 wide, the fourth inside
-    # the others' triangle: both compute in the window's frame, so both
-    # keep every site visible and find the same neighbours
+def far_layout(name, offset):
+    """Transmitters and window of a test layout moved by ``offset``, their
+    transmission radii half the layout's (interference) radii."""
+    disks, window = SLIGHT if name == "slight" else layout(name)
     ox, oy = offset
-    txs = [tx(x + ox, y + oy, 0.5, 1.0) for x, y in ((0, 0), (0.2, 0), (0, 0.2), (0.05, 0.05))]
-    window = Rect(ox, oy, ox + 0.2, oy + 0.2)
+    return ([tx(d.center.x + ox, d.center.y + oy, 0.5 * d.radius, d.radius) for d in disks],
+            Rect(window.x0 + ox, window.y0 + oy, window.x1 + ox, window.y1 + oy))
+
+
+@pytest.mark.parametrize("offset", [(0.0, 0.0), (1e5, 1e5), (1e6, 1e6), (5e5, 4e6), (3e7, 3e7)])
+@pytest.mark.parametrize("name", ["slight", "diagonal-road", "ring", "ring256"])
+def test_map_and_direct_build_agree_far_from_the_origin(name, offset):
+    # moved far off, a road or ring is bent by an ulp of the offset, and the
+    # slight layout's fourth disk lies just below the others' plane; the map
+    # and a direct build compute in one frame by one rule, so both keep
+    # offset 0's hidden set and route, and the map its areas.  Moving rounds
+    # each coordinate by up to half an ulp of the offset, so each rim moves
+    # by under an ulp: at (3e7, 3e7) that allows more than 1e-8 of area
+    base = compute_coverage_map(*far_layout(name, (0.0, 0.0)))
+    txs, window = far_layout(name, offset)
     cov = compute_coverage_map(txs, window)
     pd = build([Disk(t.location, t.int_radius) for t in txs], window)
-    assert not pd.hidden and not cov.diagram.hidden
-    assert pd.neighbors == cov.diagram.neighbors and pd.route == cov.diagram.route == "hull"
+    want = (base.diagram.hidden, base.diagram.neighbors, base.diagram.route)
+    assert (cov.diagram.hidden, cov.diagram.neighbors, cov.diagram.route) == want
+    assert (pd.hidden, pd.neighbors, pd.route) == want
+    for p in range(len(txs)):
+        rims = sum(edge_length(e) for ap in base.regions[p] for chain in (ap, *ap.holes)
+                   for e in chain.edges)
+        assert region_area(cov, p) == pytest.approx(
+            region_area(base, p), abs=max(1e-8, rims * math.ulp(max(offset)))), p
 
 
 def test_random_instances_match_grid_oracle():
@@ -144,7 +163,7 @@ def test_covered_points_clear_every_interferer():
     checked = 0
     for _ in range(8000):
         x = Point2(rng.uniform(0, 12), rng.uniform(0, 12))
-        at = Point2(x.x - cov.origin.x, x.y - cov.origin.y)  # the chains' frame
+        at = Point2(x.x - cov.diagram.origin.x, x.y - cov.diagram.origin.y)  # the chains' frame
         owner = None
         for p, chains in cov.regions.items():
             for ap in chains:
@@ -255,7 +274,7 @@ def test_pinch_where_interference_circle_touches_window_side():
     txs = [tx(0.2, 0.2, 0.21, 0.3), tx(0.2, 0.3, 0.21, 0.3)]
     cov = assert_sites_match_grid(txs, Rect(0, 0, 1, 1), 1e-5)
     for ap in cov.regions[0]:
-        ap.validate(cov.diagram.eps)
+        validate(ap, cov.diagram.eps)
 
 
 def test_bisector_tangent_to_transmission_circle():

@@ -33,8 +33,6 @@ KEPT = {
     "treap_delete": "part of the treap's documented API",
     "treap_of": "part of the treap's documented API",
     "DynamicCoverage.check_invariants": "the lattice's invariants, for callers to check after updates",
-    "ArcPolygon.validate": "the chains' metric check, for hand-made chains and for tests to "
-                           "check after a map is made",
     "Treap.check_invariants": "the treap's invariants, part of its documented API",
     "SinrScenario.with_powers": "the scenario at other powers, for the benchmark's area oracle",
 }
@@ -47,12 +45,12 @@ KEPT_PROPERTIES: dict[str, str] = {}
 SHARED = {
     "Rect.height": "the window's height: the SVG canvas and the capture raster",
     "HalfSpace3.height": "a lifted plane's height: the walk, the carve and the climb",
-    "CircularArc.start_point": "chain validation and the SVG walk every edge kind",
-    "Segment.start_point": "chain validation and the SVG walk every edge kind",
-    "CircularArc.end_point": "chain validation and the crossing test walk every edge kind",
-    "Segment.end_point": "chain validation and the crossing test walk every edge kind",
-    "CircularArc.length": "chain validation rejects short edges of either kind",
-    "Segment.length": "chain validation rejects short edges of either kind",
+    "CircularArc.start_point": "the canonical rotation, the winding test and the SVG walk "
+                               "every edge kind",
+    "Segment.start_point": "the canonical rotation, the winding test and the SVG walk "
+                           "every edge kind",
+    "CircularArc.end_point": "the winding test walks every edge kind",
+    "Segment.end_point": "the winding test walks every edge kind",
     "OptResult.to_dict": "the optimize command's result file",
     "RunManifest.to_dict": "every command's manifest file",
     "UpdateReport.to_dict": "the dynamic command's per-op reports",
