@@ -11,8 +11,7 @@ cheapest), a bidirectional random hill climb, and Nelder-Mead with restarts.
 Each evaluates one bound ``objective``, whose read-only distance powers are
 built once per (sites, alpha, window, plan) and shared with the next
 evaluator of that sample, caching values per exact power vector
-(``evaluations`` counts queries, cached or not); exhaustive search folds
-each prefix of levels once.  No thread setting changes a result.
+(``evaluations`` counts queries, cached or not).
 """
 
 from __future__ import annotations
@@ -154,17 +153,15 @@ def grid_rule_samples(epsilon: float, delta: float, c_lower: float) -> int:
 
 
 class _CachedObjective:
-    """Counts logical evaluations; computes each exact vector once (``known``
-    ones ahead).  Keeps the first vector of the largest area, the trace of
-    (calls, area) at each strict improvement, and for an evaluator ``fn``
-    its filter counts."""
+    """Counts logical evaluations; computes each exact vector once.  Keeps
+    the first vector of the largest area, the trace of (calls, area) at each
+    strict improvement, and for an evaluator ``fn`` its filter counts."""
 
-    def __init__(self, fn: Callable[[tuple[float, ...]], float],
-                 known: Optional[dict[tuple[float, ...], float]] = None):
+    def __init__(self, fn: Callable[[tuple[float, ...]], float]):
         self._fn = fn
-        self._cache = {} if known is None else known
+        self._cache = {}
         self.calls = 0
-        self.computed = len(self._cache)
+        self.computed = 0
         self.best: Optional[tuple[float, ...]] = None
         self.best_area = -math.inf
         self.trace: list[tuple[int, float]] = []
@@ -206,11 +203,9 @@ def exhaustive_search(s: SinrScenario, b: Bounds, levels: int,
             axes.append([lo])
         else:
             axes.append([lo + (hi - lo) * k / (levels - 1) for k in range(levels)])
-    distinct = [list(dict.fromkeys(axis)) for axis in axes]  # p_min == p_max repeats
-    area = objective(s, plan)
-    ev = _CachedObjective(area, dict(zip(itertools.product(*distinct), area.product(distinct))))
+    ev = _CachedObjective(objective(s, plan))
     for vec in sorted(itertools.product(*axes), key=lambda v: (sum(v), v)):
-        ev(vec)
+        ev(vec)  # the cache absorbs the repeats of a site with p_min == p_max
     return ev.result()
 
 
@@ -248,7 +243,7 @@ def random_hill_climb(s: SinrScenario, b: Bounds, params: RhcParams,
             else:
                 stretch = stretch * scale_up
                 cand = best + rng.random(n) * stretch
-            cand = np.clip(cand, lo, hi)
+            cand = np.minimum(np.maximum(cand, lo), hi)
             area = ev(cand)
             if area > best_area:
                 best_area = area
@@ -294,12 +289,12 @@ def nelder_mead(objective: Callable[[tuple[float, ...]], float], b: Bounds,
             fvals = [fvals[i] for i in order]
             if fvals[0] - fvals[-1] < _NM_F_TOL:
                 break
-            centroid = np.mean(simplex[:-1], axis=0)
+            centroid = np.add.reduce(simplex[:-1], axis=0) / n
             worst = simplex[-1]
-            refl = np.clip(centroid + (centroid - worst), lo, hi)
+            refl = np.minimum(np.maximum(centroid + (centroid - worst), lo), hi)
             f_refl = ev(refl)
             if f_refl > fvals[0]:
-                expa = np.clip(centroid + 2.0 * (centroid - worst), lo, hi)
+                expa = np.minimum(np.maximum(centroid + 2.0 * (centroid - worst), lo), hi)
                 f_expa = ev(expa)
                 if f_expa > f_refl:
                     simplex[-1], fvals[-1] = expa, f_expa
@@ -309,9 +304,9 @@ def nelder_mead(objective: Callable[[tuple[float, ...]], float], b: Bounds,
                 simplex[-1], fvals[-1] = refl, f_refl
             else:
                 if f_refl > fvals[-1]:
-                    cont = np.clip(centroid + 0.5 * (centroid - worst), lo, hi)
+                    cont = np.minimum(np.maximum(centroid + 0.5 * (centroid - worst), lo), hi)
                 else:
-                    cont = np.clip(centroid - 0.5 * (centroid - worst), lo, hi)
+                    cont = np.minimum(np.maximum(centroid - 0.5 * (centroid - worst), lo), hi)
                 f_cont = ev(cont)
                 if f_cont > max(f_refl, fvals[-1]):
                     simplex[-1], fvals[-1] = cont, f_cont

@@ -21,7 +21,6 @@ exact float64 fold, so every mask is the fold's bit for bit.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -196,8 +195,7 @@ class SinrEvaluator:
     is covered when ``rmax >= beta * (acc - rmax + noise)``.  For N >= 2
     that is numpy's axis-0 sum order, so results equal a site-major
     reduction bit for bit; for N = 1 it is ``is_covered``'s.  Unpowered
-    sites are skipped: they would add +0.0.  ``capture`` and ``product``
-    (which folds each prefix once) use it alone.
+    sites are skipped: they would add +0.0.  ``capture`` uses it alone.
 
     ``mask`` first runs a float32 filter with no division: ``r = g_i * p_i``
     over the float32 gain rows ``1/d**alpha`` (both rounded to float32; NaN
@@ -246,7 +244,7 @@ class SinrEvaluator:
         self._seen, self._ranges = False, None
         self._quiet = contextlib.nullcontext if dpow.all() else \
             lambda: np.errstate(divide="ignore", invalid="ignore")  # a sample on a site
-        self._f = list(np.zeros((7, self.size)))  # 0, r, acc, rmax, last site's acc, rmax, tail
+        self._f = list(np.zeros((5, self.size)))  # 0, r, acc, rmax, tail
         self._b = list(np.empty((2, self.size), dtype=bool))
         n = len(self.rows)
         h, k = s.beta / (1.0 + s.beta), 2 * (n + 16) * _U32
@@ -258,25 +256,23 @@ class SinrEvaluator:
             self._scratch = (prod, list(prod), *rows[2 * n:],
                              *np.empty((2, self.size), dtype=bool))
 
-    def _fold(self, p, first: int = 0, state=None, out=(2, 3), f=None, cols=None):
-        """Fold sites first, first + 1, ... at powers p into ``state`` (acc,
-        rmax), zero rows by default, writing the scratch rows ``out`` of
-        ``f`` (the evaluator's own by default), on the sample columns
-        ``cols`` (all by default)."""
+    def _fold(self, p, f=None, cols=None):
+        """Fold the powered sites at powers p from zero into the scratch rows
+        (acc, rmax) of ``f`` (the evaluator's own by default), on the sample
+        columns ``cols`` (all by default)."""
         f = f or self._f
-        acc, rmax = state or (f[0], f[0])
-        r, out_acc, out_max = f[1], f[out[0]], f[out[1]]
-        for v, row in zip(p, self.rows[first:]):
+        acc = rmax = f[0]
+        for v, row in zip(p, self.rows):
             if v != 0.0:
-                np.divide(v, row if cols is None else np.take(row, cols, out=f[6]), out=r)
-                acc = np.add(acc, r, out=out_acc)
-                rmax = np.maximum(rmax, r, out=out_max)
+                np.divide(v, row if cols is None else np.take(row, cols, out=f[4]), out=f[1])
+                acc = np.add(acc, f[1], out=f[2])
+                rmax = np.maximum(rmax, f[1], out=f[3])
         return acc, rmax
 
     def _covered(self, acc, rmax, f=None, b=None) -> np.ndarray:
         # no denom <= 0 test: denom >= 0 as acc >= rmax, and rmax >= beta * 0
         cov, tmp = b or self._b
-        t = np.subtract(acc, rmax, out=(f or self._f)[6])  # inf - inf where rmax is infinite
+        t = np.subtract(acc, rmax, out=(f or self._f)[4])  # inf - inf where rmax is infinite
         t += self.noise
         t *= self.beta
         np.greater_equal(rmax, t, out=cov)
@@ -353,21 +349,6 @@ class SinrEvaluator:
     def __call__(self, p) -> float:
         """Covered fraction of the sample under powers p."""
         return np.count_nonzero(self.mask(p)) / self.size
-
-    def product(self, axes) -> list[float]:
-        """``[self(v) for v in itertools.product(*axes)]``, folding each
-        prefix once and finishing it with every level of the last site."""
-        *head, last = axes
-        if len(axes) != len(self.rows):
-            raise ValueError("one level list per site")
-        out = []
-        with self._quiet():
-            for prefix in itertools.product(*head):
-                state = self._fold(prefix)
-                for v in last:
-                    cov = self._covered(*self._fold((v,), len(head), state, (4, 5)))
-                    out.append(np.count_nonzero(cov) / self.size)
-        return out
 
     def capture(self, p) -> np.ndarray:
         """Per sample, the first site of largest receive power (``argmax``):

@@ -167,6 +167,7 @@ def test_c03_dynamic_equivalence():
     assert elapsed < 120.0, f"criterion 3 runtime {elapsed:.1f}s exceeds 120s"
 
 
+@pytest.mark.slow
 def test_c04_treap_and_shuffle_expectations():
     """Treap mean node depth at n=4096 stays below 3 ln n over 100 seeds;
     traverse cost grows sublinearly (mean visits ratio 8192:512 <= 2)."""

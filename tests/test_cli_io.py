@@ -625,11 +625,9 @@ def test_cli_objective_counters_in_manifest_only(tmp_path):
         assert set(stats) == {"search", "post_process"}
         for name, phase in stats.items():
             assert 1 <= phase["computed"] <= phase["calls"]
-            # every computed vector is one mask of the 20x20 grid, except
-            # exhaustive search's, which folds level prefixes exactly
-            masks = 0 if (method, name) == ("exhaustive", "search") else phase["computed"]
+            # every computed vector is one mask of the 20x20 grid
             f = phase["filter"]
-            assert f["decided"] + f["band"] + 400 * f["whole"] == 400 * masks
+            assert f["decided"] + f["band"] + 400 * f["whole"] == 400 * phase["computed"]
         assert stats["post_process"]["calls"] == result["evaluations"]
     assert cli(["sweep-power", str(scen), "--levels", "5",
                 "--out", str(tmp_path / "sw.result.json")]) == 0

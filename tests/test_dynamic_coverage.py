@@ -381,6 +381,7 @@ def test_second_revival_probes_a_vertex_of_the_first():
     assert runs[0] == runs[1]
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("seed", [11, 12, 13])
 def test_one_pass_revival_equals_the_sequential_scan(seed):
     # the benchmark's churn: a 1000-site fill, then rounds of deletes up to
@@ -702,6 +703,7 @@ def test_benchmark_churn_seed18_fill_cut_down_matches_static():
     assert_matches_static(dc, win)
 
 
+@pytest.mark.slow
 def test_long_fill_and_churn_keep_invariants():
     rng = random.Random(2024)
     win = Rect(0.0, 0.0, 100.0, 100.0)

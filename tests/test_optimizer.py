@@ -1,6 +1,8 @@
 """Area estimation, Chernoff sizing, and the three power optimizers."""
 
+import hashlib
 import itertools
+import json
 import math
 import random
 
@@ -318,10 +320,11 @@ def reference_area(s, p, plan):
     return int(reference_mask(s, pts, p).sum()) / len(pts)
 
 
-def test_exhaustive_prefix_folding_equals_per_vector_evaluation():
-    """Every area the prefix fold gives equals a fresh evaluation of its
-    vector and the site-major reference, with one level, with zero levels,
-    and with a site whose bounds coincide (so vectors repeat)."""
+def test_one_evaluator_over_level_vectors_equals_the_reference():
+    """One evaluator run over every vector of level axes, as exhaustive
+    search runs it, gives each vector the site-major reference's area, with
+    one level, with zero levels, and with a site whose bounds coincide (so
+    vectors repeat)."""
     rng = random.Random(29)
     s = random_scenario(rng, 3, alpha=3.0, beta=0.9)
     plan = SamplingPlan.grid(12, 9)
@@ -330,13 +333,12 @@ def test_exhaustive_prefix_folding_equals_per_vector_evaluation():
                  [[0.0, 0.0], [5.0, 5.0, 5.0], [0.0, 1.0]],
                  [[0.0], [0.0], [0.0, 8.0]],
                  [[3.0, 3.0], [0.0, 6.0], [2.0, 2.0]]):
-        got = objective(s, plan).product(axes)
-        vectors = list(itertools.product(*axes))
-        assert len(got) == len(vectors)
-        for v, a in zip(vectors, got):
-            assert a == objective(s, plan)(v) == reference_area(s, v, plan)
+        area = objective(s, plan)
+        for v in itertools.product(*axes):
+            assert area(v) == reference_area(s, v, plan), (axes, v)
     single = random_scenario(rng, 1)
-    assert objective(single, plan).product([[0.0, 1.0, 4.0]]) == \
+    area = objective(single, plan)
+    assert [area((v,)) for v in (0.0, 1.0, 4.0)] == \
         [reference_area(single, [v], plan) for v in (0.0, 1.0, 4.0)]
 
 
@@ -408,3 +410,44 @@ def test_evaluators_of_one_sample_share_only_its_read_only_rows():
     res = post_process(s, PowerVector.of(vectors[0]), Bounds.uniform(6, 0.0, 5.0).p_min, plan)
     assert res.counts["whole"] == 1
     assert res.counts["decided"] + res.counts["band"] == (res.computed - 1) * len(pts)
+
+
+# sha256 of the json of [search.to_dict(), post_process.to_dict()] on the
+# benchmark's sinr-optimize pool scenarios 0-2; a rewrite of a search loop
+# must keep them
+POOL_DIGESTS = {
+    "rhc": ["f66919eb845fe978778e47011326076d9bda50f01068a6a3f2ba7c9c0e311d0a",
+            "88ed3bfa4a0329e7035a2b85a379dbb643a95ce49746833a2315ff638f2938b3",
+            "b586c6d7942be2ce0ae9f137591117da6acad7f92e11e8b251e1ff47d76e792d"],
+    "nm": ["8ce0916a301529fdc8d700b09e3a737a606705defb42bed1be45a5aba437ae9b",
+           "4643ae1257995e74102bd6de0f58ba56d65cc2288df5708bdf54dfe031f76df5",
+           "460ed09d787bebe0bd509bc67fa416a1a9094c52c0a8180ee07dc894c1fec7dc"],
+    "exhaustive": ["311ae90f246321686751b7bf039487aa120923d6c79cbfaa5952f5d5541c7ce9",
+                   "0824080bba8b8288c997a19253ce69f9d54b2951b0c41865b54c834c0d2b483d",
+                   "618e2cf4992cf0d746836207738d90cff8ac759f98830f4d919a1f4fd056f3cf"],
+}
+
+
+@pytest.mark.parametrize("method", sorted(POOL_DIGESTS))
+def test_searches_keep_their_trajectories_on_the_pool_scenarios(method):
+    """rhc and nm (10 restarts) on 10 sites and exhaustive search (6 levels)
+    on 4, each with its post-process, as ``optimize ... --post-process``
+    runs them: a change to a search loop must keep every result, trace and
+    evaluation count bit for bit."""
+    plan = SamplingPlan.grid(64, 64)
+    got = []
+    for k in range(3):
+        n = 4 if method == "exhaustive" else 10
+        rng = random.Random(f"sinr-{n}-{k}")
+        s = scen([(rng.random(), rng.random()) for _ in range(n)], [0.0] * n,
+                 beta=1.5, noise=1000.0)
+        b = Bounds.uniform(n, 0.0, 100.0)
+        if method == "rhc":
+            res = random_hill_climb(s, b, RhcParams.defaults(s.alpha), plan, k)
+        elif method == "nm":
+            res = nelder_mead(objective(s, plan), b, 10, k)
+        else:
+            res = exhaustive_search(s, b, 6, plan)
+        post = post_process(s, res.best_power, b.p_min, plan)
+        got.append(hashlib.sha256(json.dumps([res.to_dict(), post.to_dict()]).encode()).hexdigest())
+    assert got == POOL_DIGESTS[method]

@@ -293,8 +293,6 @@ def test_site_fold_equals_site_major_reference():
         assert np.array_equal(ev.capture(p), reference_capture(s, pts, p))
     with pytest.raises(ValueError):
         ev(tuple(p) + (1.0,))
-    with pytest.raises(ValueError):
-        ev.product([[1.0]] * (len(p) - 1))
 
 
 def test_site_fold_single_sample_sums_in_site_order():
