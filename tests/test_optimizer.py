@@ -434,10 +434,9 @@ def test_searches_keep_their_trajectories_on_the_pool_scenarios(method):
     on 4, each with its post-process, as ``optimize ... --post-process``
     runs them: a change to a search loop must keep every result, trace and
     evaluation count bit for bit."""
-    plan = SamplingPlan.grid(64, 64)
+    plan, n = SamplingPlan.grid(64, 64), 4 if method == "exhaustive" else 10
     got = []
     for k in range(3):
-        n = 4 if method == "exhaustive" else 10
         rng = random.Random(f"sinr-{n}-{k}")
         s = scen([(rng.random(), rng.random()) for _ in range(n)], [0.0] * n,
                  beta=1.5, noise=1000.0)
