@@ -23,7 +23,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence
@@ -401,48 +401,46 @@ def _render_capture(cr: CaptureRaster) -> Iterator[str]:
 
 
 # ---------------------------------------------------------------------------
-# manifests and output plumbing
+# output paths and files
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RunManifest:
-    command: str
-    input_hash: Optional[str]
-    seed: Optional[int]
-    parameters: dict
-    tool_version: str = __version__
-    wall_time: float = 0.0
-    stats: dict = field(default_factory=dict)  # per-operation timings, counters
-
-    def to_dict(self) -> dict:
-        return {"command": self.command, "input_hash": self.input_hash,
-                "seed": self.seed, "parameters": self.parameters,
-                "tool_version": self.tool_version, "wall_time": self.wall_time,
-                "stats": self.stats}
+def _output_paths(args) -> tuple[Path, Path]:
+    """The result file (``--out``, else the input's stem in the working
+    directory) and its manifest beside it."""
+    path = Path(args.out or Path(args.scenario).stem + ".result.json")
+    return path, Path(str(path).removesuffix(".result.json") + ".manifest.json")
 
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+def _claim_paths(args) -> None:
+    """Refuse, before any work, a run that would write over a file it reads
+    or writes: the input, the result and its manifest, and each of
+    ``--svg``, ``--trace`` and ``--csv`` must name different files.  The
+    refusal names the later option of the two."""
+    named = []
+    if "out" in args:
+        result, manifest = _output_paths(args)
+        named += [("--out", "the result", result), ("--out", "the manifest", manifest)]
+    named += [(f"--{k}", f"the --{k} file", vars(args)[k])
+              for k in ("svg", "trace", "csv") if vars(args).get(k)]
+    claimed = {Path(args.scenario).resolve(): "the input"}
+    for option, what, path in named:
+        other = claimed.setdefault(Path(path).resolve(), what)
+        if other != what:
+            raise ParseError(option, f"{path} is {other}")
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-
-
-def _output_paths(out: Optional[str], default_stem: str) -> tuple[Path, Path]:
-    """The result file and its manifest beside it."""
-    path = Path(out) if out else Path(default_stem + ".result.json")
-    if str(path).endswith(".result.json"):
-        return path, Path(str(path)[:-len(".result.json")] + ".manifest.json")
-    return path, Path(str(path) + ".manifest.json")
-
-
-def _write_outputs(out: Optional[str], default_stem: str, result: dict,
-                   manifest: RunManifest) -> None:
-    path, mpath = _output_paths(out, default_stem)
-    _write_json(path, result)
-    _write_json(mpath, manifest.to_dict())
+def _write_result(args, result: dict, input_hash: str, seed: Optional[int],
+                  parameters: dict, wall_time: float, stats: dict) -> None:
+    """Write ``result`` and, beside it, the run's manifest: the command, the
+    input's hash, the seed, the parameters, the version, the wall time and
+    ``stats`` (per-operation timings and counters)."""
+    path, mpath = _output_paths(args)
+    command = f"optimize-{args.method}" if args.command == "optimize" else args.command
+    manifest = {"command": command, "input_hash": input_hash, "seed": seed,
+                "parameters": parameters, "tool_version": __version__,
+                "wall_time": wall_time, "stats": stats}
+    for target, payload in ((path, result), (mpath, manifest)):
+        target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {path}")
 
 
@@ -475,14 +473,6 @@ def _write_csv(path: str, header: list[str], rows: Iterable[Sequence]) -> None:
     print(f"wrote {path}")
 
 
-def _refuse_output_path(args, option: str, path: Optional[str]) -> None:
-    """Refuse a ``path`` for ``option`` that is the run's own result or
-    manifest path, which writing it would replace; called before any work."""
-    outputs = _output_paths(args.out, Path(args.scenario).stem)
-    if path and Path(path).resolve() in [p.resolve() for p in outputs]:
-        raise ParseError(option, f"{path} is the result or the manifest path")
-
-
 # ---------------------------------------------------------------------------
 # CLI commands
 # ---------------------------------------------------------------------------
@@ -494,11 +484,10 @@ def _load_scenario(args, model: Optional[str] = None) -> tuple[ScenarioFile, str
     scen = parse_scenario(data)
     if model and scen.model != model:
         raise ModelError(f"{args.command} needs a {model}-model scenario")
-    return scen, _sha256(data)
+    return scen, hashlib.sha256(data).hexdigest()
 
 
 def _cmd_build_map(args) -> int:
-    _refuse_output_path(args, "--svg", args.svg)
     scen, digest = _load_scenario(args, "protocol")
     t0 = time.perf_counter()
     cov = scen.coverage_map()
@@ -512,21 +501,19 @@ def _cmd_build_map(args) -> int:
         "total_arcs": cov.total_arcs(),
         "interference_bound_site": bound,
     }
-    manifest = RunManifest("build-map", digest, scen.seed, {},
-                           wall_time=time.perf_counter() - t0,
-                           stats={"diagram_route": cov.diagram.route,
-                                  "hidden": len(cov.diagram.hidden),
-                                  "edges": cov.diagram.edge_count(), **cov.stats})
+    wall_time = time.perf_counter() - t0
+    stats = {"diagram_route": cov.diagram.route, "hidden": len(cov.diagram.hidden),
+             "edges": cov.diagram.edge_count(), **cov.stats}
     # the drawing adds its frame counters to the manifest before it is written
-    with (_svg_file(args.svg, _svg_parts(cov, manifest.stats)) if args.svg
+    with (_svg_file(args.svg, _svg_parts(cov, stats)) if args.svg
           else contextlib.nullcontext()):
-        _write_outputs(args.out, Path(args.scenario).stem, result, manifest)
+        _write_result(args, result, digest, scen.seed, {}, wall_time, stats)
     print(f"covered area {result['total_area']:.6g} over {len(cov.regions)} sites")
     return 0
 
 
 def _cmd_dynamic(args) -> int:
-    data = Path(args.script).read_bytes()
+    data = Path(args.scenario).read_bytes()
     raw = _json_object(data)
     window = _window(raw)
     seed = _int(raw, "seed", "") if "seed" in raw else 0
@@ -559,10 +546,8 @@ def _cmd_dynamic(args) -> int:
              "traverse_fallbacks": dc.traverse_fallbacks,
              "revival_tests": dc.revival_tests, "climb_steps": dc.climb_steps,
              "lattice_nodes": len(dc.x), "parked": len(hidden)}
-    manifest = RunManifest("dynamic", _sha256(data),
-                           seed, {"ops": len(reports)},
-                           wall_time=time.perf_counter() - t0, stats=stats)
-    _write_outputs(args.out, Path(args.script).stem, result, manifest)
+    _write_result(args, result, hashlib.sha256(data).hexdigest(), seed, {"ops": len(reports)},
+                  time.perf_counter() - t0, stats)
     print(f"ran {len(reports)} updates; {len(dc.cells)} visible sites")
     return 0
 
@@ -573,16 +558,13 @@ def _cmd_estimate_area(args) -> int:
     t0, evaluator = time.perf_counter(), objective(s, plan)
     area = evaluator(s.powers.values)
     result = {"estimated_area": area, "plan": asdict(plan)}
-    manifest = RunManifest("estimate-area", digest, scen.seed, {},
-                           wall_time=time.perf_counter() - t0,
-                           stats={"filter": evaluator.counts})
-    _write_outputs(args.out, Path(args.scenario).stem, result, manifest)
+    _write_result(args, result, digest, scen.seed, {}, time.perf_counter() - t0,
+                  {"filter": evaluator.counts})
     print(f"estimated covered fraction {area:.6g}")
     return 0
 
 
 def _cmd_optimize(args) -> int:
-    _refuse_output_path(args, "--trace", args.trace)
     scen, digest = _load_scenario(args, "sinr")
     # the searches read the scenario's layout and constants, not its powers
     base, bounds, plan = scen.sinr, scen.bounds, scen.sampling
@@ -602,12 +584,10 @@ def _cmd_optimize(args) -> int:
         res = post_process(base, res.best_power, bounds.p_min, plan)
         stats["post_process"] = {"calls": res.evaluations, "computed": res.computed,
                                  "filter": res.counts}
-    result = res.to_dict()
-    manifest = RunManifest(f"optimize-{args.method}", digest, seed,
-                           {"levels": args.levels, "restarts": args.restarts,
-                            "post_process": bool(args.post_process)},
-                           wall_time=time.perf_counter() - t0, stats=stats)
-    _write_outputs(args.out, Path(args.scenario).stem, result, manifest)
+    _write_result(args, res.to_dict(), digest, seed,
+                  {"levels": args.levels, "restarts": args.restarts,
+                   "post_process": bool(args.post_process)},
+                  time.perf_counter() - t0, stats)
     if args.trace:
         _write_csv(args.trace, ["evaluation", "best_area"],
                    ([i, f"{a:.10g}"] for i, a in res.trace))
@@ -618,17 +598,13 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_sweep_power(args) -> int:
-    _refuse_output_path(args, "--csv", args.csv)
     scen, digest = _load_scenario(args, "sinr")
     t0, evaluator = time.perf_counter(), objective(scen.sinr, scen.sampling)
     curve = power_ramp(evaluator, scen.bounds, args.levels)
     result = {"curve": [[p, a] for p, a in curve]}
-    manifest = RunManifest("sweep-power", digest, scen.seed,
-                           {"levels": args.levels},
-                           wall_time=time.perf_counter() - t0,
-                           stats={"calls": len(curve), "computed": len(curve),
-                                  "filter": evaluator.counts})
-    _write_outputs(args.out, Path(args.scenario).stem, result, manifest)
+    _write_result(args, result, digest, scen.seed, {"levels": args.levels},
+                  time.perf_counter() - t0,
+                  {"calls": len(curve), "computed": len(curve), "filter": evaluator.counts})
     if args.csv:
         _write_csv(args.csv, ["total_power", "estimated_area"],
                    ([f"{p:.10g}", f"{a:.10g}"] for p, a in curve))
@@ -679,7 +655,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_build_map)
 
     p = sub.add_parser("dynamic", help="run an insert/delete script")
-    p.add_argument("script")
+    p.add_argument("scenario", metavar="script")  # the command's input, as elsewhere
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_dynamic)
 
@@ -731,6 +707,8 @@ def cli(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
+        if "scenario" in args:  # every command that reads a file writes one
+            _claim_paths(args)
         return args.fn(args)
     except BudgetExceeded as e:
         print(f"error: {e}", file=sys.stderr)

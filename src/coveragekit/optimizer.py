@@ -8,15 +8,13 @@ optimizers use the deterministic grid.
 Three searches are provided: exhaustive enumeration over power levels in
 nondecreasing total-power order (so the first maximizer found is also the
 cheapest), a bidirectional random hill climb, and Nelder-Mead with restarts.
-Each evaluates one bound ``objective``, whose read-only distance powers are
-built once per (sites, alpha, window, plan) and shared with the next
-evaluator of that sample, caching values per exact power vector
-(``evaluations`` counts queries, cached or not).
+Each evaluates one bound ``objective``, which builds its own read-only
+distance powers for the plan's sample and caches values per exact power
+vector (``evaluations`` counts queries, cached or not).
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -119,18 +117,11 @@ def sample_points(window, plan: SamplingPlan) -> np.ndarray:
     return pts * (window.width, window.height) + (window.x0, window.y0)
 
 
-@functools.lru_cache(maxsize=1)
-def _sample_rows(sites, alpha: float, window, plan: SamplingPlan) -> np.ndarray:
-    """``_path_loss`` of the plan's sample points, which the evaluators of
-    one sample share."""
-    check_sample_budget(len(sites), math.prod(plan.grid_dims) if plan.kind == "grid"
-                        else plan.sample_count)
-    return _path_loss(sites, alpha, sample_points(window, plan))
-
-
 def objective(s: SinrScenario, plan: SamplingPlan) -> SinrEvaluator:
     """Covered fraction of the window as a function of the powers, on the plan's sample."""
-    return SinrEvaluator(s, _sample_rows(tuple(s.sites), s.alpha, s.window, plan))
+    check_sample_budget(len(s.sites), math.prod(plan.grid_dims) if plan.kind == "grid"
+                        else plan.sample_count)
+    return SinrEvaluator(s, _path_loss(s.sites, s.alpha, sample_points(s.window, plan)))
 
 
 def estimate_area(s: SinrScenario, p, plan: SamplingPlan) -> float:

@@ -157,7 +157,8 @@ def _cell_centers(window: Rect, nx: int, ny: int) -> np.ndarray:
 # a float64 ``d**alpha``.  Each evaluator's float32 filter rows, reserved up
 # front and touched only once it runs, add 4 for the gain and 4 for the
 # product: 80 MB at the bound for a one-shot estimate, 160 MB for a search
-# or a post-process, whose evaluators live one after the other.
+# or a post-process, whose evaluators live one after the other, each with
+# its own rows.
 MAX_SAMPLE_PAIRS = 10 ** 7
 
 

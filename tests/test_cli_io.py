@@ -1,7 +1,10 @@
 """Scenario parsing, serialization round-trips, SVG output, CLI runs."""
 
+import argparse
 import ast
+import hashlib
 import inspect
+import itertools
 import json
 import math
 import random
@@ -262,6 +265,57 @@ def test_cli_trace_and_csv_refuse_a_path_that_is_an_output(tmp_path, capsys, mon
     err = capsys.readouterr().err
     assert err.startswith(f"error: {command[-1]}: ") and err.count("\n") == 1, err
     assert sorted(f.name for f in tmp_path.iterdir()) == ["s.json"]  # refused before any work
+
+
+def path_options() -> list[tuple[str, argparse.ArgumentParser, str]]:
+    """(command, its parser, option) for every option of the CLI's parser
+    that takes a path: one value of no type and no choices."""
+    commands = next(a for a in cli_io._build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    return [(name, p, opt) for name, p in commands.items() for a in p._actions
+            if a.option_strings and a.nargs is None and a.type is None and a.choices is None
+            for opt in a.option_strings]
+
+
+DYNAMIC_SCRIPT = {"window": PROTOCOL_SCENARIO["window"],
+                  "ops": [dict(t, op="insert") for t in PROTOCOL_SCENARIO["transmitters"]]}
+INPUTS = {"build-map": PROTOCOL_SCENARIO, "render": PROTOCOL_SCENARIO, "dynamic": DYNAMIC_SCRIPT}
+
+
+def collisions():
+    """Each path option naming the command's input, and each ``--out``
+    whose manifest is the input: (command, parser, option, input, path)."""
+    for command, parser, option in path_options():
+        yield pytest.param(command, parser, option, "s.json", "s.json", id=f"{command} {option}")
+        if option == "--out":
+            for out in ("r.result.json", "r"):
+                yield pytest.param(command, parser, option, "r.manifest.json", out,
+                                   id=f"{command} --out {out}")
+
+
+@pytest.mark.parametrize("command, parser, option, source, target", collisions())
+def test_cli_refuses_an_output_path_that_names_its_input(tmp_path, capsys, monkeypatch,
+                                                         command, parser, option, source,
+                                                         target):
+    """Every path option of every command (taken from the parser, so a later
+    one is covered too) naming the command's input, or an ``--out`` whose
+    manifest is the input, is refused before any work: exit 2, one ``error:``
+    line naming the option, the input's bytes unchanged and no file written."""
+    monkeypatch.chdir(tmp_path)
+    data = json.dumps(INPUTS.get(command, SINR_SCENARIO)).encode()
+    (tmp_path / source).write_bytes(data)
+    argv = [command]
+    for a in parser._actions:
+        if not a.option_strings:
+            argv.append(a.choices[0] if a.choices else source)
+        elif a.required and option not in a.option_strings:
+            argv += [a.option_strings[0], "other.out"]
+    capsys.readouterr()
+    assert cli([*argv, option, str(tmp_path / target)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {option}: ") and err.count("\n") == 1, err
+    assert (tmp_path / source).read_bytes() == data
+    assert [f.name for f in tmp_path.iterdir()] == [source]
 
 
 def c02_scenario(n: int, seed: int = 202) -> dict:
@@ -747,6 +801,81 @@ def test_cli_dynamic_manifest_counts_lattice_nodes_and_parked(tmp_path):
     result = json.loads(out.read_text())
     assert sorted(result) == ["final_region_areas", "hidden", "reports"]
     assert "lattice_nodes" not in json.dumps(result)
+
+
+def churn_script(seed: int = 5, inserts: int = 300, mixed: int = 150) -> dict:
+    """A ``dynamic`` script: ``inserts`` transmitters from c02's generator,
+    then ``mixed`` ops, each deleting a random live site or inserting."""
+    rng, pool = random.Random(seed), iter(c02_scenario(inserts + mixed, seed)["transmitters"])
+    ops, live, sites = [], [], itertools.count()
+    for k in range(inserts + mixed):
+        if k >= inserts and rng.random() < 0.5:
+            ops.append({"op": "delete", "site": live.pop(rng.randrange(len(live)))})
+        else:
+            ops.append(dict(next(pool), op="insert"))
+            live.append(next(sites))
+    return {"window": {"x0": 0.0, "y0": 0.0, "x1": 100.0, "y1": 100.0}, "seed": seed,
+            "ops": ops}
+
+
+# sha256 of every file the commands below write; a manifest's without its
+# wall times.  A change to how a command writes must keep them.
+OUTPUT_DIGESTS = {
+    "area.manifest.json": "68e99418ed0d72e2d1031d46a8d879fc9f69ad3f3c0065fae46f18f93430801d",
+    "area.result.json": "30b6eefdfddcf79b44ce6f36bd2ec8a0865d2cf41761b7dc89d1e126b35743fb",
+    "churn.manifest.json": "e26fd29d6190f4438d6e10e91e050977ad6d54bf607fb8893079203c271e5fcd",
+    "churn.result.json": "8fcd1b25290904889afecbe276712e046f50f6f570de6bdc3b63c3fef3313fcb",
+    "drawn.svg": "818098f9cd812c239168a4fb2b3563ea8aae82e5dbbc043f21872a880912f5f5",
+    "exhaustive.manifest.json": "f1550fcd183c09826ed36ffb1e63e65e756392c1fa218456c1cd2c6ac54638ef",
+    "exhaustive.result.json": "646365e823ca7574e629a94bcd71d62590823683fae55f3abc21ae742860e298",
+    "map.manifest.json": "ed0115c16b5f686c0a81d53c6b7638722c8a22f70673d171d7a38bc66cf394b1",
+    "map.result.json": "db5e62a6301677234aefb625055b881bd1972c70e162aee2c7e9d8454df355fe",
+    "map.svg": "818098f9cd812c239168a4fb2b3563ea8aae82e5dbbc043f21872a880912f5f5",
+    "nm.manifest.json": "780bbb18a2f81c650db83b8b70f171190897d6be1c6b5a0fb12c7a234799cd00",
+    "nm.result.json": "c3cb3a57ed8f6c65d42fc4b3657bed6ed1c141b08223f4d42a26dca37785ab59",
+    "raster.svg": "b0f55eb8e5a772bd2f91f170c952487ac456ba3419164ca05a70a27dde517301",
+    "rhc.manifest.json": "bd570d1c0555ce9b9be8cce3835b3d0a0003fdbb75e2cefa0ff4de2d295a7445",
+    "rhc.result.json": "a8a1c8a8267233f39af2adb47882cc11956ee3a8f3c262aba28e48635bd638bb",
+    "sweep.csv": "fa26a1e4733db94d48bd8027c971436432b359c7052f2f905b8e7e6590678e8c",
+    "sweep.manifest.json": "5ef9c660da1359ddec0c7617c1ae7247ce6fc7b2c57ca3134eb2c774c0699ba6",
+    "sweep.result.json": "e55f3bc7c43b71c22029ee898b24bbe29907e10fa8feef6dd7a0b75bd8c67f56",
+}
+
+
+def test_every_command_keeps_its_output_files(tmp_path):
+    """Every command that writes a file, on small fixed inputs: results,
+    manifests, SVGs and CSVs byte for byte."""
+    rng = random.Random(34)
+    sinr = dict(SINR_SCENARIO, sampling={"kind": "grid", "grid_dims": [16, 16]},
+                transmitters=[{"x": rng.random(), "y": rng.random(), "power": rng.uniform(1, 9)}
+                              for _ in range(4)],
+                bounds={"p_min": [0.0] * 4, "p_max": [10.0] * 4})
+    inputs = {"map.json": c02_scenario(64), "sinr.json": sinr, "churn.json": churn_script()}
+    for name, doc in inputs.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    runs = [["build-map", "map.json", "--out", "map.result.json", "--svg", "map.svg"],
+            ["dynamic", "churn.json", "--out", "churn.result.json"],
+            *(["optimize", m, "sinr.json", "--seed", "3", "--levels", "4", "--post-process",
+               "--out", f"{m}.result.json"] for m in ("rhc", "nm", "exhaustive")),
+            ["estimate-area", "sinr.json", "--out", "area.result.json"],
+            ["sweep-power", "sinr.json", "--levels", "6", "--csv", "sweep.csv",
+             "--out", "sweep.result.json"],
+            ["render", "map.json", "--svg", "drawn.svg"],
+            ["render", "sinr.json", "--svg", "raster.svg", "--capture-grid", "16"]]
+    for argv in runs:
+        assert cli([str(tmp_path / a) if "." in a else a for a in argv]) == 0, argv
+    got = {}
+    for f in sorted(tmp_path.iterdir()):
+        if f.name in inputs:
+            continue
+        raw = f.read_bytes()
+        if f.name.endswith(".manifest.json"):
+            manifest = json.loads(raw)
+            del manifest["wall_time"]
+            manifest["stats"].pop("op_wall_times", None)
+            raw = json.dumps(manifest, sort_keys=True).encode()
+        got[f.name] = hashlib.sha256(raw).hexdigest()
+    assert got == OUTPUT_DIGESTS
 
 
 def test_cli_render_capture(tmp_path):

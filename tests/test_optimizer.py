@@ -390,7 +390,7 @@ def test_bound_evaluation_allocates_less_than_one_sample_row():
     assert peak < 8 * 64 * 64, peak
 
 
-def test_evaluators_of_one_sample_share_only_its_read_only_rows():
+def test_evaluators_of_one_sample_own_read_only_rows_and_counts():
     rng = random.Random(47)
     s = random_scenario(rng, 6, beta=1.2)
     plan = SamplingPlan.grid(24, 24)
@@ -399,8 +399,12 @@ def test_evaluators_of_one_sample_share_only_its_read_only_rows():
     for p in vectors:
         first(p)
     second = objective(s, plan)
-    with pytest.raises(ValueError):
-        second.rows[0][0] = 1.0  # the cached d**alpha rows are only read
+    for ev in (first, second):
+        with pytest.raises(ValueError):
+            ev.rows[0][0] = 1.0  # the d**alpha rows are only read
+    # equal rows, each evaluator's own: no array outlives the evaluator that built it
+    assert all(np.array_equal(a, b) and not np.shares_memory(a, b)
+               for a, b in zip(first.rows, second.rows))
     pts = sample_points(UNIT, plan)
     assert second(vectors[-1]) == int(reference_mask(s, pts, vectors[-1]).sum()) / len(pts)
     assert second.counts == {"decided": 0, "band": 0, "whole": 1, "range_fallbacks": 0}

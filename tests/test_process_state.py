@@ -20,9 +20,6 @@ PACKAGE = ROOT / "src" / "coveragekit"
 
 ALLOWED = {
     "__all__": "a package's export list: written once at import, read by star imports",
-    "optimizer._sample_rows": "the one-entry cache of the last sample's d**alpha rows, made "
-                              "read-only: the evaluators of one sample share them and own "
-                              "every row they write",
 }
 
 MUTABLE_DISPLAYS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)

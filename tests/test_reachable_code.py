@@ -52,7 +52,6 @@ SHARED = {
     "CircularArc.end_point": "the winding test walks every edge kind",
     "Segment.end_point": "the winding test walks every edge kind",
     "OptResult.to_dict": "the optimize command's result file",
-    "RunManifest.to_dict": "every command's manifest file",
     "UpdateReport.to_dict": "the dynamic command's per-op reports",
 }
 
