@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .errors import (BudgetExceeded, CoverageKitError, DiagramRejected, DuplicateSite,
                      InvalidChain, LatticeError, ModelError, ParseError, Singularity)
 from .geometry import (ArcPolygon, CircularArc, ConvexPolygon, Disk, Point2, Rect,
-                       Segment, arc_polygon_area, power_distance)
+                       Segment, arc_polygon_area)
 from .power_diagram import PowerDiagram, SiteId, build
 from .protocol_coverage import (CoverageMap, ProtocolTransmitter,
                                 compute_coverage_map, coverage_area,

@@ -6,48 +6,49 @@ half-space intersection, bounded by a working square that reaches 1.1e7
 window diameters (at least 1.1e7) from the window's centre and stands in
 for the plane the static map sees.  The structure maintained here is
 that projected lattice (cells as convex polygons of vertex nodes) plus a
-history of every vertex ever made, each kept once, in one slot per node
-id of a few node arrays (the compact vertex arrays of
+history of every vertex ever made, each fact kept once, in one slot per
+node id of a few node arrays (the compact vertex arrays of
 Boissonnat et al. 2002, *Triangulations in CGAL*, and Blandford et al.
 2005, *Compact representations of simplicial meshes*):
 
-* each vertex has its 3-D position (``x``, ``y``, ``z``, typed ``array('d')``)
-  and the update that made it (``layer``, ``array('q')``); once it dies, a
-  vertex made by the update that killed it (``next``, a list, None while it
-  is current); and the sites whose cells have had it as a corner
-  (``incident``, a tuple that only grows, each site once);
-* a cell is a CCW ring of node ids, so it stores no coordinate;
+* each vertex has its 3-D position (``x``, ``y``, ``z``, typed
+  ``array('d')``); once it dies, the list of vertices a walk that reaches it
+  scans next: the new face, or the vertices made, of the update that killed
+  it (``next``, None while it is current); and the sites whose cells have
+  had it as a corner (``incident``, a tuple that only grows, each site once);
+* a cell is a CCW ring of node ids, so it stores no coordinate, and two
+  cells are neighbours when they share two corners (``_neighbours``);
 * nodes 0-7, made first, are the roots: the corners of the bounding volume,
   the four lower ones first;
-* the vertices of each update are listed under its layer (``face_by_layer``).
+* node ids only grow, so the current update made the nodes from ``_first``
+  on.
 
 Vertex identity is kept by construction, never by comparing coordinates.
 An insertion decides once per vertex whether the new plane passes above it
 (it dies), below it, or through it (it stays and joins the new cell).  Each
 dying edge gets one crossing vertex, keyed by its two end nodes, so both of
 its cells share it; the new cell is the outline of what the carved cells
-lose, and adjacency comes from the edges the changed cells share.  A
-deletion re-tiles the deleted cell with the same carve, inserting the
-neighbours' planes into it one by one.  ``check_invariants`` verifies the
-lattice.
+lose.  A deletion re-tiles the deleted cell with the same carve, inserting
+the neighbours' planes into it one by one.  ``check_invariants`` verifies
+the lattice.
 
 ``traverse_shuffle`` starts at a root outside a query half-space and follows
-``next`` pointers, scanning the layer each pointer leads to for a vertex
-outside the half-space, until it reaches a current vertex (or certifies the
-half-space redundant).  Layers only grow, so the walk ends; once a deletion
-has broken the nesting of the layers, a negative answer is confirmed by a
-local climb over the lattice (exact: the envelope is convex).
+``next`` pointers, scanning the list each pointer holds for a vertex outside
+the half-space, until it reaches a current vertex (or certifies the
+half-space redundant).  Each step leads to a vertex that was current when
+the last one died, so the walk ends; once a deletion has broken the nesting
+of the faces, a negative answer is confirmed by a local climb over the
+lattice (exact: the envelope is convex).
 
 Redundant half-spaces are never inserted: the disk is parked, with no owner
-kept (reading ``hidden`` computes each parked disk's owner, the live site of
-least power distance from its center).  A deletion lowers the envelope only
-over the deleted cell, so parked disks are tested against its
-new vertices alone: their planes, stacked in ascending site order, against
-those vertices in one numpy pass over views of the node arrays; the first
-disk that passes above one is inserted, and only the disks after it are
-tested again, against the vertices its cell added as well.  So a disk is
-parked exactly when no point of the working square prefers it.  Coverage
-regions are maintained lazily:
+kept (reading ``hidden`` computes each parked disk's owner, ``_owners`` of
+its center).  A deletion lowers the envelope only over the deleted cell, so
+parked disks are tested against its new vertices alone: their planes,
+stacked in ascending site order, against those vertices in one numpy pass
+over views of the node arrays; the first disk that passes above one is
+inserted, and only the disks after it are tested again, against the
+vertices its cell added as well.  So a disk is parked exactly when no point
+of the working square prefers it.  Coverage regions are maintained lazily:
 updates mark affected sites dirty and ``regions`` recomputes exactly those.
 A read takes only the neighbours from the lattice and cuts the window by
 their bisectors with static ``build``'s recipe, ``power_diagram._clip_cell``
@@ -70,8 +71,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from ..errors import LatticeError
-from ..geometry import (ArcPolygon, Disk, Point2, Rect, _power, arc_polygon_area,
-                        boolean_rows, geom_eps, power_distance, side)
+from ..geometry import (ArcPolygon, Disk, Rect, _power, arc_polygon_area, boolean_rows,
+                        geom_eps, side)
 from ..power_diagram import _clip_cell, admit, window_frame
 from ..protocol_coverage import ProtocolTransmitter
 
@@ -149,8 +150,8 @@ class DynamicCoverage:
     centre) and admitted there on their interference disks; the lattice and
     regions are in that frame, cut at ``eps``, the window's ``geom_eps``.
     Cells share vertex nodes by construction (see the module docstring):
-    positions and layers in typed arrays, incident sites in tuples, one
-    slot per node id, kept for vertices that died too.  A deletion tests
+    positions in typed arrays, incident sites in tuples, one slot per node
+    id, kept for vertices that died too.  A deletion tests
     every parked disk against the vertices it uncovered in one numpy pass
     (``_scan_parked``).  ``check_invariants`` verifies the lattice after any
     sequence of updates.  The working square is centred on the window,
@@ -177,20 +178,17 @@ class DynamicCoverage:
         self.x = array("d")
         self.y = array("d")
         self.z = array("d")
-        self.layer = array("q")
-        self.next: list[Optional[int]] = []
+        self.next: list[Optional[list[int]]] = []
         self.incident: list[tuple[int, ...]] = []
-        self.face_by_layer: dict[int, list[int]] = {}
         self.cells: dict[int, list[int]] = {}  # CCW rings of vertex ids
-        self.neighbors: dict[int, set[int]] = {}
         self._parked: set[int] = set()  # sites whose half-space is redundant
         self.last_traverse_visits = 0
         self.traverse_fallbacks = 0
         self.revival_tests = 0  # parked planes against vertices, by deletes
         self.climb_steps = 0    # vertices the confirming climbs evaluated
         self._next_site = 0
-        self._layer = 0
-        # insertions only: the layers are nested and a negative walk is exact
+        self._first = 0  # the first node id of the current update
+        # insertions only: the faces are nested and a negative walk is exact
         self._nested = True
         self._corners: set[int] = set()  # current vertices at square corners
         self._dirty: set[int] = set()
@@ -210,10 +208,8 @@ class DynamicCoverage:
         self.x.append(x)
         self.y.append(y)
         self.z.append(z)
-        self.layer.append(self._layer)
         self.next.append(None)
         self.incident.append(())
-        self.face_by_layer.setdefault(self._layer, []).append(nid)
         return nid
 
     def _commit_cell(self, sid: int, ring: list[int]) -> None:
@@ -224,15 +220,22 @@ class DynamicCoverage:
                 incident[u] += (sid,)
 
     def _bury(self, dead, face: list[int]) -> None:
-        """Point each dead vertex at a vertex of ``face`` this update made:
-        the walk scans that vertex's layer.  An update that made none breaks
-        the nesting of the layers, as a deletion does."""
-        target = next((u for u in face if self.layer[u] == self._layer), None)
-        if target is None:
+        """Point each dead vertex at ``face``, the list a walk that reaches
+        it scans next.  A face with no vertex this update made breaks the
+        nesting of the faces, as a deletion does."""
+        if not any(u >= self._first for u in face):
             self._nested = False
-            target = face[0]
         for d in dead:
-            self.next[d] = target
+            self.next[d] = face
+
+    def _neighbours(self, sid: int) -> list[int]:
+        """The live cells, ascending, that hold two corners of ``sid``'s
+        ring, found through ``incident``: convex cells that tile the square
+        and share two corners share the edge between them."""
+        cells, ring = self.cells, self.cells[sid]
+        near = {c for u in ring for c in self.incident[u] if c != sid and c in cells}
+        corners = set(ring)
+        return sorted(c for c in near if len(corners.intersection(cells[c])) >= 2)
 
     # ------------------------------------------------------------------
     # traversal
@@ -249,15 +252,15 @@ class DynamicCoverage:
         ``hs``, or None.  The plane's height above the lifted envelope is
         concave and linear on each cell, so a vertex that no vertex of its
         cells beats is the highest.  The climb starts at the cell owning the
-        disk's centre and explores every vertex that the plane, lowered by
-        the best height seen, does not pass strictly below (by ``side``), so
-        flat runs cannot stop it."""
+        disk's centre (``_owners``) and explores every vertex that the
+        plane, lowered by the best height seen, does not pass strictly below
+        (by ``side``), so flat runs cannot stop it."""
         xs, ys, zs = self.x, self.y, self.z
 
         def gap(u: int) -> float:
             return hs.height(xs[u], ys[u]) - zs[u]
 
-        start = self._owner_of(Point2(0.5 * hs.a, 0.5 * hs.b))
+        (start,) = self._owners([(0.5 * hs.a, 0.5 * hs.b)])
         gaps = {u: gap(u) for u in self.cells[start]}
         best = max(gaps, key=gaps.__getitem__)
         stack = list(gaps)
@@ -276,7 +279,10 @@ class DynamicCoverage:
         return best if self._outside(best, hs) else None
 
     def _traverse(self, hs: HalfSpace3) -> Optional[int]:
-        # ``_outside`` inline: the plane's height, then ``side``
+        """``traverse_shuffle``: from the first root outside ``hs``, scan the
+        list a dead vertex's ``next`` holds for a vertex outside, until a
+        current one; ``_outside`` inline (the plane's height, then
+        ``side``)."""
         xs, ys, zs = self.x, self.y, self.z
         ha, hb, hc = hs.a, hs.b, hs.c
         visits = 0
@@ -298,13 +304,13 @@ class DynamicCoverage:
                 self.last_traverse_visits = visits
                 return u
             found = None
-            for w in self.face_by_layer.get(self.layer[nxt], ()):
+            for w in nxt:
                 visits += 1
                 if side(ha * xs[w] + hb * ys[w] + hc, zs[w]) > 0:
                     found = w
                     break
             if found is None:
-                # insertions alone keep the layers nested polytopes and a
+                # insertions alone keep the faces nested polytopes and a
                 # negative walk exact; deletions (and see ``_bury``) break the
                 # nesting, so the conclusion is confirmed by a climb
                 self.last_traverse_visits = visits
@@ -359,37 +365,19 @@ class DynamicCoverage:
         events.append(("parked", sid))
         self._dirty.add(sid)
 
-    def _owner_of(self, p: Point2) -> Optional[int]:
-        """Site whose cell contains ``p``, by stepping from the lowest live
-        site to a neighbour nearer in power distance while there is one.  A
-        site that does not own ``p`` always has one: the neighbour across
-        the edge where the segment from its cell to ``p`` leaves the cell."""
-        if not self.cells:
-            return None
-        cur = min(self.cells)
-        dist = {cur: power_distance(p, self._int_disks[cur])}
-        while True:
-            for v in self.neighbors[cur] - dist.keys():
-                dist[v] = power_distance(p, self._int_disks[v])
-            step = min(self.neighbors[cur], key=dist.__getitem__, default=cur)
-            if dist[step] >= dist[cur]:
-                return cur
-            cur = step
-
     def _insert_site(self, sid: int, probe: int, events: list[tuple[str, int]]) -> list[int]:
         """Insert a registered site's half-space, carving from ``probe``, a
         current vertex outside it (a root when the structure is empty);
         returns the sites whose cells it shrank or swallowed."""
         hs = self.planes[sid]
         xs, ys = self.x, self.y
-        self._layer += 1
+        self._first = len(self.x)
         if not self.cells:
+            face = [self._new_node(xs[r], ys[r], hs.height(xs[r], ys[r])) for r in range(4)]
             for r in range(4):  # the lower roots
-                self.next[r] = self._new_node(xs[r], ys[r], hs.height(xs[r], ys[r]))
-            face = self.face_by_layer[self._layer]
+                self.next[r] = face
             self._corners = set(face)
             self._commit_cell(sid, list(face))
-            self.neighbors[sid] = set()
             self._dirty.add(sid)
             return []
 
@@ -406,11 +394,9 @@ class DynamicCoverage:
         for c in swallowed:
             del self.cells[c]
         self._commit_cell(sid, list(face))
-        # the layer lists the whole new face, kept vertices too: there a walk
-        # finds a vertex outside any half-space that cuts the structure
-        self.face_by_layer[self._layer] = face
+        # the dead point at the whole new face, kept vertices too: there a
+        # walk finds a vertex outside any half-space that cuts the structure
         self._bury(dead, face)
-        self._relink(set(shrunk) | {sid}, set(swallowed))
         for c in swallowed:
             self._park(c, events)
         # insertions never revive parked disks, so no re-probe here
@@ -532,23 +518,6 @@ class DynamicCoverage:
         t = ga / (ga - gb) if ga != gb else 0.5  # 0.5: a concentric tie
         return ax + t * (bx - ax), ay + t * (by - ay)
 
-    def _relink(self, changed: set[int], gone: set[int]) -> None:
-        """Re-derive the neighbours of the ``changed`` cells from the edges
-        they share with each other and with the neighbours of ``gone``
-        cells; adjacency with any other cell is unchanged."""
-        near = set(changed).union(*(self.neighbors[g] for g in gone)) - gone
-        owner = {e: x for x in near for e in _ring_edges(self.cells[x])}
-        for x in changed:
-            twins = {owner.get((v, u)) for (u, v) in _ring_edges(self.cells[x])}
-            twins.discard(None)
-            self.neighbors[x] = (self.neighbors.get(x, set()) - changed - gone) | twins
-        for x in changed:
-            for y in self.neighbors[x]:
-                self.neighbors[y].add(x)
-        for g in gone:
-            for y in self.neighbors.pop(g, set()):
-                self.neighbors.get(y, set()).discard(g)
-
     # ------------------------------------------------------------------
     # deletion
     # ------------------------------------------------------------------
@@ -572,13 +541,12 @@ class DynamicCoverage:
         if sid not in self.cells:
             raise KeyError(f"site {sid} not present")
 
-        self._layer += 1
+        self._first = len(self.x)
         self._nested = False
-        nbrs = sorted(self.neighbors[sid])
+        nbrs = self._neighbours(sid)
         self._forget(sid)
         hole = self.cells.pop(sid)
         near = self._retile(hole, nbrs)
-        self._relink(set(nbrs), {sid})
         self._dirty.update(nbrs)
         affected = list(nbrs)
 
@@ -633,9 +601,10 @@ class DynamicCoverage:
         first takes it whole, each other one's plane carves its piece (with
         heights local to the hole, whose vertices stay), and each piece
         merges into its owner's cell.  A hole vertex left inside a straight
-        edge dies; a square corner changes height, so it is made anew.
-        Returns the current vertices over the hole: the four lower roots
-        when the structure is empty again."""
+        edge dies; a square corner changes height, so it is made anew.  The
+        dead point at the vertices this update made that outlived the
+        re-tiling (``_bury``).  Returns the current vertices over the hole:
+        the four lower roots when the structure is empty again."""
         xs, ys = self.x, self.y
         if not nbrs:  # the last cell: the structure is empty again
             for r in range(4):  # the lower roots
@@ -678,12 +647,10 @@ class DynamicCoverage:
                 ring = self.cells[c]
                 self._commit_cell(c, [t for t in ring if t != u] if w is None else
                                   [w if t == u else t for t in ring])
-        # the layer keeps only the vertices that outlived the re-tiling; one
-        # carve made and a later one killed stay in the node lists, unreferenced
+        # vertices one carve made and a later one killed stay in the node
+        # arrays, unreferenced
         live = {u for m in nbrs for u in self.cells[m]}
-        made = [w for w in self.face_by_layer.pop(self._layer, []) if w in live]
-        if made:
-            self.face_by_layer[self._layer] = made
+        made = [w for w in range(self._first, len(self.x)) if w in live]
         self._bury(dead, made or [self.cells[nbrs[0]][0]])
         return [u for u in hole if self.next[u] is None] + made
 
@@ -693,16 +660,21 @@ class DynamicCoverage:
 
     @property
     def hidden(self) -> dict[int, int]:
-        """Each parked disk, ascending, with its owner: the live site of
-        least power distance from its center (the lowest id on a tie, -1
-        when no site has a cell), by one argmin over the live sites per
-        disk.  Computed at each read; a read changes no state."""
+        """Each parked disk, ascending, with its owner: ``_owners`` of its
+        center.  Computed at each read; a read changes no state."""
+        parked = sorted(self._parked)
+        return dict(zip(parked, self._owners([self._int_disks[h].center for h in parked])))
+
+    def _owners(self, points) -> list[int]:
+        """Per point (x, y), the live site of least power distance from it
+        (the lowest id on a tie, -1 when no site has a cell), by one argmin
+        over the live sites per point."""
         live = sorted(self.cells)
         if not live:
-            return dict.fromkeys(sorted(self._parked), -1)
-        cx, cy, r = np.array([self._int_disks[c].xyr for c in live]).T
-        return {h: live[int(np.argmin(_power(*self._int_disks[h].center, cx, cy, r)))]
-                for h in sorted(self._parked)}
+            return [-1] * len(points)
+        cx, cy, r = np.fromiter(chain.from_iterable(self._int_disks[c].xyr for c in live),
+                                float, 3 * len(live)).reshape(-1, 3).T
+        return [live[int(np.argmin(_power(x, y, cx, cy, r)))] for x, y in points]
 
     @property
     def regions(self) -> dict[int, list[ArcPolygon]]:
@@ -737,7 +709,7 @@ class DynamicCoverage:
         bisectors of the site's lattice neighbours, ascending (``_clip_cell``,
         the recipe of static ``build``), so no rounding of the lattice's
         vertices reaches it, and it equals the static cell bit for bit."""
-        nbrs = sorted(self.neighbors[sid])
+        nbrs = self._neighbours(sid)
         cell = _clip_cell(self._window_poly, self._int_disks, sid, nbrs, self.eps)
         if cell is None:
             return None
@@ -748,15 +720,14 @@ class DynamicCoverage:
         """Assert that the cells form a valid lattice: they tile the working
         square, every vertex of a cell is current and lists the cell in
         ``incident`` (the walk and the carve rely on both), no ``incident``
-        tuple lists a site twice, and each neighbour set is the set of cells
-        sharing an edge (hence symmetric and free of self-loops).  The
+        tuple lists a site twice, and the cells sharing two corners with a
+        cell (``_neighbours``) are those sharing an edge with it.  The
         square's area dwarfs the window's, so the areas summing to it
         within 1e-9 relative cannot see a gap or an overlap near the
         window; the tiling rests on the edges: each directed edge is in one
         cell, every edge off the square's sides has its twin in another, an
         edge without one lies on a side, and Euler's formula holds.  An
         empty structure has no lattice to check."""
-        assert bool(self.cells) == bool(self.neighbors), "neighbours without cells"
         for u, sites in enumerate(self.incident):
             assert len(set(sites)) == len(sites), f"vertex {u}: incident repeats a site {sites}"
         if not self.cells:
@@ -782,7 +753,9 @@ class DynamicCoverage:
             else:  # an edge of one cell lies on a side of the square
                 assert (xs[u] == xs[v] and xs[u] in (sq.x0, sq.x1)) or \
                     (ys[u] == ys[v] and ys[u] in (sq.y0, sq.y1)), f"edge {(u, v)} has one cell"
-        assert self.neighbors == shared, "neighbour sets differ from the shared edges"
+        for sid in self.cells:
+            assert set(self._neighbours(sid)) == shared[sid], \
+                f"cell {sid}: the cells sharing two corners differ from those sharing an edge"
         # the live cells plus the outer face
         edges = {(min(e), max(e)) for e in owner}
         verts = {u for e in edges for u in e}

@@ -99,16 +99,11 @@ class Disk:
                       self.center.y + self.radius * math.sin(angle))
 
 
-def power_distance(x: Point2, d: Disk) -> float:
-    """Squared center distance minus squared radius: negative inside the disk,
-    outside it the squared length of the tangent from ``x`` to the rim."""
-    return _power(x.x, x.y, *d.xyr)
-
-
 def bisector_line(c1: Circle, c2: Circle) -> tuple[float, float, float]:
-    """Coefficients ``(nx, ny, offset)`` of the half-plane {x :
-    power_distance(x, c1) <= power_distance(x, c2)}, whose boundary is a
-    straight line as the quadratic terms cancel; elementwise on arrays."""
+    """Coefficients ``(nx, ny, offset)`` of the half-plane of the points
+    whose power distance (``_power``) from c1 is at most that from c2, whose
+    boundary is a straight line as the quadratic terms cancel; elementwise
+    on arrays."""
     (x1, y1, r1), (x2, y2, r2) = c1, c2
     return (2.0 * (x2 - x1), 2.0 * (y2 - y1),
             (x2 * x2 + y2 * y2) - (x1 * x1 + y1 * y1) - r2 * r2 + r1 * r1)
@@ -412,7 +407,9 @@ def _hypot_to(dx: np.ndarray, dy: np.ndarray, bound: np.ndarray) -> np.ndarray:
 
 
 def _power(x, y, cx, cy, r):
-    """``power_distance`` of (x, y) from circle (cx, cy, r)."""
+    """Power distance of (x, y) from circle (cx, cy, r): squared center
+    distance minus squared radius, negative inside the circle, outside it
+    the squared length of the tangent from (x, y) to the rim."""
     dx, dy = x - cx, y - cy
     return dx * dx + dy * dy - r * r
 

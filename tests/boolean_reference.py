@@ -18,8 +18,9 @@ from coveragekit.errors import InvalidChain
 from coveragekit.geometry import (INWARD, OUTWARD, TWO_PI, ArcEdge, ArcPolygon,
                                   CircularArc, ConvexPolygon, Disk, Point2, Segment,
                                   _attach_holes, _canonical, _chain_signed_area,
-                                  _coalesce, power_distance)
+                                  _coalesce)
 from geometry_reference import dist, polygon_contains
+from power_diagram_reference import power_distance
 
 
 def _angle_of(d: Disk, p: Point2) -> float:

@@ -1,5 +1,6 @@
-"""Helpers that left ``coveragekit.power_diagram``: no output of the library
-depends on them, and the tests keep them as references."""
+"""Helpers that left ``coveragekit.power_diagram`` and ``coveragekit.geometry``:
+no output of the library depends on them, and the tests keep them as
+references."""
 
 from __future__ import annotations
 
@@ -8,9 +9,15 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from coveragekit.errors import CoverageKitError
-from coveragekit.geometry import ConvexPolygon, Disk, Point2, Rect, power_distance
+from coveragekit.geometry import ConvexPolygon, Disk, Point2, Rect, _power
 from coveragekit.power_diagram import (PowerDiagram, SiteId, _polygons, build,
                                        frame_partitions)
+
+
+def power_distance(x: Point2, d: Disk) -> float:
+    """Squared center distance minus squared radius: negative inside the disk,
+    outside it the squared length of the tangent from ``x`` to the rim."""
+    return _power(x.x, x.y, *d.xyr)
 
 
 class HiddenSite(CoverageKitError):

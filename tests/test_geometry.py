@@ -15,7 +15,7 @@ from coveragekit.geometry import (INWARD, ArcPolygon, CircularArc, ConvexPolygon
                                   Point2, Rect, Segment, TWO_PI, arc_polygon_area,
                                   arc_polygon_contains, boolean_rows,
                                   bisector_line, circle_circle_points,
-                                  clip_coords, clip_rows, geom_eps, power_distance)
+                                  clip_coords, clip_rows, geom_eps)
 from coveragekit.dynamic_coverage import DynamicCoverage
 from coveragekit.power_diagram import build
 from coveragekit.protocol_coverage import ProtocolTransmitter, compute_coverage_map, region_area
@@ -25,6 +25,7 @@ from geometry_reference import (ConcentricDisks, HalfPlane, _edges_cross, _ray_h
                                 clip_convex, convex_polygon_intersection, dist, polygon_area,
                                 power_bisector, region_disk_boolean, signed_distance, validate)
 from oracles import grid_boolean_area, lens_area
+from power_diagram_reference import power_distance
 from test_power_diagram import COCIRCULAR, GRID6
 
 UNIT_SQUARE = ConvexPolygon((Point2(0, 0), Point2(1, 0), Point2(1, 1), Point2(0, 1)))

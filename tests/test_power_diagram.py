@@ -10,15 +10,15 @@ import pytest
 from scipy.spatial import ConvexHull, QhullError
 
 from coveragekit.errors import DiagramRejected, DuplicateSite
-from coveragekit.geometry import (ConvexPolygon, Disk, Point2, Rect, geom_eps,
-                                  power_distance, side)
+from coveragekit.geometry import ConvexPolygon, Disk, Point2, Rect, geom_eps, side
 from coveragekit import geometry, power_diagram
 from coveragekit.power_diagram import (PowerDiagram, SiteId, build, frame_partitions,
                                        window_frame, _clip_cell, _flat_neighbors, _validate)
 
 from geometry_reference import (ConcentricDisks, clip_convex, polygon_area, polygon_contains,
                                 power_bisector)
-from power_diagram_reference import HiddenSite, nearest_site, power_frame, remove_redundant
+from power_diagram_reference import (HiddenSite, nearest_site, power_distance, power_frame,
+                                     remove_redundant)
 from oracles import grid_power_cell_areas
 
 WIN = Rect(-6, -6, 6, 6)

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from coveragekit.geometry import Disk, Point2, Rect, arc_polygon_area, power_distance
+from coveragekit.geometry import Disk, Point2, Rect, arc_polygon_area
 from coveragekit.power_diagram import build
 from coveragekit.protocol_coverage import (CoverageMap, ProtocolTransmitter,
                                            compute_coverage_map, coverage_area,

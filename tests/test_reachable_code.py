@@ -10,10 +10,12 @@ Imports, ``__all__`` entries and docstrings do not count.  A helper only
 unit tests reach belongs in a test reference module.
 
 The scan goes by name, so a method is reached when any code names it: it
-cannot tell one class's ``contains`` from another's.  So a public method or
-property name that two classes of the package define must be listed, for
-each class, in ``SHARED`` (or ``KEPT``) with the reason the class's own
-definition is reached.
+cannot tell one class's ``contains`` from another's, nor a package method
+from a builtin one (``d.keys()`` on a dict names ``Treap.keys``).  So a
+public method or property name that two classes of the package define, or
+that one defines and ``dict``, ``list``, ``set``, ``str`` or ``tuple`` has as
+a public method, must be listed, for each class, in ``SHARED`` (or
+``KEPT``) with the reason the class's own definition is reached.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ KEPT = {
     "treap_of": "part of the treap's documented API",
     "DynamicCoverage.check_invariants": "the lattice's invariants, for callers to check after updates",
     "Treap.check_invariants": "the treap's invariants, part of its documented API",
+    "Treap.keys": "part of the treap's documented API",
     "SinrScenario.with_powers": "the scenario at other powers, for the benchmark's area oracle",
 }
 
@@ -44,6 +47,7 @@ KEPT_PROPERTIES: dict[str, str] = {}
 # for the reason given (the name scan alone cannot tell them apart).
 SHARED = {
     "Rect.height": "the window's height: the SVG canvas and the capture raster",
+    "Rect.center": "`window_frame` reads it",
     "HalfSpace3.height": "a lifted plane's height: the walk, the carve and the climb",
     "CircularArc.start_point": "the canonical rotation, the winding test and the SVG walk "
                                "every edge kind",
@@ -56,6 +60,10 @@ SHARED = {
 }
 
 PROPERTY_DECORATORS = {"property", "cached_property"}
+
+# Public method names of the builtins package code calls methods on.
+BUILTIN_METHODS = frozenset(name for kind in (dict, list, set, str, tuple)
+                            for name in dir(kind) if not name.startswith("_"))
 
 
 def parse(path: Path) -> ast.AST:
@@ -150,7 +158,8 @@ def test_every_public_name_in_src_is_reached_from_code():
 
 def shared_names(modules: list[ast.AST]) -> dict[str, list[str]]:
     """Each public method or property name that two or more top-level
-    classes of ``modules`` define, with the ``Class.name`` labels."""
+    classes of ``modules`` define, or one does and a builtin has as a
+    public method (``BUILTIN_METHODS``), with the ``Class.name`` labels."""
     by_name: dict[str, list[str]] = {}
     for tree in modules:
         for cls in tree.body:
@@ -158,14 +167,16 @@ def shared_names(modules: list[ast.AST]) -> dict[str, list[str]]:
                 for item in cls.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
                         by_name.setdefault(item.name, []).append(f"{cls.name}.{item.name}")
-    return {name: sorted(labels) for name, labels in by_name.items() if len(labels) > 1}
+    return {name: sorted(labels) for name, labels in by_name.items()
+            if len(labels) > 1 or name in BUILTIN_METHODS}
 
 
 def test_a_public_name_that_two_classes_define_is_listed_for_each():
     found = {label for labels in shared_names(
         [parse(p) for p in sorted(PACKAGE.rglob("*.py"))]).values() for label in labels}
     extra = sorted(found - SHARED.keys() - KEPT.keys())
-    assert not extra, f"defined by two classes, so the name scan cannot tell them: {extra}"
+    assert not extra, f"defined by two classes or a builtin too, so the name scan " \
+                      f"cannot tell them: {extra}"
     stale = sorted(SHARED.keys() - found)
     assert not stale, f"listed as shared but defined by one class now: {stale}"
 
@@ -175,6 +186,13 @@ def test_shared_names_are_found_across_modules():
     b = ast.parse("class Polygon:\n    @property\n    def area(self): ...\n"
                   "    def _own(self): ...\n    def edges(self): ...\n")
     assert shared_names([a, b]) == {"area": ["Polygon.area", "Rect.area"]}
+
+
+def test_a_name_one_class_shares_with_a_builtin_method_is_found():
+    module = ast.parse("class Treap:\n    def keys(self): ...\n    def depths(self): ...\n"
+                       "class Rect:\n    @property\n    def count(self): ...\n"
+                       "    def _copy(self): ...\n")
+    assert shared_names([module]) == {"keys": ["Treap.keys"], "count": ["Rect.count"]}
 
 
 def test_every_public_property_in_src_is_read_from_code():
