@@ -24,13 +24,15 @@ Boissonnat et al. 2002, *Triangulations in CGAL*, and Blandford et al.
   on.
 
 Vertex identity is kept by construction, never by comparing coordinates.
-An insertion decides once per vertex whether the new plane passes above it
-(it dies), below it, or through it (it stays and joins the new cell).  Each
-dying edge gets one crossing vertex, keyed by its two end nodes, so both of
-its cells share it; the new cell is the outline of what the carved cells
-lose.  A deletion re-tiles the deleted cell with the same carve, inserting
-the neighbours' planes into it one by one.  ``check_invariants`` verifies
-the lattice.
+Every decision of the lattice is one plane test, ``_side``: does a disk's
+lifted plane pass above a vertex, through it or below it?  The walk, the
+carve and the scan of parked disks all ask it.  An insertion decides once
+per vertex whether the new plane passes above it (it dies), below it, or
+through it (it stays and joins the new cell).  Each dying edge gets one
+crossing vertex, keyed by its two end nodes, so both of its cells share it;
+the new cell is the outline of what the carved cells lose.  A deletion
+re-tiles the deleted cell with the same carve, inserting the neighbours'
+planes into it one by one.  ``check_invariants`` verifies the lattice.
 
 ``traverse_shuffle`` starts at a root outside a query half-space and follows
 ``next`` pointers, scanning the list each pointer holds for a vertex outside
@@ -61,7 +63,6 @@ Single-writer structure: no concurrent mutation.
 from __future__ import annotations
 
 import math
-import time
 from array import array
 from collections import deque
 from dataclasses import asdict, dataclass
@@ -91,6 +92,14 @@ class HalfSpace3(NamedTuple):
 
     def height(self, x: float, y: float) -> float:
         return self.a * x + self.b * y + self.c
+
+
+def _side(hs, x, y, z):
+    """The lattice's one plane test: ``side`` of the height of plane ``hs``
+    (``a, b, c``) at (x, y) against ``z``, +1 where the plane passes above.
+    Elementwise on arrays: plane columns of shape (P, 1) against vertex
+    rows give a (P, vertices) table."""
+    return side(hs[0] * x + hs[1] * y + hs[2], z)
 
 
 def lift(d: Disk) -> HalfSpace3:
@@ -128,13 +137,9 @@ class UpdateReport:
     affected: list[int]
     structural_change: int
     hidden_events: list[tuple[str, int]]
-    wall_time: float
 
     def to_dict(self) -> dict:
-        """The report without its wall time, so results stay reproducible."""
-        d = dict(asdict(self), hidden_events=[list(e) for e in self.hidden_events])
-        del d["wall_time"]
-        return d
+        return dict(asdict(self), hidden_events=[list(e) for e in self.hidden_events])
 
 
 class DynamicCoverage:
@@ -228,6 +233,14 @@ class DynamicCoverage:
         for d in dead:
             self.next[d] = face
 
+    def _remake_corner(self, u: int, hs: HalfSpace3) -> int:
+        """A new node at square corner ``u``, at the height of ``hs``, its
+        new owner's plane; it takes ``u``'s place among the corners."""
+        x, y = self.x[u], self.y[u]
+        w = self._new_node(x, y, hs.height(x, y))
+        self._corners ^= {u, w}
+        return w
+
     def _neighbours(self, sid: int) -> list[int]:
         """The live cells, ascending, that hold two corners of ``sid``'s
         ring, found through ``incident``: convex cells that tile the square
@@ -242,10 +255,8 @@ class DynamicCoverage:
     # ------------------------------------------------------------------
 
     def _outside(self, u: int, hs: HalfSpace3) -> bool:
-        """Whether the plane of ``hs`` passes above vertex ``u``: ``side``
-        of the plane's height against the vertex's, the test ``_carve`` and
-        the clipper use."""
-        return side(hs.height(self.x[u], self.y[u]), self.z[u]) > 0
+        """Whether the plane of ``hs`` passes above vertex ``u`` (``_side``)."""
+        return _side(hs, self.x[u], self.y[u], self.z[u]) > 0
 
     def _climb(self, hs: HalfSpace3) -> Optional[int]:
         """Exact answer from the current lattice: a current vertex outside
@@ -279,53 +290,39 @@ class DynamicCoverage:
         return best if self._outside(best, hs) else None
 
     def _traverse(self, hs: HalfSpace3) -> Optional[int]:
-        """``traverse_shuffle``: from the first root outside ``hs``, scan the
-        list a dead vertex's ``next`` holds for a vertex outside, until a
-        current one; ``_outside`` inline (the plane's height, then
-        ``side``)."""
-        xs, ys, zs = self.x, self.y, self.z
-        ha, hb, hc = hs.a, hs.b, hs.c
-        visits = 0
-        u = None
-        for r in range(8):  # the roots
-            visits += 1
-            if side(ha * xs[r] + hb * ys[r] + hc, zs[r]) > 0:
-                u = r
-                break
-        if u is None:
-            self.last_traverse_visits = visits
-            return None
-        guard = 0
-        limit = 2 * len(self.x) + 64
-        while True:
-            visits += 1
-            nxt = self.next[u]
-            if nxt is None:
-                self.last_traverse_visits = visits
-                return u
-            found = None
-            for w in nxt:
+        """``traverse_shuffle``: scan the roots, then the list each dead
+        vertex's ``next`` holds, for the first vertex outside ``hs``
+        (``_side``), until a current one.  The loop's bound guards against a
+        cycle; reaching it, the answer comes from a climb."""
+        xs, ys, zs, nxt = self.x, self.y, self.z, self.next
+        visits, u, scan = 0, None, range(8)  # the roots first
+        for _ in range(2 * len(xs) + 66):
+            for w in scan:
                 visits += 1
-                if side(ha * xs[w] + hb * ys[w] + hc, zs[w]) > 0:
-                    found = w
+                if _side(hs, xs[w], ys[w], zs[w]) > 0:
                     break
-            if found is None:
-                # insertions alone keep the faces nested polytopes and a
-                # negative walk exact; deletions (and see ``_bury``) break the
-                # nesting, so the conclusion is confirmed by a climb
-                self.last_traverse_visits = visits
-                if not self._nested and self.cells:
-                    exact = self._climb(hs)
-                    if exact is not None:
-                        self.traverse_fallbacks += 1
-                    return exact
-                return None
-            u = found
-            guard += 1
-            if guard > limit:
-                self.traverse_fallbacks += 1
-                self.last_traverse_visits = visits
-                return self._climb(hs)
+            else:  # no vertex of the list is outside
+                w = None
+                break
+            u, scan = w, nxt[w]
+            visits += 1
+            if scan is None:  # a current vertex
+                break
+        self.last_traverse_visits = visits
+        if scan is None:
+            return u
+        if w is not None:  # the bound, not an answer, ended the walk
+            self.traverse_fallbacks += 1
+            return self._climb(hs)
+        # insertions alone keep the faces nested polytopes and a negative
+        # walk exact; deletions (and see ``_bury``) break the nesting, so a
+        # negative answer past the roots is confirmed by a climb
+        if u is None or self._nested or not self.cells:
+            return None
+        exact = self._climb(hs)
+        if exact is not None:
+            self.traverse_fallbacks += 1
+        return exact
 
     # ------------------------------------------------------------------
     # insertion
@@ -339,7 +336,6 @@ class DynamicCoverage:
         lattice (``hidden`` names its owner when read); everyone else gets a
         cell and patched neighbor regions.
         """
-        start = time.perf_counter()
         sid = self._next_site
         at = self._local(t.location)
         int_disk = Disk(at, t.int_radius)
@@ -357,8 +353,7 @@ class DynamicCoverage:
             affected = self._insert_site(sid, probe, events)
         return UpdateReport(op="insert", site=sid, redundant=affected is None,
                             affected=sorted(affected or []),
-                            structural_change=len(affected or []), hidden_events=events,
-                            wall_time=time.perf_counter() - start)
+                            structural_change=len(affected or []), hidden_events=events)
 
     def _park(self, sid: int, events: list[tuple[str, int]]) -> None:
         self._parked.add(sid)
@@ -385,10 +380,7 @@ class DynamicCoverage:
             self.cells, hs, {},
             sorted(o for o in self.incident[probe] if o in self.cells), self._corners)
         # a square corner the new cell takes changes height: a new vertex
-        for i, u in enumerate(face):
-            if u in dead:
-                face[i] = self._new_node(xs[u], ys[u], hs.height(xs[u], ys[u]))
-                self._corners ^= {u, face[i]}
+        face = [self._remake_corner(u, hs) if u in dead else u for u in face]
         for c in shrunk:
             self._commit_cell(c, shrunk[c])
         for c in swallowed:
@@ -409,27 +401,24 @@ class DynamicCoverage:
         """Cut where the plane of ``hs`` passes above the lattice ``cells``
         (rings of vertex ids) out of it, searching from ``seeds`` through
         the cells around each dead vertex (``incident``); None if no vertex
-        dies.  Each vertex is decided once, by ``side`` (the test of
-        ``_outside`` and of the clipper): the plane passes above it (it
-        dies), through it, or below it.  Heights come from ``height`` where
-        it has them, else from the nodes.  A dying edge's crossing, a new
+        dies.  Each vertex is decided once, by ``_side``: the plane passes
+        above it (it dies), through it, or below it.  Heights come from
+        ``height`` where it has them, else from the nodes.  A dying edge's crossing, a new
         node, is shared by its cells (a vertex on the plane is its own).
         Returns the new face (CCW ids), the shrunk cells, the swallowed
         cells (none of their vertices below the plane) and the dead
         vertices.  A dead vertex on the outer boundary stays in the face
         only if in ``keep``; any other lies inside a straight outer edge."""
         xs, ys, zs, incident = self.x, self.y, self.z, self.incident
-        ha, hb, hc = hs.a, hs.b, hs.c
         sides: dict[int, int] = {}  # 1 dies, 0 on the plane, -1 stays
 
         def dies(ring) -> bool:
-            """Decide each vertex of a cell once: ``side`` of the plane's
-            height against the vertex's, as in ``_outside``."""
+            """Decide each vertex of a cell once, by ``_side``."""
             out = False
             for u in ring:
                 s = sides.get(u)
                 if s is None:
-                    s = sides[u] = side(ha * xs[u] + hb * ys[u] + hc, height.get(u, zs[u]))
+                    s = sides[u] = _side(hs, xs[u], ys[u], height.get(u, zs[u]))
                 out = out or s > 0
             return out
 
@@ -528,7 +517,6 @@ class DynamicCoverage:
         tested against the current vertices there, those of the cells
         revived before it included; a vertex outside its plane is the probe
         its insertion carves from."""
-        start = time.perf_counter()
         events: list[tuple[str, int]] = []
         if sid in self._parked:
             self._parked.remove(sid)
@@ -536,8 +524,7 @@ class DynamicCoverage:
             self._dirty.discard(sid)
             events.append(("unparked", sid))
             return UpdateReport(op="delete", site=sid, redundant=True, affected=[],
-                                structural_change=0, hidden_events=events,
-                                wall_time=time.perf_counter() - start)
+                                structural_change=0, hidden_events=events)
         if sid not in self.cells:
             raise KeyError(f"site {sid} not present")
 
@@ -569,19 +556,18 @@ class DynamicCoverage:
         self._dirty.update(a for a in affected if a in self.cells)
         return UpdateReport(op="delete", site=sid, redundant=False,
                             affected=sorted(set(affected) | set(revived)),
-                            structural_change=len(set(affected)) + 1, hidden_events=events,
-                            wall_time=time.perf_counter() - start)
+                            structural_change=len(set(affected)) + 1, hidden_events=events)
 
     def _scan_parked(self, planes: np.ndarray, near: list[int]) -> tuple[int, Optional[int]]:
         """The first row ``k`` of ``planes`` (rows ``a, b, c``) that passes
         above a current vertex of ``near``, and the first such vertex in
-        ``near`` order: the test of ``_outside``, made for every row and
-        vertex in one numpy pass over views of the node arrays.  Returns
-        ``(len(planes), None)`` if no row does.  ``revival_tests`` counts the
+        ``near`` order: ``_side``, made for every row and vertex in one numpy
+        pass over views of the node arrays.  Returns ``(len(planes), None)``
+        if no row does.  ``revival_tests`` counts the
         vertices a row-by-row scan stopping at the first hit would test."""
         cur = np.array([u for u in near if self.next[u] is None], dtype=np.intp)
         x, y, z = (np.frombuffer(a)[cur] for a in (self.x, self.y, self.z))
-        out = side(planes[:, :1] * x + planes[:, 1:2] * y + planes[:, 2:], z) > 0
+        out = _side(planes.T[:, :, None], x, y, z) > 0
         hit = out.any(axis=1)
         if not hit.any():
             self.revival_tests += len(planes) * len(cur)
@@ -637,8 +623,7 @@ class DynamicCoverage:
                        if c in self.cells and u in self.cells[c]]
             w = None
             if u in self._corners:
-                w = self._new_node(xs[u], ys[u], self.planes[holders[0]].height(xs[u], ys[u]))
-                self._corners ^= {u, w}
+                w = self._remake_corner(u, self.planes[holders[0]])
             elif len({v for c in holders for e in _ring_edges(self.cells[c])
                       if u in e for v in e}) > 3:  # u has three neighbours or more
                 continue

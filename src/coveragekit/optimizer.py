@@ -175,8 +175,7 @@ class _CachedObjective:
                          dict(getattr(self._fn, "counts", {})))
 
 
-def exhaustive_search(s: SinrScenario, b: Bounds, levels: int,
-                      plan: Optional[SamplingPlan] = None,
+def exhaustive_search(s: SinrScenario, b: Bounds, levels: int, plan: SamplingPlan,
                       budget: int = 10 ** 6) -> OptResult:
     """Evaluate every per-site power level vector in nondecreasing total
     power; first vector attaining the maximum area wins, so the returned
@@ -187,7 +186,6 @@ def exhaustive_search(s: SinrScenario, b: Bounds, levels: int,
     n = len(b.p_min)
     if levels ** n > budget:
         raise BudgetExceeded(f"{levels}^{n} exceeds the {budget} evaluation budget")
-    plan = plan or SamplingPlan.grid(40, 40)
     axes = []
     for lo, hi in zip(b.p_min.values, b.p_max.values):
         if levels == 1:

@@ -23,7 +23,6 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -366,7 +365,9 @@ class SinrEvaluator:
 
 
 def capture_grid(s: SinrScenario, nx: int, ny: int) -> np.ndarray:
-    """Capture-transmitter ids (smallest on ties) on an (ny, nx) raster."""
+    """Capture-transmitter ids (smallest on ties) on an (ny, nx) raster;
+    ``check_sample_budget`` refuses an oversized one before it allocates."""
+    check_sample_budget(len(s.sites), nx * ny)
     dpow = _path_loss(s.sites, s.alpha, _cell_centers(s.window, nx, ny))
     return SinrEvaluator(s, dpow).capture(s.powers.values).reshape(ny, nx)
 
@@ -416,7 +417,7 @@ def ray_coverage_profile(s: SinrScenario, t: SiteId, direction: tuple[float, flo
 
 
 def ratio_profile(t: Point2, u: Point2, line: tuple[Point2, tuple[float, float]],
-                  samples: int, span: Optional[float] = None) -> list[float]:
+                  samples: int) -> list[float]:
     """Samples of d(.,t)^2 / d(.,u)^2 on the closer-to-t part of a line.
 
     The returned sequence is quasi-convex: along any line the ratio is
@@ -438,7 +439,7 @@ def ratio_profile(t: Point2, u: Point2, line: tuple[Point2, tuple[float, float]]
         - (origin.x - u.x) ** 2 - (origin.y - u.y) ** 2
     slope = gx * dx + gy * dy
     base = math.hypot(t.x - u.x, t.y - u.y) + 1.0
-    length = span if span is not None else 8.0 * base
+    length = 8.0 * base
     if abs(slope) < 1e-12 * base:
         if g0 > 0.0:
             lo, hi = -length / 2, length / 2  # entire line on u's side

@@ -7,8 +7,11 @@ import inspect
 import itertools
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -147,7 +150,15 @@ def test_render_capture_raster():
 def test_cli_sample_size(capsys):
     assert cli(["sample-size", "--epsilon", "0.15", "--delta", "0.1",
                 "--c-lower", "1"]) == 0
-    assert capsys.readouterr().out.strip() == "400"
+    printed = capsys.readouterr().out
+    assert printed.strip() == "400"
+    # the ``python -m coveragekit`` entry point prints the same
+    package_root = Path(cli_io.__file__).resolve().parents[1]
+    run = subprocess.run([sys.executable, "-m", "coveragekit", "sample-size", "--epsilon",
+                          "0.15", "--delta", "0.1", "--c-lower", "1"],
+                         capture_output=True, text=True, timeout=60,
+                         env=dict(os.environ, PYTHONPATH=str(package_root)))
+    assert (run.returncode, run.stdout) == (0, printed)
     assert cli(["sample-size", "--epsilon", "0.15", "--delta", "0.1",
                 "--c-lower", "1", "--grid"]) == 0
     assert capsys.readouterr().out.strip() == "1600"
@@ -651,6 +662,10 @@ def test_cli_budget_error_exit_3(tmp_path):
     scen_dict = dict(SINR_SCENARIO, sampling={"kind": "grid", "grid_dims": [100000, 100000]})
     scen.write_text(json.dumps(scen_dict))
     assert cli(["estimate-area", str(scen), "--out", str(tmp_path / "h.result.json")]) == 3
+    # 2 sites x 5000^2 raster cells: refused before any raster, no SVG written
+    svg = tmp_path / "cap.svg"
+    assert cli(["render", str(scen), "--svg", str(svg), "--capture-grid", "5000"]) == 3
+    assert not svg.exists()
 
 
 def test_cli_optimize_rhc_deterministic(tmp_path):
@@ -896,7 +911,7 @@ def test_cli_render_capture_grid_checks(tmp_path, capsys, monkeypatch):
         assert cli(["render", str(scen), "--svg", str(svg), "--capture-grid", value]) == 2
         assert capsys.readouterr().err.startswith("error: --capture-grid: ")
     # 2 sites x 2300^2 cells exceed the sample budget: refused before any raster
-    monkeypatch.setattr("coveragekit.cli_io.capture_grid", None)
+    monkeypatch.setattr("coveragekit.sinr_model._cell_centers", None)
     assert cli(["render", str(scen), "--svg", str(svg), "--capture-grid", "2300"]) == 3
     assert "exceed" in capsys.readouterr().err
     assert not svg.exists()

@@ -601,7 +601,6 @@ def test_update_report_fields():
     dc = DynamicCoverage(WIN, seed=14)
     rep = dc.insert_transmitter(tx(0, 0, 1.0, 1.5))
     assert rep.op == "insert" and not rep.redundant
-    assert rep.wall_time >= 0.0
     d = rep.to_dict()
     assert d["site"] == rep.site
 

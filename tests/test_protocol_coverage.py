@@ -189,6 +189,15 @@ def test_interference_bound_single_none():
     assert find_interference_bound(cov) is None
 
 
+def test_interference_bound_finds_a_hole():
+    # site 1 is hidden inside site 0's transmission disk, and its
+    # interference disk cuts one hole in site 0's one whole circle
+    cov = compute_coverage_map([tx(5, 5, 2.5, 3.0), tx(5.5, 5, 0.2, 0.3)], Rect(0, 0, 10, 10))
+    (region,) = cov.regions[0]
+    assert len(region.edges) == 1 and len(region.holes) == 1
+    assert find_interference_bound(cov) == 0
+
+
 def gadget(values, eps_gap):
     xs = sorted(values)
     lo, hi = xs[0], xs[-1]

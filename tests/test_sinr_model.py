@@ -114,6 +114,14 @@ def test_is_covered_thresholds():
     # estimation convention counts threshold equality as covered
     mid = scen([(0.0, 0.5), (1.0, 0.5)], [1.0, 1.0], beta=1.0, noise=0.0)
     assert is_covered(mid, Point2(0.5, 0.5))
+    # a powered site on the point: covered whatever beta asks
+    assert is_covered(big_beta, Point2(0.5, 0.5))
+    # no site powered: nothing covered
+    dark = scen([(0.5, 0.5), (0.2, 0.2)], [0.0, 0.0])
+    assert not is_covered(dark, Point2(0.9, 0.9))
+    # no noise and the only other site unpowered: no interference at all
+    alone = scen([(0.0, 0.5), (1.0, 0.5)], [1.0, 0.0], beta=1e9, noise=0.0)
+    assert is_covered(alone, Point2(0.3, 0.5))
 
 
 def test_scale_invariance_of_sinr():
