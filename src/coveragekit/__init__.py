@@ -19,7 +19,7 @@ from .protocol_coverage import (CoverageMap, ProtocolTransmitter,
                                 find_interference_bound)
 from .sinr_model import (PowerVector, SinrScenario, capture_transmitter,
                          is_covered, ratio_profile, ray_coverage_profile)
-from .optimizer import (Bounds, OptResult, RhcParams, SamplingPlan,
+from .optimizer import (Bounds, OptResult, SamplingPlan,
                         estimate_area, exhaustive_search, nelder_mead,
                         post_process, random_hill_climb, required_samples)
 from .dynamic_coverage import (DynamicCoverage, HalfSpace3, Treap, lift,

@@ -33,7 +33,7 @@ from .errors import (BudgetExceeded, CoverageKitError, DuplicateSite, InvalidArg
                      ModelError, ParseError)
 from .geometry import (FRAME_BLOCK, ArcPolygon, CircularArc, Disk, Point2, Rect, Segment,
                        arc_polygon_area)
-from .optimizer import (Bounds, RhcParams, SamplingPlan, exhaustive_search,
+from .optimizer import (Bounds, SamplingPlan, exhaustive_search,
                         grid_rule_samples, nelder_mead, objective, post_process, power_ramp,
                         random_hill_climb, required_samples)
 from .power_diagram import PowerDiagram, frame_partitions
@@ -576,8 +576,7 @@ def _cmd_optimize(args) -> int:
     if args.method == "exhaustive":
         res = exhaustive_search(base, bounds, args.levels, plan, budget=args.budget)
     elif args.method == "rhc":
-        res = random_hill_climb(base, bounds, RhcParams.defaults(base.alpha),
-                                plan, seed)
+        res = random_hill_climb(base, bounds, plan, seed)
     else:
         res = nelder_mead(objective(base, plan), bounds,
                           restarts=args.restarts, seed=seed)

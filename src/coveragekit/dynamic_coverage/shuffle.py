@@ -254,10 +254,6 @@ class DynamicCoverage:
     # traversal
     # ------------------------------------------------------------------
 
-    def _outside(self, u: int, hs: HalfSpace3) -> bool:
-        """Whether the plane of ``hs`` passes above vertex ``u`` (``_side``)."""
-        return _side(hs, self.x[u], self.y[u], self.z[u]) > 0
-
     def _climb(self, hs: HalfSpace3) -> Optional[int]:
         """Exact answer from the current lattice: a current vertex outside
         ``hs``, or None.  The plane's height above the lifted envelope is
@@ -287,7 +283,7 @@ class DynamicCoverage:
                             best = w
                         stack.append(w)
         self.climb_steps += len(gaps)
-        return best if self._outside(best, hs) else None
+        return best if _side(hs, xs[best], ys[best], zs[best]) > 0 else None
 
     def _traverse(self, hs: HalfSpace3) -> Optional[int]:
         """``traverse_shuffle``: scan the roots, then the list each dead

@@ -228,8 +228,7 @@ def clip_rows(polys: Sequence[ConvexPolygon], circles: np.ndarray, poly: np.ndar
     Centres within ``eps`` have no line: the larger circle skips the cut,
     else the row empties.  Rows run in chunks, longest cut list first, so
     the rows still cutting are a prefix, trimmed to its longest row."""
-    px, pn = padded([[v.x for v in p.vertices] for p in polys], 0.0)
-    pxy = np.stack([px, padded([[v.y for v in p.vertices] for p in polys], 0.0)[0]], 2)
+    pxy, pn = padded([[(v.x, v.y) for v in p.vertices] for p in polys], 0.0)
     ncut = (cuts >= 0).sum(1)
     out, sizes, made, unchanged = [np.zeros((0, 2))], [np.zeros(0, int)], 0, 0
     for lo in range(0, len(own), _CHUNK):

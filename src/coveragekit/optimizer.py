@@ -71,27 +71,6 @@ class Bounds:
         return Bounds(PowerVector.of([lo] * n), PowerVector.of([hi] * n))
 
 
-@dataclass(frozen=True)
-class RhcParams:
-    """Random-hill-climb knobs; defaults follow the reference configuration
-    (scale factor 0.05 per unit of path-loss exponent, step 0.01, 2000
-    attempts per plateau, increment speed-up after 100 attempts)."""
-    scale_factor: float
-    step_size: float = 0.01
-    max_iterations: int = 2000
-    scale_up_incr: int = 100
-
-    def __post_init__(self):
-        if min(self.scale_factor, self.step_size) <= 0:
-            raise ValueError("scale_factor and step_size must be positive")
-        if min(self.max_iterations, self.scale_up_incr) <= 0:
-            raise ValueError("iteration counts must be positive")
-
-    @staticmethod
-    def defaults(alpha: float) -> "RhcParams":
-        return RhcParams(scale_factor=0.05 * alpha)
-
-
 @dataclass
 class OptResult:
     best_power: PowerVector
@@ -186,27 +165,32 @@ def exhaustive_search(s: SinrScenario, b: Bounds, levels: int, plan: SamplingPla
     n = len(b.p_min)
     if levels ** n > budget:
         raise BudgetExceeded(f"{levels}^{n} exceeds the {budget} evaluation budget")
-    axes = []
-    for lo, hi in zip(b.p_min.values, b.p_max.values):
-        if levels == 1:
-            axes.append([lo])
-        else:
-            axes.append([lo + (hi - lo) * k / (levels - 1) for k in range(levels)])
+    axes = [[lo] if levels == 1 else [lo + (hi - lo) * k / (levels - 1) for k in range(levels)]
+            for lo, hi in zip(b.p_min.values, b.p_max.values)]
     ev = _CachedObjective(objective(s, plan))
     for vec in sorted(itertools.product(*axes), key=lambda v: (sum(v), v)):
         ev(vec)  # the cache absorbs the repeats of a site with p_min == p_max
     return ev.result()
 
 
-def random_hill_climb(s: SinrScenario, b: Bounds, params: RhcParams,
-                      plan: SamplingPlan, seed: int) -> OptResult:
+# The hill climb's reference configuration: increments start at 0.01 of each
+# power range and grow or shrink by 1 + 0.05 per unit of path-loss exponent,
+# growing by 1 + 2 * that after the first 100 attempts of a plateau, and a
+# plateau holds at most 2000 attempts.
+_RHC_SCALE = 0.05
+_RHC_STEP = 0.01
+_RHC_PLATEAU = 2000
+_RHC_FAST_AFTER = 100
+
+
+def random_hill_climb(s: SinrScenario, b: Bounds, plan: SamplingPlan, seed: int) -> OptResult:
     """Bidirectional random hill climb from the lower power bound.
 
-    Odd attempts stretch the random increment (scaled up further after
-    ``scale_up_incr`` attempts), even attempts shrink it; the inner loop
-    restarts with fresh increments after every improvement and the search
-    stops when a full plateau of ``max_iterations`` attempts brings none.
-    Candidates are clamped into the bounds.
+    Odd attempts stretch the random increment, even attempts shrink it.  A
+    plateau of attempts starts afresh from the first increments after every
+    improvement; the search ends with the first plateau that reaches its
+    last attempt, whether or not that attempt improved.  Candidates are
+    clamped into the bounds.
     """
     rng = np.random.default_rng(seed)
     lo = b.p_min.as_array()
@@ -215,31 +199,23 @@ def random_hill_climb(s: SinrScenario, b: Bounds, params: RhcParams,
     ev = _CachedObjective(objective(s, plan))
     best = lo.copy()
     best_area = ev(best)
-    while True:
-        attempts = 0
-        scale_up = 1.0 + params.scale_factor
-        scale_down = 1.0 + params.scale_factor
-        shrink = params.step_size * (hi - lo)
-        stretch = params.step_size * (hi - lo)
-        improved = False
-        while attempts < params.max_iterations and not improved:
-            attempts += 1
-            if attempts > params.scale_up_incr:
-                scale_up = 1.0 + 2.0 * params.scale_factor
-            if attempts % 2 == 0:
-                shrink = shrink / scale_down
+    scale = _RHC_SCALE * s.alpha
+    grow, fast_grow = 1.0 + scale, 1.0 + 2.0 * scale
+    attempt = 0
+    while attempt < _RHC_PLATEAU:  # until a plateau runs to its last attempt
+        shrink = stretch = _RHC_STEP * (hi - lo)
+        for attempt in range(1, _RHC_PLATEAU + 1):
+            if attempt % 2 == 0:
+                shrink = shrink / grow
                 cand = best + rng.random(n) * shrink
             else:
-                stretch = stretch * scale_up
+                stretch = stretch * (fast_grow if attempt > _RHC_FAST_AFTER else grow)
                 cand = best + rng.random(n) * stretch
             cand = np.minimum(np.maximum(cand, lo), hi)
             area = ev(cand)
             if area > best_area:
-                best_area = area
-                best = cand
-                improved = True
-        if attempts >= params.max_iterations:
-            break
+                best, best_area = cand, area
+                break
     return ev.result()
 
 
@@ -279,11 +255,15 @@ def nelder_mead(objective: Callable[[tuple[float, ...]], float], b: Bounds,
             if fvals[0] - fvals[-1] < _NM_F_TOL:
                 break
             centroid = np.add.reduce(simplex[:-1], axis=0) / n
-            worst = simplex[-1]
-            refl = np.minimum(np.maximum(centroid + (centroid - worst), lo), hi)
+            away = centroid - simplex[-1]
+
+            def along(t):
+                return np.minimum(np.maximum(centroid + t * away, lo), hi)
+
+            refl = along(1.0)
             f_refl = ev(refl)
             if f_refl > fvals[0]:
-                expa = np.minimum(np.maximum(centroid + 2.0 * (centroid - worst), lo), hi)
+                expa = along(2.0)
                 f_expa = ev(expa)
                 if f_expa > f_refl:
                     simplex[-1], fvals[-1] = expa, f_expa
@@ -292,10 +272,7 @@ def nelder_mead(objective: Callable[[tuple[float, ...]], float], b: Bounds,
             elif f_refl > fvals[-2]:
                 simplex[-1], fvals[-1] = refl, f_refl
             else:
-                if f_refl > fvals[-1]:
-                    cont = np.minimum(np.maximum(centroid + 0.5 * (centroid - worst), lo), hi)
-                else:
-                    cont = np.minimum(np.maximum(centroid - 0.5 * (centroid - worst), lo), hi)
+                cont = along(0.5 if f_refl > fvals[-1] else -0.5)
                 f_cont = ev(cont)
                 if f_cont > max(f_refl, fvals[-1]):
                     simplex[-1], fvals[-1] = cont, f_cont

@@ -98,14 +98,6 @@ def window_frame(window: Rect) -> tuple[Point2, Rect, Callable[[Point2], Point2]
             lambda p: Point2(p.x - cx, p.y - cy))
 
 
-def _validate(disks: Sequence[Disk], window: Rect) -> None:
-    """``admit`` each of ``disks`` in turn; at least one is needed."""
-    require_transmitters(disks)
-    sites: dict[tuple[float, float, float], SiteId] = {}
-    for i, d in enumerate(disks):
-        admit(sites, i, d, window)
-
-
 def build(disks: Sequence[Disk], window: Rect) -> PowerDiagram:
     """Power diagram of ``disks`` clipped to ``window``, in the window's frame.
 
@@ -123,7 +115,10 @@ def build(disks: Sequence[Disk], window: Rect) -> PowerDiagram:
 
     origin, window, local = window_frame(window)
     sites = [Disk(local(d.center), d.radius) for d in disks]
-    _validate(sites, window)
+    require_transmitters(sites)
+    seen: dict[tuple[float, float, float], SiteId] = {}
+    for i, d in enumerate(sites):
+        admit(seen, i, d, window)
     eps = geom_eps(window.diameter())
     n = len(sites)
     try:

@@ -194,8 +194,11 @@ class SinrEvaluator:
     ``r = p_i / d_i``, ``acc += r``, ``rmax = max(rmax, r)``, and a sample
     is covered when ``rmax >= beta * (acc - rmax + noise)``.  For N >= 2
     that is numpy's axis-0 sum order, so results equal a site-major
-    reduction bit for bit; for N = 1 it is ``is_covered``'s.  Unpowered
-    sites are skipped: they would add +0.0.  ``capture`` uses it alone.
+    reduction bit for bit; for N = 1 it is ``is_covered``'s order, but not
+    its floats: ``_path_loss`` raises ``(dx*dx + dy*dy) ** (alpha/2)`` where
+    ``is_covered`` raises ``hypot(dx, dy) ** alpha``, and the two differ in
+    the last bits for many points.  Unpowered sites are skipped: they would
+    add +0.0.  ``capture`` uses it alone.
 
     ``mask`` first runs a float32 filter with no division: ``r = g_i * p_i``
     over the float32 gain rows ``1/d**alpha`` (both rounded to float32; NaN
@@ -399,6 +402,7 @@ def ray_coverage_profile(s: SinrScenario, t: SiteId, direction: tuple[float, flo
     """
     if samples < 2:
         raise ValueError("need at least two samples")
+    check_sample_budget(len(s.sites), samples)
     dx, dy = direction
     nn = math.hypot(dx, dy)
     if nn == 0.0:

@@ -133,7 +133,7 @@ def grid_power_cell_areas(disks: list[Disk], window: Rect, n: int = 1000) -> np.
 def planes_above_lattice(dc, planes) -> np.ndarray:
     """For each lifted plane, whether it passes above some current vertex of
     a ``DynamicCoverage`` lattice (the half-space is then not redundant), by
-    a scan of every vertex with the structure's own test (``_outside``,
+    a scan of every vertex with the structure's own test (``_side``,
     evaluated in the same order of floating-point operations).  Every plane
     passes above an empty structure."""
     ids = sorted({u for ring in dc.cells.values() for u in ring})

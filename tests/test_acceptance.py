@@ -19,7 +19,7 @@ from coveragekit.errors import DuplicateSite
 from coveragekit.geometry import Disk, Point2, Rect, arc_polygon_area
 from coveragekit.dynamic_coverage import (DynamicCoverage, Treap, lift,
                                           traverse_shuffle, treap_insert)
-from coveragekit.optimizer import (Bounds, RhcParams, SamplingPlan,
+from coveragekit.optimizer import (Bounds, SamplingPlan,
                                    estimate_area, exhaustive_search,
                                    nelder_mead, post_process,
                                    random_hill_climb, required_samples,
@@ -365,8 +365,7 @@ def test_c08_optimizer_crosscheck():
                        if estimate_area(s, PowerVector.of(v), plan) == ex.best_area)
         assert ex.total_power == pytest.approx(cheapest)
 
-        rhc = random_hill_climb(s, b, RhcParams.defaults(s.alpha), plan,
-                                seed=trial)
+        rhc = random_hill_climb(s, b, plan, seed=trial)
         rhc = post_process(s, rhc.best_power, b.p_min, plan)
         nm = nelder_mead(lambda p: estimate_area(s, p, plan), b,
                          restarts=10, seed=trial)

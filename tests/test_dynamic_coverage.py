@@ -17,6 +17,7 @@ from coveragekit.geometry import ConvexPolygon, Disk, Point2, Rect, arc_polygon_
 from coveragekit.dynamic_coverage import (DynamicCoverage, HalfSpace3, Treap,
                                           lift, traverse_shuffle, treap_delete,
                                           treap_insert, treap_of)
+from coveragekit.dynamic_coverage.shuffle import _side
 from coveragekit.power_diagram import _clip_cell, build
 from coveragekit.protocol_coverage import (ProtocolTransmitter,
                                            compute_coverage_map, region_area)
@@ -29,6 +30,12 @@ WIN = Rect(-8.0, -8.0, 8.0, 8.0)
 
 def tx(x, y, t, i):
     return ProtocolTransmitter(Point2(x, y), t, i)
+
+
+def outside(dc: DynamicCoverage, u: int, hs: HalfSpace3) -> bool:
+    """Whether the plane of ``hs`` passes above vertex ``u`` of ``dc``, by
+    the structure's own test."""
+    return _side(hs, dc.x[u], dc.y[u], dc.z[u]) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +190,7 @@ def assert_traverse_agrees(dc: DynamicCoverage, planes, tag=""):
         v = traverse_shuffle(dc, hs)
         assert (v is not None) == above, f"{tag} plane {hs}"
         if v is not None:
-            assert dc.next[v] is None and dc._outside(v, hs), tag
+            assert dc.next[v] is None and outside(dc, v, hs), tag
         if dc.cells:
             assert (dc._climb(hs) is not None) == above, f"{tag} climb, plane {hs}"
 
@@ -197,9 +204,9 @@ def test_climb_leaves_the_cell_owning_the_centre():
     centre = dc._local(Point2(4.6, 7.5))  # the lattice is in the window's frame
     hs = lift(Disk(centre, 1.6))
     assert dc._owners([centre]) == [0]
-    assert not any(dc._outside(u, hs) for u in dc.cells[0])
+    assert not any(outside(dc, u, hs) for u in dc.cells[0])
     v = dc._climb(hs)
-    assert v is not None and dc._outside(v, hs)
+    assert v is not None and outside(dc, v, hs)
     assert dc.climb_steps > len(dc.cells[0])
 
 
@@ -329,13 +336,13 @@ def test_nested_concentric_hidden_disk(dx):
 def sequential_scan_parked(dc: DynamicCoverage, planes, near):
     """The reference of ``DynamicCoverage._scan_parked``: each parked plane,
     in row order, against each current vertex of ``near`` in turn with
-    ``_outside``, stopping at the first vertex outside."""
+    ``outside``, stopping at the first vertex outside."""
     for k, (a, b, c) in enumerate(planes.tolist()):
         hs = HalfSpace3(a, b, c)
         for u in near:
             if dc.next[u] is None:
                 dc.revival_tests += 1
-                if dc._outside(u, hs):
+                if outside(dc, u, hs):
                     return k, u
     return len(planes), None
 
@@ -374,7 +381,7 @@ def test_second_revival_probes_a_vertex_of_the_first():
         assert rep.hidden_events == [("revived", 4), ("revived", 5)]
         (centre,) = hole
         assert probes[4] == (centre, True, True) and dc.next[centre] is not None
-        assert dc._outside(centre, dc.planes[5])
+        assert outside(dc, centre, dc.planes[5])
         assert probes[5][1:] == (True, True) and probes[5][0] != centre
         dc.check_invariants()
         assert_matches_static(dc, win)

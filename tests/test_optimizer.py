@@ -11,7 +11,7 @@ import pytest
 
 from coveragekit.errors import BudgetExceeded
 from coveragekit.geometry import Point2, Rect
-from coveragekit.optimizer import (Bounds, OptResult, RhcParams, SamplingPlan,
+from coveragekit.optimizer import (Bounds, OptResult, SamplingPlan,
                                    estimate_area, exhaustive_search,
                                    grid_rule_samples, nelder_mead, objective,
                                    post_process, random_hill_climb,
@@ -141,8 +141,7 @@ def test_exhaustive_budget():
 def test_rhc_monotone_single_transmitter_reaches_top():
     s = scen([(0.5, 0.5)], [1.0], beta=5.0, noise=1e-2)
     b = Bounds.uniform(1, 0.0, 100.0)
-    params = RhcParams.defaults(s.alpha)
-    res = random_hill_climb(s, b, params, SamplingPlan.grid(25, 25), seed=3)
+    res = random_hill_climb(s, b, SamplingPlan.grid(25, 25), seed=3)
     base = estimate_area(s, PowerVector.of([0.0]), SamplingPlan.grid(25, 25))
     assert res.best_area >= base
     # monotone landscape: the climb should end well up the ramp
@@ -153,10 +152,9 @@ def test_rhc_trace_monotone_and_reproducible():
     rng = random.Random(19)
     s = random_scenario(rng, 3, beta=1.5)
     b = Bounds.uniform(3, 0.0, 100.0)
-    params = RhcParams.defaults(s.alpha)
     plan = SamplingPlan.grid(20, 20)
-    r1 = random_hill_climb(s, b, params, plan, seed=7)
-    r2 = random_hill_climb(s, b, params, plan, seed=7)
+    r1 = random_hill_climb(s, b, plan, seed=7)
+    r2 = random_hill_climb(s, b, plan, seed=7)
     assert r1.best_power.values == r2.best_power.values
     assert r1.trace == r2.trace
     areas = [a for _, a in r1.trace]
@@ -192,7 +190,7 @@ def test_three_way_optimizer_crosscheck_small():
     b = Bounds.uniform(3, 0.0, 100.0)
     plan = SamplingPlan.grid(40, 40)
     ex = exhaustive_search(s, b, 5, plan)
-    rhc = random_hill_climb(s, b, RhcParams.defaults(s.alpha), plan, seed=1)
+    rhc = random_hill_climb(s, b, plan, seed=1)
     rhc = post_process(s, rhc.best_power, b.p_min, plan)
     nm = nelder_mead(lambda p: estimate_area(s, p, plan), b, restarts=10, seed=1)
     nm = post_process(s, nm.best_power, b.p_min, plan)
@@ -289,8 +287,7 @@ def test_rhc_never_leaves_bounds(monkeypatch):
         return original(self, p)
 
     monkeypatch.setattr(SinrEvaluator, "__call__", spy)
-    res = random_hill_climb(s, b, RhcParams(scale_factor=0.1, max_iterations=300),
-                            SamplingPlan.grid(10, 10), seed=5)
+    res = random_hill_climb(s, b, SamplingPlan.grid(10, 10), seed=5)
     assert len(seen) == res.computed > 1
     for vec in seen:
         for v, lo, hi in zip(vec, b.p_min.values, b.p_max.values):
@@ -446,7 +443,7 @@ def test_searches_keep_their_trajectories_on_the_pool_scenarios(method):
                  beta=1.5, noise=1000.0)
         b = Bounds.uniform(n, 0.0, 100.0)
         if method == "rhc":
-            res = random_hill_climb(s, b, RhcParams.defaults(s.alpha), plan, k)
+            res = random_hill_climb(s, b, plan, k)
         elif method == "nm":
             res = nelder_mead(objective(s, plan), b, 10, k)
         else:

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull, QhullError
 
-from coveragekit.errors import DiagramRejected, DuplicateSite
+from coveragekit.errors import DiagramRejected, DuplicateSite, require_transmitters
 from coveragekit.geometry import ConvexPolygon, Disk, Point2, Rect, geom_eps, side
 from coveragekit import geometry, power_diagram
-from coveragekit.power_diagram import (PowerDiagram, SiteId, build, frame_partitions,
-                                       window_frame, _clip_cell, _flat_neighbors, _validate)
+from coveragekit.power_diagram import (PowerDiagram, SiteId, admit, build, frame_partitions,
+                                       window_frame, _clip_cell, _flat_neighbors)
 
 from geometry_reference import (ConcentricDisks, clip_convex, polygon_area, polygon_contains,
                                 power_bisector)
@@ -80,7 +80,10 @@ def _adjacency_exact(disks: Sequence[Disk], skip: frozenset[int],
 
 
 def _build_direct(disks: Sequence[Disk], window: Rect) -> PowerDiagram:
-    _validate(disks, window)
+    require_transmitters(disks)
+    seen: dict[tuple[float, float, float], SiteId] = {}
+    for i, d in enumerate(disks):
+        admit(seen, i, d, window)
     n, scale = len(disks), window.diameter()
     eps = geom_eps(scale)
     c, half = window.center(), 1e6 * max(scale, 1.0)  # as far as the working square

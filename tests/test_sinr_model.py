@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coveragekit.errors import Singularity
+from coveragekit.errors import BudgetExceeded, Singularity
 from coveragekit.geometry import Point2, Rect
-from coveragekit.sinr_model import (PowerVector, SinrEvaluator, SinrScenario,
-                                    _cell_centers, _path_loss, capture_grid,
+from coveragekit.sinr_model import (MAX_SAMPLE_PAIRS, PowerVector, SinrEvaluator,
+                                    SinrScenario, _cell_centers, _path_loss, capture_grid,
                                     capture_transmitter, is_covered,
                                     ratio_profile, ray_coverage_profile)
 
@@ -149,6 +149,16 @@ def test_ray_profile_extremes():
     s_high = scen([(0.5, 0.5), (0.52, 0.52)], [1.0, 1.0], beta=1e9, noise=1e-6)
     prof = ray_coverage_profile(s_high, 0, (1.0, 0.0), 16)
     assert not any(prof[1:])  # the first sample hugs the singular transmitter
+
+
+def test_ray_profile_checks_the_sample_budget(monkeypatch):
+    # 100 sites x (MAX_SAMPLE_PAIRS / 100 + 1) samples exceed the sample
+    # budget: refused before any distance row
+    monkeypatch.setattr("coveragekit.sinr_model._path_loss", None)
+    s = scen([((i + 0.5) / 10, (j + 0.5) / 10) for i in range(10) for j in range(10)],
+             [1.0] * 100)
+    with pytest.raises(BudgetExceeded):
+        ray_coverage_profile(s, 0, (1.0, 0.0), MAX_SAMPLE_PAIRS // 100 + 1)
 
 
 def is_prefix(bits):
