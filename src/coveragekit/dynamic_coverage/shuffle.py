@@ -530,7 +530,6 @@ class DynamicCoverage:
         self._forget(sid)
         hole = self.cells.pop(sid)
         near = self._retile(hole, nbrs)
-        self._dirty.update(nbrs)
         affected = list(nbrs)
 
         # the envelope fell only over the hole

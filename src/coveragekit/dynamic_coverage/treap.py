@@ -26,14 +26,6 @@ class TreapNode:
 class Treap:
     root: Optional[TreapNode] = None
 
-    def __contains__(self, key: float) -> bool:
-        n = self.root
-        while n is not None:
-            if key == n.key:
-                return True
-            n = n.left if key < n.key else n.right
-        return False
-
     def keys(self) -> list[float]:
         out: list[float] = []
         stack: list[TreapNode] = []

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BudgetExceeded
-from .sinr_model import (PowerVector, SinrEvaluator, SinrScenario, _cell_centers, _path_loss,
+from .sinr_model import (PowerVector, SinrEvaluator, SinrScenario, _cell_centers,
                          check_sample_budget)
 
 
@@ -100,7 +100,7 @@ def objective(s: SinrScenario, plan: SamplingPlan) -> SinrEvaluator:
     """Covered fraction of the window as a function of the powers, on the plan's sample."""
     check_sample_budget(len(s.sites), math.prod(plan.grid_dims) if plan.kind == "grid"
                         else plan.sample_count)
-    return SinrEvaluator(s, _path_loss(s.sites, s.alpha, sample_points(s.window, plan)))
+    return SinrEvaluator(s, sample_points(s.window, plan))
 
 
 def estimate_area(s: SinrScenario, p, plan: SamplingPlan) -> float:

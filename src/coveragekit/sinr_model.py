@@ -8,14 +8,15 @@ ambient noise.  A point is covered when its best SINR reaches the receive
 threshold beta (non-strict, matching the area-estimation convention).
 
 Everything operates on immutable scenarios and is safe to parallelise over
-sample points.  A bound ``SinrEvaluator`` owns its scratch buffers, its
-gain rows and its filter counts, so each caller needs its own.  Its masks
-come from a float32 filter that decides a sample only when the margin
-``(1+beta) rmax - beta (acc + noise)`` clears a band of relative width ``k
-= 2 (n + 16) 2**-24`` for n sites, derived in the class docstring from the
-float32 and float64 unit roundoffs; samples in the band, samples on a site,
-and every sample of a vector outside the filter's float32 range take the
-exact float64 fold, so every mask is the fold's bit for bit.
+sample points.  A ``SinrEvaluator`` is built from its sample points and
+owns their ``d**alpha`` rows, its scratch buffers, its gain rows and its
+filter counts, so each caller needs its own.  Its masks come from a float32
+filter that decides a sample only when the margin ``(1+beta) rmax - beta
+(acc + noise)`` clears a band of relative width ``k = 2 (n + 16) 2**-24``
+for n sites, derived in the class docstring from the float32 and float64
+unit roundoffs; samples in the band, samples on a site, and every sample of
+a vector outside the filter's float32 range take the exact float64 fold, so
+every mask is the fold's bit for bit.
 """
 
 from __future__ import annotations
@@ -93,17 +94,12 @@ class SinrScenario:
 
 
 def _receive_powers(s: SinrScenario, x: Point2) -> list[float]:
-    p = s.powers
-    out = []
-    for i, site in enumerate(s.sites):
+    """Per site, its receive power at x: 0 when unpowered, +inf when powered
+    and within the coincidence tolerance of x (the SINR limit there)."""
+    eps, out = s.eps(), []
+    for site, v in zip(s.sites, s.powers.values):
         d = math.hypot(x.x - site.x, x.y - site.y)
-        if d == 0.0:
-            if p[i] > 0.0:
-                out.append(math.inf)
-            else:
-                out.append(0.0)
-            continue
-        out.append(p[i] / d ** s.alpha)
+        out.append(0.0 if v == 0.0 else math.inf if d <= eps else v / d ** s.alpha)
     return out
 
 
@@ -114,9 +110,6 @@ def capture_transmitter(s: SinrScenario, x: Point2) -> SiteId:
     argmax is taken over receive powers directly; this stays finite even
     when interference vanishes.
     """
-    for i, site in enumerate(s.sites):
-        if math.hypot(x.x - site.x, x.y - site.y) <= s.eps() and s.powers[i] > 0:
-            return i
     rx = _receive_powers(s, x)
     return rx.index(max(rx))
 
@@ -128,19 +121,12 @@ def is_covered(s: SinrScenario, x: Point2) -> bool:
     as covered: the SINR limit there is +infinity.  An unpowered transmitter
     there adds nothing, so the other transmitters decide.
     """
-    eps = s.eps()
-    for i, site in enumerate(s.sites):
-        if s.powers[i] > 0.0 and math.hypot(x.x - site.x, x.y - site.y) <= eps:
-            return True
     rx = _receive_powers(s, x)
-    total = sum(rx) + s.noise
-    t = rx.index(max(rx))  # capture_transmitter(s, x): no powered site is this close
-    if rx[t] <= 0.0:
-        return False
-    denom = total - rx[t]
-    if denom <= 0.0:
-        return True  # no interference, no noise, positive signal
-    return rx[t] >= s.beta * denom
+    best = max(rx)  # rx[capture_transmitter(s, x)]
+    if best == math.inf or best <= 0.0:
+        return best > 0.0  # on a powered site, or none powered
+    # interference plus noise is >= 0 (the float sum holds best), and 0 covers
+    return best >= s.beta * (sum(rx) + s.noise - best)
 
 
 def _cell_centers(window: Rect, nx: int, ny: int) -> np.ndarray:
@@ -187,8 +173,9 @@ def _path_loss(sites, alpha: float, pts: np.ndarray) -> np.ndarray:
 
 
 class SinrEvaluator:
-    """Coverage of a fixed sample of N points (its read-only ``_path_loss``
-    rows ``dpow``) under any power vector, a float tuple or an ndarray.
+    """Coverage of the sample of N points it is built from, an (N, 2) array
+    whose read-only ``_path_loss`` rows it builds before any scratch row,
+    under any power vector, a float tuple or an ndarray.
 
     The exact fold folds the powered sites in index order into scratch rows,
     ``r = p_i / d_i``, ``acc += r``, ``rmax = max(rmax, r)``, and a sample
@@ -240,7 +227,8 @@ class SinrEvaluator:
     the exact fold made ``whole``, the first and the ``range_fallbacks``.
     """
 
-    def __init__(self, s: SinrScenario, dpow: np.ndarray):
+    def __init__(self, s: SinrScenario, pts: np.ndarray):
+        dpow = _path_loss(s.sites, s.alpha, pts)
         self.rows, self.beta, self.noise = list(dpow), s.beta, s.noise
         self.size = dpow.shape[1]
         self.counts = {"decided": 0, "band": 0, "whole": 0, "range_fallbacks": 0}
@@ -371,8 +359,8 @@ def capture_grid(s: SinrScenario, nx: int, ny: int) -> np.ndarray:
     """Capture-transmitter ids (smallest on ties) on an (ny, nx) raster;
     ``check_sample_budget`` refuses an oversized one before it allocates."""
     check_sample_budget(len(s.sites), nx * ny)
-    dpow = _path_loss(s.sites, s.alpha, _cell_centers(s.window, nx, ny))
-    return SinrEvaluator(s, dpow).capture(s.powers.values).reshape(ny, nx)
+    ev = SinrEvaluator(s, _cell_centers(s.window, nx, ny))
+    return ev.capture(s.powers.values).reshape(ny, nx)
 
 
 def _ray_exit_distance(window: Rect, origin: Point2, dx: float, dy: float) -> float:
@@ -415,7 +403,7 @@ def ray_coverage_profile(s: SinrScenario, t: SiteId, direction: tuple[float, flo
     t0 = s.eps()
     dist = t0 + (tmax - t0) * np.arange(samples) / (samples - 1)
     pts = np.column_stack([origin.x + dist * dx, origin.y + dist * dy])
-    ev = SinrEvaluator(s, _path_loss(s.sites, s.alpha, pts))
+    ev = SinrEvaluator(s, pts)
     mine = ev.capture(s.powers.values) == t  # first: capture reuses mask's scratch row
     return (ev.mask(s.powers.values) & mine).tolist()
 
@@ -427,7 +415,8 @@ def ratio_profile(t: Point2, u: Point2, line: tuple[Point2, tuple[float, float]]
     The returned sequence is quasi-convex: along any line the ratio is
     monotone or falls then rises, so its discrete differences change sign at
     most once (minus to plus).  If the line misses the closer-to-t half-plane
-    entirely, the whole line is sampled.
+    entirely (it is parallel to the bisector, on u's side), the whole line
+    is sampled, where the ratio exceeds 1 and may rise then fall instead.
     """
     if samples < 2:
         raise ValueError("need at least two samples")

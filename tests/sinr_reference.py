@@ -82,7 +82,7 @@ def sinr_max_covered_mask(s: SinrScenario, pts: np.ndarray,
                           powers: Optional[PowerVector] = None) -> np.ndarray:
     """Vectorized coverage mask for an (N,2) array of sample points."""
     p = powers if powers is not None else s.powers
-    return SinrEvaluator(s, sinr_model._path_loss(s.sites, s.alpha, pts)).mask(p.values)
+    return SinrEvaluator(s, pts).mask(p.values)
 
 
 def weighted_capture_oracle(s: SinrScenario, x: Point2) -> SiteId:

@@ -893,6 +893,74 @@ def test_every_command_keeps_its_output_files(tmp_path):
     assert got == OUTPUT_DIGESTS
 
 
+def test_cli_optimize_writes_the_result_trace_to_csv(tmp_path):
+    scen = tmp_path / "s.json"
+    scen.write_text(json.dumps(dict(SINR_SCENARIO, beta=3.0, noise=0.5)))
+    out, trace = tmp_path / "o.result.json", tmp_path / "t.csv"
+    assert cli(["optimize", "rhc", str(scen), "--trace", str(trace), "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["trace"]
+    assert len(rows) > 2
+    assert trace.read_text().splitlines() == \
+        ["evaluation,best_area"] + [f"{i},{a:.10g}" for i, a in rows]
+
+
+def test_cli_records_the_sampling_plan_it_parsed(tmp_path):
+    for sampling, plan in (
+            ({"kind": "random", "sample_count": 50, "seed": 5},
+             {"kind": "random", "grid_dims": None, "sample_count": 50, "seed": 5}),
+            ({"kind": "grid", "grid_dims": [16.0, 16.0]},  # integral floats are integers
+             {"kind": "grid", "grid_dims": [16, 16], "sample_count": None, "seed": None})):
+        scen, out = tmp_path / "s.json", tmp_path / "e.result.json"
+        scen.write_text(json.dumps(dict(SINR_SCENARIO, sampling=sampling)))
+        assert cli(["estimate-area", str(scen), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["plan"] == plan
+
+
+def _refused(tmp_path, capsys, argv, data) -> str:
+    """Run ``argv`` on the scenario bytes ``data`` (in place of ``IN``) with
+    every output in tmp_path; assert exit 2, that no output file was written,
+    and return the one line printed."""
+    path = tmp_path / "in.json"
+    path.write_bytes(data)
+    out = ["--svg", str(tmp_path / "x.svg")] if argv[0] == "render" \
+        else ["--out", str(tmp_path / "x.result.json")]
+    capsys.readouterr()
+    assert cli([str(path) if a == "IN" else a for a in argv] + out) == 2
+    assert os.listdir(tmp_path) == ["in.json"]
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    return err
+
+
+@pytest.mark.parametrize("argv, doc, line", [
+    (["build-map", "IN"], SINR_SCENARIO,
+     "error: build-map needs a protocol-model scenario"),
+    (["optimize", "rhc", "IN"], PROTOCOL_SCENARIO,
+     "error: optimize needs a sinr-model scenario"),
+    (["render", "IN", "--capture-grid", "8"], PROTOCOL_SCENARIO,
+     "error: capture rasters need a sinr-model scenario")])
+def test_cli_refuses_a_scenario_of_the_other_model(tmp_path, capsys, argv, doc, line):
+    assert _refused(tmp_path, capsys, argv, json.dumps(doc).encode()) == line + "\n"
+
+
+@pytest.mark.parametrize("data, start", [
+    (b'{"model": "sinr", "note": "\xff"}', "<file>: not UTF-8"),
+    (json.dumps(dict(SINR_SCENARIO, bounds={"p_min": [0.0], "p_max": [100.0]})).encode(),
+     "bounds: "),
+    (json.dumps(dict(SINR_SCENARIO, sampling={"kind": "sobol"})).encode(), "sampling: ")])
+def test_cli_refuses_unreadable_scenario_parts(tmp_path, capsys, data, start):
+    assert _refused(tmp_path, capsys, ["estimate-area", "IN"], data).startswith(
+        f"error: {start}")
+
+
+def test_cli_unknown_command_prints_usage_without_traceback(tmp_path, capsys):
+    assert cli(["frobnicate", str(tmp_path / "s.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: coveragekit ")
+    assert "invalid choice: 'frobnicate'" in err and "Traceback" not in err
+    assert not os.listdir(tmp_path)
+
+
 def test_cli_render_capture(tmp_path):
     scen = tmp_path / "s.json"
     scen.write_text(json.dumps(SINR_SCENARIO))

@@ -82,6 +82,19 @@ def test_treap_delete_is_exact_inverse():
     assert t3 == t  # persistent nodes compare structurally
 
 
+def test_treap_delete_of_any_key_gives_the_treap_of_the_rest():
+    """The (key, priority) set fixes the shape, so deleting any key, whichever
+    child it rotates up on the way to a leaf, gives the treap of the rest."""
+    for seed in range(4):
+        rng = random.Random(seed)
+        pairs = [(k, rng.random()) for k in rng.sample(range(1000), 40)]
+        t = treap_of(pairs)
+        for k, _ in pairs:
+            rest = treap_delete(t, k)
+            rest.check_invariants()
+            assert rest == treap_of(p for p in pairs if p[0] != k)
+
+
 def test_treap_errors():
     t = treap_of(zip(REF_KEYS, REF_PRIS))
     with pytest.raises(KeyError):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from coveragekit.errors import BudgetExceeded, Singularity
 from coveragekit.geometry import Point2, Rect
 from coveragekit.sinr_model import (MAX_SAMPLE_PAIRS, PowerVector, SinrEvaluator,
-                                    SinrScenario, _cell_centers, _path_loss, capture_grid,
+                                    SinrScenario, _cell_centers, capture_grid,
                                     capture_transmitter, is_covered,
                                     ratio_profile, ray_coverage_profile)
 
@@ -103,6 +103,29 @@ def test_capture_matches_weighted_voronoi_rule():
             if got != order[0]:
                 mism += 1
         assert mism == 0
+
+
+def test_capture_within_the_tolerance_of_a_powered_site():
+    """A powered site within the coincidence tolerance of x has an infinite
+    receive power there, so it captures x (the first such site on ties);
+    an unpowered site there receives 0 and the others decide."""
+    s = scen([(0.3, 0.3), (0.7, 0.7), (0.7, 0.7)], [9.0, 1.0, 5.0])
+    assert capture_transmitter(s, Point2(0.7, 0.7)) == 1  # co-sited: lowest id
+    eps = s.eps()
+    weak = scen([(0.5, 0.6), (0.5, 0.5)], [1e6, 1e-12])  # site 0 wins beyond the tolerance
+    assert capture_transmitter(weak, Point2(0.5 + 0.5 * eps, 0.5)) == 1
+    assert capture_transmitter(weak, Point2(0.5 + 2.0 * eps, 0.5)) == 0
+    dark = scen([(0.5, 0.5), (0.8, 0.5), (0.1, 0.5)], [0.0, 1.0, 1.0])
+    assert capture_transmitter(dark, Point2(0.5, 0.5)) == 1
+
+
+def test_is_covered_takes_an_overflowing_receive_power_as_the_evaluator_does():
+    # 1e308 / 0.1**2 is beyond the float range: +inf, so covered, as in the mask
+    s = scen([(0.5, 0.5), (0.9, 0.9)], [1e308, 1.0], noise=0.0)
+    x = Point2(0.4, 0.5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert sinr_max_covered_mask(s, np.array([[x.x, x.y]])).tolist() == [True]
+    assert is_covered(s, x) and capture_transmitter(s, x) == 0
 
 
 def test_is_covered_thresholds():
@@ -213,6 +236,15 @@ def test_ratio_profile_parallel_bisector_case():
     assert sign_changes(prof) <= 1
 
 
+def test_ratio_profile_parallel_bisector_on_the_far_side():
+    # y = 4 never reaches t's half-plane (y < 2): the whole line is sampled,
+    # 8 (|t - u| + 1) = 24 long around the origin, where the ratio (x^2 + 9) /
+    # (x^2 + 1) exceeds 1 and has its maximum
+    prof = ratio_profile(Point2(0, 1), Point2(0, 3), (Point2(0, 4), (1.0, 0.0)), 5)
+    assert prof == [(x * x + 9) / (x * x + 1) for x in (-12.0, -6.0, 0.0, 6.0, 12.0)]
+    assert sign_changes(prof) == math.inf
+
+
 def test_ratio_profile_quasi_convex_random():
     rng = random.Random(31)
     for _ in range(300):
@@ -306,7 +338,7 @@ def test_site_fold_equals_site_major_reference():
         want = reference_mask(s, pts, p)
         got = sinr_max_covered_mask(s, pts, PowerVector.of(p))
         assert got.dtype == bool and np.array_equal(got, want), (s, p)
-        ev = SinrEvaluator(s, _path_loss(s.sites, s.alpha, pts))
+        ev = SinrEvaluator(s, pts)
         assert ev(tuple(p)) == ev(np.asarray(p)) == int(want.sum()) / len(pts)
         assert np.array_equal(ev.capture(p), reference_capture(s, pts, p))
     with pytest.raises(ValueError):
@@ -397,7 +429,7 @@ def test_filtered_mask_equals_reference_mask(alpha, beta, noise, sites, data):
                                  min_size=1, max_size=4))
     s = scen(sites, [1.0] * n, alpha=alpha, beta=beta, noise=noise)
     pts = np.vstack([_cell_centers(UNIT, 12, 12), np.array(sites)])  # the last n on the sites
-    ev = SinrEvaluator(s, _path_loss(s.sites, s.alpha, pts))
+    ev = SinrEvaluator(s, pts)
     assert np.array_equal(ev.mask([1.0] * n), reference_mask(s, pts, [1.0] * n))
     for p in vectors:
         assert np.array_equal(ev.mask(p), reference_mask(s, pts, p)), p
@@ -435,7 +467,7 @@ def test_samples_on_the_coverage_boundary_take_the_exact_fold():
     pts = np.array(pts + [(q.x, q.y) for q in s.sites])  # and the sites themselves
     want = reference_mask(s, pts, powers)
     assert len(pts) >= 100 and 0 < want.sum() < len(pts)
-    ev = SinrEvaluator(s, _path_loss(s.sites, s.alpha, pts))
+    ev = SinrEvaluator(s, pts)
     assert np.array_equal(ev.mask(powers), want)  # the first mask: exact and whole
     assert ev.counts == {"decided": 0, "band": 0, "whole": 1, "range_fallbacks": 0}
     assert np.array_equal(ev.mask(powers), want)
@@ -448,12 +480,11 @@ def test_each_evaluator_fills_its_own_gain_rows_and_counts_only_its_own_masks():
     s = scen([(rng.random(), rng.random()) for _ in range(5)], [1.0] * 5,
              alpha=3.0, beta=1.5, noise=0.01)
     pts = _cell_centers(UNIT, 16, 16)
-    dpow = _path_loss(s.sites, s.alpha, pts)
     vectors = [[rng.uniform(0.5, 5.0) for _ in range(5)] for _ in range(3)]
-    first = SinrEvaluator(s, dpow)
+    first = SinrEvaluator(s, pts)
     for p in vectors:
         first.mask(p)  # the second and third run the filter on first's gain rows
-    second = SinrEvaluator(s, dpow)
+    second = SinrEvaluator(s, pts)
     assert np.array_equal(second.mask(vectors[-1]), reference_mask(s, pts, vectors[-1]))
     # second's first mask is exact and whole: it does not inherit first's rows
     assert second.counts == {"decided": 0, "band": 0, "whole": 1, "range_fallbacks": 0}
