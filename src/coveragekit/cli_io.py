@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import hashlib
 import json
 import math
@@ -413,9 +412,9 @@ def _output_paths(args) -> tuple[Path, Path]:
 
 def _claim_paths(args) -> None:
     """Refuse, before any work, a run that would write over a file it reads
-    or writes: the input, the result and its manifest, and each of
-    ``--svg``, ``--trace`` and ``--csv`` must name different files.  The
-    refusal names the later option of the two."""
+    or writes, or onto a directory: the input, the result and its manifest,
+    and each of ``--svg``, ``--trace`` and ``--csv`` must name different
+    files.  The refusal names the later option of the two."""
     named = []
     if "out" in args:
         result, manifest = _output_paths(args)
@@ -424,53 +423,59 @@ def _claim_paths(args) -> None:
               for k in ("svg", "trace", "csv") if vars(args).get(k)]
     claimed = {Path(args.scenario).resolve(): "the input"}
     for option, what, path in named:
+        if Path(path).is_dir():
+            raise ParseError(option, f"{path} is a directory")
         other = claimed.setdefault(Path(path).resolve(), what)
         if other != what:
             raise ParseError(option, f"{path} is {other}")
 
 
+_SVG_BLOCK = 2048  # parts joined per write: bounds the text held at once
+
+
+def _write(files: Sequence[tuple[str | Path, Iterable[str]]]) -> None:
+    """Stage each (path, parts) of ``files``, in order, in a temporary file
+    beside its path, joining ``_SVG_BLOCK`` parts per write, so each part is
+    formatted when its turn comes; once all are staged, move each onto its
+    path.  On any failure every temporary file is removed, and an ``OSError``
+    names the path as given."""
+    staged = []
+    try:
+        for path, parts in files:
+            target = Path(path).resolve()
+            tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+            staged.append((path, tmp, target))
+            with tmp.open("w", encoding="utf-8", newline="") as fh:
+                parts = iter(parts)
+                while block := list(islice(parts, _SVG_BLOCK)):
+                    fh.write("".join(block))
+        for path, tmp, target in staged:
+            os.replace(tmp, target)
+            print(f"wrote {path}")
+    except OSError as e:  # ``path`` is the file being staged or moved
+        raise OSError(e.errno, e.strerror, str(path)) from None
+    finally:
+        for _, tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
+
+
+def _json(payload) -> Iterator[str]:
+    """``payload``'s JSON text, formatted when it is taken."""
+    yield json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def _write_result(args, result: dict, input_hash: str, seed: Optional[int],
-                  parameters: dict, wall_time: float, stats: dict) -> None:
-    """Write ``result`` and, beside it, the run's manifest: the command, the
-    input's hash, the seed, the parameters, the version, the wall time and
-    ``stats`` (per-operation timings and counters)."""
+                  parameters: dict, wall_time: float, stats: dict, others=()) -> None:
+    """Write ``result``, then each (path, parts) of ``others``, then beside
+    the result the run's manifest: the command, the input's hash, the seed,
+    the parameters, the version, the wall time and ``stats`` (per-operation
+    timings and counters, with those ``others`` add as they are drawn)."""
     path, mpath = _output_paths(args)
     command = f"optimize-{args.method}" if args.command == "optimize" else args.command
     manifest = {"command": command, "input_hash": input_hash, "seed": seed,
                 "parameters": parameters, "tool_version": __version__,
                 "wall_time": wall_time, "stats": stats}
-    for target, payload in ((path, result), (mpath, manifest)):
-        target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {path}")
-
-
-_SVG_BLOCK = 2048  # SVG parts joined per write: bounds the text held at once
-
-
-@contextlib.contextmanager
-def _svg_file(path: str, parts: Iterator[str]) -> Iterator[None]:
-    """Draw ``parts`` into a temporary file beside ``path``, writing them in
-    joined blocks; after the body, move it onto ``path``.  If the drawing or
-    the body fails, the temporary file is removed and ``path`` is untouched."""
-    target = Path(path).resolve()
-    tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-    try:
-        with tmp.open("w", encoding="utf-8") as fh:
-            while block := list(islice(parts, _SVG_BLOCK)):
-                fh.write("".join(block))
-        yield
-        os.replace(tmp, target)
-    finally:
-        tmp.unlink(missing_ok=True)
-    print(f"wrote {path}")
-
-
-def _write_csv(path: str, header: list[str], rows: Iterable[Sequence]) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-    print(f"wrote {path}")
+    _write([(path, _json(result)), *others, (mpath, _json(manifest))])
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +509,9 @@ def _cmd_build_map(args) -> int:
     wall_time = time.perf_counter() - t0
     stats = {"diagram_route": cov.diagram.route, "hidden": len(cov.diagram.hidden),
              "edges": cov.diagram.edge_count(), **cov.stats}
-    # the drawing adds its frame counters to the manifest before it is written
-    with (_svg_file(args.svg, _svg_parts(cov, stats)) if args.svg
-          else contextlib.nullcontext()):
-        _write_result(args, result, digest, scen.seed, {}, wall_time, stats)
+    # the drawing adds its frame counters to stats before the manifest is written
+    _write_result(args, result, digest, scen.seed, {}, wall_time, stats,
+                  [(args.svg, _svg_parts(cov, stats))] if args.svg else ())
     print(f"covered area {result['total_area']:.6g} over {len(cov.regions)} sites")
     return 0
 
@@ -586,13 +590,11 @@ def _cmd_optimize(args) -> int:
         res = post_process(base, res.best_power, bounds.p_min, plan)
         stats["post_process"] = {"calls": res.evaluations, "computed": res.computed,
                                  "filter": res.counts}
+    rows = ["evaluation,best_area\r\n", *(f"{i},{a:.10g}\r\n" for i, a in res.trace)]
     _write_result(args, res.to_dict(), digest, seed,
                   {"levels": args.levels, "restarts": args.restarts,
                    "post_process": bool(args.post_process)},
-                  time.perf_counter() - t0, stats)
-    if args.trace:
-        _write_csv(args.trace, ["evaluation", "best_area"],
-                   ([i, f"{a:.10g}"] for i, a in res.trace))
+                  time.perf_counter() - t0, stats, [(args.trace, rows)] if args.trace else ())
     print(f"{args.method}: best area {res.best_area:.6g} "
           f"with total power {res.total_power:.6g} "
           f"({res.evaluations} evaluations)")
@@ -604,12 +606,11 @@ def _cmd_sweep_power(args) -> int:
     t0, evaluator = time.perf_counter(), objective(scen.sinr, scen.sampling)
     curve = power_ramp(evaluator, scen.bounds, args.levels)
     result = {"curve": [[p, a] for p, a in curve]}
+    rows = ["total_power,estimated_area\r\n", *(f"{p:.10g},{a:.10g}\r\n" for p, a in curve)]
     _write_result(args, result, digest, scen.seed, {"levels": args.levels},
                   time.perf_counter() - t0,
-                  {"calls": len(curve), "computed": len(curve), "filter": evaluator.counts})
-    if args.csv:
-        _write_csv(args.csv, ["total_power", "estimated_area"],
-                   ([f"{p:.10g}", f"{a:.10g}"] for p, a in curve))
+                  {"calls": len(curve), "computed": len(curve), "filter": evaluator.counts},
+                  [(args.csv, rows)] if args.csv else ())
     best = max(a for _, a in curve)
     print(f"swept {args.levels} levels; peak area {best:.6g}")
     return 0
@@ -630,8 +631,7 @@ def _cmd_render(args) -> int:
         grid = capture_grid(s, n, n)
         artifact = CaptureRaster(s.window,
                                  tuple(tuple(int(v) for v in row) for row in grid))
-    with _svg_file(args.svg, _svg_parts(artifact, {})):
-        pass  # the drawing is the command's only output
+    _write([(args.svg, _svg_parts(artifact, {}))])
     return 0
 
 

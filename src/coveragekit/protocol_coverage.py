@@ -22,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .geometry import (ArcPolygon, CircularArc, Disk, Point2, Rect, TWO_PI,
-                       arc_polygon_area, boolean_rows)
+from .geometry import ArcPolygon, Disk, Point2, Rect, arc_polygon_area, boolean_rows
 from .power_diagram import PowerDiagram, SiteId, build
 
 
@@ -95,23 +94,14 @@ def find_interference_bound(cov: CoverageMap) -> Optional[SiteId]:
     disk, or None.  Linear in the total number of arcs.
 
     Assumes the window contains every interference disk, so that an empty or
-    clipped region can only be caused by interference.
+    clipped region can only be caused by interference.  p is bound unless
+    its region is one chain, its whole transmission circle: a closed chain
+    of one edge is a whole circle (stitching makes it one), outward (an
+    inward one would be a hole), and the one outward circle of p's boolean
+    is its transmission disk.
     """
     for p in sorted(cov.regions):
         chains = cov.regions[p]
-        if not chains:
+        if not chains or any(ap.holes or len(ap.edges) != 1 for ap in chains):
             return p
-        for ap in chains:
-            if ap.holes:
-                return p
-            if len(ap.edges) != 1:
-                return p
-            edge = ap.edges[0]
-            if not isinstance(edge, CircularArc):
-                return p
-            if abs(edge.sweep()) < TWO_PI or edge.orientation != "outward":
-                return p
-            if edge.supporting_disk != Disk(cov.diagram.sites[p].center,
-                                            cov.transmitters[p].tx_radius):
-                return p
     return None

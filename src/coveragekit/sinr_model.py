@@ -45,9 +45,6 @@ class PowerVector:
     def __len__(self) -> int:
         return len(self.values)
 
-    def __getitem__(self, i: int) -> float:
-        return self.values[i]
-
     def total(self) -> float:
         return float(sum(self.values))
 
@@ -344,7 +341,7 @@ class SinrEvaluator:
     def capture(self, p) -> np.ndarray:
         """Per sample, the first site of largest receive power (``argmax``):
         site 0 unless a powered site beats 0, as an unpowered one cannot."""
-        r, best, up = self._f[1], np.zeros(self.size), self._b[0]
+        r, best, up = np.empty(self.size), np.zeros(self.size), np.empty(self.size, dtype=bool)
         ids = np.zeros(self.size, dtype=np.intp)
         with self._quiet():
             for i, v in enumerate(p):
@@ -404,7 +401,7 @@ def ray_coverage_profile(s: SinrScenario, t: SiteId, direction: tuple[float, flo
     dist = t0 + (tmax - t0) * np.arange(samples) / (samples - 1)
     pts = np.column_stack([origin.x + dist * dx, origin.y + dist * dy])
     ev = SinrEvaluator(s, pts)
-    mine = ev.capture(s.powers.values) == t  # first: capture reuses mask's scratch row
+    mine = ev.capture(s.powers.values) == t
     return (ev.mask(s.powers.values) & mine).tolist()
 
 

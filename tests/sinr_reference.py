@@ -92,9 +92,9 @@ def weighted_capture_oracle(s: SinrScenario, x: Point2) -> SiteId:
     """
     best, best_v = 0, math.inf
     for i, site in enumerate(s.sites):
-        if s.powers[i] <= 0.0:
+        if s.powers.values[i] <= 0.0:
             continue
-        v = math.hypot(x.x - site.x, x.y - site.y) * s.powers[i] ** (-1.0 / s.alpha)
+        v = math.hypot(x.x - site.x, x.y - site.y) * s.powers.values[i] ** (-1.0 / s.alpha)
         if v < best_v:
             best, best_v = i, v
     return best

@@ -406,6 +406,41 @@ def test_cli_build_map_failing_mid_drawing_leaves_no_files(tmp_path, capsys, mon
     assert sorted(f.name for f in tmp_path.iterdir()) == ["s.json"]
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["optimize", "rhc", "s.json", "--trace", "nodir/t.csv"],
+     "error: [Errno 2] No such file or directory: 'nodir/t.csv'\n"),
+    (["sweep-power", "s.json", "--csv", "nodir/t.csv"],
+     "error: [Errno 2] No such file or directory: 'nodir/t.csv'\n"),
+    (["build-map", "p.json", "--svg", "d.svg"], "error: --svg: d.svg is a directory\n"),
+], ids=["trace", "csv", "svg"])
+def test_cli_a_run_that_cannot_write_one_file_writes_none(tmp_path, capsys, monkeypatch,
+                                                          argv, line):
+    """An output that cannot be written (a missing directory) or that names a
+    directory: exit 2, one ``error:`` line naming the path as given, and no
+    result, manifest or temporary file beside the input."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "s.json").write_text(json.dumps(SINR_SCENARIO))
+    (tmp_path / "p.json").write_text(json.dumps(PROTOCOL_SCENARIO))
+    (tmp_path / "d.svg").mkdir()
+    capsys.readouterr()
+    assert cli(argv) == 2
+    assert capsys.readouterr().err == line
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["d.svg", "p.json", "s.json"]
+    assert not any((tmp_path / "d.svg").iterdir())
+
+
+def test_cli_prints_one_wrote_line_per_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p.json").write_text(json.dumps(PROTOCOL_SCENARIO))
+    (tmp_path / "s.json").write_text(json.dumps(SINR_SCENARIO))
+    capsys.readouterr()
+    assert cli(["build-map", "p.json", "--svg", "p.svg"]) == 0
+    assert cli(["sweep-power", "s.json", "--levels", "3", "--csv", "s.csv"]) == 0
+    assert [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("wrote ")] == [
+        "wrote p.result.json", "wrote p.svg", "wrote p.manifest.json",
+        "wrote s.result.json", "wrote s.csv", "wrote s.manifest.json"]
+
+
 def projected_transmitters(offset=(5e5, 4e6)) -> tuple[list[dict], dict]:
     """The static-map generator (seed 11, n = 512, a 100 x 100 window) moved
     to UTM-like eastings and northings: transmitters and window."""

@@ -377,6 +377,22 @@ def test_capture_grid_matches_argmax_reference():
     assert not capture_grid(dark, 5, 5).any()
 
 
+def test_capture_and_mask_keep_what_the_other_returned():
+    # a capture that wrote into the mask's scratch rows rewrote, on this
+    # first (exact-fold) mask, 167 of its 256 bits
+    s = scen([(0.3, 0.4), (0.7, 0.6)], [2.0, 1.0])
+    pts = _cell_centers(UNIT, 16, 16)
+    ev = SinrEvaluator(s, pts)
+    mask, want = ev.mask(s.powers.values), reference_mask(s, pts, s.powers.values)
+    ids = ev.capture(s.powers.values)
+    assert np.array_equal(mask, want)
+    captured = reference_capture(s, pts, s.powers.values)
+    assert np.array_equal(ids, captured) and 0 < ids.sum() < len(pts)
+    ev.mask([1.0, 2.0])
+    ev.mask(s.powers.values)  # the filter's turn
+    assert np.array_equal(ids, captured)
+
+
 def _criterion_5_scenarios():
     """The six scenarios of acceptance criterion 5 (seed 505), drawn as it
     draws them: per alpha in 2, 3, 4, nine sites at equal powers 2 and at
