@@ -9,8 +9,8 @@ optimization.
 
 __version__ = "0.1.0"
 
-from .errors import (BudgetExceeded, CoverageKitError, DiagramRejected, DuplicateSite,
-                     InvalidChain, LatticeError, ModelError, ParseError, Singularity)
+from .errors import (BudgetExceeded, CoverageKitError, DuplicateSite, InvalidChain,
+                     LatticeError, ModelError, ParseError, Singularity)
 from .geometry import (ArcPolygon, CircularArc, ConvexPolygon, Disk, Point2, Rect,
                        Segment, arc_polygon_area)
 from .power_diagram import PowerDiagram, SiteId, build

@@ -158,6 +158,27 @@ def _transmitter(t: dict, path: str) -> ProtocolTransmitter:
         return ProtocolTransmitter(Point2(x, y), tx_radius, int_radius)
 
 
+_TX_FIELDS = ("x", "y", "tx_radius", "int_radius")
+
+
+def _transmitters(txs: list[dict]) -> tuple[ProtocolTransmitter, ...]:
+    """``_transmitter`` of each object of a scenario file's ``transmitters``
+    in one pass: a transmitter whose four fields are plain finite numbers
+    is built directly, and any other is read again by ``_transmitter``, so
+    the field paths of its error are built only then."""
+    out = []
+    for i, t in enumerate(txs):
+        try:
+            x, y, tx, ir = vals = [t[k] for k in _TX_FIELDS]
+            if all(type(v) in (int, float) and abs(v) <= _MAX_NUMBER for v in vals):
+                out.append(ProtocolTransmitter(Point2(float(x), float(y)), float(tx), float(ir)))
+                continue
+        except (KeyError, ValueError):
+            pass
+        out.append(_transmitter(t, f"transmitters[{i}]"))  # raises the field's error
+    return tuple(out)
+
+
 def _bounds(raw: dict, n: int) -> Bounds:
     bobj = _need(raw, "bounds", "", dict)
     vectors = {k: _need(bobj, k, "bounds.", list) for k in ("p_min", "p_max")}
@@ -193,11 +214,12 @@ def parse_scenario(data: bytes | str) -> ScenarioFile:
     if model not in ("protocol", "sinr"):
         raise ParseError("model", f"unknown model {model!r}")
     window = _window(raw)
-    txs = [_object(t, f"transmitters[{i}]")
-           for i, t in enumerate(_need(raw, "transmitters", "", list))]
+    txs = _need(raw, "transmitters", "", list)
+    for i, t in enumerate(txs):
+        if type(t) is not dict:
+            _object(t, f"transmitters[{i}]")
     if model == "protocol":
-        parts = {"transmitters": tuple(_transmitter(t, f"transmitters[{i}]")
-                                       for i, t in enumerate(txs))}
+        parts = {"transmitters": _transmitters(txs)}
     else:
         sites, powers = [], []
         for i, t in enumerate(txs):

@@ -9,11 +9,6 @@ class InvalidChain(CoverageKitError):
     """An arc-polygon chain is open, degenerate, or self-intersecting."""
 
 
-class DiagramRejected(CoverageKitError):
-    """Qhull rejected the lifted disks of a power diagram; the message is
-    the first line of its reason."""
-
-
 class DuplicateSite(CoverageKitError):
     """Two sites repeat one disk: for coverage maps, static and dynamic
     alike, two transmitters with the same interference disk (centre and

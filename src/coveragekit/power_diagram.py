@@ -10,22 +10,19 @@ rounding scales with the window wherever it lies, and returns the diagram
 in that frame.  Construction (Aurenhammer 1987): lift each disk to the
 point (x, y, x^2 + y^2 - r^2).  The visible sites and their neighbors are
 the vertices and edges of the lower convex hull of the lifted points, and
-each visible site's cell is the window clipped against its neighbors only,
-close to O(n log n).  All cells are cut in one ``clip_rows`` call, and so
-are the power frames of a block of owners (``frame_partitions``): one
-numpy step per cut for every polygon, with the arithmetic of the scalar
-``clip_coords``.  ``_clip_cell`` is the same recipe for one polygon that
-stops at its first empty cut, the dynamic structure's one cell builder.
-Rows are independent, so a row's vertices do not depend on the block it
-was cut in.  A face of four or more cocircular sites comes back from Qhull
-split into triangles on one plane; the edges inside it touch the diagram
-in a point and are no neighbor pairs.
-The neighbors are read off a flat lift first, in O(n log n) too, and Qhull
-(scipy) gets the lift only when no flat route explains it; the diagram's
-``route`` names the route.  Their one rounding test is ``side``, at the
-magnitude of the coordinates they run on (also to tell the split faces),
+each visible site's cell is the window clipped against its neighbors only.
+All cells are cut in one ``clip_rows`` call, and so are the power frames of
+a block of owners (``frame_partitions``): one numpy step per cut for every
+polygon, with the arithmetic of the scalar ``clip_coords``.  ``_clip_cell``
+is the same recipe for one polygon that stops at its first empty cut, the
+dynamic structure's one cell builder.  Rows are independent, so a row's
+vertices do not depend on the block it was cut in.
+
+The neighbors are read off a flat lift first, in O(n log n), and the
+candidate pass (route "hull") reads them otherwise.  The flat routes' one
+rounding test is ``side``, at the magnitude of the coordinates they run on,
 with a slack for the rounding of the given coordinates, which bends a far
-road or ring into a sliver that Qhull would accept:
+road or ring into a sliver:
 
 * centers on one line: at parameter s along it the power distance is
   s^2 - 2 s t_i + t_i^2 - r_i^2, so the visible sites are the lower chain
@@ -35,8 +32,23 @@ road or ring into a sliver that Qhull would accept:
   |x|^2 + c - c_i . (2x - (a, b)), so the visible sites are the corners of
   the centers' convex hull, each cell a wedge, and neighbors are adjacent
   corners.  Every lifted point besides the three the plane is fitted
-  through must lie on it (any three do); if one does not, Qhull decides.
+  through must lie on it (any three do); if one does not, the candidate
+  pass decides.
 
+The candidate pass (``_neighbors``) decides each site p on its own, in
+p's frame (the centres less p's), so the squares of far coordinates never
+cancel.  The centres are bucketed in a uniform grid; p cuts the plane with
+its ``_NEAREST`` (16, the candidate cap) nearest centres and the extra
+candidates earlier rounds found for it, and keeps q as a neighbour where
+the interval of their bisector left by every other candidate's half-plane
+is longer than ``side``'s rounding (a face of four or more cocircular sites
+has edges of length 0 inside it, which are no neighbor pairs).  Every end
+v of an interval is then certified: a site beyond the candidates beats p
+there only if its centre lies within sqrt(pow_p(v) + r_max^2) of v, so v is
+checked against the next nearest sites, and against every site that close
+when that reach leaves them; an unbounded edge holds only if no site lies
+beyond p along it.  A site that fails takes the sites that beat it as
+extra candidates and is decided again; a site left with no edge is hidden.
 Diagrams are immutable after construction; concurrent reads are safe.
 """
 
@@ -48,11 +60,17 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import DiagramRejected, DuplicateSite, require_transmitters
+from .errors import DuplicateSite, require_transmitters
 from .geometry import (ClippedRows, ConvexPolygon, Disk, Point2, Rect, bisector_line,
                        clip_coords, clip_rows, geom_eps, padded, side)
 
 SiteId = int
+
+_NEAREST = 16  # the candidate cap: a site cuts with its 16 nearest, plus its extras
+_CHECKED = 32  # the nearest sites a vertex is checked against before any farther
+_PER_CELL = 2.5  # sites per grid cell: a 5 x 5 block of cells holds about 60
+_CHUNK = 128  # sites per step of the candidate pass
+_ENTRIES = 1 << 14  # entries per working array of a check against every site
 
 
 @dataclass(frozen=True)
@@ -69,7 +87,7 @@ class PowerDiagram:
     # geom_eps(window.diameter()): the cells', frames' and boolean's tolerance
     eps: float
     # how the neighbours were found: "line" (centres on one line), "plane"
-    # (a coplanar lift) or "hull" (Qhull's lower hull)
+    # (a coplanar lift) or "hull" (the certified candidate pass)
     route: str
 
     def edge_count(self) -> int:
@@ -107,12 +125,10 @@ def build(disks: Sequence[Disk], window: Rect) -> PowerDiagram:
     window's centre.  The cells are cut with ``eps =
     geom_eps(window.diameter())`` of the frame's window.  Sites whose power
     region is empty in the unbounded plane are reported in ``hidden`` and
-    get a None cell.  The flat routes are tried before Qhull, allowing for
-    the rounding of the given coordinates (``_flat_neighbors``); a lift
-    that Qhull rejects then raises ``DiagramRejected``.
+    get a None cell.  The flat routes are tried before the candidate
+    pass, allowing for the rounding of the given coordinates
+    (``_flat_neighbors``).
     """
-    from scipy.spatial import QhullError
-
     origin, window, local = window_frame(window)
     sites = [Disk(local(d.center), d.radius) for d in disks]
     require_transmitters(sites)
@@ -121,11 +137,7 @@ def build(disks: Sequence[Disk], window: Rect) -> PowerDiagram:
         admit(seen, i, d, window)
     eps = geom_eps(window.diameter())
     n = len(sites)
-    try:
-        adj, route = _neighbors(sites, max(abs(origin.x), abs(origin.y)))
-    except QhullError as err:
-        reason = next((line for line in str(err).splitlines() if line.strip()), "no reason given")
-        raise DiagramRejected(f"Qhull rejected the sites: {reason.strip()}") from err
+    adj, route = _neighbors(sites, max(abs(origin.x), abs(origin.y)))
     visible = sorted(adj)
     cuts, _ = padded([sorted(adj[i]) for i in visible], -1)
     rows = clip_rows([window.to_polygon()], np.array([d.xyr for d in sites]),
@@ -169,36 +181,171 @@ def _neighbors(disks: Sequence[Disk], far: float) -> tuple[dict[SiteId, set[Site
     """Unbounded-plane neighbors of every visible site (hidden sites are
     absent), and the route that found them (``PowerDiagram.route``): the
     flat routes for ``disks`` moved from coordinates of magnitude ``far``,
-    else Qhull's lower hull (QhullError if Qhull rejects the lift)."""
-    from scipy.spatial import ConvexHull
-
+    else the certified candidate pass (route "hull")."""
     lift = [(d.center.x, d.center.y, d.center.x ** 2 + d.center.y ** 2 - d.radius ** 2)
             for d in disks]
     if flat := _flat_neighbors(disks, lift, far):
         return flat
-    hull = ConvexHull(np.array(lift), qhull_options="Qt")
-    tris, across, planes = (hull.simplices.tolist(), hull.neighbors.tolist(),
-                            hull.equations.tolist())
-    lower = [nz < -1e-12 for _, _, nz, _ in planes]
-    adj: dict[SiteId, set[SiteId]] = {}
-    for f, tri in enumerate(tris):
-        if not lower[f]:
-            continue
-        for v in tri:
-            adj.setdefault(v, set())
-        a, b, c = tri
-        for u, v, g in ((b, c, across[f][0]), (c, a, across[f][1]), (a, b, across[f][2])):
-            if lower[g]:
-                if g < f:
-                    continue  # decided from g
-                # an edge inside a split face: g's far vertex lies on f's plane
-                nx, ny, nz, off = planes[f]
-                x, y, z = lift[tris[g][across[g].index(f)]]
-                if side(nx * x + ny * y + nz * z, -off) == 0:
-                    continue
-            adj[u].add(v)
-            adj[v].add(u)
-    return adj, "hull"
+    xyr = np.array([d.xyr for d in disks])
+    n, xy, (x, y, r) = len(disks), xyr[:, :2], xyr.T
+    lo, ext = xy.min(0), np.ptp(xy, 0)
+    h = max(math.sqrt(_PER_CELL * ext.prod() / n), _PER_CELL * ext.max() / n)
+    g = (ext // h).astype(int) + 1
+    cell = np.minimum(((xy - lo) // h).astype(int), g - 1)
+    key = cell @ [g[1], 1]
+    order = np.argsort(key, kind="stable")
+    start = np.searchsorted(key[order], np.arange(g.prod() + 1))  # cell c: order[start[c]:]
+
+    def block(c: np.ndarray) -> np.ndarray:
+        """The sites in the 5 x 5 grid cells about each cell c[i], -1 after."""
+        col, cy = c[:, :1] + np.arange(-2, 3), c[:, 1:]
+        a = start[col.clip(0, g[0] - 1) * g[1] + (cy - 2).clip(0)]
+        z = np.where((col >= 0) & (col < g[0]),
+                     start[col.clip(0, g[0] - 1) * g[1] + (cy + 3).clip(0, g[1])], a)
+        i = a[:, :, None] + np.arange((z - a).max(initial=0))
+        return np.where(i < z[:, :, None], order[i.clip(0, n - 1)], -1).reshape(len(c), -1)
+
+    # each site's _CHECKED + 1 nearest in its block, and rho: every site
+    # closer than rho is among them
+    near, rho = np.full((n, _CHECKED + 1), -1), np.empty(n)
+    for ps in np.array_split(np.arange(n), -(-n // (2 * _CHUNK))):
+        c = block(cell[ps])
+        c[c == ps[:, None]] = -1
+        d2 = np.where(c >= 0, (x[c] - x[ps, None]) ** 2 + (y[c] - y[ps, None]) ** 2, np.inf)
+        by = (np.argpartition(d2, (_NEAREST - 1, _CHECKED), 1) if d2.shape[1] > _CHECKED
+              else np.argsort(d2, 1))[:, :_CHECKED + 1]  # the 16 nearest, the next, the 33rd
+        near[ps, :by.shape[1]] = np.take_along_axis(c, by, 1)
+        edge = np.minimum(np.where(cell[ps] > 2, xy[ps] - lo - (cell[ps] - 2) * h, np.inf),
+                          np.where(cell[ps] < g - 3, lo + (cell[ps] + 3) * h - xy[ps], np.inf))
+        rho[ps] = np.minimum(np.sqrt(np.take_along_axis(d2, by[:, -1:], 1)[:, 0]), edge.min(1))
+    todo, extra, reach2, pairs = np.arange(n), {}, r.max() ** 2, []
+    reach = np.full(n, np.inf)  # how far from its centre a site's cell may reach
+
+    def grow(ps: np.ndarray, qs: np.ndarray) -> list[SiteId]:
+        """Add each site qs[i] to the extra candidates of ps[i]; the sites
+        that gained one (a site that beats p only where it is one of p's
+        candidates already does so by rounding)."""
+        new = ~(near[ps, :_NEAREST] == qs[:, None]).any(1)
+        return [i for i, j in zip(ps[new].tolist(), qs[new].tolist())
+                if j not in extra.setdefault(i, set()) and not extra[i].add(j)]
+
+    while len(todo):
+        retry, found, far, rays = [], [], [], []
+        for ps in np.array_split(todo, -(-len(todo) // _CHUNK)):
+            # p cuts with its _NEAREST nearest and its extra candidates, and
+            # checks its vertices against the rest of its nearest
+            more = padded([list(extra.get(p, ())) for p in ps.tolist()], -1)[0].reshape(len(ps), -1)
+            nb = np.concatenate([near[ps, :_NEAREST], more, near[ps, _NEAREST:-1]], 1)
+            k = _NEAREST + more.shape[1]
+            dx, dy = x[nb] - x[ps, None], y[nb] - y[ps, None]  # in p's frame
+            b = dx * dx + dy * dy - r[nb] ** 2 + r[ps, None] ** 2
+            ok = (nb >= 0) & ((dx != 0) | (dy != 0))
+            hidden = ((nb >= 0) & ~ok & (r[nb] > r[ps, None])).any(1)
+            cand = np.where(ok[:, :k], nb[:, :k], -1)
+            lo_t, hi_t = _intervals(*(np.where(ok[:, :k], a[:, :k], z)
+                                      for a, z in ((dx, 0.0), (dy, 0.0), (b, 1.0))))
+            with np.errstate(invalid="ignore"):
+                edges = (cand >= 0) & ~hidden[:, None] & np.where(
+                    np.isfinite(hi_t - lo_t), side(hi_t, lo_t) > 0, hi_t > lo_t)
+            # p's rays, an end at t = -inf or inf running along -+ d_q turned
+            # a quarter, and its vertices, each the hi end of one edge (t runs
+            # anticlockwise about p)
+            s, q = np.nonzero(edges)
+            qx, qy, t = dx[s, q], dy[s, q], hi_t[s, q]
+            end, w = ~np.isfinite(np.stack([lo_t[s, q], t])), np.stack([-qy, qx], 1)
+            rs, rw = np.concatenate([s[end[0]], s[end[1]]]), np.concatenate([-w[end[0]], w[end[1]]])
+            s, q, qx, qy, t = (a[~end[1]] for a in (s, q, qx, qy, t))
+            bq = b[s, q] / (qx * qx + qy * qy)
+            vx, vy = (bq * qx - t * qy) / 2, (bq * qy + t * qx) / 2
+            lost = ~hidden & (cand < 0).all(1)
+            reach[ps] = np.where(lost, np.inf, -np.inf)
+            np.maximum.at(reach, ps[s], np.hypot(vx, vy))
+            reach[ps[rs]] = np.inf
+            # a site that beats p at a vertex: among its nearest, else (if one
+            # beyond them could) among all; for a ray, the site farthest
+            # beyond p along it.  Each joins p's extra candidates.
+            vd = 2 * (vx[:, None] * dx[s, k:] + vy[:, None] * dy[s, k:])
+            tol = 1e-12 * (abs(vd).max(1, initial=0) + abs(b[s, k:]).max(1, initial=0))
+            hit = (nb[s, k:] >= 0) & (vd - b[s, k:] > tol[:, None])
+            for i in ps[lost].tolist():  # none in its block: its nearest site
+                extra.setdefault(i, set()).add(int(np.where(
+                    (xy != xy[i]).any(1), ((xy - xy[i]) ** 2).sum(1), np.inf).argmin()))
+            e, c = np.nonzero(hit)
+            lost[np.isin(ps, grow(ps[s[e]], nb[s[e], k + c]))] = True
+            pw = vx * vx + vy * vy - r[ps[s]] ** 2
+            wide = ~lost[s] & (np.hypot(vx, vy) + np.sqrt((pw + reach2).clip(0)) >= rho[ps[s]])
+            far.append((ps[s[wide]], np.stack([vx[wide], vy[wide]], 1)))
+            rays.append((ps[rs[~lost[rs]]], rw[~lost[rs]]))
+            retry.append(ps[lost])
+            s, q = np.nonzero(edges & ~lost[:, None])
+            found.append((ps[s], cand[s, q]))
+        # the far checks, once every site's cell of the round is known: the
+        # site whose cell holds a point beats p there if any does, and only
+        # a site whose cell reaches far (every one with a ray) can hold a
+        # point beyond the block about it
+        wide = np.flatnonzero(reach > 2 * h)
+        (p, a), (pr, w) = (map(np.concatenate, zip(*x)) for x in (far, rays))
+        cells = np.minimum(((a + xy[p] - lo) // h).clip(0), g - 1).astype(int)
+        beater = np.concatenate([_beater(xyr, p, a, lambda j: block(cells[j]), wide),
+                                 _beater(xyr, pr, w, None, wide)])
+        p = np.concatenate([p, pr])
+        retry.append(np.unique(grow(p[beater >= 0], beater[beater >= 0])).astype(int))
+        i, j = map(np.concatenate, zip(*found))
+        pairs.append((i[~np.isin(i, retry[-1])], j[~np.isin(i, retry[-1])]))
+        todo = np.concatenate(retry)
+        todo = todo[np.argsort([len(extra[i]) for i in todo.tolist()], kind="stable")]
+    p, q = (np.concatenate(x) for x in zip(*pairs))
+    key = np.unique(np.concatenate([p * n + q, q * n + p]))
+    heads = np.flatnonzero(np.diff(key // n, prepend=-1))
+    return {int(key[i] // n): set((part % n).tolist())
+            for i, part in zip(heads, np.split(key, heads[1:]))}, "hull"
+
+
+def _intervals(dx: np.ndarray, dy: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each row p and each q of its candidates, given in p's frame (the
+    centres less p's, and b, twice each bisector's offset: p keeps the x
+    with 2 x . d <= b): the parameters [lo, hi] of the part of the bisector
+    of p and q, x = (b_q d_q + t d_q turned a quarter) / 2, where p and q
+    beat every other candidate k; lo > hi if there is none.  Rows are
+    taken 32 at a time, which keeps the working arrays in cache."""
+    lo, hi = np.empty_like(b), np.empty_like(b)
+    for i in range(0, len(b), 32):
+        x, y, c = dx[i:i + 32], dy[i:i + 32], b[i:i + 32]
+        kx, ky, kb = x.T[:, :, None], y.T[:, :, None], c.T[:, :, None]  # k first
+        cross = x * ky - y * kx
+        along = (c / (x * x + y * y).clip(1e-300)) * (x * kx + y * ky)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (kb - along) / cross
+        lo[i:i + 32] = np.where(cross < 0, t, -np.inf).max(0)
+        hi[i:i + 32] = np.where(cross > 0, t, np.inf).min(0)
+        # a parallel candidate that leaves p no point of the line
+        k, r, q = np.nonzero(cross == 0)
+        cut = side(kb[k, r, 0], along[k, r, q]) < 0
+        hi[i + r[cut], q[cut]] = -np.inf
+    return lo, hi
+
+
+def _beater(xyr: np.ndarray, p: np.ndarray, v: np.ndarray,
+            around: Optional[Callable[[slice], np.ndarray]], common: np.ndarray) -> np.ndarray:
+    """For each i, the site that beats site p[i] most at the point v[i] of
+    p[i]'s frame, of the sites ``around(rows)`` (-1 for none) and
+    ``common``; without ``around``, the site of ``common`` that lies
+    farthest beyond p[i] in the direction v[i].  -1 where none does by
+    more than ``side``'s rounding.  Computed in p[i]'s frame, so the
+    squares of far coordinates never cancel."""
+    x, y, r = xyr.T
+    out, step = np.full(len(p), -1), max(1, _ENTRIES // (len(common) + 64))
+    for i in range(0, len(p), step):
+        j, q = slice(i, i + step), p[i:i + step, None]
+        c = np.broadcast_to(common, (len(q), len(common)))
+        c = np.concatenate([around(j), c], 1) if around else c
+        dx, dy = x[c] - x[q], y[c] - y[q]
+        a = v[j, :1] * dx + v[j, 1:] * dy
+        b = (dx * dx + dy * dy - r[c] ** 2 + r[q] ** 2) / 2 if around else 0.0
+        gain = np.where((c >= 0) & (side(a, b) > 0), a - b, -np.inf)
+        best = np.take_along_axis(c, gain.argmax(1)[:, None], 1)[:, 0]
+        out[j] = np.where(np.isfinite(gain.max(1, initial=-np.inf)), best, -1)
+    return out
 
 
 def _lower_chain(pts: Sequence[tuple[float, float]], order: Iterable[int]) -> list[int]:

@@ -8,8 +8,11 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+from scipy.spatial import ConvexHull
+
 from coveragekit.errors import CoverageKitError
-from coveragekit.geometry import ConvexPolygon, Disk, Point2, Rect, _power
+from coveragekit.geometry import ConvexPolygon, Disk, Point2, Rect, _power, side
 from coveragekit.power_diagram import (PowerDiagram, SiteId, _polygons, build,
                                        frame_partitions)
 
@@ -69,3 +72,37 @@ def nearest_site(pd: PowerDiagram, x: Point2) -> SiteId:
         if v < best_v:
             best, best_v = i, v
     return best
+
+
+def qhull_neighbors(disks: Sequence[Disk]) -> dict[SiteId, set[SiteId]]:
+    """Unbounded-plane neighbours of every visible site (hidden sites are
+    absent) from Qhull's lower hull of the lifted disks, as ``build``'s
+    "hull" route read them before it stopped using Qhull.  An edge inside a
+    face of four or more cocircular sites, which Qhull splits into
+    triangles on one plane, touches the diagram in a point and is left out.
+    Raises ``scipy.spatial.QhullError`` on a lift Qhull rejects."""
+    lift = [(d.center.x, d.center.y, d.center.x ** 2 + d.center.y ** 2 - d.radius ** 2)
+            for d in disks]
+    hull = ConvexHull(np.array(lift), qhull_options="Qt")
+    tris, across, planes = (hull.simplices.tolist(), hull.neighbors.tolist(),
+                            hull.equations.tolist())
+    lower = [nz < -1e-12 for _, _, nz, _ in planes]
+    adj: dict[SiteId, set[SiteId]] = {}
+    for f, tri in enumerate(tris):
+        if not lower[f]:
+            continue
+        for v in tri:
+            adj.setdefault(v, set())
+        a, b, c = tri
+        for u, v, g in ((b, c, across[f][0]), (c, a, across[f][1]), (a, b, across[f][2])):
+            if lower[g]:
+                if g < f:
+                    continue  # decided from g
+                # an edge inside a split face: g's far vertex lies on f's plane
+                nx, ny, nz, off = planes[f]
+                x, y, z = lift[tris[g][across[g].index(f)]]
+                if side(nx * x + ny * y + nz * z, -off) == 0:
+                    continue
+            adj[u].add(v)
+            adj[v].add(u)
+    return adj

@@ -7,9 +7,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.spatial import ConvexHull, QhullError
 
-from coveragekit.errors import DiagramRejected, DuplicateSite, require_transmitters
+from coveragekit.errors import DuplicateSite, require_transmitters
 from coveragekit.geometry import ConvexPolygon, Disk, Point2, Rect, geom_eps, side
 from coveragekit import geometry, power_diagram
 from coveragekit.power_diagram import (PowerDiagram, SiteId, admit, build, frame_partitions,
@@ -18,7 +19,7 @@ from coveragekit.power_diagram import (PowerDiagram, SiteId, admit, build, frame
 from geometry_reference import (ConcentricDisks, clip_convex, polygon_area, polygon_contains,
                                 power_bisector)
 from power_diagram_reference import (HiddenSite, nearest_site, power_distance, power_frame,
-                                     remove_redundant)
+                                     qhull_neighbors, remove_redundant)
 from oracles import grid_power_cell_areas
 
 WIN = Rect(-6, -6, 6, 6)
@@ -590,16 +591,26 @@ def test_build_computes_in_the_window_frame_at_projected_offsets(name, offset):
             assert all(frame.contains(v) for v in cell.vertices)
 
 
-def test_build_turns_a_qhull_rejection_into_diagram_rejected():
+def test_build_decides_the_far_lift_qhull_rejected():
     # c02's generator far from the origin in a window centred exactly on
-    # it: the move into the frame is by zero, no flat route explains the
-    # lift, and it is too flat for Qhull (QH6154)
-    disks = [Disk(Point2(d.center.x + 5e5, d.center.y + 4e6), d.radius) for d in c02_disks(512)]
+    # it: the move into the frame is by zero and no flat route explains the
+    # lift, which Qhull rejected as too flat (QH6154).  The candidate pass
+    # works in each site's own frame, so it finds the diagram of the same
+    # sites at the origin, where Qhull accepts the lift
+    base = c02_disks(512)
+    far = [Disk(Point2(d.center.x + 5e5, d.center.y + 4e6), d.radius) for d in base]
     half = 4e6 + 100.0
-    with pytest.raises(DiagramRejected, match="^Qhull rejected the sites: QH") as raised:
-        build(disks, Rect(-half, -half, half, half))
-    assert isinstance(raised.value.__cause__, QhullError)
-    assert "\n" not in str(raised.value)
+    window = Rect(-half, -half, half, half)
+    with pytest.raises(QhullError):
+        ConvexHull(np.array(lift(far)), qhull_options="Qt")
+    pd = build(far, window)
+    ref = qhull_neighbors(base)
+    assert pd.route == "hull"
+    assert pd.hidden == frozenset(range(len(base))) - set(ref)
+    assert pd.neighbors == {i: frozenset(ref.get(i, ())) for i in range(len(base))}
+    # and on 64 of the far sites, the quadratic direct reference
+    sub, direct = build(far[:64], window), _build_direct(base[:64], DIAGRAM_WIN)
+    assert (sub.hidden, sub.neighbors) == (direct.hidden, direct.neighbors)
 
 
 def test_flat_routes_find_nothing_in_a_full_rank_lift():
@@ -672,3 +683,47 @@ def test_cells_and_frames_make_no_per_polygon_clip(monkeypatch):
     assert frame_partitions(pd, [p for p in sorted(pd.cells) if pd.cells[p] is not None]
                             ).sizes.sum() > 0
     assert all(power_frame(pd, p).partitions for p in pd.cells if pd.cells[p] is not None)
+
+
+# The candidate pass against Qhull's lower hull of the same sites, in the
+# window's frame: uniform, clustered and road-like layouts, radius ratios up
+# to 100, up to 300 sites.
+
+@st.composite
+def hull_layouts(draw):
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    n, kind = draw(st.integers(4, 300)), draw(st.sampled_from(["uniform", "clustered", "road"]))
+    rmin = 1.0 / draw(st.sampled_from([1.0, 3.0, 10.0, 100.0]))
+    spread = 100.0 / math.sqrt(n)
+    hubs = [(rng.uniform(10, 90), rng.uniform(10, 90)) for _ in range(rng.randint(1, 4))]
+    disks = []
+    for _ in range(n):
+        if kind == "uniform":
+            x, y = rng.uniform(0.5, 99.5), rng.uniform(0.5, 99.5)
+        elif kind == "clustered":
+            hx, hy = rng.choice(hubs)
+            x, y = (min(max(rng.gauss(h, 5.0), 0.5), 99.5) for h in (hx, hy))
+        else:
+            x = rng.uniform(1.0, 99.0)
+            y = 50.0 + 0.3 * (x - 50.0) + rng.uniform(-2.0, 2.0)
+        disks.append(Disk(Point2(x, y), spread * rng.uniform(rmin, 1.0)))
+    return disks
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(hull_layouts())
+def test_hull_route_equals_qhull_lower_hull(disks):
+    pd = build(disks, DIAGRAM_WIN)
+    assert pd.route == "hull"
+    ref = qhull_neighbors(pd.sites)
+    assert pd.hidden == frozenset(range(len(disks))) - set(ref)
+    assert pd.neighbors == {i: frozenset(ref.get(i, ())) for i in range(len(disks))}
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_hull_route_equals_qhull_on_the_benchmark_generator(seed):
+    pd = build(c02_disks(2048, seed), DIAGRAM_WIN)
+    ref = qhull_neighbors(pd.sites)
+    assert pd.route == "hull"
+    assert pd.hidden == frozenset(range(2048)) - set(ref)
+    assert pd.neighbors == {i: frozenset(ref.get(i, ())) for i in range(2048)}
