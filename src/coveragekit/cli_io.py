@@ -149,34 +149,31 @@ def _window(raw: dict) -> Rect:
         return Rect(**wvals)
 
 
+_TX_FIELDS = ("x", "y", "tx_radius", "int_radius")
+
+
 def _transmitter(t: dict, path: str) -> ProtocolTransmitter:
     """The protocol-model transmitter of object ``t`` at ``path``, a scenario
     file's ``transmitters[i]`` or a ``dynamic`` insert's ``ops[k]``."""
-    x, y, tx_radius, int_radius = (_num(t, k, f"{path}.")
-                                   for k in ("x", "y", "tx_radius", "int_radius"))
+    x, y, tx_radius, int_radius = (_num(t, k, f"{path}.") for k in _TX_FIELDS)
     with _field(path):
         return ProtocolTransmitter(Point2(x, y), tx_radius, int_radius)
 
 
-_TX_FIELDS = ("x", "y", "tx_radius", "int_radius")
-
-
 def _transmitters(txs: list[dict]) -> tuple[ProtocolTransmitter, ...]:
-    """``_transmitter`` of each object of a scenario file's ``transmitters``
-    in one pass: a transmitter whose four fields are plain finite numbers
-    is built directly, and any other is read again by ``_transmitter``, so
-    the field paths of its error are built only then."""
-    out = []
-    for i, t in enumerate(txs):
-        try:
-            x, y, tx, ir = vals = [t[k] for k in _TX_FIELDS]
-            if all(type(v) in (int, float) and abs(v) <= _MAX_NUMBER for v in vals):
-                out.append(ProtocolTransmitter(Point2(float(x), float(y)), float(tx), float(ir)))
-                continue
-        except (KeyError, ValueError):
-            pass
-        out.append(_transmitter(t, f"transmitters[{i}]"))  # raises the field's error
-    return tuple(out)
+    """``_transmitter`` of each object of a scenario file's ``transmitters``,
+    in one pass that formats no field path while every field is a plain
+    finite number and every disk is valid; else the first error, as
+    ``_transmitter`` reports it."""
+    try:
+        if all(type(t[k]) in (int, float) and abs(t[k]) <= _MAX_NUMBER
+               for t in txs for k in _TX_FIELDS):
+            return tuple(ProtocolTransmitter(Point2(float(t["x"]), float(t["y"])),
+                                             float(t["tx_radius"]), float(t["int_radius"]))
+                         for t in txs)
+    except (KeyError, ValueError):
+        pass
+    return tuple(_transmitter(t, f"transmitters[{i}]") for i, t in enumerate(txs))
 
 
 def _bounds(raw: dict, n: int) -> Bounds:

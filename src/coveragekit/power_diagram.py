@@ -37,18 +37,23 @@ road or ring into a sliver:
 
 The candidate pass (``_neighbors``) decides each site p on its own, in
 p's frame (the centres less p's), so the squares of far coordinates never
-cancel.  The centres are bucketed in a uniform grid; p cuts the plane with
-its ``_NEAREST`` (16, the candidate cap) nearest centres and the extra
+cancel.  The centres are bucketed in a uniform grid, and p's 48 nearest
+ordered by how close to p their bisectors pass.  A site whose cell is empty
+already with the first ``_FIRST`` (8) is hidden and leaves every list.  p cuts the plane
+with the first ``_NEAREST`` (16, the candidate cap) and the extra
 candidates earlier rounds found for it, and keeps q as a neighbour where
 the interval of their bisector left by every other candidate's half-plane
-is longer than ``side``'s rounding (a face of four or more cocircular sites
-has edges of length 0 inside it, which are no neighbor pairs).  Every end
-v of an interval is then certified: a site beyond the candidates beats p
-there only if its centre lies within sqrt(pow_p(v) + r_max^2) of v, so v is
-checked against the next nearest sites, and against every site that close
-when that reach leaves them; an unbounded edge holds only if no site lies
-beyond p along it.  A site that fails takes the sites that beat it as
-extra candidates and is decided again; a site left with no edge is hidden.
+is longer than ``side``'s rounding (inside a face of four or more
+cocircular sites the edges have length 0 and are no neighbor pairs).  Every
+end v of an interval is then certified.  The rest of the 48 beat p at v
+only if the first of their bisectors passes within |v| of p.  A site
+beyond them beats p there only if its centre lies within sqrt(pow_p(v) +
+r_max^2) of v; when that reach leaves the 48, v is checked against the site
+whose cell holds it, which lies in the 5 x 5 grid cells about v or has a
+cell reaching beyond 2 cells.  An unbounded edge holds only if no site lies
+beyond p along it.  A site beaten somewhere takes its beaters (for an
+unbounded edge, the next corner of the centres' hull) as extra candidates
+and is decided again; a site left with no edge is hidden.
 Diagrams are immutable after construction; concurrent reads are safe.
 """
 
@@ -66,11 +71,12 @@ from .geometry import (ClippedRows, ConvexPolygon, Disk, Point2, Rect, bisector_
 
 SiteId = int
 
-_NEAREST = 16  # the candidate cap: a site cuts with its 16 nearest, plus its extras
-_CHECKED = 32  # the nearest sites a vertex is checked against before any farther
+_NEAREST = 16  # the candidate cap: a site cuts with 16 of its nearest, plus its extras
+_CHECKED = 48  # the nearest sites a cell is certified against
+_FIRST = 8  # a site whose cell its first 8 candidates leave empty is hidden
 _PER_CELL = 2.5  # sites per grid cell: a 5 x 5 block of cells holds about 60
-_CHUNK = 128  # sites per step of the candidate pass
-_ENTRIES = 1 << 14  # entries per working array of a check against every site
+_CHUNK = 256  # sites per step of the candidate pass
+_STEP = 128  # points per step of a far check
 
 
 @dataclass(frozen=True)
@@ -181,171 +187,185 @@ def _neighbors(disks: Sequence[Disk], far: float) -> tuple[dict[SiteId, set[Site
     """Unbounded-plane neighbors of every visible site (hidden sites are
     absent), and the route that found them (``PowerDiagram.route``): the
     flat routes for ``disks`` moved from coordinates of magnitude ``far``,
-    else the certified candidate pass (route "hull")."""
+    else the candidate pass (route "hull")."""
     lift = [(d.center.x, d.center.y, d.center.x ** 2 + d.center.y ** 2 - d.radius ** 2)
             for d in disks]
     if flat := _flat_neighbors(disks, lift, far):
         return flat
     xyr = np.array([d.xyr for d in disks])
-    n, xy, (x, y, r) = len(disks), xyr[:, :2], xyr.T
+    # of the disks sharing a centre only the largest, first here, can be visible
+    order = np.lexsort((-xyr[:, 2], xyr[:, 1], xyr[:, 0]))
+    ids = order[np.r_[True, (np.diff(xyr[order, :2], axis=0) != 0).any(1)]]
+    (x, y, r), xy, n = xyr[ids].T, xyr[ids, :2], len(ids)
+    # the centres in a uniform grid of about _PER_CELL a cell; cells -3 and
+    # g + 2 have none about them
     lo, ext = xy.min(0), np.ptp(xy, 0)
     h = max(math.sqrt(_PER_CELL * ext.prod() / n), _PER_CELL * ext.max() / n)
     g = (ext // h).astype(int) + 1
-    cell = np.minimum(((xy - lo) // h).astype(int), g - 1)
+    cell_of = lambda a: ((a - lo) // h).clip(-3, g + 2).astype(int)
+    cell = cell_of(xy)
     key = cell @ [g[1], 1]
-    order = np.argsort(key, kind="stable")
-    start = np.searchsorted(key[order], np.arange(g.prod() + 1))  # cell c: order[start[c]:]
+    by_cell = np.argsort(key, kind="stable")
+    start = np.searchsorted(key[by_cell], np.arange(g.prod() + 1))  # cell c: by_cell[start[c]:]
 
     def block(c: np.ndarray) -> np.ndarray:
-        """The sites in the 5 x 5 grid cells about each cell c[i], -1 after."""
-        col, cy = c[:, :1] + np.arange(-2, 3), c[:, 1:]
-        a = start[col.clip(0, g[0] - 1) * g[1] + (cy - 2).clip(0)]
-        z = np.where((col >= 0) & (col < g[0]),
-                     start[col.clip(0, g[0] - 1) * g[1] + (cy + 3).clip(0, g[1])], a)
-        i = a[:, :, None] + np.arange((z - a).max(initial=0))
-        return np.where(i < z[:, :, None], order[i.clip(0, n - 1)], -1).reshape(len(c), -1)
+        """The sites in the 5 x 5 cells about each cell c[i], -1 after."""
+        col = c[:, :1] + np.arange(-2, 3)
+        a, z = (np.where((col >= 0) & (col < g[0]),
+                         start[col.clip(0, g[0] - 1) * g[1] + (c[:, 1:] + d).clip(0, g[1])], 0)
+                for d in (-2, 3))
+        i = a[:, :, None] + np.arange((z - a).max(initial=1))
+        return np.where(i < z[:, :, None], by_cell[i.clip(0, n - 1)], -1).reshape(len(c), -1)
 
-    # each site's _CHECKED + 1 nearest in its block, and rho: every site
-    # closer than rho is among them
-    near, rho = np.full((n, _CHECKED + 1), -1), np.empty(n)
-    for ps in np.array_split(np.arange(n), -(-n // (2 * _CHUNK))):
-        c = block(cell[ps])
-        c[c == ps[:, None]] = -1
-        d2 = np.where(c >= 0, (x[c] - x[ps, None]) ** 2 + (y[c] - y[ps, None]) ** 2, np.inf)
-        by = (np.argpartition(d2, (_NEAREST - 1, _CHECKED), 1) if d2.shape[1] > _CHECKED
-              else np.argsort(d2, 1))[:, :_CHECKED + 1]  # the 16 nearest, the next, the 33rd
-        near[ps, :by.shape[1]] = np.take_along_axis(c, by, 1)
-        edge = np.minimum(np.where(cell[ps] > 2, xy[ps] - lo - (cell[ps] - 2) * h, np.inf),
-                          np.where(cell[ps] < g - 3, lo + (cell[ps] + 3) * h - xy[ps], np.inf))
-        rho[ps] = np.minimum(np.sqrt(np.take_along_axis(d2, by[:, -1:], 1)[:, 0]), edge.min(1))
-    todo, extra, reach2, pairs = np.arange(n), {}, r.max() ** 2, []
-    reach = np.full(n, np.inf)  # how far from its centre a site's cell may reach
+    # each site's _CHECKED nearest (the nearest of all if none is about it),
+    # those whose bisectors pass closest first; rho: every site nearer is
+    # among them; gap: twice how close the first bisector not cut with passes
+    near, rho, gap = np.empty((n, _CHECKED), np.int32), np.empty(n), np.empty(n)
+    for ps in np.array_split(by_cell, -(-n // _CHUNK)):
+        c, b = cell[ps], block(cell[ps])
+        b = np.pad(b, ((0, 0), (0, max(0, _CHECKED + 1 - b.shape[1]))), constant_values=-1)
+        d2 = np.where((b >= 0) & (b != ps[:, None]),
+                      (x[b] - x[ps, None]) ** 2 + (y[b] - y[ps, None]) ** 2, np.inf)
+        by = np.argpartition(d2, _CHECKED, 1)[:, :_CHECKED + 1]
+        b, d2 = np.take_along_axis(b, by[:, :-1], 1), np.take_along_axis(d2, by, 1)
+        with np.errstate(invalid="ignore"):
+            key = (d2[:, :-1] - r[b] ** 2 + r[ps, None] ** 2) / np.sqrt(d2[:, :-1])
+        by = np.argsort(key, 1)
+        key, b = np.take_along_axis(key, by, 1), np.take_along_axis(b, by, 1)
+        near[ps], gap[ps] = np.where(key < np.inf, b, -1), key[:, _NEAREST]
+        for i in ps[near[ps, 0] < 0].tolist():
+            near[i, 0] = np.where(np.arange(n) != i, ((xy - xy[i]) ** 2).sum(1), np.inf).argmin()
+        edge = np.minimum(np.where(c > 2, xy[ps] - lo - (c - 2) * h, np.inf),
+                          np.where(c < g - 3, lo + (c + 3) * h - xy[ps], np.inf))
+        rho[ps] = np.minimum(np.sqrt(d2[:, -1]), edge.min(1))
 
-    def grow(ps: np.ndarray, qs: np.ndarray) -> list[SiteId]:
-        """Add each site qs[i] to the extra candidates of ps[i]; the sites
-        that gained one (a site that beats p only where it is one of p's
-        candidates already does so by rounding)."""
-        new = ~(near[ps, :_NEAREST] == qs[:, None]).any(1)
-        return [i for i, j in zip(ps[new].tolist(), qs[new].tolist())
-                if j not in extra.setdefault(i, set()) and not extra[i].add(j)]
+    def cut(ps: np.ndarray, nb: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
+        """Each p's candidates nb in its frame (dx, dy, b as in ``_intervals``)
+        and the edges (s, q) of the cell the first k leave it, with the ends
+        of their intervals."""
+        dx, dy = x[nb] - x[ps, None], y[nb] - y[ps, None]
+        b = dx * dx + dy * dy - r[nb] ** 2 + r[ps, None] ** 2
+        ok = nb[:, :k] >= 0
+        lo_t, hi_t = _intervals(dx[:, :k] * ok, dy[:, :k] * ok, np.where(ok, b[:, :k], 1.0))
+        with np.errstate(invalid="ignore"):
+            s, q = np.nonzero(ok & np.where(np.isfinite(hi_t - lo_t), side(hi_t, lo_t) > 0,
+                                            hi_t > lo_t))
+        return dx, dy, b, s, q, lo_t[s, q], hi_t[s, q]
 
+    # a hidden site cuts no cell: those the first _FIRST find leave every
+    # list (which leaves gap short of the first bisector then not cut with)
+    gone = np.ones(n, bool)
+    for ps in np.array_split(np.arange(n), -(-n // _CHUNK)):
+        gone[ps[cut(ps, near[ps, :_FIRST], _FIRST)[3]]] = False
+    keep = (near >= 0) & ~gone[near]
+    near = np.take_along_axis(np.where(keep, near, -1), np.argsort(~keep, 1, kind="stable"), 1)
+
+    def beater(p: np.ndarray, v: np.ndarray, e: Optional[np.ndarray]) -> np.ndarray:
+        """``_beater`` at the points v[i] of p[i]'s frame, of the 5 x 5 cells
+        about v[i] and the far-reaching sites; with ``e``, for the ray along
+        v[i] of p[i]'s edge with the site e[i] from p[i], of the far-reaching
+        sites beyond p[i] along v[i] (by 1e-12 |v| |d|, above the rounding),
+        the one whose line from p[i] turns farthest from e[i] (gift wrapping)."""
+        cs = [np.broadcast_to(wide, (len(p), len(wide)))]
+        c = np.concatenate((cs if e is not None else [block(cell_of(v + xy[p]))]) + cs, 1)
+        dx, dy = x[c] - x[p, None], y[c] - y[p, None]
+        a = 2 * (v[:, :1] * dx + v[:, 1:] * dy)
+        if e is None:
+            return _beater(a, dx * dx + dy * dy - r[c] ** 2 + r[p, None] ** 2, c)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _beater(a, 1e-12 * np.hypot(dx, dy) * np.hypot(*v.T)[:, None], c,
+                           -(e[:, :1] * dx + e[:, 1:] * dy) / a)
+
+    extra: list[set[int]] = [set() for _ in range(n)]
+    todo, pairs, reach2 = np.flatnonzero(~gone), [], r.max() ** 2
+    reach = np.where(gone, -np.inf, np.inf)  # how far from its centre a cell may reach
     while len(todo):
-        retry, found, far, rays = [], [], [], []
+        found, hits, far_checks = [], [], []
         for ps in np.array_split(todo, -(-len(todo) // _CHUNK)):
-            # p cuts with its _NEAREST nearest and its extra candidates, and
-            # checks its vertices against the rest of its nearest
-            more = padded([list(extra.get(p, ())) for p in ps.tolist()], -1)[0].reshape(len(ps), -1)
-            nb = np.concatenate([near[ps, :_NEAREST], more, near[ps, _NEAREST:-1]], 1)
-            k = _NEAREST + more.shape[1]
-            dx, dy = x[nb] - x[ps, None], y[nb] - y[ps, None]  # in p's frame
-            b = dx * dx + dy * dy - r[nb] ** 2 + r[ps, None] ** 2
-            ok = (nb >= 0) & ((dx != 0) | (dy != 0))
-            hidden = ((nb >= 0) & ~ok & (r[nb] > r[ps, None])).any(1)
-            cand = np.where(ok[:, :k], nb[:, :k], -1)
-            lo_t, hi_t = _intervals(*(np.where(ok[:, :k], a[:, :k], z)
-                                      for a, z in ((dx, 0.0), (dy, 0.0), (b, 1.0))))
-            with np.errstate(invalid="ignore"):
-                edges = (cand >= 0) & ~hidden[:, None] & np.where(
-                    np.isfinite(hi_t - lo_t), side(hi_t, lo_t) > 0, hi_t > lo_t)
-            # p's rays, an end at t = -inf or inf running along -+ d_q turned
-            # a quarter, and its vertices, each the hi end of one edge (t runs
-            # anticlockwise about p)
-            s, q = np.nonzero(edges)
-            qx, qy, t = dx[s, q], dy[s, q], hi_t[s, q]
-            end, w = ~np.isfinite(np.stack([lo_t[s, q], t])), np.stack([-qy, qx], 1)
-            rs, rw = np.concatenate([s[end[0]], s[end[1]]]), np.concatenate([-w[end[0]], w[end[1]]])
-            s, q, qx, qy, t = (a[~end[1]] for a in (s, q, qx, qy, t))
+            # p cuts with its extras and the first _NEAREST of its nearest, in
+            # its own frame
+            more = padded([sorted(extra[p]) for p in ps.tolist()], -1)[0].reshape(len(ps), -1)
+            nb, k = np.concatenate([more, near[ps]], 1), _NEAREST + more.shape[1]
+            dx, dy, b, s, q, lt, t = cut(ps, nb, k)
+            # a point of each edge, its hi end, else its lo end, else t = 0,
+            # and its rays, along -+ d_q turned a quarter (t runs anticlockwise)
+            qx, qy = dx[s, q], dy[s, q]
+            up, down = np.isinf(t), np.isinf(lt)
+            t = np.where(~up, t, np.where(~down, lt, 0.0))
             bq = b[s, q] / (qx * qx + qy * qy)
-            vx, vy = (bq * qx - t * qy) / 2, (bq * qy + t * qx) / 2
-            lost = ~hidden & (cand < 0).all(1)
-            reach[ps] = np.where(lost, np.inf, -np.inf)
-            np.maximum.at(reach, ps[s], np.hypot(vx, vy))
-            reach[ps[rs]] = np.inf
-            # a site that beats p at a vertex: among its nearest, else (if one
-            # beyond them could) among all; for a ray, the site farthest
-            # beyond p along it.  Each joins p's extra candidates.
-            vd = 2 * (vx[:, None] * dx[s, k:] + vy[:, None] * dy[s, k:])
-            tol = 1e-12 * (abs(vd).max(1, initial=0) + abs(b[s, k:]).max(1, initial=0))
-            hit = (nb[s, k:] >= 0) & (vd - b[s, k:] > tol[:, None])
-            for i in ps[lost].tolist():  # none in its block: its nearest site
-                extra.setdefault(i, set()).add(int(np.where(
-                    (xy != xy[i]).any(1), ((xy - xy[i]) ** 2).sum(1), np.inf).argmin()))
-            e, c = np.nonzero(hit)
-            lost[np.isin(ps, grow(ps[s[e]], nb[s[e], k + c]))] = True
-            pw = vx * vx + vy * vy - r[ps[s]] ** 2
-            wide = ~lost[s] & (np.hypot(vx, vy) + np.sqrt((pw + reach2).clip(0)) >= rho[ps[s]])
-            far.append((ps[s[wide]], np.stack([vx[wide], vy[wide]], 1)))
-            rays.append((ps[rs[~lost[rs]]], rw[~lost[rs]]))
-            retry.append(ps[lost])
-            s, q = np.nonzero(edges & ~lost[:, None])
-            found.append((ps[s], cand[s, q]))
-        # the far checks, once every site's cell of the round is known: the
-        # site whose cell holds a point beats p there if any does, and only
-        # a site whose cell reaches far (every one with a ray) can hold a
-        # point beyond the block about it
+            v = np.stack([bq * qx - t * qy, bq * qy + t * qx], 1) / 2
+            pv = (v * v).sum(1)
+            reach[ps] = -np.inf
+            np.maximum.at(reach, ps[s], np.where(up | down, np.inf, np.sqrt(pv)))
+            wide = np.sqrt(pv) + np.sqrt((pv - r[ps[s]] ** 2 + reach2).clip(0)) >= rho[ps[s]]
+            # the rest of the nearest beat p at a point v only if the first
+            # bisector of them passes within |v| of p
+            span = np.zeros(len(ps))
+            np.maximum.at(span, s[~wide], np.sqrt(pv[~wide]))
+            i = np.flatnonzero(~wide & (gap[ps[s]] < 2.000001 * span[s]))
+            a = 2 * (v[i, :1] * dx[s[i], k:] + v[i, 1:] * dy[s[i], k:])
+            hits.append((ps[s[i]], _beater(a, b[s[i], k:], nb[s[i], k:])))
+            d, turned = np.stack([qx, qy], 1), np.stack([-qy, qx], 1)
+            far_checks += [(ps[s[wide]], v[wide], None), (ps[s[up]], turned[up], d[up]),
+                           (ps[s[down]], -turned[down], d[down])]
+            found.append((ps[s], nb[s, q]))
+        # the far checks, once every cell of the round is bounded: the site
+        # whose cell holds a point beats p there if any does, and only one
+        # whose cell reaches beyond 2 h (every one with a ray) can hold a
+        # point beyond the 5 x 5 cells about it
         wide = np.flatnonzero(reach > 2 * h)
-        (p, a), (pr, w) = (map(np.concatenate, zip(*x)) for x in (far, rays))
-        cells = np.minimum(((a + xy[p] - lo) // h).clip(0), g - 1).astype(int)
-        beater = np.concatenate([_beater(xyr, p, a, lambda j: block(cells[j]), wide),
-                                 _beater(xyr, pr, w, None, wide)])
-        p = np.concatenate([p, pr])
-        retry.append(np.unique(grow(p[beater >= 0], beater[beater >= 0])).astype(int))
-        i, j = map(np.concatenate, zip(*found))
-        pairs.append((i[~np.isin(i, retry[-1])], j[~np.isin(i, retry[-1])]))
-        todo = np.concatenate(retry)
-        todo = todo[np.argsort([len(extra[i]) for i in todo.tolist()], kind="stable")]
-    p, q = (np.concatenate(x) for x in zip(*pairs))
-    key = np.unique(np.concatenate([p * n + q, q * n + p]))
-    heads = np.flatnonzero(np.diff(key // n, prepend=-1))
-    return {int(key[i] // n): set((part % n).tolist())
-            for i, part in zip(heads, np.split(key, heads[1:]))}, "hull"
+        for p, v, e in far_checks:
+            for i in range(0, len(p), _STEP):
+                j = slice(i, i + _STEP)
+                hits.append((p[j], beater(p[j], v[j], None if e is None else e[j])))
+        p, k = (np.concatenate(a).astype(int) for a in zip(*hits))
+        bad = {p for p, k in zip(p[k >= 0].tolist(), k[k >= 0].tolist())
+               if k not in extra[p] and not extra[p].add(k)}
+        p, q = (np.concatenate(a) for a in zip(*found))
+        keep = ~np.isin(p, list(bad))
+        pairs.append((p[keep], q[keep]))
+        todo = np.array(sorted(bad), dtype=int)
+    p, q = (ids[np.concatenate(a)] for a in zip(*pairs))
+    key = np.unique(np.concatenate([p * len(disks) + q, q * len(disks) + p]))
+    heads = np.flatnonzero(np.diff(key // len(disks), prepend=-1)).tolist()
+    to = (key % len(disks)).tolist()
+    return {to_p: set(to[a:z]) for to_p, a, z in zip((key[heads] // len(disks)).tolist(), heads,
+                                                     heads[1:] + [len(to)])}, "hull"
 
 
 def _intervals(dx: np.ndarray, dy: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For each row p and each q of its candidates, given in p's frame (the
     centres less p's, and b, twice each bisector's offset: p keeps the x
     with 2 x . d <= b): the parameters [lo, hi] of the part of the bisector
-    of p and q, x = (b_q d_q + t d_q turned a quarter) / 2, where p and q
-    beat every other candidate k; lo > hi if there is none.  Rows are
-    taken 32 at a time, which keeps the working arrays in cache."""
+    of p and q, x = (b_q d_q / |d_q|^2 + t d_q turned a quarter) / 2, where
+    p and q beat every other candidate k; lo > hi if there is none."""
     lo, hi = np.empty_like(b), np.empty_like(b)
-    for i in range(0, len(b), 32):
-        x, y, c = dx[i:i + 32], dy[i:i + 32], b[i:i + 32]
-        kx, ky, kb = x.T[:, :, None], y.T[:, :, None], c.T[:, :, None]  # k first
+    beta = (b / (dx * dx + dy * dy).clip(1e-300)).T
+    X, Y, B = dx.T, dy.T, b.T  # candidates first, rows last
+    for i in range(0, len(b), 64):
+        x, y, kb, c = X[:, i:i + 64], Y[:, i:i + 64], B[:, None, i:i + 64], beta[:, i:i + 64]
+        kx, ky = x[:, None], y[:, None]  # (k, q, rows)
         cross = x * ky - y * kx
-        along = (c / (x * x + y * y).clip(1e-300)) * (x * kx + y * ky)
+        along = c * (x * kx + y * ky)
         with np.errstate(divide="ignore", invalid="ignore"):
             t = (kb - along) / cross
-        lo[i:i + 32] = np.where(cross < 0, t, -np.inf).max(0)
-        hi[i:i + 32] = np.where(cross > 0, t, np.inf).min(0)
+        lo[i:i + 64] = np.where(cross < 0, t, -np.inf).max(0).T
+        hi[i:i + 64] = np.where(cross > 0, t, np.inf).min(0).T
         # a parallel candidate that leaves p no point of the line
-        k, r, q = np.nonzero(cross == 0)
-        cut = side(kb[k, r, 0], along[k, r, q]) < 0
-        hi[i + r[cut], q[cut]] = -np.inf
+        k, q, row = np.nonzero(cross == 0)
+        cut = side(kb[k, 0, row], along[k, q, row]) < 0
+        hi[i + row[cut], q[cut]] = -np.inf
     return lo, hi
 
 
-def _beater(xyr: np.ndarray, p: np.ndarray, v: np.ndarray,
-            around: Optional[Callable[[slice], np.ndarray]], common: np.ndarray) -> np.ndarray:
-    """For each i, the site that beats site p[i] most at the point v[i] of
-    p[i]'s frame, of the sites ``around(rows)`` (-1 for none) and
-    ``common``; without ``around``, the site of ``common`` that lies
-    farthest beyond p[i] in the direction v[i].  -1 where none does by
-    more than ``side``'s rounding.  Computed in p[i]'s frame, so the
-    squares of far coordinates never cancel."""
-    x, y, r = xyr.T
-    out, step = np.full(len(p), -1), max(1, _ENTRIES // (len(common) + 64))
-    for i in range(0, len(p), step):
-        j, q = slice(i, i + step), p[i:i + step, None]
-        c = np.broadcast_to(common, (len(q), len(common)))
-        c = np.concatenate([around(j), c], 1) if around else c
-        dx, dy = x[c] - x[q], y[c] - y[q]
-        a = v[j, :1] * dx + v[j, 1:] * dy
-        b = (dx * dx + dy * dy - r[c] ** 2 + r[q] ** 2) / 2 if around else 0.0
-        gain = np.where((c >= 0) & (side(a, b) > 0), a - b, -np.inf)
-        best = np.take_along_axis(c, gain.argmax(1)[:, None], 1)[:, 0]
-        out[j] = np.where(np.isfinite(gain.max(1, initial=-np.inf)), best, -1)
-    return out
+def _beater(a: np.ndarray, b, c: np.ndarray, gain: Optional[np.ndarray] = None) -> np.ndarray:
+    """For each row i, the site c[i, j] (-1 for none) with a[i, j] above
+    b[i, j] by more than ``side``'s rounding and the largest ``gain`` (by
+    default a - b); -1 where there is none."""
+    gain = np.where((c >= 0) & (side(a, b) > 0), a - b if gain is None else gain, -np.inf)
+    j = gain.argmax(1, keepdims=True)
+    return np.where(np.take_along_axis(gain, j, 1)[:, 0] > -np.inf,
+                    np.take_along_axis(c, j, 1)[:, 0], -1)
 
 
 def _lower_chain(pts: Sequence[tuple[float, float]], order: Iterable[int]) -> list[int]:

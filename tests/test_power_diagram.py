@@ -727,3 +727,21 @@ def test_hull_route_equals_qhull_on_the_benchmark_generator(seed):
     assert pd.route == "hull"
     assert pd.hidden == frozenset(range(2048)) - set(ref)
     assert pd.neighbors == {i: frozenset(ref.get(i, ())) for i in range(2048)}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_hull_route_equals_qhull_on_a_ring_about_a_lone_site(seed):
+    # 300 disks on a circle about a small one at its centre: no other site
+    # lies in the grid cells about the centre's, its cell reaches the ring,
+    # and the ring's cells are unbounded
+    rng = random.Random(seed)
+    disks = [Disk(Point2(50.0 + 40.0 * math.cos(a), 50.0 + 40.0 * math.sin(a)),
+                  rng.choice([0.4, rng.uniform(0.2, 0.8)]))
+             for a in (2.0 * math.pi * i / 300 for i in range(300))]
+    disks.append(Disk(Point2(50.1, 50.2), 0.5))
+    pd = build(disks, DIAGRAM_WIN)
+    ref = qhull_neighbors(pd.sites)
+    assert pd.route == "hull"
+    assert pd.hidden == frozenset(range(len(disks))) - set(ref)
+    assert pd.neighbors == {i: frozenset(ref.get(i, ())) for i in range(len(disks))}
+    assert len(pd.neighbors[300]) > 10
