@@ -358,7 +358,8 @@ def _intervals(dx: np.ndarray, dy: np.ndarray, b: np.ndarray) -> tuple[np.ndarra
     return lo, hi
 
 
-def _beater(a: np.ndarray, b, c: np.ndarray, gain: Optional[np.ndarray] = None) -> np.ndarray:
+def _beater(a: np.ndarray, b: np.ndarray | float, c: np.ndarray,
+            gain: Optional[np.ndarray] = None) -> np.ndarray:
     """For each row i, the site c[i, j] (-1 for none) with a[i, j] above
     b[i, j] by more than ``side``'s rounding and the largest ``gain`` (by
     default a - b); -1 where there is none."""

@@ -710,23 +710,27 @@ def hull_layouts(draw):
     return disks
 
 
+def hull_route_diagram(disks: Sequence[Disk]) -> PowerDiagram:
+    """``build``'s diagram of ``disks`` in DIAGRAM_WIN, checked to take the
+    hull route and to have the neighbours and hidden sites of Qhull's lower
+    hull of the same sites."""
+    pd = build(disks, DIAGRAM_WIN)
+    ref = qhull_neighbors(pd.sites)
+    assert pd.route == "hull"
+    assert pd.hidden == frozenset(range(len(disks))) - set(ref)
+    assert pd.neighbors == {i: frozenset(ref.get(i, ())) for i in range(len(disks))}
+    return pd
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)
 @given(hull_layouts())
 def test_hull_route_equals_qhull_lower_hull(disks):
-    pd = build(disks, DIAGRAM_WIN)
-    assert pd.route == "hull"
-    ref = qhull_neighbors(pd.sites)
-    assert pd.hidden == frozenset(range(len(disks))) - set(ref)
-    assert pd.neighbors == {i: frozenset(ref.get(i, ())) for i in range(len(disks))}
+    hull_route_diagram(disks)
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13])
 def test_hull_route_equals_qhull_on_the_benchmark_generator(seed):
-    pd = build(c02_disks(2048, seed), DIAGRAM_WIN)
-    ref = qhull_neighbors(pd.sites)
-    assert pd.route == "hull"
-    assert pd.hidden == frozenset(range(2048)) - set(ref)
-    assert pd.neighbors == {i: frozenset(ref.get(i, ())) for i in range(2048)}
+    hull_route_diagram(c02_disks(2048, seed))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -739,9 +743,4 @@ def test_hull_route_equals_qhull_on_a_ring_about_a_lone_site(seed):
                   rng.choice([0.4, rng.uniform(0.2, 0.8)]))
              for a in (2.0 * math.pi * i / 300 for i in range(300))]
     disks.append(Disk(Point2(50.1, 50.2), 0.5))
-    pd = build(disks, DIAGRAM_WIN)
-    ref = qhull_neighbors(pd.sites)
-    assert pd.route == "hull"
-    assert pd.hidden == frozenset(range(len(disks))) - set(ref)
-    assert pd.neighbors == {i: frozenset(ref.get(i, ())) for i in range(len(disks))}
-    assert len(pd.neighbors[300]) > 10
+    assert len(hull_route_diagram(disks).neighbors[300]) > 10
