@@ -37,7 +37,8 @@ road or ring into a sliver:
 
 The candidate pass (``_neighbors``) decides each site p on its own, in
 p's frame (the centres less p's), so the squares of far coordinates never
-cancel.  The centres are bucketed in a uniform grid, and p's 48 nearest
+cancel.  The centres are bucketed in a uniform grid, its cells halved
+while one holds 8 times the mean (a dense cluster), and p's 48 nearest
 ordered by how close to p their bisectors pass.  A site whose cell is empty
 already with the first ``_FIRST`` (8) is hidden and leaves every list.  p cuts the plane
 with the first ``_NEAREST`` (16, the candidate cap) and the extra
@@ -201,10 +202,14 @@ def _neighbors(disks: Sequence[Disk], far: float) -> tuple[dict[SiteId, set[Site
     # g + 2 have none about them
     lo, ext = xy.min(0), np.ptp(xy, 0)
     h = max(math.sqrt(_PER_CELL * ext.prod() / n), _PER_CELL * ext.max() / n)
-    g = (ext // h).astype(int) + 1
+    while True:  # halved while a cell holds 8 times that (a dense cluster)
+        g = (ext // h).astype(int) + 1
+        key = ((xy - lo) // h).astype(int) @ [g[1], 1]
+        if np.bincount(key).max() <= 8 * _PER_CELL or g.prod() > 64 * n:
+            break
+        h /= 2
     cell_of = lambda a: ((a - lo) // h).clip(-3, g + 2).astype(int)
     cell = cell_of(xy)
-    key = cell @ [g[1], 1]
     by_cell = np.argsort(key, kind="stable")
     start = np.searchsorted(key[by_cell], np.arange(g.prod() + 1))  # cell c: by_cell[start[c]:]
 
@@ -217,9 +222,9 @@ def _neighbors(disks: Sequence[Disk], far: float) -> tuple[dict[SiteId, set[Site
         i = a[:, :, None] + np.arange((z - a).max(initial=1))
         return np.where(i < z[:, :, None], by_cell[i.clip(0, n - 1)], -1).reshape(len(c), -1)
 
-    # each site's _CHECKED nearest (the nearest of all if none is about it),
-    # those whose bisectors pass closest first; rho: every site nearer is
-    # among them; gap: twice how close the first bisector not cut with passes
+    # each site's _CHECKED nearest, those whose bisectors pass closest first;
+    # rho: every site nearer is among them; gap: twice how close the first
+    # bisector not cut with passes
     near, rho, gap = np.empty((n, _CHECKED), np.int32), np.empty(n), np.empty(n)
     for ps in np.array_split(by_cell, -(-n // _CHUNK)):
         c, b = cell[ps], block(cell[ps])
@@ -233,8 +238,6 @@ def _neighbors(disks: Sequence[Disk], far: float) -> tuple[dict[SiteId, set[Site
         by = np.argsort(key, 1)
         key, b = np.take_along_axis(key, by, 1), np.take_along_axis(b, by, 1)
         near[ps], gap[ps] = np.where(key < np.inf, b, -1), key[:, _NEAREST]
-        for i in ps[near[ps, 0] < 0].tolist():
-            near[i, 0] = np.where(np.arange(n) != i, ((xy - xy[i]) ** 2).sum(1), np.inf).argmin()
         edge = np.minimum(np.where(c > 2, xy[ps] - lo - (c - 2) * h, np.inf),
                           np.where(c < g - 3, lo + (c + 3) * h - xy[ps], np.inf))
         rho[ps] = np.minimum(np.sqrt(d2[:, -1]), edge.min(1))
@@ -257,8 +260,12 @@ def _neighbors(disks: Sequence[Disk], far: float) -> tuple[dict[SiteId, set[Site
     gone = np.ones(n, bool)
     for ps in np.array_split(np.arange(n), -(-n // _CHUNK)):
         gone[ps[cut(ps, near[ps, :_FIRST], _FIRST)[3]]] = False
+    gone &= (near >= 0).any(1)  # a site with none about it is not known hidden
     keep = (near >= 0) & ~gone[near]
     near = np.take_along_axis(np.where(keep, near, -1), np.argsort(~keep, 1, kind="stable"), 1)
+    for i in np.flatnonzero((near[:, 0] < 0) & ~gone).tolist():  # none left: the nearest
+        near[i, 0] = np.where(~gone & (np.arange(n) != i), ((xy - xy[i]) ** 2).sum(1),
+                              np.inf).argmin()
 
     def beater(p: np.ndarray, v: np.ndarray, e: Optional[np.ndarray]) -> np.ndarray:
         """``_beater`` at the points v[i] of p[i]'s frame, of the 5 x 5 cells

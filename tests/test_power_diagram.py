@@ -686,13 +686,14 @@ def test_cells_and_frames_make_no_per_polygon_clip(monkeypatch):
 
 
 # The candidate pass against Qhull's lower hull of the same sites, in the
-# window's frame: uniform, clustered and road-like layouts, radius ratios up
-# to 100, up to 300 sites.
+# window's frame: uniform, clustered and road-like layouts, and dense
+# clusters among sparse sites, radius ratios up to 100, up to 300 sites.
 
 @st.composite
 def hull_layouts(draw):
     rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
-    n, kind = draw(st.integers(4, 300)), draw(st.sampled_from(["uniform", "clustered", "road"]))
+    n = draw(st.integers(4, 300))
+    kind = draw(st.sampled_from(["uniform", "clustered", "road", "dense"]))
     rmin = 1.0 / draw(st.sampled_from([1.0, 3.0, 10.0, 100.0]))
     spread = 100.0 / math.sqrt(n)
     hubs = [(rng.uniform(10, 90), rng.uniform(10, 90)) for _ in range(rng.randint(1, 4))]
@@ -700,9 +701,10 @@ def hull_layouts(draw):
     for _ in range(n):
         if kind == "uniform":
             x, y = rng.uniform(0.5, 99.5), rng.uniform(0.5, 99.5)
-        elif kind == "clustered":
+        elif kind in ("clustered", "dense"):
             hx, hy = rng.choice(hubs)
-            x, y = (min(max(rng.gauss(h, 5.0), 0.5), 99.5) for h in (hx, hy))
+            spot = 5.0 if kind == "clustered" or rng.random() < 0.1 else 0.5
+            x, y = (min(max(rng.gauss(h, spot), 0.5), 99.5) for h in (hx, hy))
         else:
             x = rng.uniform(1.0, 99.0)
             y = 50.0 + 0.3 * (x - 50.0) + rng.uniform(-2.0, 2.0)
