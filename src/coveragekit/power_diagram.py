@@ -38,23 +38,27 @@ road or ring into a sliver:
 The candidate pass (``_neighbors``) decides each site p on its own, in
 p's frame (the centres less p's), so the squares of far coordinates never
 cancel.  The centres are bucketed in a uniform grid, its cells halved
-while one holds 8 times the mean (a dense cluster), and p's 48 nearest
-ordered by how close to p their bisectors pass.  A site whose cell is empty
-already with the first ``_FIRST`` (8) is hidden and leaves every list.  p cuts the plane
-with the first ``_NEAREST`` (16, the candidate cap) and the extra
-candidates earlier rounds found for it, and keeps q as a neighbour where
-the interval of their bisector left by every other candidate's half-plane
-is longer than ``side``'s rounding (inside a face of four or more
-cocircular sites the edges have length 0 and are no neighbor pairs).  Every
-end v of an interval is then certified.  The rest of the 48 beat p at v
-only if the first of their bisectors passes within |v| of p.  A site
-beyond them beats p there only if its centre lies within sqrt(pow_p(v) +
-r_max^2) of v; when that reach leaves the 48, v is checked against the site
-whose cell holds it, which lies in the 5 x 5 grid cells about v or has a
-cell reaching beyond 2 cells.  An unbounded edge holds only if no site lies
-beyond p along it.  A site beaten somewhere takes its beaters (for an
-unbounded edge, the next corner of the centres' hull) as extra candidates
-and is decided again; a site left with no edge is hidden.
+while one holds 8 times the mean (a dense cluster), and p's 48 nearest in
+the 5 x 5 cells about it ordered by how close to p their bisectors pass.
+A site whose cell is empty already with the first ``_FIRST`` (8) is hidden
+and leaves every list; a site left with 16 or fewer (at the rim of the
+layout or beside a dense cluster) takes the 48 nearest of all the sites
+not found hidden.  p cuts the plane with the first ``_NEAREST`` (16, the
+candidate cap) and the extra candidates earlier rounds found for it, and
+keeps q as a neighbour where the interval of their bisector left by every
+other candidate's half-plane is longer than ``side``'s rounding (inside a
+face of four or more cocircular sites the edges have length 0 and are no
+neighbor pairs).  Every end v of an interval is then certified.  The rest
+of the 48 beat p at v only if the first of their bisectors passes within
+|v| of p.  A site beyond them beats p there only if its centre lies within
+sqrt(pow_p(v) + r_max^2) of v; when that reach leaves the 48, v is checked
+against the site whose cell holds it, which lies in the 5 x 5 grid cells
+about v or has a cell reaching beyond 2 cells.  An unbounded edge holds
+only if no site lies beyond p along it.  A site beaten somewhere takes its
+beaters (for an unbounded edge, the next corner of the centres' hull) as
+extra candidates and is decided again; a site left with no edge is hidden.
+A step of the interval kernel holds at most ``_PAIRS`` candidate pairs
+(or one row), however many extras its rows have gathered.
 Diagrams are immutable after construction; concurrent reads are safe.
 """
 
@@ -78,6 +82,7 @@ _FIRST = 8  # a site whose cell its first 8 candidates leave empty is hidden
 _PER_CELL = 2.5  # sites per grid cell: a 5 x 5 block of cells holds about 60
 _CHUNK = 256  # sites per step of the candidate pass
 _STEP = 128  # points per step of a far check
+_PAIRS = 2 ** 14  # pairs per step of the interval kernel and of a search of all sites
 
 
 @dataclass(frozen=True)
@@ -226,8 +231,10 @@ def _neighbors(disks: Sequence[Disk], far: float) -> tuple[dict[SiteId, set[Site
     # rho: every site nearer is among them; gap: twice how close the first
     # bisector not cut with passes
     near, rho, gap = np.empty((n, _CHECKED), np.int32), np.empty(n), np.empty(n)
-    for ps in np.array_split(by_cell, -(-n // _CHUNK)):
-        c, b = cell[ps], block(cell[ps])
+
+    def nearest(ps: np.ndarray, b: np.ndarray, edge: np.ndarray | float) -> None:
+        """near, rho and gap of the sites ps from the sites b[i] about ps[i]
+        (-1 for none), every site within ``edge`` of ps[i] among them."""
         b = np.pad(b, ((0, 0), (0, max(0, _CHECKED + 1 - b.shape[1]))), constant_values=-1)
         d2 = np.where((b >= 0) & (b != ps[:, None]),
                       (x[b] - x[ps, None]) ** 2 + (y[b] - y[ps, None]) ** 2, np.inf)
@@ -238,9 +245,13 @@ def _neighbors(disks: Sequence[Disk], far: float) -> tuple[dict[SiteId, set[Site
         by = np.argsort(key, 1)
         key, b = np.take_along_axis(key, by, 1), np.take_along_axis(b, by, 1)
         near[ps], gap[ps] = np.where(key < np.inf, b, -1), key[:, _NEAREST]
+        rho[ps] = np.minimum(np.sqrt(d2[:, -1]), edge)
+
+    for ps in np.array_split(by_cell, -(-n // _CHUNK)):
+        c = cell[ps]
         edge = np.minimum(np.where(c > 2, xy[ps] - lo - (c - 2) * h, np.inf),
                           np.where(c < g - 3, lo + (c + 3) * h - xy[ps], np.inf))
-        rho[ps] = np.minimum(np.sqrt(d2[:, -1]), edge.min(1))
+        nearest(ps, block(c), edge.min(1))
 
     def cut(ps: np.ndarray, nb: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
         """Each p's candidates nb in its frame (dx, dy, b as in ``_intervals``)
@@ -263,9 +274,12 @@ def _neighbors(disks: Sequence[Disk], far: float) -> tuple[dict[SiteId, set[Site
     gone &= (near >= 0).any(1)  # a site with none about it is not known hidden
     keep = (near >= 0) & ~gone[near]
     near = np.take_along_axis(np.where(keep, near, -1), np.argsort(~keep, 1, kind="stable"), 1)
-    for i in np.flatnonzero((near[:, 0] < 0) & ~gone).tolist():  # none left: the nearest
-        near[i, 0] = np.where(~gone & (np.arange(n) != i), ((xy - xy[i]) ** 2).sum(1),
-                              np.inf).argmin()
+    # a site left with _NEAREST or fewer (at the rim of the layout, beside a
+    # dense cluster or among hidden sites) takes the nearest of all others
+    # not hidden: a hidden site beats p only where one of those does
+    few, seen = np.flatnonzero((near[:, _NEAREST] < 0) & ~gone), np.flatnonzero(~gone)
+    for ps in np.array_split(few, max(1, len(few) * len(seen) // _PAIRS)):
+        nearest(ps, np.broadcast_to(seen, (len(ps), len(seen))), np.inf)
 
     def beater(p: np.ndarray, v: np.ndarray, e: Optional[np.ndarray]) -> np.ndarray:
         """``_beater`` at the points v[i] of p[i]'s frame, of the 5 x 5 cells
@@ -287,7 +301,7 @@ def _neighbors(disks: Sequence[Disk], far: float) -> tuple[dict[SiteId, set[Site
     todo, pairs, reach2 = np.flatnonzero(~gone), [], r.max() ** 2
     reach = np.where(gone, -np.inf, np.inf)  # how far from its centre a cell may reach
     while len(todo):
-        found, hits, far_checks = [], [], []
+        found, hits, points, rays = [], [], [], []
         for ps in np.array_split(todo, -(-len(todo) // _CHUNK)):
             # p cuts with its extras and the first _NEAREST of its nearest, in
             # its own frame
@@ -313,18 +327,18 @@ def _neighbors(disks: Sequence[Disk], far: float) -> tuple[dict[SiteId, set[Site
             a = 2 * (v[i, :1] * dx[s[i], k:] + v[i, 1:] * dy[s[i], k:])
             hits.append((ps[s[i]], _beater(a, b[s[i], k:], nb[s[i], k:])))
             d, turned = np.stack([qx, qy], 1), np.stack([-qy, qx], 1)
-            far_checks += [(ps[s[wide]], v[wide], None), (ps[s[up]], turned[up], d[up]),
-                           (ps[s[down]], -turned[down], d[down])]
+            points.append((ps[s[wide]], v[wide]))
+            rays.append((np.r_[ps[s[up]], ps[s[down]]], np.r_[turned[up], -turned[down]],
+                         np.r_[d[up], d[down]]))
             found.append((ps[s], nb[s, q]))
         # the far checks, once every cell of the round is bounded: the site
         # whose cell holds a point beats p there if any does, and only one
         # whose cell reaches beyond 2 h (every one with a ray) can hold a
         # point beyond the 5 x 5 cells about it
         wide = np.flatnonzero(reach > 2 * h)
-        for p, v, e in far_checks:
-            for i in range(0, len(p), _STEP):
-                j = slice(i, i + _STEP)
-                hits.append((p[j], beater(p[j], v[j], None if e is None else e[j])))
+        for p, v, *e in ([*map(np.concatenate, zip(*c))] for c in (points, rays)):
+            for j in (slice(i, i + _STEP) for i in range(0, len(p), _STEP)):
+                hits.append((p[j], beater(p[j], v[j], e[0][j] if e else None)))
         p, k = (np.concatenate(a).astype(int) for a in zip(*hits))
         bad = {p for p, k in zip(p[k >= 0].tolist(), k[k >= 0].tolist())
                if k not in extra[p] and not extra[p].add(k)}
@@ -349,15 +363,17 @@ def _intervals(dx: np.ndarray, dy: np.ndarray, b: np.ndarray) -> tuple[np.ndarra
     lo, hi = np.empty_like(b), np.empty_like(b)
     beta = (b / (dx * dx + dy * dy).clip(1e-300)).T
     X, Y, B = dx.T, dy.T, b.T  # candidates first, rows last
-    for i in range(0, len(b), 64):
-        x, y, kb, c = X[:, i:i + 64], Y[:, i:i + 64], B[:, None, i:i + 64], beta[:, i:i + 64]
+    step = max(1, _PAIRS // b.shape[1] ** 2)
+    for i in range(0, len(b), step):
+        x, y, kb, c = (X[:, i:i + step], Y[:, i:i + step], B[:, None, i:i + step],
+                       beta[:, i:i + step])
         kx, ky = x[:, None], y[:, None]  # (k, q, rows)
         cross = x * ky - y * kx
         along = c * (x * kx + y * ky)
         with np.errstate(divide="ignore", invalid="ignore"):
             t = (kb - along) / cross
-        lo[i:i + 64] = np.where(cross < 0, t, -np.inf).max(0).T
-        hi[i:i + 64] = np.where(cross > 0, t, np.inf).min(0).T
+        lo[i:i + step] = np.where(cross < 0, t, -np.inf).max(0).T
+        hi[i:i + step] = np.where(cross > 0, t, np.inf).min(0).T
         # a parallel candidate that leaves p no point of the line
         k, q, row = np.nonzero(cross == 0)
         cut = side(kb[k, 0, row], along[k, q, row]) < 0

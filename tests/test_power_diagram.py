@@ -746,3 +746,26 @@ def test_hull_route_equals_qhull_on_a_ring_about_a_lone_site(seed):
              for a in (2.0 * math.pi * i / 300 for i in range(300))]
     disks.append(Disk(Point2(50.1, 50.2), 0.5))
     assert len(hull_route_diagram(disks).neighbors[300]) > 10
+
+
+def test_hull_route_on_a_dense_cluster_stays_within_a_fixed_memory_peak():
+    # 1848 small disks in a cluster and 200 large ones over the window: the
+    # grid's cells shrink to the cluster, so a sparse site has no other site
+    # in the cells about it and takes its nearest of all.  Gathering its
+    # candidates from the far checks alone, one a vertex a round, took 11
+    # rounds and up to 97 candidates a site, and the interval kernel, cut
+    # 64 rows a step whatever their width, peaked at 59 MB
+    import tracemalloc
+    rng = random.Random(5)
+    disks = [Disk(Point2(50.0 + rng.gauss(0.0, 1.0), 50.0 + rng.gauss(0.0, 1.0)), 0.05)
+             for _ in range(1848)]
+    disks += [Disk(Point2(rng.uniform(0.5, 99.5), rng.uniform(0.5, 99.5)), 1.0)
+              for _ in range(200)]
+    tracemalloc.start()
+    try:
+        build(disks, DIAGRAM_WIN)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_000_000, peak
+    hull_route_diagram(disks)
