@@ -40,10 +40,11 @@ p's frame (the centres less p's), so the squares of far coordinates never
 cancel.  The centres are bucketed in a uniform grid, its cells halved
 while one holds 8 times the mean (a dense cluster), and p's 48 nearest in
 the 5 x 5 cells about it ordered by how close to p their bisectors pass.
-A site whose cell is empty already with the first ``_FIRST`` (8) is hidden
-and leaves every list; a site left with 16 or fewer (at the rim of the
-layout or beside a dense cluster) takes the 48 nearest of all the sites
-not found hidden.  p cuts the plane with the first ``_NEAREST`` (16, the
+A site whose cell is empty already with the first ``_FIRST`` (8), which
+needs one of them to beat it at its centre, is hidden and leaves every
+list; a site left with 16 or fewer (at the rim of the layout or beside a
+dense cluster) takes the 48 nearest of all the sites not found hidden.
+p cuts the plane with the first ``_NEAREST`` (16, the
 candidate cap) and the extra candidates earlier rounds found for it, and
 keeps q as a neighbour where the interval of their bisector left by every
 other candidate's half-plane is longer than ``side``'s rounding (inside a
@@ -228,9 +229,11 @@ def _neighbors(disks: Sequence[Disk], far: float) -> tuple[dict[SiteId, set[Site
         return np.where(i < z[:, :, None], by_cell[i.clip(0, n - 1)], -1).reshape(len(c), -1)
 
     # each site's _CHECKED nearest, those whose bisectors pass closest first;
-    # rho: every site nearer is among them; gap: twice how close the first
-    # bisector not cut with passes
-    near, rho, gap = np.empty((n, _CHECKED), np.int32), np.empty(n), np.empty(n)
+    # rho: every site nearer is among them; lead and gap: twice how close the
+    # first bisector and the first not cut with pass (lead <= 0: p's centre
+    # is not in p's cell)
+    near, rho = np.empty((n, _CHECKED), np.int32), np.empty(n)
+    lead, gap = np.empty(n), np.empty(n)
 
     def nearest(ps: np.ndarray, b: np.ndarray, edge: np.ndarray | float) -> None:
         """near, rho and gap of the sites ps from the sites b[i] about ps[i]
@@ -244,7 +247,7 @@ def _neighbors(disks: Sequence[Disk], far: float) -> tuple[dict[SiteId, set[Site
             key = (d2[:, :-1] - r[b] ** 2 + r[ps, None] ** 2) / np.sqrt(d2[:, :-1])
         by = np.argsort(key, 1)
         key, b = np.take_along_axis(key, by, 1), np.take_along_axis(b, by, 1)
-        near[ps], gap[ps] = np.where(key < np.inf, b, -1), key[:, _NEAREST]
+        near[ps], lead[ps], gap[ps] = np.where(key < np.inf, b, -1), key[:, 0], key[:, _NEAREST]
         rho[ps] = np.minimum(np.sqrt(d2[:, -1]), edge)
 
     for ps in np.array_split(by_cell, -(-n // _CHUNK)):
@@ -267,11 +270,11 @@ def _neighbors(disks: Sequence[Disk], far: float) -> tuple[dict[SiteId, set[Site
         return dx, dy, b, s, q, lo_t[s, q], hi_t[s, q]
 
     # a hidden site cuts no cell: those the first _FIRST find leave every
-    # list (which leaves gap short of the first bisector then not cut with)
-    gone = np.ones(n, bool)
-    for ps in np.array_split(np.arange(n), -(-n // _CHUNK)):
+    # list (which leaves gap short of the first bisector then not cut with);
+    # a site whose centre is in its cell is not hidden
+    gone = lead <= 0
+    for ps in np.array_split(np.flatnonzero(gone), max(1, -(-gone.sum() // _CHUNK))):
         gone[ps[cut(ps, near[ps, :_FIRST], _FIRST)[3]]] = False
-    gone &= (near >= 0).any(1)  # a site with none about it is not known hidden
     keep = (near >= 0) & ~gone[near]
     near = np.take_along_axis(np.where(keep, near, -1), np.argsort(~keep, 1, kind="stable"), 1)
     # a site left with _NEAREST or fewer (at the rim of the layout, beside a
