@@ -35,31 +35,31 @@ road or ring into a sliver:
   through must lie on it (any three do); if one does not, the candidate
   pass decides.
 
-The candidate pass (``_neighbors``) decides each site p on its own, in
-p's frame (the centres less p's), so the squares of far coordinates never
-cancel.  The centres are bucketed in a uniform grid, its cells halved
-while one holds 8 times the mean (a dense cluster), and p's 48 nearest in
-the 5 x 5 cells about it ordered by how close to p their bisectors pass.
-A site whose cell is empty already with the first ``_FIRST`` (8), which
-needs one of them to beat it at its centre, is hidden and leaves every
-list; a site left with 16 or fewer (at the rim of the layout or beside a
-dense cluster) takes the 48 nearest of all the sites not found hidden.
-p cuts the plane with the first ``_NEAREST`` (16, the
-candidate cap) and the extra candidates earlier rounds found for it, and
-keeps q as a neighbour where the interval of their bisector left by every
-other candidate's half-plane is longer than ``side``'s rounding (inside a
-face of four or more cocircular sites the edges have length 0 and are no
-neighbor pairs).  Every end v of an interval is then certified.  The rest
-of the 48 beat p at v only if the first of their bisectors passes within
-|v| of p.  A site beyond them beats p there only if its centre lies within
-sqrt(pow_p(v) + r_max^2) of v; when that reach leaves the 48, v is checked
-against the site whose cell holds it, which lies in the 5 x 5 grid cells
-about v or has a cell reaching beyond 2 cells.  An unbounded edge holds
-only if no site lies beyond p along it.  A site beaten somewhere takes its
-beaters (for an unbounded edge, the next corner of the centres' hull) as
-extra candidates and is decided again; a site left with no edge is hidden.
-A step of the interval kernel holds at most ``_PAIRS`` candidate pairs
-(or one row), however many extras its rows have gathered.
+The candidate pass (``_neighbors``) decides each site p on its own, in p's
+frame (the centres less p's), so the squares of far coordinates never
+cancel.  The centres are bucketed in a uniform grid, its cells halved while
+one holds 8 times the mean (a dense cluster), and p's 48 nearest in the
+5 x 5 cells about it ordered by how close to p their bisectors pass.  A
+site whose cell is empty already with the first ``_FIRST`` (8), which needs
+one of them to beat it at its centre, is hidden and leaves every list; a
+site left with 16 or fewer (at the rim of the layout or beside a dense
+cluster) takes the 48 nearest of all the sites not found hidden.  p cuts
+the plane with the first ``_NEAREST`` (16, the candidate cap) and the extra
+candidates earlier rounds found for it, and keeps q as a neighbour where
+the interval of their bisector left by every other candidate's half-plane
+is longer than ``side``'s rounding (inside a face of four or more
+cocircular sites the edges have length 0 and are no neighbor pairs).  Every
+end v of an interval is then certified.  The rest of the 48 beat p at v
+only if the first of their bisectors passes within |v| of p.  A site beyond
+them beats p there only if its centre lies within sqrt(pow_p(v) + r_max^2)
+of v; when that reach leaves the 48, v is checked against the site whose
+cell holds it, which lies in the 5 x 5 grid cells about v or has a cell
+reaching beyond 2 cells.  An unbounded edge holds only if no site lies
+beyond p along it.  A site beaten somewhere takes its beaters (for an
+unbounded edge, the next corner of the centres' hull) as extra candidates
+and is decided again; a site left with no edge is hidden.  A step of the
+interval kernel holds at most ``_PAIRS`` candidate pairs (or one row),
+however many extras its rows have gathered.
 Diagrams are immutable after construction; concurrent reads are safe.
 """
 
@@ -236,8 +236,8 @@ def _neighbors(disks: Sequence[Disk], far: float) -> tuple[dict[SiteId, set[Site
     lead, gap = np.empty(n), np.empty(n)
 
     def nearest(ps: np.ndarray, b: np.ndarray, edge: np.ndarray | float) -> None:
-        """near, rho and gap of the sites ps from the sites b[i] about ps[i]
-        (-1 for none), every site within ``edge`` of ps[i] among them."""
+        """near, lead, gap and rho of the sites ps from the sites b[i] about
+        ps[i] (-1 for none), every site within ``edge`` of ps[i] among them."""
         b = np.pad(b, ((0, 0), (0, max(0, _CHECKED + 1 - b.shape[1]))), constant_values=-1)
         d2 = np.where((b >= 0) & (b != ps[:, None]),
                       (x[b] - x[ps, None]) ** 2 + (y[b] - y[ps, None]) ** 2, np.inf)
@@ -271,7 +271,8 @@ def _neighbors(disks: Sequence[Disk], far: float) -> tuple[dict[SiteId, set[Site
 
     # a hidden site cuts no cell: those the first _FIRST find leave every
     # list (which leaves gap short of the first bisector then not cut with);
-    # a site whose centre is in its cell is not hidden
+    # a site whose centre beats all its nearest (lead > 0) keeps the points
+    # about its centre
     gone = lead <= 0
     for ps in np.array_split(np.flatnonzero(gone), max(1, -(-gone.sum() // _CHUNK))):
         gone[ps[cut(ps, near[ps, :_FIRST], _FIRST)[3]]] = False
