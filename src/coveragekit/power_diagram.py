@@ -50,16 +50,18 @@ the interval of their bisector left by every other candidate's half-plane
 is longer than ``side``'s rounding (inside a face of four or more
 cocircular sites the edges have length 0 and are no neighbor pairs).  Every
 end v of an interval is then certified.  The rest of the 48 beat p at v
-only if the first of their bisectors passes within |v| of p.  A site beyond
-them beats p there only if its centre lies within sqrt(pow_p(v) + r_max^2)
-of v; when that reach leaves the 48, v is checked against the site whose
-cell holds it, which lies in the 5 x 5 grid cells about v or has a cell
-reaching beyond 2 cells.  An unbounded edge holds only if no site lies
-beyond p along it.  A site beaten somewhere takes its beaters (for an
-unbounded edge, the next corner of the centres' hull) as extra candidates
-and is decided again; a site left with no edge is hidden.  A step of the
-interval kernel holds at most ``_PAIRS`` candidate pairs (or one row),
-however many extras its rows have gathered.
+only if the first of their bisectors passes within |v| of p.  A site of
+radius r beyond them beats p there only if its centre lies within
+sqrt(pow_p(v) + r^2) of v, r at most the largest radius within k grid cells
+of p's for a site that close (k up to 8), else the largest of all; when
+that reach leaves the 48, v is checked against the site whose cell holds
+it, which lies in the 5 x 5 grid cells about v or has a cell reaching
+beyond 2 cells.  An unbounded edge holds only if no site lies beyond p
+along it.  A site beaten somewhere takes its beaters (for an unbounded
+edge, the next corner of the centres' hull) as extra candidates and is
+decided again; a site left with no edge is hidden.  A step of the interval
+kernel holds at most ``_PAIRS`` candidate pairs (or one row), however many
+extras its rows have gathered.
 Diagrams are immutable after construction; concurrent reads are safe.
 """
 
@@ -255,6 +257,20 @@ def _neighbors(disks: Sequence[Disk], far: float) -> tuple[dict[SiteId, set[Site
         edge = np.minimum(np.where(c > 2, xy[ps] - lo - (c - 2) * h, np.inf),
                           np.where(c < g - 3, lo + (c + 3) * h - xy[ps], np.inf))
         nearest(ps, block(c), edge.min(1))
+    # reach2[p, j]: the largest squared radius of the sites within j + 2 cells
+    # of p's (as many cells as the largest radius spans, plus 2, at most 8),
+    # and of all sites last; a site outside k cells of p's lies at least k h
+    # from p (floor), so a cluster of small disks is not held to the reach of
+    # a large disk some cells away
+    rings, top, cols = min(8, int(r.max() / h) + 2), np.zeros(g), []
+    np.maximum.at(top, tuple(cell.T), r)
+    for _ in range(rings):  # top: the largest radius within len(cols) + 1 cells
+        t = np.pad(top, 1)
+        t = np.maximum(np.maximum(t[:-2], t[1:-1]), t[2:])
+        top = np.maximum(np.maximum(t[:, :-2], t[:, 1:-1]), t[:, 2:])
+        cols.append(top[tuple(cell.T)])
+    reach2 = np.c_[np.stack(cols[1:], 1), np.full(n, r.max())] ** 2
+    floor = h * np.r_[0, 2:rings + 1]
 
     def cut(ps: np.ndarray, nb: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
         """Each p's candidates nb in its frame (dx, dy, b as in ``_intervals``)
@@ -302,7 +318,7 @@ def _neighbors(disks: Sequence[Disk], far: float) -> tuple[dict[SiteId, set[Site
                            -(e[:, :1] * dx + e[:, 1:] * dy) / a)
 
     extra: list[set[int]] = [set() for _ in range(n)]
-    todo, pairs, reach2 = np.flatnonzero(~gone), [], r.max() ** 2
+    todo, pairs = np.flatnonzero(~gone), []
     reach = np.where(gone, -np.inf, np.inf)  # how far from its centre a cell may reach
     while len(todo):
         found, hits, points, rays = [], [], [], []
@@ -322,7 +338,9 @@ def _neighbors(disks: Sequence[Disk], far: float) -> tuple[dict[SiteId, set[Site
             pv = (v * v).sum(1)
             reach[ps] = -np.inf
             np.maximum.at(reach, ps[s], np.where(up | down, np.inf, np.sqrt(pv)))
-            wide = np.sqrt(pv) + np.sqrt((pv - r[ps[s]] ** 2 + reach2).clip(0)) >= rho[ps[s]]
+            wide = (np.sqrt(pv)[:, None] + np.sqrt(((pv - r[ps[s]] ** 2)[:, None]
+                                                    + reach2[ps[s]]).clip(0))
+                    >= np.maximum(rho[ps[s], None], floor)).any(1)
             # the rest of the nearest beat p at a point v only if the first
             # bisector of them passes within |v| of p
             span = np.zeros(len(ps))

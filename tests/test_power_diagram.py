@@ -769,3 +769,31 @@ def test_hull_route_on_a_dense_cluster_stays_within_a_fixed_memory_peak():
         tracemalloc.stop()
     assert peak < 16_000_000, peak
     hull_route_diagram(disks)
+
+
+@pytest.mark.parametrize("seed", [156, 184, 242])
+def test_hull_route_equals_qhull_with_small_disks_beside_large_ones(seed):
+    # clusters of small disks with large ones among and about them: a far
+    # check may pass over a vertex only where no disk within reach is large
+    # enough to beat the site there, so the large ones a few grid cells off
+    # must count
+    rng = random.Random(seed)
+    n_small, n_big = rng.randint(20, 400), rng.randint(3, 60)
+    hubs = [(rng.uniform(10, 90), rng.uniform(10, 90)) for _ in range(rng.randint(1, 3))]
+    spot, small, big = (rng.choice(c) for c in ([0.2, 1.0, 3.0], [0.01, 0.05, 0.2],
+                                                [0.5, 1.0, 3.0, 8.0]))
+    clip = lambda v: min(max(v, 0.5), 99.5)
+    disks = []
+    for _ in range(n_small):
+        hx, hy = rng.choice(hubs)
+        disks.append(Disk(Point2(clip(rng.gauss(hx, spot)), clip(rng.gauss(hy, spot))),
+                          small * rng.uniform(0.5, 1.0)))
+    for _ in range(n_big):
+        if rng.random() < 0.5:
+            hx, hy = rng.choice(hubs)
+            x, y = clip(hx + rng.uniform(-4, 4) * spot), clip(hy + rng.uniform(-4, 4) * spot)
+        else:
+            x, y = rng.uniform(0.5, 99.5), rng.uniform(0.5, 99.5)
+        disks.append(Disk(Point2(x, y), big * rng.uniform(0.5, 1.0)))
+    seen: set[Point2] = set()
+    hull_route_diagram([d for d in disks if not (d.center in seen or seen.add(d.center))])
