@@ -751,10 +751,9 @@ def test_hull_route_equals_qhull_on_a_ring_about_a_lone_site(seed):
 def test_hull_route_on_a_dense_cluster_stays_within_a_fixed_memory_peak():
     # 1848 small disks in a cluster and 200 large ones over the window: the
     # grid's cells shrink to the cluster, so a sparse site has no other site
-    # in the cells about it and takes its nearest of all.  Gathering its
-    # candidates from the far checks alone, one a vertex a round, took 11
-    # rounds and up to 97 candidates a site, and the interval kernel, cut
-    # 64 rows a step whatever their width, peaked at 59 MB
+    # in the cells about it, and the sparse sites about the cluster gather
+    # up to 97 candidates over the retry rounds.  Cutting 64 rows a step
+    # whatever their width, the interval kernel peaked at 59 MB
     import tracemalloc
     rng = random.Random(5)
     disks = [Disk(Point2(50.0 + rng.gauss(0.0, 1.0), 50.0 + rng.gauss(0.0, 1.0)), 0.05)
